@@ -16,9 +16,9 @@
 //! *consolidated* — rewritten as a full `insert` image of the row at the
 //! watermark (or a `delete` tombstone).
 
-use crate::record::{OpType, RecordNode, Version};
+use crate::record::{is_canonical, keep_first_per_column, OpType, RecordNode};
 use crate::table::{MemDb, Table};
-use aets_common::Timestamp;
+use aets_common::{Row, Timestamp};
 use parking_lot::Mutex;
 
 /// Statistics from one GC pass.
@@ -45,55 +45,93 @@ impl GcStats {
     }
 }
 
-/// Prunes one record's chain against the watermark. Exposed for tests;
-/// engines call [`gc_table`] / [`gc_db`].
+/// Prunes one record's chain against the watermark, in place under one
+/// exclusive lock. Exposed for tests; engines call [`gc_table`] /
+/// [`gc_db`].
 pub fn gc_node(node: &RecordNode, watermark: Timestamp) -> GcStats {
-    // Reconstruct the row at the watermark *before* taking the write
-    // lock (reads take the shared lock internally).
-    let boundary = node.version_at(watermark);
-    let mut stats = GcStats { nodes: 1, ..Default::default() };
-    let Some((boundary_txn, boundary_ts, boundary_op)) = boundary else {
-        // Nothing visible at the watermark: every version is newer;
-        // nothing can be pruned.
-        stats.retained = node.version_count();
+    let mut chain = node.chain_mut();
+    let mut stats = GcStats { nodes: 1, retained: chain.len(), ..Default::default() };
+    let end = chain.partition_point(|v| v.commit_ts <= watermark);
+    if end == 0 {
+        // Nothing visible at the watermark: every version is newer, and
+        // each is still the boundary for some future reader.
         return stats;
-    };
-    let image = node.read_at(watermark);
-    let _ = boundary_op;
-    node.replace_prefix(watermark, || {
-        // Build the consolidated boundary version: a full row image, or a
-        // tombstone when the row is invisible at the watermark.
-        let op = if image.is_some() { OpType::Insert } else { OpType::Delete };
-        Version {
-            txn_id: boundary_txn,
-            commit_ts: boundary_ts,
-            op,
-            cols: image.clone().unwrap_or_default(),
-        }
-    });
-    // Recompute stats from the chain after replacement.
-    stats.retained = node.version_count();
+    }
     stats.consolidated = 1;
+    // Most chains most of the time: one version at or below the watermark
+    // and it is a full image or an empty tombstone already. Its columns
+    // are not read: an insert stays as the log wrote it, and readers put
+    // columns in order themselves.
+    let settled = end == 1
+        && match chain[0].op {
+            OpType::Insert => true,
+            OpType::Delete => chain[0].cols.is_empty(),
+            OpType::Update => false,
+        };
+    if settled {
+        return stats;
+    }
+    // Fold the prefix into its newest version, in place: a tombstone when
+    // the row is invisible at the watermark, otherwise the full row image.
+    // The image starts from the anchor — the newest insert at or below the
+    // watermark, or the oldest version of an update-only chain, which is
+    // base data — and takes every later update's values by move.
+    let boundary = end - 1;
+    let anchor = chain[..end].iter().rposition(|v| v.op != OpType::Update).unwrap_or(0);
+    if chain[anchor].op == OpType::Delete {
+        chain[boundary].op = OpType::Delete;
+        chain[boundary].cols = Row::new();
+    } else {
+        let mut image = std::mem::take(&mut chain[anchor].cols);
+        if !is_canonical(&image) {
+            keep_first_per_column(&mut image);
+        }
+        for update in &mut chain[anchor + 1..end] {
+            // Back to front: of a column an update lists twice, the value
+            // listed first must be the one that stays.
+            for (cid, val) in update.cols.drain(..).rev() {
+                match image.binary_search_by_key(&cid, |(c, _)| *c) {
+                    Ok(i) => image[i].1 = val,
+                    Err(i) => image.insert(i, (cid, val)),
+                }
+            }
+        }
+        chain[boundary].op = OpType::Insert;
+        chain[boundary].cols = image;
+    }
+    if boundary > 0 {
+        chain.drain(..boundary);
+        // `drain` keeps the capacity of the longer chain; hand it back.
+        chain.shrink_to_fit();
+    }
+    stats.pruned = boundary;
+    stats.retained = chain.len();
     stats
 }
 
 /// Runs GC over every record of a table.
 pub fn gc_table(table: &Table, watermark: Timestamp) -> GcStats {
     let mut stats = GcStats::default();
-    let before = table.total_versions();
-    for node in table.nodes() {
-        stats.merge(gc_node(&node, watermark));
-    }
-    let after = table.total_versions();
-    stats.pruned = before.saturating_sub(after);
+    table.for_each_node(|_, node| stats.merge(gc_node(node, watermark)));
     stats
 }
 
-/// Runs GC over the whole database.
+/// Runs GC over the whole database on the calling thread.
 pub fn gc_db(db: &MemDb, watermark: Timestamp) -> GcStats {
+    gc_tables(db, watermark, 1)
+}
+
+/// [`gc_db`] across tables on `MemDb::barrier_parallelism` threads, for
+/// a caller that owns the machine: the pre-checkpoint pass at an epoch
+/// barrier, where the replay threads are idle. Same result.
+pub fn gc_db_at_barrier(db: &MemDb, watermark: Timestamp) -> GcStats {
+    gc_tables(db, watermark, db.barrier_parallelism())
+}
+
+pub(crate) fn gc_tables(db: &MemDb, watermark: Timestamp, degree: usize) -> GcStats {
     let mut stats = GcStats::default();
-    for t in db.tables() {
-        stats.merge(gc_table(t, watermark));
+    for pass in db.map_tables(degree, |t| gc_table(t, watermark)) {
+        stats.merge(pass);
     }
     stats
 }
@@ -156,6 +194,7 @@ impl QueryFloor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::Version;
     use aets_common::{ColumnId, RowKey, TableId, TxnId, Value};
 
     fn ver(txn: u64, ts: u64, op: OpType, cols: Vec<(u16, i64)>) -> Version {

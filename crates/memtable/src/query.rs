@@ -123,8 +123,15 @@ impl Scan {
         out
     }
 
-    /// Counts matching rows.
+    /// Counts matching rows. Without filters no row is reconstructed: the
+    /// version kinds alone say which records are visible.
     pub fn count(&self, table: &Table) -> usize {
+        if self.filters.is_empty() {
+            return match self.key_range {
+                Some((lo, hi)) => table.count_range_at(lo, hi, self.ts),
+                None => table.count_at(self.ts),
+            };
+        }
         let mut n = 0;
         self.for_each(table, |_, _| n += 1);
         n

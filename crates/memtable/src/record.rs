@@ -5,8 +5,8 @@
 //! short exclusive lock, and readers reconstruct the row visible at a
 //! snapshot timestamp by walking the chain backwards.
 
-use aets_common::{ColumnId, Row, Timestamp, TxnId};
-use parking_lot::RwLock;
+use aets_common::{ColumnId, Row, Timestamp, TxnId, Value};
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// The kind of DML a version carries. Alias of the shared log-level
 /// operation enum: a version chain stores exactly what the value log said.
@@ -56,6 +56,11 @@ impl RecordNode {
             v.txn_id,
             chain.last().map(|l| l.txn_id),
         );
+        if chain.capacity() == 0 {
+            // Most records are written once: give the first version room
+            // for one, not the four slots `push` would start with.
+            chain.reserve_exact(1);
+        }
         chain.push(v);
     }
 
@@ -83,87 +88,85 @@ impl RecordNode {
     /// inserted yet, or deleted).
     pub fn read_at(&self, ts: Timestamp) -> Option<Row> {
         let chain = self.versions.read();
-        // Index of the first version with commit_ts > ts.
-        let end = chain.partition_point(|v| v.commit_ts <= ts);
-        if end == 0 {
-            return None;
-        }
-        let visible = &chain[..end];
-        // Walk backwards collecting column values until the anchoring
-        // insert (full image) or a tombstone.
-        let mut merged: Vec<(ColumnId, Option<&aets_common::Value>)> = Vec::new();
-        let mut have = aets_common::FxHashSet::default();
-        for v in visible.iter().rev() {
-            match v.op {
-                OpType::Delete => return None,
-                OpType::Update | OpType::Insert => {
-                    for (cid, val) in &v.cols {
-                        if have.insert(*cid) {
-                            merged.push((*cid, Some(val)));
-                        }
-                    }
-                    if v.op == OpType::Insert {
-                        let mut row: Row = merged
-                            .into_iter()
-                            .filter_map(|(c, v)| v.map(|v| (c, v.clone())))
-                            .collect();
-                        row.sort_by_key(|(c, _)| *c);
-                        return Some(row);
-                    }
-                }
-            }
-        }
-        // Updates without a preceding visible insert: the record predates
-        // the replayed log (e.g. loaded base data). Treat the merged
-        // updates as the visible image.
-        let mut row: Row =
-            merged.into_iter().filter_map(|(c, v)| v.map(|v| (c, v.clone()))).collect();
-        row.sort_by_key(|(c, _)| *c);
-        Some(row)
+        image_of(&chain[..chain.partition_point(|v| v.commit_ts <= ts)])
     }
 
-    /// Replaces every version with `commit_ts <= watermark` by a single
-    /// consolidated boundary version built by `make_boundary`. Used by
-    /// the garbage collector; no-op when nothing is at-or-below the
-    /// watermark. Holds the exclusive lock for the swap only.
-    pub fn replace_prefix(&self, watermark: Timestamp, make_boundary: impl FnOnce() -> Version) {
-        let mut chain = self.versions.write();
-        let end = chain.partition_point(|v| v.commit_ts <= watermark);
-        if end == 0 {
-            return;
-        }
-        let boundary = make_boundary();
-        debug_assert!(boundary.commit_ts <= watermark, "boundary beyond watermark");
-        let mut replaced = Vec::with_capacity(1 + chain.len() - end);
-        replaced.push(boundary);
-        replaced.extend(chain.drain(end..));
-        *chain = replaced;
-    }
-
-    /// Clones the full version chain under the shared lock. Used by the
-    /// checkpoint snapshot codec, which serializes chains while the
-    /// engine is quiesced at an epoch barrier.
-    pub fn versions_snapshot(&self) -> Vec<Version> {
-        self.versions.read().clone()
-    }
-
-    /// Latest visible version (metadata only) at `ts`, if any.
-    pub fn version_at(&self, ts: Timestamp) -> Option<(TxnId, Timestamp, OpType)> {
+    /// Whether [`RecordNode::read_at`] would return a row at `ts`, decided
+    /// from the version kinds alone: nothing is allocated or cloned.
+    pub fn visible_at(&self, ts: Timestamp) -> bool {
         let chain = self.versions.read();
         let end = chain.partition_point(|v| v.commit_ts <= ts);
-        if end == 0 {
-            None
-        } else {
-            let v = &chain[end - 1];
-            Some((v.txn_id, v.commit_ts, v.op))
+        // Walking back, the first insert or tombstone decides; a chain of
+        // updates only is base data and visible.
+        end > 0
+            && chain[..end]
+                .iter()
+                .rfind(|v| v.op != OpType::Update)
+                .is_none_or(|v| v.op == OpType::Insert)
+    }
+
+    /// Shared-lock view of the whole chain, oldest version first: the
+    /// snapshot codec encodes from it in place.
+    pub(crate) fn chain(&self) -> RwLockReadGuard<'_, Vec<Version>> {
+        self.versions.read()
+    }
+
+    /// Exclusive-lock view of the chain: the garbage collector rewrites
+    /// the prefix below its watermark in place. Callers keep the chain in
+    /// commit order.
+    pub(crate) fn chain_mut(&self) -> RwLockWriteGuard<'_, Vec<Version>> {
+        self.versions.write()
+    }
+}
+
+/// Whether `cols` is already the row [`image_of`] would build from it
+/// alone: strictly ascending column ids (sorted, no duplicates).
+pub(crate) fn is_canonical(cols: &Row) -> bool {
+    cols.windows(2).all(|w| w[0].0 < w[1].0)
+}
+
+/// Puts `cols` in column order, keeping of each column the value listed
+/// first: the sort is stable, so that value leads its run and is the one
+/// `dedup` keeps.
+pub(crate) fn keep_first_per_column<V>(cols: &mut Vec<(ColumnId, V)>) {
+    cols.sort_by_key(|(cid, _)| *cid);
+    cols.dedup_by_key(|(cid, _)| *cid);
+}
+
+/// The row a reader reconstructs from `visible`, the versions at or below
+/// its snapshot (oldest first): the newest value of every column back to
+/// the anchoring insert, in column order. `None` when nothing is visible
+/// or a tombstone is met first.
+pub(crate) fn image_of(visible: &[Version]) -> Option<Row> {
+    let newest = visible.last()?;
+    // The common case: the newest visible version is itself a full insert
+    // image, already in column order.
+    if newest.op == OpType::Insert && is_canonical(&newest.cols) {
+        return Some(newest.cols.clone());
+    }
+    // Walk backwards collecting column values, newest first, until the
+    // anchoring insert (full image) or a tombstone.
+    let mut merged: Vec<(ColumnId, &Value)> = Vec::new();
+    for v in visible.iter().rev() {
+        if v.op == OpType::Delete {
+            return None;
+        }
+        merged.extend(v.cols.iter().map(|(cid, val)| (*cid, val)));
+        if v.op == OpType::Insert {
+            break;
         }
     }
+    // Falling off the front means updates without a visible insert: the
+    // record predates the replayed log (e.g. loaded base data), and the
+    // merged updates are its visible image. Listed newest first, so the
+    // value kept for each column is its newest.
+    keep_first_per_column(&mut merged);
+    Some(merged.into_iter().map(|(cid, val)| (cid, val.clone())).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aets_common::Value;
 
     fn ver(txn: u64, ts: u64, op: OpType, cols: Vec<(u16, i64)>) -> Version {
         Version {
@@ -235,10 +238,6 @@ mod tests {
         assert_eq!(n.version_count(), 2);
         assert_eq!(n.latest_commit_ts(), Some(Timestamp::from_micros(40)));
         assert!(n.is_ordered());
-        let (txn, ts, op) = n.version_at(Timestamp::from_micros(39)).unwrap();
-        assert_eq!(txn, TxnId::new(1));
-        assert_eq!(ts, Timestamp::from_micros(10));
-        assert_eq!(op, OpType::Insert);
     }
 
     #[test]

@@ -1,0 +1,341 @@
+//! Reference implementations for the differential tests.
+//!
+//! These are the garbage collector, the row reconstruction and the
+//! snapshot encoder as they stood before they were rewritten to work in
+//! place (materialise the row, rebuild every chain, deep-copy the database
+//! on the way to the buffer). They are slow and obviously right; the tests
+//! below hold the fast forms to them, chain for chain and byte for byte.
+
+use crate::gc::GcStats;
+use crate::record::{OpType, RecordNode, Version};
+use crate::table::{MemDb, Table};
+use aets_common::{ColumnId, Row, RowKey, Timestamp, Value};
+use bytes::{BufMut, BytesMut};
+
+/// `RecordNode::read_at` over a plain chain.
+pub(crate) fn read_at(chain: &[Version], ts: Timestamp) -> Option<Row> {
+    let end = chain.partition_point(|v| v.commit_ts <= ts);
+    if end == 0 {
+        return None;
+    }
+    let mut merged: Vec<(ColumnId, Option<&Value>)> = Vec::new();
+    let mut have = aets_common::FxHashSet::default();
+    for v in chain[..end].iter().rev() {
+        match v.op {
+            OpType::Delete => return None,
+            OpType::Update | OpType::Insert => {
+                for (cid, val) in &v.cols {
+                    if have.insert(*cid) {
+                        merged.push((*cid, Some(val)));
+                    }
+                }
+                if v.op == OpType::Insert {
+                    break;
+                }
+            }
+        }
+    }
+    let mut row: Row = merged.into_iter().filter_map(|(c, v)| v.map(|v| (c, v.clone()))).collect();
+    row.sort_by_key(|(c, _)| *c);
+    Some(row)
+}
+
+/// `gc_node`: reconstruct the row at the watermark, then swap the prefix
+/// at or below it for one consolidated boundary version in a new chain.
+/// `pruned` is filled in here; the old `gc_table` counted it from the
+/// table's version totals before and after.
+pub(crate) fn gc_node(node: &RecordNode, watermark: Timestamp) -> GcStats {
+    let mut stats = GcStats { nodes: 1, ..Default::default() };
+    let before = node.chain().clone();
+    let end = before.partition_point(|v| v.commit_ts <= watermark);
+    if end == 0 {
+        stats.retained = before.len();
+        return stats;
+    }
+    let image = read_at(&before, watermark);
+    let boundary = Version {
+        txn_id: before[end - 1].txn_id,
+        commit_ts: before[end - 1].commit_ts,
+        op: if image.is_some() { OpType::Insert } else { OpType::Delete },
+        cols: image.unwrap_or_default(),
+    };
+    let mut replaced = Vec::with_capacity(1 + before.len() - end);
+    replaced.push(boundary);
+    replaced.extend_from_slice(&before[end..]);
+    stats.pruned = before.len() - replaced.len();
+    stats.retained = replaced.len();
+    stats.consolidated = 1;
+    *node.chain_mut() = replaced;
+    stats
+}
+
+/// `gc_table` over [`gc_node`].
+pub(crate) fn gc_table(table: &Table, watermark: Timestamp) -> GcStats {
+    let mut stats = GcStats::default();
+    for (_, node) in table.entries() {
+        stats.merge(gc_node(&node, watermark));
+    }
+    stats
+}
+
+/// `encode_db`: clone every chain, filter it, collect the table, encode.
+pub(crate) fn encode_db(buf: &mut BytesMut, db: &MemDb, watermark: Timestamp) {
+    buf.put_u32_le(db.num_tables() as u32);
+    for table in db.tables() {
+        let entries = table.entries();
+        buf.put_u32_le(table.id().raw());
+        let mut kept: Vec<(RowKey, Vec<Version>)> = Vec::with_capacity(entries.len());
+        for (key, node) in entries {
+            let mut chain = node.chain().clone();
+            chain.retain(|v| v.commit_ts <= watermark);
+            if !chain.is_empty() {
+                kept.push((key, chain));
+            }
+        }
+        buf.put_u64_le(kept.len() as u64);
+        for (key, chain) in kept {
+            buf.put_u64_le(key.raw());
+            buf.put_u32_le(chain.len() as u32);
+            for v in chain {
+                buf.put_u64_le(v.txn_id.raw());
+                buf.put_u64_le(v.commit_ts.as_micros());
+                buf.put_u8(v.op.tag());
+                aets_wal::encode_row(buf, &v.cols);
+            }
+        }
+    }
+}
+
+mod tests {
+    use super::*;
+    use crate::gc;
+    use crate::snapshot::encode_db_on;
+    use aets_common::TxnId;
+    use aets_wal::TxnLog;
+    use aets_workloads::bustracker::{self, BusTrackerConfig};
+    use aets_workloads::tpcc::{self, TpccConfig};
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+
+    /// Columns as a log could carry them and as it never would: any order,
+    /// repeats allowed, so the canonical-image shortcuts get inputs that
+    /// are not canonical.
+    fn cols() -> impl Strategy<Value = Row> {
+        prop::collection::vec((0u16..6, -3i64..4), 0..5).prop_map(|cols| {
+            cols.into_iter().map(|(c, v)| (ColumnId::new(c), Value::Int(v))).collect()
+        })
+    }
+
+    /// A chain in commit order: timestamps never decrease and may repeat
+    /// (one transaction touching the record twice).
+    fn chain() -> impl Strategy<Value = Vec<Version>> {
+        prop::collection::vec((0u64..3, 0u8..3, cols()), 0..8).prop_map(|steps| {
+            let mut ts = 1u64;
+            steps
+                .into_iter()
+                .map(|(gap, op, cols)| {
+                    ts += gap;
+                    let op = [OpType::Insert, OpType::Update, OpType::Delete][op as usize];
+                    Version {
+                        txn_id: TxnId::new(ts),
+                        commit_ts: Timestamp::from_micros(ts * 10),
+                        op,
+                        cols,
+                    }
+                })
+                .collect()
+        })
+    }
+
+    fn node_of(chain: &[Version]) -> RecordNode {
+        let node = RecordNode::new();
+        for v in chain {
+            node.append_version(v.clone());
+        }
+        node
+    }
+
+    /// The chains are equal, except that where the reference rewrote a
+    /// lone insert into column order the in-place GC may have left it as
+    /// the log wrote it.
+    fn same_chains(fast: &[Version], slow: &[Version]) {
+        assert_eq!(fast.len(), slow.len());
+        for (f, s) in fast.iter().zip(slow) {
+            assert_eq!((f.txn_id, f.commit_ts, f.op), (s.txn_id, s.commit_ts, s.op));
+            if f.cols != s.cols {
+                assert_eq!(f.op, OpType::Insert);
+                let in_order = read_at(std::slice::from_ref(f), Timestamp::MAX);
+                assert_eq!(in_order.as_ref(), Some(&s.cols));
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn reads_and_counts_agree_with_the_reference(chain in chain()) {
+            let node = node_of(&chain);
+            for ts in (0..=200).step_by(5).map(Timestamp::from_micros) {
+                let want = read_at(&chain, ts);
+                prop_assert_eq!(node.visible_at(ts), want.is_some(), "visible_at {:?}", ts);
+                prop_assert_eq!(node.read_at(ts), want, "read_at {:?}", ts);
+            }
+        }
+
+        #[test]
+        fn gc_in_place_agrees_with_the_reference(chain in chain(), wm in 0u64..200) {
+            let wm = Timestamp::from_micros(wm);
+            let (fast, slow) = (node_of(&chain), node_of(&chain));
+            let fast_stats = gc::gc_node(&fast, wm);
+            let slow_stats = gc_node(&slow, wm);
+            prop_assert_eq!(fast_stats, slow_stats);
+            same_chains(&fast.chain(), &slow.chain());
+            prop_assert!(fast.is_ordered());
+            if fast_stats.pruned > 0 {
+                prop_assert_eq!(fast.chain().capacity(), fast.chain().len(), "excess capacity kept");
+            }
+            // Readers at or above the watermark see what they saw before.
+            for ts in (wm.as_micros()..=200).map(Timestamp::from_micros) {
+                prop_assert_eq!(fast.read_at(ts), read_at(&chain, ts), "read_at {:?}", ts);
+            }
+            // A second pass at the same watermark finds nothing to do.
+            let again = gc::gc_node(&fast, wm);
+            prop_assert_eq!(again.pruned, 0);
+            same_chains(&fast.chain(), &slow.chain());
+        }
+    }
+
+    fn apply(db: &MemDb, txns: &[TxnLog]) {
+        for t in txns {
+            for e in &t.entries {
+                db.table(e.table).apply_version(
+                    e.key,
+                    Version {
+                        txn_id: e.txn_id,
+                        commit_ts: t.commit_ts,
+                        op: e.op,
+                        cols: e.cols.clone(),
+                    },
+                );
+            }
+        }
+    }
+
+    /// TPC-C (short chains, wide rows) and BusTracker (65 tables, long hot
+    /// chains), each fresh and after a GC pass at its midpoint.
+    fn workload_dbs() -> Vec<(&'static str, MemDb, Timestamp)> {
+        let tpcc =
+            tpcc::generate(&TpccConfig { num_txns: 1_500, warehouses: 2, ..Default::default() });
+        let bus = bustracker::generate(&BusTrackerConfig { num_txns: 3_000, ..Default::default() });
+        let mut out = Vec::new();
+        for (name, tables, txns) in
+            [("tpcc", tpcc.num_tables(), &tpcc.txns), ("bustracker", bus.num_tables(), &bus.txns)]
+        {
+            let mid = txns[txns.len() / 2].commit_ts;
+            let db = MemDb::new(tables);
+            apply(&db, txns);
+            out.push((name, db, mid));
+            let db = MemDb::new(tables);
+            apply(&db, txns);
+            gc::gc_db(&db, mid);
+            out.push((name, db, mid));
+        }
+        out
+    }
+
+    #[test]
+    fn snapshot_bytes_match_the_reference_serial_and_table_parallel() {
+        for (name, db, mid) in workload_dbs() {
+            for wm in [Timestamp::MAX, mid, Timestamp::ZERO] {
+                let mut want = BytesMut::new();
+                encode_db(&mut want, &db, wm);
+                for degree in [1, 2, 5] {
+                    let mut got = BytesMut::new();
+                    encode_db_on(&mut got, &db, wm, degree);
+                    assert!(got == want, "{name}: {degree} thread(s) at {wm:?} differ");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gc_passes_match_the_reference_serial_and_table_parallel() {
+        let fresh = || workload_dbs().into_iter().step_by(2);
+        for (((name, slow, mid), (_, serial, _)), (_, parallel, _)) in
+            fresh().zip(fresh()).zip(fresh())
+        {
+            let mut want = GcStats::default();
+            for t in slow.tables() {
+                want.merge(gc_table(t, mid));
+            }
+            assert!(want.pruned > 0, "{name}: the pass must have work to do");
+            assert_eq!(gc::gc_db(&serial, mid), want, "{name}: serial stats");
+            assert_eq!(gc::gc_tables(&parallel, mid, 3), want, "{name}: parallel stats");
+            let [want, serial_bytes, parallel_bytes] = [&slow, &serial, &parallel].map(|db| {
+                let mut buf = BytesMut::new();
+                encode_db(&mut buf, db, Timestamp::MAX);
+                buf
+            });
+            assert!(
+                serial_bytes == want && parallel_bytes == want,
+                "{name}: chains differ after GC"
+            );
+            assert!(serial.all_chains_ordered() && parallel.all_chains_ordered());
+        }
+    }
+
+    #[test]
+    fn encode_at_a_watermark_ignores_appends_racing_above_it() {
+        let w =
+            tpcc::generate(&TpccConfig { num_txns: 1_500, warehouses: 2, ..Default::default() });
+        let db = MemDb::new(w.num_tables());
+        apply(&db, &w.txns);
+        let wm = w.txns.last().expect("nonempty").commit_ts;
+        let mut quiesced = BytesMut::new();
+        encode_db_on(&mut quiesced, &db, wm, 1);
+
+        // The appender re-applies the stream above the watermark — new
+        // versions on existing chains and brand-new keys — from before the
+        // encode starts until after it ends.
+        let (started, wait_started) = mpsc::channel();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut started = Some(started);
+                let mut round = 1u64;
+                while !stop.load(Ordering::SeqCst) {
+                    for t in &w.txns {
+                        for e in &t.entries {
+                            let v = Version {
+                                txn_id: TxnId::new(e.txn_id.raw() + round * 1_000_000),
+                                commit_ts: Timestamp::from_micros(wm.as_micros() + round),
+                                op: e.op,
+                                cols: e.cols.clone(),
+                            };
+                            db.table(e.table).apply_version(e.key, v.clone());
+                            let fresh = RowKey::new(e.key.raw() ^ (round << 40));
+                            db.table(e.table).apply_version(fresh, v);
+                        }
+                        if let Some(started) = started.take() {
+                            started.send(()).expect("the encoder waits");
+                        }
+                        if stop.load(Ordering::SeqCst) {
+                            break;
+                        }
+                    }
+                    round += 1;
+                }
+            });
+            wait_started.recv().expect("appender runs");
+            for degree in [1, 2] {
+                let mut racing = BytesMut::new();
+                encode_db_on(&mut racing, &db, wm, degree);
+                assert!(racing == quiesced, "{degree} thread(s): a racing append leaked in");
+            }
+            stop.store(true, Ordering::SeqCst);
+        });
+        let mut after = BytesMut::new();
+        encode_db_on(&mut after, &db, Timestamp::MAX, 1);
+        assert!(after.len() > quiesced.len(), "the appender must have appended");
+    }
+}

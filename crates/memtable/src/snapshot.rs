@@ -23,42 +23,68 @@
 //! snapshot blob alongside its manifest.
 
 use crate::record::{OpType, Version};
-use crate::table::MemDb;
+use crate::table::{MemDb, Table};
 use aets_common::{Error, Result, RowKey, Timestamp, TxnId};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-/// Serializes the versions of `db` with `commit_ts <= watermark` into
-/// `buf`. Pass [`Timestamp::MAX`] to snapshot everything; checkpoints
-/// pass the epoch-barrier watermark, which at a barrier is equivalent
-/// (no version beyond the barrier exists yet) but keeps the on-disk
-/// state independent of any replay that races the serialization.
+/// Serializes the versions of `db` with `commit_ts <= watermark`,
+/// appending to `buf`. Pass [`Timestamp::MAX`] to snapshot everything;
+/// checkpoints pass the epoch-barrier watermark, which at a barrier is
+/// equivalent (no version beyond the barrier exists yet) but keeps the
+/// on-disk state independent of any replay that races the serialization.
+///
+/// Nothing is copied on the way: each chain is encoded in place under its
+/// shared lock while the index is walked. A database big enough to repay
+/// it (`MemDb::barrier_parallelism`) is encoded table-parallel, each
+/// table into a buffer of its own, appended in table order — the bytes are
+/// the same either way.
 pub fn encode_db(buf: &mut BytesMut, db: &MemDb, watermark: Timestamp) {
+    encode_db_on(buf, db, watermark, db.barrier_parallelism());
+}
+
+pub(crate) fn encode_db_on(buf: &mut BytesMut, db: &MemDb, watermark: Timestamp, degree: usize) {
     buf.put_u32_le(db.num_tables() as u32);
-    for table in db.tables() {
-        let entries = table.entries();
-        buf.put_u32_le(table.id().raw());
-        // Count keys with at least one covered version first: invisible
-        // nodes (created by phase 1, never committed) are not persisted.
-        let mut kept: Vec<(RowKey, Vec<Version>)> = Vec::with_capacity(entries.len());
-        for (key, node) in entries {
-            let mut chain = node.versions_snapshot();
-            chain.retain(|v| v.commit_ts <= watermark);
-            if !chain.is_empty() {
-                kept.push((key, chain));
-            }
+    if degree <= 1 {
+        for table in db.tables() {
+            encode_table(buf, table, watermark);
         }
-        buf.put_u64_le(kept.len() as u64);
-        for (key, chain) in kept {
-            buf.put_u64_le(key.raw());
-            buf.put_u32_le(chain.len() as u32);
-            for v in chain {
-                buf.put_u64_le(v.txn_id.raw());
-                buf.put_u64_le(v.commit_ts.as_micros());
-                buf.put_u8(v.op.tag());
-                aets_wal::encode_row(buf, &v.cols);
-            }
-        }
+        return;
     }
+    let parts = db.map_tables(degree, |table| {
+        let mut part = BytesMut::new();
+        encode_table(&mut part, table, watermark);
+        part
+    });
+    buf.reserve(parts.iter().map(BytesMut::len).sum());
+    for part in &parts {
+        buf.put_slice(part);
+    }
+}
+
+fn encode_table(buf: &mut BytesMut, table: &Table, watermark: Timestamp) {
+    buf.put_u32_le(table.id().raw());
+    // The key count is known only after the walk: nodes without a covered
+    // version (created by phase 1, never committed) are not persisted.
+    let count_at = buf.len();
+    buf.put_u64_le(0);
+    let mut keys = 0u64;
+    table.for_each_node(|key, node| {
+        let chain = node.chain();
+        let covered = chain.iter().filter(|v| v.commit_ts <= watermark).count();
+        if covered == 0 {
+            return;
+        }
+        keys += 1;
+        buf.put_u64_le(key.raw());
+        buf.put_u32_le(covered as u32);
+        for v in chain.iter().filter(|v| v.commit_ts <= watermark) {
+            buf.put_u64_le(v.txn_id.raw());
+            buf.put_u64_le(v.commit_ts.as_micros());
+            buf.put_u8(v.op.tag());
+            aets_wal::encode_row(buf, &v.cols);
+        }
+    });
+    buf[count_at..count_at + 8].copy_from_slice(&keys.to_le_bytes());
 }
 
 /// Rebuilds a [`MemDb`] from a snapshot produced by [`encode_db`],

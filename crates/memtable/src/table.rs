@@ -4,6 +4,7 @@ use crate::bptree::BPlusTree;
 use crate::record::{RecordNode, Version};
 use aets_common::{Row, RowKey, TableId, Timestamp};
 use parking_lot::RwLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// One table of the backup Memtable: a B+Tree from row key to a stable,
@@ -102,26 +103,30 @@ impl Table {
         });
     }
 
-    /// Counts rows visible at `ts`.
+    /// Counts rows visible at `ts`, without reconstructing any of them.
     pub fn count_at(&self, ts: Timestamp) -> usize {
         let mut n = 0;
-        self.scan_at(ts, |_, _| n += 1);
+        self.for_each_node(|_, node| n += usize::from(node.visible_at(ts)));
         n
     }
 
-    /// Snapshot of every record node (used by the garbage collector;
-    /// clones the `Arc`s so the index lock is released before chains are
-    /// rewritten).
-    pub fn nodes(&self) -> Vec<Arc<RecordNode>> {
-        let index = self.index.read();
-        let mut out = Vec::with_capacity(index.len());
-        index.scan(|_, n| out.push(n.clone()));
-        out
+    /// Counts rows visible at `ts` in the inclusive key range `[lo, hi]`.
+    pub fn count_range_at(&self, lo: RowKey, hi: RowKey, ts: Timestamp) -> usize {
+        let mut n = 0;
+        self.index.read().range_scan(&lo, &hi, |_, node| n += usize::from(node.visible_at(ts)));
+        n
     }
 
-    /// Snapshot of every `(key, node)` pair in key order (used by the
-    /// checkpoint snapshot codec; clones the `Arc`s like
-    /// [`Table::nodes`]).
+    /// Visits every record node in key order under the index's shared
+    /// lock, without cloning the `Arc`s. Whole-table passes (GC, the
+    /// snapshot codec) lock each chain in turn from here; `f` must not
+    /// touch this table's index.
+    pub(crate) fn for_each_node<F: FnMut(RowKey, &RecordNode)>(&self, mut f: F) {
+        self.index.read().scan(|k, n| f(*k, n));
+    }
+
+    /// Snapshot of every `(key, node)` pair in key order (clones the
+    /// `Arc`s, so the index lock is released before the caller uses them).
     pub fn entries(&self) -> Vec<(RowKey, Arc<RecordNode>)> {
         let index = self.index.read();
         let mut out = Vec::with_capacity(index.len());
@@ -131,17 +136,15 @@ impl Table {
 
     /// Checks the commit-order invariant on every version chain.
     pub fn all_chains_ordered(&self) -> bool {
-        let index = self.index.read();
         let mut ok = true;
-        index.scan(|_, n| ok &= n.is_ordered());
+        self.for_each_node(|_, n| ok &= n.is_ordered());
         ok
     }
 
     /// Total number of versions across all chains.
     pub fn total_versions(&self) -> usize {
-        let index = self.index.read();
         let mut n = 0;
-        index.scan(|_, node| n += node.version_count());
+        self.for_each_node(|_, node| n += node.version_count());
         n
     }
 
@@ -168,6 +171,11 @@ impl Table {
         h.finish()
     }
 }
+
+/// Record nodes below which a whole-database pass stays on the calling
+/// thread: at ~100 ns a node the pass is over in about a millisecond,
+/// which starting and joining threads would not shorten.
+const PARALLEL_MIN_NODES: usize = 16_384;
 
 /// The backup node's in-memory database: one [`Table`] per table id.
 #[derive(Debug)]
@@ -200,6 +208,61 @@ impl MemDb {
     /// Checks the commit-order invariant database-wide.
     pub fn all_chains_ordered(&self) -> bool {
         self.tables.iter().all(|t| t.all_chains_ordered())
+    }
+
+    /// Threads a whole-database pass should use when the caller owns the
+    /// machine — at an epoch barrier, where the replay threads are idle.
+    /// Observed, not configured: one below [`PARALLEL_MIN_NODES`] record
+    /// nodes, otherwise the cores available, capped by how many shares of
+    /// the biggest table the database holds — the pass is never shorter
+    /// than its biggest table.
+    pub(crate) fn barrier_parallelism(&self) -> usize {
+        let (nodes, biggest) = self
+            .tables
+            .iter()
+            .map(Table::len)
+            .fold((0, 0), |(nodes, biggest), n| (nodes + n, biggest.max(n)));
+        if nodes < PARALLEL_MIN_NODES {
+            return 1;
+        }
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        cores.min(nodes.div_ceil(biggest))
+    }
+
+    /// Runs `f` on every table and returns the results in table order.
+    /// With `degree > 1` the caller and `degree - 1` scoped threads pull
+    /// tables from a shared cursor, biggest first, so one large table does
+    /// not end up queued behind the small ones.
+    pub(crate) fn map_tables<R: Send>(
+        &self,
+        degree: usize,
+        f: impl Fn(&Table) -> R + Sync,
+    ) -> Vec<R> {
+        if degree <= 1 {
+            return self.tables.iter().map(f).collect();
+        }
+        let mut order: Vec<usize> = (0..self.tables.len()).collect();
+        order.sort_by_key(|&t| std::cmp::Reverse(self.tables[t].len()));
+        // The cursor hands out positions only; results travel through join.
+        let cursor = AtomicUsize::new(0);
+        let pull = || {
+            let mut done = Vec::new();
+            while let Some(&t) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                done.push((t, f(&self.tables[t])));
+            }
+            done
+        };
+        let mut done = std::thread::scope(|s| {
+            let workers: Vec<_> = (1..degree).map(|_| s.spawn(pull)).collect();
+            let mut done = pull();
+            for w in workers {
+                done.extend(w.join().expect("table worker panicked"));
+            }
+            done
+        });
+        // Every table was pulled exactly once.
+        done.sort_unstable_by_key(|(t, _)| *t);
+        done.into_iter().map(|(_, r)| r).collect()
     }
 
     /// Total versions across the database.

@@ -32,6 +32,7 @@ use aets_wal::crash::{charge, durable_write, CrashClock};
 use aets_wal::crc32;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// `"ACKP"` — AETS checkpoint manifest.
@@ -71,6 +72,9 @@ pub struct Checkpoint {
 pub struct CheckpointStore {
     dir: PathBuf,
     clock: Option<Arc<CrashClock>>,
+    /// Size of the last manifest image written or loaded (0 before the
+    /// first): the next image's buffer is sized from it.
+    last_image_len: AtomicUsize,
 }
 
 impl CheckpointStore {
@@ -79,7 +83,7 @@ impl CheckpointStore {
     pub fn open(dir: impl Into<PathBuf>, clock: Option<Arc<CrashClock>>) -> Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let store = Self { dir, clock };
+        let store = Self { dir, clock, last_image_len: AtomicUsize::new(0) };
         for entry in std::fs::read_dir(&store.dir)? {
             let path = entry?.path();
             if path.extension().is_some_and(|e| e == "tmp") {
@@ -93,6 +97,12 @@ impl CheckpointStore {
     /// Checkpoint directory.
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// Bytes of the last manifest image this store wrote or loaded (0
+    /// before the first).
+    pub fn last_image_len(&self) -> usize {
+        self.last_image_len.load(Ordering::Relaxed)
     }
 
     /// Manifests present on disk, ascending by `next_epoch_seq`.
@@ -112,18 +122,21 @@ impl CheckpointStore {
     /// sibling, rename into place, fsync the directory.
     ///
     /// `watermark` bounds the snapshot (versions with `commit_ts` above it
-    /// are excluded); pass [`Timestamp::MAX`] to snapshot everything at
-    /// the barrier.
+    /// are excluded); pass the barrier's `global_cmt_ts`, or
+    /// [`Timestamp::MAX`] to snapshot everything.
+    ///
+    /// The file image is built once, in one buffer sized from the previous
+    /// image: header with its length and CRC fields left blank, snapshot
+    /// encoded straight behind it, then the blanks patched and the CRCs
+    /// taken over the regions where they lie.
     pub fn write(
         &self,
         meta: &CheckpointMeta,
         db: &MemDb,
         watermark: Timestamp,
     ) -> Result<PathBuf> {
-        let mut snapshot = BytesMut::new();
-        encode_db(&mut snapshot, db, watermark);
-
-        let mut buf = BytesMut::with_capacity(snapshot.len() + 128);
+        let last = self.last_image_len.load(Ordering::Relaxed);
+        let mut buf = BytesMut::with_capacity(last + last / 4 + 128);
         buf.put_u32_le(CKPT_MAGIC);
         buf.put_u32_le(CKPT_VERSION);
         buf.put_u64_le(meta.next_epoch_seq);
@@ -136,12 +149,18 @@ impl CheckpointStore {
         for g in &meta.quarantined {
             buf.put_u32_le(*g);
         }
-        buf.put_u64_le(snapshot.len() as u64);
-        let meta_crc = crc32(&buf);
-        buf.put_u32_le(meta_crc);
-        let snap_crc = crc32(&snapshot);
-        buf.put_slice(&snapshot);
+        let len_at = buf.len();
+        buf.put_u64_le(0); // snapshot_len
+        buf.put_u32_le(0); // meta_crc
+        let snap_at = buf.len();
+        encode_db(&mut buf, db, watermark);
+        let snapshot_len = (buf.len() - snap_at) as u64;
+        buf[len_at..len_at + 8].copy_from_slice(&snapshot_len.to_le_bytes());
+        let meta_crc = crc32(&buf[..len_at + 8]);
+        buf[len_at + 8..snap_at].copy_from_slice(&meta_crc.to_le_bytes());
+        let snap_crc = crc32(&buf[snap_at..]);
         buf.put_u32_le(snap_crc);
+        self.last_image_len.store(buf.len(), Ordering::Relaxed);
 
         let final_path = self.dir.join(checkpoint_file_name(meta.next_epoch_seq));
         let tmp_path = final_path.with_extension("tmp");
@@ -173,7 +192,10 @@ impl CheckpointStore {
             charge(&self.clock, "read checkpoint manifest")?;
             match std::fs::read(&path) {
                 Ok(raw) => match parse_checkpoint(&raw, seq) {
-                    Ok((meta, db)) => return Ok((Some(Checkpoint { meta, db, path }), fallbacks)),
+                    Ok((meta, db)) => {
+                        self.last_image_len.store(raw.len(), Ordering::Relaxed);
+                        return Ok((Some(Checkpoint { meta, db, path }), fallbacks));
+                    }
                     Err(_) => fallbacks += 1,
                 },
                 Err(_) => fallbacks += 1,
@@ -303,6 +325,56 @@ mod tests {
             tg_cmt_ts: vec![Timestamp::from_micros(200), Timestamp::from_micros(180)],
             quarantined: vec![],
         }
+    }
+
+    /// A small database with every value kind, multi-version chains, a
+    /// tombstone, an empty table and a node that never committed.
+    fn fixture_db() -> MemDb {
+        use aets_memtable::{OpType, Version};
+        let db = MemDb::new(3);
+        let ver = |txn: u64, op, cols: Vec<(u16, Value)>| Version {
+            txn_id: TxnId::new(txn),
+            commit_ts: Timestamp::from_micros(txn * 10),
+            op,
+            cols: cols.into_iter().map(|(c, v)| (ColumnId::new(c), v)).collect(),
+        };
+        let t0 = db.table(TableId::new(0));
+        t0.apply_version(
+            RowKey::new(1),
+            ver(1, OpType::Insert, vec![(0, Value::Int(-7)), (1, Value::Text("abc".into()))]),
+        );
+        t0.apply_version(RowKey::new(1), ver(2, OpType::Update, vec![(1, Value::Text("".into()))]));
+        t0.apply_version(RowKey::new(2), ver(3, OpType::Insert, vec![(0, Value::Null)]));
+        t0.apply_version(RowKey::new(2), ver(4, OpType::Delete, vec![]));
+        let _ = db.table(TableId::new(1)).node_or_insert(RowKey::new(77));
+        let t2 = db.table(TableId::new(2));
+        t2.apply_version(
+            RowKey::new(u64::MAX),
+            ver(5, OpType::Insert, vec![(3, Value::Float(2.5)), (9, Value::from(vec![0u8, 255]))]),
+        );
+        db
+    }
+
+    /// `ckpt-…07.ack` as commit 938110f (format version 1, the deep-copying
+    /// writer) wrote it for `sample_meta(7)` over `fixture_db()`.
+    const PARENT_MANIFEST: &[u8] = include_bytes!("testdata/ckpt-00000000000000000007.ack");
+
+    #[test]
+    fn a_manifest_the_previous_writer_wrote_loads_and_is_what_we_write() {
+        let (meta, db) = parse_checkpoint(PARENT_MANIFEST, 7).expect("version 1 still loads");
+        assert_eq!(meta, sample_meta(7));
+        let want = fixture_db();
+        assert_eq!(db.total_versions(), want.total_versions());
+        for ts in [0u64, 15, 25, 35, 45, u64::MAX].map(Timestamp::from_micros) {
+            assert_eq!(db.digest_at(ts), want.digest_at(ts), "digest diverges at {ts:?}");
+        }
+
+        let dir = scratch("parent");
+        let store = CheckpointStore::open(&dir, None).unwrap();
+        let path = store.write(&sample_meta(7), &want, Timestamp::MAX).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), PARENT_MANIFEST, "same bytes, same format");
+        assert_eq!(store.last_image_len(), PARENT_MANIFEST.len());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::options::ServiceOptions;
 use crate::service::{board_health, BackupNode, NodeOptions};
 use crate::visibility::VisibilityBoard;
 use aets_common::{Error, GroupId, Result, Timestamp};
-use aets_memtable::{gc_db, MemDb, QueryFloor};
+use aets_memtable::{gc_db_at_barrier, MemDb, QueryFloor};
 use aets_telemetry::trace::stages;
 use aets_telemetry::{
     names, EventKind, FlightRecorder, FlightRecorderConfig, ObsServer, Telemetry,
@@ -429,15 +429,20 @@ impl DurableBackup {
             self.telemetry.event(EventKind::CheckpointSkippedDegraded);
             return Ok(false);
         }
+        let t0 = Instant::now();
+        let reg = self.telemetry.registry();
         if self.opts.gc_before_checkpoint {
             // Both floors clamp: the manually published replica floor and
             // the oldest read session pinned through a served node.
             let wm = self.board.gc_watermark(&[], self.query_floor.min(self.floor.floor()));
-            let pass = gc_db(&self.db, wm);
+            // The replay threads are idle at the barrier: the pass may
+            // spread over their cores.
+            let pass = gc_db_at_barrier(&self.db, wm);
+            reg.histogram(names::GC_PASS_US).record_micros(t0.elapsed().as_micros() as u64);
             self.metrics.gc.merge(pass);
             self.metrics.gc_passes += 1;
-            self.telemetry.registry().counter(names::GC_PASSES).inc();
-            self.telemetry.registry().counter(names::GC_PRUNED).add(pass.pruned as u64);
+            reg.counter(names::GC_PASSES).inc();
+            reg.counter(names::GC_PRUNED).add(pass.pruned as u64);
             self.telemetry.event(EventKind::GcPass { nodes: pass.nodes, pruned: pass.pruned });
         }
         // Group-commit invariant: the WAL prefix below the checkpoint
@@ -454,9 +459,12 @@ impl DurableBackup {
                 .collect(),
             quarantined: vec![],
         };
-        self.ckpt.write(&meta, &self.db, Timestamp::MAX)?;
+        // The barrier's own watermark, not `Timestamp::MAX`: a version
+        // appended after the cut must never reach this manifest.
+        self.ckpt.write(&meta, &self.db, meta.global_cmt_ts)?;
         self.metrics.checkpoints_written += 1;
-        self.telemetry.registry().counter(names::CHECKPOINTS_WRITTEN).inc();
+        reg.counter(names::CHECKPOINTS_WRITTEN).inc();
+        reg.gauge(names::CHECKPOINT_BYTES).set(self.ckpt.last_image_len() as u64);
         self.telemetry.event(EventKind::CheckpointWritten { next_epoch_seq: self.next_seq });
         self.last_ckpt_seq = self.next_seq;
         self.ckpt.retain(self.opts.keep_checkpoints)?;
@@ -467,9 +475,10 @@ impl DurableBackup {
         let retired = self.wal.truncate_before(oldest)? as u64;
         self.metrics.wal_segments_retired += retired;
         if retired > 0 {
-            self.telemetry.registry().counter(names::WAL_SEGMENTS_RETIRED).add(retired);
+            reg.counter(names::WAL_SEGMENTS_RETIRED).add(retired);
             self.telemetry.event(EventKind::WalSegmentRetired { segments: retired });
         }
+        reg.histogram(names::CHECKPOINT_US).record_micros(t0.elapsed().as_micros() as u64);
         Ok(true)
     }
 
@@ -690,6 +699,60 @@ mod tests {
         );
         assert_eq!(node.db().digest_at(Timestamp::MAX), want, "restored digest matches oracle");
         assert_eq!(node.next_seq(), epochs.len() as u64);
+        let _ = std::fs::remove_dir_all(&wal_dir);
+        let _ = std::fs::remove_dir_all(&ckpt_dir);
+    }
+
+    #[test]
+    fn a_version_appended_after_the_barrier_never_reaches_the_manifest() {
+        use aets_memtable::{OpType, Version};
+        let (epochs, num_tables, grouping) = tpcc_stream(600);
+        let want = oracle_digest(&epochs, num_tables, &grouping);
+        let wal_dir = scratch("cut-wal");
+        let ckpt_dir = scratch("cut-ckpt");
+        // No cadence and no GC: the one manifest below is exactly the cut.
+        let opts = DurableOptions {
+            checkpoint_every: 0,
+            gc_before_checkpoint: false,
+            ..Default::default()
+        };
+        let mut node = DurableBackup::open(
+            &wal_dir,
+            &ckpt_dir,
+            fresh_engine(&grouping),
+            num_tables,
+            opts.clone(),
+            None,
+        )
+        .unwrap();
+        for e in &epochs {
+            node.ingest(e).unwrap();
+        }
+        let barrier = node.board().global_cmt_ts();
+        let versions_at_barrier = node.db().total_versions();
+        // What a replay racing the serialization would do: one more
+        // version on an existing chain and one on a new key, both past the
+        // barrier.
+        let stray = |key| {
+            let v = Version {
+                txn_id: aets_common::TxnId::new(u64::MAX),
+                commit_ts: Timestamp::from_micros(barrier.as_micros() + 1),
+                op: OpType::Insert,
+                cols: vec![],
+            };
+            node.db().table(TableId::new(0)).apply_version(key, v);
+        };
+        let existing = node.db().table(TableId::new(0)).entries()[0].0;
+        stray(existing);
+        stray(aets_common::RowKey::new(u64::MAX));
+        assert!(node.checkpoint_now().unwrap());
+        drop(node);
+
+        let (ckpt, _) = CheckpointStore::open(&ckpt_dir, None).unwrap().load_latest().unwrap();
+        let ckpt = ckpt.expect("the manifest loads");
+        assert_eq!(ckpt.meta.global_cmt_ts, barrier);
+        assert_eq!(ckpt.db.total_versions(), versions_at_barrier, "the cut is at the barrier");
+        assert_eq!(ckpt.db.digest_at(Timestamp::MAX), want);
         let _ = std::fs::remove_dir_all(&wal_dir);
         let _ = std::fs::remove_dir_all(&ckpt_dir);
     }

@@ -325,6 +325,7 @@ struct ServiceStats {
     sessions_active: Gauge,
     gc_passes: Counter,
     gc_pruned: Counter,
+    gc_pass_us: Histogram,
     /// Per-table `aets_table_access_total` counters, indexed by table id;
     /// bumped once per footprint table at session open. This is the
     /// signal the adaptive controller samples into its rate tracker.
@@ -353,6 +354,7 @@ impl ServiceStats {
             sessions_active: reg.gauge(names::SESSIONS_ACTIVE),
             gc_passes: reg.counter(names::GC_PASSES),
             gc_pruned: reg.counter(names::GC_PRUNED),
+            gc_pass_us: reg.histogram(names::GC_PASS_US),
         }
     }
 }
@@ -652,7 +654,10 @@ impl BackupNode {
     /// durable backup's manually-set replica floor).
     pub fn gc_clamped(&self, extra_floor: Timestamp) -> GcStats {
         let wm = self.gc_watermark(extra_floor);
+        // On the calling thread only: the cores belong to live scans.
+        let t0 = Instant::now();
         let pass = gc_db(&self.db, wm);
+        self.stats.gc_pass_us.record_micros(t0.elapsed().as_micros() as u64);
         self.stats.gc_passes.inc();
         self.stats.gc_pruned.add(pass.pruned as u64);
         self.telemetry.event(EventKind::GcPass { nodes: pass.nodes, pruned: pass.pruned });

@@ -116,8 +116,16 @@ pub mod names {
     pub const GC_PASSES: &str = "aets_gc_passes_total";
     /// Versions pruned by GC.
     pub const GC_PRUNED: &str = "aets_gc_pruned_total";
+    /// Wall time of one version-chain GC pass (micros).
+    pub const GC_PASS_US: &str = "aets_gc_pass_us";
     /// Checkpoints written durably.
     pub const CHECKPOINTS_WRITTEN: &str = "aets_checkpoints_written_total";
+    /// Wall time the ingest path stalls for one checkpoint: pre-checkpoint
+    /// GC, snapshot encode, manifest write + fsyncs, WAL retirement
+    /// (micros).
+    pub const CHECKPOINT_US: &str = "aets_checkpoint_us";
+    /// Size of the newest checkpoint manifest (bytes, level gauge).
+    pub const CHECKPOINT_BYTES: &str = "aets_checkpoint_bytes";
     /// Checkpoint opportunities skipped while degraded.
     pub const CHECKPOINTS_SKIPPED: &str = "aets_checkpoints_skipped_degraded_total";
     /// Epochs appended durably to the WAL segment store.

@@ -313,6 +313,64 @@ fn coalesced_durable_ingest_records_fsync_batch_sizes() {
 }
 
 #[test]
+fn checkpoint_and_gc_costs_reach_the_live_surface() {
+    // What a checkpoint costs the ingest path is on the endpoint, not only
+    // in a benchmark: one `aets_checkpoint_us` sample per manifest, one
+    // `aets_gc_pass_us` sample per GC pass whoever ran it, and the newest
+    // manifest's size as a gauge.
+    use aets_suite::replay::{DurableBackup, DurableOptions, NodeOptions};
+
+    let w = tpcc::generate(&TpccConfig { num_txns: 600, warehouses: 1, ..Default::default() });
+    let raw = batch_into_epochs(w.txns.clone(), 64).expect("positive epoch size");
+    let epochs: Vec<_> = raw.iter().map(encode_epoch).collect();
+    let (groups, rates) = tpcc::paper_grouping();
+    let grouping =
+        TableGrouping::new(w.num_tables(), groups, rates, &w.analytic_tables).expect("grouping");
+    let tel = Arc::new(Telemetry::new());
+    let engine = AetsEngine::builder(grouping)
+        .config(AetsConfig { threads: 2, ..Default::default() })
+        .telemetry(tel.clone())
+        .build()
+        .expect("valid config");
+    let scratch = |tag: &str| {
+        let dir =
+            std::env::temp_dir().join(format!("aets-telsmoke-{}-cost-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    };
+    let ckpt_dir = scratch("ckpt");
+    let opts = DurableOptions { checkpoint_every: 3, ..Default::default() };
+    let mut node =
+        DurableBackup::open(scratch("wal"), &ckpt_dir, engine, w.num_tables(), opts, None)
+            .expect("open durable backup");
+    for e in &epochs {
+        node.ingest(e).expect("ingest");
+    }
+    // A pass outside any checkpoint, through the query node.
+    node.serve(NodeOptions::default()).expect("serve").gc();
+
+    let snap = tel.snapshot();
+    let written = snap.counter_total(names::CHECKPOINTS_WRITTEN);
+    assert_eq!(written, epochs.len() as u64 / 3);
+    let stall = snap.histogram_summary_all(names::CHECKPOINT_US).expect("checkpoint histogram");
+    assert_eq!(stall.count, written, "one stall sample per manifest");
+    let passes = snap.histogram_summary_all(names::GC_PASS_US).expect("gc histogram");
+    assert_eq!(passes.count, snap.counter_total(names::GC_PASSES));
+    assert_eq!(passes.count, written + 1, "one pass per checkpoint plus the served one");
+    let newest = std::fs::read_dir(&ckpt_dir)
+        .expect("checkpoint dir")
+        .map(|e| e.expect("entry").path())
+        .max()
+        .expect("a manifest on disk");
+    let on_disk = std::fs::metadata(&newest).expect("manifest").len();
+    assert_eq!(snap.gauge(names::CHECKPOINT_BYTES, ""), Some(on_disk));
+    let text = snap.render_prometheus();
+    for family in [names::CHECKPOINT_US, names::GC_PASS_US, names::CHECKPOINT_BYTES] {
+        assert!(text.contains(family), "exposition is missing {family}");
+    }
+}
+
+#[test]
 fn obs_endpoint_serves_metrics_spans_and_a_flipping_healthz() {
     // A BackupNode with `obs_addr` mounts the zero-dependency HTTP
     // endpoint: /metrics parses as Prometheus exposition, /spans.json
