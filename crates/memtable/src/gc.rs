@@ -61,7 +61,10 @@ pub fn gc_node(node: &RecordNode, watermark: Timestamp) -> GcStats {
     // Most chains most of the time: one version at or below the watermark
     // and it is a full image or an empty tombstone already. Its columns
     // are not read: an insert stays as the log wrote it, and readers put
-    // columns in order themselves.
+    // columns in order themselves. A log that lists an insert's columns
+    // in ascending order (every generator here: `reference::tests::apply`)
+    // gets the chain a consolidation would have built; any other keeps
+    // its lone inserts in log order, which only snapshot bytes can tell.
     let settled = end == 1
         && match chain[0].op {
             OpType::Insert => true,
@@ -116,22 +119,11 @@ pub fn gc_table(table: &Table, watermark: Timestamp) -> GcStats {
     stats
 }
 
-/// Runs GC over the whole database on the calling thread.
+/// Runs GC over the whole database.
 pub fn gc_db(db: &MemDb, watermark: Timestamp) -> GcStats {
-    gc_tables(db, watermark, 1)
-}
-
-/// [`gc_db`] across tables on `MemDb::barrier_parallelism` threads, for
-/// a caller that owns the machine: the pre-checkpoint pass at an epoch
-/// barrier, where the replay threads are idle. Same result.
-pub fn gc_db_at_barrier(db: &MemDb, watermark: Timestamp) -> GcStats {
-    gc_tables(db, watermark, db.barrier_parallelism())
-}
-
-pub(crate) fn gc_tables(db: &MemDb, watermark: Timestamp, degree: usize) -> GcStats {
     let mut stats = GcStats::default();
-    for pass in db.map_tables(degree, |t| gc_table(t, watermark)) {
-        stats.merge(pass);
+    for t in db.tables() {
+        stats.merge(gc_table(t, watermark));
     }
     stats
 }

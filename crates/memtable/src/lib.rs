@@ -18,7 +18,7 @@ pub mod snapshot;
 pub mod table;
 
 pub use bptree::BPlusTree;
-pub use gc::{gc_db, gc_db_at_barrier, gc_node, gc_table, FloorTicket, GcStats, QueryFloor};
+pub use gc::{gc_db, gc_node, gc_table, FloorTicket, GcStats, QueryFloor};
 pub use query::{compare_values, Aggregate, CmpOp, Filter, Scan};
 pub use record::{OpType, RecordNode, Version};
 pub use snapshot::{decode_db, encode_db};

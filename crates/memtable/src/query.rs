@@ -6,6 +6,7 @@
 //! `qts` — so a query admitted by Algorithm 3 computes over exactly the
 //! primary's committed prefix at its arrival time.
 
+use crate::record::RecordNode;
 use crate::table::Table;
 use aets_common::{ColumnId, Row, RowKey, Timestamp, Value};
 use std::cmp::Ordering;
@@ -103,16 +104,66 @@ impl Scan {
         self
     }
 
-    /// Runs the scan, invoking `f` for every matching row in key order.
-    pub fn for_each<F: FnMut(RowKey, Row)>(&self, table: &Table, mut f: F) {
-        let visit = |k: RowKey, row: Row, f: &mut F| {
-            if self.filters.iter().all(|p| p.matches(&row)) {
-                f(k, row);
-            }
-        };
+    /// Visits the record nodes in the scan's key range, in key order.
+    fn nodes<F: FnMut(RowKey, &RecordNode)>(&self, table: &Table, f: F) {
         match self.key_range {
-            Some((lo, hi)) => table.scan_range_at(lo, hi, self.ts, |k, row| visit(k, row, &mut f)),
-            None => table.scan_at(self.ts, |k, row| visit(k, row, &mut f)),
+            Some((lo, hi)) => table.for_each_node_in(lo, hi, f),
+            None => table.for_each_node(f),
+        }
+    }
+
+    /// Runs the scan, invoking `f` for every matching row in key order.
+    /// Only the matching rows are copied out.
+    pub fn for_each<F: FnMut(RowKey, Row)>(&self, table: &Table, mut f: F) {
+        self.for_each_ref(table, |k, row| f(k, row.clone()));
+    }
+
+    /// [`Scan::for_each`] lending each matching row instead of handing it
+    /// over ([`RecordNode::with_row_at`]). `f` runs under the row's
+    /// shared lock.
+    fn for_each_ref<F: FnMut(RowKey, &Row)>(&self, table: &Table, mut f: F) {
+        self.nodes(table, |k, node| {
+            node.with_row_at(self.ts, |row| {
+                if self.filters.iter().all(|p| p.matches(row)) {
+                    f(k, row);
+                }
+            });
+        });
+    }
+
+    /// Invokes `f` once per matching row, in key order. Without filters
+    /// no row is read: the version kinds alone say which records are
+    /// visible ([`RecordNode::visible_at`]).
+    pub fn for_each_visible<F: FnMut(RowKey)>(&self, table: &Table, mut f: F) {
+        if self.filters.is_empty() {
+            self.nodes(table, |k, node| {
+                if node.visible_at(self.ts) {
+                    f(k);
+                }
+            });
+        } else {
+            self.for_each_ref(table, |k, _| f(k));
+        }
+    }
+
+    /// Invokes `f` with the value of `column` in every matching row
+    /// (`None` where the row lacks it), in key order. Without filters no
+    /// row is built: the value is read off the chain
+    /// ([`RecordNode::with_value_at`]).
+    pub fn for_each_value<F: FnMut(RowKey, Option<&Value>)>(
+        &self,
+        table: &Table,
+        column: ColumnId,
+        mut f: F,
+    ) {
+        if self.filters.is_empty() {
+            self.nodes(table, |k, node| {
+                node.with_value_at(self.ts, column, |v| f(k, v));
+            });
+        } else {
+            self.for_each_ref(table, |k, row| {
+                f(k, row.iter().find(|(c, _)| *c == column).map(|(_, v)| v));
+            });
         }
     }
 
@@ -123,17 +174,10 @@ impl Scan {
         out
     }
 
-    /// Counts matching rows. Without filters no row is reconstructed: the
-    /// version kinds alone say which records are visible.
+    /// Counts matching rows.
     pub fn count(&self, table: &Table) -> usize {
-        if self.filters.is_empty() {
-            return match self.key_range {
-                Some((lo, hi)) => table.count_range_at(lo, hi, self.ts),
-                None => table.count_at(self.ts),
-            };
-        }
         let mut n = 0;
-        self.for_each(table, |_, _| n += 1);
+        self.for_each_visible(table, |_| n += 1);
         n
     }
 
@@ -142,8 +186,8 @@ impl Scan {
     /// contributed.
     pub fn aggregate(&self, table: &Table, column: ColumnId, agg: Aggregate) -> Option<f64> {
         let mut acc: Option<(f64, usize)> = None;
-        self.for_each(table, |_, row| {
-            let Some(v) = numeric(&row, column) else { return };
+        self.for_each_value(table, column, |_, v| {
+            let Some(v) = v.and_then(numeric) else { return };
             acc = Some(match (acc, agg) {
                 (None, _) => (v, 1),
                 (Some((a, n)), Aggregate::Sum | Aggregate::Avg) => (a + v, n + 1),
@@ -164,8 +208,8 @@ impl Scan {
         column: ColumnId,
     ) -> aets_common::FxHashMap<i64, usize> {
         let mut groups = aets_common::FxHashMap::default();
-        self.for_each(table, |_, row| {
-            if let Some((_, Value::Int(g))) = row.iter().find(|(c, _)| *c == column) {
+        self.for_each_value(table, column, |_, v| {
+            if let Some(Value::Int(g)) = v {
                 *groups.entry(*g).or_insert(0) += 1;
             }
         });
@@ -186,12 +230,13 @@ pub enum Aggregate {
     Max,
 }
 
-fn numeric(row: &Row, column: ColumnId) -> Option<f64> {
-    row.iter().find(|(c, _)| *c == column).and_then(|(_, v)| match v {
+/// The number in `v`, if it is one.
+fn numeric(v: &Value) -> Option<f64> {
+    match v {
         Value::Int(i) => Some(*i as f64),
         Value::Float(f) => Some(*f),
         _ => None,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -280,6 +325,52 @@ mod tests {
         assert_eq!(scan.aggregate(&t, ColumnId::new(1), Aggregate::Max), Some(99.0));
         // Aggregating a text column yields no numeric contributions.
         assert_eq!(scan.aggregate(&t, ColumnId::new(2), Aggregate::Sum), None);
+    }
+
+    /// Counts and aggregates that read chains instead of rows (no filter)
+    /// or rows in place (filter) answer as a fold over the copied-out rows.
+    #[test]
+    fn shortcuts_agree_with_collected_rows() {
+        let t = table_with_rows();
+        let ver = |i: u64, ts: u64, op, cols| Version {
+            txn_id: TxnId::new(1000 + i),
+            commit_ts: Timestamp::from_micros(ts),
+            op,
+            cols,
+        };
+        for i in (0..100u64).step_by(3) {
+            let amount = vec![(ColumnId::new(1), Value::Float(-(i as f64)))];
+            t.apply_version(RowKey::new(i), ver(i, 2000 + i, OpType::Update, amount));
+        }
+        for i in (0..100u64).step_by(7) {
+            t.apply_version(RowKey::new(i), ver(i, 3000 + i, OpType::Delete, vec![]));
+        }
+        // Base data: an update-only chain, which has no column 0.
+        let base = vec![(ColumnId::new(1), Value::Int(5))];
+        t.apply_version(RowKey::new(500), ver(500, 10, OpType::Update, base));
+
+        let filter = |s: Scan| s.filter(ColumnId::new(2), CmpOp::Eq, Value::Text("odd".into()));
+        for ts in [505, 2050, 3050, u64::MAX].map(Timestamp::from_micros) {
+            for scan in [
+                Scan::at(ts),
+                Scan::at(ts).keys(RowKey::new(20), RowKey::new(600)),
+                filter(Scan::at(ts)),
+                filter(Scan::at(ts).keys(RowKey::new(20), RowKey::new(60))),
+            ] {
+                let rows = scan.collect(&t);
+                assert_eq!(scan.count(&t), rows.len());
+                let amounts: Vec<f64> = rows
+                    .iter()
+                    .filter_map(|(_, r)| r.iter().find(|(c, _)| *c == ColumnId::new(1)))
+                    .filter_map(|(_, v)| numeric(v))
+                    .collect();
+                let sum = (!amounts.is_empty()).then(|| amounts.iter().sum::<f64>());
+                assert_eq!(scan.aggregate(&t, ColumnId::new(1), Aggregate::Sum), sum);
+                let grouped: usize = scan.group_count(&t, ColumnId::new(0)).values().sum();
+                let with_group = rows.iter().filter(|(_, r)| r[0].0 == ColumnId::new(0)).count();
+                assert_eq!(grouped, with_group);
+            }
+        }
     }
 
     #[test]

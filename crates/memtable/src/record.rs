@@ -7,6 +7,7 @@
 
 use aets_common::{ColumnId, Row, Timestamp, TxnId, Value};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::borrow::Cow;
 
 /// The kind of DML a version carries. Alias of the shared log-level
 /// operation enum: a version chain stores exactly what the value log said.
@@ -57,8 +58,9 @@ impl RecordNode {
             chain.last().map(|l| l.txn_id),
         );
         if chain.capacity() == 0 {
-            // Most records are written once: give the first version room
-            // for one, not the four slots `push` would start with.
+            // Most records are written once, and GC leaves such a chain as
+            // it is: give the first version room for one, not the four
+            // slots `push` would start with and nothing would hand back.
             chain.reserve_exact(1);
         }
         chain.push(v);
@@ -88,7 +90,17 @@ impl RecordNode {
     /// inserted yet, or deleted).
     pub fn read_at(&self, ts: Timestamp) -> Option<Row> {
         let chain = self.versions.read();
-        image_of(&chain[..chain.partition_point(|v| v.commit_ts <= ts)])
+        image_of(&chain[..chain.partition_point(|v| v.commit_ts <= ts)]).map(Cow::into_owned)
+    }
+
+    /// Calls `f` on the row [`RecordNode::read_at`] would return, under the
+    /// chain's shared lock. The row is lent, not copied, when the newest
+    /// visible version is a full insert image — a record written once, or
+    /// consolidated by GC, which is most of a table: a scan that only looks
+    /// at rows (filters, aggregates, digests) then allocates nothing.
+    pub fn with_row_at<R>(&self, ts: Timestamp, f: impl FnOnce(&Row) -> R) -> Option<R> {
+        let chain = self.versions.read();
+        image_of(&chain[..chain.partition_point(|v| v.commit_ts <= ts)]).map(|row| f(&row))
     }
 
     /// Whether [`RecordNode::read_at`] would return a row at `ts`, decided
@@ -103,6 +115,37 @@ impl RecordNode {
                 .iter()
                 .rfind(|v| v.op != OpType::Update)
                 .is_none_or(|v| v.op == OpType::Insert)
+    }
+
+    /// Calls `f` on the value `column` has in the row visible at `ts`
+    /// (`None` when that row lacks the column), read off the chain without
+    /// building the row: nothing is allocated, and of each version only
+    /// the columns listed before `column` are looked at. Returns `None`
+    /// where [`RecordNode::read_at`] would.
+    pub fn with_value_at<R>(
+        &self,
+        ts: Timestamp,
+        column: ColumnId,
+        f: impl FnOnce(Option<&Value>) -> R,
+    ) -> Option<R> {
+        let chain = self.versions.read();
+        let visible = &chain[..chain.partition_point(|v| v.commit_ts <= ts)];
+        // Newest first, as `image_of` merges: the first listing of the
+        // column is its value, but the walk goes on to the insert or the
+        // tombstone that says whether there is a row at all.
+        let mut found = None;
+        for v in visible.iter().rev() {
+            if v.op == OpType::Delete {
+                return None;
+            }
+            if found.is_none() {
+                found = v.cols.iter().find(|(cid, _)| *cid == column).map(|(_, val)| val);
+            }
+            if v.op == OpType::Insert {
+                break;
+            }
+        }
+        (!visible.is_empty()).then(|| f(found))
     }
 
     /// Shared-lock view of the whole chain, oldest version first: the
@@ -137,12 +180,12 @@ pub(crate) fn keep_first_per_column<V>(cols: &mut Vec<(ColumnId, V)>) {
 /// its snapshot (oldest first): the newest value of every column back to
 /// the anchoring insert, in column order. `None` when nothing is visible
 /// or a tombstone is met first.
-pub(crate) fn image_of(visible: &[Version]) -> Option<Row> {
+pub(crate) fn image_of(visible: &[Version]) -> Option<Cow<'_, Row>> {
     let newest = visible.last()?;
     // The common case: the newest visible version is itself a full insert
     // image, already in column order.
     if newest.op == OpType::Insert && is_canonical(&newest.cols) {
-        return Some(newest.cols.clone());
+        return Some(Cow::Borrowed(&newest.cols));
     }
     // Walk backwards collecting column values, newest first, until the
     // anchoring insert (full image) or a tombstone.
@@ -161,7 +204,7 @@ pub(crate) fn image_of(visible: &[Version]) -> Option<Row> {
     // merged updates are its visible image. Listed newest first, so the
     // value kept for each column is its newest.
     keep_first_per_column(&mut merged);
-    Some(merged.into_iter().map(|(cid, val)| (cid, val.clone())).collect())
+    Some(Cow::Owned(merged.into_iter().map(|(cid, val)| (cid, val.clone())).collect()))
 }
 
 #[cfg(test)]

@@ -34,30 +34,11 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 /// on-disk state independent of any replay that races the serialization.
 ///
 /// Nothing is copied on the way: each chain is encoded in place under its
-/// shared lock while the index is walked. A database big enough to repay
-/// it (`MemDb::barrier_parallelism`) is encoded table-parallel, each
-/// table into a buffer of its own, appended in table order — the bytes are
-/// the same either way.
+/// shared lock while the index is walked.
 pub fn encode_db(buf: &mut BytesMut, db: &MemDb, watermark: Timestamp) {
-    encode_db_on(buf, db, watermark, db.barrier_parallelism());
-}
-
-pub(crate) fn encode_db_on(buf: &mut BytesMut, db: &MemDb, watermark: Timestamp, degree: usize) {
     buf.put_u32_le(db.num_tables() as u32);
-    if degree <= 1 {
-        for table in db.tables() {
-            encode_table(buf, table, watermark);
-        }
-        return;
-    }
-    let parts = db.map_tables(degree, |table| {
-        let mut part = BytesMut::new();
-        encode_table(&mut part, table, watermark);
-        part
-    });
-    buf.reserve(parts.iter().map(BytesMut::len).sum());
-    for part in &parts {
-        buf.put_slice(part);
+    for table in db.tables() {
+        encode_table(buf, table, watermark);
     }
 }
 
@@ -70,14 +51,15 @@ fn encode_table(buf: &mut BytesMut, table: &Table, watermark: Timestamp) {
     let mut keys = 0u64;
     table.for_each_node(|key, node| {
         let chain = node.chain();
-        let covered = chain.iter().filter(|v| v.commit_ts <= watermark).count();
-        if covered == 0 {
+        // Chains are in commit order: the covered versions are a prefix.
+        let covered = &chain[..chain.partition_point(|v| v.commit_ts <= watermark)];
+        if covered.is_empty() {
             return;
         }
         keys += 1;
         buf.put_u64_le(key.raw());
-        buf.put_u32_le(covered as u32);
-        for v in chain.iter().filter(|v| v.commit_ts <= watermark) {
+        buf.put_u32_le(covered.len() as u32);
+        for v in covered {
             buf.put_u64_le(v.txn_id.raw());
             buf.put_u64_le(v.commit_ts.as_micros());
             buf.put_u8(v.op.tag());

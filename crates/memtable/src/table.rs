@@ -4,7 +4,6 @@ use crate::bptree::BPlusTree;
 use crate::record::{RecordNode, Version};
 use aets_common::{Row, RowKey, TableId, Timestamp};
 use parking_lot::RwLock;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// One table of the backup Memtable: a B+Tree from row key to a stable,
@@ -87,33 +86,10 @@ impl Table {
         });
     }
 
-    /// Snapshot scan over the inclusive key range `[lo, hi]` at `ts`.
-    pub fn scan_range_at<F: FnMut(RowKey, Row)>(
-        &self,
-        lo: RowKey,
-        hi: RowKey,
-        ts: Timestamp,
-        mut f: F,
-    ) {
-        let index = self.index.read();
-        index.range_scan(&lo, &hi, |k, n| {
-            if let Some(row) = n.read_at(ts) {
-                f(*k, row);
-            }
-        });
-    }
-
     /// Counts rows visible at `ts`, without reconstructing any of them.
     pub fn count_at(&self, ts: Timestamp) -> usize {
         let mut n = 0;
         self.for_each_node(|_, node| n += usize::from(node.visible_at(ts)));
-        n
-    }
-
-    /// Counts rows visible at `ts` in the inclusive key range `[lo, hi]`.
-    pub fn count_range_at(&self, lo: RowKey, hi: RowKey, ts: Timestamp) -> usize {
-        let mut n = 0;
-        self.index.read().range_scan(&lo, &hi, |_, node| n += usize::from(node.visible_at(ts)));
         n
     }
 
@@ -123,6 +99,16 @@ impl Table {
     /// touch this table's index.
     pub(crate) fn for_each_node<F: FnMut(RowKey, &RecordNode)>(&self, mut f: F) {
         self.index.read().scan(|k, n| f(*k, n));
+    }
+
+    /// [`Table::for_each_node`] over the inclusive key range `[lo, hi]`.
+    pub(crate) fn for_each_node_in<F: FnMut(RowKey, &RecordNode)>(
+        &self,
+        lo: RowKey,
+        hi: RowKey,
+        mut f: F,
+    ) {
+        self.index.read().range_scan(&lo, &hi, |k, n| f(*k, n));
     }
 
     /// Snapshot of every `(key, node)` pair in key order (clones the
@@ -155,27 +141,24 @@ impl Table {
     pub fn digest_at(&self, ts: Timestamp) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = aets_common::FxHasher::default();
-        self.scan_at(ts, |k, row| {
-            k.raw().hash(&mut h);
-            for (cid, v) in &row {
-                cid.raw().hash(&mut h);
-                match v {
-                    aets_common::Value::Null => 0u8.hash(&mut h),
-                    aets_common::Value::Int(i) => i.hash(&mut h),
-                    aets_common::Value::Float(f) => f.to_bits().hash(&mut h),
-                    aets_common::Value::Text(s) => s.hash(&mut h),
-                    aets_common::Value::Bytes(b) => b.hash(&mut h),
+        self.for_each_node(|k, node| {
+            node.with_row_at(ts, |row| {
+                k.raw().hash(&mut h);
+                for (cid, v) in row {
+                    cid.raw().hash(&mut h);
+                    match v {
+                        aets_common::Value::Null => 0u8.hash(&mut h),
+                        aets_common::Value::Int(i) => i.hash(&mut h),
+                        aets_common::Value::Float(f) => f.to_bits().hash(&mut h),
+                        aets_common::Value::Text(s) => s.hash(&mut h),
+                        aets_common::Value::Bytes(b) => b.hash(&mut h),
+                    }
                 }
-            }
+            });
         });
         h.finish()
     }
 }
-
-/// Record nodes below which a whole-database pass stays on the calling
-/// thread: at ~100 ns a node the pass is over in about a millisecond,
-/// which starting and joining threads would not shorten.
-const PARALLEL_MIN_NODES: usize = 16_384;
 
 /// The backup node's in-memory database: one [`Table`] per table id.
 #[derive(Debug)]
@@ -208,61 +191,6 @@ impl MemDb {
     /// Checks the commit-order invariant database-wide.
     pub fn all_chains_ordered(&self) -> bool {
         self.tables.iter().all(|t| t.all_chains_ordered())
-    }
-
-    /// Threads a whole-database pass should use when the caller owns the
-    /// machine — at an epoch barrier, where the replay threads are idle.
-    /// Observed, not configured: one below [`PARALLEL_MIN_NODES`] record
-    /// nodes, otherwise the cores available, capped by how many shares of
-    /// the biggest table the database holds — the pass is never shorter
-    /// than its biggest table.
-    pub(crate) fn barrier_parallelism(&self) -> usize {
-        let (nodes, biggest) = self
-            .tables
-            .iter()
-            .map(Table::len)
-            .fold((0, 0), |(nodes, biggest), n| (nodes + n, biggest.max(n)));
-        if nodes < PARALLEL_MIN_NODES {
-            return 1;
-        }
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        cores.min(nodes.div_ceil(biggest))
-    }
-
-    /// Runs `f` on every table and returns the results in table order.
-    /// With `degree > 1` the caller and `degree - 1` scoped threads pull
-    /// tables from a shared cursor, biggest first, so one large table does
-    /// not end up queued behind the small ones.
-    pub(crate) fn map_tables<R: Send>(
-        &self,
-        degree: usize,
-        f: impl Fn(&Table) -> R + Sync,
-    ) -> Vec<R> {
-        if degree <= 1 {
-            return self.tables.iter().map(f).collect();
-        }
-        let mut order: Vec<usize> = (0..self.tables.len()).collect();
-        order.sort_by_key(|&t| std::cmp::Reverse(self.tables[t].len()));
-        // The cursor hands out positions only; results travel through join.
-        let cursor = AtomicUsize::new(0);
-        let pull = || {
-            let mut done = Vec::new();
-            while let Some(&t) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                done.push((t, f(&self.tables[t])));
-            }
-            done
-        };
-        let mut done = std::thread::scope(|s| {
-            let workers: Vec<_> = (1..degree).map(|_| s.spawn(pull)).collect();
-            let mut done = pull();
-            for w in workers {
-                done.extend(w.join().expect("table worker panicked"));
-            }
-            done
-        });
-        // Every table was pulled exactly once.
-        done.sort_unstable_by_key(|(t, _)| *t);
-        done.into_iter().map(|(_, r)| r).collect()
     }
 
     /// Total versions across the database.

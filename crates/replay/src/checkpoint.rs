@@ -72,8 +72,8 @@ pub struct Checkpoint {
 pub struct CheckpointStore {
     dir: PathBuf,
     clock: Option<Arc<CrashClock>>,
-    /// Size of the last manifest image written or loaded (0 before the
-    /// first): the next image's buffer is sized from it.
+    /// Size of the last manifest image written (0 before the first): the
+    /// next image's buffer is sized from it.
     last_image_len: AtomicUsize,
 }
 
@@ -97,12 +97,6 @@ impl CheckpointStore {
     /// Checkpoint directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// Bytes of the last manifest image this store wrote or loaded (0
-    /// before the first).
-    pub fn last_image_len(&self) -> usize {
-        self.last_image_len.load(Ordering::Relaxed)
     }
 
     /// Manifests present on disk, ascending by `next_epoch_seq`.
@@ -192,10 +186,7 @@ impl CheckpointStore {
             charge(&self.clock, "read checkpoint manifest")?;
             match std::fs::read(&path) {
                 Ok(raw) => match parse_checkpoint(&raw, seq) {
-                    Ok((meta, db)) => {
-                        self.last_image_len.store(raw.len(), Ordering::Relaxed);
-                        return Ok((Some(Checkpoint { meta, db, path }), fallbacks));
-                    }
+                    Ok((meta, db)) => return Ok((Some(Checkpoint { meta, db, path }), fallbacks)),
                     Err(_) => fallbacks += 1,
                 },
                 Err(_) => fallbacks += 1,
@@ -373,7 +364,6 @@ mod tests {
         let store = CheckpointStore::open(&dir, None).unwrap();
         let path = store.write(&sample_meta(7), &want, Timestamp::MAX).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), PARENT_MANIFEST, "same bytes, same format");
-        assert_eq!(store.last_image_len(), PARENT_MANIFEST.len());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -29,7 +29,7 @@ use crate::options::ServiceOptions;
 use crate::service::{board_health, BackupNode, NodeOptions};
 use crate::visibility::VisibilityBoard;
 use aets_common::{Error, GroupId, Result, Timestamp};
-use aets_memtable::{gc_db_at_barrier, MemDb, QueryFloor};
+use aets_memtable::{gc_db, MemDb, QueryFloor};
 use aets_telemetry::trace::stages;
 use aets_telemetry::{
     names, EventKind, FlightRecorder, FlightRecorderConfig, ObsServer, Telemetry,
@@ -435,9 +435,7 @@ impl DurableBackup {
             // Both floors clamp: the manually published replica floor and
             // the oldest read session pinned through a served node.
             let wm = self.board.gc_watermark(&[], self.query_floor.min(self.floor.floor()));
-            // The replay threads are idle at the barrier: the pass may
-            // spread over their cores.
-            let pass = gc_db_at_barrier(&self.db, wm);
+            let pass = gc_db(&self.db, wm);
             reg.histogram(names::GC_PASS_US).record_micros(t0.elapsed().as_micros() as u64);
             self.metrics.gc.merge(pass);
             self.metrics.gc_passes += 1;
@@ -461,10 +459,12 @@ impl DurableBackup {
         };
         // The barrier's own watermark, not `Timestamp::MAX`: a version
         // appended after the cut must never reach this manifest.
-        self.ckpt.write(&meta, &self.db, meta.global_cmt_ts)?;
+        let manifest = self.ckpt.write(&meta, &self.db, meta.global_cmt_ts)?;
         self.metrics.checkpoints_written += 1;
         reg.counter(names::CHECKPOINTS_WRITTEN).inc();
-        reg.gauge(names::CHECKPOINT_BYTES).set(self.ckpt.last_image_len() as u64);
+        if let Ok(on_disk) = std::fs::metadata(&manifest) {
+            reg.gauge(names::CHECKPOINT_BYTES).set(on_disk.len());
+        }
         self.telemetry.event(EventKind::CheckpointWritten { next_epoch_seq: self.next_seq });
         self.last_ckpt_seq = self.next_seq;
         self.ckpt.retain(self.opts.keep_checkpoints)?;

@@ -654,7 +654,6 @@ impl BackupNode {
     /// durable backup's manually-set replica floor).
     pub fn gc_clamped(&self, extra_floor: Timestamp) -> GcStats {
         let wm = self.gc_watermark(extra_floor);
-        // On the calling thread only: the cores belong to live scans.
         let t0 = Instant::now();
         let pass = gc_db(&self.db, wm);
         self.stats.gc_pass_us.record_micros(t0.elapsed().as_micros() as u64);
@@ -946,8 +945,10 @@ fn serve_one(ctx: &WorkerCtx, job: &Job) -> Result<QueryOutput> {
 }
 
 /// Executes the scan, checking cancellation and the deadline every 256
-/// visited rows (`Scan::for_each` has no early exit, so the checks stop
-/// accumulation and the error is surfaced after the pass).
+/// visited rows (the `Scan` visitors have no early exit, so the checks
+/// stop accumulation and the error is surfaced after the pass). Each
+/// output reads no more of a row than it needs: a count no row at all,
+/// an aggregate its one column.
 fn run_query(db: &MemDb, job: &Job) -> Result<QueryOutput> {
     let scan =
         Scan { ts: job.qts, key_range: job.spec.key_range, filters: job.spec.filters.clone() };
@@ -983,7 +984,7 @@ fn run_query(db: &MemDb, job: &Job) -> Result<QueryOutput> {
         }
         OutputKind::Count => {
             let mut n = 0usize;
-            scan.for_each(table, |_, _| {
+            scan.for_each_visible(table, |_| {
                 if err.is_some() {
                     return;
                 }
@@ -997,7 +998,7 @@ fn run_query(db: &MemDb, job: &Job) -> Result<QueryOutput> {
         OutputKind::AggregateCol { column, agg } => {
             let (column, agg) = (*column, *agg);
             let mut acc: Option<(f64, usize)> = None;
-            scan.for_each(table, |_, row| {
+            scan.for_each_value(table, column, |_, v| {
                 if err.is_some() {
                     return;
                 }
@@ -1005,12 +1006,11 @@ fn run_query(db: &MemDb, job: &Job) -> Result<QueryOutput> {
                 if err.is_some() {
                     return;
                 }
-                let v = row.iter().find(|(c, _)| *c == column).and_then(|(_, v)| match v {
-                    aets_common::Value::Int(i) => Some(*i as f64),
-                    aets_common::Value::Float(f) => Some(*f),
-                    _ => None,
-                });
-                let Some(v) = v else { return };
+                let v = match v {
+                    Some(aets_common::Value::Int(i)) => *i as f64,
+                    Some(aets_common::Value::Float(f)) => *f,
+                    _ => return,
+                };
                 acc = Some(match (acc, agg) {
                     (None, _) => (v, 1),
                     (Some((a, n)), Aggregate::Sum | Aggregate::Avg) => (a + v, n + 1),
