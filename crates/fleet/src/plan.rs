@@ -1,7 +1,7 @@
 //! Shard placement: which table group lives on which backup shard.
 //!
 //! The fleet partitions the epoch stream *by table group*, never by
-//! table: a group's commit thread, commit-order queue, and `tg_cmt_ts`
+//! table: a group's committer, commit-order queue, and `tg_cmt_ts`
 //! watermark are indivisible, so a group must land on exactly one shard
 //! for Algorithm 3 to stay meaningful. Every shard still carries the
 //! *full* global [`TableGrouping`] — groups it does not own simply never

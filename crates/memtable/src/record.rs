@@ -44,7 +44,7 @@ impl RecordNode {
 
     /// Appends a committed version (Algorithm 1 lines 9-13).
     ///
-    /// The caller — the single commit thread of the record's table group —
+    /// The caller — the one committer of the record's table group —
     /// must append in primary commit order; this is checked in debug builds
     /// and verifiable after the fact via [`RecordNode::is_ordered`].
     pub fn append_version(&self, v: Version) {

@@ -3,19 +3,23 @@
 //! Per epoch (Section III-D):
 //!
 //! 1. the dispatcher routes entries into per-group mini-transactions
-//!    (metadata-only parse). With `pipeline_depth > 0` this runs on its
-//!    own thread, feeding dispatched epochs to the replay loop through a
-//!    bounded channel so the metadata scan of epoch `e+1` overlaps the
-//!    stage-1/stage-2 replay of epoch `e` (see DESIGN.md, "Replay
-//!    datapath");
+//!    (metadata-only parse). A call that replays several epochs runs it on
+//!    a scoped thread, feeding the replay loop through a bounded channel
+//!    so the metadata scan of epoch `e+1` overlaps the replay of epoch
+//!    `e`; a single-epoch call (and `pipeline_depth = 0`) dispatches
+//!    inline into the same loop (see DESIGN.md, "Replay datapath");
 //! 2. threads are allocated to groups by `λ·n` weights
 //!    (Section IV-B), optionally refreshed from a per-epoch rate provider
 //!    (the DTGM predictor in the full system);
-//! 3. **stage 1** replays all hot groups: per group, workers run TPLR
-//!    phase 1 (translate entries to uncommitted cells, no locks, no
-//!    dependency tracking) while the group's single commit thread runs
-//!    phase 2 (append cells in `commit_order_queue` order, publish
-//!    `tg_cmt_ts`);
+//! 3. **stage 1** replays all hot groups on the engine's persistent
+//!    crew (`engines/crew.rs`): the calling thread and `threads − 1`
+//!    helpers claim whole groups, largest first. A group's claimant is
+//!    its only committer: it runs TPLR phase 1 (translate entries to
+//!    uncommitted cells, no locks, no dependency tracking) and phase 2
+//!    (append cells in `commit_order_queue` order, publish `tg_cmt_ts`
+//!    per mini-transaction) chunk by chunk. A group allotted two or more
+//!    threads is *split*: idle crew members translate its chunks ahead
+//!    of the committer;
 //! 4. **stage 2** replays the cold groups the same way;
 //! 5. `global_cmt_ts` advances to the epoch's last commit.
 //!
@@ -24,9 +28,9 @@
 //!
 //! # Supervision and quarantine
 //!
-//! Replay is *supervised*: phase-1 workers and the per-group commit
-//! threads propagate [`Result`]s instead of panicking, and any panic that
-//! does occur inside a replay thread is contained with `catch_unwind`. A
+//! Replay is *supervised*: translation and commit propagate [`Result`]s
+//! instead of panicking, and any panic that does occur inside a group
+//! task or a chunk translation is contained with `catch_unwind`. A
 //! group whose replay hits an unrecoverable fault (e.g. a record that
 //! passes the epoch frame CRC but fails its own record CRC) is
 //! *quarantined*: its `tg_cmt_ts` freezes at the last consistent commit,
@@ -37,24 +41,27 @@
 //! [`ReplayEngine::replay`].
 
 use crate::alloc::{allocate_threads, UrgencyMode};
-use crate::dispatch::{dispatch_epoch, ingest_epoch, DispatchedEpoch, IngestStats, RetryPolicy};
+use crate::dispatch::{
+    dispatch_epoch, ingest_epoch, DispatchedEpoch, GroupWork, IngestStats, MiniTxn, RetryPolicy,
+};
+use crate::engines::crew::{Backoff, Crew};
 use crate::engines::pool::CellPool;
-use crate::engines::{commit_cell, translate_entry, Cell, ReplayEngine};
+use crate::engines::{commit_cell, panic_error, translate_entry, Cell, ReplayEngine};
 use crate::grouping::TableGrouping;
 use crate::metrics::ReplayMetrics;
 use crate::visibility::VisibilityBoard;
 use aets_common::{Error, GroupId, Result, TableId};
 use aets_memtable::MemDb;
 use aets_telemetry::trace::stages;
-use aets_telemetry::{names, Counter, EventKind, Gauge, Histogram, OpenSpan, SpanId, Telemetry};
+use aets_telemetry::{names, Counter, EventKind, Gauge, Histogram, SpanId, Telemetry};
 use aets_wal::{EncodedEpoch, EpochSource, SliceSource};
-use parking_lot::{Condvar, Mutex, RwLock};
-use std::cell::UnsafeCell;
+use parking_lot::{Mutex, RwLock};
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Per-epoch group access rates, e.g. from the DTGM predictor.
 pub type RateFn = Arc<dyn Fn(usize) -> Vec<f64> + Send + Sync>;
@@ -62,7 +69,8 @@ pub type RateFn = Arc<dyn Fn(usize) -> Vec<f64> + Send + Sync>;
 /// Configuration of the AETS engine.
 #[derive(Clone)]
 pub struct AetsConfig {
-    /// Total replay worker threads `T`.
+    /// Replay threads `T`: the size of the engine's crew, counting the
+    /// thread that calls `replay` (so `threads − 1` helper threads).
     pub threads: usize,
     /// Urgency factor mode (Log = paper, Ignore = AETS-NOAC ablation).
     pub urgency: UrgencyMode,
@@ -76,13 +84,14 @@ pub struct AetsConfig {
     /// when absent, the grouping's static rates are used.
     pub rate_fn: Option<RateFn>,
     /// Depth of the dispatch pipeline: how many dispatched epochs may sit
-    /// between the dispatcher thread and the replay loop. `0` disables
-    /// pipelining (epochs are dispatched inline, the pre-pipeline serial
-    /// datapath); `n > 0` runs the dispatcher on its own thread behind a
-    /// bounded channel of capacity `n`, overlapping the metadata scan of
-    /// epoch `e+1` with the replay of epoch `e`. The epoch-barrier
-    /// invariant is unaffected: the replay loop consumes epochs strictly
-    /// in order and only ever commits the epoch at the channel head.
+    /// between the dispatcher thread and the replay loop. `0` dispatches
+    /// every epoch inline on the replay loop's thread; `n > 0` gives a
+    /// call that replays more than one epoch a scoped dispatcher thread
+    /// behind a bounded channel of capacity `n`, overlapping the metadata
+    /// scan of epoch `e+1` with the replay of epoch `e` (a single-epoch
+    /// call has nothing to overlap and dispatches inline). The
+    /// epoch-barrier invariant is unaffected: the replay loop consumes
+    /// epochs strictly in order and only ever commits the epoch at hand.
     pub pipeline_depth: usize,
     /// Bounded-retry policy of the ingest resync loop: how often a failed
     /// epoch delivery (torn tail, bit flip, sequence gap, stall) is
@@ -125,7 +134,9 @@ impl Default for AetsConfig {
 pub enum Reconfigure {
     /// Pin the per-group worker allocation, bypassing the per-epoch
     /// `λ·n` solver until the next `SetThreadSplit`. One slot per group;
-    /// zero means the group's commit thread translates inline.
+    /// a group with two or more threads is split (idle crew members
+    /// translate its chunks ahead of its committer), below that its
+    /// claimant replays it alone.
     SetThreadSplit(Vec<usize>),
     /// Replace the table grouping. Must preserve the group count (the
     /// visibility board, quarantine ledger and cell pools are sized to
@@ -141,8 +152,8 @@ pub enum Reconfigure {
 /// Commands are validated at send time against the engine's immutable
 /// group/table counts, queued, and drained by the *dispatching* side of
 /// the replay datapath at the next epoch boundary. Epoch boundaries are
-/// exactly the paper's "drain, move, resume" migration points: commit
-/// queues are per-epoch objects fully drained at the stage barriers, and
+/// exactly the paper's "drain, move, resume" migration points: group
+/// tasks are per-stage objects fully drained at the stage barriers, and
 /// every healthy group's watermark equals the epoch's `max_commit_ts`,
 /// so a regroup never moves a table with in-flight work and is
 /// watermark-neutral.
@@ -239,18 +250,6 @@ struct EpochPlan {
     rejected: u64,
 }
 
-/// Converts a contained panic payload into a typed replay error, so a
-/// panicking replay thread poisons its group like any other failure
-/// instead of tearing the process down.
-fn panic_error(who: &str, payload: Box<dyn std::any::Any + Send>) -> Error {
-    let msg = payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "opaque panic payload".to_string());
-    Error::Replay(format!("{who} panicked: {msg}"))
-}
-
 /// Per-group quarantine ledger. Lives on the engine (not one `replay`
 /// call) because the realtime runner replays one epoch per call through
 /// the same engine: once a group is poisoned, every later epoch skips it
@@ -313,6 +312,8 @@ struct EngineStats {
     regroups: Counter,
     resplits: Counter,
     reconf_rejected: Counter,
+    barrier_wait_us: Histogram,
+    crew_parked: Gauge,
 }
 
 impl EngineStats {
@@ -339,6 +340,8 @@ impl EngineStats {
             regroups: reg.counter(names::ADAPT_REGROUPS),
             resplits: reg.counter(names::ADAPT_RESPLITS),
             reconf_rejected: reg.counter(names::ADAPT_REJECTED),
+            barrier_wait_us: reg.histogram(names::STAGE_BARRIER_WAIT_US),
+            crew_parked: reg.gauge(names::REPLAY_CREW_PARKED),
         }
     }
 }
@@ -360,6 +363,12 @@ pub struct AetsEngine {
     pinned_split: Mutex<Option<Vec<usize>>>,
     reconf: ReconfigureHandle,
     quarantine: Quarantine,
+    /// The persistent replay threads. Locked for a whole `replay` call:
+    /// concurrent calls on one engine take turns.
+    crew: Mutex<Crew>,
+    /// Per-group free lists of cell buffers, recycled across epochs and
+    /// across calls.
+    pools: Vec<CellPool>,
     telemetry: Arc<Telemetry>,
     stats: EngineStats,
 }
@@ -391,7 +400,9 @@ impl AetsEngineBuilder {
         self
     }
 
-    /// Finishes the engine. Fails on an invalid config (zero threads).
+    /// Finishes the engine and starts its `threads − 1` crew helpers
+    /// (parked until the first replay, joined when the engine drops).
+    /// Fails on an invalid config (zero threads) or a failed thread start.
     pub fn build(self) -> Result<AetsEngine> {
         if self.cfg.threads == 0 {
             return Err(Error::Config("threads must be positive".into()));
@@ -400,12 +411,16 @@ impl AetsEngineBuilder {
         let quarantine = Quarantine::new(self.grouping.num_groups());
         let stats = EngineStats::new(&telemetry);
         let reconf = ReconfigureHandle::new(self.grouping.num_groups(), self.grouping.num_tables());
+        let crew = Crew::start(self.cfg.threads - 1, stats.crew_parked.clone())?;
+        let pools = (0..self.grouping.num_groups()).map(|_| CellPool::new()).collect();
         Ok(AetsEngine {
             cfg: self.cfg,
             grouping: RwLock::new(VersionedGrouping { gen: 0, grouping: Arc::new(self.grouping) }),
             pinned_split: Mutex::new(None),
             reconf,
             quarantine,
+            crew: Mutex::new(crew),
+            pools,
             telemetry,
             stats,
         })
@@ -480,7 +495,7 @@ impl AetsEngine {
     /// the plan — grouping, generation, pinned split — the next epoch is
     /// dispatched and replayed under. Runs on the dispatching side of
     /// the datapath, which is the only place a grouping swap is safe:
-    /// between epochs no commit queue holds work and every healthy
+    /// between epochs no group task holds work and every healthy
     /// watermark sits at the previous epoch's `max_commit_ts`.
     fn apply_pending(&self, at_seq: u64) -> EpochPlan {
         let drained: Vec<Reconfigure> = {
@@ -543,170 +558,221 @@ impl AetsEngine {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Replays `stage_groups` of one dispatched epoch on the crew and
+    /// flips their watermarks at the stage barrier.
+    ///
+    /// Every group with work becomes one task, claimed whole — largest
+    /// first — from one cursor by the caller and the helpers alike; crew
+    /// members left without a group translate chunks of the split groups.
+    /// The gate of [`Crew::run`] is the stage barrier: when it returns no
+    /// helper is inside the stage any more.
     fn run_stage(
         &self,
-        seq: u64,
-        parent: Option<SpanId>,
-        work: &DispatchedEpoch,
+        crew: &mut Crew,
+        epoch: &EpochRun<'_>,
         stage_groups: &[GroupId],
         alloc: &[usize],
-        pools: &[CellPool],
-        db: &MemDb,
-        board: &VisibilityBoard,
-        replay_busy_ns: &AtomicU64,
-        commit_busy_ns: &AtomicU64,
-    ) {
-        let quarantine = &self.quarantine;
-        let ring = self.telemetry.spans();
-        std::thread::scope(|scope| {
-            for &gid in stage_groups {
-                // A quarantined group gets no further work: its watermark
-                // stays frozen at the last consistent commit.
-                if quarantine.is_poisoned(gid) {
-                    continue;
+    ) -> Result<()> {
+        let mut tasks: Vec<GroupTask<'_>> = stage_groups
+            .iter()
+            // A quarantined group gets no further work: its watermark
+            // stays frozen at the last consistent commit.
+            .filter(|&&gid| !self.quarantine.is_poisoned(gid))
+            .map(|&gid| GroupTask::new(gid, epoch.work.group(gid), alloc[gid.index()]))
+            .filter(|t| !t.work.mini_txns.is_empty())
+            .collect();
+        tasks.sort_by_key(|t| Reverse(t.work.bytes));
+        // One thread per group, plus the extra translators of each split
+        // group: helpers beyond that would find nothing to claim.
+        let parallelism: usize = tasks.iter().map(GroupTask::threads_wanted).sum();
+        let cursor = AtomicUsize::new(0);
+        let job = || {
+            while let Some(task) = tasks.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                // An error or contained panic quarantines this group; no
+                // watermark it already published is retracted (the
+                // committed prefix is fully installed and consistent), it
+                // just never advances again. The crew member moves on.
+                let outcome = catch_unwind(AssertUnwindSafe(|| self.replay_group(epoch, task)))
+                    .unwrap_or_else(|p| Err(panic_error("group task", p)));
+                if let Err(e) = outcome {
+                    task.abandon();
+                    self.quarantine.poison(task.gid, e);
                 }
-                let gw = work.group(gid);
-                if gw.mini_txns.is_empty() {
-                    continue;
-                }
-                let workers = alloc[gid.index()];
-                let pool = &pools[gid.index()];
-                let queue = Arc::new(CommitQueue::new(gw.mini_txns.len()));
-                for _ in 0..workers {
-                    let queue = queue.clone();
-                    scope.spawn(move || {
-                        let t0 = Instant::now();
-                        // One translate span per worker per (stage, group):
-                        // the merged timeline shows how long each worker
-                        // spent in phase 1 for this epoch.
-                        let tspan = ring.begin(seq, stages::TRANSLATE, Some(gid.index()), parent);
-                        while let Some(i) = queue.claim() {
-                            let mt = &gw.mini_txns[i];
-                            // Contained per mini-txn so a failure (or
-                            // panic) still fills this slot and the worker
-                            // keeps claiming later ones — every slot gets
-                            // an outcome, so the commit thread never
-                            // blocks on a task nobody will finish.
-                            let res = catch_unwind(AssertUnwindSafe(|| -> Result<Vec<Cell>> {
-                                let mut cells = pool.take(mt.entry_ranges.len());
-                                for r in &mt.entry_ranges {
-                                    cells.push(translate_entry(db, &work.bytes, r.clone())?);
-                                }
-                                Ok(cells)
-                            }))
-                            .unwrap_or_else(|p| Err(panic_error("phase-1 worker", p)));
-                            queue.finish(i, res);
-                        }
-                        if let Some(s) = tspan {
-                            s.finish(ring);
-                        }
-                        replay_busy_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    });
-                }
-                // The group's single commit thread (phase 2).
-                let state_c = queue.clone();
-                scope.spawn(move || {
-                    // Busy time excludes blocking on phase-1 workers: the
-                    // Table II breakdown measures work, not waiting.
-                    let mut busy_ns = 0u64;
-                    let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<()> {
-                        // Head-of-line commit-queue wait, then the ordered
-                        // apply: the wait span closes when the first
-                        // slot's cells are in hand and the apply span
-                        // covers the rest of the commit loop. A failure
-                        // mid-loop drops the open span — only completed
-                        // steps are recorded.
-                        let mut wait_span =
-                            ring.begin(seq, stages::COMMIT_WAIT, Some(gid.index()), parent);
-                        let mut apply_span: Option<OpenSpan> = None;
-                        for i in 0..gw.mini_txns.len() {
-                            let mt = &gw.mini_txns[i];
-                            let mut cells = if workers == 0 {
-                                // Degenerate path under thread scarcity:
-                                // the commit thread translates inline.
-                                let mut cells = pool.take(mt.entry_ranges.len());
-                                for r in &mt.entry_ranges {
-                                    cells.push(translate_entry(db, &work.bytes, r.clone())?);
-                                }
-                                cells
-                            } else {
-                                state_c.wait_take(i)?
-                            };
-                            if let Some(w) = wait_span.take() {
-                                w.finish(ring);
-                                apply_span =
-                                    ring.begin(seq, stages::APPLY, Some(gid.index()), parent);
-                            }
-                            let t0 = Instant::now();
-                            for cell in cells.drain(..) {
-                                commit_cell(cell, mt.commit_ts);
-                            }
-                            board.publish_group(gid, mt.commit_ts);
-                            busy_ns += t0.elapsed().as_nanos() as u64;
-                            // The drained buffer goes back to the group's
-                            // free list for the next epoch's workers.
-                            pool.put(cells);
-                        }
-                        if let Some(a) = apply_span.take() {
-                            a.finish(ring);
-                        }
-                        Ok(())
-                    }));
-                    commit_busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
-                    // An error or contained panic quarantines this group;
-                    // no watermark it already published is retracted (the
-                    // committed prefix is fully installed and consistent),
-                    // it just never advances again.
-                    match outcome {
-                        Ok(Ok(())) => {}
-                        Ok(Err(e)) => quarantine.poison(gid, e),
-                        Err(p) => quarantine.poison(gid, panic_error("commit thread", p)),
-                    }
-                });
             }
-        });
+            for task in tasks.iter().filter(|t| t.handoff.is_some()) {
+                self.translate_ahead(epoch, task);
+            }
+        };
+        let waited = crew.run(parallelism.saturating_sub(1), &job)?;
+        self.stats.barrier_wait_us.record_micros(waited.as_micros() as u64);
         // Stage barrier passed: every write this epoch routed to a healthy
         // group is installed, so each healthy group is complete up to the
         // epoch's high-water mark. Groups poisoned during the stage stay
         // at their last consistent commit.
+        let ring = self.telemetry.spans();
         for &gid in stage_groups {
-            if !quarantine.is_poisoned(gid) {
-                board.publish_group(gid, work.max_commit_ts);
+            if !self.quarantine.is_poisoned(gid) {
+                epoch.board.publish_group(gid, epoch.work.max_commit_ts);
                 // Point span at the barrier publish (not the hot
                 // per-mini-txn watermark bumps): the timeline shows when
                 // the group's epoch-final `tg_cmt_ts` became visible.
-                ring.point(seq, stages::FLIP_GROUP, Some(gid.index()), parent);
+                ring.point(epoch.seq, stages::FLIP_GROUP, Some(gid.index()), epoch.parent);
             }
+        }
+        Ok(())
+    }
+
+    /// The committer's side of one group task: commits the group's chunks
+    /// strictly in order, translating each chunk itself unless a helper
+    /// got there first. There is one committer per group at a time — the
+    /// member that claimed the task — which is what keeps every version
+    /// chain in primary commit order.
+    fn replay_group(&self, epoch: &EpochRun<'_>, task: &GroupTask<'_>) -> Result<()> {
+        let ring = self.telemetry.spans();
+        let group = Some(task.gid.index());
+        // Head-of-line wait, then the ordered apply: the wait span closes
+        // when the first chunk's cells are in hand and the apply span
+        // covers the rest of the commit loop. A failure mid-loop drops the
+        // open span — only completed steps are recorded.
+        let mut wait_span = ring.begin(epoch.seq, stages::COMMIT_WAIT, group, epoch.parent);
+        let mut apply_span = None;
+        for head in 0..task.chunks() {
+            let chunk = match &task.handoff {
+                None => self.translate_chunk(epoch, task, head),
+                Some(handoff) => {
+                    let mut backoff = Backoff::default();
+                    loop {
+                        if let Some(chunk) = handoff.slots[head].lock().take() {
+                            break chunk;
+                        }
+                        // The head is not ready: translate the next
+                        // unclaimed chunk instead of sleeping on it.
+                        match handoff.claim() {
+                            Some(c) if c == head => break self.translate_chunk(epoch, task, c),
+                            Some(c) => {
+                                let chunk = self.translate_chunk(epoch, task, c);
+                                *handoff.slots[c].lock() = Some(chunk);
+                            }
+                            // Every chunk is claimed and the head is in a
+                            // helper's hands: it is running, not blocked,
+                            // so give it the core rather than park.
+                            None if backoff.snooze() => {}
+                            None => std::thread::yield_now(),
+                        }
+                    }
+                }
+            };
+            if let Some(w) = wait_span.take() {
+                w.finish(ring);
+                apply_span = ring.begin(epoch.seq, stages::APPLY, group, epoch.parent);
+            }
+            self.commit_chunk(epoch, task, head, chunk)?;
+        }
+        if let Some(a) = apply_span {
+            a.finish(ring);
+        }
+        Ok(())
+    }
+
+    /// A crew member without a group of its own translates chunks of a
+    /// split group into the hand-off slots its committer drains.
+    fn translate_ahead(&self, epoch: &EpochRun<'_>, task: &GroupTask<'_>) {
+        let Some(handoff) = &task.handoff else { return };
+        while let Some(c) = handoff.claim() {
+            // Contained so the slot is always filled: the committer must
+            // never wait on a chunk nobody will finish.
+            let chunk = catch_unwind(AssertUnwindSafe(|| self.translate_chunk(epoch, task, c)))
+                .unwrap_or_else(|p| Chunk {
+                    cells: Vec::new(),
+                    translated: 0,
+                    err: Some(panic_error("chunk translator", p)),
+                });
+            *handoff.slots[c].lock() = Some(chunk);
         }
     }
 
+    /// TPLR phase 1 for chunk `c` of a group: decodes every entry and
+    /// resolves its Memtable node into one pooled buffer. Stops at the
+    /// first mini-transaction that fails to translate, keeping the ones
+    /// before it, so the committer freezes the group at exactly the last
+    /// consistent commit.
+    fn translate_chunk(&self, epoch: &EpochRun<'_>, task: &GroupTask<'_>, c: usize) -> Chunk {
+        let t0 = Instant::now();
+        let ring = self.telemetry.spans();
+        // One translate span per chunk: who translated what, and when,
+        // relative to the group's commit loop.
+        let span = ring.begin(epoch.seq, stages::TRANSLATE, Some(task.gid.index()), epoch.parent);
+        let mini_txns = task.chunk(c);
+        let entries: usize = mini_txns.iter().map(|mt| mt.entry_ranges.len()).sum();
+        let mut chunk =
+            Chunk { cells: self.pools[task.gid.index()].take(entries), translated: 0, err: None };
+        'mini_txns: for mt in mini_txns {
+            let start = chunk.cells.len();
+            for r in &mt.entry_ranges {
+                match translate_entry(epoch.db, &epoch.work.bytes, r.clone()) {
+                    Ok(cell) => chunk.cells.push(cell),
+                    Err(e) => {
+                        chunk.cells.truncate(start);
+                        chunk.err = Some(e);
+                        break 'mini_txns;
+                    }
+                }
+            }
+            chunk.translated += 1;
+        }
+        if let Some(s) = span {
+            s.finish(ring);
+        }
+        epoch.busy.translate_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        chunk
+    }
+
+    /// TPLR phase 2 for chunk `c`: appends its cells in commit order and
+    /// publishes `tg_cmt_ts` after every mini-transaction.
+    fn commit_chunk(
+        &self,
+        epoch: &EpochRun<'_>,
+        task: &GroupTask<'_>,
+        c: usize,
+        mut chunk: Chunk,
+    ) -> Result<()> {
+        // Busy time is the appends and publishes alone: the Table II
+        // breakdown measures work, not waiting for a translator.
+        let t0 = Instant::now();
+        let mut cells = chunk.cells.drain(..);
+        for mt in &task.chunk(c)[..chunk.translated] {
+            for cell in cells.by_ref().take(mt.entry_ranges.len()) {
+                commit_cell(cell, mt.commit_ts);
+            }
+            epoch.board.publish_group(task.gid, mt.commit_ts);
+        }
+        drop(cells);
+        epoch.busy.commit_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        // The drained buffer goes back to the group's free list.
+        self.pools[task.gid.index()].put(chunk.cells);
+        chunk.err.map_or(Ok(()), Err)
+    }
+
     /// Replays one dispatched epoch: rate refresh, thread allocation, the
-    /// two replay stages, and the global visibility publish. This is the
-    /// consumer side of the dispatch pipeline; calling it strictly in
-    /// epoch order is what upholds the epoch-barrier invariant.
-    #[allow(clippy::too_many_arguments)]
+    /// two replay stages, and the global visibility publish. Calling it
+    /// strictly in epoch order is what upholds the epoch-barrier
+    /// invariant.
     fn replay_epoch(
         &self,
+        crew: &mut Crew,
         eidx: usize,
-        seq: u64,
-        parent: Option<SpanId>,
+        epoch: &EpochRun<'_>,
         plan: &EpochPlan,
-        work: &DispatchedEpoch,
-        pools: &[CellPool],
-        db: &MemDb,
-        board: &VisibilityBoard,
-        replay_busy: &AtomicU64,
-        commit_busy: &AtomicU64,
         m: &mut ReplayMetrics,
     ) -> Result<()> {
         let grouping = &plan.grouping;
+        let work = epoch.work;
         // The previous epoch is fully replayed (this loop is strictly
         // in-order), so every healthy watermark covers the whole
         // database: now is the safe moment to tell the board that gids
         // computed under older groupings are stale. `fetch_max` makes
         // replays of old plans harmless.
-        board.advance_grouping_gen(plan.gen);
+        epoch.board.advance_grouping_gen(plan.gen);
         m.regroups_applied += plan.regroups;
         m.resplits_applied += plan.resplits;
         m.reconf_rejected += plan.rejected;
@@ -751,18 +817,7 @@ impl AetsEngine {
                 continue;
             }
             let t_stage = Instant::now();
-            self.run_stage(
-                seq,
-                parent,
-                work,
-                stage_groups,
-                &alloc,
-                pools,
-                db,
-                board,
-                replay_busy,
-                commit_busy,
-            );
+            self.run_stage(crew, epoch, stage_groups, &alloc)?;
             let elapsed = t_stage.elapsed();
             if self.cfg.two_stage && sidx == 0 {
                 m.stage1_wall += elapsed;
@@ -790,7 +845,7 @@ impl AetsEngine {
         // over a frozen group fail fast instead of sleeping out their
         // timeout (the board wakes exactly the waiters this decides).
         if self.quarantine.any() {
-            board.set_quarantined(&self.quarantine.poisoned());
+            epoch.board.set_quarantined(&self.quarantine.poisoned());
         }
 
         // Algorithm 3 admits a query when `global_cmt_ts >= qts` *without*
@@ -799,8 +854,8 @@ impl AetsEngine {
         // freezes at the last fully-consistent epoch, and queries over the
         // frozen group block (or time out) instead of reading past it.
         if !self.quarantine.any() {
-            board.publish_global(work.max_commit_ts);
-            self.telemetry.spans().point(seq, stages::FLIP_GLOBAL, None, parent);
+            epoch.board.publish_global(work.max_commit_ts);
+            self.telemetry.spans().point(epoch.seq, stages::FLIP_GLOBAL, None, epoch.parent);
         }
         let entries = work.groups.iter().map(|g| g.entries).sum::<usize>();
         m.txns += work.txn_count;
@@ -814,6 +869,39 @@ impl AetsEngine {
         Ok(())
     }
 
+    /// Ingests and dispatches epoch `seq`: the producing half of the
+    /// datapath, run inline by the replay loop or ahead of it on the
+    /// dispatcher thread.
+    fn dispatch_next(&self, source: &mut dyn EpochSource, seq: u64) -> Dispatched {
+        // Epoch boundary: drain pending reconfigurations before this
+        // epoch is dispatched. The plan travels with the work, so epoch
+        // e+1 can be dispatched under a newer grouping while epoch e
+        // still replays under the old one.
+        let plan = self.apply_pending(seq);
+        let mut ingest = IngestStats::default();
+        let t0 = Instant::now();
+        let ring = self.telemetry.spans();
+        // The dispatch span roots the epoch's engine-side trace tree:
+        // every translate/commit/flip span below parents to it, so one
+        // epoch id pulls out the whole causal chain.
+        let mut parent = None;
+        // Contained so a dispatcher panic surfaces to the replay loop as
+        // an error instead of escaping through the scope join.
+        let work = catch_unwind(AssertUnwindSafe(|| {
+            let epoch = ingest_epoch(&mut *source, seq, &self.cfg.retry, &mut ingest)?;
+            let dspan = ring.begin(seq, stages::DISPATCH, None, None);
+            let work = dispatch_epoch(&epoch, &plan.grouping)?;
+            parent = dspan.map(|s| {
+                let id = s.id();
+                s.finish(ring);
+                id
+            });
+            Ok(work)
+        }))
+        .unwrap_or_else(|p| Err(panic_error("dispatcher", p)));
+        Dispatched { work, ingest, busy: t0.elapsed(), parent, plan }
+    }
+
     /// Replays every epoch `source` delivers, running the ingest resync
     /// loop in front of the dispatcher: each delivery is CRC- and
     /// sequence-checked and re-requested under `cfg.retry` before it
@@ -825,6 +913,9 @@ impl AetsEngine {
     /// failures do *not* error: the group is quarantined, the run
     /// completes degraded, and `ReplayMetrics::quarantined_groups` /
     /// [`AetsEngine::quarantined_groups`] report it.
+    ///
+    /// Concurrent calls on one engine take turns: the crew runs one
+    /// call's stages at a time.
     pub fn replay_stream(
         &self,
         source: &mut dyn EpochSource,
@@ -833,180 +924,80 @@ impl AetsEngine {
     ) -> Result<ReplayMetrics> {
         // The group count is a construction-time invariant: live regroups
         // move tables between groups but never change how many there are.
-        let num_groups = self.grouping.read().grouping.num_groups();
-        if board.num_groups() != num_groups {
+        if board.num_groups() != self.pools.len() {
             return Err(Error::Config("board group count mismatch".into()));
         }
+        let mut crew = self.crew.lock();
         let start = Instant::now();
         let mut m = ReplayMetrics { engine: self.name(), ..Default::default() };
         let mut ingest = IngestStats::default();
-        let replay_busy = AtomicU64::new(0);
-        let commit_busy = AtomicU64::new(0);
-        let pools: Vec<CellPool> = (0..num_groups).map(|_| CellPool::new()).collect();
+        let busy = BusyTotals::default();
+        let pooled_before = self.pool_counts();
         let first_seq = source.first_seq();
         let n = source.num_epochs();
 
-        if self.cfg.pipeline_depth == 0 {
-            // Serial datapath: ingest and dispatch each epoch inline before
-            // replaying it. Kept as the oracle the pipelined path is tested
-            // against.
-            for eidx in 0..n {
-                let seq = first_seq + eidx as u64;
-                // Epoch boundary: drain pending reconfigurations before
-                // this epoch is dispatched, so dispatch and replay see
-                // the same grouping.
-                let plan = self.apply_pending(seq);
-                let epoch = ingest_epoch(source, seq, &self.cfg.retry, &mut ingest)?;
-                let t_dispatch = Instant::now();
-                // The dispatch span roots the epoch's engine-side trace
-                // tree: every translate/commit/flip span below parents to
-                // it, so one epoch id pulls out the whole causal chain.
-                let dspan = self.telemetry.spans().begin(seq, stages::DISPATCH, None, None);
-                let work = dispatch_epoch(&epoch, &plan.grouping)?;
-                let parent = dspan.map(|s| {
-                    let id = s.id();
-                    s.finish(self.telemetry.spans());
-                    id
-                });
-                let dispatch_time = t_dispatch.elapsed();
-                m.dispatch_busy += dispatch_time;
-                self.stats.dispatch_us.record_micros(dispatch_time.as_micros() as u64);
-                self.telemetry.event(EventKind::EpochDispatched { seq });
-                self.replay_epoch(
-                    eidx,
-                    seq,
-                    parent,
-                    &plan,
-                    &work,
-                    &pools,
-                    db,
-                    board,
-                    &replay_busy,
-                    &commit_busy,
-                    &mut m,
-                )?;
-                self.telemetry.event(EventKind::EpochCommitted {
-                    seq,
-                    max_commit_ts_us: work.max_commit_ts.as_micros(),
-                });
-                self.telemetry.spans().set_epoch_hint(seq);
-            }
-        } else {
-            // Pipelined datapath: a dispatcher thread ingests and scans
-            // epochs ahead of the replay loop, bounded by `pipeline_depth`
-            // in-flight dispatched epochs. The channel is FIFO and the loop
-            // below finishes epoch e (both stages + global publish) before
-            // receiving e+1's work, so no entry of epoch e+1 can commit
-            // before epoch e is fully replayed — the dispatcher overlap
-            // never weakens the epoch barrier.
-            let retry = self.cfg.retry.clone();
-            let mut result: Result<()> = Ok(());
+        // The one replay loop: finishes epoch e (both stages + global
+        // publish) before it looks at e+1's work, so no entry of epoch
+        // e+1 can commit before epoch e is fully replayed — a dispatcher
+        // running ahead never weakens the epoch barrier.
+        let mut replay_next = |eidx: usize, d: Dispatched| -> Result<()> {
+            let seq = first_seq + eidx as u64;
+            // Dispatch busy time counts as busy time in the Table II
+            // breakdown even when it overlapped replay: the breakdown
+            // measures work, not the critical path.
+            ingest.merge(&d.ingest);
+            m.dispatch_busy += d.busy;
+            self.stats.dispatch_us.record_micros(d.busy.as_micros() as u64);
+            let work = d.work?;
+            self.telemetry.event(EventKind::EpochDispatched { seq });
+            let epoch = EpochRun { db, board, busy: &busy, seq, parent: d.parent, work: &work };
+            self.replay_epoch(&mut crew, eidx, &epoch, &d.plan, &mut m)?;
+            self.telemetry.event(EventKind::EpochCommitted {
+                seq,
+                max_commit_ts_us: work.max_commit_ts.as_micros(),
+            });
+            self.telemetry.spans().set_epoch_hint(seq);
+            Ok(())
+        };
+        if self.cfg.pipeline_depth > 0 && n > 1 {
+            // A scoped dispatcher ingests and scans epochs ahead of the
+            // loop, bounded by `pipeline_depth` dispatched epochs in
+            // flight. The one thread start of the replay path; a
+            // single-epoch call has nothing to overlap and skips it.
             std::thread::scope(|scope| {
                 let (tx, rx) = crossbeam::channel::bounded(self.cfg.pipeline_depth);
-                let engine = self;
-                let ring = self.telemetry.spans();
                 scope.spawn(move || {
                     for eidx in 0..n {
-                        let seq = first_seq + eidx as u64;
-                        // Epoch boundary on the dispatching side: the plan
-                        // crosses the channel with the work, so epoch e+1
-                        // can be dispatched under a newer grouping while
-                        // epoch e still replays under the old one.
-                        let plan = engine.apply_pending(seq);
-                        let mut stats = IngestStats::default();
-                        let t_dispatch = Instant::now();
-                        // The dispatch span is recorded on the dispatcher
-                        // thread and its id crosses the channel with the
-                        // work, so downstream replay spans parent to it
-                        // exactly as on the serial path.
-                        let mut parent: Option<SpanId> = None;
-                        // Contained so a dispatcher panic surfaces to the
-                        // replay loop as an error instead of escaping
-                        // through the scope join.
-                        let grouping = plan.grouping.clone();
-                        let work = catch_unwind(AssertUnwindSafe(|| {
-                            ingest_epoch(&mut *source, seq, &retry, &mut stats).and_then(|epoch| {
-                                let dspan = ring.begin(seq, stages::DISPATCH, None, None);
-                                let out = dispatch_epoch(&epoch, &grouping);
-                                if out.is_ok() {
-                                    parent = dspan.map(|s| {
-                                        let id = s.id();
-                                        s.finish(ring);
-                                        id
-                                    });
-                                }
-                                out
-                            })
-                        }))
-                        .unwrap_or_else(|p| Err(panic_error("dispatcher", p)));
-                        let stop = work.is_err();
-                        // A send error means the replay loop bailed out and
-                        // dropped the receiver; a dispatch error is
-                        // forwarded first, then the dispatcher stops.
-                        if tx.send((work, stats, t_dispatch.elapsed(), parent, plan)).is_err()
-                            || stop
-                        {
+                        let d = self.dispatch_next(&mut *source, first_seq + eidx as u64);
+                        // A dispatch error is forwarded, then the
+                        // dispatcher stops; a send error means the replay
+                        // loop bailed out and dropped the receiver.
+                        let stop = d.work.is_err();
+                        if tx.send(d).is_err() || stop {
                             break;
                         }
                     }
                 });
-                for (eidx, (work, stats, dispatch_time, parent, plan)) in rx.iter().enumerate() {
-                    // Dispatcher busy time is now overlapped with replay;
-                    // it still counts as busy time in the Table II
-                    // breakdown, which measures work, not the critical
-                    // path.
-                    ingest.merge(&stats);
-                    m.dispatch_busy += dispatch_time;
-                    self.stats.dispatch_us.record_micros(dispatch_time.as_micros() as u64);
-                    let seq = first_seq + eidx as u64;
-                    if work.is_ok() {
-                        self.telemetry.event(EventKind::EpochDispatched { seq });
-                    }
-                    let step = work.and_then(|work| {
-                        self.replay_epoch(
-                            eidx,
-                            seq,
-                            parent,
-                            &plan,
-                            &work,
-                            &pools,
-                            db,
-                            board,
-                            &replay_busy,
-                            &commit_busy,
-                            &mut m,
-                        )
-                        .map(|()| work.max_commit_ts)
-                    });
-                    match step {
-                        Ok(max_commit_ts) => {
-                            self.telemetry.event(EventKind::EpochCommitted {
-                                seq,
-                                max_commit_ts_us: max_commit_ts.as_micros(),
-                            });
-                            self.telemetry.spans().set_epoch_hint(seq);
-                        }
-                        Err(e) => {
-                            result = Err(e);
-                            break;
-                        }
-                    }
-                }
-                // Dropping the receiver (scope end) unblocks a dispatcher
-                // stuck in `send` after an early exit above.
-            });
-            result?;
+                // Returning drops the receiver, which unblocks a
+                // dispatcher stuck in `send` after an early exit.
+                rx.iter().enumerate().try_for_each(|(eidx, d)| replay_next(eidx, d))
+            })?;
+        } else {
+            for eidx in 0..n {
+                let d = self.dispatch_next(&mut *source, first_seq + eidx as u64);
+                replay_next(eidx, d)?;
+            }
         }
-
         m.ingest_retries = ingest.retries;
         m.checksum_failures = ingest.checksum_failures;
         m.epoch_gaps = ingest.epoch_gaps;
         m.ingest_stalls = ingest.stalls;
         m.quarantined_groups = self.quarantine.poisoned();
-        m.cell_buffers_recycled = pools.iter().map(|p| p.recycled()).sum();
-        m.cell_buffers_allocated = pools.iter().map(|p| p.allocated()).sum();
-        m.replay_busy = std::time::Duration::from_nanos(replay_busy.load(Ordering::Relaxed));
-        m.commit_busy = std::time::Duration::from_nanos(commit_busy.load(Ordering::Relaxed));
+        let pooled = self.pool_counts();
+        m.cell_buffers_recycled = pooled.0 - pooled_before.0;
+        m.cell_buffers_allocated = pooled.1 - pooled_before.1;
+        m.replay_busy = Duration::from_nanos(busy.translate_ns.load(Ordering::Relaxed));
+        m.commit_busy = Duration::from_nanos(busy.commit_ns.load(Ordering::Relaxed));
         m.wall = start.elapsed();
         // Wall-normalised throughput of this call; single-epoch calls from
         // the realtime runner overwrite it each tick, so the gauge always
@@ -1029,136 +1020,121 @@ impl AetsEngine {
         self.stats.commit_busy_us.add(m.commit_busy.as_micros() as u64);
         Ok(m)
     }
+
+    /// Cumulative `(recycled, allocated)` takes over every group's pool.
+    fn pool_counts(&self) -> (u64, u64) {
+        self.pools.iter().fold((0, 0), |(r, a), p| (r + p.recycled(), a + p.allocated()))
+    }
 }
 
-/// Pads a value to its own cache line so the producer- and consumer-side
-/// cursors of a [`CommitQueue`] never false-share.
-#[repr(align(64))]
-struct CachePadded<T>(T);
+/// Mini-transactions per chunk: the unit of translate-then-commit inside
+/// a group and of the hand-off between a split group's translators and
+/// its committer. Tens, not one: a chunk amortises its clock reads, its
+/// pool round trip and (split groups) its slot lock over enough work to
+/// take all three off the hot path, and is still small next to an epoch,
+/// so a split group has several chunks to share out.
+const CHUNK: usize = 32;
 
-const SLOT_EMPTY: u8 = 0;
-const SLOT_READY: u8 = 1;
-
-/// How long the commit thread spins on the head slot before parking on
-/// the condvar. Translating one mini-txn is a few µs of work, so a short
-/// spin absorbs almost every wait without burning a futex syscall.
-const SPIN_LIMIT: u32 = 128;
-
-/// Lock-free in-order commit queue of one group's replay within a stage
-/// (the phase-1→phase-2 edge; DESIGN.md §11 "Ingest hot path").
-///
-/// Phase-1 workers claim mini-txn indices from the cache-line-padded
-/// `tail` cursor and publish each translation outcome into its slot with
-/// a single release-store; the group's single commit thread — the unique
-/// consumer — walks the padded `head` cursor strictly in mini-txn order
-/// with acquire-loads. The hand-off hot path is entirely atomic: no
-/// mutex, no condvar. The condvar only backs the consumer's *parked*
-/// fallback after a bounded spin, preserving the blocking semantics of
-/// the mutexed slot protocol this replaces (and its integration with
-/// quarantine supervision: failed or panic-contained translations travel
-/// through the slots as `Err` outcomes exactly as before).
-///
-/// Safety of the `UnsafeCell` payloads: slot `i` is written exactly
-/// once, by the unique worker whose `claim()` returned `i`, strictly
-/// before its `SLOT_READY` release-store; the consumer reads it exactly
-/// once, strictly after acquire-loading `SLOT_READY`, and `head` never
-/// revisits an index. The release/acquire pair on `state` orders the
-/// payload write before the payload read.
-#[doc(hidden)] // public only for `examples/ingest_bench.rs`
-pub struct CommitQueue {
-    /// Producer claim cursor: workers hammer it with `fetch_add`.
-    tail: CachePadded<AtomicUsize>,
-    /// Consumer position, padded away from `tail` and the slots.
-    head: CachePadded<AtomicUsize>,
-    slots: Box<[CommitSlot]>,
-    /// 1 while the consumer is parked on `cv`; producers skip the mutex
-    /// entirely whenever it is 0 (the common case).
-    parked: AtomicUsize,
-    mx: Mutex<()>,
-    cv: Condvar,
+/// Busy time of every crew member over one `replay_stream` call, in
+/// nanoseconds, added chunk by chunk: translate (phase 1) and commit
+/// (phase 2) apart, as the Table II breakdown wants them.
+#[derive(Default)]
+struct BusyTotals {
+    translate_ns: AtomicU64,
+    commit_ns: AtomicU64,
 }
 
-struct CommitSlot {
-    state: AtomicU8,
-    /// The translation outcome: cells on success, the worker's (typed or
-    /// panic-contained) failure otherwise.
-    cells: UnsafeCell<Result<Vec<Cell>>>,
+/// One dispatched epoch on its way through the stages, with what the
+/// call lends the crew to replay it.
+struct EpochRun<'a> {
+    db: &'a MemDb,
+    board: &'a VisibilityBoard,
+    busy: &'a BusyTotals,
+    seq: u64,
+    /// The epoch's dispatch span; every replay span parents to it.
+    parent: Option<SpanId>,
+    work: &'a DispatchedEpoch,
 }
 
-// SAFETY: cross-thread access to `cells` is mediated by `state` as
-// described on [`CommitQueue`].
-unsafe impl Sync for CommitSlot {}
+/// What the dispatching side hands the replay loop for one epoch.
+struct Dispatched {
+    work: Result<DispatchedEpoch>,
+    ingest: IngestStats,
+    /// Ingest + dispatch time of this epoch.
+    busy: Duration,
+    parent: Option<SpanId>,
+    plan: EpochPlan,
+}
 
-impl CommitQueue {
-    #[doc(hidden)]
-    pub fn new(n: usize) -> Self {
-        Self {
-            tail: CachePadded(AtomicUsize::new(0)),
-            head: CachePadded(AtomicUsize::new(0)),
-            slots: (0..n)
-                .map(|_| CommitSlot {
-                    state: AtomicU8::new(SLOT_EMPTY),
-                    cells: UnsafeCell::new(Ok(Vec::new())),
-                })
-                .collect(),
-            parked: AtomicUsize::new(0),
-            mx: Mutex::new(()),
-            cv: Condvar::new(),
-        }
+/// One group's work in one stage, claimed whole by one crew member.
+struct GroupTask<'a> {
+    gid: GroupId,
+    work: &'a GroupWork,
+    /// Present when the group is split (`t_g ≥ 2`).
+    handoff: Option<Handoff>,
+}
+
+/// The chunk hand-off of a split group: translators claim chunk indices
+/// from `next` and leave each outcome in its slot; the committer takes
+/// the slots in order.
+struct Handoff {
+    next: AtomicUsize,
+    slots: Vec<Mutex<Option<Chunk>>>,
+    /// Threads the allocation gave the group, committer included.
+    threads: usize,
+}
+
+/// One translated chunk: the cells of its first `translated`
+/// mini-transactions back to back, and why translation stopped early.
+struct Chunk {
+    cells: Vec<Cell>,
+    translated: usize,
+    err: Option<Error>,
+}
+
+impl<'a> GroupTask<'a> {
+    fn new(gid: GroupId, work: &'a GroupWork, threads: usize) -> Self {
+        let chunks = work.mini_txns.len().div_ceil(CHUNK);
+        let handoff = (threads >= 2 && chunks >= 2).then(|| Handoff {
+            next: AtomicUsize::new(0),
+            slots: (0..chunks).map(|_| Mutex::new(None)).collect(),
+            threads,
+        });
+        Self { gid, work, handoff }
     }
 
-    /// Worker: claims the next untranslated mini-txn index, or `None`
-    /// once the stage is exhausted.
-    pub fn claim(&self) -> Option<usize> {
-        let i = self.tail.0.fetch_add(1, Ordering::Relaxed);
-        (i < self.slots.len()).then_some(i)
+    fn chunks(&self) -> usize {
+        self.work.mini_txns.len().div_ceil(CHUNK)
     }
 
-    /// Worker: publishes the translation outcome of mini-txn `i`.
-    pub fn finish(&self, i: usize, cells: Result<Vec<Cell>>) {
-        let slot = &self.slots[i];
-        // SAFETY: unique writer of slot `i` (see type docs); the consumer
-        // is excluded until the release-store below.
-        unsafe { *slot.cells.get() = cells };
-        slot.state.store(SLOT_READY, Ordering::Release);
-        // Dekker hand-off with `wait_take`'s park path: the fences order
-        // this READY store against the consumer's `parked` store, so
-        // either this load observes the consumer parked (and takes the
-        // mutex to wake it), or the consumer's re-check after its own
-        // fence observes READY and never sleeps. Without the fences both
-        // loads could see stale values and the wakeup would be lost.
-        std::sync::atomic::fence(Ordering::SeqCst);
-        if self.parked.load(Ordering::Relaxed) != 0 {
-            let _g = self.mx.lock();
-            self.cv.notify_all();
-        }
+    fn chunk(&self, c: usize) -> &'a [MiniTxn] {
+        let mts = &self.work.mini_txns;
+        &mts[c * CHUNK..mts.len().min((c + 1) * CHUNK)]
     }
 
-    /// Commit thread: blocks until mini-txn `i` — which must be the next
-    /// in-order index — is translated, then takes its outcome.
-    pub fn wait_take(&self, i: usize) -> Result<Vec<Cell>> {
-        debug_assert_eq!(self.head.0.load(Ordering::Relaxed), i, "single in-order consumer");
-        let slot = &self.slots[i];
-        let mut spins = 0u32;
-        while slot.state.load(Ordering::Acquire) != SLOT_READY {
-            if spins < SPIN_LIMIT {
-                spins += 1;
-                std::hint::spin_loop();
-                continue;
-            }
-            let mut g = self.mx.lock();
-            self.parked.store(1, Ordering::Relaxed);
-            std::sync::atomic::fence(Ordering::SeqCst);
-            while slot.state.load(Ordering::Acquire) != SLOT_READY {
-                self.cv.wait(&mut g);
-            }
-            self.parked.store(0, Ordering::Relaxed);
-            break;
+    /// Crew members this task can keep busy at once.
+    fn threads_wanted(&self) -> usize {
+        self.handoff.as_ref().map_or(1, |h| h.threads.min(h.slots.len()))
+    }
+
+    /// Stops translators from claiming further chunks of a group whose
+    /// committer gave up.
+    fn abandon(&self) {
+        if let Some(h) = &self.handoff {
+            h.next.store(h.slots.len(), Ordering::Relaxed);
         }
-        self.head.0.store(i + 1, Ordering::Relaxed);
-        // SAFETY: `SLOT_READY` acquired above; `head` has moved past `i`,
-        // so this is the slot's unique (and final) reader.
-        unsafe { std::mem::replace(&mut *slot.cells.get(), Ok(Vec::new())) }
+    }
+}
+
+impl Handoff {
+    /// Claims the next untranslated chunk, if any is left.
+    fn claim(&self) -> Option<usize> {
+        // Checked first so a finished group's cursor stops moving.
+        if self.next.load(Ordering::Relaxed) >= self.slots.len() {
+            return None;
+        }
+        let c = self.next.fetch_add(1, Ordering::Relaxed);
+        (c < self.slots.len()).then_some(c)
     }
 }
 
@@ -1234,6 +1210,7 @@ fn even_allocation(total: usize, pending: &[u64]) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::engines::serial::SerialEngine;
+    use crate::engines::with_watchdog;
     use aets_common::{FxHashSet, Timestamp};
     use aets_workloads::tpcc::{self, TpccConfig};
     use aets_workloads::Workload;
@@ -1370,9 +1347,9 @@ mod tests {
 
     #[test]
     fn pipelined_and_serial_datapaths_match() {
-        // The pipelined dispatcher (any depth) must produce state
-        // identical to the inline-dispatch serial datapath and to the
-        // serial oracle.
+        // The replay loop fed by a dispatcher thread (any depth) must
+        // produce state identical to the same loop dispatching inline and
+        // to the serial oracle.
         let w = tpcc::generate(&TpccConfig { num_txns: 600, warehouses: 2, ..Default::default() });
         let epochs = encode(&w, 96);
         let db_oracle = MemDb::new(w.table_names.len());
@@ -1395,7 +1372,9 @@ mod tests {
     #[test]
     fn cell_pool_recycles_buffers_across_epochs() {
         // With many epochs, steady-state phase 1 must be served from the
-        // free list: recycled takes dominate fresh allocations.
+        // engine's free lists: recycled takes dominate fresh allocations,
+        // within one call and — the durable path's shape — across calls
+        // that replay one epoch each.
         let w = tpcc::generate(&TpccConfig { num_txns: 1200, warehouses: 2, ..Default::default() });
         let epochs = encode(&w, 64);
         assert!(epochs.len() > 10);
@@ -1412,6 +1391,14 @@ mod tests {
             m.cell_buffers_recycled,
             m.cell_buffers_allocated
         );
+        let db = MemDb::new(w.table_names.len());
+        let board = VisibilityBoard::builder(eng.board_groups()).build();
+        let mut allocated = 0;
+        for e in &epochs {
+            allocated +=
+                eng.replay(std::slice::from_ref(e), &db, &board).unwrap().cell_buffers_allocated;
+        }
+        assert_eq!(allocated, 0, "a warm engine's pools serve every single-epoch call");
     }
 
     #[test]
@@ -1663,47 +1650,203 @@ mod tests {
     }
 
     #[test]
-    fn commit_queue_delivers_every_outcome_in_order_under_contention() {
-        // Pinned-seed stress of the lock-free hand-off: several producer
-        // workers claim and fill slots out of order (with splitmix-driven
-        // jitter so interleavings vary but reproduce), while the single
-        // consumer takes outcomes strictly in index order — the
-        // linearization the old mutexed slot protocol guaranteed. Each
-        // outcome carries its index as an `Err` payload so delivery is
-        // checked for identity, order, and exactly-once.
-        fn splitmix(state: &mut u64) -> u64 {
-            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = *state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-        let n = 4_000usize;
-        let producers = 4usize;
-        let seed: u64 =
-            std::env::var("AETS_TEST_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0xA375);
-        let queue = Arc::new(CommitQueue::new(n));
-        std::thread::scope(|scope| {
-            for p in 0..producers {
-                let queue = queue.clone();
-                let mut rng = seed.wrapping_add(p as u64);
-                scope.spawn(move || {
-                    while let Some(i) = queue.claim() {
-                        // Jitter: sometimes yield so slots complete out of
-                        // claim order and the consumer races ahead/behind.
-                        if splitmix(&mut rng).is_multiple_of(7) {
-                            std::thread::yield_now();
-                        }
-                        queue.finish(i, Err(Error::Replay(i.to_string())));
+    fn one_engine_reused_per_epoch_equals_one_whole_stream_call() {
+        // The durable path's shape: one `replay` call per epoch through
+        // one engine (inline dispatch, warm crew) must leave the state a
+        // single whole-stream call (dispatcher thread) leaves.
+        with_watchdog(|| {
+            let w =
+                tpcc::generate(&TpccConfig { num_txns: 1500, warehouses: 2, ..Default::default() });
+            let epochs = encode(&w, 24);
+            let oracle = MemDb::new(w.table_names.len());
+            SerialEngine.replay_all(&epochs, &oracle).unwrap();
+            for threads in [1usize, 2, 4] {
+                let build = || {
+                    AetsEngine::builder(tpcc_grouping(&w))
+                        .config(AetsConfig { threads, ..Default::default() })
+                        .build()
+                        .unwrap()
+                };
+                let whole = MemDb::new(w.table_names.len());
+                let m_whole = build().replay_all(&epochs, &whole).unwrap();
+
+                let eng = build();
+                let db = MemDb::new(w.table_names.len());
+                let board = VisibilityBoard::builder(eng.board_groups()).build();
+                let mut txns = 0;
+                for e in &epochs {
+                    txns += eng.replay(std::slice::from_ref(e), &db, &board).unwrap().txns;
+                    assert_eq!(board.global_cmt_ts(), e.max_commit_ts);
+                }
+                assert_eq!(txns, m_whole.txns);
+                assert!(db.all_chains_ordered());
+                for ts in [Timestamp::MAX, w.txns[w.txns.len() / 2].commit_ts] {
+                    assert_eq!(db.digest_at(ts), whole.digest_at(ts), "threads={threads}");
+                    assert_eq!(db.digest_at(ts), oracle.digest_at(ts), "threads={threads}");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn concurrent_replay_calls_on_one_engine_take_turns() {
+        with_watchdog(|| {
+            let w =
+                tpcc::generate(&TpccConfig { num_txns: 600, warehouses: 2, ..Default::default() });
+            let epochs = encode(&w, 16);
+            let oracle = MemDb::new(w.table_names.len());
+            SerialEngine.replay_all(&epochs, &oracle).unwrap();
+            let eng = AetsEngine::builder(tpcc_grouping(&w))
+                .config(AetsConfig { threads: 3, ..Default::default() })
+                .build()
+                .unwrap();
+            // Two callers, each with its own database, through one crew:
+            // one whole-stream call against a string of single-epoch ones.
+            let dbs = [MemDb::new(w.table_names.len()), MemDb::new(w.table_names.len())];
+            std::thread::scope(|scope| {
+                scope.spawn(|| eng.replay_all(&epochs, &dbs[0]).unwrap());
+                scope.spawn(|| {
+                    let board = VisibilityBoard::builder(eng.board_groups()).build();
+                    for e in &epochs {
+                        eng.replay(std::slice::from_ref(e), &dbs[1], &board).unwrap();
                     }
                 });
+            });
+            for db in &dbs {
+                assert!(db.all_chains_ordered());
+                assert_eq!(db.digest_at(Timestamp::MAX), oracle.digest_at(Timestamp::MAX));
             }
-            for i in 0..n {
-                match queue.wait_take(i) {
-                    Err(Error::Replay(tag)) => {
-                        assert_eq!(tag, i.to_string(), "slot {i} delivered a foreign outcome")
+        });
+    }
+
+    #[test]
+    fn helpers_park_after_replay_and_join_on_drop() {
+        with_watchdog(|| {
+            let epochs = two_group_epochs();
+            let eng = AetsEngine::builder(two_group_grouping())
+                .config(AetsConfig { threads: 4, ..Default::default() })
+                .build()
+                .unwrap();
+            eng.replay_all(&epochs, &MemDb::new(3)).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while eng.crew.lock().parked() < 3 {
+                assert!(Instant::now() < deadline, "helpers still awake after replay returned");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // Joins all three; the watchdog catches one that never leaves.
+            drop(eng);
+        });
+    }
+
+    /// 80 transactions in one epoch, every one writing table 0 (group 0)
+    /// and a group-1 table: table 2 for the first 40, table 3 after. On a
+    /// three-table database the table-3 writes panic in translate, in
+    /// group 1's second chunk.
+    fn late_panic_epochs() -> (TableGrouping, Vec<EncodedEpoch>) {
+        use aets_common::{ColumnId, DmlOp, Lsn, RowKey, TxnId, Value};
+        use aets_wal::{DmlEntry, TxnLog};
+        let hot: FxHashSet<TableId> = [TableId::new(0)].into_iter().collect();
+        let grouping = TableGrouping::new(
+            4,
+            vec![vec![TableId::new(0), TableId::new(1)], vec![TableId::new(2), TableId::new(3)]],
+            vec![10.0, 1.0],
+            &hot,
+        )
+        .unwrap();
+        let txns: Vec<TxnLog> = (1..=160u64)
+            .map(|i| TxnLog {
+                txn_id: TxnId::new(i),
+                commit_ts: Timestamp::from_micros(i * 10),
+                entries: [0u32, if (i - 1) % 80 < 40 { 2 } else { 3 }]
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &table)| DmlEntry {
+                        lsn: Lsn::new(i * 10 + j as u64),
+                        txn_id: TxnId::new(i),
+                        ts: Timestamp::from_micros(i * 10),
+                        table: TableId::new(table),
+                        op: DmlOp::Insert,
+                        key: RowKey::new(i),
+                        row_version: 1,
+                        cols: vec![(ColumnId::new(0), Value::Int(i as i64))],
+                        before: None,
+                    })
+                    .collect(),
+            })
+            .collect();
+        let epochs = aets_wal::batch_into_epochs(txns, 80)
+            .unwrap()
+            .iter()
+            .map(aets_wal::encode_epoch)
+            .collect();
+        (grouping, epochs)
+    }
+
+    #[test]
+    fn chunk_translator_panic_reaches_the_committer_in_order() {
+        // The hand-off in isolation: a translator that panics leaves its
+        // failure in the chunk's slot, chunks before it stay good, and
+        // the committer commits exactly the good prefix before it fails.
+        let (grouping, epochs) = late_panic_epochs();
+        let eng = AetsEngine::builder(grouping.clone())
+            .config(AetsConfig { threads: 1, ..Default::default() })
+            .build()
+            .unwrap();
+        let db = MemDb::new(3);
+        let board = VisibilityBoard::builder(2).build();
+        let work = dispatch_epoch(&epochs[0], &grouping).unwrap();
+        let totals = BusyTotals::default();
+        let epoch =
+            EpochRun { db: &db, board: &board, busy: &totals, seq: 0, parent: None, work: &work };
+        let task = GroupTask::new(GroupId::new(1), work.group(GroupId::new(1)), 2);
+        assert_eq!(task.chunks(), 3, "80 mini-txns in chunks of {CHUNK}");
+        eng.translate_ahead(&epoch, &task);
+        let slots = &task.handoff.as_ref().unwrap().slots;
+        assert!(slots[0].lock().as_ref().unwrap().err.is_none());
+        let failed = slots[1].lock().as_ref().unwrap().err.clone().unwrap();
+        assert!(failed.to_string().contains("chunk translator panicked"), "{failed}");
+        let err = eng.replay_group(&epoch, &task).unwrap_err();
+        assert_eq!(err, failed);
+        // Chunk 0 (mini-txns 1..=32) committed, nothing of chunk 1.
+        assert_eq!(board.tg_cmt_ts(GroupId::new(1)), Timestamp::from_micros(320));
+    }
+
+    #[test]
+    fn panics_in_group_tasks_and_chunk_translators_quarantine_only_their_group() {
+        with_watchdog(|| {
+            let (grouping, epochs) = late_panic_epochs();
+            // Unsplit: the panic unwinds out of the claimant's group task.
+            // Split: it hits the committer or a helper translating ahead,
+            // whichever claims the chunk — both must end the same way.
+            for split in [None, Some(vec![2usize, 3])] {
+                for _ in 0..20 {
+                    let eng = AetsEngine::builder(grouping.clone())
+                        .config(AetsConfig { threads: 3, ..Default::default() })
+                        .build()
+                        .unwrap();
+                    if let Some(split) = &split {
+                        eng.reconfigure_handle()
+                            .send(Reconfigure::SetThreadSplit(split.clone()))
+                            .unwrap();
                     }
-                    other => panic!("slot {i}: unexpected outcome {other:?}"),
+                    let db = MemDb::new(3);
+                    let board = VisibilityBoard::builder(2).build();
+                    let m = eng.replay(&epochs[..1], &db, &board).unwrap();
+                    assert_eq!(m.quarantined_groups, vec![1], "split={split:?}");
+                    assert_eq!(board.tg_cmt_ts(GroupId::new(0)), epochs[0].max_commit_ts);
+                    // Frozen inside the epoch, at the end of the last
+                    // chunk before the panicking one (a contained panic
+                    // takes its whole chunk with it, whoever translated).
+                    let frozen = board.tg_cmt_ts(GroupId::new(1)).as_micros();
+                    assert_eq!(frozen, 320, "split={split:?}");
+                    assert_eq!(board.global_cmt_ts(), Timestamp::ZERO);
+                    // The same crew replays the next epoch: the healthy
+                    // group advances, the quarantined one stays frozen.
+                    let m = eng.replay(&epochs[1..], &db, &board).unwrap();
+                    assert_eq!(m.quarantined_groups, vec![1]);
+                    assert_eq!(board.tg_cmt_ts(GroupId::new(0)), epochs[1].max_commit_ts);
+                    assert_eq!(board.tg_cmt_ts(GroupId::new(1)).as_micros(), frozen);
+                    assert!(db.all_chains_ordered());
                 }
             }
         });

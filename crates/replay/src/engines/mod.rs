@@ -20,6 +20,7 @@
 pub mod aets;
 pub mod atr;
 pub mod c5;
+pub(crate) mod crew;
 pub mod pool;
 pub mod serial;
 
@@ -93,6 +94,28 @@ pub trait ReplayEngine: Send + Sync {
     fn telemetry_handle(&self) -> Option<Arc<aets_telemetry::Telemetry>> {
         None
     }
+}
+
+/// Converts a contained panic payload into a typed replay error, so a
+/// panicking replay thread poisons its group like any other failure
+/// instead of tearing the process down.
+pub(crate) fn panic_error(who: &str, payload: Box<dyn std::any::Any + Send>) -> Error {
+    let msg = payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "opaque panic payload".to_string());
+    Error::Replay(format!("{who} panicked: {msg}"))
+}
+
+/// Runs `f` on its own thread and fails the test instead of hanging it
+/// when a crew wake-up is lost.
+#[cfg(test)]
+pub(crate) fn with_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(f()));
+    rx.recv_timeout(std::time::Duration::from_secs(300))
+        .expect("replay hung: lost wake-up or barrier deadlock")
 }
 
 /// An uncommitted cell produced by TPLR phase 1: the target Memtable node

@@ -1,17 +1,17 @@
 //! Free-list arena for TPLR phase-1 cell buffers.
 //!
-//! Phase 1 materializes each mini-transaction's cells into a `Vec<Cell>`
-//! that travels to the group's commit thread, which drains it in phase 2.
-//! Without pooling every mini-transaction pays one heap allocation (and
-//! the growth reallocations behind it) per epoch. A [`CellPool`] keeps the
-//! drained buffers on a per-group free list so steady-state replay reuses
-//! the same handful of allocations across epochs: the pool reaches its
-//! high-water capacity during the first epochs and stops touching the
-//! allocator afterwards.
+//! Phase 1 materializes each chunk of a group's mini-transactions into a
+//! `Vec<Cell>` that the group's committer drains in phase 2. Without
+//! pooling every chunk pays one heap allocation (and the growth
+//! reallocations behind it). A [`CellPool`] keeps the drained buffers on
+//! a per-group free list owned by the engine, so steady-state replay
+//! reuses the same handful of allocations across epochs and across
+//! `replay` calls: the pool reaches its high-water capacity during the
+//! first epochs and stops touching the allocator afterwards.
 //!
-//! One pool per group keeps the free list local to the threads that
+//! One pool per group keeps the free list local to the crew members that
 //! actually produce and consume the buffers, so the lock is only ever
-//! contended between one group's workers and its commit thread.
+//! contended between one split group's translators and its committer.
 
 use crate::engines::Cell;
 use parking_lot::Mutex;
@@ -19,8 +19,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Upper bound on the free list. Buffers returned beyond this are dropped
 /// rather than cached, so a burst epoch cannot pin its peak footprint
-/// forever. In-flight buffers per group are bounded by the group's worker
-/// count plus the slots of one epoch, far below this in practice.
+/// forever. In-flight buffers per group are bounded by the chunks of one
+/// epoch, far below this in practice.
 const MAX_POOLED: usize = 256;
 
 /// A per-group free list of emptied `Vec<Cell>` buffers.

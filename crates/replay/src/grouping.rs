@@ -1,7 +1,7 @@
 //! Fine-grained table grouping (component ③ of the AETS architecture).
 //!
 //! Tables are split into *groups*; each group gets its own task queue,
-//! commit-order queue, single commit thread, and group commit timestamp.
+//! commit-order queue, one committer at a time, and group commit timestamp.
 //! Hot groups (tables read by analytical queries) replay in stage 1 of
 //! each epoch, cold groups in stage 2.
 //!

@@ -7,8 +7,9 @@
 //!                        (meta parse)        │
 //!        access-rate predictor ──► adaptive thread allocation (λ·n weights)
 //!                                            │
-//!    stage 1: hot groups ─► TPLR phase 1 (translate, lock-free)
-//!                           TPLR phase 2 (per-group commit thread, Alg. 1/2)
+//!    stage 1: hot groups ─► persistent crew, one claimant per group:
+//!                           TPLR phase 1 (translate, lock-free)
+//!                           TPLR phase 2 (ordered commit, Alg. 1/2)
 //!    stage 2: cold groups ─► same
 //!                                            │
 //!                              VisibilityBoard (tg_cmt_ts, global_cmt_ts,
@@ -51,8 +52,6 @@ pub use control::{plan_grouping, AdaptiveController, ControllerConfig};
 pub use dispatch::{
     dispatch_epoch, ingest_epoch, DispatchedEpoch, GroupWork, IngestStats, MiniTxn, RetryPolicy,
 };
-#[doc(hidden)]
-pub use engines::aets::CommitQueue;
 pub use engines::aets::{AetsConfig, AetsEngine, RateFn, Reconfigure, ReconfigureHandle};
 pub use engines::atr::AtrEngine;
 pub use engines::c5::C5Engine;
@@ -65,8 +64,8 @@ pub use options::{ServiceOptions, ServiceOptionsBuilder};
 pub use recovery::{DurableBackup, DurableOptions, RecoveryReport};
 pub use runner::{run_realtime, RunnerConfig, RunnerOutcome, RunnerQuery, Workload};
 pub use service::{
-    AdmissionMode, BackupNode, BackupNodeBuilder, NodeOptions, OutputKind, QueryHandle,
-    QueryOutput, QuerySpec, ReadSession,
+    BackupNode, BackupNodeBuilder, NodeOptions, OutputKind, QueryHandle, QueryOutput, QuerySpec,
+    ReadSession,
 };
 pub use target::{eval_spec, QueryTarget};
 pub use visibility::{VisibilityBoard, VisibilityBoardBuilder, WaitOutcome};

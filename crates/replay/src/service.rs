@@ -47,19 +47,6 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How queries wait for Algorithm 3 admission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionMode {
-    /// Park the thread; `publish_group` / `publish_global` wake exactly
-    /// the waiters each publish decides. The default.
-    #[default]
-    EventDriven,
-    /// Re-check the predicate on a fixed interval
-    /// ([`NodeOptions::poll_interval`]). The pre-redesign behaviour, kept
-    /// for the admission benchmark.
-    SleepPoll,
-}
-
 /// Tunables of the query-serving layer.
 #[derive(Debug, Clone)]
 pub struct NodeOptions {
@@ -71,10 +58,6 @@ pub struct NodeOptions {
     /// Per-query deadline (admission + execution) when the
     /// [`QuerySpec`] carries none.
     pub default_timeout: Duration,
-    /// Admission wait strategy.
-    pub admission: AdmissionMode,
-    /// Re-check interval of [`AdmissionMode::SleepPoll`].
-    pub poll_interval: Duration,
     /// Bind address of the live observability endpoint (e.g.
     /// `"127.0.0.1:0"`); `None` serves no HTTP. The endpoint exposes
     /// `/metrics`, `/snapshot.json`, `/spans.json`, `/events.json`, and a
@@ -95,8 +78,6 @@ impl Default for NodeOptions {
             query_workers: 4,
             queue_depth: 64,
             default_timeout: Duration::from_secs(30),
-            admission: AdmissionMode::EventDriven,
-            poll_interval: Duration::from_millis(2),
             obs_addr: None,
             service: ServiceOptions::default(),
         }
@@ -366,8 +347,6 @@ struct WorkerCtx {
     board: Arc<VisibilityBoard>,
     stats: Arc<ServiceStats>,
     telemetry: Arc<Telemetry>,
-    admission: AdmissionMode,
-    poll_interval: Duration,
 }
 
 /// Health view of a visibility board for the `/healthz` endpoint: OK
@@ -524,8 +503,6 @@ impl BackupNodeBuilder {
                     board: board.clone(),
                     stats: stats.clone(),
                     telemetry: telemetry.clone(),
-                    admission: self.opts.admission,
-                    poll_interval: self.opts.poll_interval,
                 };
                 std::thread::Builder::new()
                     .name(format!("aets-query-{i}"))
@@ -771,18 +748,7 @@ impl ReadSession<'_> {
         // Fresh resolution per wait: the footprint maps to groups under
         // the engine's current grouping, generation-tagged for the board.
         let (gen, gids) = self.node.engine.board_groups_for_at(&self.tables);
-        let outcome = match self.node.opts.admission {
-            AdmissionMode::EventDriven => {
-                self.node.board.wait_admission_at(&gids, gen, self.qts, timeout)
-            }
-            AdmissionMode::SleepPoll => self.node.board.wait_admission_polling_at(
-                &gids,
-                gen,
-                self.qts,
-                timeout,
-                self.node.opts.poll_interval,
-            ),
-        };
+        let outcome = self.node.board.wait_admission_at(&gids, gen, self.qts, timeout);
         let waited = t0.elapsed();
         self.node.stats.admission_wait.record(waited);
         if let Some(s) = span {
@@ -898,19 +864,7 @@ fn serve_one(ctx: &WorkerCtx, job: &Job) -> Result<QueryOutput> {
             break WaitOutcome::TimedOut;
         }
         let slice = (job.deadline - now).min(SHUTDOWN_SLICE);
-        let o = match ctx.admission {
-            AdmissionMode::EventDriven => {
-                ctx.board.wait_admission_at(&job.gids, job.gen, job.qts, slice)
-            }
-            AdmissionMode::SleepPoll => ctx.board.wait_admission_polling_at(
-                &job.gids,
-                job.gen,
-                job.qts,
-                slice,
-                ctx.poll_interval,
-            ),
-        };
-        match o {
+        match ctx.board.wait_admission_at(&job.gids, job.gen, job.qts, slice) {
             WaitOutcome::TimedOut => {
                 if job.cancel.load(Ordering::Acquire) {
                     return Err(Error::Cancelled);

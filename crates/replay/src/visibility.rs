@@ -11,13 +11,14 @@
 //! [`VisibilityBoard::publish_global`] evaluate the admission predicate
 //! per registered waiter and unpark exactly the threads whose condition
 //! just became decidable (admitted, or provably hopeless because a
-//! quarantined group froze below the waiter's `qts`). Publishes take no
-//! lock when nobody waits — one relaxed load guards the slow path.
+//! quarantined group froze below the waiter's `qts`). A publish takes no
+//! lock unless it reaches the smallest registered `qts` — below that it
+//! can decide no waiter, and one load guards the slow path.
 
 use aets_common::{GroupId, Timestamp};
 use aets_telemetry::{names, ClockFn, Gauge, Histogram, Telemetry};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::Thread;
 use std::time::{Duration, Instant};
@@ -110,7 +111,7 @@ impl VisibilityBoardBuilder {
             quarantined: (0..self.num_groups).map(|_| AtomicBool::new(false)).collect(),
             global: AtomicU64::new(0),
             grouping_gen: AtomicU64::new(0),
-            n_waiters: AtomicUsize::new(0),
+            min_waiter_qts: AtomicU64::new(u64::MAX),
             waiters: Mutex::new(Vec::new()),
             tel: self.tel,
         }
@@ -129,7 +130,18 @@ pub struct VisibilityBoard {
     /// epoch boundary. Admission checks carrying an older generation fall
     /// back to the global watermark only (their `gids` may be stale).
     grouping_gen: AtomicU64,
-    n_waiters: AtomicUsize,
+    /// Smallest `qts` among the registered waiters, `u64::MAX` when there
+    /// are none; written only under the `waiters` lock. A publish below it
+    /// cannot make any waiter visible (every admission path needs a
+    /// watermark `>= qts`), so publishers skip the registry on one load.
+    ///
+    /// Lost-wakeup freedom is a store/load pairing in both directions,
+    /// all four accesses `SeqCst`: a waiter stores `min_waiter_qts` and
+    /// then loads the watermarks; a publisher bumps a watermark and then
+    /// loads `min_waiter_qts`. In the single total order either the
+    /// publisher sees the waiter's `qts` (and takes the lock to wake it)
+    /// or the waiter's re-check sees the published watermark.
+    min_waiter_qts: AtomicU64,
     waiters: Mutex<Vec<Arc<WaitCell>>>,
     tel: Option<BoardTelemetry>,
 }
@@ -153,24 +165,24 @@ impl VisibilityBoard {
 
     /// Publishes a (monotone) group commit timestamp and wakes exactly
     /// the waiters whose admission condition this publish decides.
-    /// Called by the group's commit thread at the end of Algorithm 1.
+    /// Called by the group's committer at the end of Algorithm 1.
     pub fn publish_group(&self, g: GroupId, ts: Timestamp) {
-        self.groups[g.index()].fetch_max(ts.as_micros(), Ordering::Release);
+        self.groups[g.index()].fetch_max(ts.as_micros(), Ordering::SeqCst);
         if let Some(t) = &self.tel {
             let now = (t.clock)();
             t.lag[g.index()].record_micros(now.saturating_sub(ts.as_micros()));
             t.tg_gauge[g.index()].set_max(ts.as_micros());
         }
-        self.wake_decided();
+        self.wake_decided(ts.as_micros());
     }
 
     /// Publishes the global commit high-water mark.
     pub fn publish_global(&self, ts: Timestamp) {
-        self.global.fetch_max(ts.as_micros(), Ordering::Release);
+        self.global.fetch_max(ts.as_micros(), Ordering::SeqCst);
         if let Some(t) = &self.tel {
             t.global_gauge.set_max(ts.as_micros());
         }
-        self.wake_decided();
+        self.wake_decided(ts.as_micros());
     }
 
     /// Marks `groups` (board indices) quarantined: their watermarks are
@@ -186,7 +198,8 @@ impl VisibilityBoard {
             }
         }
         if changed {
-            self.wake_decided();
+            // Unconditional: a freeze decides waiters at any `qts`.
+            self.wake_decided(u64::MAX);
         }
     }
 
@@ -207,10 +220,12 @@ impl VisibilityBoard {
         self.quarantined.iter().any(|f| f.load(Ordering::Acquire))
     }
 
-    /// Unparks every registered waiter whose wait became decidable —
-    /// admitted or provably hopeless. Lock-free when nobody waits.
-    fn wake_decided(&self) {
-        if self.n_waiters.load(Ordering::Acquire) == 0 {
+    /// Unparks every registered waiter whose wait a publish of
+    /// `published` (micros) made decidable — admitted or provably
+    /// hopeless. Lock-free when the publish is below every waiter's `qts`
+    /// (in particular when nobody waits).
+    fn wake_decided(&self, published: u64) {
+        if published < self.min_waiter_qts.load(Ordering::SeqCst) {
             return;
         }
         let waiters = self.waiters.lock();
@@ -264,8 +279,8 @@ impl VisibilityBoard {
 
     fn is_visible_idx(&self, gids: &[usize], qts: Timestamp) -> bool {
         let min =
-            gids.iter().map(|&g| self.groups[g].load(Ordering::Acquire)).min().unwrap_or(u64::MAX);
-        min >= qts.as_micros() || self.global.load(Ordering::Acquire) >= qts.as_micros()
+            gids.iter().map(|&g| self.groups[g].load(Ordering::SeqCst)).min().unwrap_or(u64::MAX);
+        min >= qts.as_micros() || self.global.load(Ordering::SeqCst) >= qts.as_micros()
     }
 
     /// Generation-aware visibility: a cell whose `gids` predate the
@@ -276,7 +291,7 @@ impl VisibilityBoard {
         if gen == self.grouping_gen.load(Ordering::Acquire) {
             self.is_visible_idx(gids, qts)
         } else {
-            self.global.load(Ordering::Acquire) >= qts.as_micros()
+            self.global.load(Ordering::SeqCst) >= qts.as_micros()
         }
     }
 
@@ -368,7 +383,7 @@ impl VisibilityBoard {
         {
             let mut waiters = self.waiters.lock();
             waiters.push(cell.clone());
-            self.n_waiters.store(waiters.len(), Ordering::Release);
+            self.min_waiter_qts.fetch_min(cell.qts, Ordering::SeqCst);
         }
         // Re-check after registering: a publish between the first check
         // and registration would otherwise be a lost wakeup.
@@ -388,53 +403,10 @@ impl VisibilityBoard {
         {
             let mut waiters = self.waiters.lock();
             waiters.retain(|w| !Arc::ptr_eq(w, &cell));
-            self.n_waiters.store(waiters.len(), Ordering::Release);
+            let min = waiters.iter().map(|w| w.qts).min().unwrap_or(u64::MAX);
+            self.min_waiter_qts.store(min, Ordering::SeqCst);
         }
         outcome
-    }
-
-    /// The pre-redesign sleep-poll admission loop, kept as the baseline
-    /// the event-driven path is benchmarked against
-    /// (`examples/query_service_bench.rs`): re-checks the predicate every
-    /// `interval` instead of parking on publishes.
-    pub fn wait_admission_polling(
-        &self,
-        gids: &[GroupId],
-        qts: Timestamp,
-        timeout: Duration,
-        interval: Duration,
-    ) -> WaitOutcome {
-        self.wait_admission_polling_at(gids, self.grouping_gen(), qts, timeout, interval)
-    }
-
-    /// [`VisibilityBoard::wait_admission_polling`] for callers that
-    /// computed `gids` under an explicit grouping generation — the
-    /// sleep-poll counterpart of [`VisibilityBoard::wait_admission_at`].
-    /// A regroup landing mid-poll makes the cell stale, demoting every
-    /// later re-check to the global-watermark path.
-    pub fn wait_admission_polling_at(
-        &self,
-        gids: &[GroupId],
-        gen: u64,
-        qts: Timestamp,
-        timeout: Duration,
-        interval: Duration,
-    ) -> WaitOutcome {
-        let idx: Vec<usize> = gids.iter().map(|g| g.index()).collect();
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self.is_visible_cell(&idx, gen, qts) {
-                return WaitOutcome::Visible;
-            }
-            if self.is_hopeless_cell(&idx, gen, qts) {
-                return WaitOutcome::Quarantined;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return WaitOutcome::TimedOut;
-            }
-            std::thread::sleep(interval.min(deadline - now));
-        }
     }
 
     /// Blocks until [`VisibilityBoard::is_visible`] holds or `timeout`
@@ -599,12 +571,13 @@ mod tests {
         thread::sleep(Duration::from_millis(20));
         b.publish_group(g(0), Timestamp::from_micros(100));
         thread::sleep(Duration::from_millis(20));
-        assert_eq!(b.n_waiters.load(Ordering::Acquire), 2, "group-1 waiters still parked");
+        assert_eq!(b.waiters.lock().len(), 2, "group-1 waiters still parked");
         b.publish_group(g(1), Timestamp::from_micros(100));
         for h in handles {
             assert_eq!(h.join().unwrap(), WaitOutcome::Visible);
         }
-        assert_eq!(b.n_waiters.load(Ordering::Acquire), 0, "all waiters deregistered");
+        assert_eq!(b.waiters.lock().len(), 0, "all waiters deregistered");
+        assert_eq!(b.min_waiter_qts.load(Ordering::SeqCst), u64::MAX);
     }
 
     #[test]
@@ -623,6 +596,59 @@ mod tests {
             b.publish_group(g(0), Timestamp::from_micros(ts));
             assert_eq!(waiter.join().unwrap(), WaitOutcome::Visible);
         }
+    }
+
+    #[test]
+    fn publishes_below_every_waiter_skip_the_registry() {
+        let b = Arc::new(VisibilityBoard::builder(2).build());
+        let qts = Timestamp::from_micros(100);
+        let waiter = {
+            let b = b.clone();
+            thread::spawn(move || b.wait_admission(&[g(0)], qts, Duration::from_secs(30)))
+        };
+        while b.min_waiter_qts.load(Ordering::SeqCst) != 100 {
+            thread::yield_now();
+        }
+        // Probe: hold the registry lock and publish below `qts` from
+        // another thread. A publish that touched the registry would block
+        // on the lock until the deadline below.
+        let registry = b.waiters.lock();
+        let publisher = {
+            let b = b.clone();
+            thread::spawn(move || {
+                for ts in 1..100 {
+                    b.publish_group(g(0), Timestamp::from_micros(ts));
+                    b.publish_group(g(1), Timestamp::from_micros(ts));
+                    b.publish_global(Timestamp::from_micros(ts));
+                }
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !publisher.is_finished() && Instant::now() < deadline {
+            thread::yield_now();
+        }
+        let lock_free = publisher.is_finished();
+        drop(registry);
+        publisher.join().unwrap();
+        assert!(lock_free, "a publish below the smallest qts took the registry lock");
+        assert!(!waiter.is_finished(), "nothing published so far reaches qts");
+        // The publish that reaches `qts` takes the slow path and wakes it.
+        b.publish_group(g(0), qts);
+        assert_eq!(waiter.join().unwrap(), WaitOutcome::Visible);
+        assert_eq!(b.min_waiter_qts.load(Ordering::SeqCst), u64::MAX, "deregistered");
+
+        // Quarantine still fails a waiter fast, whatever was published.
+        let waiter = {
+            let b = b.clone();
+            thread::spawn(move || {
+                b.wait_admission(&[g(1)], Timestamp::from_micros(500), Duration::from_secs(30))
+            })
+        };
+        while b.min_waiter_qts.load(Ordering::SeqCst) != 500 {
+            thread::yield_now();
+        }
+        b.set_quarantined(&[1]);
+        assert_eq!(waiter.join().unwrap(), WaitOutcome::Quarantined);
     }
 
     #[test]
@@ -670,34 +696,6 @@ mod tests {
             b.wait_admission(&[g(0)], Timestamp::from_micros(80), Duration::from_millis(10)),
             WaitOutcome::Visible,
             "frozen watermark already covers the snapshot"
-        );
-    }
-
-    #[test]
-    fn polling_admission_matches_event_driven_outcomes() {
-        let b = Arc::new(VisibilityBoard::builder(1).build());
-        let tick = Duration::from_millis(2);
-        assert_eq!(
-            b.wait_admission_polling(&[g(0)], Timestamp::from_micros(10), tick * 5, tick),
-            WaitOutcome::TimedOut
-        );
-        let waiter = {
-            let b = b.clone();
-            thread::spawn(move || {
-                b.wait_admission_polling(
-                    &[g(0)],
-                    Timestamp::from_micros(10),
-                    Duration::from_secs(5),
-                    tick,
-                )
-            })
-        };
-        b.publish_group(g(0), Timestamp::from_micros(10));
-        assert_eq!(waiter.join().unwrap(), WaitOutcome::Visible);
-        b.set_quarantined(&[0]);
-        assert_eq!(
-            b.wait_admission_polling(&[g(0)], Timestamp::from_micros(99), tick * 5, tick),
-            WaitOutcome::Quarantined
         );
     }
 

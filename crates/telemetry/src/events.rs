@@ -106,7 +106,7 @@ pub enum EventKind {
         missed: u32,
     },
     /// The adaptive controller's table grouping was applied at an epoch
-    /// boundary: commit queues drained, tables migrated, replay resumed.
+    /// boundary: stages drained, tables migrated, replay resumed.
     Regroup {
         /// Epoch sequence the new grouping takes effect at.
         at_seq: u64,

@@ -88,9 +88,11 @@ pub mod names {
     pub const STAGE1_US: &str = "aets_stage1_us";
     /// Per-epoch stage-2 (cold groups) wall-time histogram.
     pub const STAGE2_US: &str = "aets_stage2_us";
-    /// Aggregate phase-1 worker busy time (micros counter).
+    /// Aggregate phase-1 (translate) busy time of the replay crew
+    /// (micros counter).
     pub const REPLAY_BUSY_US: &str = "aets_replay_busy_us_total";
-    /// Aggregate commit-thread busy time (micros counter).
+    /// Aggregate phase-2 (commit) busy time of the groups' committers
+    /// (micros counter).
     pub const COMMIT_BUSY_US: &str = "aets_commit_busy_us_total";
     /// Freshness: visibility lag (`now − primary_commit_ts`) per group.
     pub const VISIBILITY_LAG_US: &str = "aets_visibility_lag_us";
@@ -108,6 +110,15 @@ pub mod names {
     pub const INGEST_STALLS: &str = "aets_ingest_stalls_total";
     /// Groups currently quarantined.
     pub const QUARANTINED_GROUPS: &str = "aets_quarantined_groups";
+    /// Time crew member 0 (the thread that called `replay`) waited at a
+    /// stage barrier for helpers still inside the stage — the stage's
+    /// imbalance. One sample per stage run; zero when the caller ran the
+    /// stage alone (micros histogram).
+    pub const STAGE_BARRIER_WAIT_US: &str = "aets_stage_barrier_wait_us";
+    /// Replay crew helper threads currently asleep (level): equals
+    /// `threads − 1` on an idle engine, and a value that stays below it
+    /// between epochs means helpers are kept spinning.
+    pub const REPLAY_CREW_PARKED: &str = "aets_replay_crew_parked";
     /// Phase-1 cell buffers served from the free-list pools.
     pub const CELL_RECYCLED: &str = "aets_cell_buffers_recycled_total";
     /// Phase-1 cell buffers freshly allocated.

@@ -41,11 +41,12 @@ pub mod stages {
     pub const WAL_FSYNC: &str = "wal_fsync";
     /// Engine: dispatcher metadata scan + routing of the epoch.
     pub const DISPATCH: &str = "dispatch";
-    /// Engine: one (stage, group)'s log-to-operation translation work.
+    /// Engine: log-to-operation translation of one chunk of a group's
+    /// mini-txns, on whichever crew member translated it.
     pub const TRANSLATE: &str = "translate";
-    /// Engine: a group's commit thread waiting on its commit queue.
+    /// Engine: a group's committer waiting for its first chunk of cells.
     pub const COMMIT_WAIT: &str = "commit_wait";
-    /// Engine: a group's commit thread applying ordered mini-txns.
+    /// Engine: a group's committer applying ordered mini-txns.
     pub const APPLY: &str = "apply";
     /// Board: a group's `tg_cmt_ts` publication (point span).
     pub const FLIP_GROUP: &str = "flip_group";

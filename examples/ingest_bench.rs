@@ -1,5 +1,5 @@
-//! Ingest hot-path benchmark: paired before/after medians for the five
-//! levers of the raw-speed ingest campaign.
+//! Ingest hot-path benchmark: paired before/after medians for the four
+//! surviving levers of the raw-speed ingest campaign.
 //!
 //! ```sh
 //! cargo run --release --example ingest_bench            # full run
@@ -16,15 +16,17 @@
 //! 2. **Batched decode** — per-record `decode_record` loop with a fresh
 //!    output vector per epoch vs one-pass `decode_batch_into` with a
 //!    reused scratch vector.
-//! 3. **SPSC commit queue** — the PR-5 mutexed slot protocol
-//!    (re-implemented here as the baseline) vs the lock-free
-//!    `CommitQueue` the engine now runs.
-//! 4. **Group-commit WAL** — `FsyncPolicy::EveryEpoch` vs
+//! 3. **Group-commit WAL** — `FsyncPolicy::EveryEpoch` vs
 //!    `FsyncPolicy::Coalesced` over the same epoch stream.
-//! 5. **Chunked recovery reads** — monolithic whole-file reads (one
+//! 4. **Chunked recovery reads** — monolithic whole-file reads (one
 //!    file-sized allocation per segment, the PR-3 shape) vs fixed
 //!    128 KiB chunks into a reused buffer; plus the absolute wall time
 //!    of a real `SegmentStore::open` + `read_suffix` recovery.
+//!
+//! (The campaign's fifth lever, the lock-free SPSC commit queue, left
+//! with the per-mini-transaction hand-off it served: the replay crew
+//! hands off chunks under a plain lock. Its last recorded pair stays in
+//! `results/BENCH_ingest.json` as history.)
 //!
 //! An end-to-end section reports the current `dispatch_epoch` and full
 //! AETS replay medians so the numbers can be compared against the PR-5
@@ -34,11 +36,10 @@
 //! repo root; `--smoke` shrinks every workload to finish in seconds and
 //! skips the file write so CI cannot clobber calibrated results.
 
-use aets_suite::common::{EpochId, Result};
+use aets_suite::common::EpochId;
 use aets_suite::memtable::MemDb;
 use aets_suite::replay::{
-    dispatch_epoch, AetsConfig, AetsEngine, Cell, CommitQueue, ReplayEngine, TableGrouping,
-    VisibilityBoard,
+    dispatch_epoch, AetsConfig, AetsEngine, ReplayEngine, TableGrouping, VisibilityBoard,
 };
 use aets_suite::wal::{
     batch_into_epochs, crc32, crc32_scalar, decode_record, encode_epoch, EncodedEpoch, FsyncPolicy,
@@ -48,8 +49,6 @@ use aets_suite::workloads::tpcc::{self, TpccConfig};
 use std::hint::black_box;
 use std::io::Read;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 struct Shape {
@@ -57,8 +56,6 @@ struct Shape {
     crc_buf: usize,
     crc_iters: usize,
     decode_txns: usize,
-    spsc_items: usize,
-    spsc_producers: usize,
     wal_epochs: usize,
     dispatch_txns: usize,
 }
@@ -68,8 +65,6 @@ const FULL: Shape = Shape {
     crc_buf: 64 * 1024,
     crc_iters: 2_000,
     decode_txns: 20_000,
-    spsc_items: 200_000,
-    spsc_producers: 4,
     wal_epochs: 512,
     dispatch_txns: 20_000,
 };
@@ -79,8 +74,6 @@ const SMOKE: Shape = Shape {
     crc_buf: 4 * 1024,
     crc_iters: 200,
     decode_txns: 2_000,
-    spsc_items: 20_000,
-    spsc_producers: 2,
     wal_epochs: 48,
     dispatch_txns: 2_000,
 };
@@ -199,91 +192,6 @@ fn bench_decode(epochs: &[EncodedEpoch], sh: &Shape) -> (f64, f64) {
 
 // ---------------------------------------------------------------- lever 3
 
-/// The PR-5 slot protocol this campaign replaced: every publish and
-/// every take goes through one mutex guarding the slot vector.
-struct MutexQueue {
-    tail: AtomicUsize,
-    slots: Mutex<Vec<Option<Result<Vec<Cell>>>>>,
-    cv: Condvar,
-}
-
-impl MutexQueue {
-    fn new(n: usize) -> Self {
-        Self {
-            tail: AtomicUsize::new(0),
-            slots: Mutex::new((0..n).map(|_| None).collect()),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn claim(&self) -> Option<usize> {
-        let i = self.tail.fetch_add(1, Ordering::Relaxed);
-        (i < self.slots.lock().expect("poisoned").len()).then_some(i)
-    }
-
-    fn finish(&self, i: usize, cells: Result<Vec<Cell>>) {
-        let mut g = self.slots.lock().expect("poisoned");
-        g[i] = Some(cells);
-        self.cv.notify_all();
-    }
-
-    fn wait_take(&self, i: usize) -> Result<Vec<Cell>> {
-        let mut g = self.slots.lock().expect("poisoned");
-        loop {
-            if let Some(v) = g[i].take() {
-                return v;
-            }
-            g = self.cv.wait(g).expect("poisoned");
-        }
-    }
-}
-
-/// Returns (before, after) hand-off throughput in items/s: `producers`
-/// worker threads race to claim/publish, one consumer drains in order.
-fn bench_spsc(sh: &Shape) -> (f64, f64) {
-    let n = sh.spsc_items;
-    let items = n as f64;
-    paired(
-        sh.reps,
-        || {
-            let q = MutexQueue::new(n);
-            let t = Instant::now();
-            std::thread::scope(|scope| {
-                for _ in 0..sh.spsc_producers {
-                    scope.spawn(|| {
-                        while let Some(i) = q.claim() {
-                            q.finish(i, Ok(Vec::new()));
-                        }
-                    });
-                }
-                for i in 0..n {
-                    black_box(q.wait_take(i).expect("ok payload"));
-                }
-            });
-            items / t.elapsed().as_secs_f64()
-        },
-        || {
-            let q = CommitQueue::new(n);
-            let t = Instant::now();
-            std::thread::scope(|scope| {
-                for _ in 0..sh.spsc_producers {
-                    scope.spawn(|| {
-                        while let Some(i) = q.claim() {
-                            q.finish(i, Ok(Vec::new()));
-                        }
-                    });
-                }
-                for i in 0..n {
-                    black_box(q.wait_take(i).expect("ok payload"));
-                }
-            });
-            items / t.elapsed().as_secs_f64()
-        },
-    )
-}
-
-// ---------------------------------------------------------------- lever 4
-
 /// Re-stamps a workload's epochs with sequential ids from 0 so they can
 /// be appended to a fresh store.
 fn restamped(epochs: &[EncodedEpoch], count: usize) -> Vec<EncodedEpoch> {
@@ -326,7 +234,7 @@ fn bench_wal(epochs: &[EncodedEpoch], sh: &Shape) -> (f64, f64) {
     )
 }
 
-// ---------------------------------------------------------------- lever 5
+// ---------------------------------------------------------------- lever 4
 
 /// Returns ((before, after) raw read throughput in MiB/s, recovery wall
 /// in ms). Before reads each segment with one file-sized allocation
@@ -471,23 +379,16 @@ fn main() {
         dec_a / dec_b
     );
 
-    let (spsc_b, spsc_a) = bench_spsc(&sh);
-    println!(
-        "3. commit queue ({}p/1c):    mutex {spsc_b:>10.0} it/s   spsc {spsc_a:>10.0} it/s   ({:.2}x)",
-        sh.spsc_producers,
-        spsc_a / spsc_b
-    );
-
     let (wal_b, wal_a) = bench_wal(&epochs, &sh);
     println!(
-        "4. wal fsync ({} epochs):  every {wal_b:>9.0} ep/s   coalesced {wal_a:>7.0} ep/s   ({:.2}x)",
+        "3. wal fsync ({} epochs):  every {wal_b:>9.0} ep/s   coalesced {wal_a:>7.0} ep/s   ({:.2}x)",
         sh.wal_epochs,
         wal_a / wal_b
     );
 
     let ((read_b, read_a), recovery_ms) = bench_recovery(&epochs, &sh);
     println!(
-        "5. recovery reads:          whole {read_b:>9.0} MiB/s  chunked {read_a:>7.0} MiB/s  ({:.2}x); open+read_suffix {recovery_ms:.1} ms",
+        "4. recovery reads:          whole {read_b:>9.0} MiB/s  chunked {read_a:>7.0} MiB/s  ({:.2}x); open+read_suffix {recovery_ms:.1} ms",
         read_a / read_b
     );
 
@@ -504,20 +405,17 @@ fn main() {
 
     if std::path::Path::new("results").is_dir() {
         let json = format!(
-            "{{\n  \"experiment\": \"raw-speed ingest campaign: crc slice-by-8 + batched decode + spsc commit queues + group-commit wal + chunked recovery reads\",\n  \
+            "{{\n  \"experiment\": \"raw-speed ingest campaign: crc slice-by-8 + batched decode + group-commit wal + chunked recovery reads\",\n  \
              \"method\": \"paired medians: each rep measures before and after back to back with alternating order so machine drift cancels; {} reps per lever (examples/ingest_bench.rs)\",\n  \
              \"crc_slice_by_8\": {{\n    \"buf_kib\": {}, \"before_scalar_mib_per_sec\": {crc_b:.0}, \"after_slice8_mib_per_sec\": {crc_a:.0},\n    \"speedup\": {crc_x:.2}, \"target_speedup\": 4.0\n  }},\n  \
              \"batched_decode\": {{\n    \"before_per_record_recs_per_sec\": {dec_b:.0}, \"after_batched_recs_per_sec\": {dec_a:.0},\n    \"speedup\": {:.2},\n    \"note\": \"before = fresh Vec per epoch + per-record cursor snapshot CRC; after = one-pass decode_batch_into with reused scratch\"\n  }},\n  \
-             \"spsc_commit_queue\": {{\n    \"producers\": {}, \"items\": {},\n    \"before_mutexed_items_per_sec\": {spsc_b:.0}, \"after_spsc_items_per_sec\": {spsc_a:.0},\n    \"speedup\": {:.2},\n    \"note\": \"before re-implements the PR-5 mutexed slot protocol; after is the lock-free CommitQueue the engine runs\"\n  }},\n  \
+             \"spsc_commit_queue\": {{\n    \"note\": \"history: the lock-free per-mini-txn CommitQueue was deleted with the hand-off it served (replay crew); last recorded pair, 4 producers x 200000 items\",\n    \"before_mutexed_items_per_sec\": 3885036, \"after_spsc_items_per_sec\": 4063684, \"speedup\": 1.05\n  }},\n  \
              \"wal_group_commit\": {{\n    \"epochs\": {}, \"before_every_epoch_eps\": {wal_b:.0}, \"after_coalesced_eps\": {wal_a:.0},\n    \"speedup\": {:.2},\n    \"note\": \"coalesced = max_frames 32 / max_wait 2ms; ack is no longer durable, synced_seq bounds the loss window (DESIGN.md s11)\"\n  }},\n  \
              \"chunked_recovery_reads\": {{\n    \"before_whole_file_mib_per_sec\": {read_b:.0}, \"after_chunked_mib_per_sec\": {read_a:.0},\n    \"speedup\": {:.2},\n    \"open_read_suffix_ms\": {recovery_ms:.1},\n    \"note\": \"raw read strategies isolated (page-cache hot); open_read_suffix_ms is the real recovery pass with the chunked reader, target: no worse than the PR-3 monolithic reader\"\n  }},\n  \
              \"end_to_end\": {{\n    \"dispatch_epoch_stream_ms\": {dispatch_ms:.2}, \"aets_replay_entries_per_sec\": {e2e:.0},\n    \"note\": \"current code only; PR-5 baseline for dispatch_epoch is results/BENCH_pipeline.json (criterion replay/dispatch_epoch)\"\n  }}\n}}\n",
             sh.reps,
             sh.crc_buf / 1024,
             dec_a / dec_b,
-            sh.spsc_producers,
-            sh.spsc_items,
-            spsc_a / spsc_b,
             sh.wal_epochs,
             wal_a / wal_b,
             read_a / read_b,

@@ -143,35 +143,57 @@ fn pipelined_aets_matches_oracle_on_tpcc_and_bustracker() {
     }
 }
 
-/// The lock-free SPSC commit queues inside AETS must be linearizable:
-/// under heavy producer/consumer contention (more worker threads than
-/// cores see groups, single-digit epochs, deep pipeline) the committed
-/// MVCC state must still be byte-identical to the serial oracle's at
-/// every probed snapshot. The schedule is pinned by a seed so a CI
-/// failure replays exactly; override with `AETS_TEST_SEED=<u64>`.
+/// Replay-crew stress: the stage barrier and the chunk hand-off under
+/// contention. One seeded BusTracker stream cut into thousands of tiny
+/// epochs is driven through every crew shape — `threads` 1, 2, 3 and 8
+/// (more than the cores), one group / one group per table / DBSCAN
+/// groups, one stage or two, inline or pipelined dispatch — in
+/// seed-derived slices of one to a few dozen epochs per `replay` call,
+/// with a seed-derived `SetThreadSplit` (slots of 0..=4, so some groups
+/// are split and hand off chunks) landing between calls. Every stage
+/// opens and closes the crew's gate, so a helper that ran a stale stage,
+/// a group applied twice, a chunk committed out of order or a lost
+/// wake-up shows up as a wrong digest, a disordered chain, a watermark
+/// that moved backwards, or the watchdog. The schedule is pinned by a
+/// seed so a CI failure replays exactly; override with
+/// `AETS_TEST_SEED=<u64>`.
 #[test]
-fn spsc_commit_queues_linearize_under_contention() {
+fn replay_crew_barrier_and_chunk_handoff_stress() {
+    use aets_suite::replay::Reconfigure;
     let seed: u64 =
         std::env::var("AETS_TEST_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0x5E1F);
+    // A seeded stream of draws off the workspace's own mixer.
     fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        *state = state.wrapping_add(1);
+        aets_suite::common::splitmix64(*state)
     }
 
-    let mut rng = seed;
-    for round in 0..6 {
-        // Seed-derived shapes: small epochs maximize queue churn, thread
-        // counts above the group count force workers to contend on the
-        // same group's producer side.
-        let num_txns = 400 + (splitmix(&mut rng) % 400) as usize;
-        let epoch_size = 1 + (splitmix(&mut rng) % 24) as usize;
-        let threads = 2 + (splitmix(&mut rng) % 6) as usize;
-        let depth = (splitmix(&mut rng) % 4) as usize;
-        let w = tpcc::generate(&tpcc::TpccConfig { num_txns, warehouses: 2, ..Default::default() });
-        let epochs = encode(&w, epoch_size);
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let w = bustracker::generate(&bustracker::BusTrackerConfig {
+            seed,
+            num_txns: 4_800,
+            ..Default::default()
+        });
+        // Mostly one- and two-transaction epochs, and a few of 40 so a
+        // split group has more than one chunk to hand off.
+        let epochs: Vec<EncodedEpoch> = {
+            let mut rng = seed;
+            let mut out = Vec::new();
+            let mut txns = w.txns.iter().cloned();
+            loop {
+                let draw = splitmix(&mut rng);
+                let size = if draw.is_multiple_of(64) { 40 } else { 1 + (draw % 2) as usize };
+                let batch: Vec<_> = txns.by_ref().take(size).collect();
+                if batch.is_empty() {
+                    break;
+                }
+                let id = aets_suite::common::EpochId::new(out.len() as u64);
+                out.push(encode_epoch(&aets_suite::wal::Epoch { id, txns: batch }));
+            }
+            out
+        };
+        assert!(epochs.len() > 1_500, "thousands of tiny epochs, got {}", epochs.len());
         let n = w.num_tables();
         let oracle = MemDb::new(n);
         SerialEngine.replay_all(&epochs, &oracle).unwrap();
@@ -179,23 +201,103 @@ fn spsc_commit_queues_linearize_under_contention() {
         let mid = w.txns[w.txns.len() / 2].commit_ts;
         let want_mid = oracle.digest_at(mid);
 
-        let k = 1 + (splitmix(&mut rng) % 4) as usize;
-        let grouping = round_robin_grouping(n, k.min(n), &w.analytic_tables);
-        let eng = AetsEngine::builder(grouping)
-            .config(AetsConfig { threads, pipeline_depth: depth, ..Default::default() })
-            .build()
-            .unwrap();
-        let db = MemDb::new(n);
-        let m = eng.replay_all(&epochs, &db).unwrap();
-        let tag = format!(
-            "seed={seed:#x} round={round} txns={num_txns} epoch={epoch_size} \
-             threads={threads} depth={depth} groups={k}"
-        );
-        assert_eq!(m.txns, w.txns.len(), "{tag}: txn count");
-        assert!(db.all_chains_ordered(), "{tag}: version order");
-        assert_eq!(db.digest_at(Timestamp::MAX), want, "{tag}: final state");
-        assert_eq!(db.digest_at(mid), want_mid, "{tag}: mid snapshot");
+        let slots = bustracker::BusTrackerConfig::default().slots;
+        let mean_rate = |t: TableId| {
+            (0..slots).map(|s| bustracker::access_rate(t.index(), s)).sum::<f64>() / slots as f64
+        };
+        let groupings = [
+            ("single", TableGrouping::single(n, &w.analytic_tables)),
+            ("per-table", TableGrouping::per_table(n, &w.analytic_tables, mean_rate)),
+            ("dbscan", TableGrouping::dbscan(n, &w.analytic_tables, mean_rate, 0.5).unwrap()),
+        ];
+        let mut rng = seed ^ 0xC4E3;
+        for (gname, grouping) in &groupings {
+            for threads in [1usize, 2, 3, 8] {
+                for two_stage in [false, true] {
+                    for depth in [0usize, 2] {
+                        let tag = format!(
+                            "seed={seed:#x} grouping={gname} threads={threads} \
+                             two_stage={two_stage} depth={depth}"
+                        );
+                        let eng = AetsEngine::builder(grouping.clone())
+                            .config(AetsConfig {
+                                threads,
+                                two_stage,
+                                pipeline_depth: depth,
+                                ..Default::default()
+                            })
+                            .build()
+                            .unwrap();
+                        let ng = grouping.num_groups();
+                        let db = MemDb::new(n);
+                        let board = VisibilityBoard::builder(ng).build();
+                        let stop = AtomicBool::new(false);
+                        let violation = std::thread::scope(|scope| {
+                            let observer = scope.spawn(|| watch_watermarks(&board, &stop));
+                            let mut txns = 0;
+                            let mut at = 0;
+                            while at < epochs.len() {
+                                let draw = splitmix(&mut rng);
+                                if draw.is_multiple_of(3) {
+                                    let split = (0..ng)
+                                        .map(|_| (splitmix(&mut rng) % 5) as usize)
+                                        .collect();
+                                    eng.reconfigure_handle()
+                                        .send(Reconfigure::SetThreadSplit(split))
+                                        .unwrap();
+                                }
+                                let len = 1 + (draw >> 8) as usize % 48;
+                                let slice = &epochs[at..epochs.len().min(at + len)];
+                                txns += eng.replay(slice, &db, &board).unwrap().txns;
+                                at += slice.len();
+                            }
+                            stop.store(true, Ordering::Release);
+                            assert_eq!(txns, w.txns.len(), "{tag}: txn count");
+                            observer.join().expect("observer panicked")
+                        });
+                        assert!(violation.is_none(), "{tag}: {}", violation.unwrap_or_default());
+                        assert!(db.all_chains_ordered(), "{tag}: version order");
+                        assert_eq!(db.digest_at(Timestamp::MAX), want, "{tag}: final state");
+                        assert_eq!(db.digest_at(mid), want_mid, "{tag}: mid snapshot");
+                        let last = epochs.last().unwrap().max_commit_ts;
+                        assert_eq!(board.global_cmt_ts(), last, "{tag}: global watermark");
+                    }
+                }
+            }
+        }
+        done_tx.send(()).unwrap();
+    });
+    // A lost wake-up must fail, not hang: the whole matrix takes well
+    // under a minute, so ten is a hung crew.
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(600))
+        .unwrap_or_else(|e| panic!("seed={seed:#x}: crew stress did not finish: {e}"));
+}
+
+/// Samples `board` until `stop`: every watermark only ever advances, and
+/// no group is seen behind the global one (the global mark only moves
+/// once an epoch is fully replayed). Reading the global mark *before*
+/// the group marks makes the check race-free. Returns the first
+/// violation.
+fn watch_watermarks(board: &VisibilityBoard, stop: &AtomicBool) -> Option<String> {
+    let mut last_global = Timestamp::ZERO;
+    let mut last_tg = vec![Timestamp::ZERO; board.num_groups()];
+    while !stop.load(Ordering::Acquire) {
+        let global = board.global_cmt_ts();
+        if global < last_global {
+            return Some(format!("global regressed: {last_global} -> {global}"));
+        }
+        last_global = global;
+        for (g, last) in last_tg.iter_mut().enumerate() {
+            let tg = board.tg_cmt_ts(GroupId::new(g as u32));
+            if tg < *last || tg < global {
+                return Some(format!("group {g}: {last} -> {tg}, global {global}"));
+            }
+            *last = tg;
+        }
+        std::thread::sleep(std::time::Duration::from_micros(200));
     }
+    None
 }
 
 /// Round-robins `n` tables into `k` groups with synthetic rates.

@@ -27,6 +27,8 @@ const REQUIRED_FAMILIES: &[&str] = &[
     names::TG_CMT_TS_US,
     names::GLOBAL_CMT_TS_US,
     names::INGEST_BYTES_PER_SEC,
+    names::STAGE_BARRIER_WAIT_US,
+    names::REPLAY_CREW_PARKED,
 ];
 
 #[test]
@@ -194,6 +196,48 @@ fn epoch_spans_form_a_closed_causal_chain() {
             "epoch {seq}: exactly one global flip"
         );
     }
+}
+
+#[test]
+fn crew_saturation_signals_are_emitted() {
+    // The two crew signals of the metric contract: one
+    // `aets_stage_barrier_wait_us` sample per stage run, and
+    // `aets_replay_crew_parked` reaching `threads - 1` once nobody is
+    // calling the engine.
+    use aets_suite::replay::VisibilityBoard;
+    use std::time::{Duration, Instant};
+
+    let w = tpcc::generate(&TpccConfig { num_txns: 1_000, warehouses: 1, ..Default::default() });
+    let raw = batch_into_epochs(w.txns.clone(), 64).expect("positive epoch size");
+    let epochs: Vec<_> = raw.iter().map(encode_epoch).collect();
+    let (groups, rates) = tpcc::paper_grouping();
+    let grouping =
+        TableGrouping::new(w.num_tables(), groups, rates, &w.analytic_tables).expect("grouping");
+    let tel = Arc::new(Telemetry::new());
+    let engine = AetsEngine::builder(grouping.clone())
+        .config(AetsConfig { threads: 3, ..Default::default() })
+        .telemetry(tel.clone())
+        .build()
+        .expect("valid config");
+    let db = MemDb::new(w.num_tables());
+    let board = VisibilityBoard::builder(grouping.num_groups()).build();
+    engine.replay(&epochs, &db, &board).expect("replay");
+
+    let snap = tel.snapshot();
+    let barrier =
+        snap.histogram_summary_all(names::STAGE_BARRIER_WAIT_US).expect("barrier histogram");
+    let stages = snap.histogram_summary_all(names::STAGE1_US).map_or(0, |h| h.count)
+        + snap.histogram_summary_all(names::STAGE2_US).map_or(0, |h| h.count);
+    assert_eq!(stages, 2 * epochs.len() as u64, "two stages per epoch");
+    assert_eq!(barrier.count, stages, "one barrier-wait sample per stage run");
+
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while tel.snapshot().gauge(names::REPLAY_CREW_PARKED, "") != Some(2) {
+        assert!(Instant::now() < deadline, "the idle engine's helpers never parked");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    drop(engine);
+    assert_eq!(tel.snapshot().gauge(names::REPLAY_CREW_PARKED, ""), Some(0), "helpers joined");
 }
 
 #[test]
