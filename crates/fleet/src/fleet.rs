@@ -60,31 +60,8 @@ pub struct FleetOptions {
     /// shard. The failover bound proven by the chaos suite: a dead shard
     /// is back in routing within this many ticks of its crash.
     pub failover_after: u32,
-    /// Bounded retry/backoff for routed submissions rejected with
-    /// [`Error::Overloaded`].
-    #[deprecated(note = "set `service.retry` (ServiceOptions::builder().retry(..)) instead")]
-    pub retry: RetryPolicy,
     /// Deadline stamped on routed queries that carry none of their own.
     pub query_timeout: Duration,
-    /// Fleet telemetry (`fleet_*` metrics and shard lifecycle events).
-    /// `None` runs disabled.
-    #[deprecated(
-        note = "set `service.telemetry` (ServiceOptions::builder().telemetry(..)) instead"
-    )]
-    pub telemetry: Option<Arc<Telemetry>>,
-    /// Bind address of the fleet's live observability endpoint
-    /// (`/metrics`, `/spans.json`, `/healthz`, …); `None` serves no HTTP.
-    /// `/healthz` reports 503 naming the down or hung shards.
-    #[deprecated(note = "set `service.obs_addr` (ServiceOptions::builder().obs_addr(..)) instead")]
-    pub obs_addr: Option<String>,
-    /// Directory for degraded-mode flight-recorder bundles: shard-down,
-    /// failover, and quarantine events each dump a bounded JSON bundle
-    /// of recent spans + events + the metrics snapshot there. `None`
-    /// disables the recorder.
-    #[deprecated(
-        note = "set `service.flight_dir` (ServiceOptions::builder().flight_dir(..)) instead"
-    )]
-    pub flight_dir: Option<PathBuf>,
     /// Consolidated service-layer knobs shared with the query node and
     /// the durable backup: telemetry handle, observability endpoint,
     /// flight recorder, and retry policy.
@@ -93,45 +70,12 @@ pub struct FleetOptions {
 
 impl Default for FleetOptions {
     fn default() -> Self {
-        #[allow(deprecated)]
         Self {
             shard: ShardConfig::default(),
             failover_after: 3,
-            retry: RetryPolicy::default(),
             query_timeout: Duration::from_secs(5),
-            telemetry: None,
-            obs_addr: None,
-            flight_dir: None,
             service: ServiceOptions::default(),
         }
-    }
-}
-
-impl FleetOptions {
-    /// Effective fleet telemetry: the consolidated
-    /// [`ServiceOptions::telemetry`] wins; the deprecated per-struct
-    /// field is honoured when the new one is unset.
-    pub fn effective_telemetry(&self) -> Option<Arc<Telemetry>> {
-        #[allow(deprecated)]
-        self.service.telemetry.clone().or_else(|| self.telemetry.clone())
-    }
-
-    /// Effective observability bind address, resolved the same way.
-    pub fn effective_obs_addr(&self) -> Option<&str> {
-        #[allow(deprecated)]
-        self.service.obs_addr.as_deref().or(self.obs_addr.as_deref())
-    }
-
-    /// Effective flight-recorder directory, resolved the same way.
-    pub fn effective_flight_dir(&self) -> Option<&std::path::Path> {
-        #[allow(deprecated)]
-        self.service.flight_dir.as_deref().or(self.flight_dir.as_deref())
-    }
-
-    /// Effective routed-submission retry policy, resolved the same way.
-    pub fn effective_retry(&self) -> &RetryPolicy {
-        #[allow(deprecated)]
-        self.service.retry.as_ref().unwrap_or(&self.retry)
     }
 }
 
@@ -305,7 +249,7 @@ impl Fleet {
     pub fn open(plan: ShardPlan, root: impl Into<PathBuf>, opts: FleetOptions) -> Result<Self> {
         let root = root.into();
         let telemetry =
-            opts.effective_telemetry().unwrap_or_else(|| Arc::new(Telemetry::disabled()));
+            opts.service.telemetry.clone().unwrap_or_else(|| Arc::new(Telemetry::disabled()));
         let num_tables = plan.num_tables();
         let mut shards = Vec::with_capacity(plan.num_shards());
         for s in 0..plan.num_shards() {
@@ -318,7 +262,7 @@ impl Fleet {
             )?);
         }
         let stats = FleetStats::new(&telemetry, plan.num_shards());
-        if let Some(dir) = opts.effective_flight_dir() {
+        if let Some(dir) = &opts.service.flight_dir {
             let recorder = FlightRecorder::create(FlightRecorderConfig::new(dir))
                 .map_err(|e| Error::Io(format!("flight recorder at {}: {e}", dir.display())))?;
             telemetry.set_flight_recorder(Some(recorder));
@@ -326,7 +270,7 @@ impl Fleet {
         let health_levels: Arc<Vec<AtomicU64>> = Arc::new(
             (0..plan.num_shards()).map(|_| AtomicU64::new(ShardHealth::Healthy.level())).collect(),
         );
-        let obs = match opts.effective_obs_addr() {
+        let obs = match opts.service.obs_addr.as_deref() {
             Some(addr) => {
                 let levels = health_levels.clone();
                 let health: HealthFn = Arc::new(move || {
@@ -671,13 +615,14 @@ impl Fleet {
     }
 
     fn submit_with_retry(&self, session: &ReadSession<'_>, spec: QuerySpec) -> Result<QueryHandle> {
+        let retry = self.opts.service.retry.clone().unwrap_or_default();
         let mut attempt = 0u32;
         loop {
             match session.submit(spec.clone()) {
                 Ok(h) => return Ok(h),
-                Err(Error::Overloaded) if attempt < self.opts.effective_retry().max_retries => {
+                Err(Error::Overloaded) if attempt < retry.max_retries => {
                     attempt += 1;
-                    std::thread::sleep(self.opts.effective_retry().backoff(attempt));
+                    std::thread::sleep(retry.backoff(attempt));
                 }
                 Err(e) => return Err(e),
             }
@@ -741,7 +686,7 @@ impl Fleet {
     }
 
     /// Bound address of the live observability endpoint, when
-    /// [`FleetOptions::obs_addr`] asked for one.
+    /// [`ServiceOptions::obs_addr`] asked for one.
     pub fn obs_addr(&self) -> Option<std::net::SocketAddr> {
         self.obs.as_ref().map(ObsServer::addr)
     }

@@ -35,8 +35,8 @@ pub struct GcStats {
 }
 
 impl GcStats {
-    /// Accumulates `other` into `self` (used across passes and by
-    /// `ReplayMetrics`).
+    /// Accumulates `other` into `self` (a pass sums its nodes and tables
+    /// with it).
     pub fn merge(&mut self, other: GcStats) {
         self.nodes += other.nodes;
         self.pruned += other.pruned;

@@ -6,7 +6,7 @@
 //!    (metadata-only parse). A call that replays several epochs runs it on
 //!    a scoped thread, feeding the replay loop through a bounded channel
 //!    so the metadata scan of epoch `e+1` overlaps the replay of epoch
-//!    `e`; a single-epoch call (and `pipeline_depth = 0`) dispatches
+//!    `e`; a single-epoch call has nothing to overlap and dispatches
 //!    inline into the same loop (see DESIGN.md, "Replay datapath");
 //! 2. threads are allocated to groups by `λ·n` weights
 //!    (Section IV-B), optionally refreshed from a per-epoch rate provider
@@ -83,16 +83,6 @@ pub struct AetsConfig {
     /// Optional per-epoch group-rate provider (predicted access rates);
     /// when absent, the grouping's static rates are used.
     pub rate_fn: Option<RateFn>,
-    /// Depth of the dispatch pipeline: how many dispatched epochs may sit
-    /// between the dispatcher thread and the replay loop. `0` dispatches
-    /// every epoch inline on the replay loop's thread; `n > 0` gives a
-    /// call that replays more than one epoch a scoped dispatcher thread
-    /// behind a bounded channel of capacity `n`, overlapping the metadata
-    /// scan of epoch `e+1` with the replay of epoch `e` (a single-epoch
-    /// call has nothing to overlap and dispatches inline). The
-    /// epoch-barrier invariant is unaffected: the replay loop consumes
-    /// epochs strictly in order and only ever commits the epoch at hand.
-    pub pipeline_depth: usize,
     /// Bounded-retry policy of the ingest resync loop: how often a failed
     /// epoch delivery (torn tail, bit flip, sequence gap, stall) is
     /// re-requested, and with what backoff, before the error is fatal.
@@ -107,7 +97,6 @@ impl std::fmt::Debug for AetsConfig {
             .field("two_stage", &self.two_stage)
             .field("adaptive", &self.adaptive)
             .field("rate_fn", &self.rate_fn.as_ref().map(|_| "<fn>"))
-            .field("pipeline_depth", &self.pipeline_depth)
             .field("retry", &self.retry)
             .finish()
     }
@@ -121,7 +110,6 @@ impl Default for AetsConfig {
             two_stage: true,
             adaptive: true,
             rate_fn: None,
-            pipeline_depth: 2,
             retry: RetryPolicy::default(),
         }
     }
@@ -959,13 +947,13 @@ impl AetsEngine {
             self.telemetry.spans().set_epoch_hint(seq);
             Ok(())
         };
-        if self.cfg.pipeline_depth > 0 && n > 1 {
+        if n > 1 {
             // A scoped dispatcher ingests and scans epochs ahead of the
-            // loop, bounded by `pipeline_depth` dispatched epochs in
+            // loop, bounded by `DISPATCH_AHEAD` dispatched epochs in
             // flight. The one thread start of the replay path; a
             // single-epoch call has nothing to overlap and skips it.
             std::thread::scope(|scope| {
-                let (tx, rx) = crossbeam::channel::bounded(self.cfg.pipeline_depth);
+                let (tx, rx) = crossbeam::channel::bounded(DISPATCH_AHEAD);
                 scope.spawn(move || {
                     for eidx in 0..n {
                         let d = self.dispatch_next(&mut *source, first_seq + eidx as u64);
@@ -1026,6 +1014,13 @@ impl AetsEngine {
         self.pools.iter().fold((0, 0), |(r, a), p| (r + p.recycled(), a + p.allocated()))
     }
 }
+
+/// Dispatched epochs that may sit between the dispatcher thread of a
+/// multi-epoch call and the replay loop: enough for the metadata scan of
+/// epoch `e+1` to overlap the replay of epoch `e`. The epoch barrier is
+/// unaffected: the loop consumes epochs strictly in order and only ever
+/// commits the epoch at hand.
+const DISPATCH_AHEAD: usize = 2;
 
 /// Mini-transactions per chunk: the unit of translate-then-commit inside
 /// a group and of the hand-off between a split group's translators and
@@ -1347,25 +1342,29 @@ mod tests {
 
     #[test]
     fn pipelined_and_serial_datapaths_match() {
-        // The replay loop fed by a dispatcher thread (any depth) must
-        // produce state identical to the same loop dispatching inline and
-        // to the serial oracle.
+        // The replay loop fed by the dispatcher thread (one whole-stream
+        // call) must produce state identical to the same loop dispatching
+        // inline (one call per epoch) and to the serial oracle.
         let w = tpcc::generate(&TpccConfig { num_txns: 600, warehouses: 2, ..Default::default() });
         let epochs = encode(&w, 96);
         let db_oracle = MemDb::new(w.table_names.len());
         SerialEngine.replay_all(&epochs, &db_oracle).unwrap();
         let oracle = db_oracle.digest_at(Timestamp::MAX);
 
-        for depth in [0usize, 1, 4] {
+        for call_len in [epochs.len(), 1] {
             let eng = AetsEngine::builder(tpcc_grouping(&w))
-                .config(AetsConfig { threads: 3, pipeline_depth: depth, ..Default::default() })
+                .config(AetsConfig { threads: 3, ..Default::default() })
                 .build()
                 .unwrap();
             let db = MemDb::new(w.table_names.len());
-            let m = eng.replay_all(&epochs, &db).unwrap();
-            assert_eq!(m.txns, w.txns.len(), "depth={depth}");
-            assert!(db.all_chains_ordered(), "depth={depth}");
-            assert_eq!(db.digest_at(Timestamp::MAX), oracle, "depth={depth}");
+            let board = VisibilityBoard::builder(eng.board_groups()).build();
+            let mut txns = 0;
+            for call in epochs.chunks(call_len) {
+                txns += eng.replay(call, &db, &board).unwrap().txns;
+            }
+            assert_eq!(txns, w.txns.len(), "call_len={call_len}");
+            assert!(db.all_chains_ordered(), "call_len={call_len}");
+            assert_eq!(db.digest_at(Timestamp::MAX), oracle, "call_len={call_len}");
         }
     }
 
@@ -1478,45 +1477,43 @@ mod tests {
 
     #[test]
     fn persistent_corruption_quarantines_group_and_freezes_watermarks() {
-        for depth in [0usize, 2] {
-            let mut epochs = two_group_epochs();
-            epochs[1] = corrupt_first_dml_of(&epochs[1], TableId::new(2));
-            let eng = AetsEngine::builder(two_group_grouping())
-                .config(AetsConfig { threads: 2, pipeline_depth: depth, ..Default::default() })
-                .build()
-                .unwrap();
-            let db = MemDb::new(3);
-            let board = VisibilityBoard::builder(2).build();
-            let last_consistent = epochs[0].max_commit_ts;
+        let mut epochs = two_group_epochs();
+        epochs[1] = corrupt_first_dml_of(&epochs[1], TableId::new(2));
+        let eng = AetsEngine::builder(two_group_grouping())
+            .config(AetsConfig { threads: 2, ..Default::default() })
+            .build()
+            .unwrap();
+        let db = MemDb::new(3);
+        let board = VisibilityBoard::builder(2).build();
+        let last_consistent = epochs[0].max_commit_ts;
 
-            let m = eng.replay(&epochs[..2], &db, &board).unwrap();
-            assert!(m.degraded(), "depth={depth}");
-            assert_eq!(m.quarantined_groups, vec![1], "depth={depth}");
-            assert_eq!(eng.quarantined_groups(), vec![1]);
-            // The corrupt record sits in group 1's first mini-txn of epoch
-            // 1, so nothing of that epoch commits there: tg freezes at the
-            // last consistent epoch, and so does the global (else
-            // Algorithm 3's global shortcut would admit queries over the
-            // quarantined group).
-            assert_eq!(board.tg_cmt_ts(GroupId::new(1)), last_consistent, "depth={depth}");
-            assert_eq!(board.global_cmt_ts(), last_consistent, "depth={depth}");
-            // The healthy group replayed the corrupt epoch in full.
-            assert_eq!(board.tg_cmt_ts(GroupId::new(0)), epochs[1].max_commit_ts);
+        let m = eng.replay(&epochs[..2], &db, &board).unwrap();
+        assert!(m.degraded());
+        assert_eq!(m.quarantined_groups, vec![1]);
+        assert_eq!(eng.quarantined_groups(), vec![1]);
+        // The corrupt record sits in group 1's first mini-txn of epoch
+        // 1, so nothing of that epoch commits there: tg freezes at the
+        // last consistent epoch, and so does the global (else
+        // Algorithm 3's global shortcut would admit queries over the
+        // quarantined group).
+        assert_eq!(board.tg_cmt_ts(GroupId::new(1)), last_consistent);
+        assert_eq!(board.global_cmt_ts(), last_consistent);
+        // The healthy group replayed the corrupt epoch in full.
+        assert_eq!(board.tg_cmt_ts(GroupId::new(0)), epochs[1].max_commit_ts);
 
-            // Quarantine persists across replay calls on the same engine
-            // (the realtime runner replays one epoch per call): the frozen
-            // group never advances, healthy groups keep going.
-            let m = eng.replay(&epochs[2..], &db, &board).unwrap();
-            assert!(m.degraded());
-            assert_eq!(
-                board.tg_cmt_ts(GroupId::new(1)),
-                last_consistent,
-                "quarantined group advanced past its last consistent epoch (depth={depth})"
-            );
-            assert_eq!(board.global_cmt_ts(), last_consistent);
-            assert_eq!(board.tg_cmt_ts(GroupId::new(0)), epochs[2].max_commit_ts);
-            assert!(db.all_chains_ordered());
-        }
+        // Quarantine persists across replay calls on the same engine
+        // (the realtime runner replays one epoch per call): the frozen
+        // group never advances, healthy groups keep going.
+        let m = eng.replay(&epochs[2..], &db, &board).unwrap();
+        assert!(m.degraded());
+        assert_eq!(
+            board.tg_cmt_ts(GroupId::new(1)),
+            last_consistent,
+            "quarantined group advanced past its last consistent epoch"
+        );
+        assert_eq!(board.global_cmt_ts(), last_consistent);
+        assert_eq!(board.tg_cmt_ts(GroupId::new(0)), epochs[2].max_commit_ts);
+        assert!(db.all_chains_ordered());
     }
 
     /// The two-group layout after a live regroup: table 1 moves from the
@@ -1538,43 +1535,37 @@ mod tests {
         // runner's shape) and regroup between epochs: the end state must
         // stay byte-equivalent to the serial oracle, the board must learn
         // the new generation, and the metrics must count the regroup.
-        for depth in [0usize, 2] {
-            let epochs = two_group_epochs();
-            let db_oracle = MemDb::new(3);
-            SerialEngine.replay_all(&epochs, &db_oracle).unwrap();
+        let epochs = two_group_epochs();
+        let db_oracle = MemDb::new(3);
+        SerialEngine.replay_all(&epochs, &db_oracle).unwrap();
 
-            let eng = AetsEngine::builder(two_group_grouping())
-                .config(AetsConfig { threads: 2, pipeline_depth: depth, ..Default::default() })
-                .build()
-                .unwrap();
-            let db = MemDb::new(3);
-            let board = VisibilityBoard::builder(2).build();
+        let eng = AetsEngine::builder(two_group_grouping())
+            .config(AetsConfig { threads: 2, ..Default::default() })
+            .build()
+            .unwrap();
+        let db = MemDb::new(3);
+        let board = VisibilityBoard::builder(2).build();
 
-            eng.replay(&epochs[..1], &db, &board).unwrap();
-            assert_eq!(board.grouping_gen(), 0);
+        eng.replay(&epochs[..1], &db, &board).unwrap();
+        assert_eq!(board.grouping_gen(), 0);
 
-            let handle = eng.reconfigure_handle();
-            handle.send(Reconfigure::Regroup(regrouped_two_groups())).unwrap();
-            assert_eq!(handle.pending(), 1);
-            let m = eng.replay(&epochs[1..], &db, &board).unwrap();
-            assert_eq!(m.regroups_applied, 1, "depth={depth}");
-            assert_eq!(handle.applied(), 1);
-            assert_eq!(handle.pending(), 0);
-            assert_eq!(eng.grouping_gen(), 1);
-            assert_eq!(board.grouping_gen(), 1, "depth={depth}");
-            // Table 1 now maps to group 1 under the installed grouping.
-            assert_eq!(eng.grouping().group_of(TableId::new(1)), GroupId::new(1));
+        let handle = eng.reconfigure_handle();
+        handle.send(Reconfigure::Regroup(regrouped_two_groups())).unwrap();
+        assert_eq!(handle.pending(), 1);
+        let m = eng.replay(&epochs[1..], &db, &board).unwrap();
+        assert_eq!(m.regroups_applied, 1);
+        assert_eq!(handle.applied(), 1);
+        assert_eq!(handle.pending(), 0);
+        assert_eq!(eng.grouping_gen(), 1);
+        assert_eq!(board.grouping_gen(), 1);
+        // Table 1 now maps to group 1 under the installed grouping.
+        assert_eq!(eng.grouping().group_of(TableId::new(1)), GroupId::new(1));
 
-            assert!(db.all_chains_ordered());
-            assert_eq!(
-                db.digest_at(Timestamp::MAX),
-                db_oracle.digest_at(Timestamp::MAX),
-                "depth={depth}"
-            );
-            // All groups replayed everything: watermarks at the tail.
-            let last = epochs.last().unwrap().max_commit_ts;
-            assert_eq!(board.global_cmt_ts(), last);
-        }
+        assert!(db.all_chains_ordered());
+        assert_eq!(db.digest_at(Timestamp::MAX), db_oracle.digest_at(Timestamp::MAX));
+        // All groups replayed everything: watermarks at the tail.
+        let last = epochs.last().unwrap().max_commit_ts;
+        assert_eq!(board.global_cmt_ts(), last);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Replay metrics: throughput, phase time breakdown (Table II), and
 //! stage-level replay times (Figures 8b/9b).
 
-use aets_memtable::GcStats;
-use aets_telemetry::{names, TelemetrySnapshot};
 use std::time::Duration;
 
-/// Measurements collected by one engine run.
+/// What one engine call did. Anything accumulated across calls or owned
+/// by another layer (GC, checkpoints, WAL, recovery, fleet, transport)
+/// lives only in the telemetry registry.
 #[derive(Debug, Clone, Default)]
 pub struct ReplayMetrics {
     /// Engine name ("aets", "atr", "c5", "tplr", "serial").
@@ -50,55 +50,6 @@ pub struct ReplayMetrics {
     /// commit and `global_cmt_ts` stops advancing, while healthy groups
     /// keep replaying. Empty in a healthy run.
     pub quarantined_groups: Vec<usize>,
-    /// Aggregate version-chain GC statistics across passes.
-    pub gc: GcStats,
-    /// Number of GC passes run.
-    pub gc_passes: u64,
-    /// Checkpoints written durably.
-    pub checkpoints_written: u64,
-    /// Checkpoint opportunities skipped because a group was quarantined:
-    /// advancing the checkpoint (and truncating the WAL) past a frozen
-    /// group would lose its unreplayed suffix forever.
-    pub checkpoints_skipped_degraded: u64,
-    /// Epochs appended durably to the WAL segment store.
-    pub wal_epochs_appended: u64,
-    /// WAL segments retired (deleted) past the checkpoint watermark.
-    pub wal_segments_retired: u64,
-    /// Checkpoint manifests skipped at recovery because they failed
-    /// validation (torn write, checksum mismatch) before an older valid
-    /// one was found.
-    pub manifest_fallbacks: u64,
-    /// Epochs re-replayed from the WAL suffix during recovery (bounded by
-    /// the epochs since the last checkpoint, not the full history).
-    pub recovery_suffix_epochs: u64,
-    /// Fleet: failovers completed (replacement shards bootstrapped and
-    /// rejoined the routing table). Zero outside fleet runs.
-    pub fleet_failovers: u64,
-    /// Fleet: coordinator heartbeat intervals shards failed to report in.
-    pub fleet_heartbeats_missed: u64,
-    /// Fleet: queries routed to shards (one per fanned-out sub-query).
-    pub fleet_queries_routed: u64,
-    /// Fleet: routed queries answered partially because a shard was
-    /// unavailable.
-    pub fleet_queries_partial: u64,
-    /// Transport: sender sessions (re-)established over TCP.
-    pub net_connects: u64,
-    /// Transport: reconnects after a broken session.
-    pub net_reconnects: u64,
-    /// Transport: handshakes whose RESUME point rewound the send cursor.
-    pub net_resyncs: u64,
-    /// Transport: HELLO/RESUME handshakes completed on the receiver.
-    pub net_handshakes: u64,
-    /// Transport: bytes the sender wrote to the wire.
-    pub net_bytes_sent: u64,
-    /// Transport: bytes the receiver read off the wire.
-    pub net_bytes_recv: u64,
-    /// Transport: epoch frames shipped (including resync re-ships).
-    pub net_epochs_shipped: u64,
-    /// Transport: duplicate epoch deliveries dropped by receiver dedup.
-    pub net_epochs_deduped: u64,
-    /// Transport: frames rejected at decode (each tears a session down).
-    pub net_frame_errors: u64,
     /// Adaptive control: `Regroup` commands applied at epoch boundaries.
     pub regroups_applied: u64,
     /// Adaptive control: `SetThreadSplit` commands applied at epoch
@@ -150,110 +101,52 @@ impl ReplayMetrics {
     /// only reports its own ledger, so replacing would silently drop
     /// groups quarantined before the restart.
     pub fn absorb(&mut self, other: &ReplayMetrics) {
-        self.txns += other.txns;
-        self.entries += other.entries;
-        self.bytes += other.bytes;
-        self.epochs += other.epochs;
-        self.dispatch_busy += other.dispatch_busy;
-        self.replay_busy += other.replay_busy;
-        self.commit_busy += other.commit_busy;
-        self.stage1_wall += other.stage1_wall;
-        self.stage2_wall += other.stage2_wall;
-        self.cell_buffers_recycled += other.cell_buffers_recycled;
-        self.cell_buffers_allocated += other.cell_buffers_allocated;
-        self.ingest_retries += other.ingest_retries;
-        self.checksum_failures += other.checksum_failures;
-        self.epoch_gaps += other.epoch_gaps;
-        self.ingest_stalls += other.ingest_stalls;
-        self.quarantined_groups.extend_from_slice(&other.quarantined_groups);
+        // Exhaustive on purpose: a new field that is not summed here
+        // fails to compile.
+        let ReplayMetrics {
+            engine: _,
+            txns,
+            entries,
+            bytes,
+            epochs,
+            wall: _,
+            dispatch_busy,
+            replay_busy,
+            commit_busy,
+            stage1_wall,
+            stage2_wall,
+            cell_buffers_recycled,
+            cell_buffers_allocated,
+            ingest_retries,
+            checksum_failures,
+            epoch_gaps,
+            ingest_stalls,
+            quarantined_groups,
+            regroups_applied,
+            resplits_applied,
+            reconf_rejected,
+        } = other;
+        self.txns += txns;
+        self.entries += entries;
+        self.bytes += bytes;
+        self.epochs += epochs;
+        self.dispatch_busy += *dispatch_busy;
+        self.replay_busy += *replay_busy;
+        self.commit_busy += *commit_busy;
+        self.stage1_wall += *stage1_wall;
+        self.stage2_wall += *stage2_wall;
+        self.cell_buffers_recycled += cell_buffers_recycled;
+        self.cell_buffers_allocated += cell_buffers_allocated;
+        self.ingest_retries += ingest_retries;
+        self.checksum_failures += checksum_failures;
+        self.epoch_gaps += epoch_gaps;
+        self.ingest_stalls += ingest_stalls;
+        self.quarantined_groups.extend_from_slice(quarantined_groups);
         self.quarantined_groups.sort_unstable();
         self.quarantined_groups.dedup();
-        self.gc.merge(other.gc);
-        self.gc_passes += other.gc_passes;
-        self.checkpoints_written += other.checkpoints_written;
-        self.checkpoints_skipped_degraded += other.checkpoints_skipped_degraded;
-        self.wal_epochs_appended += other.wal_epochs_appended;
-        self.wal_segments_retired += other.wal_segments_retired;
-        self.manifest_fallbacks += other.manifest_fallbacks;
-        self.recovery_suffix_epochs += other.recovery_suffix_epochs;
-        self.fleet_failovers += other.fleet_failovers;
-        self.fleet_heartbeats_missed += other.fleet_heartbeats_missed;
-        self.fleet_queries_routed += other.fleet_queries_routed;
-        self.fleet_queries_partial += other.fleet_queries_partial;
-        self.net_connects += other.net_connects;
-        self.net_reconnects += other.net_reconnects;
-        self.net_resyncs += other.net_resyncs;
-        self.net_handshakes += other.net_handshakes;
-        self.net_bytes_sent += other.net_bytes_sent;
-        self.net_bytes_recv += other.net_bytes_recv;
-        self.net_epochs_shipped += other.net_epochs_shipped;
-        self.net_epochs_deduped += other.net_epochs_deduped;
-        self.net_frame_errors += other.net_frame_errors;
-        self.regroups_applied += other.regroups_applied;
-        self.resplits_applied += other.resplits_applied;
-        self.reconf_rejected += other.reconf_rejected;
-    }
-
-    /// Rebuilds the counter view of a run from a telemetry registry
-    /// snapshot — the projection the smoke test cross-checks against the
-    /// per-run `ReplayMetrics` the engine returns directly.
-    ///
-    /// Projectable fields are exactly the ones the registry integrates:
-    /// throughput counters, busy-time counters, the dispatch/stage
-    /// histogram sums, ingest-resync and durability counters, pool hit
-    /// counts, and the `fleet_*` / `net_*` counter families. Not
-    /// projectable (left at their defaults): `wall` (the
-    /// registry holds no end-to-end clock), `engine`, `gc` node-level
-    /// stats (only pass/pruned totals are exported), and the
-    /// `quarantined_groups` *indices* (the registry exports the count
-    /// gauge; the index set lives in events and on the engine).
-    pub fn project(snap: &TelemetrySnapshot) -> ReplayMetrics {
-        let hist_sum = |name: &str| {
-            Duration::from_micros(
-                snap.histogram_summary_all(name).map(|s| s.sum_us).unwrap_or_default(),
-            )
-        };
-        ReplayMetrics {
-            txns: snap.counter_total(names::TXNS) as usize,
-            entries: snap.counter_total(names::ENTRIES) as usize,
-            bytes: snap.counter_total(names::BYTES),
-            epochs: snap.counter_total(names::EPOCHS) as usize,
-            dispatch_busy: hist_sum(names::DISPATCH_US),
-            replay_busy: Duration::from_micros(snap.counter_total(names::REPLAY_BUSY_US)),
-            commit_busy: Duration::from_micros(snap.counter_total(names::COMMIT_BUSY_US)),
-            stage1_wall: hist_sum(names::STAGE1_US),
-            stage2_wall: hist_sum(names::STAGE2_US),
-            cell_buffers_recycled: snap.counter_total(names::CELL_RECYCLED),
-            cell_buffers_allocated: snap.counter_total(names::CELL_ALLOCATED),
-            ingest_retries: snap.counter_total(names::INGEST_RETRIES),
-            checksum_failures: snap.counter_total(names::CHECKSUM_FAILURES),
-            epoch_gaps: snap.counter_total(names::EPOCH_GAPS),
-            ingest_stalls: snap.counter_total(names::INGEST_STALLS),
-            gc_passes: snap.counter_total(names::GC_PASSES),
-            checkpoints_written: snap.counter_total(names::CHECKPOINTS_WRITTEN),
-            checkpoints_skipped_degraded: snap.counter_total(names::CHECKPOINTS_SKIPPED),
-            wal_epochs_appended: snap.counter_total(names::WAL_EPOCHS_APPENDED),
-            wal_segments_retired: snap.counter_total(names::WAL_SEGMENTS_RETIRED),
-            manifest_fallbacks: snap.counter_total(names::MANIFEST_FALLBACKS),
-            recovery_suffix_epochs: snap.counter_total(names::RECOVERY_SUFFIX_EPOCHS),
-            fleet_failovers: snap.counter_total(names::FLEET_FAILOVERS),
-            fleet_heartbeats_missed: snap.counter_total(names::FLEET_HEARTBEATS_MISSED),
-            fleet_queries_routed: snap.counter_total(names::FLEET_QUERIES_ROUTED),
-            fleet_queries_partial: snap.counter_total(names::FLEET_QUERIES_PARTIAL),
-            net_connects: snap.counter_total(names::NET_CONNECTS),
-            net_reconnects: snap.counter_total(names::NET_RECONNECTS),
-            net_resyncs: snap.counter_total(names::NET_RESYNCS),
-            net_handshakes: snap.counter_total(names::NET_HANDSHAKES),
-            net_bytes_sent: snap.counter_total(names::NET_BYTES_SENT),
-            net_bytes_recv: snap.counter_total(names::NET_BYTES_RECV),
-            net_epochs_shipped: snap.counter_total(names::NET_EPOCHS_SHIPPED),
-            net_epochs_deduped: snap.counter_total(names::NET_EPOCHS_DEDUPED),
-            net_frame_errors: snap.counter_total(names::NET_FRAME_ERRORS),
-            regroups_applied: snap.counter_total(names::ADAPT_REGROUPS),
-            resplits_applied: snap.counter_total(names::ADAPT_RESPLITS),
-            reconf_rejected: snap.counter_total(names::ADAPT_REJECTED),
-            ..Default::default()
-        }
+        self.regroups_applied += regroups_applied;
+        self.resplits_applied += resplits_applied;
+        self.reconf_rejected += reconf_rejected;
     }
 
     /// The Table II breakdown: fractions of busy time spent in
@@ -324,63 +217,6 @@ mod tests {
         total.absorb(&ReplayMetrics::default());
         assert_eq!(total.quarantined_groups, vec![1, 2, 3]);
         assert!(total.degraded());
-    }
-
-    #[test]
-    fn project_rebuilds_counters_from_a_snapshot() {
-        use aets_telemetry::{names, Telemetry};
-        let tel = Telemetry::new();
-        tel.registry().counter(names::TXNS).add(42);
-        tel.registry().counter(names::EPOCHS).add(3);
-        tel.registry().counter(names::REPLAY_BUSY_US).add(1_500);
-        tel.registry().counter(names::CHECKPOINTS_WRITTEN).add(2);
-        tel.registry().histogram(names::DISPATCH_US).record_micros(250);
-        let m = ReplayMetrics::project(&tel.snapshot());
-        assert_eq!(m.txns, 42);
-        assert_eq!(m.epochs, 3);
-        assert_eq!(m.replay_busy, Duration::from_micros(1_500));
-        assert_eq!(m.checkpoints_written, 2);
-        assert_eq!(m.dispatch_busy, Duration::from_micros(250));
-        assert_eq!(m.wall, Duration::ZERO, "wall is not projectable");
-    }
-
-    #[test]
-    fn project_covers_the_fleet_and_net_families() {
-        use aets_telemetry::{names, Telemetry};
-        let tel = Telemetry::new();
-        tel.registry().counter(names::FLEET_FAILOVERS).add(2);
-        tel.registry().counter(names::FLEET_HEARTBEATS_MISSED).add(5);
-        tel.registry().counter(names::FLEET_QUERIES_ROUTED).add(30);
-        tel.registry().counter(names::FLEET_QUERIES_PARTIAL).add(4);
-        tel.registry().counter(names::NET_CONNECTS).add(3);
-        tel.registry().counter(names::NET_RECONNECTS).add(2);
-        tel.registry().counter(names::NET_RESYNCS).add(1);
-        tel.registry().counter(names::NET_HANDSHAKES).add(3);
-        tel.registry().counter(names::NET_BYTES_SENT).add(9_000);
-        tel.registry().counter(names::NET_BYTES_RECV).add(8_500);
-        tel.registry().counter(names::NET_EPOCHS_SHIPPED).add(64);
-        tel.registry().counter(names::NET_EPOCHS_DEDUPED).add(6);
-        tel.registry().counter(names::NET_FRAME_ERRORS).add(7);
-        let m = ReplayMetrics::project(&tel.snapshot());
-        assert_eq!(m.fleet_failovers, 2);
-        assert_eq!(m.fleet_heartbeats_missed, 5);
-        assert_eq!(m.fleet_queries_routed, 30);
-        assert_eq!(m.fleet_queries_partial, 4);
-        assert_eq!(m.net_connects, 3);
-        assert_eq!(m.net_reconnects, 2);
-        assert_eq!(m.net_resyncs, 1);
-        assert_eq!(m.net_handshakes, 3);
-        assert_eq!(m.net_bytes_sent, 9_000);
-        assert_eq!(m.net_bytes_recv, 8_500);
-        assert_eq!(m.net_epochs_shipped, 64);
-        assert_eq!(m.net_epochs_deduped, 6);
-        assert_eq!(m.net_frame_errors, 7);
-
-        // Absorb sums the new families like any other counter.
-        let mut total = m.clone();
-        total.absorb(&m);
-        assert_eq!(total.net_epochs_shipped, 128);
-        assert_eq!(total.fleet_failovers, 4);
     }
 
     #[test]

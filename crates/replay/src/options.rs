@@ -2,12 +2,10 @@
 //!
 //! [`NodeOptions`](crate::service::NodeOptions),
 //! [`DurableOptions`](crate::DurableOptions), and the fleet's
-//! `FleetOptions` each grew the same knobs independently — a telemetry
-//! handle, an observability bind address, a flight-recorder directory, a
-//! retry policy. [`ServiceOptions`] is the one struct they all embed
-//! now; the old per-struct fields remain as `#[deprecated]` shims that
-//! are honoured when the consolidated field is unset, so existing
-//! configs keep working while call sites migrate.
+//! `FleetOptions` all need the same knobs — a telemetry handle, an
+//! observability bind address, a flight-recorder directory, a retry
+//! policy. [`ServiceOptions`] is the one struct they all embed, and the
+//! only place those knobs are set.
 //!
 //! The consolidated struct is also where the adaptive control loop is
 //! switched on: setting [`ServiceOptions::controller`] makes the serving
@@ -31,11 +29,17 @@ pub struct ServiceOptions {
     /// falls back to the owner's historical source (the engine's handle
     /// for nodes and backups, disabled for fleets).
     pub telemetry: Option<Arc<Telemetry>>,
-    /// Bind address of the live observability endpoint (`/metrics`,
-    /// `/spans.json`, `/healthz`, …); `None` serves no HTTP.
+    /// Bind address of the live observability endpoint (e.g.
+    /// `"127.0.0.1:0"`); `None` serves no HTTP. The endpoint exposes
+    /// `/metrics`, `/snapshot.json`, `/spans.json`, `/events.json`, and a
+    /// `/healthz` that reports 503 while the owner is degraded, naming
+    /// the quarantined groups (node, durable backup) or the down or hung
+    /// shards (fleet).
     pub obs_addr: Option<String>,
-    /// Directory for degraded-mode flight-recorder bundles; `None`
-    /// disables the recorder.
+    /// Directory for degraded-mode flight-recorder bundles: every
+    /// anomaly event (quarantine, shard-down, failover, resync) dumps a
+    /// bounded JSON bundle of recent spans + events + the metrics
+    /// snapshot there. `None` disables the recorder.
     pub flight_dir: Option<PathBuf>,
     /// Bounded retry/backoff for retryable service operations (routed
     /// submissions, ingest resync). `None` uses the owner's default.

@@ -93,7 +93,9 @@ pub struct RunnerConfig {
     /// the oldest open session's `qts` (queries still to arrive count —
     /// they will read at their arrival snapshot), the global commit
     /// high-water mark, and any quarantined group's frozen `tg_cmt_ts`
-    /// all clamp the watermark.
+    /// all clamp the watermark. Passes and pruned versions are counted in
+    /// the engine's telemetry registry (`aets_gc_passes_total`,
+    /// `aets_gc_pruned_total`), not in [`RunnerOutcome`].
     pub gc_every: usize,
     /// Render a telemetry exposition snapshot after every
     /// `telemetry_every` released epochs into
@@ -207,9 +209,7 @@ pub fn run_realtime(
             metrics.absorb(&m);
 
             if cfg.gc_every > 0 && (eidx + 1) % cfg.gc_every == 0 {
-                let pass = node.gc();
-                metrics.gc.merge(pass);
-                metrics.gc_passes += 1;
+                node.gc();
             }
 
             if let Some(tel) = &telemetry {
@@ -242,8 +242,9 @@ pub fn run_realtime(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engines::aets::{AetsConfig, AetsEngine};
+    use crate::engines::aets::{AetsConfig, AetsEngine, AetsEngineBuilder};
     use crate::grouping::TableGrouping;
+    use aets_telemetry::{names, Telemetry};
     use aets_wal::{batch_into_epochs, encode_epoch, ReplicationTimeline};
     use aets_workloads::tpcc::{self, TpccConfig};
 
@@ -260,14 +261,25 @@ mod tests {
         let tl = ReplicationTimeline::default();
         let arrivals = tl.arrivals(&raw);
         let epochs: Vec<_> = raw.iter().map(encode_epoch).collect();
+        let engine = engine_builder(&w).build().unwrap();
+        (w, epochs, arrivals, Arc::new(engine))
+    }
+
+    fn engine_builder(w: &aets_workloads::Workload) -> AetsEngineBuilder {
         let (groups, rates) = tpcc::paper_grouping();
         let grouping =
             TableGrouping::new(w.num_tables(), groups, rates, &w.analytic_tables).unwrap();
-        let engine = AetsEngine::builder(grouping)
-            .config(AetsConfig { threads: 2, ..Default::default() })
-            .build()
-            .unwrap();
-        (w, epochs, arrivals, Arc::new(engine))
+        AetsEngine::builder(grouping).config(AetsConfig { threads: 2, ..Default::default() })
+    }
+
+    /// GC passes are counted only in the registry, so the GC tests run an
+    /// engine that reports into one.
+    fn instrumented_engine(
+        w: &aets_workloads::Workload,
+    ) -> (Arc<Telemetry>, Arc<dyn ReplayEngine>) {
+        let tel = Arc::new(Telemetry::new());
+        let engine = engine_builder(w).telemetry(tel.clone()).build().unwrap();
+        (tel, Arc::new(engine))
     }
 
     #[test]
@@ -319,7 +331,8 @@ mod tests {
 
     #[test]
     fn periodic_gc_prunes_and_surfaces_stats() {
-        let (w, epochs, arrivals, engine) = setup(2_000);
+        let (w, epochs, arrivals, _) = setup(2_000);
+        let (tel, engine) = instrumented_engine(&w);
         let db = Arc::new(MemDb::new(w.num_tables()));
         let cfg = RunnerConfig { time_scale: 50.0, gc_every: 2, ..Default::default() };
         let outcome = run_realtime(
@@ -329,9 +342,9 @@ mod tests {
             &cfg,
         )
         .unwrap();
-        assert_eq!(outcome.metrics.gc_passes as usize, epochs.len() / 2);
-        assert!(outcome.metrics.gc.nodes > 0, "GC passes must visit chains");
-        assert!(outcome.metrics.gc.pruned > 0, "hot TPC-C rows must shed versions");
+        let snap = tel.snapshot();
+        assert_eq!(snap.counter_total(names::GC_PASSES) as usize, epochs.len() / 2);
+        assert!(snap.counter_total(names::GC_PRUNED) > 0, "hot TPC-C rows must shed versions");
         assert_eq!(outcome.metrics.txns, w.txns.len());
         assert!(db.all_chains_ordered());
     }
@@ -343,7 +356,8 @@ mod tests {
         // live qts — exercised here end-to-end by running GC with an
         // active query set and checking reads at the query snapshot
         // still succeed afterwards.
-        let (w, epochs, arrivals, engine) = setup(1_000);
+        let (w, epochs, arrivals, _) = setup(1_000);
+        let (tel, engine) = instrumented_engine(&w);
         let db = Arc::new(MemDb::new(w.num_tables()));
         let q_arrival = epochs[0].max_commit_ts;
         let queries = vec![RunnerQuery { arrival: q_arrival, tables: vec![TableId::new(0)] }];
@@ -356,27 +370,19 @@ mod tests {
         )
         .unwrap();
         assert_eq!(outcome.timed_out, 0);
-        assert!(outcome.metrics.gc_passes as usize >= epochs.len());
+        assert_eq!(tel.snapshot().counter_total(names::GC_PASSES) as usize, epochs.len());
         assert!(db.all_chains_ordered());
     }
 
     #[test]
     fn telemetry_cadence_renders_parseable_snapshots() {
-        use aets_telemetry::{names, parse_exposition, Telemetry};
+        use aets_telemetry::parse_exposition;
         let (w, epochs, arrivals, _) = setup(1_000);
-        let (groups, rates) = tpcc::paper_grouping();
-        let grouping =
-            TableGrouping::new(w.num_tables(), groups, rates, &w.analytic_tables).unwrap();
-        let tel = Arc::new(Telemetry::new());
-        let engine = AetsEngine::builder(grouping)
-            .config(AetsConfig { threads: 2, ..Default::default() })
-            .telemetry(tel.clone())
-            .build()
-            .unwrap();
+        let (tel, engine) = instrumented_engine(&w);
         let db = Arc::new(MemDb::new(w.num_tables()));
         let cfg = RunnerConfig { time_scale: 50.0, telemetry_every: 2, ..Default::default() };
         let outcome = run_realtime(
-            Arc::new(engine),
+            engine,
             db,
             &Workload { epochs: &epochs, arrivals: &arrivals, queries: &[] },
             &cfg,

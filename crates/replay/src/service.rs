@@ -58,13 +58,6 @@ pub struct NodeOptions {
     /// Per-query deadline (admission + execution) when the
     /// [`QuerySpec`] carries none.
     pub default_timeout: Duration,
-    /// Bind address of the live observability endpoint (e.g.
-    /// `"127.0.0.1:0"`); `None` serves no HTTP. The endpoint exposes
-    /// `/metrics`, `/snapshot.json`, `/spans.json`, `/events.json`, and a
-    /// `/healthz` that reports 503 with the quarantined groups while the
-    /// node is degraded.
-    #[deprecated(note = "set `service.obs_addr` (ServiceOptions::builder().obs_addr(..)) instead")]
-    pub obs_addr: Option<String>,
     /// Consolidated service-layer knobs shared with the durable backup
     /// and the fleet: telemetry handle, observability endpoint, flight
     /// recorder, retry policy, and the adaptive control loop.
@@ -73,24 +66,12 @@ pub struct NodeOptions {
 
 impl Default for NodeOptions {
     fn default() -> Self {
-        #[allow(deprecated)]
         Self {
             query_workers: 4,
             queue_depth: 64,
             default_timeout: Duration::from_secs(30),
-            obs_addr: None,
             service: ServiceOptions::default(),
         }
-    }
-}
-
-impl NodeOptions {
-    /// Effective observability bind address: the consolidated
-    /// [`ServiceOptions::obs_addr`] wins; the deprecated per-struct field
-    /// is honoured when the new one is unset.
-    pub fn effective_obs_addr(&self) -> Option<&str> {
-        #[allow(deprecated)]
-        self.service.obs_addr.as_deref().or(self.obs_addr.as_deref())
     }
 }
 
@@ -512,7 +493,7 @@ impl BackupNodeBuilder {
             .collect::<Result<Vec<_>>>()?;
         // Mounted last; a bind failure must drain the already-spawned
         // worker pool before surfacing (no node exists yet to Drop).
-        let obs = match self.opts.effective_obs_addr() {
+        let obs = match self.opts.service.obs_addr.as_deref() {
             Some(addr) => match ObsServer::bind(addr, telemetry.clone(), board_health(&board)) {
                 Ok(srv) => Some(srv),
                 Err(e) => {
@@ -682,7 +663,7 @@ impl BackupNode {
     }
 
     /// Bound address of the live observability endpoint, when
-    /// [`NodeOptions::obs_addr`] asked for one. With a `:0` bind this is
+    /// [`ServiceOptions::obs_addr`] asked for one. With a `:0` bind this is
     /// where the ephemeral port landed.
     pub fn obs_addr(&self) -> Option<std::net::SocketAddr> {
         self.obs.as_ref().map(ObsServer::addr)

@@ -707,6 +707,7 @@ mod tests {
         // 600us of visibility lag.
         let clock: aets_telemetry::ClockFn = Arc::new(|| 1_000);
         let b = VisibilityBoard::builder(2).telemetry(&tel, clock).build();
+        assert_eq!(b.num_groups(), 2);
         b.publish_group(g(0), Timestamp::from_micros(400));
         b.publish_group(g(1), Timestamp::from_micros(990));
         b.publish_global(Timestamp::from_micros(990));
@@ -723,21 +724,6 @@ mod tests {
         b.publish_group(g(1), Timestamp::from_micros(100));
         let snap = tel.snapshot();
         assert_eq!(snap.gauge(names::TG_CMT_TS_US, &aets_telemetry::group_label(1)), Some(990));
-    }
-
-    #[test]
-    fn deprecated_constructor_still_builds_an_instrumented_board() {
-        use aets_telemetry::Telemetry;
-        let tel = Telemetry::new();
-        let clock: aets_telemetry::ClockFn = Arc::new(|| 0);
-        #[allow(deprecated)]
-        let b = VisibilityBoard::builder(2).telemetry(&tel, clock).build();
-        b.publish_group(g(0), Timestamp::from_micros(1));
-        assert_eq!(b.num_groups(), 2);
-        assert!(tel
-            .snapshot()
-            .histogram_summary(names::VISIBILITY_LAG_US, &aets_telemetry::group_label(0))
-            .is_some());
     }
 
     #[test]

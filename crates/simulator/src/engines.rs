@@ -25,8 +25,8 @@ pub struct SimAetsConfig {
     /// Adaptive allocation (λ·n weights) vs even split.
     pub adaptive: bool,
     /// Dispatcher runs on its own thread, overlapping the metadata scan
-    /// of epoch `e+1` with the replay of epoch `e` (mirrors the real
-    /// engine's `pipeline_depth > 0`). Dispatch then only sits on the
+    /// of epoch `e+1` with the replay of epoch `e` (what the real engine
+    /// does on a multi-epoch call). Dispatch then only sits on the
     /// critical path when replay catches up with the dispatcher.
     pub pipelined: bool,
 }

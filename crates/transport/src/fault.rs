@@ -6,11 +6,15 @@
 //! connections for a while), single-byte corruption, truncated frames,
 //! added delay, duplicated chunks, and half-open stalls (the peer
 //! vanishes without a FIN). The *schedule* is a pure function of the plan
-//! seed and a global forwarded-segment counter, drawn with the same
-//! `splitmix64` generator as the WAL- and fleet-level fault plans — so a
-//! chaos run decides *what* to inject deterministically, even though TCP
-//! chunk boundaries (and therefore exactly which bytes a fault lands on)
-//! depend on kernel timing.
+//! seed, the direction and the segment number, drawn with the same
+//! `splitmix64` generator as the WAL- and fleet-level fault plans, and
+//! each direction's segment number is that direction's cumulative byte
+//! offset (over all sessions) divided by
+//! [`NetFaultPlan::segment_bytes`]. So *which byte range* of a
+//! direction's stream each fault lands in is fixed by the seed alone,
+//! however the kernel chunks the reads and however the two directions
+//! interleave; only the byte inside that range a corruption or a
+//! truncation hits still depends on the chunk a read returned.
 //!
 //! Everything the proxy injects is survivable by construction: corruption
 //! and truncation are caught by the frame CRCs, disconnects and stalls by
@@ -67,8 +71,9 @@ pub struct NetFaultPlan {
     /// Kinds to draw from (uniformly). Empty disables all faults (the
     /// proxy becomes a transparent relay).
     pub kinds: Vec<NetFaultKind>,
-    /// Maximum forwarded chunk per schedule draw: the proxy re-rolls the
-    /// fault dice once per forwarded chunk of up to this many bytes.
+    /// Bytes of one direction's stream per schedule draw: the proxy
+    /// re-rolls the fault dice each time a direction's cumulative byte
+    /// offset enters a new segment of this many bytes.
     /// Calibrate against the frame sizes in flight — a granularity much
     /// smaller than one epoch frame makes per-frame fault probability
     /// approach certainty and no session can ever deliver anything.
@@ -112,7 +117,7 @@ impl NetFaultPlan {
         self
     }
 
-    /// The fault (if any) drawn for global segment number `segment` in
+    /// The fault (if any) drawn for segment number `segment` of
     /// `direction` (0 = shipper→receiver, 1 = receiver→shipper).
     pub fn fault_at(&self, direction: u8, segment: u64) -> Option<NetFaultKind> {
         if self.kinds.is_empty() || self.rate <= 0.0 {
@@ -159,9 +164,10 @@ enum Action {
 struct Shared {
     plan: NetFaultPlan,
     shutdown: AtomicBool,
-    /// Global segment counter across both directions and all sessions:
-    /// each pump increment advances the schedule.
-    segments: AtomicU64,
+    /// Bytes read off the wire so far, per direction, across all
+    /// sessions: `offset / segment_bytes` indexes that direction's
+    /// schedule.
+    offsets: [AtomicU64; 2],
     /// Proxy-clock milliseconds until which new connections are refused.
     partition_until_ms: AtomicU64,
     connections: AtomicU64,
@@ -212,7 +218,7 @@ impl FaultProxy {
         let shared = Arc::new(Shared {
             plan,
             shutdown: AtomicBool::new(false),
-            segments: AtomicU64::new(0),
+            offsets: [AtomicU64::new(0), AtomicU64::new(0)],
             partition_until_ms: AtomicU64::new(0),
             connections: AtomicU64::new(0),
             start: std::time::Instant::now(),
@@ -278,9 +284,7 @@ impl Drop for FaultProxy {
     }
 }
 
-fn decide(shared: &Shared, direction: u8) -> Action {
-    let segment = shared.segments.fetch_add(1, Ordering::Relaxed);
-    let plan = &shared.plan;
+fn decide(plan: &NetFaultPlan, direction: u8, segment: u64) -> Action {
     match plan.fault_at(direction, segment) {
         None => Action::Forward,
         Some(NetFaultKind::Disconnect) => Action::Disconnect,
@@ -324,9 +328,14 @@ fn pump(
 ) {
     // Short read timeout so the pump notices shutdown/peer-teardown fast.
     let _ = src.set_read_timeout(Some(Duration::from_millis(20)));
-    let mut buf = vec![0u8; shared.plan.segment_bytes.max(1)];
+    let segment_bytes = shared.plan.segment_bytes.max(1) as u64;
+    let offset = &shared.offsets[usize::from(direction)];
+    let mut buf = vec![0u8; segment_bytes as usize];
     while alive.load(Ordering::Relaxed) && !shared.shutdown.load(Ordering::Relaxed) {
-        let n = match src.read(&mut buf) {
+        // Read at most up to the next segment boundary, so a chunk never
+        // straddles two schedule draws.
+        let room = segment_bytes - offset.load(Ordering::Relaxed) % segment_bytes;
+        let n = match src.read(&mut buf[..room as usize]) {
             Ok(0) => break,
             Ok(n) => n,
             Err(e)
@@ -341,7 +350,18 @@ fn pump(
             Err(_) => break,
         };
         let chunk = &buf[..n];
-        match decide(shared, direction) {
+        // One draw per segment entered: the chunk holding a segment's
+        // first byte takes that segment's fault. `fetch_add` hands every
+        // byte offset to exactly one chunk, so this holds even if an old
+        // session's pump of this direction is still draining.
+        let start = offset.fetch_add(n as u64, Ordering::Relaxed);
+        let boundary = start.next_multiple_of(segment_bytes);
+        let action = if boundary < start + n as u64 {
+            decide(&shared.plan, direction, boundary / segment_bytes)
+        } else {
+            Action::Forward
+        };
+        match action {
             Action::Forward => {
                 if dst.write_all(chunk).is_err() {
                     break;
@@ -412,6 +432,62 @@ mod tests {
         assert!((1_500..2_500).contains(&hits), "~20% expected, got {hits}");
         assert!(NetFaultPlan::new(7, 0.0).fault_at(0, 3).is_none());
         assert!(NetFaultPlan::new(7, 1.0).kinds(vec![]).fault_at(0, 3).is_none());
+    }
+
+    #[test]
+    fn pinned_chaos_seeds_break_the_session_inside_the_shipped_stream() {
+        // `tests/net_chaos.rs` ships 968 503 bytes shipper→receiver under
+        // a rate-0.03 plan (re-ships only add to that), so direction 0
+        // enters segments 0..=118 however the reads are chunked. Each
+        // pinned lane seed tears the session down from the proxy side
+        // inside that range, so no lane can pass without a reconnect.
+        const STREAM_BYTES: u64 = 968_503;
+        for (seed, first_break) in [(0xA5EED1, 35), (0xB5EED2, 58), (0xC5EED3, 69)] {
+            let plan = NetFaultPlan::new(seed, 0.03);
+            let crossed = STREAM_BYTES / plan.segment_bytes as u64;
+            let found = (0..=crossed).find(|&s| {
+                matches!(
+                    plan.fault_at(0, s),
+                    Some(
+                        NetFaultKind::Disconnect
+                            | NetFaultKind::Partition
+                            | NetFaultKind::Truncate
+                            | NetFaultKind::HalfOpenStall
+                    )
+                )
+            });
+            assert_eq!(found, Some(first_break), "seed {seed:#x}");
+        }
+    }
+
+    #[test]
+    fn a_fault_lands_in_its_segments_byte_range_whatever_the_chunking() {
+        // Only disconnects, so the bytes upstream sees before EOF are
+        // exactly the segments before the first faulted one.
+        let mut plan = NetFaultPlan::new(11, 0.2).kinds(vec![NetFaultKind::Disconnect]);
+        plan.segment_bytes = 1_000;
+        let first = (0..).find(|&s| plan.fault_at(0, s).is_some()).unwrap();
+        assert!((2..40).contains(&first), "pick a seed whose first fault is a few segments in");
+
+        let upstream = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let upstream_addr = upstream.local_addr().unwrap();
+        let sink = std::thread::spawn(move || {
+            let (mut s, _) = upstream.accept().unwrap();
+            let mut got = Vec::new();
+            let _ = s.read_to_end(&mut got);
+            got.len() as u64
+        });
+        let proxy = FaultProxy::start(upstream_addr, plan).unwrap();
+        let mut c = TcpStream::connect(proxy.addr()).unwrap();
+        // Writes that never line up with a segment boundary; the proxy
+        // hangs up part-way, so later writes may fail.
+        for _ in 0..(first + 2) * 3 {
+            if c.write_all(&[0xAB; 333]).is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(sink.join().unwrap(), first * 1_000);
     }
 
     #[test]

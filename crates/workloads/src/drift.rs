@@ -1,11 +1,11 @@
 //! Drift workloads: deterministic streams whose hot set *moves*.
 //!
-//! The static generators in [`tpcc`](crate::tpcc) and
-//! [`bustracker`](crate::bustracker) hold their access distribution fixed
-//! for the whole run, which is exactly the regime where a static thread
-//! split and a one-shot grouping are optimal. The adaptive control loop
-//! only earns its keep when the distribution shifts mid-run, so this
-//! module provides two seeded drift patterns from the paper's motivation:
+//! The static generators in [`tpcc`] and [`bustracker`] hold their access
+//! distribution fixed for the whole run, which is exactly the regime
+//! where a static thread split and a one-shot grouping are optimal. The
+//! adaptive control loop only earns its keep when the distribution shifts
+//! mid-run, so this module provides two seeded drift patterns from the
+//! paper's motivation:
 //!
 //! * [`rotating_tpcc`] — the classic rotating-hot-warehouse TPC-C: the
 //!   run is cut into phases, each phase concentrates `focus_share` of the

@@ -76,12 +76,21 @@ fn main() {
         for e in &epochs {
             node.ingest(e).expect("durable ingest");
         }
-        let m = node.metrics();
+        let ingest_wall = t0.elapsed();
+        // The registry is the node's one ledger across calls.
+        let snap = tel.snapshot();
         println!(
             "ingest resync: {} retries ({} checksum failures, {} epoch gaps, {} stalls)",
-            m.ingest_retries, m.checksum_failures, m.epoch_gaps, m.ingest_stalls
+            snap.counter_total(names::INGEST_RETRIES),
+            snap.counter_total(names::CHECKSUM_FAILURES),
+            snap.counter_total(names::EPOCH_GAPS),
+            snap.counter_total(names::INGEST_STALLS)
         );
-        (m.checkpoints_written, m.wal_segments_retired, t0.elapsed())
+        (
+            snap.counter_total(names::CHECKPOINTS_WRITTEN),
+            snap.counter_total(names::WAL_SEGMENTS_RETIRED),
+            ingest_wall,
+        )
         // `node` dropped here without any shutdown handshake: the "crash".
     };
     println!(

@@ -19,13 +19,14 @@ use aets_suite::replay::{
     AetsConfig, AetsEngine, DurableBackup, DurableOptions, ReplayEngine, SerialEngine,
     TableGrouping,
 };
+use aets_suite::telemetry::{names, Telemetry};
 use aets_suite::wal::{
     batch_into_epochs, encode_epoch, CrashClock, EncodedEpoch, FsyncPolicy, SegmentConfig,
 };
 use aets_suite::workloads::{bustracker, tpcc, Workload};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 // ---------------------------------------------------------------------
@@ -317,7 +318,7 @@ fn crash_mid_checkpoint() {
     let fx = tpcc_fixture();
     // Probe one unmetered life to find the operation window of the first
     // checkpoint (cadence 3): record the op counter as each ingest
-    // completes; the first ingest that bumps `checkpoints_written`
+    // completes; the first ingest that advances `last_checkpoint_seq`
     // contains the checkpoint's five operations at its end.
     let (before, after) = {
         let wal_dir = scratch("probe-wal");
@@ -336,7 +337,7 @@ fn crash_mid_checkpoint() {
         for e in &fx.epochs {
             let pre = clock.used();
             node.ingest(e).unwrap();
-            if node.metrics().checkpoints_written == 1 {
+            if node.last_checkpoint_seq() > 0 {
                 window = Some((pre, clock.used()));
                 break;
             }
@@ -363,11 +364,21 @@ fn stale_manifest_falls_back() {
     let wal_dir = scratch("stale-wal");
     let ckpt_dir = scratch("stale-ckpt");
     let opts = durable_opts();
+    // Durability counters live only in the registry, so both lives run
+    // an engine that reports into one.
+    let instrumented = |tel: &Arc<Telemetry>| {
+        AetsEngine::builder(fx.grouping.clone())
+            .config(AetsConfig { threads: 2, ..Default::default() })
+            .telemetry(tel.clone())
+            .build()
+            .unwrap()
+    };
     {
+        let tel = Arc::new(Telemetry::new());
         let mut node = DurableBackup::open(
             &wal_dir,
             &ckpt_dir,
-            fresh_engine(&fx.grouping),
+            instrumented(&tel),
             fx.num_tables,
             opts.clone(),
             None,
@@ -376,7 +387,11 @@ fn stale_manifest_falls_back() {
         for e in &fx.epochs {
             node.ingest(e).unwrap();
         }
-        assert!(node.metrics().checkpoints_written >= 2);
+        assert_eq!(
+            tel.snapshot().counter_total(names::CHECKPOINTS_WRITTEN),
+            fx.epochs.len() as u64 / opts.checkpoint_every,
+            "one checkpoint per full cadence"
+        );
         assert_eq!(node.db().digest_at(Timestamp::MAX), fx.oracle_digest);
     }
     // Corrupt the newest manifest's body.
@@ -393,18 +408,20 @@ fn stale_manifest_falls_back() {
     raw[mid] ^= 0x20;
     std::fs::write(newest, &raw).unwrap();
 
-    let node = DurableBackup::open(
-        &wal_dir,
-        &ckpt_dir,
-        fresh_engine(&fx.grouping),
-        fx.num_tables,
-        opts,
-        None,
-    )
-    .unwrap();
+    let tel = Arc::new(Telemetry::new());
+    let node =
+        DurableBackup::open(&wal_dir, &ckpt_dir, instrumented(&tel), fx.num_tables, opts, None)
+            .unwrap();
     let rec = node.recovery();
     assert_eq!(rec.manifest_fallbacks, 1, "the corrupt newest manifest must be skipped");
     let restored = rec.restored_seq.expect("older manifest must load");
+    let snap = tel.snapshot();
+    assert_eq!(snap.counter_total(names::MANIFEST_FALLBACKS), 1);
+    assert_eq!(
+        snap.counter_total(names::RECOVERY_SUFFIX_EPOCHS),
+        fx.epochs.len() as u64 - restored,
+        "the registry counts the replayed suffix"
+    );
     assert!(restored < fx.epochs.len() as u64, "fallback restores an older barrier");
     assert!(
         rec.suffix_epochs > 0,

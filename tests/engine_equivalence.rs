@@ -98,10 +98,10 @@ fn tiny_epochs_still_converge() {
     check_workload(w, 7);
 }
 
-/// The pipelined datapath (dispatcher thread + bounded channel) must be
-/// invisible in the final MVCC state: every pipeline depth, including the
-/// inline-dispatch serial datapath (`depth = 0`), converges to the serial
-/// oracle on both TPC-C and BusTracker streams.
+/// The pipelined datapath (dispatcher thread + bounded channel, what a
+/// whole-stream call gets) must be invisible in the MVCC state: it
+/// converges to the serial oracle on both TPC-C and BusTracker streams,
+/// at the end and at a mid-stream snapshot.
 #[test]
 fn pipelined_aets_matches_oracle_on_tpcc_and_bustracker() {
     let workloads = [
@@ -121,25 +121,23 @@ fn pipelined_aets_matches_oracle_on_tpcc_and_bustracker() {
         let want_mid = oracle.digest_at(mid);
 
         let written: FxHashSet<TableId> = w.written_tables();
-        for depth in [0usize, 1, 3] {
-            let grouping = TableGrouping::per_table(n, &w.analytic_tables, |t| {
-                if written.contains(&t) {
-                    50.0
-                } else {
-                    1.0
-                }
-            });
-            let eng = AetsEngine::builder(grouping)
-                .config(AetsConfig { threads: 3, pipeline_depth: depth, ..Default::default() })
-                .build()
-                .unwrap();
-            let db = MemDb::new(n);
-            let m = eng.replay_all(&epochs, &db).unwrap();
-            assert_eq!(m.txns, w.txns.len(), "depth={depth} txn count");
-            assert!(db.all_chains_ordered(), "depth={depth} version order");
-            assert_eq!(db.digest_at(Timestamp::MAX), want, "depth={depth} final state");
-            assert_eq!(db.digest_at(mid), want_mid, "depth={depth} mid snapshot");
-        }
+        let grouping = TableGrouping::per_table(n, &w.analytic_tables, |t| {
+            if written.contains(&t) {
+                50.0
+            } else {
+                1.0
+            }
+        });
+        let eng = AetsEngine::builder(grouping)
+            .config(AetsConfig { threads: 3, ..Default::default() })
+            .build()
+            .unwrap();
+        let db = MemDb::new(n);
+        let m = eng.replay_all(&epochs, &db).unwrap();
+        assert_eq!(m.txns, w.txns.len(), "txn count");
+        assert!(db.all_chains_ordered(), "version order");
+        assert_eq!(db.digest_at(Timestamp::MAX), want, "final state");
+        assert_eq!(db.digest_at(mid), want_mid, "mid snapshot");
     }
 }
 
@@ -147,8 +145,8 @@ fn pipelined_aets_matches_oracle_on_tpcc_and_bustracker() {
 /// contention. One seeded BusTracker stream cut into thousands of tiny
 /// epochs is driven through every crew shape — `threads` 1, 2, 3 and 8
 /// (more than the cores), one group / one group per table / DBSCAN
-/// groups, one stage or two, inline or pipelined dispatch — in
-/// seed-derived slices of one to a few dozen epochs per `replay` call,
+/// groups, one stage or two — in seed-derived slices of one (inline
+/// dispatch) to a few dozen (dispatcher thread) epochs per `replay` call,
 /// with a seed-derived `SetThreadSplit` (slots of 0..=4, so some groups
 /// are split and hand off chunks) landing between calls. Every stage
 /// opens and closes the crew's gate, so a helper that ran a stale stage,
@@ -214,54 +212,45 @@ fn replay_crew_barrier_and_chunk_handoff_stress() {
         for (gname, grouping) in &groupings {
             for threads in [1usize, 2, 3, 8] {
                 for two_stage in [false, true] {
-                    for depth in [0usize, 2] {
-                        let tag = format!(
-                            "seed={seed:#x} grouping={gname} threads={threads} \
-                             two_stage={two_stage} depth={depth}"
-                        );
-                        let eng = AetsEngine::builder(grouping.clone())
-                            .config(AetsConfig {
-                                threads,
-                                two_stage,
-                                pipeline_depth: depth,
-                                ..Default::default()
-                            })
-                            .build()
-                            .unwrap();
-                        let ng = grouping.num_groups();
-                        let db = MemDb::new(n);
-                        let board = VisibilityBoard::builder(ng).build();
-                        let stop = AtomicBool::new(false);
-                        let violation = std::thread::scope(|scope| {
-                            let observer = scope.spawn(|| watch_watermarks(&board, &stop));
-                            let mut txns = 0;
-                            let mut at = 0;
-                            while at < epochs.len() {
-                                let draw = splitmix(&mut rng);
-                                if draw.is_multiple_of(3) {
-                                    let split = (0..ng)
-                                        .map(|_| (splitmix(&mut rng) % 5) as usize)
-                                        .collect();
-                                    eng.reconfigure_handle()
-                                        .send(Reconfigure::SetThreadSplit(split))
-                                        .unwrap();
-                                }
-                                let len = 1 + (draw >> 8) as usize % 48;
-                                let slice = &epochs[at..epochs.len().min(at + len)];
-                                txns += eng.replay(slice, &db, &board).unwrap().txns;
-                                at += slice.len();
+                    let tag = format!(
+                        "seed={seed:#x} grouping={gname} threads={threads} two_stage={two_stage}"
+                    );
+                    let eng = AetsEngine::builder(grouping.clone())
+                        .config(AetsConfig { threads, two_stage, ..Default::default() })
+                        .build()
+                        .unwrap();
+                    let ng = grouping.num_groups();
+                    let db = MemDb::new(n);
+                    let board = VisibilityBoard::builder(ng).build();
+                    let stop = AtomicBool::new(false);
+                    let violation = std::thread::scope(|scope| {
+                        let observer = scope.spawn(|| watch_watermarks(&board, &stop));
+                        let mut txns = 0;
+                        let mut at = 0;
+                        while at < epochs.len() {
+                            let draw = splitmix(&mut rng);
+                            if draw.is_multiple_of(3) {
+                                let split =
+                                    (0..ng).map(|_| (splitmix(&mut rng) % 5) as usize).collect();
+                                eng.reconfigure_handle()
+                                    .send(Reconfigure::SetThreadSplit(split))
+                                    .unwrap();
                             }
-                            stop.store(true, Ordering::Release);
-                            assert_eq!(txns, w.txns.len(), "{tag}: txn count");
-                            observer.join().expect("observer panicked")
-                        });
-                        assert!(violation.is_none(), "{tag}: {}", violation.unwrap_or_default());
-                        assert!(db.all_chains_ordered(), "{tag}: version order");
-                        assert_eq!(db.digest_at(Timestamp::MAX), want, "{tag}: final state");
-                        assert_eq!(db.digest_at(mid), want_mid, "{tag}: mid snapshot");
-                        let last = epochs.last().unwrap().max_commit_ts;
-                        assert_eq!(board.global_cmt_ts(), last, "{tag}: global watermark");
-                    }
+                            let len = 1 + (draw >> 8) as usize % 48;
+                            let slice = &epochs[at..epochs.len().min(at + len)];
+                            txns += eng.replay(slice, &db, &board).unwrap().txns;
+                            at += slice.len();
+                        }
+                        stop.store(true, Ordering::Release);
+                        assert_eq!(txns, w.txns.len(), "{tag}: txn count");
+                        observer.join().expect("observer panicked")
+                    });
+                    assert!(violation.is_none(), "{tag}: {}", violation.unwrap_or_default());
+                    assert!(db.all_chains_ordered(), "{tag}: version order");
+                    assert_eq!(db.digest_at(Timestamp::MAX), want, "{tag}: final state");
+                    assert_eq!(db.digest_at(mid), want_mid, "{tag}: mid snapshot");
+                    let last = epochs.last().unwrap().max_commit_ts;
+                    assert_eq!(board.global_cmt_ts(), last, "{tag}: global watermark");
                 }
             }
         }
@@ -341,8 +330,8 @@ fn crc_kernels_agree_on_empty_and_unaligned_inputs() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Epoch-barrier invariant under randomized epoch sizes, group
-    /// counts, and pipeline depths: while replay runs, `global_cmt_ts`
+    /// Epoch-barrier invariant under randomized epoch sizes and group
+    /// counts: while replay runs, `global_cmt_ts`
     /// and every `tg_cmt_ts` only ever advance, and no group's published
     /// watermark drops below the global one — the global mark only moves
     /// once an epoch is fully replayed, so a group observed behind it
@@ -352,7 +341,6 @@ proptest! {
         num_txns in 50usize..250,
         epoch_size in 1usize..64,
         num_groups in 1usize..5,
-        depth in 0usize..4,
     ) {
         let w = tpcc::generate(&tpcc::TpccConfig {
             num_txns,
@@ -363,7 +351,7 @@ proptest! {
         let n = w.num_tables();
         let grouping = round_robin_grouping(n, num_groups.min(n), &w.analytic_tables);
         let ng = grouping.num_groups();
-        let eng = AetsEngine::builder(grouping).config(AetsConfig { threads: 2, pipeline_depth: depth, ..Default::default() }).build()
+        let eng = AetsEngine::builder(grouping).config(AetsConfig { threads: 2, ..Default::default() }).build()
         .unwrap();
 
         let db = MemDb::new(n);

@@ -6,8 +6,7 @@
 
 use aets_suite::memtable::MemDb;
 use aets_suite::replay::{
-    run_realtime, AetsConfig, AetsEngine, ReplayEngine, ReplayMetrics, RunnerConfig, TableGrouping,
-    Workload,
+    run_realtime, AetsConfig, AetsEngine, ReplayEngine, RunnerConfig, TableGrouping, Workload,
 };
 use aets_suite::telemetry::{names, parse_exposition, EventKind, Telemetry};
 use aets_suite::wal::{batch_into_epochs, encode_epoch, ReplicationTimeline};
@@ -82,11 +81,36 @@ fn short_paced_replay_emits_parseable_consistent_telemetry() {
         "a replay that moved bytes must publish a nonzero ingest rate"
     );
 
-    // A snapshot projects back into a ReplayMetrics with the same counts.
-    let projected = ReplayMetrics::project(&snap);
-    assert_eq!(projected.txns, outcome.metrics.txns);
-    assert_eq!(projected.entries, outcome.metrics.entries);
-    assert_eq!(projected.epochs, epochs.len());
+    let m = &outcome.metrics;
+    assert_eq!(m.epochs, epochs.len());
+    assert_eq!(snap.counter_total(names::CELL_RECYCLED), m.cell_buffers_recycled);
+    assert_eq!(snap.counter_total(names::CELL_ALLOCATED), m.cell_buffers_allocated);
+    assert!(m.cell_buffers_recycled + m.cell_buffers_allocated > 0, "phase 1 takes cell buffers");
+    assert_eq!(snap.counter_total(names::INGEST_RETRIES), m.ingest_retries);
+    assert_eq!(snap.counter_total(names::CHECKSUM_FAILURES), m.checksum_failures);
+    assert_eq!(snap.counter_total(names::EPOCH_GAPS), m.epoch_gaps);
+    assert_eq!(snap.counter_total(names::INGEST_STALLS), m.ingest_stalls);
+    assert_eq!(snap.counter_total(names::ADAPT_REGROUPS), m.regroups_applied);
+    assert_eq!(snap.counter_total(names::ADAPT_RESPLITS), m.resplits_applied);
+    assert_eq!(snap.counter_total(names::ADAPT_REJECTED), m.reconf_rejected);
+    // Busy times reach the registry in whole microseconds once per call
+    // (one call per epoch here), so each total may trail the summed
+    // `Duration`s by under a microsecond per epoch and never leads them.
+    let hist_sum = |name: &str| snap.histogram_summary_all(name).map_or(0, |h| h.sum_us);
+    for (what, registry_us, run) in [
+        ("dispatch", hist_sum(names::DISPATCH_US), m.dispatch_busy),
+        ("replay", snap.counter_total(names::REPLAY_BUSY_US), m.replay_busy),
+        ("commit", snap.counter_total(names::COMMIT_BUSY_US), m.commit_busy),
+        ("stage 1", hist_sum(names::STAGE1_US), m.stage1_wall),
+        ("stage 2", hist_sum(names::STAGE2_US), m.stage2_wall),
+    ] {
+        let run_us = run.as_micros() as u64;
+        assert!(
+            registry_us <= run_us && run_us - registry_us <= epochs.len() as u64,
+            "{what}: registry {registry_us} us vs run {run_us} us"
+        );
+    }
+    assert!(m.replay_busy > std::time::Duration::ZERO, "replay must have been busy");
 
     // ---- Freshness was sampled on the primary clock. ------------------
     let lag = snap.histogram_summary_all(names::VISIBILITY_LAG_US).expect("lag histogram");
@@ -546,7 +570,7 @@ fn forced_quarantine_dumps_a_parseable_flight_bundle() {
     for e in &epochs {
         node.ingest(e).expect("ingest");
     }
-    assert!(node.metrics().degraded(), "the poisoned group must quarantine");
+    assert!(!node.engine().quarantined_groups().is_empty(), "the poisoned group must quarantine");
     assert!(tel.spans().anomalous(), "the quarantine must latch always-sample");
 
     let bundles = list_bundles(&flight_dir).expect("flight dir listing");
