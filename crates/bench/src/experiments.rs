@@ -1,5 +1,6 @@
 //! One function per paper table/figure. Each prints the same rows/series
-//! the paper reports and writes a JSON blob under `results/`.
+//! the paper reports and, at full scale, writes a JSON blob under
+//! `results/`.
 
 use crate::json;
 use crate::{
@@ -16,6 +17,9 @@ use aets_workloads::bustracker;
 /// Scale knobs for one full run.
 #[derive(Debug, Clone, Copy)]
 pub struct Scale {
+    /// Whether this is the scale the tracked `results/` quote; only such
+    /// a run writes there.
+    pub full: bool,
     /// Transactions per throughput/visibility workload.
     pub txns: usize,
     /// Forecasting series length (slots).
@@ -27,12 +31,17 @@ pub struct Scale {
 impl Scale {
     /// Paper-faithful scale (minutes of runtime).
     pub fn full() -> Self {
-        Self { txns: 40_000, series_slots: 420, dtgm_epochs: 70 }
+        Self { full: true, txns: 40_000, series_slots: 420, dtgm_epochs: 70 }
     }
 
     /// Quick smoke scale (seconds of runtime).
     pub fn fast() -> Self {
-        Self { txns: 6_000, series_slots: 160, dtgm_epochs: 30 }
+        Self { full: false, txns: 6_000, series_slots: 160, dtgm_epochs: 30 }
+    }
+
+    /// A bench size stated at full scale, shrunk in proportion to `txns`.
+    pub fn of(&self, full_size: usize) -> usize {
+        (full_size * self.txns / Self::full().txns).max(1)
     }
 }
 
@@ -97,11 +106,11 @@ pub fn table1(scale: Scale) {
         }
     }
     println!("{}", t.render());
-    write_json("table1", &blobs);
+    write_json(scale, "table1", &blobs);
 }
 
 /// Figure 7: BusTracker access rates of three typical tables.
-pub fn fig7(_scale: Scale) {
+pub fn fig7(scale: Scale) {
     println!("== Figure 7: BusTracker table access rate over time ==");
     let tables = [0usize, 1, 2]; // one per regime: sinusoid / shift / peaks
     let mut t = TextTable::new(&["slot", "m.trip", "m.calendar", "m.estimate"]);
@@ -120,13 +129,13 @@ pub fn fig7(_scale: Scale) {
     }
     println!("{}", t.render());
     write_json(
+        scale,
         "fig7",
         &json!({ "tables": ["m.trip", "m.calendar", "m.estimate"], "series": series }),
     );
 }
 
-fn perf_panels(name: &str, bench: &Bench, scale_txns: usize) {
-    let _ = scale_txns;
+fn perf_panels(name: &str, bench: &Bench, scale: Scale) {
     // 0.50 keeps even the slowest engine (C5, ~1.8x AETS per-entry cost)
     // below saturation during paced visibility runs.
     let cost = bench.calibrated_cost(THREADS, 0.50);
@@ -202,6 +211,7 @@ fn perf_panels(name: &str, bench: &Bench, scale_txns: usize) {
         println!("   ATR/AETS mean delay ratio: {:.2}x (paper: ~1.3x)\n", atr_mean / aets_mean);
     }
     write_json(
+        scale,
         &format!("fig{name}"),
         &json!({ "throughput": blob_tput, "replay_time": blob_time, "delay": blob_delay }),
     );
@@ -211,14 +221,14 @@ fn perf_panels(name: &str, bench: &Bench, scale_txns: usize) {
 pub fn fig8(scale: Scale) {
     println!("== Figure 8: TPC-C @ 32 threads ==");
     let bench = tpcc_bench(scale.txns);
-    perf_panels("8", &bench, scale.txns);
+    perf_panels("8", &bench, scale);
 }
 
 /// Figure 9: BusTracker performance comparison at 32 threads.
 pub fn fig9(scale: Scale) {
     println!("== Figure 9: BusTracker @ 32 threads ==");
     let bench = bustracker_bench(scale.txns, 35);
-    perf_panels("9", &bench, scale.txns);
+    perf_panels("9", &bench, scale);
 }
 
 /// Figure 10: CH-benCHmark per-query visibility delay.
@@ -251,7 +261,7 @@ pub fn fig10(scale: Scale) {
         table.row(r);
     }
     println!("{}", table.render());
-    write_json("fig10", &per_engine);
+    write_json(scale, "fig10", &per_engine);
 }
 
 /// Figure 11: multi-core scalability (normalized to single-thread ATR).
@@ -277,7 +287,7 @@ pub fn fig11(scale: Scale) {
         blob.push(json!({ "threads": th, "atr": row[0], "c5": row[1], "aets": row[2] }));
     }
     println!("{}", t.render());
-    write_json("fig11", &blob);
+    write_json(scale, "fig11", &blob);
 }
 
 /// Table II: time breakdown of AETS (dispatch / replay / commit).
@@ -304,7 +314,7 @@ pub fn table2(scale: Scale) {
         blob.push(json!({ "dataset": name, "dispatch": d, "replay": r, "commit": c }));
     }
     println!("{}", t.render());
-    write_json("table2", &blob);
+    write_json(scale, "table2", &blob);
 }
 
 /// Figure 12: effect of epoch size on visibility delay.
@@ -324,7 +334,7 @@ pub fn fig12(scale: Scale) {
         blob.push(json!({ "epoch_size": sz, "mean_us": stats.mean() }));
     }
     println!("{}", t.render());
-    write_json("fig12", &blob);
+    write_json(scale, "fig12", &blob);
 }
 
 /// Builds per-epoch group-rate providers for Figure 13.
@@ -464,7 +474,7 @@ pub fn fig13(scale: Scale) {
         ms(avg(&series[1])),
         ms(avg(&series[2]))
     );
-    write_json("fig13", &blob);
+    write_json(scale, "fig13", &blob);
 }
 
 /// Trains the Table III model set and returns `(name, mape@15/30/60)`.
@@ -512,7 +522,7 @@ pub fn table3(scale: Scale) {
         blob.push(json!({ "model": m.name(), "mape": errs }));
     }
     println!("{}", t.render());
-    write_json("table3", &blob);
+    write_json(scale, "table3", &blob);
 }
 
 /// Table IV: DTGM vs its no-GCN ablation.
@@ -544,7 +554,7 @@ pub fn table4(scale: Scale) {
         blob.push(json!({ "model": m.name(), "mape": e }));
     }
     println!("{}", t.render());
-    write_json("table4", &blob);
+    write_json(scale, "table4", &blob);
 }
 
 /// Figure 14: hidden-dimension hyper-parameter sweep.
@@ -577,7 +587,7 @@ pub fn fig14(scale: Scale) {
         blob.push(json!({ "hidden": d, "mape": e }));
     }
     println!("{}", t.render());
-    write_json("fig14", &blob);
+    write_json(scale, "fig14", &blob);
 }
 
 /// Cross-engine correctness validation on the real threaded engines:
@@ -592,12 +602,7 @@ pub fn validate(scale: Scale) {
         ("BusTracker", bustracker_bench(txns, 35)),
         ("CH-benCHmark", chbench_bench(txns)),
     ] {
-        let epochs: Vec<aets_wal::EncodedEpoch> =
-            aets_wal::batch_into_epochs(bench.workload.txns.clone(), 1024)
-                .expect("valid epoch size")
-                .iter()
-                .map(aets_wal::encode_epoch)
-                .collect();
+        let epochs = bench.encode(1024);
         let n = bench.workload.num_tables();
         let oracle = MemDb::new(n);
         SerialEngine.replay_all(&epochs, &oracle).expect("serial replay");

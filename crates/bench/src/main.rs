@@ -1,61 +1,16 @@
-//! `repro` — regenerates every table and figure of the AETS paper.
+//! `repro` — regenerates every table and figure of the AETS paper and
+//! runs the first-party benches.
 //!
 //! ```text
-//! repro [--fast] <experiment>...
-//! repro all            # everything, paper scale
-//! repro --fast all     # smoke scale (seconds)
-//! repro fig8 table3    # selected experiments
+//! repro all                     # every experiment, paper scale
+//! repro --fast all              # smoke scale (seconds); writes nothing
+//! repro fig8 table3             # selected experiments
+//! repro bench all               # every bench; writes results/BENCH_*.json
+//! repro --fast bench ingest     # one bench at smoke scale
+//! repro bench telemetry --gate  # non-zero exit on a missed target
 //! ```
-
-use aets_bench::experiments::{self, Scale};
-
-/// One experiment: its CLI name and entry point.
-type Experiment = (&'static str, fn(Scale));
-
-const EXPERIMENTS: &[Experiment] = &[
-    ("table1", experiments::table1),
-    ("fig7", experiments::fig7),
-    ("fig8", experiments::fig8),
-    ("fig9", experiments::fig9),
-    ("fig10", experiments::fig10),
-    ("fig11", experiments::fig11),
-    ("table2", experiments::table2),
-    ("fig12", experiments::fig12),
-    ("fig13", experiments::fig13),
-    ("table3", experiments::table3),
-    ("table4", experiments::table4),
-    ("fig14", experiments::fig14),
-    ("validate", experiments::validate),
-];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let scale = if fast { Scale::fast() } else { Scale::full() };
-    let selected: Vec<&str> =
-        args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
-
-    if selected.is_empty() {
-        eprintln!("usage: repro [--fast] <experiment|all>...");
-        eprintln!("experiments:");
-        for (name, _) in EXPERIMENTS {
-            eprintln!("  {name}");
-        }
-        std::process::exit(2);
-    }
-
-    let run_all = selected.contains(&"all");
-    let mut matched = false;
-    for (name, f) in EXPERIMENTS {
-        if run_all || selected.iter().any(|s| s == name) {
-            matched = true;
-            let t0 = std::time::Instant::now();
-            f(scale);
-            println!("[{name} done in {:.1?}]\n", t0.elapsed());
-        }
-    }
-    if !matched {
-        eprintln!("no experiment matched {selected:?}");
-        std::process::exit(2);
-    }
+    std::process::exit(aets_bench::cli::run(&args));
 }

@@ -133,20 +133,16 @@ impl FleetAnswer {
     }
 }
 
-/// Aggregate supervision counters (plain numbers for tests; the same
-/// figures land in telemetry).
+/// Supervision counts with no home in the telemetry registry: what the
+/// fault plan injected and what the shard queues moved. Failovers and
+/// missed heartbeats are registry counters (`names::FLEET_FAILOVERS`,
+/// `names::FLEET_HEARTBEATS_MISSED`); ticks are [`Fleet::now`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetMetrics {
-    /// Supervisor ticks run.
-    pub ticks: u64,
-    /// Failovers completed (bootstrap + rejoin).
-    pub failovers: u64,
     /// Shard crashes injected by the fault plan.
     pub crashes_injected: u64,
     /// Shard hangs injected by the fault plan.
     pub hangs_injected: u64,
-    /// Heartbeats the coordinator counted as missed.
-    pub heartbeats_missed: u64,
     /// Epochs accepted into shard queues (per shard delivery counted once
     /// per source epoch).
     pub epochs_enqueued: u64,
@@ -382,7 +378,6 @@ impl Fleet {
     pub fn tick(&mut self) -> Result<()> {
         self.tick += 1;
         let now = self.tick;
-        self.metrics.ticks += 1;
         let n = self.shards.len();
 
         // Phase 1: scheduled faults.
@@ -434,7 +429,6 @@ impl Fleet {
                 shard.missed = 0;
             } else {
                 shard.missed += 1;
-                self.metrics.heartbeats_missed += 1;
                 self.stats.heartbeats_missed.inc();
                 self.telemetry
                     .event(EventKind::ShardHeartbeatMissed { shard: s, missed: shard.missed });
@@ -491,7 +485,6 @@ impl Fleet {
         let shard = &mut self.shards[s];
         shard.missed = 0;
         shard.reported = shard.reported.max(shard.local_watermark());
-        self.metrics.failovers += 1;
         self.stats.failovers.inc();
         self.telemetry.event(EventKind::ShardFailover { shard: s, intervals_down, suffix_epochs });
         Ok(())
@@ -792,6 +785,17 @@ mod tests {
         dir
     }
 
+    /// Options whose fleet reports into a live registry: failovers are
+    /// counted there and nowhere else.
+    fn counted(opts: FleetOptions) -> FleetOptions {
+        let tel = Arc::new(Telemetry::new());
+        FleetOptions { service: ServiceOptions::builder().telemetry(tel).build(), ..opts }
+    }
+
+    fn failovers(fleet: &Fleet) -> u64 {
+        fleet.telemetry().snapshot().counter_total(names::FLEET_FAILOVERS)
+    }
+
     fn count_all(fleet: &Fleet, qts: Timestamp) -> Vec<usize> {
         let specs: Vec<QuerySpec> = (0..4).map(|t| QuerySpec::count(TableId::new(t))).collect();
         let ans = fleet.query(qts, &specs, DegradedPolicy::Refuse).expect("query");
@@ -808,7 +812,7 @@ mod tests {
     #[test]
     fn fleet_replays_and_routes_without_faults() {
         let mut fleet =
-            Fleet::open(plan(), scratch("clean"), FleetOptions::default()).expect("open");
+            Fleet::open(plan(), scratch("clean"), counted(FleetOptions::default())).expect("open");
         let epochs = stream();
         let target = epochs.last().expect("nonempty").max_commit_ts();
         for e in &epochs {
@@ -817,7 +821,7 @@ mod tests {
         let ticks = fleet.run_until_fresh(target, 64).expect("drain");
         assert!(ticks >= 2, "two shards at batch 4 need at least 2 ticks for 8 epochs");
         assert_eq!(fleet.global_cmt_ts(), target);
-        assert_eq!(fleet.metrics().failovers, 0);
+        assert_eq!(failovers(&fleet), 0);
         // Each epoch writes 2 entries over tables (i, i+1) % 4 with key i:
         // every table ends up with exactly 4 distinct keys.
         assert_eq!(count_all(&fleet, target), vec![4, 4, 4, 4]);
@@ -825,7 +829,7 @@ mod tests {
 
     #[test]
     fn killed_shard_fails_over_and_rejoins_within_bound() {
-        let opts = FleetOptions { failover_after: 2, ..Default::default() };
+        let opts = counted(FleetOptions { failover_after: 2, ..Default::default() });
         let mut fleet = Fleet::open(plan(), scratch("failover"), opts).expect("open");
         let epochs = stream();
         let target = epochs.last().expect("nonempty").max_commit_ts();
@@ -845,7 +849,7 @@ mod tests {
         assert_eq!(fleet.global_cmt_ts(), before, "down shard must freeze the fleet watermark");
         // Second miss hits the threshold: failover runs in this tick.
         fleet.tick().expect("tick");
-        assert_eq!(fleet.metrics().failovers, 1);
+        assert_eq!(failovers(&fleet), 1);
         assert_eq!(fleet.health()[1], ShardHealth::Healthy);
         // Bootstrap came from shipped state, not a cold full replay.
         let rec = fleet.shard(1).recovery().expect("rebooted");
@@ -886,7 +890,7 @@ mod tests {
 
     #[test]
     fn sessions_follow_failover_repins() {
-        let opts = FleetOptions { failover_after: 1, ..Default::default() };
+        let opts = counted(FleetOptions { failover_after: 1, ..Default::default() });
         let mut fleet = Fleet::open(plan(), scratch("repin"), opts).expect("open");
         let epochs = stream();
         let target = epochs.last().expect("nonempty").max_commit_ts();
@@ -902,7 +906,7 @@ mod tests {
 
         fleet.kill_shard(1);
         fleet.tick().expect("failover tick");
-        assert_eq!(fleet.metrics().failovers, 1);
+        assert_eq!(failovers(&fleet), 1);
         // The replacement's *fresh* floor carries the pin already.
         let floor_after = fleet.shard(1).backup().expect("rebooted").floor().floor();
         assert_eq!(floor_after, pinned, "session pin must survive the failover");

@@ -308,11 +308,7 @@ impl DurableBackup {
         // replaying it, so each group publish records its within-epoch
         // commit lag against the freshest known primary timestamp.
         self.primary_watermark.fetch_max(epoch.max_commit_ts.as_micros(), Ordering::Relaxed);
-        let m = self.engine.replay(std::slice::from_ref(epoch), &self.db, &self.board)?;
-        let wall_us = m.wall.as_micros() as u64;
-        if let Some(bps) = m.bytes.saturating_mul(1_000_000).checked_div(wall_us) {
-            self.telemetry.registry().gauge(names::INGEST_BYTES_PER_SEC).set(bps);
-        }
+        self.engine.replay(std::slice::from_ref(epoch), &self.db, &self.board)?;
         self.next_seq = epoch.id.raw() + 1;
         if let Some(ctl) = &mut self.controller {
             // A planning error (e.g. a degenerate clustering) keeps the

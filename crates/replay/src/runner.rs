@@ -103,12 +103,6 @@ pub struct RunnerConfig {
     /// Has effect only when the engine carries an enabled telemetry
     /// instance (built via `AetsEngine::builder().telemetry(..)`).
     pub telemetry_every: usize,
-    /// Worker threads of the node's query pool (the runner's own
-    /// visibility waits run on the issuing threads, so the pool only
-    /// serves explicitly submitted [`crate::service::QuerySpec`]s).
-    pub query_workers: usize,
-    /// Admission-queue depth of the node.
-    pub queue_depth: usize,
 }
 
 impl Default for RunnerConfig {
@@ -118,8 +112,6 @@ impl Default for RunnerConfig {
             query_timeout: Duration::from_secs(30),
             gc_every: 64,
             telemetry_every: 0,
-            query_workers: 2,
-            queue_depth: 64,
         }
     }
 }
@@ -158,9 +150,10 @@ pub fn run_realtime(
         .engine(engine.clone())
         .db(db.clone())
         .clock(clock)
+        // The runner's visibility waits run on the issuing threads and it
+        // submits no spec, so the node's pool stays at a fixed minimum.
         .options(NodeOptions {
-            query_workers: cfg.query_workers,
-            queue_depth: cfg.queue_depth,
+            query_workers: 2,
             default_timeout: cfg.query_timeout,
             ..Default::default()
         })

@@ -21,11 +21,13 @@
 //! calibrated against the zero-copy codec: `Text`/`Bytes` values are
 //! shared slices of the epoch buffer, so decoding no longer pays a heap
 //! copy per value and all three dropped by the same ~15 % relative to
-//! the original owned-`String` codec (the criterion `codec` benches in
-//! `results/BENCH_pipeline.json` are the measured source). The metadata
-//! scan was already copy-free, so `meta_parse` is unchanged.
+//! the original owned-`String` codec (the `codec/*` rows recorded in
+//! `results/BENCH_pipeline.json` are the measured source; `repro bench
+//! micro` times the same kernels today). The metadata scan was already
+//! copy-free, so `meta_parse` is unchanged.
 //!
-//! The raw-speed ingest campaign (`results/BENCH_ingest.json`) shaved
+//! The raw-speed ingest campaign (`repro bench ingest`,
+//! `results/BENCH_ingest.json`) shaved
 //! the hot path again: one-pass batched decode with a reused scratch
 //! vector cut per-record decode by ~10 %, so `translate` drops in step,
 //! and replacing the mutexed commit-slot protocol with the lock-free

@@ -16,8 +16,8 @@
 //! Everything hangs off one [`Telemetry`] instance, shared via `Arc`
 //! between the engine, the visibility board, the realtime runner, and the
 //! durable backup. A [`Telemetry::disabled`] instance turns every record
-//! operation into a single relaxed atomic load, which is what the
-//! telemetry-on/off overhead benchmark compares against
+//! operation into a single relaxed atomic load, which is what
+//! `repro bench telemetry` compares against
 //! (`results/BENCH_observability.json`).
 //!
 //! No external dependencies (`parking_lot` is the in-repo vendored shim),

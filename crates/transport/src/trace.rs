@@ -394,21 +394,12 @@ impl TraceReport {
     }
 }
 
-/// What a trace replays *into*: something that can ingest an epoch and
-/// answer a recorded query at a snapshot timestamp.
-pub trait TraceSink {
+/// What a trace replays *into*: a [`QueryTarget`] (recorded queries run
+/// through `query_one`, the final watermark is `safe_ts`) that can also
+/// ingest an epoch.
+pub trait TraceSink: QueryTarget {
     /// Ingests one epoch (in recorded order).
     fn ingest(&mut self, epoch: &EncodedEpoch) -> Result<()>;
-    /// Executes a recorded query at snapshot `qts`.
-    fn query(
-        &mut self,
-        qts: Timestamp,
-        table: TableId,
-        key_range: Option<(RowKey, RowKey)>,
-        output: &OutputKind,
-    ) -> Result<QueryOutput>;
-    /// The sink's current `global_cmt_ts` (micros).
-    fn global_cmt_ts_us(&self) -> u64;
 }
 
 /// The built-in sink: serial replay into a fresh [`MemDb`] +
@@ -449,27 +440,6 @@ impl QueryTarget for EngineSink {
 impl TraceSink for EngineSink {
     fn ingest(&mut self, epoch: &EncodedEpoch) -> Result<()> {
         SerialEngine.replay(std::slice::from_ref(epoch), &self.db, &self.board).map(|_| ())
-    }
-
-    fn query(
-        &mut self,
-        qts: Timestamp,
-        table: TableId,
-        key_range: Option<(RowKey, RowKey)>,
-        output: &OutputKind,
-    ) -> Result<QueryOutput> {
-        let spec = QuerySpec {
-            table,
-            key_range,
-            filters: Vec::new(),
-            output: output.clone(),
-            timeout: None,
-        };
-        self.query_one(qts, spec)
-    }
-
-    fn global_cmt_ts_us(&self) -> u64 {
-        self.safe_ts().as_micros()
     }
 }
 
@@ -560,7 +530,7 @@ impl TraceReplayer {
                 }
             }
         }
-        report.final_global_cmt_ts_us = sink.global_cmt_ts_us();
+        report.final_global_cmt_ts_us = sink.safe_ts().as_micros();
         Ok(report)
     }
 
@@ -582,9 +552,14 @@ impl TraceReplayer {
                 report.epochs += 1;
             }
             TraceEvent::Query { qts_us, table, key_range, output, result, .. } => {
-                let kind = parse_output_kind(output)?;
-                let kr = key_range.map(|(lo, hi)| (RowKey::new(lo), RowKey::new(hi)));
-                let got = sink.query(Timestamp::from_micros(*qts_us), *table, kr, &kind)?;
+                let spec = QuerySpec {
+                    table: *table,
+                    key_range: key_range.map(|(lo, hi)| (RowKey::new(lo), RowKey::new(hi))),
+                    filters: Vec::new(),
+                    output: parse_output_kind(output)?,
+                    timeout: None,
+                };
+                let got = sink.query_one(Timestamp::from_micros(*qts_us), spec)?;
                 let rendered = render_result(&got);
                 let idx = report.queries;
                 report.queries += 1;
@@ -638,7 +613,7 @@ mod tests {
             // A query after every other epoch, at the live watermark.
             if i % 2 == 1 {
                 at += 10;
-                let qts = Timestamp::from_micros(live.global_cmt_ts_us());
+                let qts = live.safe_ts();
                 for spec in [
                     QuerySpec::count(TableId::new((i % n) as u32)),
                     QuerySpec::rows(TableId::new((i % n) as u32))
@@ -649,7 +624,7 @@ mod tests {
                         Aggregate::Sum,
                     ),
                 ] {
-                    let out = live.query(qts, spec.table, spec.key_range, &spec.output).unwrap();
+                    let out = live.query_one(qts, spec.clone()).unwrap();
                     rec.record_query(at, qts, &spec, &out).unwrap();
                 }
             }
@@ -695,23 +670,22 @@ mod tests {
 
         // A sink with a table missing diverges (its scans return empty).
         struct LossySink(EngineSink);
+        impl QueryTarget for LossySink {
+            fn safe_ts(&self) -> Timestamp {
+                self.0.safe_ts()
+            }
+            fn query_at(&self, qts: Timestamp, specs: &[QuerySpec]) -> Result<Vec<QueryOutput>> {
+                // Misroute every query to table 0: wrong snapshots.
+                let misrouted: Vec<QuerySpec> = specs
+                    .iter()
+                    .map(|s| QuerySpec { table: TableId::new(0), ..s.clone() })
+                    .collect();
+                self.0.query_at(qts, &misrouted)
+            }
+        }
         impl TraceSink for LossySink {
             fn ingest(&mut self, epoch: &EncodedEpoch) -> Result<()> {
                 self.0.ingest(epoch)
-            }
-            fn query(
-                &mut self,
-                qts: Timestamp,
-                table: TableId,
-                kr: Option<(RowKey, RowKey)>,
-                output: &OutputKind,
-            ) -> Result<QueryOutput> {
-                // Misroute every query to table 0: wrong snapshots.
-                let _ = table;
-                self.0.query(qts, TableId::new(0), kr, output)
-            }
-            fn global_cmt_ts_us(&self) -> u64 {
-                self.0.global_cmt_ts_us()
             }
         }
         let replayer = TraceReplayer::open(&path).unwrap();

@@ -13,9 +13,13 @@
 use aets_suite::common::TableId;
 use aets_suite::fleet::{DegradedPolicy, Fleet, FleetOptions, RoutedPart, ShardPlan};
 use aets_suite::memtable::{MemDb, Scan};
-use aets_suite::replay::{QueryOutput, QuerySpec, ReplayEngine, SerialEngine, TableGrouping};
+use aets_suite::replay::{
+    QueryOutput, QuerySpec, ReplayEngine, SerialEngine, ServiceOptions, TableGrouping,
+};
+use aets_suite::telemetry::{names, Telemetry};
 use aets_suite::wal::{batch_into_epochs, encode_epoch, EncodedEpoch};
 use aets_suite::workloads::tpcc::{self, TpccConfig};
+use std::sync::Arc;
 
 fn main() {
     // ---- Fixture: TPC-C stream + single-node serial oracle. -----------
@@ -38,7 +42,12 @@ fn main() {
     }
     let root = std::env::temp_dir().join(format!("aets-fleet-demo-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let opts = FleetOptions { failover_after: 2, ..Default::default() };
+    // The supervisor counts failovers and missed heartbeats in the registry.
+    let opts = FleetOptions {
+        failover_after: 2,
+        service: ServiceOptions::builder().telemetry(Arc::new(Telemetry::new())).build(),
+        ..Default::default()
+    };
     let mut fleet = Fleet::open(plan, &root, opts).expect("fleet open");
 
     // ---- Replay the first half, then kill a shard mid-stream. ---------
@@ -63,13 +72,15 @@ fn main() {
     }
     fleet.run_until_fresh(target, 512).expect("second half replay with failover");
 
-    let m = fleet.metrics();
+    let snap = fleet.telemetry().snapshot();
+    let failovers = snap.counter_total(names::FLEET_FAILOVERS);
     println!(
-        "supervisor: {} ticks, {} missed heartbeats, {} failover(s); \
+        "supervisor: {} ticks, {} missed heartbeats, {failovers} failover(s); \
          shard {victim} rebooted from shipped checkpoints + WAL suffix",
-        m.ticks, m.heartbeats_missed, m.failovers
+        fleet.now(),
+        snap.counter_total(names::FLEET_HEARTBEATS_MISSED),
     );
-    assert_eq!(m.failovers, 1, "exactly one induced failover");
+    assert_eq!(failovers, 1, "exactly one induced failover");
 
     // ---- Route a fleet-wide query and check it against the oracle. ----
     let specs: Vec<QuerySpec> =

@@ -18,7 +18,7 @@ use aets_suite::common::{TableId, Timestamp};
 use aets_suite::memtable::MemDb;
 use aets_suite::replay::{
     ingest_epoch, AetsConfig, AetsEngine, DurableBackup, DurableOptions, IngestStats, QuerySpec,
-    ReplayEngine, RetryPolicy, SerialEngine, ServiceOptions, TableGrouping,
+    QueryTarget, ReplayEngine, RetryPolicy, SerialEngine, ServiceOptions, TableGrouping,
 };
 use aets_suite::telemetry::{http_get, names, parse_exposition, Telemetry};
 use aets_suite::transport::{
@@ -109,10 +109,9 @@ fn main() {
             probe.ingest(&epoch).expect("probe ingest");
             recorder.record_epoch(seq, &epoch).expect("record epoch");
             if seq % 8 == 7 {
-                let qts = Timestamp::from_micros(probe.global_cmt_ts_us());
+                let qts = probe.safe_ts();
                 let spec = QuerySpec::count(TableId::new((seq % num_tables as u64) as u32));
-                let out =
-                    probe.query(qts, spec.table, spec.key_range, &spec.output).expect("probe");
+                let out = probe.query_one(qts, spec.clone()).expect("probe");
                 recorder.record_query(seq, qts, &spec, &out).expect("record query");
             }
             seq += 1;

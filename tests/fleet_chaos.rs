@@ -23,12 +23,14 @@ use aets_suite::fleet::{
 };
 use aets_suite::memtable::MemDb;
 use aets_suite::replay::{
-    eval_spec, QueryOutput, QuerySpec, QueryTarget, ReplayEngine, SerialEngine, TableGrouping,
+    eval_spec, QueryOutput, QuerySpec, QueryTarget, ReplayEngine, SerialEngine, ServiceOptions,
+    TableGrouping,
 };
+use aets_suite::telemetry::{names, Telemetry};
 use aets_suite::wal::{batch_into_epochs, encode_epoch, EncodedEpoch, Epoch};
 use aets_suite::workloads::tpcc;
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 const NUM_SHARDS: usize = 3;
 const FAILOVER_AFTER: u32 = 2;
@@ -78,8 +80,14 @@ fn oracle_answer(oracle: &MemDb, spec: &QuerySpec, qts: Timestamp) -> QueryOutpu
     eval_spec(oracle, spec, qts)
 }
 
+/// Failovers and missed heartbeats are counted in the registry only, so
+/// every chaos fleet reports into a live one.
 fn chaos_opts() -> FleetOptions {
-    let mut opts = FleetOptions { failover_after: FAILOVER_AFTER, ..Default::default() };
+    let mut opts = FleetOptions {
+        failover_after: FAILOVER_AFTER,
+        service: ServiceOptions::builder().telemetry(Arc::new(Telemetry::new())).build(),
+        ..Default::default()
+    };
     // Frequent checkpoints so failovers genuinely exercise the
     // checkpoint-shipping bootstrap (not a cold full-WAL replay).
     opts.shard.durable.checkpoint_every = 8;
@@ -186,10 +194,12 @@ fn chaos_run(seed: u64) -> u64 {
     }
 
     let m = fleet.metrics();
+    let snap = fleet.telemetry().snapshot();
+    let failovers = snap.counter_total(names::FLEET_FAILOVERS);
     // Failovers bootstrap from shipped state: a replacement must restore
     // a checkpoint and/or replay a bounded WAL suffix — never re-replay
     // the whole history from scratch.
-    if m.failovers > 0 {
+    if failovers > 0 {
         let restored = (0..NUM_SHARDS)
             .filter_map(|s| fleet.shard(s).recovery())
             .any(|r| r.restored_seq.is_some() || r.suffix_epochs > 0);
@@ -207,14 +217,14 @@ fn chaos_run(seed: u64) -> u64 {
     }
     eprintln!(
         "seed {seed:#x}: ticks={} failovers={} crashes={} hangs={} heartbeats_missed={} acked={}",
-        m.ticks,
-        m.failovers,
+        fleet.now(),
+        failovers,
         m.crashes_injected,
         m.hangs_injected,
-        m.heartbeats_missed,
+        snap.counter_total(names::FLEET_HEARTBEATS_MISSED),
         m.epochs_acked
     );
-    m.failovers
+    failovers
 }
 
 fn seeds() -> Vec<u64> {
@@ -257,8 +267,8 @@ fn crash_storm_converges() {
         assert!(fleet.global_cmt_ts() >= prev);
         prev = fleet.global_cmt_ts();
     }
-    let m = fleet.metrics();
-    assert!(m.crashes_injected > 0 && m.failovers > 0, "storm schedule must bite");
+    let failovers = fleet.telemetry().snapshot().counter_total(names::FLEET_FAILOVERS);
+    assert!(fleet.metrics().crashes_injected > 0 && failovers > 0, "storm schedule must bite");
 
     let mut settle = 0u64;
     while !fleet.health().iter().all(|h| h.routable()) {

@@ -26,7 +26,7 @@ use aets_suite::common::{TableId, Timestamp};
 use aets_suite::memtable::MemDb;
 use aets_suite::replay::{
     ingest_epoch, AetsConfig, AetsEngine, DurableBackup, DurableOptions, IngestStats, QuerySpec,
-    ReplayEngine, RetryPolicy, SerialEngine, TableGrouping,
+    QueryTarget, ReplayEngine, RetryPolicy, SerialEngine, TableGrouping,
 };
 use aets_suite::telemetry::{names, Telemetry};
 use aets_suite::transport::{
@@ -591,9 +591,9 @@ fn net_delivered_stream_traces_and_replays_byte_identically() {
         if seq % 2 == 1 {
             // A live analytical probe at the current watermark, recorded
             // with its result.
-            let qts = Timestamp::from_micros(sink.global_cmt_ts_us());
+            let qts = sink.safe_ts();
             let spec = QuerySpec::count(TableId::new((seq % fx.num_tables as u64) as u32));
-            let out = sink.query(qts, spec.table, spec.key_range, &spec.output).unwrap();
+            let out = sink.query_one(qts, spec.clone()).unwrap();
             recorder.record_query(seq, qts, &spec, &out).unwrap();
         }
     }

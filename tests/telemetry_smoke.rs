@@ -728,7 +728,6 @@ fn fleet_run_emits_shard_health_failover_and_latency_metrics() {
         fleet.enqueue(e);
     }
     fleet.run_until_fresh(target, 256).expect("second half with failover");
-    assert_eq!(fleet.metrics().failovers, 1);
 
     // One routed query so the latency histogram has a sample.
     let specs: Vec<QuerySpec> =
