@@ -387,7 +387,6 @@ fn paced_run(
             epoch_window: 8,
             min_history: 2,
             model: ForecastModel::Ha { window: 4 },
-            threads: ADAPTIVE_THREADS,
             hot_min_rate: 0.5,
             ..Default::default()
         });

@@ -436,12 +436,8 @@ pub fn fig13(scale: Scale) {
         ("AETS-HA", UrgencyMode::Log, Some(&ha_rates)),
         ("AETS-NOAC", UrgencyMode::Ignore, None),
     ] {
-        let kind = SimEngineKind::TwoPhase(SimAetsConfig {
-            two_stage: true,
-            adaptive: true,
-            urgency,
-            ..Default::default()
-        });
+        let kind =
+            SimEngineKind::TwoPhase(SimAetsConfig { two_stage: true, adaptive: true, urgency });
         let rate_fn = |eidx: usize| -> Vec<f64> {
             match rates {
                 Some(r) => r[epoch_slot[eidx.min(epoch_slot.len() - 1)]].clone(),

@@ -40,8 +40,8 @@ use aets_replay::{
 };
 use aets_telemetry::trace::stages;
 use aets_telemetry::{
-    names, shard_label, Counter, EventKind, FlightRecorder, FlightRecorderConfig, Gauge, HealthFn,
-    HealthReport, Histogram, ObsServer, Telemetry,
+    names, shard_label, Counter, EventKind, Gauge, HealthFn, HealthReport, Histogram, ObsServer,
+    Telemetry,
 };
 use aets_wal::{assemble_txns, Epoch, EpochSource};
 use parking_lot::Mutex;
@@ -63,8 +63,10 @@ pub struct FleetOptions {
     /// Deadline stamped on routed queries that carry none of their own.
     pub query_timeout: Duration,
     /// Consolidated service-layer knobs shared with the query node and
-    /// the durable backup: telemetry handle, observability endpoint,
-    /// flight recorder, and retry policy.
+    /// the durable backup: telemetry handle (disabled when unset — the
+    /// fleet has no engine of its own to borrow one from), observability
+    /// endpoint and flight recorder. The fleet runs no controller of its
+    /// own; set `shard.durable.service.controller` for one per shard.
     pub service: ServiceOptions,
 }
 
@@ -258,37 +260,24 @@ impl Fleet {
             )?);
         }
         let stats = FleetStats::new(&telemetry, plan.num_shards());
-        if let Some(dir) = &opts.service.flight_dir {
-            let recorder = FlightRecorder::create(FlightRecorderConfig::new(dir))
-                .map_err(|e| Error::Io(format!("flight recorder at {}: {e}", dir.display())))?;
-            telemetry.set_flight_recorder(Some(recorder));
-        }
         let health_levels: Arc<Vec<AtomicU64>> = Arc::new(
             (0..plan.num_shards()).map(|_| AtomicU64::new(ShardHealth::Healthy.level())).collect(),
         );
-        let obs = match opts.service.obs_addr.as_deref() {
-            Some(addr) => {
-                let levels = health_levels.clone();
-                let health: HealthFn = Arc::new(move || {
-                    let bad: Vec<usize> = levels
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, l)| l.load(Ordering::Relaxed) <= ShardHealth::Hung.level())
-                        .map(|(s, _)| s)
-                        .collect();
-                    if bad.is_empty() {
-                        HealthReport::ok()
-                    } else {
-                        HealthReport::degraded(bad, "shard(s) down or hung")
-                    }
-                });
-                Some(
-                    ObsServer::bind(addr, telemetry.clone(), health)
-                        .map_err(|e| Error::Io(format!("bind obs endpoint {addr}: {e}")))?,
-                )
+        let levels = health_levels.clone();
+        let health: HealthFn = Arc::new(move || {
+            let bad: Vec<usize> = levels
+                .iter()
+                .enumerate()
+                .filter(|(_, l)| l.load(Ordering::Relaxed) <= ShardHealth::Hung.level())
+                .map(|(s, _)| s)
+                .collect();
+            if bad.is_empty() {
+                HealthReport::ok()
+            } else {
+                HealthReport::degraded(bad, "shard(s) down or hung")
             }
-            None => None,
-        };
+        });
+        let obs = opts.service.mount(&telemetry, health)?;
         Ok(Self {
             plan,
             shards,
@@ -339,6 +328,21 @@ impl Fleet {
         retry: &RetryPolicy,
         max_epochs: usize,
     ) -> Result<usize> {
+        let mut stats = IngestStats::default();
+        let drained = self.drain_source(source, retry, max_epochs, &mut stats);
+        // Whatever the outcome: a drain that failed is the one whose
+        // delivery faults an operator most wants counted.
+        stats.record(self.telemetry.registry());
+        drained
+    }
+
+    fn drain_source(
+        &mut self,
+        source: &mut dyn EpochSource,
+        retry: &RetryPolicy,
+        max_epochs: usize,
+        stats: &mut IngestStats,
+    ) -> Result<usize> {
         let first = source.first_seq();
         let end = first + source.num_epochs() as u64;
         if self.next_source_seq < first {
@@ -347,14 +351,14 @@ impl Fleet {
         let mut drained = 0usize;
         let mut records = Vec::new();
         while drained < max_epochs && self.next_source_seq < end {
-            let mut stats = IngestStats::default();
-            let encoded = match ingest_epoch(source, self.next_source_seq, retry, &mut stats) {
+            let mut step = IngestStats::default();
+            let fetched = ingest_epoch(source, self.next_source_seq, retry, &mut step);
+            stats.merge(&step);
+            let encoded = match fetched {
                 Ok(e) => e,
                 // Stalls with clean delivery otherwise = the feed is idle.
                 Err(_)
-                    if stats.stalls > 0
-                        && stats.checksum_failures == 0
-                        && stats.epoch_gaps == 0 =>
+                    if step.stalls > 0 && step.checksum_failures == 0 && step.epoch_gaps == 0 =>
                 {
                     return Ok(drained)
                 }
@@ -608,7 +612,7 @@ impl Fleet {
     }
 
     fn submit_with_retry(&self, session: &ReadSession<'_>, spec: QuerySpec) -> Result<QueryHandle> {
-        let retry = self.opts.service.retry.clone().unwrap_or_default();
+        let retry = RetryPolicy::default();
         let mut attempt = 0u32;
         loop {
             match session.submit(spec.clone()) {
@@ -917,6 +921,36 @@ mod tests {
             Timestamp::MAX,
             "dropping the fleet session releases every shard pin"
         );
+    }
+
+    #[test]
+    fn delivery_faults_of_a_source_drain_reach_the_registry() {
+        use aets_wal::{FaultInjector, FaultKind, FaultPlan};
+
+        let epochs = stream();
+        let encoded: Vec<_> = epochs.iter().map(aets_wal::encode_epoch).collect();
+        // Every epoch faulted on its first delivery, healed on the retry.
+        let kinds = vec![FaultKind::BitFlip, FaultKind::Duplicate, FaultKind::Stall];
+        let mut feed = FaultInjector::new(encoded, FaultPlan::new(0xFEED, 1.0, kinds));
+        let scheduled = |kind| (0..8).filter(|&seq| feed.fault_for(seq) == Some(kind)).count();
+        let (flips, dups, stalls) = (
+            scheduled(FaultKind::BitFlip) as u64,
+            scheduled(FaultKind::Duplicate) as u64,
+            scheduled(FaultKind::Stall) as u64,
+        );
+        assert_eq!(flips + dups + stalls, 8);
+        assert!(flips > 0 && dups > 0 && stalls > 0, "pick a seed that draws every kind");
+
+        let mut fleet =
+            Fleet::open(plan(), scratch("faulty-feed"), counted(FleetOptions::default()))
+                .expect("open");
+        let retry = RetryPolicy { base_backoff_us: 1, ..Default::default() };
+        assert_eq!(fleet.ingest_source(&mut feed, &retry, usize::MAX).expect("drain"), 8);
+        let snap = fleet.telemetry().snapshot();
+        assert_eq!(snap.counter_total(names::INGEST_RETRIES), 8);
+        assert_eq!(snap.counter_total(names::CHECKSUM_FAILURES), flips);
+        assert_eq!(snap.counter_total(names::EPOCH_GAPS), dups);
+        assert_eq!(snap.counter_total(names::INGEST_STALLS), stalls);
     }
 
     #[test]

@@ -31,11 +31,13 @@ pub struct ShardConfig {
     pub node: NodeOptions,
     /// Replay threads per shard engine.
     pub threads: usize,
-    /// Epochs ingested per supervisor tick (the ingest "cycle budget").
-    pub ingest_batch: usize,
-    /// Pending epochs beyond which the shard reports [`ShardHealth::Lagging`].
-    pub lag_threshold: usize,
 }
+
+/// Epochs a shard ingests per supervisor tick (the ingest "cycle budget").
+const INGEST_BATCH: usize = 4;
+
+/// Pending epochs beyond which a shard reports [`ShardHealth::Lagging`].
+const LAG_THRESHOLD: usize = 16;
 
 impl Default for ShardConfig {
     fn default() -> Self {
@@ -43,8 +45,6 @@ impl Default for ShardConfig {
             durable: DurableOptions::default(),
             node: NodeOptions { query_workers: 2, ..Default::default() },
             threads: 2,
-            ingest_batch: 4,
-            lag_threshold: 16,
         }
     }
 }
@@ -191,7 +191,7 @@ impl Shard {
             ShardHealth::Down
         } else if self.is_hung(tick) {
             ShardHealth::Hung
-        } else if self.pending.len() > self.cfg.lag_threshold {
+        } else if self.pending.len() > LAG_THRESHOLD {
             ShardHealth::Lagging
         } else {
             ShardHealth::Healthy
@@ -208,8 +208,8 @@ impl Shard {
         self.pending.len()
     }
 
-    /// Ingests up to the configured batch of pending epochs; an epoch is
-    /// popped only after its ingest acked. Returns epochs acked. Skips
+    /// Ingests up to `INGEST_BATCH` pending epochs; an epoch is popped
+    /// only after its ingest acked. Returns epochs acked. Skips
     /// silently when down or wedged (the supervisor decides what to do
     /// about that).
     pub fn ingest_some(&mut self, tick: u64) -> Result<usize> {
@@ -220,7 +220,7 @@ impl Shard {
             return Ok(0);
         };
         let mut acked = 0;
-        while acked < self.cfg.ingest_batch {
+        while acked < INGEST_BATCH {
             let Some(front) = self.pending.front() else { break };
             backup.ingest(front)?;
             self.pending.pop_front();

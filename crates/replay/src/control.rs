@@ -23,9 +23,9 @@
 //! no thread; the serving loop (`BackupNode::replay`,
 //! `DurableBackup::ingest`) ticks it once per replayed epoch.
 
+use crate::allocate_threads;
 use crate::engines::aets::{Reconfigure, ReconfigureHandle};
 use crate::grouping::TableGrouping;
-use crate::{allocate_threads, UrgencyMode};
 use aets_common::{Error, FxHashSet, Result, TableId};
 use aets_forecast::{ForecastModel, RateTracker};
 use aets_telemetry::{names, table_label, Counter, Gauge, Histogram, Telemetry};
@@ -43,20 +43,9 @@ pub struct ControllerConfig {
     pub min_history: usize,
     /// The online forecasting model.
     pub model: ForecastModel,
-    /// Total replay threads the split is solved over. Must match the
-    /// engine's `AetsConfig::threads` for the pin to mean anything.
-    pub threads: usize,
-    /// Urgency mode of the split solver (Log = paper).
-    pub urgency: UrgencyMode,
-    /// Relative rate distance for the DBSCAN re-clustering.
-    pub eps: f64,
     /// Predicted accesses/sec above which a table is considered hot
     /// (enters a stage-1 group).
     pub hot_min_rate: f64,
-    /// Queue `Regroup` commands when the predicted hot set shifts.
-    pub regroup: bool,
-    /// Queue `SetThreadSplit` pins when predicted rates drift.
-    pub resplit: bool,
     /// Relative per-group rate drift (vs the last planned rates) that
     /// triggers a re-split without a regroup.
     pub resplit_threshold: f64,
@@ -68,16 +57,15 @@ impl Default for ControllerConfig {
             epoch_window: 4,
             min_history: 2,
             model: ForecastModel::default(),
-            threads: 4,
-            urgency: UrgencyMode::Log,
-            eps: 0.3,
             hot_min_rate: 1.0,
-            regroup: true,
-            resplit: true,
             resplit_threshold: 0.25,
         }
     }
 }
+
+/// Relative rate distance of the DBSCAN re-clustering a regroup plans
+/// with.
+const REGROUP_EPS: f64 = 0.3;
 
 /// Telemetry handles of the control loop, cached at construction like
 /// the engine's.
@@ -111,10 +99,11 @@ pub struct AdaptiveController {
 
 impl AdaptiveController {
     /// Builds a controller for an engine: `handle` from
-    /// [`crate::ReplayEngine::reconfigure`], `grouping` the engine's
-    /// current grouping, `telemetry` the instance whose registry the
-    /// serving layer records `aets_table_access_total` into (it must be
-    /// the engine's, or the counters never move).
+    /// [`crate::ReplayEngine::reconfigure`] (it carries the engine's
+    /// thread count and urgency mode, which every split is solved over),
+    /// `grouping` the engine's current grouping, `telemetry` the instance
+    /// whose registry the serving layer records `aets_table_access_total`
+    /// into (it must be the engine's, or the counters never move).
     pub fn new(
         cfg: ControllerConfig,
         handle: ReconfigureHandle,
@@ -123,9 +112,6 @@ impl AdaptiveController {
     ) -> Result<Self> {
         if cfg.epoch_window == 0 {
             return Err(Error::Config("epoch_window must be positive".into()));
-        }
-        if cfg.threads == 0 {
-            return Err(Error::Config("controller needs at least one thread to split".into()));
         }
         let history = match &cfg.model {
             ForecastModel::Ha { window } => (*window).max(cfg.min_history).max(1),
@@ -204,41 +190,37 @@ impl AdaptiveController {
         }
 
         let hot_shifted = self.planned_hot.as_ref() != Some(&hot);
-        if self.cfg.regroup && hot_shifted {
+        if hot_shifted {
             let next = plan_grouping(
                 self.grouping.num_tables(),
                 self.grouping.num_groups(),
                 &hot,
                 predicted,
-                self.cfg.eps,
+                REGROUP_EPS,
             )?;
             let next = Arc::new(next);
             let group_rates = group_rates(&next, predicted);
             self.handle.send(Reconfigure::Regroup((*next).clone()))?;
-            if self.cfg.resplit {
-                let split = self.solve_split(&group_rates)?;
-                self.handle.send(Reconfigure::SetThreadSplit(split))?;
-            }
+            let split = self.solve_split(&group_rates)?;
+            self.handle.send(Reconfigure::SetThreadSplit(split))?;
             self.grouping = next;
             self.planned_hot = Some(hot);
             self.planned_group_rates = Some(group_rates);
             return Ok(());
         }
 
-        if self.cfg.resplit {
-            let rates = group_rates(&self.grouping, predicted);
-            let drifted = match &self.planned_group_rates {
-                None => true,
-                Some(prev) => rates.iter().zip(prev).any(|(now, before)| {
-                    (now - before).abs() / before.max(1e-9) > self.cfg.resplit_threshold
-                }),
-            };
-            if drifted {
-                let split = self.solve_split(&rates)?;
-                self.handle.send(Reconfigure::SetThreadSplit(split))?;
-                self.planned_hot = Some(hot);
-                self.planned_group_rates = Some(rates);
-            }
+        let rates = group_rates(&self.grouping, predicted);
+        let drifted = match &self.planned_group_rates {
+            None => true,
+            Some(prev) => rates.iter().zip(prev).any(|(now, before)| {
+                (now - before).abs() / before.max(1e-9) > self.cfg.resplit_threshold
+            }),
+        };
+        if drifted {
+            let split = self.solve_split(&rates)?;
+            self.handle.send(Reconfigure::SetThreadSplit(split))?;
+            self.planned_hot = Some(hot);
+            self.planned_group_rates = Some(rates);
         }
         Ok(())
     }
@@ -246,9 +228,11 @@ impl AdaptiveController {
     /// Solves the paper's `λ·n` split over predicted group rates. Volume
     /// is not yet known for the *next* window, so unit volumes make the
     /// weights pure `λ` (rate × urgency) — exactly the term the pin is
-    /// meant to fix between windows.
+    /// meant to fix between windows. Solved over the engine's own crew
+    /// size and urgency mode, so the pin always adds up to its threads.
     fn solve_split(&self, rates: &[f64]) -> Result<Vec<usize>> {
-        allocate_threads(self.cfg.threads, &vec![1u64; rates.len()], rates, self.cfg.urgency)
+        let (threads, urgency) = self.handle.split_basis();
+        allocate_threads(threads, &vec![1u64; rates.len()], rates, urgency)
     }
 }
 
@@ -486,7 +470,6 @@ mod tests {
             epoch_window: 1,
             min_history: 1,
             model: aets_forecast::ForecastModel::Naive,
-            threads: 2,
             hot_min_rate: 0.5,
             ..Default::default()
         };
@@ -533,10 +516,8 @@ mod tests {
             epoch_window: 1,
             min_history: 1,
             model: aets_forecast::ForecastModel::Naive,
-            threads: 4,
             hot_min_rate: 0.5,
             resplit_threshold: 0.2,
-            ..Default::default()
         };
         let handle = eng.reconfigure_handle();
         let mut ctl =
@@ -561,22 +542,78 @@ mod tests {
     }
 
     #[test]
+    fn splits_are_solved_over_the_engines_own_thread_count() {
+        // Three threads is nobody's default: every split the controller
+        // sends must still add up to the crew the engine really has.
+        use aets_telemetry::EventKind;
+        let telemetry = Arc::new(Telemetry::new());
+        let grouping = Arc::new(
+            TableGrouping::new(
+                2,
+                vec![vec![TableId::new(0)], vec![TableId::new(1)]],
+                vec![5.0, 5.0],
+                &hs(&[0, 1]),
+            )
+            .unwrap(),
+        );
+        let eng = AetsEngine::builder((*grouping).clone())
+            .config(AetsConfig { threads: 3, ..Default::default() })
+            .telemetry(telemetry.clone())
+            .build()
+            .unwrap();
+        let cfg = ControllerConfig {
+            epoch_window: 1,
+            min_history: 1,
+            model: aets_forecast::ForecastModel::Naive,
+            hot_min_rate: 0.5,
+            ..Default::default()
+        };
+        let mut ctl =
+            AdaptiveController::new(cfg, eng.reconfigure_handle(), grouping, telemetry.clone())
+                .unwrap();
+        let reg = telemetry.registry();
+        let touch = |t: usize, n: u64| reg.counter_with(names::TABLE_ACCESS, table_label(t)).add(n);
+        // Balanced, then skewed one way, then the other: a first plan and
+        // two re-splits.
+        for (a, b) in [(100, 100), (100, 100), (100_000, 100), (100, 100_000)] {
+            touch(0, a);
+            touch(1, b);
+            ctl.on_epoch().unwrap();
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(eng.reconfigure_handle().pending() >= 2);
+        // An epoch boundary applies them; each lands as a `ThreadSplit` event.
+        let db = aets_memtable::MemDb::new(2);
+        let heartbeat = aets_wal::TxnLog {
+            txn_id: aets_common::TxnId::new(1),
+            commit_ts: aets_common::Timestamp::from_micros(10),
+            entries: vec![],
+        };
+        let epochs = aets_wal::batch_into_epochs(vec![heartbeat], 4).unwrap();
+        eng.replay_all(&[aets_wal::encode_epoch(&epochs[0])], &db).unwrap();
+        let splits: Vec<Vec<usize>> = telemetry
+            .drain_events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::ThreadSplit { split, .. } => Some(split),
+                _ => None,
+            })
+            .collect();
+        assert!(splits.len() >= 2, "{splits:?}");
+        for split in &splits {
+            assert_eq!(split.iter().sum::<usize>(), 3, "{splits:?}");
+        }
+    }
+
+    #[test]
     fn controller_rejects_degenerate_configs() {
         let telemetry = Arc::new(Telemetry::disabled());
         let grouping = Arc::new(TableGrouping::single(2, &FxHashSet::default()));
         let eng = AetsEngine::builder((*grouping).clone()).build().unwrap();
-        for cfg in [
-            ControllerConfig { epoch_window: 0, ..Default::default() },
-            ControllerConfig { threads: 0, ..Default::default() },
-        ] {
-            assert!(AdaptiveController::new(
-                cfg,
-                eng.reconfigure_handle(),
-                grouping.clone(),
-                telemetry.clone()
-            )
-            .is_err());
-        }
+        let cfg = ControllerConfig { epoch_window: 0, ..Default::default() };
+        assert!(
+            AdaptiveController::new(cfg, eng.reconfigure_handle(), grouping, telemetry).is_err()
+        );
     }
 
     #[test]
@@ -604,7 +641,6 @@ mod tests {
             epoch_window: 1,
             min_history: 1,
             model: aets_forecast::ForecastModel::Naive,
-            threads: 2,
             hot_min_rate: 0.5,
             ..Default::default()
         };

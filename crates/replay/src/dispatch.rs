@@ -16,6 +16,7 @@
 
 use crate::grouping::TableGrouping;
 use aets_common::{Error, GroupId, Result, Timestamp, TxnId};
+use aets_telemetry::{names, Registry};
 use aets_wal::{EncodedEpoch, EpochSource, MetaScanner};
 use bytes::Bytes;
 use std::ops::Range;
@@ -125,6 +126,16 @@ impl IngestStats {
         self.checksum_failures += other.checksum_failures;
         self.epoch_gaps += other.epoch_gaps;
         self.stalls += other.stalls;
+    }
+
+    /// Adds the counts to the registry's four ingest-resync counters:
+    /// what every owner of a resync loop outside the engine does with
+    /// the stats of one drain.
+    pub fn record(&self, reg: &Registry) {
+        reg.counter(names::INGEST_RETRIES).add(self.retries);
+        reg.counter(names::CHECKSUM_FAILURES).add(self.checksum_failures);
+        reg.counter(names::EPOCH_GAPS).add(self.epoch_gaps);
+        reg.counter(names::INGEST_STALLS).add(self.stalls);
     }
 }
 

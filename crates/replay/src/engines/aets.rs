@@ -157,18 +157,28 @@ struct ReconfShared {
     applied: AtomicU64,
     num_groups: usize,
     num_tables: usize,
+    threads: usize,
+    urgency: UrgencyMode,
 }
 
 impl ReconfigureHandle {
-    fn new(num_groups: usize, num_tables: usize) -> Self {
+    fn new(grouping: &TableGrouping, cfg: &AetsConfig) -> Self {
         Self {
             inner: Arc::new(ReconfShared {
                 queue: Mutex::new(VecDeque::new()),
                 applied: AtomicU64::new(0),
-                num_groups,
-                num_tables,
+                num_groups: grouping.num_groups(),
+                num_tables: grouping.num_tables(),
+                threads: cfg.threads,
+                urgency: cfg.urgency,
             }),
         }
+    }
+
+    /// The engine's crew size and urgency mode: what a controller solves
+    /// a [`Reconfigure::SetThreadSplit`] over.
+    pub(crate) fn split_basis(&self) -> (usize, UrgencyMode) {
+        (self.inner.threads, self.inner.urgency)
     }
 
     /// Queues `cmd` for the next epoch boundary. Fails fast on a command
@@ -398,7 +408,7 @@ impl AetsEngineBuilder {
         let telemetry = self.telemetry.unwrap_or_else(|| Arc::new(Telemetry::disabled()));
         let quarantine = Quarantine::new(self.grouping.num_groups());
         let stats = EngineStats::new(&telemetry);
-        let reconf = ReconfigureHandle::new(self.grouping.num_groups(), self.grouping.num_tables());
+        let reconf = ReconfigureHandle::new(&self.grouping, &self.cfg);
         let crew = Crew::start(self.cfg.threads - 1, stats.crew_parked.clone())?;
         let pools = (0..self.grouping.num_groups()).map(|_| CellPool::new()).collect();
         Ok(AetsEngine {
@@ -953,7 +963,7 @@ impl AetsEngine {
             // flight. The one thread start of the replay path; a
             // single-epoch call has nothing to overlap and skips it.
             std::thread::scope(|scope| {
-                let (tx, rx) = crossbeam::channel::bounded(DISPATCH_AHEAD);
+                let (tx, rx) = std::sync::mpsc::sync_channel(DISPATCH_AHEAD);
                 scope.spawn(move || {
                     for eidx in 0..n {
                         let d = self.dispatch_next(&mut *source, first_seq + eidx as u64);

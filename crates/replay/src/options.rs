@@ -2,22 +2,21 @@
 //!
 //! [`NodeOptions`](crate::service::NodeOptions),
 //! [`DurableOptions`](crate::DurableOptions), and the fleet's
-//! `FleetOptions` all need the same knobs — a telemetry handle, an
-//! observability bind address, a flight-recorder directory, a retry
-//! policy. [`ServiceOptions`] is the one struct they all embed, and the
-//! only place those knobs are set.
+//! `FleetOptions` all embed one [`ServiceOptions`], and every field has
+//! one reader: the [`BackupNode`](crate::BackupNode) builder. A
+//! [`DurableBackup`](crate::DurableBackup) hands its `service` to the
+//! node it wraps; the fleet reads `telemetry` itself (it has no engine
+//! to fall back on) and calls [`ServiceOptions::mount`] for the rest.
+//! DESIGN.md §9 "One home per fact" has the owner × field table.
 //!
-//! The consolidated struct is also where the adaptive control loop is
-//! switched on: setting [`ServiceOptions::controller`] makes the serving
-//! layer construct an [`AdaptiveController`](crate::AdaptiveController)
-//! over the engine's reconfiguration channel and tick it once per
-//! replayed epoch. Enable it on exactly one owner per engine (the
-//! durable backup *or* its serving node, not both) — two controllers
-//! sampling the same registry would fight over the plan.
+//! One engine has at most one controller: the durable backup's node owns
+//! it when `DurableOptions::service.controller` is set, and
+//! [`DurableBackup::serve`](crate::DurableBackup::serve) refuses options
+//! that ask for a second one.
 
 use crate::control::ControllerConfig;
-use crate::dispatch::RetryPolicy;
-use aets_telemetry::Telemetry;
+use aets_common::{Error, Result};
+use aets_telemetry::{FlightRecorder, FlightRecorderConfig, HealthFn, ObsServer, Telemetry};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -26,8 +25,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Default)]
 pub struct ServiceOptions {
     /// Telemetry instance for the service's metrics and events. `None`
-    /// falls back to the owner's historical source (the engine's handle
-    /// for nodes and backups, disabled for fleets).
+    /// means the engine's own handle (a node, and through it a durable
+    /// backup) or a disabled instance (a fleet, which has no engine).
     pub telemetry: Option<Arc<Telemetry>>,
     /// Bind address of the live observability endpoint (e.g.
     /// `"127.0.0.1:0"`); `None` serves no HTTP. The endpoint exposes
@@ -41,9 +40,6 @@ pub struct ServiceOptions {
     /// bounded JSON bundle of recent spans + events + the metrics
     /// snapshot there. `None` disables the recorder.
     pub flight_dir: Option<PathBuf>,
-    /// Bounded retry/backoff for retryable service operations (routed
-    /// submissions, ingest resync). `None` uses the owner's default.
-    pub retry: Option<RetryPolicy>,
     /// Adaptive control loop configuration. `Some` makes the owning
     /// service drive a live [`AdaptiveController`](crate::AdaptiveController)
     /// against its engine (a no-op for engines without a reconfiguration
@@ -55,6 +51,26 @@ impl ServiceOptions {
     /// Starts building a [`ServiceOptions`].
     pub fn builder() -> ServiceOptionsBuilder {
         ServiceOptionsBuilder::default()
+    }
+
+    /// Arms the flight recorder on `telemetry` when
+    /// [`ServiceOptions::flight_dir`] is set, then binds the live
+    /// endpoint when [`ServiceOptions::obs_addr`] is, with `health`
+    /// behind `/healthz`. The endpoint unbinds when the returned server
+    /// drops.
+    pub fn mount(&self, telemetry: &Arc<Telemetry>, health: HealthFn) -> Result<Option<ObsServer>> {
+        if let Some(dir) = &self.flight_dir {
+            let recorder = FlightRecorder::create(FlightRecorderConfig::new(dir))
+                .map_err(|e| Error::Io(format!("flight recorder at {}: {e}", dir.display())))?;
+            telemetry.set_flight_recorder(Some(recorder));
+        }
+        self.obs_addr
+            .as_deref()
+            .map(|addr| {
+                ObsServer::bind(addr, telemetry.clone(), health)
+                    .map_err(|e| Error::Io(format!("bind obs endpoint {addr}: {e}")))
+            })
+            .transpose()
     }
 }
 
@@ -83,12 +99,6 @@ impl ServiceOptionsBuilder {
         self
     }
 
-    /// Bounded retry/backoff for retryable service operations.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.inner.retry = Some(retry);
-        self
-    }
-
     /// Enables the adaptive control loop with `cfg`.
     pub fn controller(mut self, cfg: ControllerConfig) -> Self {
         self.inner.controller = Some(cfg);
@@ -112,13 +122,11 @@ mod tests {
             .telemetry(tel.clone())
             .obs_addr("127.0.0.1:0")
             .flight_dir("/tmp/bundles")
-            .retry(RetryPolicy { max_retries: 7, ..Default::default() })
             .controller(ControllerConfig::default())
             .build();
         assert!(Arc::ptr_eq(opts.telemetry.as_ref().unwrap(), &tel));
         assert_eq!(opts.obs_addr.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(opts.flight_dir.as_deref(), Some(std::path::Path::new("/tmp/bundles")));
-        assert_eq!(opts.retry.unwrap().max_retries, 7);
         assert!(opts.controller.is_some());
     }
 
@@ -128,7 +136,6 @@ mod tests {
         assert!(opts.telemetry.is_none());
         assert!(opts.obs_addr.is_none());
         assert!(opts.flight_dir.is_none());
-        assert!(opts.retry.is_none());
         assert!(opts.controller.is_none());
     }
 }

@@ -1,15 +1,18 @@
 //! Restart recovery and the durable backup node.
 //!
-//! [`DurableBackup`] is the crash-consistent composition of the whole
-//! stack: every ingested epoch is appended to the WAL segment store
-//! *before* it is replayed, checkpoints of the Memtable are cut at epoch
-//! barriers at a configurable cadence, and [`DurableBackup::open`] is the
-//! recovery bootstrap — it loads the newest valid checkpoint manifest
-//! (falling back across corrupt ones), seeds the visibility board from
-//! the stored replay positions, and re-replays only the WAL *suffix*
-//! from the checkpoint's `next_epoch_seq` through the normal two-stage
-//! path. Recovery cost is therefore bounded by the checkpoint cadence,
-//! not by the length of history.
+//! [`DurableBackup`] is a WAL and a checkpoint store around a
+//! [`BackupNode`]: every ingested epoch is appended to the WAL segment
+//! store *before* the node replays it, checkpoints of the node's
+//! Memtable are cut at epoch barriers at a configurable cadence, and
+//! [`DurableBackup::open`] is the recovery bootstrap — it loads the
+//! newest valid checkpoint manifest (falling back across corrupt ones),
+//! builds the node over the restored Memtable, seeds its visibility
+//! board from the stored replay positions, and re-replays only the WAL
+//! *suffix* from the checkpoint's `next_epoch_seq` through the normal
+//! two-stage path. Recovery cost is therefore bounded by the checkpoint
+//! cadence, not by the length of history. Board, GC floor, telemetry,
+//! flight recorder, live endpoint and adaptive controller are the
+//! node's; this module owns only what makes it durable.
 //!
 //! Degraded-mode interaction (the quarantine clamp): while any group is
 //! quarantined its `tg_cmt_ts` is frozen but the *log suffix it has not
@@ -20,19 +23,15 @@
 //! clamped the same way through [`VisibilityBoard::gc_watermark`].
 
 use crate::checkpoint::{CheckpointMeta, CheckpointStore};
-use crate::control::AdaptiveController;
 use crate::dispatch::{ingest_epoch, IngestStats, RetryPolicy};
 use crate::engines::aets::AetsEngine;
-use crate::engines::ReplayEngine;
 use crate::options::ServiceOptions;
-use crate::service::{board_health, BackupNode, NodeOptions};
+use crate::service::{BackupNode, NodeOptions};
 use crate::visibility::VisibilityBoard;
 use aets_common::{Error, GroupId, Result, Timestamp};
-use aets_memtable::{gc_db, MemDb, QueryFloor};
+use aets_memtable::{MemDb, QueryFloor};
 use aets_telemetry::trace::stages;
-use aets_telemetry::{
-    names, EventKind, FlightRecorder, FlightRecorderConfig, ObsServer, Telemetry,
-};
+use aets_telemetry::{names, EventKind, Telemetry};
 use aets_wal::crash::CrashClock;
 use aets_wal::{EncodedEpoch, EpochSource, SegmentConfig, SegmentStore};
 use std::path::PathBuf;
@@ -55,9 +54,9 @@ pub struct DurableOptions {
     /// pruning at [`VisibilityBoard::gc_watermark`] so the snapshot ships
     /// consolidated chains.
     pub gc_before_checkpoint: bool,
-    /// Consolidated service-layer knobs shared with the query node and
-    /// the fleet: telemetry handle, observability endpoint, flight
-    /// recorder, retry policy, and the adaptive control loop.
+    /// Consolidated service-layer knobs, handed as they are to the node
+    /// the backup wraps: telemetry handle, observability endpoint, flight
+    /// recorder, and the adaptive control loop.
     pub service: ServiceOptions,
 }
 
@@ -91,9 +90,15 @@ pub struct RecoveryReport {
 /// epoch-aligned checkpoints, suffix-only restart recovery.
 #[derive(Debug)]
 pub struct DurableBackup {
+    /// Kept beside the node's type-erased handle for what only the AETS
+    /// engine has: the streaming replay of the recovery suffix and the
+    /// quarantine ledger the checkpoint policy reads.
     engine: Arc<AetsEngine>,
-    db: Arc<MemDb>,
-    board: Arc<VisibilityBoard>,
+    /// Headless (no query workers): replays every ingested epoch, owns
+    /// the Memtable, the board, the read sessions' GC floor, telemetry,
+    /// the live endpoint and the controller. [`DurableBackup::serve`]
+    /// starts serving nodes over the same state.
+    node: BackupNode,
     wal: SegmentStore,
     ckpt: CheckpointStore,
     opts: DurableOptions,
@@ -105,26 +110,12 @@ pub struct DurableBackup {
     /// Manually published replica floor ([`DurableBackup::set_query_floor`]);
     /// clamps GC together with the pinned read sessions' floor.
     query_floor: Timestamp,
-    /// Read sessions' GC floor, shared with every [`BackupNode`] started
-    /// via [`DurableBackup::serve`]: a pinned session clamps the
-    /// pre-checkpoint GC pass exactly like the manual floor.
-    floor: Arc<QueryFloor>,
-    /// The engine's telemetry (disabled unless the engine was built with
-    /// one); durability events and counters land here too.
-    telemetry: Arc<Telemetry>,
     /// Latest ingested epoch's `max_commit_ts` in micros — the "primary
     /// now" the visibility-lag clock reads. An un-paced ingest loop has no
     /// wall-clock relation to the primary, so within-epoch commit lag
     /// (publish ts vs the epoch's high-water mark) is the freshness
     /// measure.
     primary_watermark: Arc<AtomicU64>,
-    /// The live observability endpoint, when `opts.service.obs_addr`
-    /// asked for one; dropped (and unbound) with the node.
-    obs: Option<ObsServer>,
-    /// Live forecast-driven controller, when
-    /// [`ServiceOptions::controller`] asked for one; ticked once per
-    /// ingested epoch.
-    controller: Option<AdaptiveController>,
 }
 
 impl DurableBackup {
@@ -146,32 +137,9 @@ impl DurableBackup {
     ) -> Result<Self> {
         let t0 = Instant::now();
         let num_groups = engine.grouping().num_groups();
-
         let ckpt = CheckpointStore::open(ckpt_dir, clock.clone())?;
         let (loaded, fallbacks) = ckpt.load_latest()?;
-        let telemetry = engine.telemetry().clone();
-        // The flight recorder arms before anything replays, so an
-        // anomaly during the recovery suffix itself already dumps a
-        // bundle.
-        if let Some(dir) = &opts.service.flight_dir {
-            let recorder = FlightRecorder::create(FlightRecorderConfig::new(dir))
-                .map_err(|e| Error::Io(format!("flight recorder at {}: {e}", dir.display())))?;
-            telemetry.set_flight_recorder(Some(recorder));
-        }
-        let primary_watermark = Arc::new(AtomicU64::new(0));
-        let board = Arc::new({
-            // The builder skips the instrumentation when telemetry is
-            // disabled, so the one path covers both configurations.
-            let wm = primary_watermark.clone();
-            let primary_clock: aets_telemetry::ClockFn =
-                Arc::new(move || wm.load(Ordering::Relaxed));
-            VisibilityBoard::builder(num_groups).telemetry(&telemetry, primary_clock).build()
-        });
-        if fallbacks > 0 {
-            telemetry.registry().counter(names::MANIFEST_FALLBACKS).add(fallbacks);
-            telemetry.event(EventKind::RecoveryFallback { manifests_skipped: fallbacks });
-        }
-        let (db, start_seq, restored_seq) = match loaded {
+        let (db, meta) = match loaded {
             Some(c) => {
                 if c.meta.tg_cmt_ts.len() != num_groups {
                     return Err(Error::Config(format!(
@@ -180,25 +148,49 @@ impl DurableBackup {
                         c.meta.tg_cmt_ts.len()
                     )));
                 }
-                // Seed the freshness clock at the restored high-water mark
-                // so the board-seeding publishes below record zero lag
-                // instead of a bogus warm-up sample.
-                primary_watermark.store(c.meta.global_cmt_ts.as_micros(), Ordering::Relaxed);
-                for (g, ts) in c.meta.tg_cmt_ts.iter().enumerate() {
-                    board.publish_group(GroupId::new(g as u32), *ts);
-                }
-                board.publish_global(c.meta.global_cmt_ts);
-                // Recovery replays the suffix through a fresh engine, so a
-                // group the manifest recorded as quarantined is healthy
-                // again (the policy today never writes one, but the format
-                // carries the field).
-                for &g in &c.meta.quarantined {
-                    telemetry.event(EventKind::GroupUnquarantined { group: g as usize });
-                }
-                (c.db, c.meta.next_epoch_seq, Some(c.meta.next_epoch_seq))
+                (c.db, Some(c.meta))
             }
-            None => (MemDb::new(num_tables), 0, None),
+            None => (MemDb::new(num_tables), None),
         };
+        // Seed the freshness clock at the restored high-water mark so the
+        // board-seeding publishes below record zero lag instead of a
+        // bogus warm-up sample.
+        let primary_watermark =
+            Arc::new(AtomicU64::new(meta.as_ref().map_or(0, |m| m.global_cmt_ts.as_micros())));
+        let wm = primary_watermark.clone();
+        let engine = Arc::new(engine);
+        // The node comes first: its flight recorder is armed before
+        // anything replays, so an anomaly during the recovery suffix
+        // itself already dumps a bundle, and `/healthz` answers while the
+        // suffix replays.
+        let node = BackupNode::builder()
+            .engine(engine.clone())
+            .db(Arc::new(db))
+            .clock(Arc::new(move || wm.load(Ordering::Relaxed)))
+            .options(NodeOptions { service: opts.service.clone(), ..Default::default() })
+            .headless()
+            .build()?;
+        let telemetry = node.telemetry();
+        let board = node.board();
+        if fallbacks > 0 {
+            telemetry.registry().counter(names::MANIFEST_FALLBACKS).add(fallbacks);
+            telemetry.event(EventKind::RecoveryFallback { manifests_skipped: fallbacks });
+        }
+        if let Some(meta) = &meta {
+            for (g, ts) in meta.tg_cmt_ts.iter().enumerate() {
+                board.publish_group(GroupId::new(g as u32), *ts);
+            }
+            board.publish_global(meta.global_cmt_ts);
+            // Recovery replays the suffix through a fresh engine, so a
+            // group the manifest recorded as quarantined is healthy again
+            // (the policy today never writes one, but the format carries
+            // the field).
+            for &g in &meta.quarantined {
+                telemetry.event(EventKind::GroupUnquarantined { group: g as usize });
+            }
+        }
+        let restored_seq = meta.map(|m| m.next_epoch_seq);
+        let start_seq = restored_seq.unwrap_or(0);
 
         let mut wal = SegmentStore::open(wal_dir, opts.segment, clock)?;
         // Group-commit observability: every fsync point reports how many
@@ -221,7 +213,7 @@ impl DurableBackup {
         let mut suffix = wal.suffix_source(start_seq)?;
         let suffix_epochs = suffix.num_epochs() as u64;
         if suffix_epochs > 0 {
-            engine.replay_stream(&mut suffix, &db, &board)?;
+            engine.replay_stream(&mut suffix, node.db(), board)?;
         }
         telemetry.registry().counter(names::RECOVERY_SUFFIX_EPOCHS).add(suffix_epochs);
 
@@ -232,63 +224,41 @@ impl DurableBackup {
             suffix_epochs,
             recovery_wall: t0.elapsed(),
         };
-        let obs = match opts.service.obs_addr.as_deref() {
-            Some(addr) => Some(
-                ObsServer::bind(addr, telemetry.clone(), board_health(&board))
-                    .map_err(|e| Error::Io(format!("bind obs endpoint {addr}: {e}")))?,
-            ),
-            None => None,
-        };
-        // The controller samples the registry the serving layer records
-        // `aets_table_access_total` into — the engine's own instance, so
-        // a node started via `serve` feeds it automatically.
-        let controller = match &opts.service.controller {
-            Some(cfg) => Some(AdaptiveController::new(
-                cfg.clone(),
-                engine.reconfigure_handle(),
-                engine.grouping(),
-                telemetry.clone(),
-            )?),
-            None => None,
-        };
-        let mut node = Self {
-            engine: Arc::new(engine),
-            db: Arc::new(db),
-            board,
+        let mut backup = Self {
+            engine,
+            node,
             wal,
             ckpt,
             opts,
             report,
             next_seq,
-            last_ckpt_seq: restored_seq.unwrap_or(0),
+            last_ckpt_seq: start_seq,
             query_floor: Timestamp::MAX,
-            floor: Arc::new(QueryFloor::new()),
-            telemetry,
             primary_watermark,
-            obs,
-            controller,
         };
         // If the replayed suffix already spans a full cadence the
         // checkpoint is overdue: cut it now, before any new ingest, so a
         // repeated crash-during-checkpoint can never grow the suffix past
         // `checkpoint_every` across restarts.
-        if node.opts.checkpoint_every > 0
-            && node.next_seq - node.last_ckpt_seq >= node.opts.checkpoint_every
+        if backup.opts.checkpoint_every > 0
+            && backup.next_seq - backup.last_ckpt_seq >= backup.opts.checkpoint_every
         {
-            node.checkpoint_now()?;
+            backup.checkpoint_now()?;
         }
-        Ok(node)
+        Ok(backup)
     }
 
     /// Ingests one epoch: durable WAL append first, then replay through
-    /// the engine, then (at the configured cadence) a checkpoint.
+    /// the node (which ticks the controller, when one runs), then (at the
+    /// configured cadence) a checkpoint.
     ///
     /// A [crash](aets_common::Error::Crash) error means the metered
     /// process died; on a real node the supervisor restarts via
     /// [`DurableBackup::open`], which recovers everything that was acked.
     pub fn ingest(&mut self, epoch: &EncodedEpoch) -> Result<()> {
         let seq = epoch.id.raw();
-        let ring = self.telemetry.spans();
+        let telemetry = self.node.telemetry();
+        let ring = telemetry.spans();
         // The append span includes any embedded fsync the policy takes;
         // when the durable watermark advanced, a child fsync point marks
         // the epoch as the one that paid for it.
@@ -303,18 +273,13 @@ impl DurableBackup {
         if self.wal.synced_seq() != synced_before {
             ring.point(seq, stages::WAL_FSYNC, None, append_id);
         }
-        self.telemetry.registry().counter(names::WAL_EPOCHS_APPENDED).inc();
+        telemetry.registry().counter(names::WAL_EPOCHS_APPENDED).inc();
         // Advance "primary now" to this epoch's high-water mark before
         // replaying it, so each group publish records its within-epoch
         // commit lag against the freshest known primary timestamp.
         self.primary_watermark.fetch_max(epoch.max_commit_ts.as_micros(), Ordering::Relaxed);
-        self.engine.replay(std::slice::from_ref(epoch), &self.db, &self.board)?;
+        self.node.replay(std::slice::from_ref(epoch))?;
         self.next_seq = epoch.id.raw() + 1;
-        if let Some(ctl) = &mut self.controller {
-            // A planning error (e.g. a degenerate clustering) keeps the
-            // current plan; the ingest itself already succeeded.
-            let _ = ctl.on_epoch();
-        }
 
         if self.opts.checkpoint_every > 0
             && self.next_seq - self.last_ckpt_seq >= self.opts.checkpoint_every
@@ -359,11 +324,7 @@ impl DurableBackup {
                 }
             }
         }
-        let reg = self.telemetry.registry();
-        reg.counter(names::INGEST_RETRIES).add(stats.retries);
-        reg.counter(names::CHECKSUM_FAILURES).add(stats.checksum_failures);
-        reg.counter(names::EPOCH_GAPS).add(stats.epoch_gaps);
-        reg.counter(names::INGEST_STALLS).add(stats.stalls);
+        stats.record(self.node.telemetry().registry());
         outcome.map(|()| ingested)
     }
 
@@ -373,45 +334,41 @@ impl DurableBackup {
     /// quarantined: truncating the WAL past a frozen group's watermark
     /// would lose the suffix it has not replayed.
     pub fn checkpoint_now(&mut self) -> Result<bool> {
+        let telemetry = self.node.telemetry();
+        let reg = telemetry.registry();
         if !self.engine.quarantined_groups().is_empty() {
-            self.telemetry.registry().counter(names::CHECKPOINTS_SKIPPED).inc();
-            self.telemetry.event(EventKind::CheckpointSkippedDegraded);
+            reg.counter(names::CHECKPOINTS_SKIPPED).inc();
+            telemetry.event(EventKind::CheckpointSkippedDegraded);
             return Ok(false);
         }
         let t0 = Instant::now();
-        let reg = self.telemetry.registry();
         if self.opts.gc_before_checkpoint {
             // Both floors clamp: the manually published replica floor and
             // the oldest read session pinned through a served node.
-            let wm = self.board.gc_watermark(&[], self.query_floor.min(self.floor.floor()));
-            let pass = gc_db(&self.db, wm);
-            reg.histogram(names::GC_PASS_US).record_micros(t0.elapsed().as_micros() as u64);
-            reg.counter(names::GC_PASSES).inc();
-            reg.counter(names::GC_PRUNED).add(pass.pruned as u64);
-            self.telemetry.event(EventKind::GcPass { nodes: pass.nodes, pruned: pass.pruned });
+            self.node.gc_clamped(self.query_floor);
         }
         // Group-commit invariant: the WAL prefix below the checkpoint
         // barrier must be durable before the manifest is — otherwise a
         // crash could leave a checkpoint that outruns the durable log,
         // and the resumed stream would hit an epoch gap.
         self.wal.sync()?;
-        let num_groups = self.engine.grouping().num_groups();
+        let board = self.node.board();
         let meta = CheckpointMeta {
             next_epoch_seq: self.next_seq,
-            global_cmt_ts: self.board.global_cmt_ts(),
-            tg_cmt_ts: (0..num_groups)
-                .map(|g| self.board.tg_cmt_ts(GroupId::new(g as u32)))
+            global_cmt_ts: board.global_cmt_ts(),
+            tg_cmt_ts: (0..board.num_groups())
+                .map(|g| board.tg_cmt_ts(GroupId::new(g as u32)))
                 .collect(),
             quarantined: vec![],
         };
         // The barrier's own watermark, not `Timestamp::MAX`: a version
         // appended after the cut must never reach this manifest.
-        let manifest = self.ckpt.write(&meta, &self.db, meta.global_cmt_ts)?;
+        let manifest = self.ckpt.write(&meta, self.node.db(), meta.global_cmt_ts)?;
         reg.counter(names::CHECKPOINTS_WRITTEN).inc();
         if let Ok(on_disk) = std::fs::metadata(&manifest) {
             reg.gauge(names::CHECKPOINT_BYTES).set(on_disk.len());
         }
-        self.telemetry.event(EventKind::CheckpointWritten { next_epoch_seq: self.next_seq });
+        telemetry.event(EventKind::CheckpointWritten { next_epoch_seq: self.next_seq });
         self.last_ckpt_seq = self.next_seq;
         self.ckpt.retain(self.opts.keep_checkpoints)?;
         // Retire WAL only behind the OLDEST retained manifest: if the
@@ -421,7 +378,7 @@ impl DurableBackup {
         let retired = self.wal.truncate_before(oldest)? as u64;
         if retired > 0 {
             reg.counter(names::WAL_SEGMENTS_RETIRED).add(retired);
-            self.telemetry.event(EventKind::WalSegmentRetired { segments: retired });
+            telemetry.event(EventKind::WalSegmentRetired { segments: retired });
         }
         reg.histogram(names::CHECKPOINT_US).record_micros(t0.elapsed().as_micros() as u64);
         Ok(true)
@@ -442,25 +399,35 @@ impl DurableBackup {
     /// epochs ingested here — including everything recovered from the
     /// checkpoint + WAL suffix after a restart — and their pinned `qts`
     /// clamps the pre-checkpoint GC pass.
+    ///
+    /// `opts.service` may mount an endpoint and a flight recorder of its
+    /// own, but not a second controller: with one already running on the
+    /// backup that is an [`Error::Config`], since two would fight over
+    /// the engine's plan.
     pub fn serve(&self, opts: NodeOptions) -> Result<BackupNode> {
+        if self.opts.service.controller.is_some() && opts.service.controller.is_some() {
+            return Err(Error::Config(
+                "the durable backup already runs this engine's adaptive controller".into(),
+            ));
+        }
         BackupNode::builder()
             .engine(self.engine.clone())
-            .db(self.db.clone())
-            .board(self.board.clone())
-            .floor(self.floor.clone())
-            .telemetry(self.telemetry.clone())
+            .db(self.node.db().clone())
+            .board(self.node.board().clone())
+            .floor(self.node.floor().clone())
+            .telemetry(self.node.telemetry().clone())
             .options(opts)
             .build()
     }
 
     /// The Memtable.
     pub fn db(&self) -> &MemDb {
-        &self.db
+        self.node.db()
     }
 
     /// The visibility board queries wait on.
     pub fn board(&self) -> &Arc<VisibilityBoard> {
-        &self.board
+        self.node.board()
     }
 
     /// The replay engine.
@@ -468,10 +435,11 @@ impl DurableBackup {
         &self.engine
     }
 
-    /// The node's telemetry instance (disabled unless the engine was
-    /// built with `AetsEngine::builder(..).telemetry(..)`).
+    /// The backup's telemetry instance: [`ServiceOptions::telemetry`],
+    /// else the engine's (disabled unless the engine was built with
+    /// `AetsEngine::builder(..).telemetry(..)`).
     pub fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.telemetry
+        self.node.telemetry()
     }
 
     /// What the bootstrap recovery did.
@@ -492,13 +460,13 @@ impl DurableBackup {
     /// Complete control windows the adaptive controller has observed;
     /// `None` when [`ServiceOptions::controller`] was unset.
     pub fn adaptive_windows(&self) -> Option<usize> {
-        self.controller.as_ref().map(AdaptiveController::windows_observed)
+        self.node.adaptive_windows()
     }
 
     /// Bound address of the live observability endpoint, when
     /// [`ServiceOptions::obs_addr`] asked for one.
     pub fn obs_addr(&self) -> Option<std::net::SocketAddr> {
-        self.obs.as_ref().map(ObsServer::addr)
+        self.node.obs_addr()
     }
 
     /// Highest epoch sequence the WAL knows durable (covered by an fsync
@@ -514,7 +482,7 @@ impl DurableBackup {
     /// coordinator pins cross-shard session `qts` values here directly so
     /// the pins survive the serving node being torn down and rebuilt.
     pub fn floor(&self) -> &Arc<QueryFloor> {
-        &self.floor
+        self.node.floor()
     }
 
     /// First epoch sequence the WAL still retains, or `None` for an empty
@@ -538,6 +506,7 @@ impl DurableBackup {
 mod tests {
     use super::*;
     use crate::engines::aets::AetsConfig;
+    use crate::engines::ReplayEngine;
     use crate::grouping::TableGrouping;
     use aets_common::TableId;
     use aets_wal::{batch_into_epochs, encode_epoch};
@@ -582,6 +551,35 @@ mod tests {
             .telemetry(tel.clone())
             .build()
             .unwrap()
+    }
+
+    /// A 600-txn stream with one record of a cold table corrupted
+    /// mid-stream (frame CRC restamped, so only replay notices), and the
+    /// index of the epoch holding it: that table's group quarantines
+    /// there.
+    fn poisoned_stream() -> (Vec<EncodedEpoch>, usize, usize, TableGrouping) {
+        use aets_wal::{crc32, MetaScanner};
+
+        let (mut epochs, num_tables, grouping) = tpcc_stream(600);
+        // Find a DML of the highest-numbered table.
+        let victim = TableId::new((num_tables - 1) as u32);
+        let eidx = epochs
+            .iter()
+            .position(|e| {
+                MetaScanner::new(e.bytes.clone())
+                    .filter_map(|i| i.ok())
+                    .any(|(meta, _)| meta.table == Some(victim))
+            })
+            .expect("some epoch touches the victim table");
+        let range = MetaScanner::new(epochs[eidx].bytes.clone())
+            .filter_map(|i| i.ok())
+            .find(|(meta, _)| meta.table == Some(victim))
+            .map(|(_, r)| r)
+            .unwrap();
+        let mut v = epochs[eidx].bytes.to_vec();
+        v[range.end - 1] ^= 0x01;
+        epochs[eidx] = EncodedEpoch { crc32: crc32(&v), bytes: v.into(), ..epochs[eidx].clone() };
+        (epochs, eidx, num_tables, grouping)
     }
 
     fn oracle_digest(epochs: &[EncodedEpoch], num_tables: usize, grouping: &TableGrouping) -> u64 {
@@ -780,28 +778,7 @@ mod tests {
 
     #[test]
     fn quarantine_skips_checkpoints_and_preserves_the_frozen_suffix() {
-        use aets_wal::{crc32, MetaScanner};
-
-        let (mut epochs, num_tables, grouping) = tpcc_stream(600);
-        // Corrupt one record of a cold table mid-stream so its group
-        // quarantines: find a DML of the highest-numbered table.
-        let victim = TableId::new((num_tables - 1) as u32);
-        let eidx = epochs
-            .iter()
-            .position(|e| {
-                MetaScanner::new(e.bytes.clone())
-                    .filter_map(|i| i.ok())
-                    .any(|(meta, _)| meta.table == Some(victim))
-            })
-            .expect("some epoch touches the victim table");
-        let range = MetaScanner::new(epochs[eidx].bytes.clone())
-            .filter_map(|i| i.ok())
-            .find(|(meta, _)| meta.table == Some(victim))
-            .map(|(_, r)| r)
-            .unwrap();
-        let mut v = epochs[eidx].bytes.to_vec();
-        v[range.end - 1] ^= 0x01;
-        epochs[eidx] = EncodedEpoch { crc32: crc32(&v), bytes: v.into(), ..epochs[eidx].clone() };
+        let (epochs, eidx, num_tables, grouping) = poisoned_stream();
 
         let wal_dir = scratch("quar-wal");
         let ckpt_dir = scratch("quar-ckpt");
@@ -843,6 +820,88 @@ mod tests {
         // An explicit checkpoint request is also refused, and counted.
         assert!(!node.checkpoint_now().unwrap());
         assert_eq!(tel.snapshot().counter_total(names::CHECKPOINTS_SKIPPED), skipped + 1);
+        let _ = std::fs::remove_dir_all(&wal_dir);
+        let _ = std::fs::remove_dir_all(&ckpt_dir);
+    }
+
+    #[test]
+    fn a_quarantine_during_the_recovery_suffix_dumps_a_flight_bundle() {
+        use aets_telemetry::flight::list_bundles;
+
+        let (epochs, _, num_tables, grouping) = poisoned_stream();
+        let wal_dir = scratch("suffix-flight-wal");
+        let ckpt_dir = scratch("suffix-flight-ckpt");
+        let flight_dir = scratch("suffix-flight-bundles");
+        // First life: no checkpoint and no recorder, so the whole stream,
+        // poisoned epoch included, is the next life's recovery suffix.
+        let opts = DurableOptions { checkpoint_every: 0, ..Default::default() };
+        {
+            let mut node = DurableBackup::open(
+                &wal_dir,
+                &ckpt_dir,
+                fresh_engine(&grouping),
+                num_tables,
+                opts.clone(),
+                None,
+            )
+            .unwrap();
+            for e in &epochs {
+                node.ingest(e).unwrap();
+            }
+        }
+        assert!(!flight_dir.exists());
+        // Second life: the recorder must already be armed when the suffix
+        // replays, because that is where the group quarantines this time.
+        let tel = Arc::new(Telemetry::new());
+        let opts = DurableOptions {
+            service: ServiceOptions::builder().flight_dir(&flight_dir).build(),
+            ..opts
+        };
+        let node = DurableBackup::open(
+            &wal_dir,
+            &ckpt_dir,
+            instrumented_engine(&grouping, &tel),
+            num_tables,
+            opts,
+            None,
+        )
+        .unwrap();
+        assert_eq!(node.recovery().suffix_epochs, epochs.len() as u64);
+        assert!(!node.engine().quarantined_groups().is_empty());
+        let bundles = list_bundles(&flight_dir).unwrap();
+        assert!(!bundles.is_empty(), "the suffix's quarantine must leave a bundle");
+        let body = std::fs::read_to_string(&bundles[0]).unwrap();
+        assert!(body.contains("\"reason\": \"group_quarantined\""), "{body}");
+        for dir in [&wal_dir, &ckpt_dir, &flight_dir] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    #[test]
+    fn serve_refuses_a_second_controller() {
+        use crate::control::ControllerConfig;
+
+        let (_, num_tables, grouping) = tpcc_stream(64);
+        let wal_dir = scratch("two-ctl-wal");
+        let ckpt_dir = scratch("two-ctl-ckpt");
+        let controlled =
+            || ServiceOptions::builder().controller(ControllerConfig::default()).build();
+        let backup = DurableBackup::open(
+            &wal_dir,
+            &ckpt_dir,
+            fresh_engine(&grouping),
+            num_tables,
+            DurableOptions { service: controlled(), ..Default::default() },
+            None,
+        )
+        .unwrap();
+        assert_eq!(backup.adaptive_windows(), Some(0), "the backup runs the controller");
+        let err =
+            backup.serve(NodeOptions { service: controlled(), ..Default::default() }).unwrap_err();
+        assert_eq!(err.kind(), "config");
+        // Without one of its own the served node is fine, and runs none.
+        let node = backup.serve(NodeOptions::default()).unwrap();
+        assert_eq!(node.adaptive_windows(), None);
         let _ = std::fs::remove_dir_all(&wal_dir);
         let _ = std::fs::remove_dir_all(&ckpt_dir);
     }
@@ -931,13 +990,13 @@ mod tests {
         let table = TableId::new(0);
         let session = node.open_session(qts, &[table]);
         // A pinned session clamps the durable backup's GC floor too.
-        assert!(backup.floor.floor() <= qts);
+        assert!(backup.floor().floor() <= qts);
         let served = session.query(QuerySpec::count(table)).unwrap();
         let oracle = Scan::at(qts).count(backup.db().table(table));
         assert_eq!(served, QueryOutput::Count(oracle));
         assert!(oracle > 0, "recovered warehouse table must have rows");
         drop(session);
-        assert_eq!(backup.floor.floor(), Timestamp::MAX);
+        assert_eq!(backup.floor().floor(), Timestamp::MAX);
         let _ = std::fs::remove_dir_all(&wal_dir);
         let _ = std::fs::remove_dir_all(&ckpt_dir);
     }

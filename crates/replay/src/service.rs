@@ -35,8 +35,8 @@ use aets_common::{Error, GroupId, Result, Row, RowKey, TableId, Timestamp};
 use aets_memtable::{gc_db, Aggregate, Filter, FloorTicket, GcStats, MemDb, QueryFloor, Scan};
 use aets_telemetry::trace::stages;
 use aets_telemetry::{
-    names, table_label, ClockFn, Counter, EventKind, FlightRecorder, FlightRecorderConfig, Gauge,
-    HealthFn, HealthReport, Histogram, ObsServer, Telemetry,
+    names, table_label, ClockFn, Counter, EventKind, Gauge, HealthFn, HealthReport, Histogram,
+    ObsServer, Telemetry,
 };
 use aets_wal::EncodedEpoch;
 use parking_lot::{Condvar, Mutex};
@@ -60,7 +60,7 @@ pub struct NodeOptions {
     pub default_timeout: Duration,
     /// Consolidated service-layer knobs shared with the durable backup
     /// and the fleet: telemetry handle, observability endpoint, flight
-    /// recorder, retry policy, and the adaptive control loop.
+    /// recorder, and the adaptive control loop.
     pub service: ServiceOptions,
 }
 
@@ -332,7 +332,7 @@ struct WorkerCtx {
 
 /// Health view of a visibility board for the `/healthz` endpoint: OK
 /// while no group is quarantined, 503 naming the frozen groups after.
-pub(crate) fn board_health(board: &Arc<VisibilityBoard>) -> HealthFn {
+fn board_health(board: &Arc<VisibilityBoard>) -> HealthFn {
     let board = board.clone();
     Arc::new(move || {
         let quarantined = board.quarantined();
@@ -354,6 +354,7 @@ pub struct BackupNodeBuilder {
     floor: Option<Arc<QueryFloor>>,
     telemetry: Option<Arc<Telemetry>>,
     clock: Option<ClockFn>,
+    headless: bool,
     opts: NodeOptions,
 }
 
@@ -415,13 +416,24 @@ impl BackupNodeBuilder {
         self
     }
 
+    /// A node that replays, GCs and reports but serves no queries: no
+    /// worker pool is started and `query_workers` is not read. This is
+    /// the node inside a [`DurableBackup`](crate::DurableBackup), whose
+    /// queries go through the nodes its `serve` starts.
+    pub(crate) fn headless(mut self) -> Self {
+        self.headless = true;
+        self
+    }
+
     /// Finishes the node and spawns its query worker pool.
     pub fn build(self) -> Result<BackupNode> {
         let engine =
             self.engine.ok_or_else(|| Error::Config("BackupNode needs an engine".into()))?;
-        if self.opts.query_workers == 0 {
-            return Err(Error::Config("query_workers must be positive".into()));
-        }
+        let pool = match (self.headless, self.opts.query_workers) {
+            (true, _) => 0,
+            (false, 0) => return Err(Error::Config("query_workers must be positive".into())),
+            (false, n) => n,
+        };
         if self.opts.queue_depth == 0 {
             return Err(Error::Config("queue_depth must be positive".into()));
         }
@@ -437,11 +449,6 @@ impl BackupNodeBuilder {
             .or_else(|| self.opts.service.telemetry.clone())
             .or_else(|| engine.telemetry_handle())
             .unwrap_or_else(|| Arc::new(Telemetry::disabled()));
-        if let Some(dir) = &self.opts.service.flight_dir {
-            let recorder = FlightRecorder::create(FlightRecorderConfig::new(dir))
-                .map_err(|e| Error::Io(format!("flight recorder at {}: {e}", dir.display())))?;
-            telemetry.set_flight_recorder(Some(recorder));
-        }
         let board = match self.board {
             Some(b) => {
                 if b.num_groups() != engine.board_groups() {
@@ -458,6 +465,9 @@ impl BackupNodeBuilder {
                 )
             }
         };
+        // Before the pool starts, so a failed bind has no workers to
+        // drain; the recorder is armed from here on.
+        let obs = self.opts.service.mount(&telemetry, board_health(&board))?;
         let floor = self.floor.unwrap_or_else(|| Arc::new(QueryFloor::new()));
         let stats = Arc::new(ServiceStats::new(&telemetry, db.num_tables()));
         // The adaptive loop needs both a reconfiguration channel and a
@@ -476,7 +486,11 @@ impl BackupNodeBuilder {
             None => None,
         };
         let queue = Arc::new(AdmissionQueue::new(self.opts.queue_depth));
-        let workers = (0..self.opts.query_workers)
+        if self.headless {
+            // Nobody would pop: shed a submission instead of parking it.
+            queue.close();
+        }
+        let workers = (0..pool)
             .map(|i| {
                 let ctx = WorkerCtx {
                     queue: queue.clone(),
@@ -491,21 +505,6 @@ impl BackupNodeBuilder {
                     .map_err(|e| Error::Io(format!("spawn query worker: {e}")))
             })
             .collect::<Result<Vec<_>>>()?;
-        // Mounted last; a bind failure must drain the already-spawned
-        // worker pool before surfacing (no node exists yet to Drop).
-        let obs = match self.opts.service.obs_addr.as_deref() {
-            Some(addr) => match ObsServer::bind(addr, telemetry.clone(), board_health(&board)) {
-                Ok(srv) => Some(srv),
-                Err(e) => {
-                    queue.close();
-                    for h in workers {
-                        let _ = h.join();
-                    }
-                    return Err(Error::Io(format!("bind obs endpoint {addr}: {e}")));
-                }
-            },
-            None => None,
-        };
         Ok(BackupNode {
             engine,
             db,
@@ -1017,6 +1016,21 @@ mod tests {
             .options(NodeOptions { query_workers: 0, ..Default::default() })
             .build()
             .is_err());
+        // The crate-private headless switch is the one way around that
+        // check, and such a node sheds a submission instead of parking it.
+        let headless = BackupNode::builder()
+            .engine(engine.clone())
+            .num_tables(1)
+            .options(NodeOptions { query_workers: 0, ..Default::default() })
+            .headless()
+            .build()
+            .unwrap();
+        let session = headless.open_session(Timestamp::ZERO, &[TableId::new(0)]);
+        assert_eq!(
+            session.submit(QuerySpec::count(TableId::new(0))).unwrap_err(),
+            Error::Overloaded
+        );
+        drop(session);
         let wrong_board = Arc::new(VisibilityBoard::builder(5).build());
         assert!(BackupNode::builder()
             .engine(engine)

@@ -24,16 +24,11 @@ pub struct SimAetsConfig {
     pub urgency: UrgencyMode,
     /// Adaptive allocation (λ·n weights) vs even split.
     pub adaptive: bool,
-    /// Dispatcher runs on its own thread, overlapping the metadata scan
-    /// of epoch `e+1` with the replay of epoch `e` (what the real engine
-    /// does on a multi-epoch call). Dispatch then only sits on the
-    /// critical path when replay catches up with the dispatcher.
-    pub pipelined: bool,
 }
 
 impl Default for SimAetsConfig {
     fn default() -> Self {
-        Self { two_stage: true, urgency: UrgencyMode::Log, adaptive: true, pipelined: true }
+        Self { two_stage: true, urgency: UrgencyMode::Log, adaptive: true }
     }
 }
 
@@ -158,24 +153,22 @@ fn simulate_two_phase(
         stage2_wall: 0.0,
     };
     let mut clock = 0f64;
-    // Virtual clock of the dispatcher thread (pipelined mode): it scans
-    // epochs serially, ahead of the replay loop.
+    // Virtual clock of the dispatcher thread: it scans epochs serially,
+    // ahead of the replay loop (what the real engine does on a
+    // multi-epoch call), so dispatch only sits on the critical path when
+    // replay catches up with the dispatcher.
     let mut dispatch_clock = 0f64;
 
     for (eidx, p) in profiles.iter().enumerate() {
         assert_eq!(p.groups.len(), ng, "profile grouping mismatch");
         let dispatch = p.entries as f64 * c.meta_parse;
         out.dispatch_busy += dispatch;
-        let mut t = if ac.pipelined {
-            // Dispatch of this epoch started as soon as it arrived and the
-            // dispatcher was free; replay starts once both the previous
-            // epoch's replay and this epoch's dispatch are done. In steady
-            // state the scan of e+1 hides behind the replay of e.
-            dispatch_clock = dispatch_clock.max(p.arrival.as_micros() as f64) + dispatch;
-            clock.max(dispatch_clock)
-        } else {
-            clock.max(p.arrival.as_micros() as f64) + dispatch
-        };
+        // Dispatch of this epoch started as soon as it arrived and the
+        // dispatcher was free; replay starts once both the previous
+        // epoch's replay and this epoch's dispatch are done. In steady
+        // state the scan of e+1 hides behind the replay of e.
+        dispatch_clock = dispatch_clock.max(p.arrival.as_micros() as f64) + dispatch;
+        let mut t = clock.max(dispatch_clock);
 
         let rates: Vec<f64> = match rates_fn {
             Some(f) => f(eidx),
@@ -485,27 +478,6 @@ mod tests {
         let t32 = sim(&w, aets_kind(), true, 32).entries_per_sec();
         let t64 = sim(&w, aets_kind(), true, 64).entries_per_sec();
         assert!(t64 > t32 * 1.2, "AETS should keep scaling: {t32} -> {t64}");
-    }
-
-    #[test]
-    fn pipelined_dispatch_improves_throughput() {
-        // The dispatcher thread hides the metadata scan behind replay; at
-        // 32 threads the serial scan is a sizable share of the epoch
-        // critical path, so pipelining must show a clear throughput gain.
-        let w = workload();
-        let run = |pipelined: bool| {
-            sim(
-                &w,
-                SimEngineKind::TwoPhase(SimAetsConfig { pipelined, ..Default::default() }),
-                true,
-                32,
-            )
-            .entries_per_sec()
-        };
-        let on = run(true);
-        let off = run(false);
-        eprintln!("sim 32t entries/s: pipelined {on:.0} vs inline {off:.0}");
-        assert!(on > off * 1.1, "pipelining should gain >10%: {on} vs {off}");
     }
 
     #[test]

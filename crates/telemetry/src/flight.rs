@@ -28,15 +28,15 @@ pub struct FlightRecorderConfig {
     pub dir: PathBuf,
     /// Newest bundles kept on disk; older ones are deleted (minimum 1).
     pub retention: usize,
-    /// Most recent spans included per bundle.
-    pub max_spans: usize,
 }
 
+/// Most recent spans included per bundle.
+const MAX_SPANS: usize = 2048;
+
 impl FlightRecorderConfig {
-    /// Config writing into `dir` with default retention (8 bundles) and
-    /// span budget (2048 spans).
+    /// Config writing into `dir` with default retention (8 bundles).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self { dir: dir.into(), retention: 8, max_spans: 2048 }
+        Self { dir: dir.into(), retention: 8 }
     }
 }
 
@@ -91,7 +91,7 @@ impl FlightRecorder {
             .collect();
         let path = self.cfg.dir.join(format!("flight-{seq:06}-{safe}.json"));
 
-        let spans = tel.spans().recent(self.cfg.max_spans);
+        let spans = tel.spans().recent(MAX_SPANS);
         let events = tel.peek_events();
         let mut bundle = String::with_capacity(4096);
         bundle.push_str("{\n");

@@ -15,3 +15,13 @@ pub use aets_telemetry as telemetry;
 pub use aets_transport as transport;
 pub use aets_wal as wal;
 pub use aets_workloads as workloads;
+
+/// The seeds a seeded test suite runs: its `pinned` ones, or the single
+/// seed in `AETS_SEED` when that is set, to replay one CI lane or bisect
+/// a failure. A value that does not parse as a `u64` is ignored.
+pub fn seeds(pinned: &[u64]) -> Vec<u64> {
+    match std::env::var("AETS_SEED").ok().and_then(|s| s.parse().ok()) {
+        Some(seed) => vec![seed],
+        None => pinned.to_vec(),
+    }
+}

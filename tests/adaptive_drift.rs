@@ -21,7 +21,7 @@
 //! Regroup *timing* depends on wall-clock window sampling and is not
 //! deterministic; every assertion here is timing-independent (equivalence
 //! holds for any interleaving). Workload seeds are pinned; set
-//! `AETS_ADAPT_SEED=<u64>` to replay a single seed.
+//! `AETS_SEED=<u64>` to replay a single seed.
 
 use aets_suite::common::{FxHashSet, TableId, Timestamp};
 use aets_suite::forecast::ForecastModel;
@@ -43,10 +43,7 @@ const EPOCH_SIZE: usize = 64;
 const THREADS: usize = 3;
 
 fn seeds() -> Vec<u64> {
-    match std::env::var("AETS_ADAPT_SEED").ok().and_then(|s| s.parse().ok()) {
-        Some(seed) => vec![seed],
-        None => vec![7, 42],
-    }
+    aets_suite::seeds(&[7, 42])
 }
 
 fn encode(w: &Workload) -> Vec<EncodedEpoch> {
@@ -77,7 +74,6 @@ fn adaptive_node(num_tables: usize, grouping: TableGrouping) -> (BackupNode, Arc
                     epoch_window: 2,
                     min_history: 1,
                     model: ForecastModel::Naive,
-                    threads: THREADS,
                     hot_min_rate: 0.5,
                     ..Default::default()
                 })

@@ -154,12 +154,11 @@ fn pipelined_aets_matches_oracle_on_tpcc_and_bustracker() {
 /// wake-up shows up as a wrong digest, a disordered chain, a watermark
 /// that moved backwards, or the watchdog. The schedule is pinned by a
 /// seed so a CI failure replays exactly; override with
-/// `AETS_TEST_SEED=<u64>`.
+/// `AETS_SEED=<u64>`.
 #[test]
 fn replay_crew_barrier_and_chunk_handoff_stress() {
     use aets_suite::replay::Reconfigure;
-    let seed: u64 =
-        std::env::var("AETS_TEST_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0x5E1F);
+    let seed = aets_suite::seeds(&[0x5E1F])[0];
     // A seeded stream of draws off the workspace's own mixer.
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(1);

@@ -15,7 +15,7 @@
 //!    shipped checkpoints plus only the WAL suffix.
 //!
 //! Seeds are pinned for CI reproducibility (the `fleet-chaos` job runs
-//! one per lane); set `AETS_FLEET_SEED=<u64>` to replay a single seed.
+//! one per lane); set `AETS_SEED=<u64>` to replay a single seed.
 
 use aets_suite::common::{TableId, Timestamp};
 use aets_suite::fleet::{
@@ -228,10 +228,7 @@ fn chaos_run(seed: u64) -> u64 {
 }
 
 fn seeds() -> Vec<u64> {
-    match std::env::var("AETS_FLEET_SEED").ok().and_then(|s| s.parse().ok()) {
-        Some(seed) => vec![seed],
-        None => vec![0x00F1_EE70, 0x00F1_EE71, 0x00F1_EE72],
-    }
+    aets_suite::seeds(&[0x00F1_EE70, 0x00F1_EE71, 0x00F1_EE72])
 }
 
 #[test]

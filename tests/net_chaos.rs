@@ -20,7 +20,7 @@
 //!    watermark and byte-identical query results.
 //!
 //! Seeds are pinned for CI reproducibility (the `net-chaos` job runs one
-//! per lane); set `AETS_NET_SEED=<u64>` to replay a single seed.
+//! per lane); set `AETS_SEED=<u64>` to replay a single seed.
 
 use aets_suite::common::{TableId, Timestamp};
 use aets_suite::memtable::MemDb;
@@ -246,25 +246,25 @@ fn run_seed(seed: u64) {
 }
 
 // The three pinned CI lanes (see .github/workflows/ci.yml, `net-chaos`).
-// `AETS_NET_SEED=<u64>` overrides all of them for bisecting a failure.
+// `AETS_SEED=<u64>` overrides all of them for bisecting a failure.
 
-fn seed_override() -> Option<u64> {
-    std::env::var("AETS_NET_SEED").ok().and_then(|s| s.parse().ok())
+fn lane_seed(pinned: u64) -> u64 {
+    aets_suite::seeds(&[pinned])[0]
 }
 
 #[test]
 fn survives_seeded_chaos_lane_1() {
-    run_seed(seed_override().unwrap_or(0xA5EED1));
+    run_seed(lane_seed(0xA5EED1));
 }
 
 #[test]
 fn survives_seeded_chaos_lane_2() {
-    run_seed(seed_override().unwrap_or(0xB5EED2));
+    run_seed(lane_seed(0xB5EED2));
 }
 
 #[test]
 fn survives_seeded_chaos_lane_3() {
-    run_seed(seed_override().unwrap_or(0xC5EED3));
+    run_seed(lane_seed(0xC5EED3));
 }
 
 #[test]
@@ -420,7 +420,7 @@ fn chaos_spans_reconstruct_the_causal_chain_for_a_single_epoch_id() {
 
     let fx = fixture();
     let total = fx.epochs.len() as u64;
-    let seed = seed_override().unwrap_or(0xA5EED1);
+    let seed = lane_seed(0xA5EED1);
 
     let tel_rx = Arc::new(Telemetry::new());
     let mut receiver = ShipReceiver::bind(

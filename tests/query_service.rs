@@ -7,7 +7,7 @@
 //! event (where refusal with `degraded` is the only acceptable failure).
 //!
 //! Seeds are pinned for CI (`query-stress` in `.github/workflows/ci.yml`);
-//! set `AETS_QS_SEED` to replay a single seed.
+//! set `AETS_SEED` to replay a single seed.
 
 use aets_suite::common::{ColumnId, Error, TableId, Timestamp};
 use aets_suite::memtable::{Aggregate, MemDb, Scan};
@@ -26,10 +26,7 @@ const CLIENTS: usize = 6;
 const ITERS: usize = 10;
 
 fn seeds() -> Vec<u64> {
-    match std::env::var("AETS_QS_SEED").ok().and_then(|s| s.parse().ok()) {
-        Some(s) => vec![s],
-        None => vec![0x5EED_0001, 0x5EED_0002],
-    }
+    aets_suite::seeds(&[0x5EED_0001, 0x5EED_0002])
 }
 
 /// xorshift64* — deterministic per-seed query mix.
