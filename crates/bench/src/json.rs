@@ -3,6 +3,7 @@
 //! writers need: construction via the [`crate::json!`] macro, conversion of the
 //! workspace's scalar/collection types, and pretty printing.
 
+use aets_common::json_escape;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -175,19 +176,7 @@ fn write_num(out: &mut String, n: f64) {
 
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    out.push_str(&json_escape(s));
     out.push('"');
 }
 

@@ -9,6 +9,7 @@
 pub mod error;
 pub mod fxhash;
 pub mod ids;
+pub mod json;
 pub mod mix;
 pub mod ops;
 pub mod rng;
@@ -18,7 +19,8 @@ pub mod value;
 pub use error::{Error, Result};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use ids::{ColumnId, EpochId, GroupId, Lsn, RowKey, TableId, Timestamp, TxnId};
-pub use mix::splitmix64;
+pub use json::json_escape;
+pub use mix::{splitmix64, unit_f64};
 pub use ops::DmlOp;
 pub use text::Utf8Bytes;
 pub use value::{Row, Value};

@@ -7,7 +7,7 @@
 //! chaos run is a pure function of its seed — every crash, every missed
 //! heartbeat, every failover lands on the same tick on every machine.
 
-use aets_common::splitmix64;
+use aets_common::{splitmix64, unit_f64};
 
 /// A fleet-level fault kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,10 +86,7 @@ impl FleetFaultPlan {
         if self.kinds.is_empty() || self.rate <= 0.0 {
             return None;
         }
-        let r = self.draw(shard, tick, 0);
-        // Top 53 bits -> uniform f64 in [0, 1).
-        let unit = (r >> 11) as f64 / (1u64 << 53) as f64;
-        if unit >= self.rate {
+        if unit_f64(self.draw(shard, tick, 0)) >= self.rate {
             return None;
         }
         let pick = self.draw(shard, tick, 1) as usize % self.kinds.len();

@@ -10,6 +10,7 @@ use crate::record::RecordNode;
 use crate::table::Table;
 use aets_common::{ColumnId, Row, RowKey, Timestamp, Value};
 use std::cmp::Ordering;
+use std::convert::Infallible;
 
 /// Comparison operator of a filter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,89 +105,129 @@ impl Scan {
         self
     }
 
-    /// Visits the record nodes in the scan's key range, in key order.
-    fn nodes<F: FnMut(RowKey, &RecordNode)>(&self, table: &Table, f: F) {
+    /// Visits the record nodes in the scan's key range, in key order,
+    /// asking `check` before each. Its first error ends the visits — no
+    /// chain is read after it — and is returned once the index walk,
+    /// which has no early exit, is over.
+    fn nodes<E>(
+        &self,
+        table: &Table,
+        mut check: impl FnMut() -> Result<(), E>,
+        mut f: impl FnMut(RowKey, &RecordNode),
+    ) -> Result<(), E> {
+        let mut stopped = None;
+        let visit = |k, node: &RecordNode| {
+            if stopped.is_none() {
+                stopped = check().err();
+            }
+            if stopped.is_none() {
+                f(k, node);
+            }
+        };
         match self.key_range {
-            Some((lo, hi)) => table.for_each_node_in(lo, hi, f),
-            None => table.for_each_node(f),
+            Some((lo, hi)) => table.for_each_node_in(lo, hi, visit),
+            None => table.for_each_node(visit),
         }
+        stopped.map_or(Ok(()), Err)
     }
 
-    /// Runs the scan, invoking `f` for every matching row in key order.
-    /// Only the matching rows are copied out.
-    pub fn for_each<F: FnMut(RowKey, Row)>(&self, table: &Table, mut f: F) {
-        self.for_each_ref(table, |k, row| f(k, row.clone()));
-    }
-
-    /// [`Scan::for_each`] lending each matching row instead of handing it
-    /// over ([`RecordNode::with_row_at`]). `f` runs under the row's
-    /// shared lock.
-    fn for_each_ref<F: FnMut(RowKey, &Row)>(&self, table: &Table, mut f: F) {
-        self.nodes(table, |k, node| {
+    /// Invokes `f` with every matching row in key order, lending the row
+    /// instead of copying it out ([`RecordNode::with_row_at`]). `f` runs
+    /// under the row's shared lock.
+    fn for_each_ref<E>(
+        &self,
+        table: &Table,
+        check: impl FnMut() -> Result<(), E>,
+        mut f: impl FnMut(RowKey, &Row),
+    ) -> Result<(), E> {
+        self.nodes(table, check, |k, node| {
             node.with_row_at(self.ts, |row| {
                 if self.filters.iter().all(|p| p.matches(row)) {
                     f(k, row);
                 }
             });
-        });
-    }
-
-    /// Invokes `f` once per matching row, in key order. Without filters
-    /// no row is read: the version kinds alone say which records are
-    /// visible ([`RecordNode::visible_at`]).
-    pub fn for_each_visible<F: FnMut(RowKey)>(&self, table: &Table, mut f: F) {
-        if self.filters.is_empty() {
-            self.nodes(table, |k, node| {
-                if node.visible_at(self.ts) {
-                    f(k);
-                }
-            });
-        } else {
-            self.for_each_ref(table, |k, _| f(k));
-        }
+        })
     }
 
     /// Invokes `f` with the value of `column` in every matching row
     /// (`None` where the row lacks it), in key order. Without filters no
     /// row is built: the value is read off the chain
     /// ([`RecordNode::with_value_at`]).
-    pub fn for_each_value<F: FnMut(RowKey, Option<&Value>)>(
+    fn for_each_value<E>(
         &self,
         table: &Table,
         column: ColumnId,
-        mut f: F,
-    ) {
+        check: impl FnMut() -> Result<(), E>,
+        mut f: impl FnMut(RowKey, Option<&Value>),
+    ) -> Result<(), E> {
         if self.filters.is_empty() {
-            self.nodes(table, |k, node| {
+            self.nodes(table, check, |k, node| {
                 node.with_value_at(self.ts, column, |v| f(k, v));
-            });
+            })
         } else {
-            self.for_each_ref(table, |k, row| {
+            self.for_each_ref(table, check, |k, row| {
                 f(k, row.iter().find(|(c, _)| *c == column).map(|(_, v)| v));
-            });
+            })
         }
     }
 
     /// Materializes matching rows.
     pub fn collect(&self, table: &Table) -> Vec<(RowKey, Row)> {
-        let mut out = Vec::new();
-        self.for_each(table, |k, r| out.push((k, r)));
-        out
+        self.try_collect(table, go_on).unwrap_or_else(|e| match e {})
     }
 
     /// Counts matching rows.
     pub fn count(&self, table: &Table) -> usize {
-        let mut n = 0;
-        self.for_each_visible(table, |_| n += 1);
-        n
+        self.try_count(table, go_on).unwrap_or_else(|e| match e {})
     }
 
     /// Numeric aggregate over a column of the matching rows. Non-numeric
     /// and missing column values are skipped; returns `None` when no row
     /// contributed.
     pub fn aggregate(&self, table: &Table, column: ColumnId, agg: Aggregate) -> Option<f64> {
+        self.try_aggregate(table, column, agg, go_on).unwrap_or_else(|e| match e {})
+    }
+
+    /// [`Scan::collect`] under a stop check: `check` is asked before each
+    /// record in the key range is visited, and its first `Err` ends the
+    /// scan and is returned in place of the rows.
+    pub fn try_collect<E>(
+        &self,
+        table: &Table,
+        check: impl FnMut() -> Result<(), E>,
+    ) -> Result<Vec<(RowKey, Row)>, E> {
+        let mut out = Vec::new();
+        self.for_each_ref(table, check, |k, row| out.push((k, row.clone())))?;
+        Ok(out)
+    }
+
+    /// [`Scan::count`] under a stop check (see [`Scan::try_collect`]).
+    /// Without filters no row is read: the version kinds alone say which
+    /// records are visible ([`RecordNode::visible_at`]).
+    pub fn try_count<E>(
+        &self,
+        table: &Table,
+        check: impl FnMut() -> Result<(), E>,
+    ) -> Result<usize, E> {
+        let mut n = 0;
+        if self.filters.is_empty() {
+            self.nodes(table, check, |_, node| n += usize::from(node.visible_at(self.ts)))?;
+        } else {
+            self.for_each_ref(table, check, |_, _| n += 1)?;
+        }
+        Ok(n)
+    }
+
+    /// [`Scan::aggregate`] under a stop check (see [`Scan::try_collect`]).
+    pub fn try_aggregate<E>(
+        &self,
+        table: &Table,
+        column: ColumnId,
+        agg: Aggregate,
+        check: impl FnMut() -> Result<(), E>,
+    ) -> Result<Option<f64>, E> {
         let mut acc: Option<(f64, usize)> = None;
-        self.for_each_value(table, column, |_, v| {
+        self.for_each_value(table, column, check, |_, v| {
             let Some(v) = v.and_then(numeric) else { return };
             acc = Some(match (acc, agg) {
                 (None, _) => (v, 1),
@@ -194,11 +235,11 @@ impl Scan {
                 (Some((a, n)), Aggregate::Min) => (a.min(v), n + 1),
                 (Some((a, n)), Aggregate::Max) => (a.max(v), n + 1),
             });
-        });
-        acc.map(|(a, n)| match agg {
+        })?;
+        Ok(acc.map(|(a, n)| match agg {
             Aggregate::Avg => a / n as f64,
             _ => a,
-        })
+        }))
     }
 
     /// Groups matching rows by an integer column and counts each group.
@@ -208,11 +249,12 @@ impl Scan {
         column: ColumnId,
     ) -> aets_common::FxHashMap<i64, usize> {
         let mut groups = aets_common::FxHashMap::default();
-        self.for_each_value(table, column, |_, v| {
+        let counted = self.for_each_value(table, column, go_on, |_, v| {
             if let Some(Value::Int(g)) = v {
                 *groups.entry(*g).or_insert(0) += 1;
             }
         });
+        counted.unwrap_or_else(|e| match e {});
         groups
     }
 }
@@ -228,6 +270,13 @@ pub enum Aggregate {
     Min,
     /// Maximum.
     Max,
+}
+
+/// The check that never stops a scan; with it a `try_*` terminal is the
+/// plain one (an `Option<Infallible>` is always `None`, so the stop test
+/// compiles away).
+fn go_on() -> Result<(), Infallible> {
+    Ok(())
 }
 
 /// The number in `v`, if it is one.
@@ -369,6 +418,47 @@ mod tests {
                 let grouped: usize = scan.group_count(&t, ColumnId::new(0)).values().sum();
                 let with_group = rows.iter().filter(|(_, r)| r[0].0 == ColumnId::new(0)).count();
                 assert_eq!(grouped, with_group);
+            }
+        }
+    }
+
+    /// A check that fails at its `k + 1`-th call is asked exactly `k + 1`
+    /// times by each terminal, filtered or not — `k` records were visited,
+    /// none after — and the terminal returns that first error, not rows.
+    #[test]
+    fn stop_check_after_k_rows_ends_accumulation() {
+        let t = table_with_rows();
+        let amount = ColumnId::new(1);
+        for scan in [
+            Scan::at(Timestamp::MAX),
+            Scan::at(Timestamp::MAX).filter(ColumnId::new(2), CmpOp::Eq, Value::Text("odd".into())),
+        ] {
+            let matching = scan.count(&t);
+            for k in [0, 1, 7, 99, 100] {
+                for terminal in 0..3 {
+                    let mut calls = 0;
+                    let check = || {
+                        calls += 1;
+                        if calls > k {
+                            Err(calls)
+                        } else {
+                            Ok(())
+                        }
+                    };
+                    let ended = match terminal {
+                        0 => scan.try_collect(&t, check).map(|rows| rows.len()),
+                        1 => scan.try_count(&t, check),
+                        _ => {
+                            scan.try_aggregate(&t, amount, Aggregate::Sum, check).map(|_| matching)
+                        }
+                    };
+                    if k < 100 {
+                        assert_eq!(ended, Err(k + 1), "terminal {terminal}, k {k}");
+                        assert_eq!(calls, k + 1, "terminal {terminal} asked again after the stop");
+                    } else {
+                        assert_eq!(ended, Ok(matching), "the check never fired");
+                    }
+                }
             }
         }
     }

@@ -280,6 +280,11 @@ impl Quarantine {
         self.groups.lock().iter().any(Option::is_some)
     }
 
+    /// The failure that froze group `g` (board index), rendered.
+    fn reason(&self, g: usize) -> String {
+        self.groups.lock()[g].as_ref().map(Error::to_string).unwrap_or_default()
+    }
+
     fn poisoned(&self) -> Vec<usize> {
         self.groups.lock().iter().enumerate().filter_map(|(i, e)| e.as_ref().map(|_| i)).collect()
     }
@@ -460,22 +465,11 @@ impl AetsEngine {
 
     /// A snapshot of the engine's current table grouping. Live
     /// reconfiguration means the grouping can change between calls; a
-    /// caller that maps tables to groups for admission must pair the
-    /// snapshot with its generation via
-    /// [`AetsEngine::grouping_versioned`].
+    /// caller that maps tables to groups for admission takes the mapping
+    /// and its generation together from
+    /// [`ReplayEngine::board_groups_for`].
     pub fn grouping(&self) -> Arc<TableGrouping> {
         self.grouping.read().grouping.clone()
-    }
-
-    /// The current grouping together with the generation it was
-    /// installed under, read atomically. Admission gids computed from
-    /// the snapshot should be waited on with
-    /// [`crate::VisibilityBoard::wait_admission_at`] carrying this
-    /// generation: if a regroup lands in between, the stale generation
-    /// demotes the wait to the (always-correct) global-watermark path.
-    pub fn grouping_versioned(&self) -> (u64, Arc<TableGrouping>) {
-        let g = self.grouping.read();
-        (g.gen, g.grouping.clone())
     }
 
     /// The generation of the currently installed grouping (0 until the
@@ -830,7 +824,8 @@ impl AetsEngine {
             let after = self.quarantine.poisoned();
             if after.len() > before.len() {
                 for &g in after.iter().filter(|g| !before.contains(g)) {
-                    self.telemetry.event(EventKind::GroupQuarantined { group: g });
+                    let reason = self.quarantine.reason(g);
+                    self.telemetry.event(EventKind::GroupQuarantined { group: g, reason });
                 }
                 if before.is_empty() {
                     self.telemetry.event(EventKind::DegradedEntered { groups: after.clone() });
@@ -1156,11 +1151,7 @@ impl ReplayEngine for AetsEngine {
         self.grouping.read().grouping.num_groups()
     }
 
-    fn board_groups_for(&self, tables: &[TableId]) -> Vec<GroupId> {
-        self.grouping.read().grouping.groups_of(tables)
-    }
-
-    fn board_groups_for_at(&self, tables: &[TableId]) -> (u64, Vec<GroupId>) {
+    fn board_groups_for(&self, tables: &[TableId]) -> (u64, Vec<GroupId>) {
         let g = self.grouping.read();
         (g.gen, g.grouping.groups_of(tables))
     }
@@ -1217,6 +1208,7 @@ mod tests {
     use crate::engines::serial::SerialEngine;
     use crate::engines::with_watchdog;
     use aets_common::{FxHashSet, Timestamp};
+    use aets_wal::faults::corrupt_record_of;
     use aets_workloads::tpcc::{self, TpccConfig};
     use aets_workloads::Workload;
 
@@ -1470,27 +1462,14 @@ mod tests {
         aets_wal::batch_into_epochs(txns, 4).unwrap().iter().map(aets_wal::encode_epoch).collect()
     }
 
-    /// Flips a bit in the record-CRC trailer of `table`'s first DML and
-    /// restamps the frame CRC — the `FaultKind::RecordCorruption` shape:
-    /// invisible at ingest, fatal at full record decode.
-    fn corrupt_first_dml_of(epoch: &EncodedEpoch, table: TableId) -> EncodedEpoch {
-        let range = aets_wal::MetaScanner::new(epoch.bytes.clone())
-            .filter_map(|i| i.ok())
-            .find(|(meta, _)| meta.table == Some(table))
-            .map(|(_, r)| r)
-            .expect("epoch holds a DML of the table");
-        let mut v = epoch.bytes.to_vec();
-        v[range.end - 1] ^= 0x01;
-        let bytes = bytes::Bytes::from(v);
-        EncodedEpoch { crc32: aets_wal::crc32(&bytes), bytes, ..epoch.clone() }
-    }
-
     #[test]
     fn persistent_corruption_quarantines_group_and_freezes_watermarks() {
         let mut epochs = two_group_epochs();
-        epochs[1] = corrupt_first_dml_of(&epochs[1], TableId::new(2));
+        epochs[1] = corrupt_record_of(&epochs[1], TableId::new(2)).expect("a DML of table 2");
+        let tel = Arc::new(Telemetry::new());
         let eng = AetsEngine::builder(two_group_grouping())
             .config(AetsConfig { threads: 2, ..Default::default() })
+            .telemetry(tel.clone())
             .build()
             .unwrap();
         let db = MemDb::new(3);
@@ -1501,6 +1480,16 @@ mod tests {
         assert!(m.degraded());
         assert_eq!(m.quarantined_groups, vec![1]);
         assert_eq!(eng.quarantined_groups(), vec![1]);
+        // The event says why the group froze, not only that it did.
+        let why: Vec<String> = tel
+            .drain_events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::GroupQuarantined { group: 1, reason } => Some(reason),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(why, [Error::CodecChecksum.to_string()]);
         // The corrupt record sits in group 1's first mini-txn of epoch
         // 1, so nothing of that epoch commits there: tg freezes at the
         // last consistent epoch, and so does the global (else
@@ -1598,7 +1587,7 @@ mod tests {
     #[test]
     fn regroup_rejected_while_quarantined() {
         let mut epochs = two_group_epochs();
-        epochs[1] = corrupt_first_dml_of(&epochs[1], TableId::new(2));
+        epochs[1] = corrupt_record_of(&epochs[1], TableId::new(2)).expect("a DML of table 2");
         let eng = AetsEngine::builder(two_group_grouping())
             .config(AetsConfig { threads: 2, ..Default::default() })
             .build()

@@ -77,10 +77,6 @@ impl ReplayEngine for AtrEngine {
         1
     }
 
-    fn board_groups_for(&self, _tables: &[TableId]) -> Vec<GroupId> {
-        vec![GroupId::new(0)]
-    }
-
     fn replay(
         &self,
         epochs: &[EncodedEpoch],

@@ -62,10 +62,6 @@ impl ReplayEngine for C5Engine {
         1
     }
 
-    fn board_groups_for(&self, _tables: &[TableId]) -> Vec<GroupId> {
-        vec![GroupId::new(0)]
-    }
-
     fn replay(
         &self,
         epochs: &[EncodedEpoch],

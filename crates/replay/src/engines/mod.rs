@@ -42,18 +42,16 @@ pub trait ReplayEngine: Send + Sync {
     /// engines).
     fn board_groups(&self) -> usize;
 
-    /// Maps a query's table footprint to the board groups it must wait on.
-    fn board_groups_for(&self, tables: &[TableId]) -> Vec<GroupId>;
-
-    /// [`ReplayEngine::board_groups_for`] paired with the grouping
-    /// generation the mapping was computed under, read atomically. Pass
-    /// the generation to
-    /// [`VisibilityBoard::wait_admission_at`] so a live
-    /// regroup landing in between demotes the wait to the always-correct
-    /// global-watermark path instead of trusting stale group indices.
-    /// Engines whose grouping never changes are always generation 0.
-    fn board_groups_for_at(&self, tables: &[TableId]) -> (u64, Vec<GroupId>) {
-        (0, self.board_groups_for(tables))
+    /// Maps a query's table footprint to the board groups it must wait
+    /// on, paired with the grouping generation the mapping was computed
+    /// under (read atomically). Pass both to
+    /// [`VisibilityBoard::wait_admission`], so a live regroup landing in
+    /// between demotes the wait to the always-correct global-watermark
+    /// path instead of trusting stale group indices. The default is every
+    /// group at generation 0: right for any engine whose grouping never
+    /// changes, and exact for the ungrouped ones.
+    fn board_groups_for(&self, _tables: &[TableId]) -> (u64, Vec<GroupId>) {
+        (0, (0..self.board_groups() as u32).map(GroupId::new).collect())
     }
 
     /// The engine's live reconfiguration channel, when it has one.
@@ -127,18 +125,6 @@ pub struct Cell {
     pub node: Arc<RecordNode>,
     /// Decoded entry (op, columns, row version).
     pub entry: DmlEntry,
-}
-
-impl Cell {
-    /// Builds the version this cell will append at commit.
-    pub fn to_version(&self) -> Version {
-        Version {
-            txn_id: self.entry.txn_id,
-            commit_ts: self.entry.ts,
-            op: self.entry.op,
-            cols: self.entry.cols.clone(),
-        }
-    }
 }
 
 /// Decodes the DML entry at `range` of `buf` and resolves its Memtable

@@ -4,7 +4,7 @@
 use crate::engines::{apply_entry, ReplayEngine};
 use crate::metrics::ReplayMetrics;
 use crate::visibility::VisibilityBoard;
-use aets_common::{GroupId, Result, TableId};
+use aets_common::{GroupId, Result};
 use aets_memtable::MemDb;
 use aets_wal::{assemble_txns, EncodedEpoch, LogRecord};
 use std::time::Instant;
@@ -21,10 +21,6 @@ impl ReplayEngine for SerialEngine {
 
     fn board_groups(&self) -> usize {
         1
-    }
-
-    fn board_groups_for(&self, _tables: &[TableId]) -> Vec<GroupId> {
-        vec![GroupId::new(0)]
     }
 
     fn replay(

@@ -558,27 +558,15 @@ mod tests {
     /// index of the epoch holding it: that table's group quarantines
     /// there.
     fn poisoned_stream() -> (Vec<EncodedEpoch>, usize, usize, TableGrouping) {
-        use aets_wal::{crc32, MetaScanner};
-
         let (mut epochs, num_tables, grouping) = tpcc_stream(600);
-        // Find a DML of the highest-numbered table.
+        // The first DML of the highest-numbered table.
         let victim = TableId::new((num_tables - 1) as u32);
-        let eidx = epochs
+        let (eidx, poisoned) = epochs
             .iter()
-            .position(|e| {
-                MetaScanner::new(e.bytes.clone())
-                    .filter_map(|i| i.ok())
-                    .any(|(meta, _)| meta.table == Some(victim))
-            })
+            .enumerate()
+            .find_map(|(i, e)| Some((i, aets_wal::faults::corrupt_record_of(e, victim)?)))
             .expect("some epoch touches the victim table");
-        let range = MetaScanner::new(epochs[eidx].bytes.clone())
-            .filter_map(|i| i.ok())
-            .find(|(meta, _)| meta.table == Some(victim))
-            .map(|(_, r)| r)
-            .unwrap();
-        let mut v = epochs[eidx].bytes.to_vec();
-        v[range.end - 1] ^= 0x01;
-        epochs[eidx] = EncodedEpoch { crc32: crc32(&v), bytes: v.into(), ..epochs[eidx].clone() };
+        epochs[eidx] = poisoned;
         (epochs, eidx, num_tables, grouping)
     }
 
@@ -872,6 +860,9 @@ mod tests {
         assert!(!bundles.is_empty(), "the suffix's quarantine must leave a bundle");
         let body = std::fs::read_to_string(&bundles[0]).unwrap();
         assert!(body.contains("\"reason\": \"group_quarantined\""), "{body}");
+        // The quarantine event in the bundle carries the root cause.
+        let why = format!("\"reason\": \"{}\"", Error::CodecChecksum);
+        assert!(body.contains(&why), "{body}");
         for dir in [&wal_dir, &ckpt_dir, &flight_dir] {
             let _ = std::fs::remove_dir_all(dir);
         }

@@ -52,13 +52,6 @@ pub struct RunnerOutcome {
     /// because their data sits behind a quarantined group's frozen
     /// watermark).
     pub timed_out: usize,
-    /// Prometheus-text telemetry snapshots taken every
-    /// [`RunnerConfig::telemetry_every`] epochs (empty when the cadence is
-    /// `0` or the engine carries no enabled telemetry).
-    pub telemetry_snapshots: Vec<String>,
-    /// The snapshot rendered at the moment the run entered degraded mode
-    /// (first group quarantined) — the flight recorder for postmortems.
-    pub degraded_snapshot: Option<String>,
 }
 
 impl RunnerOutcome {
@@ -97,22 +90,11 @@ pub struct RunnerConfig {
     /// the engine's telemetry registry (`aets_gc_passes_total`,
     /// `aets_gc_pruned_total`), not in [`RunnerOutcome`].
     pub gc_every: usize,
-    /// Render a telemetry exposition snapshot after every
-    /// `telemetry_every` released epochs into
-    /// [`RunnerOutcome::telemetry_snapshots`] (`0` disables the cadence).
-    /// Has effect only when the engine carries an enabled telemetry
-    /// instance (built via `AetsEngine::builder().telemetry(..)`).
-    pub telemetry_every: usize,
 }
 
 impl Default for RunnerConfig {
     fn default() -> Self {
-        Self {
-            time_scale: 1.0,
-            query_timeout: Duration::from_secs(30),
-            gc_every: 64,
-            telemetry_every: 0,
-        }
+        Self { time_scale: 1.0, query_timeout: Duration::from_secs(30), gc_every: 64 }
     }
 }
 
@@ -138,7 +120,6 @@ pub fn run_realtime(
         return Err(Error::Config("time_scale must be positive".into()));
     }
     let start = Instant::now();
-    let telemetry = engine.telemetry_handle().filter(|t| t.is_enabled());
     // Freshness clock: map wall time back onto the primary clock through
     // the pacing compression, so the recorded visibility lag
     // (`now − primary_commit_ts`) is in primary microseconds regardless
@@ -189,8 +170,6 @@ pub fn run_realtime(
         // their arrival instants and replay each as it lands (the engine
         // processes epochs strictly in order anyway).
         let mut metrics = ReplayMetrics { engine: engine.name(), ..Default::default() };
-        let mut telemetry_snapshots = Vec::new();
-        let mut degraded_snapshot: Option<String> = None;
         for (eidx, (epoch, arrival)) in epochs.iter().zip(arrivals).enumerate() {
             let target = start + to_wall(*arrival);
             if let Some(sleep) = target.checked_duration_since(Instant::now()) {
@@ -204,18 +183,6 @@ pub fn run_realtime(
             if cfg.gc_every > 0 && (eidx + 1) % cfg.gc_every == 0 {
                 node.gc();
             }
-
-            if let Some(tel) = &telemetry {
-                // Flight recorder: dump the full exposition at the moment
-                // the run first turns degraded, while the registry still
-                // reflects the healthy-to-degraded transition.
-                if degraded_snapshot.is_none() && metrics.degraded() {
-                    degraded_snapshot = Some(tel.snapshot().render_prometheus());
-                }
-                if cfg.telemetry_every > 0 && (eidx + 1) % cfg.telemetry_every == 0 {
-                    telemetry_snapshots.push(tel.snapshot().render_prometheus());
-                }
-            }
         }
         metrics.wall = start.elapsed();
 
@@ -228,7 +195,7 @@ pub fn run_realtime(
                 Err(e) => return Err(e),
             }
         }
-        Ok(RunnerOutcome { metrics, delays, timed_out, telemetry_snapshots, degraded_snapshot })
+        Ok(RunnerOutcome { metrics, delays, timed_out })
     })
 }
 
@@ -373,7 +340,7 @@ mod tests {
         let (w, epochs, arrivals, _) = setup(1_000);
         let (tel, engine) = instrumented_engine(&w);
         let db = Arc::new(MemDb::new(w.num_tables()));
-        let cfg = RunnerConfig { time_scale: 50.0, telemetry_every: 2, ..Default::default() };
+        let cfg = RunnerConfig { time_scale: 50.0, ..Default::default() };
         let outcome = run_realtime(
             engine,
             db,
@@ -381,13 +348,10 @@ mod tests {
             &cfg,
         )
         .unwrap();
-        assert_eq!(outcome.telemetry_snapshots.len(), epochs.len() / 2);
-        assert!(outcome.degraded_snapshot.is_none(), "healthy run");
-        for text in &outcome.telemetry_snapshots {
-            parse_exposition(text).expect("snapshot must parse");
-        }
-        // The registry integrated exactly what the per-call metrics sum to.
+        assert!(!outcome.degraded(), "healthy run");
         let snap = tel.snapshot();
+        parse_exposition(&snap.render_prometheus()).expect("snapshot must parse");
+        // The registry integrated exactly what the per-call metrics sum to.
         assert_eq!(snap.counter_total(names::TXNS) as usize, outcome.metrics.txns);
         assert_eq!(snap.counter_total(names::EPOCHS) as usize, outcome.metrics.epochs);
         // Freshness: the paced run recorded a visibility-lag sample per

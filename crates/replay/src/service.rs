@@ -30,10 +30,12 @@ use crate::control::AdaptiveController;
 use crate::engines::ReplayEngine;
 use crate::metrics::ReplayMetrics;
 use crate::options::ServiceOptions;
+use crate::target::try_eval_spec;
 use crate::visibility::{VisibilityBoard, WaitOutcome};
-use aets_common::{Error, GroupId, Result, Row, RowKey, TableId, Timestamp};
-use aets_memtable::{gc_db, Aggregate, Filter, FloorTicket, GcStats, MemDb, QueryFloor, Scan};
+use aets_common::{Error, Result, Row, RowKey, TableId, Timestamp};
+use aets_memtable::{gc_db, Aggregate, Filter, FloorTicket, GcStats, MemDb, QueryFloor};
 use aets_telemetry::trace::stages;
+use aets_telemetry::trace::SpanId;
 use aets_telemetry::{
     names, table_label, ClockFn, Counter, EventKind, Gauge, HealthFn, HealthReport, Histogram,
     ObsServer, Telemetry,
@@ -108,37 +110,24 @@ pub struct QuerySpec {
 }
 
 impl QuerySpec {
+    /// An unrestricted full-table query computing `output`.
+    fn over(table: TableId, output: OutputKind) -> Self {
+        Self { table, key_range: None, filters: Vec::new(), output, timeout: None }
+    }
+
     /// A full-table row scan.
     pub fn rows(table: TableId) -> Self {
-        Self {
-            table,
-            key_range: None,
-            filters: Vec::new(),
-            output: OutputKind::Rows,
-            timeout: None,
-        }
+        Self::over(table, OutputKind::Rows)
     }
 
     /// A row count.
     pub fn count(table: TableId) -> Self {
-        Self {
-            table,
-            key_range: None,
-            filters: Vec::new(),
-            output: OutputKind::Count,
-            timeout: None,
-        }
+        Self::over(table, OutputKind::Count)
     }
 
     /// A numeric aggregate over `column`.
     pub fn aggregate(table: TableId, column: aets_common::ColumnId, agg: Aggregate) -> Self {
-        Self {
-            table,
-            key_range: None,
-            filters: Vec::new(),
-            output: OutputKind::AggregateCol { column, agg },
-            timeout: None,
-        }
+        Self::over(table, OutputKind::AggregateCol { column, agg })
     }
 
     /// Restricts to an inclusive key range.
@@ -190,19 +179,13 @@ impl QueryHandle {
     pub fn wait(self) -> Result<QueryOutput> {
         self.rx.recv().unwrap_or_else(|_| Err(Error::Replay("query worker disappeared".into())))
     }
-
-    /// Returns the result if already available.
-    pub fn try_wait(&self) -> Option<Result<QueryOutput>> {
-        self.rx.try_recv().ok()
-    }
 }
 
 /// One submission travelling through the admission queue to a worker.
 struct Job {
-    gids: Vec<GroupId>,
-    /// Grouping generation `gids` was computed under; a live regroup in
-    /// flight demotes the admission wait to the global-watermark path.
-    gen: u64,
+    /// The session's footprint; the worker resolves it to board groups
+    /// when it starts the admission wait.
+    tables: Vec<TableId>,
     qts: Timestamp,
     spec: QuerySpec,
     enqueued: Instant,
@@ -319,15 +302,75 @@ impl ServiceStats {
             gc_pass_us: reg.histogram(names::GC_PASS_US),
         }
     }
+
+    /// Counts a failed query under the reason it failed for.
+    fn count_failure(&self, e: &Error) {
+        match e {
+            Error::QueryTimeout => self.timed_out.inc(),
+            Error::Degraded => self.refused_degraded.inc(),
+            Error::Cancelled => self.cancelled.inc(),
+            _ => {}
+        }
+    }
 }
 
-/// Everything a worker thread needs, shared by `Arc`.
-struct WorkerCtx {
-    queue: Arc<AdmissionQueue>,
+/// What serving a query needs, shared by the node and its workers.
+struct NodeCore {
+    engine: Arc<dyn ReplayEngine>,
+    queue: AdmissionQueue,
     db: Arc<MemDb>,
     board: Arc<VisibilityBoard>,
-    stats: Arc<ServiceStats>,
+    stats: ServiceStats,
     telemetry: Arc<Telemetry>,
+}
+
+impl NodeCore {
+    /// Algorithm 3 for one query, on the calling thread: resolves
+    /// `tables` to board groups under the engine's *live* grouping,
+    /// generation-tagged for the board, and parks until the snapshot at
+    /// `qts` is admitted or `deadline` passes. A parked wait comes up at
+    /// least every [`SHUTDOWN_SLICE`] to ask `keep_waiting`, whose error
+    /// ends it (publish wakeups are still immediate). Returns the wait
+    /// and the admission span's id; [`Error::QueryTimeout`] on expiry,
+    /// [`Error::Degraded`] when a needed group is frozen below `qts`.
+    fn admit(
+        &self,
+        tables: &[TableId],
+        qts: Timestamp,
+        deadline: Instant,
+        mut keep_waiting: impl FnMut() -> Result<()>,
+    ) -> Result<(Duration, Option<SpanId>)> {
+        let t0 = Instant::now();
+        // The admission span pins the query onto the latest committed
+        // epoch's timeline: merged with the engine's spans, it shows the gap
+        // between that epoch's visibility flip and its first admitted read.
+        let ring = self.telemetry.spans();
+        let span = ring.begin(ring.epoch_hint().unwrap_or(0), stages::QUERY_ADMISSION, None, None);
+        let (gen, gids) = self.engine.board_groups_for(tables);
+        let outcome = loop {
+            let now = Instant::now();
+            if now >= deadline {
+                break WaitOutcome::TimedOut;
+            }
+            let slice = (deadline - now).min(SHUTDOWN_SLICE);
+            match self.board.wait_admission(&gids, gen, qts, slice) {
+                WaitOutcome::TimedOut => keep_waiting()?,
+                decided => break decided,
+            }
+        };
+        let waited = t0.elapsed();
+        self.stats.admission_wait.record(waited);
+        let span = span.map(|s| {
+            let id = s.id();
+            s.finish(ring);
+            id
+        });
+        match outcome {
+            WaitOutcome::Visible => Ok((waited, span)),
+            WaitOutcome::TimedOut => Err(Error::QueryTimeout),
+            WaitOutcome::Quarantined => Err(Error::Degraded),
+        }
+    }
 }
 
 /// Health view of a visibility board for the `/healthz` endpoint: OK
@@ -469,7 +512,7 @@ impl BackupNodeBuilder {
         // drain; the recorder is armed from here on.
         let obs = self.opts.service.mount(&telemetry, board_health(&board))?;
         let floor = self.floor.unwrap_or_else(|| Arc::new(QueryFloor::new()));
-        let stats = Arc::new(ServiceStats::new(&telemetry, db.num_tables()));
+        let stats = ServiceStats::new(&telemetry, db.num_tables());
         // The adaptive loop needs both a reconfiguration channel and a
         // live grouping to plan against; engines with a fixed datapath
         // (the baselines) simply run without one.
@@ -485,39 +528,22 @@ impl BackupNodeBuilder {
             },
             None => None,
         };
-        let queue = Arc::new(AdmissionQueue::new(self.opts.queue_depth));
+        let queue = AdmissionQueue::new(self.opts.queue_depth);
         if self.headless {
             // Nobody would pop: shed a submission instead of parking it.
             queue.close();
         }
+        let core = Arc::new(NodeCore { engine, queue, db, board, stats, telemetry });
         let workers = (0..pool)
             .map(|i| {
-                let ctx = WorkerCtx {
-                    queue: queue.clone(),
-                    db: db.clone(),
-                    board: board.clone(),
-                    stats: stats.clone(),
-                    telemetry: telemetry.clone(),
-                };
+                let core = core.clone();
                 std::thread::Builder::new()
                     .name(format!("aets-query-{i}"))
-                    .spawn(move || worker_loop(&ctx))
+                    .spawn(move || worker_loop(&core))
                     .map_err(|e| Error::Io(format!("spawn query worker: {e}")))
             })
             .collect::<Result<Vec<_>>>()?;
-        Ok(BackupNode {
-            engine,
-            db,
-            board,
-            telemetry,
-            floor,
-            opts: self.opts,
-            stats,
-            queue,
-            workers,
-            obs,
-            controller,
-        })
+        Ok(BackupNode { core, floor, opts: self.opts, workers, obs, controller })
     }
 }
 
@@ -527,14 +553,9 @@ impl BackupNodeBuilder {
 /// closes the admission queue and joins the worker pool; open
 /// [`ReadSession`]s borrow the node, so all sessions end first.
 pub struct BackupNode {
-    engine: Arc<dyn ReplayEngine>,
-    db: Arc<MemDb>,
-    board: Arc<VisibilityBoard>,
-    telemetry: Arc<Telemetry>,
+    core: Arc<NodeCore>,
     floor: Arc<QueryFloor>,
     opts: NodeOptions,
-    stats: Arc<ServiceStats>,
-    queue: Arc<AdmissionQueue>,
     workers: Vec<JoinHandle<()>>,
     obs: Option<ObsServer>,
     /// Live forecast-driven controller, when [`ServiceOptions::controller`]
@@ -546,8 +567,8 @@ pub struct BackupNode {
 impl std::fmt::Debug for BackupNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BackupNode")
-            .field("engine", &self.engine.name())
-            .field("groups", &self.board.num_groups())
+            .field("engine", &self.core.engine.name())
+            .field("groups", &self.core.board.num_groups())
             .field("workers", &self.workers.len())
             .finish()
     }
@@ -564,17 +585,17 @@ impl BackupNode {
     /// table bumps its `aets_table_access_total` counter — the signal the
     /// adaptive controller forecasts from.
     pub fn open_session(&self, qts: Timestamp, tables: &[TableId]) -> ReadSession<'_> {
-        let gids = self.engine.board_groups_for(tables);
+        let core = &self.core;
         for t in tables {
-            if let Some(c) = self.stats.table_access.get(t.index()) {
+            if let Some(c) = core.stats.table_access.get(t.index()) {
                 c.inc();
             }
         }
         let ticket = self.floor.pin(qts);
-        self.stats.sessions_opened.inc();
-        self.stats.sessions_active.add(1);
-        self.telemetry.event(EventKind::SessionOpened { qts_us: qts.as_micros() });
-        ReadSession { node: self, qts, tables: tables.to_vec(), gids, ticket }
+        core.stats.sessions_opened.inc();
+        core.stats.sessions_active.add(1);
+        core.telemetry.event(EventKind::SessionOpened { qts_us: qts.as_micros() });
+        ReadSession { node: self, qts, tables: tables.to_vec(), ticket }
     }
 
     /// Feeds epochs to the replay engine, publishing visibility on the
@@ -582,7 +603,7 @@ impl BackupNode {
     /// With an adaptive controller configured, the control loop ticks
     /// once per epoch after the batch replays.
     pub fn replay(&self, epochs: &[EncodedEpoch]) -> Result<ReplayMetrics> {
-        let m = self.engine.replay(epochs, &self.db, &self.board)?;
+        let m = self.core.engine.replay(epochs, &self.core.db, &self.core.board)?;
         if let Some(ctl) = &self.controller {
             let mut ctl = ctl.lock();
             for _ in 0..epochs.len() {
@@ -612,53 +633,44 @@ impl BackupNode {
     pub fn gc_clamped(&self, extra_floor: Timestamp) -> GcStats {
         let wm = self.gc_watermark(extra_floor);
         let t0 = Instant::now();
-        let pass = gc_db(&self.db, wm);
-        self.stats.gc_pass_us.record_micros(t0.elapsed().as_micros() as u64);
-        self.stats.gc_passes.inc();
-        self.stats.gc_pruned.add(pass.pruned as u64);
-        self.telemetry.event(EventKind::GcPass { nodes: pass.nodes, pruned: pass.pruned });
+        let pass = gc_db(&self.core.db, wm);
+        let stats = &self.core.stats;
+        stats.gc_pass_us.record_micros(t0.elapsed().as_micros() as u64);
+        stats.gc_passes.inc();
+        stats.gc_pruned.add(pass.pruned as u64);
+        self.core.telemetry.event(EventKind::GcPass { nodes: pass.nodes, pruned: pass.pruned });
         pass
     }
 
     /// The watermark [`BackupNode::gc_clamped`] would prune at.
     pub fn gc_watermark(&self, extra_floor: Timestamp) -> Timestamp {
-        self.board.gc_watermark(&self.board.quarantined(), self.floor.floor().min(extra_floor))
+        self.core.board.gc_watermark(self.floor.floor().min(extra_floor))
     }
 
     /// Whether any group is quarantined (the node is degraded: reads
     /// needing a frozen group past its watermark are refused).
     pub fn is_degraded(&self) -> bool {
-        self.board.any_quarantined()
+        self.core.board.any_quarantined()
     }
 
     /// The node's database.
     pub fn db(&self) -> &Arc<MemDb> {
-        &self.db
+        &self.core.db
     }
 
     /// The node's visibility board.
     pub fn board(&self) -> &Arc<VisibilityBoard> {
-        &self.board
+        &self.core.board
     }
 
     /// The node's telemetry instance.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.telemetry
+        &self.core.telemetry
     }
 
     /// The node's GC floor registry.
     pub fn floor(&self) -> &Arc<QueryFloor> {
         &self.floor
-    }
-
-    /// The node's replay engine.
-    pub fn engine(&self) -> &Arc<dyn ReplayEngine> {
-        &self.engine
-    }
-
-    /// The query-service tunables the node runs with.
-    pub fn options(&self) -> &NodeOptions {
-        &self.opts
     }
 
     /// Bound address of the live observability endpoint, when
@@ -671,7 +683,7 @@ impl BackupNode {
 
 impl Drop for BackupNode {
     fn drop(&mut self) {
-        self.queue.close();
+        self.core.queue.close();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -684,9 +696,10 @@ impl Drop for BackupNode {
 /// pin. Queries submitted through the session read the MVCC snapshot at
 /// exactly `qts` once Algorithm 3 admits it.
 ///
-/// The session's table footprint is re-resolved to board groups under
-/// the engine's *live* grouping at every wait and submission, tagged
-/// with the grouping generation it was resolved under. A live regroup
+/// The session's table footprint is resolved to board groups under the
+/// engine's *live* grouping at every wait — the caller's own or a
+/// worker's — and never stored, tagged with the grouping generation it
+/// was resolved under. A live regroup
 /// racing the wait can therefore only make the resolution stale — which
 /// demotes admission to the always-correct global-watermark path — never
 /// wrongly fresh.
@@ -695,7 +708,6 @@ pub struct ReadSession<'a> {
     node: &'a BackupNode,
     qts: Timestamp,
     tables: Vec<TableId>,
-    gids: Vec<GroupId>,
     ticket: FloorTicket,
 }
 
@@ -703,12 +715,6 @@ impl ReadSession<'_> {
     /// The session's snapshot timestamp.
     pub fn qts(&self) -> Timestamp {
         self.qts
-    }
-
-    /// Board groups the session's footprint mapped to when it opened
-    /// (later waits re-resolve against the live grouping).
-    pub fn groups(&self) -> &[GroupId] {
-        &self.gids
     }
 
     /// Blocks the *calling* thread until Algorithm 3 admits the session
@@ -720,31 +726,10 @@ impl ReadSession<'_> {
     /// anyway; this exists for callers that want the pure visibility
     /// delay on their own thread (the realtime runner's measurement).
     pub fn wait_admitted(&self, timeout: Duration) -> Result<Duration> {
-        let t0 = Instant::now();
-        // Query spans attach to the most recently committed epoch (the
-        // one whose visibility flip this wait is gated on).
-        let ring = self.node.telemetry.spans();
-        let span = ring.begin(ring.epoch_hint().unwrap_or(0), stages::QUERY_ADMISSION, None, None);
-        // Fresh resolution per wait: the footprint maps to groups under
-        // the engine's current grouping, generation-tagged for the board.
-        let (gen, gids) = self.node.engine.board_groups_for_at(&self.tables);
-        let outcome = self.node.board.wait_admission_at(&gids, gen, self.qts, timeout);
-        let waited = t0.elapsed();
-        self.node.stats.admission_wait.record(waited);
-        if let Some(s) = span {
-            s.finish(ring);
-        }
-        match outcome {
-            WaitOutcome::Visible => Ok(waited),
-            WaitOutcome::TimedOut => {
-                self.node.stats.timed_out.inc();
-                Err(Error::QueryTimeout)
-            }
-            WaitOutcome::Quarantined => {
-                self.node.stats.refused_degraded.inc();
-                Err(Error::Degraded)
-            }
-        }
+        let core = &self.node.core;
+        core.admit(&self.tables, self.qts, Instant::now() + timeout, || Ok(()))
+            .map(|(waited, _)| waited)
+            .inspect_err(|e| core.stats.count_failure(e))
     }
 
     /// Submits a query to the worker pool. Fails immediately with
@@ -754,10 +739,8 @@ impl ReadSession<'_> {
         let (tx, rx) = mpsc::channel();
         let cancel = Arc::new(AtomicBool::new(false));
         let now = Instant::now();
-        let (gen, gids) = self.node.engine.board_groups_for_at(&self.tables);
         let job = Job {
-            gids,
-            gen,
+            tables: self.tables.clone(),
             qts: self.qts,
             spec,
             enqueued: now,
@@ -765,13 +748,13 @@ impl ReadSession<'_> {
             cancel: cancel.clone(),
             reply: tx,
         };
-        match self.node.queue.try_push(job) {
+        match self.node.core.queue.try_push(job) {
             Ok(()) => {
-                self.node.stats.queue_depth.add(1);
+                self.node.core.stats.queue_depth.add(1);
                 Ok(QueryHandle { rx, cancel })
             }
             Err(_) => {
-                self.node.stats.overloaded.inc();
+                self.node.core.stats.overloaded.inc();
                 Err(Error::Overloaded)
             }
         }
@@ -786,9 +769,9 @@ impl ReadSession<'_> {
 impl Drop for ReadSession<'_> {
     fn drop(&mut self) {
         self.node.floor.release(self.ticket);
-        self.node.stats.sessions_closed.inc();
-        self.node.stats.sessions_active.sub(1);
-        self.node.telemetry.event(EventKind::SessionClosed { qts_us: self.qts.as_micros() });
+        self.node.core.stats.sessions_closed.inc();
+        self.node.core.stats.sessions_active.sub(1);
+        self.node.core.telemetry.event(EventKind::SessionClosed { qts_us: self.qts.as_micros() });
     }
 }
 
@@ -806,162 +789,55 @@ impl Drop for GaugeGuard<'_> {
 /// closure at most this often (publish wakeups are still immediate).
 const SHUTDOWN_SLICE: Duration = Duration::from_millis(100);
 
-fn worker_loop(ctx: &WorkerCtx) {
-    while let Some(job) = ctx.queue.pop() {
-        ctx.stats.queue_depth.sub(1);
-        ctx.stats.queue_wait.record(job.enqueued.elapsed());
-        let res = catch_unwind(AssertUnwindSafe(|| serve_one(ctx, &job)))
+fn worker_loop(core: &NodeCore) {
+    while let Some(job) = core.queue.pop() {
+        core.stats.queue_depth.sub(1);
+        core.stats.queue_wait.record(job.enqueued.elapsed());
+        let res = catch_unwind(AssertUnwindSafe(|| serve_one(core, &job)))
             .unwrap_or_else(|_| Err(Error::Replay("query worker panicked".into())));
         match &res {
             Ok(_) => {
-                ctx.stats.served.inc();
-                ctx.stats.latency.record(job.enqueued.elapsed());
+                core.stats.served.inc();
+                core.stats.latency.record(job.enqueued.elapsed());
             }
-            Err(Error::QueryTimeout) => ctx.stats.timed_out.inc(),
-            Err(Error::Degraded) => ctx.stats.refused_degraded.inc(),
-            Err(Error::Cancelled) => ctx.stats.cancelled.inc(),
-            Err(_) => {}
+            Err(e) => core.stats.count_failure(e),
         }
         // A dropped handle just discards the result.
         let _ = job.reply.send(res);
     }
 }
 
-/// Admission + execution of one job on a worker thread.
-fn serve_one(ctx: &WorkerCtx, job: &Job) -> Result<QueryOutput> {
-    if job.cancel.load(Ordering::Acquire) {
-        return Err(Error::Cancelled);
-    }
-    let t_adm = Instant::now();
-    // The admission span pins the query onto the latest committed
-    // epoch's timeline: merged with the engine's spans, it shows the gap
-    // between that epoch's visibility flip and its first admitted read.
-    let ring = ctx.telemetry.spans();
-    let adm_span = ring.begin(ring.epoch_hint().unwrap_or(0), stages::QUERY_ADMISSION, None, None);
-    let outcome = loop {
-        let now = Instant::now();
-        if now >= job.deadline {
-            break WaitOutcome::TimedOut;
+/// Admission + execution of one job on a worker thread. The job's
+/// deadline covers both; cancellation is honoured before admission, at
+/// every admission slice (as is node shutdown) and every 256 scanned records.
+fn serve_one(core: &NodeCore, job: &Job) -> Result<QueryOutput> {
+    let cancel_if = |stop: bool| if stop { Err(Error::Cancelled) } else { Ok(()) };
+    let cancelled = || cancel_if(job.cancel.load(Ordering::Acquire));
+    cancelled()?;
+    let (_, adm_span) = core.admit(&job.tables, job.qts, job.deadline, || {
+        cancelled()?;
+        cancel_if(core.queue.is_closed())
+    })?;
+    core.stats.inflight.add(1);
+    let _guard = GaugeGuard(&core.stats.inflight);
+    let ring = core.telemetry.spans();
+    let exec_span = ring.begin(ring.epoch_hint().unwrap_or(0), stages::QUERY_EXEC, None, adm_span);
+    let mut seen = 0usize;
+    let res = try_eval_spec(&core.db, &job.spec, job.qts, || {
+        seen += 1;
+        if seen & 0xFF != 0 {
+            return Ok(());
         }
-        let slice = (job.deadline - now).min(SHUTDOWN_SLICE);
-        match ctx.board.wait_admission_at(&job.gids, job.gen, job.qts, slice) {
-            WaitOutcome::TimedOut => {
-                if job.cancel.load(Ordering::Acquire) {
-                    return Err(Error::Cancelled);
-                }
-                if ctx.queue.is_closed() {
-                    return Err(Error::Cancelled);
-                }
-            }
-            decided => break decided,
+        cancelled()?;
+        if Instant::now() >= job.deadline {
+            return Err(Error::QueryTimeout);
         }
-    };
-    ctx.stats.admission_wait.record(t_adm.elapsed());
-    let adm_parent = adm_span.map(|s| {
-        let id = s.id();
-        s.finish(ring);
-        id
+        Ok(())
     });
-    match outcome {
-        WaitOutcome::Visible => {}
-        WaitOutcome::TimedOut => return Err(Error::QueryTimeout),
-        WaitOutcome::Quarantined => return Err(Error::Degraded),
-    }
-    ctx.stats.inflight.add(1);
-    let _guard = GaugeGuard(&ctx.stats.inflight);
-    let exec_span =
-        ring.begin(ring.epoch_hint().unwrap_or(0), stages::QUERY_EXEC, None, adm_parent);
-    let res = run_query(&ctx.db, job);
     if let Some(s) = exec_span {
         s.finish(ring);
     }
     res
-}
-
-/// Executes the scan, checking cancellation and the deadline every 256
-/// visited rows (the `Scan` visitors have no early exit, so the checks
-/// stop accumulation and the error is surfaced after the pass). Each
-/// output reads no more of a row than it needs: a count no row at all,
-/// an aggregate its one column.
-fn run_query(db: &MemDb, job: &Job) -> Result<QueryOutput> {
-    let scan =
-        Scan { ts: job.qts, key_range: job.spec.key_range, filters: job.spec.filters.clone() };
-    let table = db.table(job.spec.table);
-    let mut err: Option<Error> = None;
-    let mut seen = 0usize;
-    let mut check = move |cancel: &AtomicBool, deadline: Instant| -> Option<Error> {
-        seen += 1;
-        if seen & 0xFF != 0 {
-            return None;
-        }
-        if cancel.load(Ordering::Acquire) {
-            return Some(Error::Cancelled);
-        }
-        if Instant::now() >= deadline {
-            return Some(Error::QueryTimeout);
-        }
-        None
-    };
-    let out = match &job.spec.output {
-        OutputKind::Rows => {
-            let mut rows = Vec::new();
-            scan.for_each(table, |k, row| {
-                if err.is_some() {
-                    return;
-                }
-                err = check(&job.cancel, job.deadline);
-                if err.is_none() {
-                    rows.push((k, row));
-                }
-            });
-            QueryOutput::Rows(rows)
-        }
-        OutputKind::Count => {
-            let mut n = 0usize;
-            scan.for_each_visible(table, |_| {
-                if err.is_some() {
-                    return;
-                }
-                err = check(&job.cancel, job.deadline);
-                if err.is_none() {
-                    n += 1;
-                }
-            });
-            QueryOutput::Count(n)
-        }
-        OutputKind::AggregateCol { column, agg } => {
-            let (column, agg) = (*column, *agg);
-            let mut acc: Option<(f64, usize)> = None;
-            scan.for_each_value(table, column, |_, v| {
-                if err.is_some() {
-                    return;
-                }
-                err = check(&job.cancel, job.deadline);
-                if err.is_some() {
-                    return;
-                }
-                let v = match v {
-                    Some(aets_common::Value::Int(i)) => *i as f64,
-                    Some(aets_common::Value::Float(f)) => *f,
-                    _ => return,
-                };
-                acc = Some(match (acc, agg) {
-                    (None, _) => (v, 1),
-                    (Some((a, n)), Aggregate::Sum | Aggregate::Avg) => (a + v, n + 1),
-                    (Some((a, n)), Aggregate::Min) => (a.min(v), n + 1),
-                    (Some((a, n)), Aggregate::Max) => (a.max(v), n + 1),
-                });
-            });
-            QueryOutput::Aggregate(acc.map(|(a, n)| match agg {
-                Aggregate::Avg => a / n as f64,
-                _ => a,
-            }))
-        }
-    };
-    match err {
-        Some(e) => Err(e),
-        None => Ok(out),
-    }
 }
 
 #[cfg(test)]
@@ -969,7 +845,7 @@ mod tests {
     use super::*;
     use crate::engines::aets::{AetsConfig, AetsEngine};
     use crate::grouping::TableGrouping;
-    use aets_common::{ColumnId, FxHashSet, TxnId, Value};
+    use aets_common::{ColumnId, FxHashSet, GroupId, TxnId, Value};
     use aets_memtable::{OpType, Version};
 
     /// A 1-group node over `n` empty tables; visibility is driven by

@@ -12,6 +12,7 @@
 //! oracles all drive this trait instead of per-topology glue, so a
 //! harness written against one target runs unchanged against the others.
 
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use aets_common::{Error, Result, TableId, Timestamp};
@@ -46,15 +47,29 @@ pub trait QueryTarget {
 /// shared oracle-answer path. No admission, no pinning: the caller
 /// guarantees the snapshot is reachable (serial oracles never GC).
 pub fn eval_spec(db: &MemDb, spec: &QuerySpec, qts: Timestamp) -> QueryOutput {
+    try_eval_spec(db, spec, qts, || Ok::<(), Infallible>(())).unwrap_or_else(|e| match e {})
+}
+
+/// [`eval_spec`] under a stop check, asked before each scanned record; its
+/// first error ends the evaluation ([`Scan::try_collect`]). Each output
+/// reads no more of a row than it needs: a count no row at all, an
+/// aggregate its one column. This is the one evaluator: the query workers
+/// run it with their cancel/deadline check, everything else unchecked.
+pub(crate) fn try_eval_spec<E>(
+    db: &MemDb,
+    spec: &QuerySpec,
+    qts: Timestamp,
+    check: impl FnMut() -> std::result::Result<(), E>,
+) -> std::result::Result<QueryOutput, E> {
     let scan = Scan { ts: qts, key_range: spec.key_range, filters: spec.filters.clone() };
     let table = db.table(spec.table);
-    match &spec.output {
-        OutputKind::Rows => QueryOutput::Rows(scan.collect(table)),
-        OutputKind::Count => QueryOutput::Count(scan.count(table)),
+    Ok(match &spec.output {
+        OutputKind::Rows => QueryOutput::Rows(scan.try_collect(table, check)?),
+        OutputKind::Count => QueryOutput::Count(scan.try_count(table, check)?),
         OutputKind::AggregateCol { column, agg } => {
-            QueryOutput::Aggregate(scan.aggregate(table, *column, *agg))
+            QueryOutput::Aggregate(scan.try_aggregate(table, *column, *agg, check)?)
         }
-    }
+    })
 }
 
 /// The serial oracle is a target too: every timestamp is safe (there is
@@ -108,7 +123,7 @@ mod tests {
     use crate::grouping::TableGrouping;
     use crate::service::NodeOptions;
     use aets_common::{ColumnId, DmlOp, FxHashSet, Lsn, RowKey, TxnId, Value};
-    use aets_memtable::Aggregate;
+    use aets_memtable::{Aggregate, CmpOp, Filter};
     use aets_wal::{batch_into_epochs, encode_epoch, DmlEntry, TxnLog};
 
     fn entry(table: u32, key: u64, ts: u64, txn: u64) -> DmlEntry {
@@ -157,15 +172,28 @@ mod tests {
 
         let qts = node.safe_ts();
         assert_eq!(qts, Timestamp::from_micros(20));
+        let (t0, t1, col) = (TableId::new(0), TableId::new(1), ColumnId::new(0));
+        let late = Filter { column: col, op: CmpOp::Gt, value: Value::Int(10) };
         let specs = vec![
-            QuerySpec::count(TableId::new(0)),
-            QuerySpec::rows(TableId::new(1)),
-            QuerySpec::aggregate(TableId::new(0), ColumnId::new(0), Aggregate::Sum),
+            QuerySpec::count(t0),
+            QuerySpec::rows(t1),
+            QuerySpec::aggregate(t0, col, Aggregate::Sum),
+            QuerySpec::aggregate(t1, col, Aggregate::Avg),
+            QuerySpec::rows(t1).filter(late.clone()),
+            QuerySpec::count(t0).keys(RowKey::new(2), RowKey::new(9)),
+            QuerySpec::aggregate(t0, col, Aggregate::Min).keys(RowKey::new(1), RowKey::new(2)),
+            QuerySpec::aggregate(t1, col, Aggregate::Max).filter(late),
         ];
         let got = node.query_at(qts, &specs).unwrap();
         let want = oracle.query_at(qts, &specs).unwrap();
         assert_eq!(got, want, "node target must match the oracle target spec-for-spec");
         assert_eq!(got[0], QueryOutput::Count(2));
+        assert_eq!(got[3], QueryOutput::Aggregate(Some(15.0)));
+        assert!(
+            matches!(&got[4], QueryOutput::Rows(r) if r.len() == 1 && r[0].0 == RowKey::new(2))
+        );
+        assert_eq!(got[5], QueryOutput::Count(1));
+        assert_eq!(got[6], QueryOutput::Aggregate(Some(10.0)));
     }
 
     #[test]

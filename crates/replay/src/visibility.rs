@@ -59,12 +59,13 @@ pub enum WaitOutcome {
 /// One parked admission waiter. Registered under the board's waiter lock;
 /// publishers evaluate the predicate against these fields and unpark the
 /// owning thread when it becomes decidable.
+#[derive(Debug)]
 struct WaitCell {
-    qts: u64,
-    gids: Vec<usize>,
+    qts: Timestamp,
+    gids: Vec<GroupId>,
     /// Grouping generation the waiter's `gids` were computed under. When
     /// it trails the board's, the per-group shortcut is disabled for this
-    /// waiter (see [`VisibilityBoard::wait_admission_at`]).
+    /// waiter (see [`VisibilityBoard::wait_admission`]).
     gen: u64,
     thread: Thread,
 }
@@ -146,12 +147,6 @@ pub struct VisibilityBoard {
     tel: Option<BoardTelemetry>,
 }
 
-impl std::fmt::Debug for WaitCell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WaitCell").field("qts", &self.qts).field("gids", &self.gids).finish()
-    }
-}
-
 impl VisibilityBoard {
     /// Starts building a board for `num_groups` groups.
     pub fn builder(num_groups: usize) -> VisibilityBoardBuilder {
@@ -230,9 +225,8 @@ impl VisibilityBoard {
         }
         let waiters = self.waiters.lock();
         for cell in waiters.iter() {
-            let qts = Timestamp::from_micros(cell.qts);
-            if self.is_visible_cell(&cell.gids, cell.gen, qts)
-                || self.is_hopeless_cell(&cell.gids, cell.gen, qts)
+            if self.is_visible_at(&cell.gids, cell.gen, cell.qts)
+                || self.is_hopeless_at(&cell.gids, cell.gen, cell.qts)
             {
                 cell.thread.unpark();
             }
@@ -256,14 +250,16 @@ impl VisibilityBoard {
         self.grouping_gen.fetch_max(gen, Ordering::Release);
     }
 
-    /// Current `tg_cmt_ts` of `g`.
+    /// Current `tg_cmt_ts` of `g`. `SeqCst`, like the load of
+    /// `global_cmt_ts`: an admission re-check reads the watermarks through
+    /// these, and that read pairs with `min_waiter_qts`.
     pub fn tg_cmt_ts(&self, g: GroupId) -> Timestamp {
-        Timestamp::from_micros(self.groups[g.index()].load(Ordering::Acquire))
+        Timestamp::from_micros(self.groups[g.index()].load(Ordering::SeqCst))
     }
 
     /// Current `global_cmt_ts`.
     pub fn global_cmt_ts(&self) -> Timestamp {
-        Timestamp::from_micros(self.global.load(Ordering::Acquire))
+        Timestamp::from_micros(self.global.load(Ordering::SeqCst))
     }
 
     /// `min_tg_cmt_ts` over a set of groups (`Timestamp::MAX` if empty).
@@ -272,49 +268,32 @@ impl VisibilityBoard {
     }
 
     /// The Algorithm 3 admission condition for a query at `qts` over
-    /// `gids`.
+    /// `gids`, resolved under the board's current grouping generation.
     pub fn is_visible(&self, gids: &[GroupId], qts: Timestamp) -> bool {
-        self.min_over(gids) >= qts || self.global_cmt_ts() >= qts
+        self.is_visible_at(gids, self.grouping_gen(), qts)
     }
 
-    fn is_visible_idx(&self, gids: &[usize], qts: Timestamp) -> bool {
-        let min =
-            gids.iter().map(|&g| self.groups[g].load(Ordering::SeqCst)).min().unwrap_or(u64::MAX);
-        min >= qts.as_micros() || self.global.load(Ordering::SeqCst) >= qts.as_micros()
+    /// Algorithm 3 for `gids` resolved under generation `gen`. `gids` that
+    /// predate the current grouping may only be admitted by the global
+    /// watermark — after a regroup they can name groups that no longer own
+    /// the query's tables, so the per-group minimum proves nothing.
+    fn is_visible_at(&self, gids: &[GroupId], gen: u64, qts: Timestamp) -> bool {
+        (gen == self.grouping_gen() && self.min_over(gids) >= qts) || self.global_cmt_ts() >= qts
     }
 
-    /// Generation-aware visibility: a cell whose `gids` predate the
-    /// current grouping may only be admitted by the global watermark —
-    /// after a regroup its group indices can name groups that no longer
-    /// own its tables, so the per-group minimum proves nothing.
-    fn is_visible_cell(&self, gids: &[usize], gen: u64, qts: Timestamp) -> bool {
-        if gen == self.grouping_gen.load(Ordering::Acquire) {
-            self.is_visible_idx(gids, qts)
-        } else {
-            self.global.load(Ordering::SeqCst) >= qts.as_micros()
-        }
+    /// A wait at `qts` over `gids` is hopeless when some needed group is
+    /// quarantined with its frozen watermark below `qts` and the global
+    /// mark — frozen too, since quarantine stops global publishes — is
+    /// also below `qts`. Stale `gids` cannot prove the query's tables sit
+    /// behind a frozen group, so such a wait is never declared hopeless
+    /// early — it admits via the global or runs out its timeout.
+    fn is_hopeless_at(&self, gids: &[GroupId], gen: u64, qts: Timestamp) -> bool {
+        gen == self.grouping_gen()
+            && self.global_cmt_ts() < qts
+            && gids.iter().any(|g| self.is_quarantined(g.index()) && self.tg_cmt_ts(*g) < qts)
     }
 
-    /// A wait at `qts` over `gids` (board indices) is hopeless when some
-    /// needed group is quarantined with its frozen watermark below `qts`
-    /// and the global mark — frozen too, since quarantine stops global
-    /// publishes — is also below `qts`.
-    fn is_hopeless_idx(&self, gids: &[usize], qts: Timestamp) -> bool {
-        self.global.load(Ordering::Acquire) < qts.as_micros()
-            && gids.iter().any(|&g| {
-                self.quarantined[g].load(Ordering::Acquire)
-                    && self.groups[g].load(Ordering::Acquire) < qts.as_micros()
-            })
-    }
-
-    /// Generation-aware hopelessness: a stale cell's `gids` cannot prove
-    /// its tables sit behind a frozen group, so the wait is never declared
-    /// hopeless early — it admits via the global or runs out its timeout.
-    fn is_hopeless_cell(&self, gids: &[usize], gen: u64, qts: Timestamp) -> bool {
-        gen == self.grouping_gen.load(Ordering::Acquire) && self.is_hopeless_idx(gids, qts)
-    }
-
-    /// The safe version-chain GC / checkpoint watermark given the current
+    /// The safe version-chain GC / checkpoint watermark given the board's
     /// quarantine set and the oldest still-active query's `qts`
     /// (`Timestamp::MAX` when no query is active).
     ///
@@ -326,18 +305,22 @@ impl VisibilityBoard {
     /// group's suffix past the freeze was never replayed, so state above
     /// that timestamp is incomplete and must not be consolidated into
     /// full images or checkpointed as truth.
-    pub fn gc_watermark(&self, quarantined: &[usize], query_floor: Timestamp) -> Timestamp {
+    pub fn gc_watermark(&self, query_floor: Timestamp) -> Timestamp {
         let mut wm = query_floor.min(self.global_cmt_ts());
-        for &q in quarantined {
-            if q < self.groups.len() {
-                wm = wm.min(Timestamp::from_micros(self.groups[q].load(Ordering::Acquire)));
-            }
+        for g in self.quarantined() {
+            wm = wm.min(Timestamp::from_micros(self.groups[g].load(Ordering::Acquire)));
         }
         wm
     }
 
     /// Parks the calling thread until the Algorithm 3 condition for
     /// (`gids`, `qts`) is decided or `timeout` elapses.
+    ///
+    /// `gen` is the grouping generation `gids` were resolved under
+    /// ([`crate::ReplayEngine::board_groups_for`] returns the pair): a
+    /// regroup landing after the resolution can only make the wait stale,
+    /// never wrongly fresh, and a stale wait is admitted via the global
+    /// watermark only.
     ///
     /// Event-driven: no polling — the thread sleeps until a publish (or
     /// quarantine) makes its wait decidable. Returns
@@ -347,52 +330,35 @@ impl VisibilityBoard {
     pub fn wait_admission(
         &self,
         gids: &[GroupId],
-        qts: Timestamp,
-        timeout: Duration,
-    ) -> WaitOutcome {
-        self.wait_admission_at(gids, self.grouping_gen(), qts, timeout)
-    }
-
-    /// [`VisibilityBoard::wait_admission`] for callers that computed
-    /// `gids` under an explicit grouping generation (see
-    /// [`VisibilityBoard::grouping_gen`] — load the generation *before*
-    /// mapping tables to groups, so a concurrent regroup can only make
-    /// the cell stale, never wrongly fresh). A stale cell is admitted via
-    /// the global watermark only.
-    pub fn wait_admission_at(
-        &self,
-        gids: &[GroupId],
         gen: u64,
         qts: Timestamp,
         timeout: Duration,
     ) -> WaitOutcome {
-        let idx: Vec<usize> = gids.iter().map(|g| g.index()).collect();
-        if self.is_visible_cell(&idx, gen, qts) {
-            return WaitOutcome::Visible;
-        }
-        if self.is_hopeless_cell(&idx, gen, qts) {
-            return WaitOutcome::Quarantined;
+        let decided = || {
+            if self.is_visible_at(gids, gen, qts) {
+                Some(WaitOutcome::Visible)
+            } else if self.is_hopeless_at(gids, gen, qts) {
+                Some(WaitOutcome::Quarantined)
+            } else {
+                None
+            }
+        };
+        if let Some(outcome) = decided() {
+            return outcome;
         }
         let deadline = Instant::now() + timeout;
-        let cell = Arc::new(WaitCell {
-            qts: qts.as_micros(),
-            gids: idx,
-            gen,
-            thread: std::thread::current(),
-        });
+        let cell =
+            Arc::new(WaitCell { qts, gids: gids.to_vec(), gen, thread: std::thread::current() });
         {
             let mut waiters = self.waiters.lock();
             waiters.push(cell.clone());
-            self.min_waiter_qts.fetch_min(cell.qts, Ordering::SeqCst);
+            self.min_waiter_qts.fetch_min(qts.as_micros(), Ordering::SeqCst);
         }
         // Re-check after registering: a publish between the first check
         // and registration would otherwise be a lost wakeup.
         let outcome = loop {
-            if self.is_visible_cell(&cell.gids, gen, qts) {
-                break WaitOutcome::Visible;
-            }
-            if self.is_hopeless_cell(&cell.gids, gen, qts) {
-                break WaitOutcome::Quarantined;
+            if let Some(outcome) = decided() {
+                break outcome;
             }
             let now = Instant::now();
             if now >= deadline {
@@ -403,18 +369,10 @@ impl VisibilityBoard {
         {
             let mut waiters = self.waiters.lock();
             waiters.retain(|w| !Arc::ptr_eq(w, &cell));
-            let min = waiters.iter().map(|w| w.qts).min().unwrap_or(u64::MAX);
+            let min = waiters.iter().map(|w| w.qts.as_micros()).min().unwrap_or(u64::MAX);
             self.min_waiter_qts.store(min, Ordering::SeqCst);
         }
         outcome
-    }
-
-    /// Blocks until [`VisibilityBoard::is_visible`] holds or `timeout`
-    /// elapses. Returns `true` if visibility was reached. Thin wrapper
-    /// over [`VisibilityBoard::wait_admission`] for callers that do not
-    /// distinguish timeout from quarantine.
-    pub fn wait_visible(&self, gids: &[GroupId], qts: Timestamp, timeout: Duration) -> bool {
-        self.wait_admission(gids, qts, timeout) == WaitOutcome::Visible
     }
 }
 
@@ -464,19 +422,20 @@ mod tests {
         let waiter = {
             let b = b.clone();
             thread::spawn(move || {
-                b.wait_visible(&[g(0)], Timestamp::from_micros(100), Duration::from_secs(5))
+                b.wait_admission(&[g(0)], 0, Timestamp::from_micros(100), Duration::from_secs(5))
             })
         };
         thread::sleep(Duration::from_millis(20));
         b.publish_group(g(0), Timestamp::from_micros(150));
-        assert!(waiter.join().unwrap());
+        assert_eq!(waiter.join().unwrap(), WaitOutcome::Visible);
     }
 
     #[test]
     fn wait_visible_times_out() {
         let b = VisibilityBoard::builder(1).build();
-        let ok = b.wait_visible(&[g(0)], Timestamp::from_micros(100), Duration::from_millis(30));
-        assert!(!ok);
+        let out =
+            b.wait_admission(&[g(0)], 0, Timestamp::from_micros(100), Duration::from_millis(30));
+        assert_eq!(out, WaitOutcome::TimedOut);
     }
 
     #[test]
@@ -492,7 +451,7 @@ mod tests {
         b.publish_group(g(0), Timestamp::from_micros(150));
         // Fresh generation: the per-group shortcut admits.
         assert_eq!(
-            b.wait_admission_at(&[g(0)], 0, qts, Duration::from_millis(5)),
+            b.wait_admission(&[g(0)], 0, qts, Duration::from_millis(5)),
             WaitOutcome::Visible
         );
         // A regroup lands: gids computed under generation 0 no longer
@@ -501,14 +460,14 @@ mod tests {
         b.advance_grouping_gen(1);
         assert_eq!(b.grouping_gen(), 1);
         assert_eq!(
-            b.wait_admission_at(&[g(0)], 0, qts, Duration::from_millis(10)),
+            b.wait_admission(&[g(0)], 0, qts, Duration::from_millis(10)),
             WaitOutcome::TimedOut
         );
         // The global publishes only at full-epoch completion, so it
         // admits any generation.
         b.publish_global(Timestamp::from_micros(150));
         assert_eq!(
-            b.wait_admission_at(&[g(0)], 0, qts, Duration::from_millis(5)),
+            b.wait_admission(&[g(0)], 0, qts, Duration::from_millis(5)),
             WaitOutcome::Visible
         );
     }
@@ -522,12 +481,12 @@ mod tests {
         let qts = Timestamp::from_micros(100);
         b.set_quarantined(&[0]);
         assert_eq!(
-            b.wait_admission_at(&[g(0)], 0, qts, Duration::from_millis(5)),
+            b.wait_admission(&[g(0)], 0, qts, Duration::from_millis(5)),
             WaitOutcome::Quarantined
         );
         b.advance_grouping_gen(1);
         assert_eq!(
-            b.wait_admission_at(&[g(0)], 0, qts, Duration::from_millis(10)),
+            b.wait_admission(&[g(0)], 0, qts, Duration::from_millis(10)),
             WaitOutcome::TimedOut
         );
     }
@@ -539,7 +498,7 @@ mod tests {
         let waiter = {
             let b = b.clone();
             thread::spawn(move || {
-                b.wait_admission_at(&[g(0)], 2, Timestamp::from_micros(100), Duration::from_secs(5))
+                b.wait_admission(&[g(0)], 2, Timestamp::from_micros(100), Duration::from_secs(5))
             })
         };
         thread::sleep(Duration::from_millis(20));
@@ -561,6 +520,7 @@ mod tests {
                 thread::spawn(move || {
                     b.wait_admission(
                         &[g(i % 2)],
+                        0,
                         Timestamp::from_micros(100),
                         Duration::from_secs(5),
                     )
@@ -590,7 +550,7 @@ mod tests {
             let waiter = {
                 let b = b.clone();
                 thread::spawn(move || {
-                    b.wait_admission(&[g(0)], Timestamp::from_micros(ts), Duration::from_secs(5))
+                    b.wait_admission(&[g(0)], 0, Timestamp::from_micros(ts), Duration::from_secs(5))
                 })
             };
             b.publish_group(g(0), Timestamp::from_micros(ts));
@@ -604,7 +564,7 @@ mod tests {
         let qts = Timestamp::from_micros(100);
         let waiter = {
             let b = b.clone();
-            thread::spawn(move || b.wait_admission(&[g(0)], qts, Duration::from_secs(30)))
+            thread::spawn(move || b.wait_admission(&[g(0)], 0, qts, Duration::from_secs(30)))
         };
         while b.min_waiter_qts.load(Ordering::SeqCst) != 100 {
             thread::yield_now();
@@ -641,7 +601,7 @@ mod tests {
         let waiter = {
             let b = b.clone();
             thread::spawn(move || {
-                b.wait_admission(&[g(1)], Timestamp::from_micros(500), Duration::from_secs(30))
+                b.wait_admission(&[g(1)], 0, Timestamp::from_micros(500), Duration::from_secs(30))
             })
         };
         while b.min_waiter_qts.load(Ordering::SeqCst) != 500 {
@@ -658,7 +618,7 @@ mod tests {
         let waiter = {
             let b = b.clone();
             thread::spawn(move || {
-                b.wait_admission(&[g(0)], Timestamp::from_micros(100), Duration::from_secs(30))
+                b.wait_admission(&[g(0)], 0, Timestamp::from_micros(100), Duration::from_secs(30))
             })
         };
         thread::sleep(Duration::from_millis(20));
@@ -670,7 +630,7 @@ mod tests {
         assert!(!b.is_quarantined(1));
         // A fresh wait on the frozen group fails immediately.
         assert_eq!(
-            b.wait_admission(&[g(0)], Timestamp::from_micros(100), Duration::from_secs(30)),
+            b.wait_admission(&[g(0)], 0, Timestamp::from_micros(100), Duration::from_secs(30)),
             WaitOutcome::Quarantined
         );
     }
@@ -681,7 +641,7 @@ mod tests {
         b.set_quarantined(&[1]);
         b.publish_global(Timestamp::from_micros(200));
         assert_eq!(
-            b.wait_admission(&[g(1)], Timestamp::from_micros(100), Duration::from_millis(10)),
+            b.wait_admission(&[g(1)], 0, Timestamp::from_micros(100), Duration::from_millis(10)),
             WaitOutcome::Visible,
             "global high-water mark still admits"
         );
@@ -693,7 +653,7 @@ mod tests {
         b.publish_group(g(0), Timestamp::from_micros(100));
         b.set_quarantined(&[0]);
         assert_eq!(
-            b.wait_admission(&[g(0)], Timestamp::from_micros(80), Duration::from_millis(10)),
+            b.wait_admission(&[g(0)], 0, Timestamp::from_micros(80), Duration::from_millis(10)),
             WaitOutcome::Visible,
             "frozen watermark already covers the snapshot"
         );
@@ -735,16 +695,18 @@ mod tests {
         b.publish_global(Timestamp::from_micros(80));
 
         // Healthy: min(query_floor, global).
-        assert_eq!(b.gc_watermark(&[], Timestamp::MAX), Timestamp::from_micros(80));
-        assert_eq!(b.gc_watermark(&[], Timestamp::from_micros(60)), Timestamp::from_micros(60));
+        assert_eq!(b.gc_watermark(Timestamp::MAX), Timestamp::from_micros(80));
+        assert_eq!(b.gc_watermark(Timestamp::from_micros(60)), Timestamp::from_micros(60));
+        // Out-of-range quarantine indices are ignored, not a panic.
+        b.set_quarantined(&[7]);
+        assert_eq!(b.gc_watermark(Timestamp::MAX), Timestamp::from_micros(80));
         // A quarantined group's frozen tg_cmt_ts clamps below both.
-        assert_eq!(b.gc_watermark(&[1], Timestamp::MAX), Timestamp::from_micros(40));
+        b.set_quarantined(&[1]);
+        assert_eq!(b.gc_watermark(Timestamp::MAX), Timestamp::from_micros(40));
         assert_eq!(
-            b.gc_watermark(&[1], Timestamp::from_micros(20)),
+            b.gc_watermark(Timestamp::from_micros(20)),
             Timestamp::from_micros(20),
             "query floor below the frozen group still wins"
         );
-        // Out-of-range quarantine indices are ignored, not a panic.
-        assert_eq!(b.gc_watermark(&[7], Timestamp::MAX), Timestamp::from_micros(80));
     }
 }

@@ -7,6 +7,7 @@
 //! drains the ring can detect loss: a gap in sequence numbers means the
 //! ring overflowed and `dropped()` counts exactly how many fell out.
 
+use aets_common::json_escape;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,6 +32,8 @@ pub enum EventKind {
     GroupQuarantined {
         /// Board index of the group.
         group: usize,
+        /// The error that froze it, as the engine reported it.
+        reason: String,
     },
     /// A previously quarantined group was restored to health (restart
     /// recovery re-replays its suffix through a fresh engine).
@@ -243,9 +246,10 @@ impl EventKind {
             EventKind::EpochCommitted { seq, max_commit_ts_us } => {
                 format!("{{\"seq\": {seq}, \"max_commit_ts_us\": {max_commit_ts_us}}}")
             }
-            EventKind::GroupQuarantined { group } | EventKind::GroupUnquarantined { group } => {
-                format!("{{\"group\": {group}}}")
+            EventKind::GroupQuarantined { group, reason } => {
+                format!("{{\"group\": {group}, \"reason\": \"{}\"}}", json_escape(reason))
             }
+            EventKind::GroupUnquarantined { group } => format!("{{\"group\": {group}}}"),
             EventKind::DegradedEntered { groups } => {
                 let list: Vec<String> = groups.iter().map(|g| g.to_string()).collect();
                 format!("{{\"groups\": [{}]}}", list.join(", "))

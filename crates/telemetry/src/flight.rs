@@ -164,7 +164,7 @@ mod tests {
         let dir = scratch("dump");
         let tel = Telemetry::new();
         tel.registry().counter(names::EPOCHS).add(2);
-        tel.event(EventKind::GroupQuarantined { group: 1 });
+        tel.event(EventKind::GroupQuarantined { group: 1, reason: "record crc".into() });
         tel.spans().point(7, crate::trace::stages::FLIP_GLOBAL, None, None);
 
         let fr = FlightRecorder::create(FlightRecorderConfig::new(&dir)).expect("create");

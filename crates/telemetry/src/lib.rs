@@ -472,7 +472,7 @@ mod tests {
         assert!(!tel.spans().should_sample(9));
         tel.event(EventKind::EpochDispatched { seq: 1 });
         assert!(!tel.spans().anomalous(), "routine events are not anomalies");
-        tel.event(EventKind::GroupQuarantined { group: 2 });
+        tel.event(EventKind::GroupQuarantined { group: 2, reason: "record crc".into() });
         assert!(tel.spans().should_sample(9), "quarantine latches always-sample");
     }
 

@@ -9,6 +9,7 @@
 
 use crate::metrics::{bucket_upper_bound, HistogramSnapshot, HistogramSummary};
 use crate::registry::merged_histogram;
+use aets_common::json_escape;
 use std::fmt::Write as _;
 
 /// A point-in-time copy of the whole registry. Series are sorted by
@@ -183,10 +184,6 @@ fn braced(label: &str, le: Option<&str>) -> String {
         (false, None) => format!("{{{label}}}"),
         (false, Some(le)) => format!("{{{label},le=\"{le}\"}}"),
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// One sample line of a text exposition.

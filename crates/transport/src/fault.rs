@@ -23,7 +23,7 @@
 //! (`tests/net_chaos.rs`) proves the replayed state equals the serial
 //! oracle under every plan.
 
-use aets_common::splitmix64;
+use aets_common::{splitmix64, unit_f64};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -129,8 +129,7 @@ impl NetFaultPlan {
                     segment.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (u64::from(direction) << 56),
                 ),
         );
-        let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
-        if unit >= self.rate {
+        if unit_f64(h) >= self.rate {
             return None;
         }
         Some(self.kinds[(splitmix64(h) % self.kinds.len() as u64) as usize])

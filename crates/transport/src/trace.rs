@@ -23,7 +23,9 @@
 //! dependency). Epoch payloads travel hex-encoded with their CRC, so a
 //! trace is also integrity-checked end to end.
 
-use aets_common::{ColumnId, EpochId, Error, FxHasher, Result, RowKey, TableId, Timestamp};
+use aets_common::{
+    json_escape, ColumnId, EpochId, Error, FxHasher, Result, RowKey, TableId, Timestamp,
+};
 use aets_memtable::{Aggregate, MemDb};
 use aets_replay::{
     eval_spec, OutputKind, QueryOutput, QuerySpec, QueryTarget, ReplayEngine, SerialEngine,
@@ -139,12 +141,6 @@ pub fn render_result(out: &QueryOutput) -> String {
 
 // --- minimal JSON line codec -------------------------------------------
 
-fn esc(s: &str) -> String {
-    // The only strings we emit are hex payloads and the fixed tokens
-    // above; escape defensively anyway.
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn hex_encode(bytes: &[u8]) -> String {
     let mut out = String::with_capacity(bytes.len() * 2);
     for b in bytes {
@@ -225,8 +221,8 @@ fn encode_event(e: &TraceEvent) -> String {
                 qts_us,
                 table.raw(),
                 range,
-                esc(output),
-                esc(result),
+                json_escape(output),
+                json_escape(result),
             )
         }
         TraceEvent::End { global_cmt_ts_us, epochs, queries } => format!(

@@ -101,10 +101,7 @@ impl CrashClock {
         if len == 0 {
             return 0;
         }
-        let mut z = op.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (z ^ (z >> 31)) as usize % len
+        aets_common::splitmix64(op) as usize % len
     }
 }
 

@@ -20,8 +20,9 @@
 use crate::codec::MetaScanner;
 use crate::crc::crc32;
 use crate::epoch::EncodedEpoch;
-use aets_common::Timestamp;
+use aets_common::{unit_f64, TableId, Timestamp};
 use bytes::Bytes;
+use std::ops::Range;
 
 /// A pull-based source of encoded epochs (the backup's view of the
 /// replication channel).
@@ -183,9 +184,7 @@ impl FaultInjector {
             return None;
         }
         let h = self.draw(seq);
-        // 53 high bits -> uniform in [0, 1).
-        let u = (h >> 11) as f64 / (1u64 << 53) as f64;
-        if u >= self.plan.rate {
+        if unit_f64(h) >= self.plan.rate {
             return None;
         }
         Some(self.plan.kinds[(h % self.plan.kinds.len() as u64) as usize])
@@ -262,32 +261,45 @@ impl FaultInjector {
                 v[bit / 8] ^= 1 << (bit % 8);
                 Some(EncodedEpoch { bytes: Bytes::from(v), ..clean })
             }
-            FaultKind::RecordCorruption => Some(corrupt_one_record(&clean, h)),
+            FaultKind::RecordCorruption => {
+                // Falls back to the clean epoch when it holds no DML
+                // record, or one the scanner cannot frame.
+                let all = dml_ranges(&clean, |_| true);
+                if all.is_empty() {
+                    return Some(clean);
+                }
+                Some(corrupt_record_at(&clean, &all[(h % all.len() as u64) as usize]))
+            }
         }
     }
 }
 
-/// Flips a bit in the CRC trailer of one DML record and restamps the
-/// epoch frame CRC, so the corruption passes ingest and is only caught
-/// when the record is fully decoded. Falls back to the clean epoch when
-/// it holds no DML records.
-fn corrupt_one_record(clean: &EncodedEpoch, h: u64) -> EncodedEpoch {
-    let mut dml_ranges = Vec::new();
-    for item in MetaScanner::new(clean.bytes.clone()) {
-        match item {
-            Ok((meta, range)) if meta.table.is_some() => dml_ranges.push(range),
-            Ok(_) => {}
-            Err(_) => return clean.clone(),
-        }
-    }
-    if dml_ranges.is_empty() {
-        return clean.clone();
-    }
-    let range = &dml_ranges[(h % dml_ranges.len() as u64) as usize];
+/// Byte ranges of the DML records of `epoch` whose table `want` accepts,
+/// in log order; none when the scanner cannot frame the epoch.
+fn dml_ranges(epoch: &EncodedEpoch, want: impl Fn(TableId) -> bool) -> Vec<Range<usize>> {
+    let scanned: Result<Vec<_>, _> = MetaScanner::new(epoch.bytes.clone()).collect();
+    let dml = scanned.unwrap_or_default().into_iter().filter(|(m, _)| m.table.is_some_and(&want));
+    dml.map(|(_, range)| range).collect()
+}
+
+/// Flips a bit in the CRC trailer of the record at `range` and restamps
+/// the epoch frame CRC, so the corruption passes ingest and is only
+/// caught when the record is fully decoded.
+fn corrupt_record_at(clean: &EncodedEpoch, range: &Range<usize>) -> EncodedEpoch {
     let mut v = clean.bytes.to_vec();
     v[range.end - 1] ^= 0x01;
     let bytes = Bytes::from(v);
     EncodedEpoch { crc32: crc32(&bytes), bytes, ..clean.clone() }
+}
+
+/// `epoch` with the record CRC of `table`'s first DML broken — the
+/// [`FaultKind::RecordCorruption`] shape at a chosen position: invisible
+/// at ingest, fatal when a replay worker decodes the record, so the
+/// table's group quarantines there. `None` when `epoch` holds no DML of
+/// `table`.
+pub fn corrupt_record_of(epoch: &EncodedEpoch, table: TableId) -> Option<EncodedEpoch> {
+    let first = dml_ranges(epoch, |t| t == table).into_iter().next()?;
+    Some(corrupt_record_at(epoch, &first))
 }
 
 impl EpochSource for FaultInjector {

@@ -98,8 +98,7 @@ fn main() {
     let arrivals_live = ReplicationTimeline::default().arrivals(&raw_live);
     let epochs_live: Vec<_> = raw_live.iter().map(encode_epoch).collect();
     let db = Arc::new(MemDb::new(n));
-    let cfg =
-        RunnerConfig { time_scale: 0.5, telemetry_every: epochs_live.len(), ..Default::default() };
+    let cfg = RunnerConfig { time_scale: 0.5, ..Default::default() };
     let outcome = run_realtime(
         Arc::new(live),
         db,
@@ -123,19 +122,15 @@ fn main() {
         outcome.metrics.epoch_gaps,
         outcome.metrics.ingest_stalls
     );
-    if let Some(text) = outcome.telemetry_snapshots.last() {
-        println!("  exposition snapshot excerpt:");
-        for line in text
-            .lines()
-            .filter(|l| {
-                l.starts_with(names::EPOCHS)
-                    || l.starts_with(names::GLOBAL_CMT_TS_US)
-                    || l.starts_with("aets_visibility_lag_us_count")
-            })
-            .take(6)
-        {
-            println!("    {line}");
-        }
+    println!("  exposition snapshot excerpt:");
+    let text = snap.render_prometheus();
+    let excerpt = text.lines().filter(|l| {
+        l.starts_with(names::EPOCHS)
+            || l.starts_with(names::GLOBAL_CMT_TS_US)
+            || l.starts_with("aets_visibility_lag_us_count")
+    });
+    for line in excerpt.take(6) {
+        println!("    {line}");
     }
 
     println!(

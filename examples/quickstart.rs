@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use aets_suite::common::{ColumnId, GroupId, Timestamp, Value};
+use aets_suite::common::{ColumnId, Timestamp, Value};
 use aets_suite::memtable::{Aggregate, CmpOp, MemDb, Scan};
 use aets_suite::replay::{AetsConfig, AetsEngine, ReplayEngine, TableGrouping, VisibilityBoard};
 use aets_suite::wal::{batch_into_epochs, encode_epoch};
@@ -66,7 +66,7 @@ fn main() {
     // 5. Ask an analytical question against a consistent snapshot: how
     //    many orders exist as of the final commit?
     let qts = workload.txns.last().expect("non-empty").commit_ts;
-    let gids: Vec<GroupId> = engine.board_groups_for(&[tpcc::tables::ORDERS]);
+    let (_, gids) = engine.board_groups_for(&[tpcc::tables::ORDERS]);
     assert!(board.is_visible(&gids, qts), "data must be visible after replay");
     let orders = db.table(tpcc::tables::ORDERS).count_at(qts);
     let order_lines = db.table(tpcc::tables::ORDER_LINE).count_at(qts);

@@ -533,20 +533,9 @@ fn poison_victim_epoch(
     victim: aets_suite::common::TableId,
     from: usize,
 ) -> Option<usize> {
-    use aets_suite::wal::{crc32, MetaScanner};
-    let eidx = epochs.iter().enumerate().position(|(i, e)| {
-        i >= from
-            && MetaScanner::new(e.bytes.clone())
-                .filter_map(|it| it.ok())
-                .any(|(meta, _)| meta.table == Some(victim))
-    })?;
-    let range = MetaScanner::new(epochs[eidx].bytes.clone())
-        .filter_map(|it| it.ok())
-        .find(|(meta, _)| meta.table == Some(victim))
-        .map(|(_, r)| r)?;
-    let mut v = epochs[eidx].bytes.to_vec();
-    v[range.end - 1] ^= 0x01;
-    epochs[eidx] = EncodedEpoch { crc32: crc32(&v), bytes: v.into(), ..epochs[eidx].clone() };
+    let (eidx, poisoned) = (from..epochs.len())
+        .find_map(|i| Some((i, aets_suite::wal::faults::corrupt_record_of(&epochs[i], victim)?)))?;
+    epochs[eidx] = poisoned;
     Some(eidx)
 }
 

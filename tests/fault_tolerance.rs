@@ -19,9 +19,10 @@ use aets_suite::replay::{
     run_realtime, AetsConfig, AetsEngine, ReplayEngine, ReplayMetrics, RetryPolicy, RunnerConfig,
     RunnerQuery, SerialEngine, TableGrouping, VisibilityBoard, Workload as RunnerWorkload,
 };
+use aets_suite::wal::faults::corrupt_record_of;
 use aets_suite::wal::{
-    batch_into_epochs, crc32, encode_epoch, DmlEntry, EncodedEpoch, FaultInjector, FaultKind,
-    FaultPlan, MetaScanner, TxnLog,
+    batch_into_epochs, encode_epoch, DmlEntry, EncodedEpoch, FaultInjector, FaultKind, FaultPlan,
+    TxnLog,
 };
 use aets_suite::workloads::tpcc::{self, TpccConfig};
 use aets_suite::workloads::Workload;
@@ -179,20 +180,6 @@ fn two_group_stream() -> (Vec<EncodedEpoch>, TableGrouping) {
     (epochs, grouping)
 }
 
-/// Breaks the record CRC of `table`'s first DML and restamps the frame
-/// CRC, mirroring `FaultKind::RecordCorruption` at a chosen position.
-fn corrupt_first_dml_of(epoch: &EncodedEpoch, table: TableId) -> EncodedEpoch {
-    let range = MetaScanner::new(epoch.bytes.clone())
-        .filter_map(|i| i.ok())
-        .find(|(meta, _)| meta.table == Some(table))
-        .map(|(_, r)| r)
-        .expect("epoch holds a DML of the table");
-    let mut v = epoch.bytes.to_vec();
-    v[range.end - 1] ^= 0x01;
-    let crc = crc32(&v);
-    EncodedEpoch { crc32: crc, bytes: v.into(), ..epoch.clone() }
-}
-
 #[test]
 fn degraded_runner_times_out_quarantined_queries() {
     // Epoch 1 carries unrecoverable corruption in group 1's first
@@ -201,7 +188,7 @@ fn degraded_runner_times_out_quarantined_queries() {
     // quarantined group blocks on Algorithm 3 until its timeout instead
     // of reading past the frozen watermark.
     let (mut epochs, grouping) = two_group_stream();
-    epochs[1] = corrupt_first_dml_of(&epochs[1], TableId::new(2));
+    epochs[1] = corrupt_record_of(&epochs[1], TableId::new(2)).expect("a DML of table 2");
     let arrivals: Vec<Timestamp> = epochs.iter().map(|e| e.max_commit_ts).collect();
     let engine = AetsEngine::builder(grouping)
         .config(AetsConfig { threads: 2, ..Default::default() })

@@ -6,7 +6,9 @@
 
 use aets_suite::common::{GroupId, Timestamp};
 use aets_suite::memtable::MemDb;
-use aets_suite::replay::{AetsConfig, AetsEngine, ReplayEngine, TableGrouping, VisibilityBoard};
+use aets_suite::replay::{
+    AetsConfig, AetsEngine, ReplayEngine, TableGrouping, VisibilityBoard, WaitOutcome,
+};
 use aets_suite::wal::{batch_into_epochs, encode_epoch};
 use aets_suite::workloads::tpcc::{self, TpccConfig};
 use std::sync::Arc;
@@ -55,9 +57,9 @@ fn queries_admitted_by_algorithm3_see_consistent_prefixes() {
             let board = board.clone();
             let oracle = &oracle;
             scope.spawn(move || {
-                let gids = engine.board_groups_for(&q.tables);
-                let ok = board.wait_visible(&gids, q.arrival, Duration::from_secs(30));
-                assert!(ok, "query {} timed out waiting for visibility", q.id);
+                let (gen, gids) = engine.board_groups_for(&q.tables);
+                let out = board.wait_admission(&gids, gen, q.arrival, Duration::from_secs(30));
+                assert_eq!(out, WaitOutcome::Visible, "query {} not admitted", q.id);
                 // Admitted: every accessed table must now show at least
                 // the primary's committed prefix at qts. (The backup may
                 // be ahead — MVCC reads at qts still return the exact

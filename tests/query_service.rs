@@ -16,7 +16,8 @@ use aets_suite::replay::{
     SerialEngine, TableGrouping,
 };
 use aets_suite::telemetry::{names, Telemetry};
-use aets_suite::wal::{batch_into_epochs, crc32, encode_epoch, EncodedEpoch, MetaScanner};
+use aets_suite::wal::faults::corrupt_record_of;
+use aets_suite::wal::{batch_into_epochs, encode_epoch, EncodedEpoch};
 use aets_suite::workloads::tpcc::{self, TpccConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -45,19 +46,6 @@ impl Rng {
     fn below(&mut self, n: usize) -> usize {
         (self.next() % n as u64) as usize
     }
-}
-
-/// Breaks the record CRC of `table`'s first DML in `epoch` and restamps
-/// the frame CRC, so the owning group quarantines at that record.
-fn corrupt_first_dml_of(epoch: &EncodedEpoch, table: TableId) -> EncodedEpoch {
-    let range = MetaScanner::new(epoch.bytes.clone())
-        .filter_map(|i| i.ok())
-        .find(|(meta, _)| meta.table == Some(table))
-        .map(|(_, r)| r)
-        .expect("epoch holds a DML of the victim table");
-    let mut v = epoch.bytes.to_vec();
-    v[range.end - 1] ^= 0x01;
-    EncodedEpoch { crc32: crc32(&v), bytes: v.into(), ..epoch.clone() }
 }
 
 /// The serial-oracle answer for `spec` at `qts`.
@@ -100,15 +88,11 @@ fn run_stress(seed: u64, poison: bool) {
 
     let victim = TableId::new((n - 1) as u32);
     let (epochs, poison_idx) = if poison {
-        let idx = (clean.len() * 2 / 3..clean.len())
-            .find(|&i| {
-                MetaScanner::new(clean[i].bytes.clone())
-                    .filter_map(|r| r.ok())
-                    .any(|(meta, _)| meta.table == Some(victim))
-            })
+        let (idx, poisoned) = (clean.len() * 2 / 3..clean.len())
+            .find_map(|i| Some((i, corrupt_record_of(&clean[i], victim)?)))
             .expect("late epoch touches the victim table");
         let mut e = clean.clone();
-        e[idx] = corrupt_first_dml_of(&e[idx], victim);
+        e[idx] = poisoned;
         (e, idx)
     } else {
         (clean.clone(), usize::MAX)

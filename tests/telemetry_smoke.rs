@@ -48,7 +48,7 @@ fn short_paced_replay_emits_parseable_consistent_telemetry() {
         .build()
         .expect("valid config");
     let db = Arc::new(MemDb::new(w.num_tables()));
-    let cfg = RunnerConfig { time_scale: 50.0, telemetry_every: 4, ..Default::default() };
+    let cfg = RunnerConfig { time_scale: 50.0, ..Default::default() };
     let outcome = run_realtime(
         Arc::new(engine),
         db,
@@ -57,20 +57,17 @@ fn short_paced_replay_emits_parseable_consistent_telemetry() {
     )
     .expect("realtime run");
 
-    // ---- Exposition snapshots parse and carry the metric families. ----
-    assert_eq!(outcome.telemetry_snapshots.len(), epochs.len() / 4);
-    for text in &outcome.telemetry_snapshots {
-        let samples = parse_exposition(text).expect("snapshot must parse");
-        assert!(!samples.is_empty());
-    }
-    let last = outcome.telemetry_snapshots.last().expect("at least one snapshot");
+    // ---- The exposition parses and carries the metric families. ------
+    let snap = tel.snapshot();
+    let text = snap.render_prometheus();
+    let samples = parse_exposition(&text).expect("snapshot must parse");
+    assert!(!samples.is_empty());
     for family in REQUIRED_FAMILIES {
-        assert!(last.contains(family), "snapshot is missing metric family {family}");
+        assert!(text.contains(family), "snapshot is missing metric family {family}");
     }
-    assert!(outcome.degraded_snapshot.is_none(), "healthy run must not trip the flight recorder");
+    assert!(!outcome.degraded(), "healthy run");
 
     // ---- Registry totals agree with the engine's ReplayMetrics. -------
-    let snap = tel.snapshot();
     assert_eq!(snap.counter_total(names::EPOCHS), epochs.len() as u64);
     assert_eq!(snap.counter_total(names::TXNS), outcome.metrics.txns as u64);
     assert_eq!(snap.counter_total(names::ENTRIES), outcome.metrics.entries as u64);
@@ -282,7 +279,7 @@ fn span_sampling_knob_bounds_tracing_and_the_anomaly_latch_overrides_it() {
         if latch_anomaly {
             // Any anomaly event latches always-sample (here: a synthetic
             // quarantine notice before the run).
-            tel.event(EventKind::GroupQuarantined { group: 0 });
+            tel.event(EventKind::GroupQuarantined { group: 0, reason: "record crc".into() });
         }
         let engine = AetsEngine::builder(grouping.clone())
             .config(AetsConfig { threads: 2, ..Default::default() })
@@ -516,7 +513,7 @@ fn forced_quarantine_dumps_a_parseable_flight_bundle() {
     use aets_suite::common::TableId;
     use aets_suite::replay::{DurableBackup, DurableOptions, ServiceOptions};
     use aets_suite::telemetry::flight::list_bundles;
-    use aets_suite::wal::{crc32, EncodedEpoch, MetaScanner};
+    use aets_suite::wal::faults::corrupt_record_of;
     use std::path::PathBuf;
 
     fn scratch(tag: &str) -> PathBuf {
@@ -532,22 +529,12 @@ fn forced_quarantine_dumps_a_parseable_flight_bundle() {
     // quarantines mid-run (the epoch frame CRC is fixed up so only the
     // record itself is bad).
     let victim = TableId::new((w.num_tables() - 1) as u32);
-    let eidx = epochs
+    let (eidx, poisoned) = epochs
         .iter()
-        .position(|e| {
-            MetaScanner::new(e.bytes.clone())
-                .filter_map(|i| i.ok())
-                .any(|(meta, _)| meta.table == Some(victim))
-        })
+        .enumerate()
+        .find_map(|(i, e)| Some((i, corrupt_record_of(e, victim)?)))
         .expect("some epoch touches the victim table");
-    let range = MetaScanner::new(epochs[eidx].bytes.clone())
-        .filter_map(|i| i.ok())
-        .find(|(meta, _)| meta.table == Some(victim))
-        .map(|(_, r)| r)
-        .expect("victim record range");
-    let mut v = epochs[eidx].bytes.to_vec();
-    v[range.end - 1] ^= 0x01;
-    epochs[eidx] = EncodedEpoch { crc32: crc32(&v), bytes: v.into(), ..epochs[eidx].clone() };
+    epochs[eidx] = poisoned;
 
     let (groups, rates) = tpcc::paper_grouping();
     let grouping =
@@ -590,9 +577,8 @@ fn forced_quarantine_dumps_a_parseable_flight_bundle() {
 
 #[test]
 fn disabled_telemetry_keeps_the_runner_silent() {
-    // The default engine carries a disabled instance: no snapshots are
-    // rendered even when a cadence is configured, and nothing is charged
-    // to the registry.
+    // The default engine carries a disabled instance: the run replays
+    // every epoch and nothing is charged to the registry.
     let w = tpcc::generate(&TpccConfig { num_txns: 500, warehouses: 1, ..Default::default() });
     let raw = batch_into_epochs(w.txns.clone(), 128).expect("positive epoch size");
     let arrivals = ReplicationTimeline::default().arrivals(&raw);
@@ -607,7 +593,7 @@ fn disabled_telemetry_keeps_the_runner_silent() {
             .expect("config"),
     );
     let db = Arc::new(MemDb::new(w.num_tables()));
-    let cfg = RunnerConfig { time_scale: 50.0, telemetry_every: 1, ..Default::default() };
+    let cfg = RunnerConfig { time_scale: 50.0, ..Default::default() };
     let outcome = run_realtime(
         engine.clone(),
         db,
@@ -615,8 +601,7 @@ fn disabled_telemetry_keeps_the_runner_silent() {
         &cfg,
     )
     .expect("realtime run");
-    assert!(outcome.telemetry_snapshots.is_empty());
-    assert!(outcome.degraded_snapshot.is_none());
+    assert_eq!(outcome.metrics.epochs, epochs.len());
     let snap = engine.telemetry().snapshot();
     assert_eq!(snap.counter_total(names::EPOCHS), 0);
     assert_eq!(snap.events_emitted, 0);
