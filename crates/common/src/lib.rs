@@ -13,6 +13,7 @@ pub mod json;
 pub mod mix;
 pub mod ops;
 pub mod rng;
+pub mod sync;
 pub mod text;
 pub mod value;
 

@@ -29,9 +29,10 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use aets_common::sync::lock;
 use aets_common::{Error, Result, Timestamp};
 use aets_memtable::{FloorTicket, QueryFloor};
 use aets_replay::{
@@ -44,7 +45,6 @@ use aets_telemetry::{
     Telemetry,
 };
 use aets_wal::{assemble_txns, Epoch, EpochSource};
-use parking_lot::Mutex;
 
 use crate::faults::{FleetFaultKind, FleetFaultPlan};
 use crate::partition::partition_epoch;
@@ -135,23 +135,6 @@ impl FleetAnswer {
     }
 }
 
-/// Supervision counts with no home in the telemetry registry: what the
-/// fault plan injected and what the shard queues moved. Failovers and
-/// missed heartbeats are registry counters (`names::FLEET_FAILOVERS`,
-/// `names::FLEET_HEARTBEATS_MISSED`); ticks are [`Fleet::now`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FleetMetrics {
-    /// Shard crashes injected by the fault plan.
-    pub crashes_injected: u64,
-    /// Shard hangs injected by the fault plan.
-    pub hangs_injected: u64,
-    /// Epochs accepted into shard queues (per shard delivery counted once
-    /// per source epoch).
-    pub epochs_enqueued: u64,
-    /// Sub-epochs acked by shard ingests.
-    pub epochs_acked: u64,
-}
-
 /// Floor pins a fleet session holds, one slot per shard.
 struct SessionPins {
     qts: Timestamp,
@@ -185,7 +168,7 @@ impl FleetSession {
 
 impl Drop for FleetSession {
     fn drop(&mut self) {
-        if let Some(entry) = self.registry.inner.lock().remove(&self.id) {
+        if let Some(entry) = lock(&self.registry.inner).remove(&self.id) {
             for pin in entry.pins.into_iter().flatten() {
                 pin.0.release(pin.1);
             }
@@ -202,6 +185,10 @@ struct FleetStats {
     heartbeats_missed: Counter,
     queries_routed: Counter,
     queries_partial: Counter,
+    crashes_injected: Counter,
+    hangs_injected: Counter,
+    epochs_enqueued: Counter,
+    epochs_acked: Counter,
 }
 
 impl FleetStats {
@@ -217,6 +204,10 @@ impl FleetStats {
             heartbeats_missed: reg.counter(names::FLEET_HEARTBEATS_MISSED),
             queries_routed: reg.counter(names::FLEET_QUERIES_ROUTED),
             queries_partial: reg.counter(names::FLEET_QUERIES_PARTIAL),
+            crashes_injected: reg.counter(names::FLEET_CRASHES_INJECTED),
+            hangs_injected: reg.counter(names::FLEET_HANGS_INJECTED),
+            epochs_enqueued: reg.counter(names::FLEET_EPOCHS_ENQUEUED),
+            epochs_acked: reg.counter(names::FLEET_EPOCHS_ACKED),
         }
     }
 }
@@ -232,7 +223,6 @@ pub struct Fleet {
     registry: Arc<SessionRegistry>,
     telemetry: Arc<Telemetry>,
     stats: FleetStats,
-    metrics: FleetMetrics,
     next_source_seq: u64,
     /// Last published per-shard health levels (see [`ShardHealth::level`]),
     /// shared with the `/healthz` handler's thread.
@@ -288,7 +278,6 @@ impl Fleet {
             registry: Arc::new(SessionRegistry::default()),
             telemetry,
             stats,
-            metrics: FleetMetrics::default(),
             next_source_seq: 0,
             health_levels,
             obs,
@@ -305,7 +294,7 @@ impl Fleet {
     /// shards. Delivery to a dead shard is fine: the queue survives the
     /// crash and drains after failover.
     pub fn enqueue(&mut self, epoch: &Epoch) {
-        self.metrics.epochs_enqueued += 1;
+        self.stats.epochs_enqueued.inc();
         for (s, sub) in partition_epoch(epoch, &self.plan).iter().enumerate() {
             self.shards[s].enqueue(aets_wal::encode_epoch(sub));
         }
@@ -392,14 +381,14 @@ impl Fleet {
                 match fp.fault_at(s, now) {
                     Some(FleetFaultKind::ShardCrash) if self.shards[s].is_up() => {
                         self.shards[s].kill();
-                        self.metrics.crashes_injected += 1;
+                        self.stats.crashes_injected.inc();
                         self.telemetry.event(EventKind::ShardDown { shard: s });
                     }
                     Some(FleetFaultKind::ShardHang)
                         if self.shards[s].is_up() && !self.shards[s].is_hung(now) =>
                     {
                         self.shards[s].hung_until = Some(now + fp.hang_ticks(s, now));
-                        self.metrics.hangs_injected += 1;
+                        self.stats.hangs_injected.inc();
                     }
                     Some(FleetFaultKind::HeartbeatLoss) => hb_lost[s] = true,
                     Some(FleetFaultKind::DelayedWatermark) => delayed[s] = true,
@@ -411,7 +400,7 @@ impl Fleet {
         // Phase 2: live shards ingest their backlog.
         for s in 0..n {
             match self.shards[s].ingest_some(now) {
-                Ok(acked) => self.metrics.epochs_acked += acked as u64,
+                Ok(acked) => self.stats.epochs_acked.add(acked as u64),
                 // A mid-ingest death is a crash like any other: the epoch
                 // stays queued and the failover path redelivers it.
                 Err(e) if e.is_crash() => {
@@ -476,7 +465,7 @@ impl Fleet {
         // floor before it can serve (and GC) anything.
         if let Some(backup) = self.shards[s].backup() {
             let floor = backup.floor().clone();
-            let mut sessions = self.registry.inner.lock();
+            let mut sessions = lock(&self.registry.inner);
             for entry in sessions.values_mut() {
                 if let Some((old_floor, ticket)) = entry.pins[s].take() {
                     old_floor.release(ticket);
@@ -641,7 +630,7 @@ impl Fleet {
             })
             .collect();
         let id = self.registry.next.fetch_add(1, Ordering::Relaxed);
-        self.registry.inner.lock().insert(id, SessionPins { qts, pins });
+        lock(&self.registry.inner).insert(id, SessionPins { qts, pins });
         FleetSession { registry: self.registry.clone(), id, qts }
     }
 
@@ -655,11 +644,6 @@ impl Fleet {
     /// Health of every shard at the current tick.
     pub fn health(&self) -> Vec<ShardHealth> {
         self.shards.iter().map(|s| s.health(self.tick)).collect()
-    }
-
-    /// Supervisor counters.
-    pub fn metrics(&self) -> FleetMetrics {
-        self.metrics
     }
 
     /// Shard accessor (tests and demos).
@@ -700,7 +684,6 @@ impl std::fmt::Debug for Fleet {
             .field("shards", &self.shards)
             .field("tick", &self.tick)
             .field("global_cmt_ts", &self.global_cmt_ts)
-            .field("metrics", &self.metrics)
             .finish()
     }
 }

@@ -44,9 +44,7 @@ pub mod plan;
 pub mod shard;
 
 pub use faults::{FleetFaultKind, FleetFaultPlan};
-pub use fleet::{
-    DegradedPolicy, Fleet, FleetAnswer, FleetMetrics, FleetOptions, FleetSession, RoutedPart,
-};
+pub use fleet::{DegradedPolicy, Fleet, FleetAnswer, FleetOptions, FleetSession, RoutedPart};
 pub use partition::{partition_epoch, partition_stream};
 pub use plan::ShardPlan;
 pub use shard::{Shard, ShardConfig, ShardHealth};

@@ -18,8 +18,9 @@
 
 use crate::record::{is_canonical, keep_first_per_column, OpType, RecordNode};
 use crate::table::{MemDb, Table};
+use aets_common::sync::lock;
 use aets_common::{Row, Timestamp};
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 /// Statistics from one GC pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -154,7 +155,7 @@ impl QueryFloor {
 
     /// Pins `qts` into the floor until the ticket is released.
     pub fn pin(&self, qts: Timestamp) -> FloorTicket {
-        let mut slots = self.slots.lock();
+        let mut slots = lock(&self.slots);
         if let Some(i) = slots.iter().position(Option::is_none) {
             slots[i] = Some(qts);
             FloorTicket(i)
@@ -166,7 +167,7 @@ impl QueryFloor {
 
     /// Releases a pin. Releasing a ticket twice is a no-op.
     pub fn release(&self, ticket: FloorTicket) {
-        let mut slots = self.slots.lock();
+        let mut slots = lock(&self.slots);
         if let Some(slot) = slots.get_mut(ticket.0) {
             *slot = None;
         }
@@ -174,12 +175,12 @@ impl QueryFloor {
 
     /// The minimum pinned `qts` (`Timestamp::MAX` when none are active).
     pub fn floor(&self) -> Timestamp {
-        self.slots.lock().iter().flatten().min().copied().unwrap_or(Timestamp::MAX)
+        lock(&self.slots).iter().flatten().min().copied().unwrap_or(Timestamp::MAX)
     }
 
     /// Number of currently pinned readers.
     pub fn active(&self) -> usize {
-        self.slots.lock().iter().flatten().count()
+        lock(&self.slots).iter().flatten().count()
     }
 }
 

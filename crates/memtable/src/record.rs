@@ -5,9 +5,10 @@
 //! short exclusive lock, and readers reconstruct the row visible at a
 //! snapshot timestamp by walking the chain backwards.
 
+use aets_common::sync::{read, write};
 use aets_common::{ColumnId, Row, Timestamp, TxnId, Value};
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::borrow::Cow;
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// The kind of DML a version carries. Alias of the shared log-level
 /// operation enum: a version chain stores exactly what the value log said.
@@ -48,7 +49,7 @@ impl RecordNode {
     /// must append in primary commit order; this is checked in debug builds
     /// and verifiable after the fact via [`RecordNode::is_ordered`].
     pub fn append_version(&self, v: Version) {
-        let mut chain = self.versions.write();
+        let mut chain = write(&self.versions);
         // Non-strict: one transaction may modify the same record twice; its
         // cells are appended in LSN order under the same txn id.
         debug_assert!(
@@ -68,19 +69,19 @@ impl RecordNode {
 
     /// Number of versions in the chain.
     pub fn version_count(&self) -> usize {
-        self.versions.read().len()
+        read(&self.versions).len()
     }
 
     /// Commit timestamp of the newest version, if any.
     pub fn latest_commit_ts(&self) -> Option<Timestamp> {
-        self.versions.read().last().map(|v| v.commit_ts)
+        read(&self.versions).last().map(|v| v.commit_ts)
     }
 
     /// Whether the version chain is in non-decreasing txn-id order — the
     /// core correctness invariant of the commit phase. (Equal adjacent ids
     /// are allowed: a single transaction touching the record twice.)
     pub fn is_ordered(&self) -> bool {
-        let chain = self.versions.read();
+        let chain = read(&self.versions);
         chain.windows(2).all(|w| w[0].txn_id <= w[1].txn_id)
     }
 
@@ -89,7 +90,7 @@ impl RecordNode {
     /// `ts`. Returns `None` if the record does not exist at `ts` (never
     /// inserted yet, or deleted).
     pub fn read_at(&self, ts: Timestamp) -> Option<Row> {
-        let chain = self.versions.read();
+        let chain = read(&self.versions);
         image_of(&chain[..chain.partition_point(|v| v.commit_ts <= ts)]).map(Cow::into_owned)
     }
 
@@ -99,14 +100,14 @@ impl RecordNode {
     /// consolidated by GC, which is most of a table: a scan that only looks
     /// at rows (filters, aggregates, digests) then allocates nothing.
     pub fn with_row_at<R>(&self, ts: Timestamp, f: impl FnOnce(&Row) -> R) -> Option<R> {
-        let chain = self.versions.read();
+        let chain = read(&self.versions);
         image_of(&chain[..chain.partition_point(|v| v.commit_ts <= ts)]).map(|row| f(&row))
     }
 
     /// Whether [`RecordNode::read_at`] would return a row at `ts`, decided
     /// from the version kinds alone: nothing is allocated or cloned.
     pub fn visible_at(&self, ts: Timestamp) -> bool {
-        let chain = self.versions.read();
+        let chain = read(&self.versions);
         let end = chain.partition_point(|v| v.commit_ts <= ts);
         // Walking back, the first insert or tombstone decides; a chain of
         // updates only is base data and visible.
@@ -128,7 +129,7 @@ impl RecordNode {
         column: ColumnId,
         f: impl FnOnce(Option<&Value>) -> R,
     ) -> Option<R> {
-        let chain = self.versions.read();
+        let chain = read(&self.versions);
         let visible = &chain[..chain.partition_point(|v| v.commit_ts <= ts)];
         // Newest first, as `image_of` merges: the first listing of the
         // column is its value, but the walk goes on to the insert or the
@@ -151,14 +152,14 @@ impl RecordNode {
     /// Shared-lock view of the whole chain, oldest version first: the
     /// snapshot codec encodes from it in place.
     pub(crate) fn chain(&self) -> RwLockReadGuard<'_, Vec<Version>> {
-        self.versions.read()
+        read(&self.versions)
     }
 
     /// Exclusive-lock view of the chain: the garbage collector rewrites
     /// the prefix below its watermark in place. Callers keep the chain in
     /// commit order.
     pub(crate) fn chain_mut(&self) -> RwLockWriteGuard<'_, Vec<Version>> {
-        self.versions.write()
+        write(&self.versions)
     }
 }
 

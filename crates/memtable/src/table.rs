@@ -2,9 +2,9 @@
 
 use crate::bptree::BPlusTree;
 use crate::record::{RecordNode, Version};
+use aets_common::sync::{read, write};
 use aets_common::{Row, RowKey, TableId, Timestamp};
-use parking_lot::RwLock;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// One table of the backup Memtable: a B+Tree from row key to a stable,
 /// shareable [`RecordNode`].
@@ -32,17 +32,17 @@ impl Table {
 
     /// Number of record nodes (including not-yet-visible ones).
     pub fn len(&self) -> usize {
-        self.index.read().len()
+        read(&self.index).len()
     }
 
     /// Whether the table has no record nodes.
     pub fn is_empty(&self) -> bool {
-        self.index.read().is_empty()
+        read(&self.index).is_empty()
     }
 
     /// Looks up the node for `key`, if present.
     pub fn node(&self, key: RowKey) -> Option<Arc<RecordNode>> {
-        self.index.read().get(&key).cloned()
+        read(&self.index).get(&key).cloned()
     }
 
     /// Looks up or creates the node for `key`.
@@ -51,10 +51,10 @@ impl Table {
     /// immediately (so the cell can point at it) but stays invisible until
     /// the commit phase appends its first version.
     pub fn node_or_insert(&self, key: RowKey) -> Arc<RecordNode> {
-        if let Some(n) = self.index.read().get(&key) {
+        if let Some(n) = read(&self.index).get(&key) {
             return n.clone();
         }
-        let mut index = self.index.write();
+        let mut index = write(&self.index);
         // Re-check: another worker may have raced us between locks.
         if let Some(n) = index.get(&key) {
             return n.clone();
@@ -78,7 +78,7 @@ impl Table {
     /// Snapshot scan at `ts`: visits every row visible at `ts` in key
     /// order.
     pub fn scan_at<F: FnMut(RowKey, Row)>(&self, ts: Timestamp, mut f: F) {
-        let index = self.index.read();
+        let index = read(&self.index);
         index.scan(|k, n| {
             if let Some(row) = n.read_at(ts) {
                 f(*k, row);
@@ -98,7 +98,7 @@ impl Table {
     /// snapshot codec) lock each chain in turn from here; `f` must not
     /// touch this table's index.
     pub(crate) fn for_each_node<F: FnMut(RowKey, &RecordNode)>(&self, mut f: F) {
-        self.index.read().scan(|k, n| f(*k, n));
+        read(&self.index).scan(|k, n| f(*k, n));
     }
 
     /// [`Table::for_each_node`] over the inclusive key range `[lo, hi]`.
@@ -108,13 +108,13 @@ impl Table {
         hi: RowKey,
         mut f: F,
     ) {
-        self.index.read().range_scan(&lo, &hi, |k, n| f(*k, n));
+        read(&self.index).range_scan(&lo, &hi, |k, n| f(*k, n));
     }
 
     /// Snapshot of every `(key, node)` pair in key order (clones the
     /// `Arc`s, so the index lock is released before the caller uses them).
     pub fn entries(&self) -> Vec<(RowKey, Arc<RecordNode>)> {
-        let index = self.index.read();
+        let index = read(&self.index);
         let mut out = Vec::with_capacity(index.len());
         index.scan(|k, n| out.push((*k, n.clone())));
         out

@@ -50,17 +50,17 @@ use crate::engines::{commit_cell, panic_error, translate_entry, Cell, ReplayEngi
 use crate::grouping::TableGrouping;
 use crate::metrics::ReplayMetrics;
 use crate::visibility::VisibilityBoard;
+use aets_common::sync::{lock, read, write};
 use aets_common::{Error, GroupId, Result, TableId};
 use aets_memtable::MemDb;
 use aets_telemetry::trace::stages;
 use aets_telemetry::{names, Counter, EventKind, Gauge, Histogram, SpanId, Telemetry};
 use aets_wal::{EncodedEpoch, EpochSource, SliceSource};
-use parking_lot::{Mutex, RwLock};
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// Per-epoch group access rates, e.g. from the DTGM predictor.
@@ -212,7 +212,7 @@ impl ReconfigureHandle {
                 }
             }
         }
-        self.inner.queue.lock().push_back(cmd);
+        lock(&self.inner.queue).push_back(cmd);
         Ok(())
     }
 
@@ -224,7 +224,7 @@ impl ReconfigureHandle {
 
     /// Commands queued but not yet drained by an epoch boundary.
     pub fn pending(&self) -> usize {
-        self.inner.queue.lock().len()
+        lock(&self.inner.queue).len()
     }
 }
 
@@ -265,7 +265,7 @@ impl Quarantine {
     /// Records the first failure of `gid`; later failures keep the
     /// original root cause.
     fn poison(&self, gid: GroupId, err: Error) {
-        let mut g = self.groups.lock();
+        let mut g = lock(&self.groups);
         let slot = &mut g[gid.index()];
         if slot.is_none() {
             *slot = Some(err);
@@ -273,20 +273,20 @@ impl Quarantine {
     }
 
     fn is_poisoned(&self, gid: GroupId) -> bool {
-        self.groups.lock()[gid.index()].is_some()
+        lock(&self.groups)[gid.index()].is_some()
     }
 
     fn any(&self) -> bool {
-        self.groups.lock().iter().any(Option::is_some)
+        lock(&self.groups).iter().any(Option::is_some)
     }
 
     /// The failure that froze group `g` (board index), rendered.
     fn reason(&self, g: usize) -> String {
-        self.groups.lock()[g].as_ref().map(Error::to_string).unwrap_or_default()
+        lock(&self.groups)[g].as_ref().map(Error::to_string).unwrap_or_default()
     }
 
     fn poisoned(&self) -> Vec<usize> {
-        self.groups.lock().iter().enumerate().filter_map(|(i, e)| e.as_ref().map(|_| i)).collect()
+        lock(&self.groups).iter().enumerate().filter_map(|(i, e)| e.as_ref().map(|_| i)).collect()
     }
 }
 
@@ -469,13 +469,13 @@ impl AetsEngine {
     /// and its generation together from
     /// [`ReplayEngine::board_groups_for`].
     pub fn grouping(&self) -> Arc<TableGrouping> {
-        self.grouping.read().grouping.clone()
+        read(&self.grouping).grouping.clone()
     }
 
     /// The generation of the currently installed grouping (0 until the
     /// first live regroup).
     pub fn grouping_gen(&self) -> u64 {
-        self.grouping.read().gen
+        read(&self.grouping).gen
     }
 
     /// The sender half of the engine's live reconfiguration channel.
@@ -491,7 +491,7 @@ impl AetsEngine {
     /// watermark sits at the previous epoch's `max_commit_ts`.
     fn apply_pending(&self, at_seq: u64) -> EpochPlan {
         let drained: Vec<Reconfigure> = {
-            let mut q = self.reconf.inner.queue.lock();
+            let mut q = lock(&self.reconf.inner.queue);
             if q.is_empty() {
                 Vec::new()
             } else {
@@ -503,7 +503,7 @@ impl AetsEngine {
             match cmd {
                 Reconfigure::SetThreadSplit(split) => {
                     self.telemetry.event(EventKind::ThreadSplit { at_seq, split: split.clone() });
-                    *self.pinned_split.lock() = Some(split);
+                    *lock(&self.pinned_split) = Some(split);
                     resplits += 1;
                 }
                 Reconfigure::Regroup(g) => {
@@ -514,7 +514,7 @@ impl AetsEngine {
                         rejected += 1;
                         continue;
                     }
-                    let mut cur = self.grouping.write();
+                    let mut cur = write(&self.grouping);
                     let moved = (0..g.num_tables())
                         .map(|t| TableId::new(t as u32))
                         .filter(|&t| g.group_of(t) != cur.grouping.group_of(t))
@@ -539,11 +539,11 @@ impl AetsEngine {
             self.stats.resplits.add(resplits);
             self.stats.reconf_rejected.add(rejected);
         }
-        let cur = self.grouping.read();
+        let cur = read(&self.grouping);
         EpochPlan {
             gen: cur.gen,
             grouping: cur.grouping.clone(),
-            split: self.pinned_split.lock().clone(),
+            split: lock(&self.pinned_split).clone(),
             regroups,
             resplits,
             rejected,
@@ -634,7 +634,7 @@ impl AetsEngine {
                 Some(handoff) => {
                     let mut backoff = Backoff::default();
                     loop {
-                        if let Some(chunk) = handoff.slots[head].lock().take() {
+                        if let Some(chunk) = lock(&handoff.slots[head]).take() {
                             break chunk;
                         }
                         // The head is not ready: translate the next
@@ -643,7 +643,7 @@ impl AetsEngine {
                             Some(c) if c == head => break self.translate_chunk(epoch, task, c),
                             Some(c) => {
                                 let chunk = self.translate_chunk(epoch, task, c);
-                                *handoff.slots[c].lock() = Some(chunk);
+                                *lock(&handoff.slots[c]) = Some(chunk);
                             }
                             // Every chunk is claimed and the head is in a
                             // helper's hands: it is running, not blocked,
@@ -679,7 +679,7 @@ impl AetsEngine {
                     translated: 0,
                     err: Some(panic_error("chunk translator", p)),
                 });
-            *handoff.slots[c].lock() = Some(chunk);
+            *lock(&handoff.slots[c]) = Some(chunk);
         }
     }
 
@@ -920,7 +920,7 @@ impl AetsEngine {
         if board.num_groups() != self.pools.len() {
             return Err(Error::Config("board group count mismatch".into()));
         }
-        let mut crew = self.crew.lock();
+        let mut crew = lock(&self.crew);
         let start = Instant::now();
         let mut m = ReplayMetrics { engine: self.name(), ..Default::default() };
         let mut ingest = IngestStats::default();
@@ -1140,7 +1140,7 @@ impl Handoff {
 
 impl ReplayEngine for AetsEngine {
     fn name(&self) -> &'static str {
-        if self.grouping.read().grouping.num_groups() == 1 && !self.cfg.two_stage {
+        if read(&self.grouping).grouping.num_groups() == 1 && !self.cfg.two_stage {
             "tplr"
         } else {
             "aets"
@@ -1148,11 +1148,11 @@ impl ReplayEngine for AetsEngine {
     }
 
     fn board_groups(&self) -> usize {
-        self.grouping.read().grouping.num_groups()
+        read(&self.grouping).grouping.num_groups()
     }
 
     fn board_groups_for(&self, tables: &[TableId]) -> (u64, Vec<GroupId>) {
-        let g = self.grouping.read();
+        let g = read(&self.grouping);
         (g.gen, g.grouping.groups_of(tables))
     }
 
@@ -1719,7 +1719,7 @@ mod tests {
                 .unwrap();
             eng.replay_all(&epochs, &MemDb::new(3)).unwrap();
             let deadline = Instant::now() + Duration::from_secs(30);
-            while eng.crew.lock().parked() < 3 {
+            while lock(&eng.crew).parked() < 3 {
                 assert!(Instant::now() < deadline, "helpers still awake after replay returned");
                 std::thread::sleep(Duration::from_millis(1));
             }
@@ -1792,8 +1792,8 @@ mod tests {
         assert_eq!(task.chunks(), 3, "80 mini-txns in chunks of {CHUNK}");
         eng.translate_ahead(&epoch, &task);
         let slots = &task.handoff.as_ref().unwrap().slots;
-        assert!(slots[0].lock().as_ref().unwrap().err.is_none());
-        let failed = slots[1].lock().as_ref().unwrap().err.clone().unwrap();
+        assert!(lock(&slots[0]).as_ref().unwrap().err.is_none());
+        let failed = lock(&slots[1]).as_ref().unwrap().err.clone().unwrap();
         assert!(failed.to_string().contains("chunk translator panicked"), "{failed}");
         let err = eng.replay_group(&epoch, &task).unwrap_err();
         assert_eq!(err, failed);

@@ -15,11 +15,12 @@ use crate::engines::{apply_entry, ReplayEngine};
 use crate::grouping::TableGrouping;
 use crate::metrics::ReplayMetrics;
 use crate::visibility::VisibilityBoard;
+use aets_common::sync::lock;
 use aets_common::{Error, FxHashMap, FxHashSet, GroupId, Result, RowKey, TableId};
 use aets_memtable::MemDb;
 use aets_wal::{decode_at, EncodedEpoch, LogRecord};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Sharded map of applied row versions (the backup-side RVID table).
@@ -44,11 +45,11 @@ impl RvidTable {
     }
 
     fn applied(&self, t: TableId, k: RowKey) -> u64 {
-        self.shard(t, k).lock().get(&(t, k)).copied().unwrap_or(0)
+        lock(self.shard(t, k)).get(&(t, k)).copied().unwrap_or(0)
     }
 
     fn set(&self, t: TableId, k: RowKey, v: u64) {
-        self.shard(t, k).lock().insert((t, k), v);
+        lock(self.shard(t, k)).insert((t, k), v);
     }
 }
 

@@ -37,12 +37,12 @@
 //! mutex before it sleeps.
 
 use crate::engines::panic_error;
+use aets_common::sync::{lock, wait};
 use aets_common::{Error, Result};
 use aets_telemetry::Gauge;
-use parking_lot::{Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -145,11 +145,11 @@ impl Shared {
                 continue;
             }
             if !backoff.snooze() {
-                let mut park = self.park.lock();
+                let mut park = lock(&self.park);
                 park.parked += 1;
                 self.parked_gauge.set(park.parked as u64);
                 while !Self::concerns(self.state.load(Ordering::Acquire), seen) {
-                    self.wake.wait(&mut park);
+                    park = wait(&self.wake, park);
                 }
                 park.parked -= 1;
                 self.parked_gauge.set(park.parked as u64);
@@ -165,7 +165,7 @@ impl Shared {
     fn leave(&self) {
         let before = self.state.fetch_sub(INSIDE_ONE, Ordering::AcqRel);
         let last_out_of_closed_gate = before & (INSIDE_MASK | OPEN) == INSIDE_ONE;
-        if last_out_of_closed_gate && self.park.lock().caller_parked {
+        if last_out_of_closed_gate && lock(&self.park).caller_parked {
             self.drained.notify_one();
         }
     }
@@ -174,10 +174,10 @@ impl Shared {
         let mut seen = 0;
         while let Some(gen) = self.enter(seen) {
             seen = gen;
-            let job = *self.job.lock();
+            let job = *lock(&self.job);
             if let Some(job) = job {
                 if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
-                    self.fault.lock().get_or_insert(panic_error("replay crew helper", payload));
+                    lock(&self.fault).get_or_insert(panic_error("replay crew helper", payload));
                 }
             }
             self.leave();
@@ -186,7 +186,7 @@ impl Shared {
 
     /// Caller: opens generation `gen` and wakes up to `wanted` sleepers.
     fn open(&self, gen: u64, wanted: usize) {
-        let park = self.park.lock();
+        let park = lock(&self.park);
         self.state.store(gen << GEN_SHIFT | OPEN, Ordering::Release);
         for _ in 0..wanted.min(park.parked) {
             self.wake.notify_one();
@@ -200,15 +200,15 @@ impl Shared {
         let mut backoff = Backoff::default();
         while self.state.load(Ordering::Acquire) & INSIDE_MASK != 0 {
             if !backoff.snooze() {
-                let mut park = self.park.lock();
+                let mut park = lock(&self.park);
                 park.caller_parked = true;
                 while self.state.load(Ordering::Acquire) & INSIDE_MASK != 0 {
-                    self.drained.wait(&mut park);
+                    park = wait(&self.drained, park);
                 }
                 park.caller_parked = false;
             }
         }
-        *self.job.lock() = None;
+        *lock(&self.job) = None;
     }
 }
 
@@ -270,7 +270,7 @@ impl Crew {
     /// Helpers currently asleep.
     #[cfg(test)]
     pub(crate) fn parked(&self) -> usize {
-        self.shared.park.lock().parked
+        lock(&self.shared.park).parked
     }
 
     /// Runs `job` on the calling thread and on up to `wanted` helpers at
@@ -298,7 +298,7 @@ impl Crew {
         // keeps two callers from opening gates at once.
         let erased: &'static Job<'static> =
             unsafe { std::mem::transmute::<&Job<'_>, &'static Job<'static>>(job) };
-        *self.shared.job.lock() = Some(erased);
+        *lock(&self.shared.job) = Some(erased);
         self.gen += 1;
         let gate = OpenGate(&self.shared);
         self.shared.open(self.gen, wanted);
@@ -306,7 +306,7 @@ impl Crew {
         let reached_barrier = Instant::now();
         drop(gate);
         let waited = reached_barrier.elapsed();
-        match self.shared.fault.lock().take() {
+        match lock(&self.shared.fault).take() {
             Some(e) => Err(e),
             None => Ok(waited),
         }
@@ -316,7 +316,7 @@ impl Crew {
 impl Drop for Crew {
     fn drop(&mut self) {
         {
-            let _park = self.shared.park.lock();
+            let _park = lock(&self.shared.park);
             self.shared.state.fetch_or(SHUTDOWN, Ordering::AcqRel);
             self.shared.wake.notify_all();
         }

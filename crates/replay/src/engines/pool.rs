@@ -14,8 +14,9 @@
 //! contended between one split group's translators and its committer.
 
 use crate::engines::Cell;
-use parking_lot::Mutex;
+use aets_common::sync::lock;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Upper bound on the free list. Buffers returned beyond this are dropped
 /// rather than cached, so a burst epoch cannot pin its peak footprint
@@ -40,7 +41,7 @@ impl CellPool {
     /// Hands out a cleared buffer with room for `cap` cells, reusing a
     /// pooled allocation when one is available.
     pub fn take(&self, cap: usize) -> Vec<Cell> {
-        if let Some(mut v) = self.free.lock().pop() {
+        if let Some(mut v) = lock(&self.free).pop() {
             self.recycled.fetch_add(1, Ordering::Relaxed);
             if v.capacity() < cap {
                 v.reserve(cap - v.len());
@@ -59,7 +60,7 @@ impl CellPool {
         if v.capacity() == 0 {
             return;
         }
-        let mut free = self.free.lock();
+        let mut free = lock(&self.free);
         if free.len() < MAX_POOLED {
             free.push(v);
         }
@@ -120,6 +121,6 @@ mod tests {
         for _ in 0..(MAX_POOLED + 10) {
             pool.put(Vec::with_capacity(1));
         }
-        assert_eq!(pool.free.lock().len(), MAX_POOLED);
+        assert_eq!(lock(&pool.free).len(), MAX_POOLED);
     }
 }

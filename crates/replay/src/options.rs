@@ -16,7 +16,7 @@
 
 use crate::control::ControllerConfig;
 use aets_common::{Error, Result};
-use aets_telemetry::{FlightRecorder, FlightRecorderConfig, HealthFn, ObsServer, Telemetry};
+use aets_telemetry::{FlightRecorder, HealthFn, ObsServer, Telemetry};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -60,7 +60,7 @@ impl ServiceOptions {
     /// drops.
     pub fn mount(&self, telemetry: &Arc<Telemetry>, health: HealthFn) -> Result<Option<ObsServer>> {
         if let Some(dir) = &self.flight_dir {
-            let recorder = FlightRecorder::create(FlightRecorderConfig::new(dir))
+            let recorder = FlightRecorder::create(dir)
                 .map_err(|e| Error::Io(format!("flight recorder at {}: {e}", dir.display())))?;
             telemetry.set_flight_recorder(Some(recorder));
         }

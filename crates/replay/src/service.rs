@@ -32,6 +32,7 @@ use crate::metrics::ReplayMetrics;
 use crate::options::ServiceOptions;
 use crate::target::try_eval_spec;
 use crate::visibility::{VisibilityBoard, WaitOutcome};
+use aets_common::sync::{lock, wait};
 use aets_common::{Error, Result, Row, RowKey, TableId, Timestamp};
 use aets_memtable::{gc_db, Aggregate, Filter, FloorTicket, GcStats, MemDb, QueryFloor};
 use aets_telemetry::trace::stages;
@@ -41,11 +42,10 @@ use aets_telemetry::{
     ObsServer, Telemetry,
 };
 use aets_wal::EncodedEpoch;
-use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -218,7 +218,7 @@ impl AdmissionQueue {
     // caller can fail it with `Overloaded` without boxing the hot path.
     #[allow(clippy::result_large_err)]
     fn try_push(&self, job: Job) -> std::result::Result<(), Job> {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         if s.closed || s.jobs.len() >= self.cap {
             return Err(job);
         }
@@ -230,7 +230,7 @@ impl AdmissionQueue {
 
     /// Blocks for the next job; `None` once closed and drained.
     fn pop(&self) -> Option<Job> {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         loop {
             if let Some(job) = s.jobs.pop_front() {
                 return Some(job);
@@ -238,17 +238,17 @@ impl AdmissionQueue {
             if s.closed {
                 return None;
             }
-            self.cv.wait(&mut s);
+            s = wait(&self.cv, s);
         }
     }
 
     fn close(&self) {
-        self.state.lock().closed = true;
+        lock(&self.state).closed = true;
         self.cv.notify_all();
     }
 
     fn is_closed(&self) -> bool {
-        self.state.lock().closed
+        lock(&self.state).closed
     }
 }
 
@@ -605,7 +605,7 @@ impl BackupNode {
     pub fn replay(&self, epochs: &[EncodedEpoch]) -> Result<ReplayMetrics> {
         let m = self.core.engine.replay(epochs, &self.core.db, &self.core.board)?;
         if let Some(ctl) = &self.controller {
-            let mut ctl = ctl.lock();
+            let mut ctl = lock(ctl);
             for _ in 0..epochs.len() {
                 // A planning error (e.g. a degenerate clustering) keeps
                 // the current plan; the replay itself already succeeded.
@@ -618,7 +618,7 @@ impl BackupNode {
     /// Complete control windows the node's adaptive controller has
     /// observed; `None` when no controller runs.
     pub fn adaptive_windows(&self) -> Option<usize> {
-        self.controller.as_ref().map(|c| c.lock().windows_observed())
+        self.controller.as_ref().map(|c| lock(c).windows_observed())
     }
 
     /// Runs one version-chain GC pass at the safe watermark: the oldest

@@ -15,11 +15,11 @@
 //! lock unless it reaches the smallest registered `qts` — below that it
 //! can decide no waiter, and one load guards the slow path.
 
+use aets_common::sync::lock;
 use aets_common::{GroupId, Timestamp};
 use aets_telemetry::{names, ClockFn, Gauge, Histogram, Telemetry};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
@@ -223,7 +223,7 @@ impl VisibilityBoard {
         if published < self.min_waiter_qts.load(Ordering::SeqCst) {
             return;
         }
-        let waiters = self.waiters.lock();
+        let waiters = lock(&self.waiters);
         for cell in waiters.iter() {
             if self.is_visible_at(&cell.gids, cell.gen, cell.qts)
                 || self.is_hopeless_at(&cell.gids, cell.gen, cell.qts)
@@ -350,7 +350,7 @@ impl VisibilityBoard {
         let cell =
             Arc::new(WaitCell { qts, gids: gids.to_vec(), gen, thread: std::thread::current() });
         {
-            let mut waiters = self.waiters.lock();
+            let mut waiters = lock(&self.waiters);
             waiters.push(cell.clone());
             self.min_waiter_qts.fetch_min(qts.as_micros(), Ordering::SeqCst);
         }
@@ -367,7 +367,7 @@ impl VisibilityBoard {
             std::thread::park_timeout(deadline - now);
         };
         {
-            let mut waiters = self.waiters.lock();
+            let mut waiters = lock(&self.waiters);
             waiters.retain(|w| !Arc::ptr_eq(w, &cell));
             let min = waiters.iter().map(|w| w.qts.as_micros()).min().unwrap_or(u64::MAX);
             self.min_waiter_qts.store(min, Ordering::SeqCst);
@@ -531,12 +531,12 @@ mod tests {
         thread::sleep(Duration::from_millis(20));
         b.publish_group(g(0), Timestamp::from_micros(100));
         thread::sleep(Duration::from_millis(20));
-        assert_eq!(b.waiters.lock().len(), 2, "group-1 waiters still parked");
+        assert_eq!(lock(&b.waiters).len(), 2, "group-1 waiters still parked");
         b.publish_group(g(1), Timestamp::from_micros(100));
         for h in handles {
             assert_eq!(h.join().unwrap(), WaitOutcome::Visible);
         }
-        assert_eq!(b.waiters.lock().len(), 0, "all waiters deregistered");
+        assert_eq!(lock(&b.waiters).len(), 0, "all waiters deregistered");
         assert_eq!(b.min_waiter_qts.load(Ordering::SeqCst), u64::MAX);
     }
 
@@ -572,7 +572,7 @@ mod tests {
         // Probe: hold the registry lock and publish below `qts` from
         // another thread. A publish that touched the registry would block
         // on the lock until the deadline below.
-        let registry = b.waiters.lock();
+        let registry = lock(&b.waiters);
         let publisher = {
             let b = b.clone();
             thread::spawn(move || {

@@ -17,24 +17,21 @@
 //! * TPLR/AETS phase-1 translate dominates; the commit phase only links
 //!   pre-materialized cells (Table II: replay >= 98 %, commit < 1 %).
 //!
-//! The per-entry decode costs (`translate`, `atr_entry`, `c5_entry`) are
-//! calibrated against the zero-copy codec: `Text`/`Bytes` values are
+//! The per-entry decode costs (`translate`, `atr_entry`, `c5_entry`) were
+//! lowered by hand for the zero-copy codec: `Text`/`Bytes` values are
 //! shared slices of the epoch buffer, so decoding no longer pays a heap
 //! copy per value and all three dropped by the same ~15 % relative to
-//! the original owned-`String` codec (the `codec/*` rows recorded in
-//! `results/BENCH_pipeline.json` are the measured source; `repro bench
-//! micro` times the same kernels today). The metadata scan was already
+//! the original owned-`String` codec. One-pass batched decode with a
+//! reused scratch vector cut per-record decode by ~10 % more, and
+//! `translate` dropped in step. The `codec/*` rows of `repro bench
+//! micro` time the same kernels today. The metadata scan was already
 //! copy-free, so `meta_parse` is unchanged.
 //!
-//! The raw-speed ingest campaign (`repro bench ingest`,
-//! `results/BENCH_ingest.json`) shaved
-//! the hot path again: one-pass batched decode with a reused scratch
-//! vector cut per-record decode by ~10 %, so `translate` drops in step,
-//! and replacing the mutexed commit-slot protocol with the lock-free
-//! SPSC queues cut the per-entry hand-off and per-txn commit
-//! bookkeeping (`queue_contention_per_thread`, `commit_txn`). The CRC
-//! kernel's 4x is invisible here — frame checksums are verified at
-//! ingest, which the model charges as replication latency, not replay.
+//! `commit_txn` and `queue_contention_per_thread` are hand-set: no
+//! measured row derives them yet, and they stay as typed until the model
+//! is derived from the `repro bench micro` rows. The CRC kernel's 4x is
+//! invisible here — frame checksums are verified at ingest, which the
+//! model charges as replication latency, not replay.
 //!
 //! Every figure regenerated from this model is labelled as model-derived
 //! in EXPERIMENTS.md; the ratios, not the absolute microseconds, are the

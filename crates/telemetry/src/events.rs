@@ -8,9 +8,10 @@
 //! ring overflowed and `dropped()` counts exactly how many fell out.
 
 use aets_common::json_escape;
-use parking_lot::Mutex;
+use aets_common::sync::lock;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// What happened. Timestamps inside payloads are primary-clock
 /// microseconds; `group` fields are visibility-board indices.
@@ -181,7 +182,7 @@ impl EventRing {
     /// undelivered event is evicted (and counted dropped) when full.
     pub fn push(&self, at_us: u64, kind: EventKind) -> u64 {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         if s.buf.len() >= self.capacity {
             s.buf.pop_front();
             s.dropped += 1;
@@ -192,14 +193,14 @@ impl EventRing {
 
     /// Takes every undelivered event, oldest first.
     pub fn drain(&self) -> Vec<Event> {
-        self.state.lock().buf.drain(..).collect()
+        lock(&self.state).buf.drain(..).collect()
     }
 
     /// Copies every undelivered event, oldest first, without consuming
     /// them — observers (`/events.json`, flight-recorder bundles) must
     /// not steal events from the run's real consumer.
     pub fn peek(&self) -> Vec<Event> {
-        self.state.lock().buf.iter().cloned().collect()
+        lock(&self.state).buf.iter().cloned().collect()
     }
 
     /// Sequence number the next event will get (== total emitted so far).
@@ -209,7 +210,7 @@ impl EventRing {
 
     /// Events evicted before being drained.
     pub fn dropped(&self) -> u64 {
-        self.state.lock().dropped
+        lock(&self.state).dropped
     }
 }
 

@@ -5,8 +5,8 @@
 //! record an operator needs, and exactly the record that is gone once
 //! the process exits. The flight recorder makes that record durable: on
 //! each trigger event it dumps a bounded JSON bundle (recent spans,
-//! undelivered events, a full metric snapshot) into a configurable
-//! directory, keeping only the newest `retention` bundles.
+//! undelivered events, a full metric snapshot) into its directory,
+//! keeping only the newest eight bundles.
 //!
 //! Dumps are best-effort by design: they run inside
 //! [`crate::Telemetry::event`] on replay/supervision threads, so an
@@ -21,49 +21,35 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Where bundles go and how many to keep.
-#[derive(Debug, Clone)]
-pub struct FlightRecorderConfig {
-    /// Directory bundles are written into (created if missing).
-    pub dir: PathBuf,
-    /// Newest bundles kept on disk; older ones are deleted (minimum 1).
-    pub retention: usize,
-}
+/// Newest bundles kept on disk; older ones are deleted.
+const RETENTION: usize = 8;
 
 /// Most recent spans included per bundle.
 const MAX_SPANS: usize = 2048;
 
-impl FlightRecorderConfig {
-    /// Config writing into `dir` with default retention (8 bundles).
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self { dir: dir.into(), retention: 8 }
-    }
-}
-
 /// Dumps bounded post-mortem bundles on anomaly events.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    cfg: FlightRecorderConfig,
+    dir: PathBuf,
     next_seq: AtomicU64,
     failed: AtomicU64,
 }
 
 impl FlightRecorder {
-    /// Creates the bundle directory and positions the sequence after any
-    /// bundles already on disk, so restarts never overwrite history.
-    pub fn create(cfg: FlightRecorderConfig) -> io::Result<Self> {
-        std::fs::create_dir_all(&cfg.dir)?;
-        let next = list_bundles(&cfg.dir)?
-            .iter()
-            .filter_map(|p| bundle_seq(p))
-            .max()
-            .map_or(0, |max| max + 1);
-        Ok(Self { cfg, next_seq: AtomicU64::new(next), failed: AtomicU64::new(0) })
+    /// Creates the bundle directory `dir` and positions the sequence
+    /// after any bundles already in it, so restarts never overwrite
+    /// history.
+    pub fn create(dir: impl Into<PathBuf>) -> io::Result<Self> {
+        let dir = dir.into();
+        std::fs::create_dir_all(&dir)?;
+        let next =
+            list_bundles(&dir)?.iter().filter_map(|p| bundle_seq(p)).max().map_or(0, |max| max + 1);
+        Ok(Self { dir, next_seq: AtomicU64::new(next), failed: AtomicU64::new(0) })
     }
 
-    /// The configured bundle directory.
+    /// The bundle directory.
     pub fn dir(&self) -> &Path {
-        &self.cfg.dir
+        &self.dir
     }
 
     /// Dumps failed with an I/O error so far.
@@ -89,7 +75,7 @@ impl FlightRecorder {
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() || c == '_' || c == '-' { c } else { '_' })
             .collect();
-        let path = self.cfg.dir.join(format!("flight-{seq:06}-{safe}.json"));
+        let path = self.dir.join(format!("flight-{seq:06}-{safe}.json"));
 
         let spans = tel.spans().recent(MAX_SPANS);
         let events = tel.peek_events();
@@ -115,10 +101,9 @@ impl FlightRecorder {
     }
 
     fn enforce_retention(&self) -> io::Result<()> {
-        let bundles = list_bundles(&self.cfg.dir)?;
-        let keep = self.cfg.retention.max(1);
-        if bundles.len() > keep {
-            for old in &bundles[..bundles.len() - keep] {
+        let bundles = list_bundles(&self.dir)?;
+        if bundles.len() > RETENTION {
+            for old in &bundles[..bundles.len() - RETENTION] {
                 std::fs::remove_file(old)?;
             }
         }
@@ -167,7 +152,7 @@ mod tests {
         tel.event(EventKind::GroupQuarantined { group: 1, reason: "record crc".into() });
         tel.spans().point(7, crate::trace::stages::FLIP_GLOBAL, None, None);
 
-        let fr = FlightRecorder::create(FlightRecorderConfig::new(&dir)).expect("create");
+        let fr = FlightRecorder::create(&dir).expect("create");
         let path = fr.dump("group_quarantined", &tel).expect("dump");
         let body = std::fs::read_to_string(&path).expect("bundle readable");
         assert!(body.contains("\"reason\": \"group_quarantined\""));
@@ -184,14 +169,12 @@ mod tests {
     fn retention_keeps_only_the_newest_bundles() {
         let dir = scratch("retention");
         let tel = Telemetry::new();
-        let mut cfg = FlightRecorderConfig::new(&dir);
-        cfg.retention = 3;
-        let fr = FlightRecorder::create(cfg).expect("create");
-        for i in 0..7 {
+        let fr = FlightRecorder::create(&dir).expect("create");
+        for i in 0..RETENTION + 4 {
             fr.dump(&format!("trigger_{i}"), &tel).expect("dump");
         }
         let bundles = list_bundles(&dir).expect("list");
-        assert_eq!(bundles.len(), 3);
+        assert_eq!(bundles.len(), RETENTION);
         assert!(bundles[0].to_string_lossy().contains("flight-000004"), "{bundles:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -201,10 +184,10 @@ mod tests {
         let dir = scratch("restart");
         let tel = Telemetry::new();
         {
-            let fr = FlightRecorder::create(FlightRecorderConfig::new(&dir)).expect("create");
+            let fr = FlightRecorder::create(&dir).expect("create");
             fr.dump("first", &tel).expect("dump");
         }
-        let fr = FlightRecorder::create(FlightRecorderConfig::new(&dir)).expect("reopen");
+        let fr = FlightRecorder::create(&dir).expect("reopen");
         let path = fr.dump("second", &tel).expect("dump");
         assert!(path.to_string_lossy().contains("flight-000001"));
         assert_eq!(list_bundles(&dir).expect("list").len(), 2);

@@ -20,8 +20,8 @@
 //! `repro bench telemetry` compares against
 //! (`results/BENCH_observability.json`).
 //!
-//! No external dependencies (`parking_lot` is the in-repo vendored shim),
-//! matching the workspace's offline-build policy.
+//! No external dependencies, matching the workspace's offline-build
+//! policy.
 
 // Telemetry runs inside replay and recovery threads: a panic here would
 // quarantine a healthy group, so fallible paths must not unwrap.
@@ -36,16 +36,16 @@ pub mod snapshot;
 pub mod trace;
 
 pub use events::{events_json, Event, EventKind, EventRing};
-pub use flight::{FlightRecorder, FlightRecorderConfig};
+pub use flight::FlightRecorder;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HistogramSummary};
 pub use registry::{group_label, Registry};
 pub use serve::{http_get, HealthFn, HealthReport, ObsServer};
 pub use snapshot::{parse_exposition, Sample, TelemetrySnapshot};
 pub use trace::{first_orphan, spans_json, OpenSpan, Span, SpanId, SpanRing};
 
-use parking_lot::Mutex;
+use aets_common::sync::lock;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// A clock returning "now" in microseconds on whatever timeline the
@@ -204,6 +204,15 @@ pub mod names {
     /// Fleet: routed queries answered partially because a shard was
     /// unavailable (`DegradedPolicy::Partial`).
     pub const FLEET_QUERIES_PARTIAL: &str = "fleet_queries_partial_total";
+    /// Fleet: shard crashes the fault plan injected.
+    pub const FLEET_CRASHES_INJECTED: &str = "fleet_crashes_injected_total";
+    /// Fleet: shard hangs the fault plan injected.
+    pub const FLEET_HANGS_INJECTED: &str = "fleet_hangs_injected_total";
+    /// Fleet: source epochs partitioned onto the shard queues (one per
+    /// source epoch, however many shards it reaches).
+    pub const FLEET_EPOCHS_ENQUEUED: &str = "fleet_epochs_enqueued_total";
+    /// Fleet: sub-epochs the shards' ingests acked.
+    pub const FLEET_EPOCHS_ACKED: &str = "fleet_epochs_acked_total";
     /// Transport: sender sessions (re-)established over TCP — the first
     /// connection counts too, so `value - 1` is the reconnect count of a
     /// single-stream run.
@@ -348,7 +357,7 @@ impl Telemetry {
     /// Attaches (or detaches, with `None`) a flight recorder: anomaly
     /// events from now on dump post-mortem bundles to its directory.
     pub fn set_flight_recorder(&self, recorder: Option<FlightRecorder>) {
-        *self.flight.lock() = recorder;
+        *lock(&self.flight) = recorder;
     }
 
     /// Emits a structured event (no-op when disabled). Returns the
@@ -370,7 +379,7 @@ impl Telemetry {
         let name = kind.name();
         let seq = self.events.push((self.clock)(), kind);
         if anomaly {
-            if let Some(recorder) = self.flight.lock().as_ref() {
+            if let Some(recorder) = lock(&self.flight).as_ref() {
                 let _ = recorder.dump(name, self);
             }
         }

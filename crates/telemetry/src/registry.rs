@@ -8,10 +8,10 @@
 
 use crate::metrics::{Counter, CounterCore, Gauge, Histogram, HistogramCore, HistogramSnapshot};
 use crate::snapshot::TelemetrySnapshot;
-use parking_lot::Mutex;
+use aets_common::sync::lock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 #[derive(Debug)]
 enum Slot {
@@ -51,7 +51,7 @@ impl Registry {
     /// it counts, but never appears in snapshots. That is a programming
     /// error surfaced by the missing family, not a crash.
     pub fn counter_with(&self, name: &'static str, label: String) -> Counter {
-        let mut slots = self.slots.lock();
+        let mut slots = lock(&self.slots);
         let slot = slots
             .entry((name, label))
             .or_insert_with(|| Slot::Counter(Arc::new(CounterCore::default())));
@@ -69,7 +69,7 @@ impl Registry {
 
     /// Gauge handle for the `label` series of `name`.
     pub fn gauge_with(&self, name: &'static str, label: String) -> Gauge {
-        let mut slots = self.slots.lock();
+        let mut slots = lock(&self.slots);
         let slot =
             slots.entry((name, label)).or_insert_with(|| Slot::Gauge(Arc::new(AtomicU64::new(0))));
         let core = match slot {
@@ -86,7 +86,7 @@ impl Registry {
 
     /// Histogram handle for the `label` series of `name`.
     pub fn histogram_with(&self, name: &'static str, label: String) -> Histogram {
-        let mut slots = self.slots.lock();
+        let mut slots = lock(&self.slots);
         let slot = slots
             .entry((name, label))
             .or_insert_with(|| Slot::Histogram(Arc::new(HistogramCore::default())));
@@ -99,7 +99,7 @@ impl Registry {
 
     /// Point-in-time copy of every registered series.
     pub(crate) fn snapshot_into(&self, snap: &mut TelemetrySnapshot) {
-        let slots = self.slots.lock();
+        let slots = lock(&self.slots);
         for ((name, label), slot) in slots.iter() {
             match slot {
                 Slot::Counter(c) => {

@@ -18,11 +18,11 @@
 //! the epochs around an incident are exactly the ones worth keeping.
 
 use crate::ClockFn;
-use parking_lot::Mutex;
+use aets_common::sync::lock;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Default bounded capacity of a [`SpanRing`].
 pub const DEFAULT_SPAN_CAPACITY: usize = 8192;
@@ -288,7 +288,7 @@ impl SpanRing {
             return;
         }
         self.recorded.fetch_add(1, Ordering::Relaxed);
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         if s.buf.len() >= self.capacity {
             s.buf.pop_front();
             s.dropped += 1;
@@ -298,19 +298,19 @@ impl SpanRing {
 
     /// Every retained span of `epoch`, oldest first (non-destructive).
     pub fn for_epoch(&self, epoch: u64) -> Vec<Span> {
-        self.state.lock().buf.iter().filter(|s| s.epoch == epoch).cloned().collect()
+        lock(&self.state).buf.iter().filter(|s| s.epoch == epoch).cloned().collect()
     }
 
     /// The newest `n` retained spans, oldest first (non-destructive).
     pub fn recent(&self, n: usize) -> Vec<Span> {
-        let s = self.state.lock();
+        let s = lock(&self.state);
         let skip = s.buf.len().saturating_sub(n);
         s.buf.iter().skip(skip).cloned().collect()
     }
 
     /// Spans evicted from the ring.
     pub fn dropped(&self) -> u64 {
-        self.state.lock().dropped
+        lock(&self.state).dropped
     }
 
     /// Total spans ever recorded (evicted ones included).
@@ -320,7 +320,7 @@ impl SpanRing {
 
     /// Retained spans right now.
     pub fn len(&self) -> usize {
-        self.state.lock().buf.len()
+        lock(&self.state).buf.len()
     }
 
     /// Whether the ring holds no spans.

@@ -20,6 +20,9 @@
 //! epoch, so the shipper's window tracks *durable* progress, not
 //! buffered progress.
 
+// A poisoned lock here means a dead session, handled as an error.
+#![allow(clippy::disallowed_methods)]
+
 use crate::frame::{read_frame, write_frame, Frame, ReadEvent};
 use aets_common::{Error, Result};
 use aets_telemetry::trace::stages;

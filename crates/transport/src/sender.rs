@@ -21,6 +21,9 @@
 //! (cumulative ack == last sequence), so a lost tail is always detected
 //! and re-shipped.
 
+// A poisoned lock here means a dead session, handled as an error.
+#![allow(clippy::disallowed_methods)]
+
 use crate::frame::{read_frame, write_frame, Frame, ReadEvent};
 use aets_common::{Error, Result};
 use aets_replay::RetryPolicy;

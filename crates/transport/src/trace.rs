@@ -149,17 +149,19 @@ fn hex_encode(bytes: &[u8]) -> String {
     out
 }
 
+/// Decodes over the raw bytes, so a corrupted payload holding a
+/// multi-byte character is a codec error rather than a slice panic.
 fn hex_decode(s: &str) -> Result<Vec<u8>> {
+    let nibble = |b: u8| {
+        char::from(b)
+            .to_digit(16)
+            .ok_or_else(|| Error::Codec("non-hex byte in trace payload".into()))
+    };
+    let s = s.as_bytes();
     if !s.len().is_multiple_of(2) {
         return Err(Error::Codec("odd-length hex payload".into()));
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| {
-            u8::from_str_radix(&s[i..i + 2], 16)
-                .map_err(|_| Error::Codec("non-hex byte in trace payload".into()))
-        })
-        .collect()
+    s.chunks_exact(2).map(|p| Ok((nibble(p[0])? << 4 | nibble(p[1])?) as u8)).collect()
 }
 
 /// Extracts `"field":<u64>` from a JSON line.
@@ -705,6 +707,27 @@ mod tests {
         bad[at] = if bad[at] == b'0' { b'1' } else { b'0' };
         std::fs::write(&path, bad).unwrap();
         assert!(matches!(TraceReplayer::open(&path), Err(Error::CodecChecksum)));
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn non_ascii_and_odd_length_trace_payloads_are_codec_errors() {
+        let dir = scratch("non-hex");
+        let path = dir.join("run.jsonl");
+        let (epochs, n) = stream();
+        record_reference(&path, &epochs, n);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let at = text.find("\"bytes\":\"").unwrap() + "\"bytes\":\"".len();
+        // "aé" is three bytes over three hex digits: the payload keeps an
+        // even length, and its first pair ends inside the 'é'.
+        for bad in [
+            format!("{}aé{}", &text[..at], &text[at + 3..]),
+            format!("{}{}", &text[..at], &text[at + 1..]),
+        ] {
+            std::fs::write(&path, bad).unwrap();
+            let got = TraceReplayer::open(&path);
+            assert!(matches!(got, Err(Error::Codec(_))), "{got:?}");
+        }
         std::fs::remove_dir_all(dir).ok();
     }
 

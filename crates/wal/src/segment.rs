@@ -666,8 +666,10 @@ mod tests {
     use super::*;
     use crate::entry::TxnLog;
     use crate::epoch::{batch_into_epochs, encode_epoch};
+    use aets_common::sync::lock;
     use aets_common::TxnId;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Mutex;
 
     /// Fresh scratch directory per test (no tempfile crate offline).
     fn scratch(tag: &str) -> PathBuf {
@@ -891,10 +893,10 @@ mod tests {
     }
 
     /// Collects sync-observer batch sizes into a shared vector.
-    fn observed(s: &mut SegmentStore) -> Arc<std::sync::Mutex<Vec<u64>>> {
-        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+    fn observed(s: &mut SegmentStore) -> Arc<Mutex<Vec<u64>>> {
+        let log = Arc::new(Mutex::new(Vec::new()));
         let sink = log.clone();
-        s.set_sync_observer(Box::new(move |n| sink.lock().unwrap().push(n)));
+        s.set_sync_observer(Box::new(move |n| lock(&sink).push(n)));
         log
     }
 
@@ -919,11 +921,11 @@ mod tests {
             s.append(e).unwrap();
         }
         // 10 appends under max_frames=4: two full batches, two left over.
-        assert_eq!(*log.lock().unwrap(), vec![4, 4]);
+        assert_eq!(*lock(&log), vec![4, 4]);
         assert_eq!(s.pending_frames(), 2);
         assert_eq!(s.synced_seq(), Some(7));
         s.sync().unwrap();
-        assert_eq!(*log.lock().unwrap(), vec![4, 4, 2]);
+        assert_eq!(*lock(&log), vec![4, 4, 2]);
         assert_eq!(s.pending_frames(), 0);
         assert_eq!(s.synced_seq(), Some(9));
         fs::remove_dir_all(&dir).unwrap();
@@ -947,7 +949,7 @@ mod tests {
             s.append(e).unwrap();
         }
         // A zero wait budget degenerates to per-append syncs.
-        assert_eq!(*log.lock().unwrap(), vec![1, 1, 1]);
+        assert_eq!(*lock(&log), vec![1, 1, 1]);
         assert_eq!(s.synced_seq(), Some(2));
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -967,7 +969,7 @@ mod tests {
             s.append(e).unwrap();
         }
         // Rolling to a new segment makes the previous one's tail durable.
-        assert_eq!(*log.lock().unwrap(), vec![4, 4]);
+        assert_eq!(*lock(&log), vec![4, 4]);
         assert_eq!(s.pending_frames(), 2);
         assert_eq!(s.synced_seq(), Some(7));
         s.sync().unwrap();

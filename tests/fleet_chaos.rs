@@ -193,7 +193,6 @@ fn chaos_run(seed: u64) -> u64 {
         assert_eq!(got, want, "seed {seed:#x}: pinned early snapshot diverged from oracle");
     }
 
-    let m = fleet.metrics();
     let snap = fleet.telemetry().snapshot();
     let failovers = snap.counter_total(names::FLEET_FAILOVERS);
     // Failovers bootstrap from shipped state: a replacement must restore
@@ -219,10 +218,10 @@ fn chaos_run(seed: u64) -> u64 {
         "seed {seed:#x}: ticks={} failovers={} crashes={} hangs={} heartbeats_missed={} acked={}",
         fleet.now(),
         failovers,
-        m.crashes_injected,
-        m.hangs_injected,
+        snap.counter_total(names::FLEET_CRASHES_INJECTED),
+        snap.counter_total(names::FLEET_HANGS_INJECTED),
         snap.counter_total(names::FLEET_HEARTBEATS_MISSED),
-        m.epochs_acked
+        snap.counter_total(names::FLEET_EPOCHS_ACKED)
     );
     failovers
 }
@@ -264,8 +263,10 @@ fn crash_storm_converges() {
         assert!(fleet.global_cmt_ts() >= prev);
         prev = fleet.global_cmt_ts();
     }
-    let failovers = fleet.telemetry().snapshot().counter_total(names::FLEET_FAILOVERS);
-    assert!(fleet.metrics().crashes_injected > 0 && failovers > 0, "storm schedule must bite");
+    let snap = fleet.telemetry().snapshot();
+    let failovers = snap.counter_total(names::FLEET_FAILOVERS);
+    let crashes = snap.counter_total(names::FLEET_CRASHES_INJECTED);
+    assert!(crashes > 0 && failovers > 0, "storm schedule must bite");
 
     let mut settle = 0u64;
     while !fleet.health().iter().all(|h| h.routable()) {

@@ -22,6 +22,7 @@
 //! Seeds are pinned for CI reproducibility (the `net-chaos` job runs one
 //! per lane); set `AETS_SEED=<u64>` to replay a single seed.
 
+use aets_suite::common::sync::lock;
 use aets_suite::common::{TableId, Timestamp};
 use aets_suite::memtable::MemDb;
 use aets_suite::replay::{
@@ -36,7 +37,7 @@ use aets_suite::transport::{
 use aets_suite::wal::{batch_into_epochs, encode_epoch, EncodedEpoch};
 use aets_suite::workloads::tpcc::{self, TpccConfig};
 use std::path::PathBuf;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Per-seed liveness budget: a stream that has not drained by then is a
@@ -121,8 +122,8 @@ fn chaos_run(seed: u64) -> ShipReport {
     let epochs = fx.epochs.clone();
     let tel_tx = Arc::new(Telemetry::new());
     let ship_tel = tel_tx.clone();
-    let ship_done: Arc<std::sync::Mutex<Option<aets_suite::common::Result<ShipReport>>>> =
-        Arc::new(std::sync::Mutex::new(None));
+    let ship_done: Arc<Mutex<Option<aets_suite::common::Result<ShipReport>>>> =
+        Arc::new(Mutex::new(None));
     let ship_slot = ship_done.clone();
     let shipper = std::thread::spawn(move || {
         let r = ship_epochs(
@@ -131,7 +132,7 @@ fn chaos_run(seed: u64) -> ShipReport {
             &ShipperConfig { window: 8, ..Default::default() },
             &ship_tel,
         );
-        *ship_slot.lock().unwrap() = Some(r);
+        *lock(&ship_slot) = Some(r);
     });
 
     // Backup side: a durable node pulling from the network source. Its
@@ -165,7 +166,7 @@ fn chaos_run(seed: u64) -> ShipReport {
             "seed {seed:#x}: stream wedged at epoch {}/{total}",
             node.next_seq()
         );
-        if let Some(Err(e)) = ship_done.lock().unwrap().as_ref() {
+        if let Some(Err(e)) = lock(&ship_done).as_ref() {
             panic!("seed {seed:#x}: shipper gave up at epoch {}/{total}: {e}", node.next_seq());
         }
         // Stall errors are the feed being mid-reconnect; everything
@@ -218,8 +219,7 @@ fn chaos_run(seed: u64) -> ShipReport {
     );
 
     shipper.join().expect("shipper panicked");
-    let report =
-        ship_done.lock().unwrap().take().expect("shipper finished").expect("shipping failed");
+    let report = lock(&ship_done).take().expect("shipper finished").expect("shipping failed");
     assert_eq!(report.epochs, total);
 
     // The sender's own telemetry agrees with its report.

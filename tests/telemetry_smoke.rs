@@ -736,6 +736,12 @@ fn fleet_run_emits_shard_health_failover_and_latency_metrics() {
         "every spec routed must be counted"
     );
     assert_eq!(snap.counter_total(names::FLEET_QUERIES_PARTIAL), 0, "no partial answers");
+    // A manual kill is not a fault-plan injection; every source epoch is
+    // enqueued once and acked once on each of the two shards.
+    assert_eq!(snap.counter_total(names::FLEET_CRASHES_INJECTED), 0);
+    assert_eq!(snap.counter_total(names::FLEET_HANGS_INJECTED), 0);
+    assert_eq!(snap.counter_total(names::FLEET_EPOCHS_ENQUEUED), raw.len() as u64);
+    assert_eq!(snap.counter_total(names::FLEET_EPOCHS_ACKED), 2 * raw.len() as u64);
     let lat = snap
         .histogram_summary_all(names::FLEET_ROUTED_LATENCY_US)
         .expect("routed latency histogram");
