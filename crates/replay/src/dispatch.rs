@@ -7,12 +7,13 @@
 //! tables of one group. Each group's mini-transactions, in primary commit
 //! order, are simultaneously that group's `commit_order_queue`.
 //!
-//! Upstream of dispatch sits the *ingest resync loop* ([`ingest_epoch`]):
-//! every delivery from the replication feed is checked against its epoch
+//! Upstream of any engine sits the *ingest resync loop* ([`ingest_epoch`]),
+//! run by the layers that pull a feed (`DurableBackup::ingest_from`,
+//! `Fleet::ingest_source`): every delivery is checked against its epoch
 //! frame CRC and expected sequence number, and a failed delivery (torn
 //! tail, bit flip, duplicate/reordered/dropped epoch, stall) is
 //! re-requested with bounded exponential backoff before the epoch is
-//! allowed anywhere near the dispatcher.
+//! allowed anywhere near a dispatcher.
 
 use crate::grouping::TableGrouping;
 use aets_common::{Error, GroupId, Result, Timestamp, TxnId};
@@ -104,8 +105,8 @@ impl RetryPolicy {
     }
 }
 
-/// Counters produced by the ingest resync loop, merged into
-/// `ReplayMetrics` so recovery activity is observable.
+/// Counters produced by the ingest resync loop; its owner adds them to
+/// the registry with [`IngestStats::record`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestStats {
     /// Epoch re-requests issued.
@@ -128,9 +129,9 @@ impl IngestStats {
         self.stalls += other.stalls;
     }
 
-    /// Adds the counts to the registry's four ingest-resync counters:
-    /// what every owner of a resync loop outside the engine does with
-    /// the stats of one drain.
+    /// Adds the counts to the registry's four ingest-resync counters, their
+    /// only home: what both owners of a resync loop do with the stats of
+    /// one drain.
     pub fn record(&self, reg: &Registry) {
         reg.counter(names::INGEST_RETRIES).add(self.retries);
         reg.counter(names::CHECKSUM_FAILURES).add(self.checksum_failures);

@@ -21,8 +21,12 @@
 //! trait, so correctness tests can assert state equivalence across all of
 //! them and benchmarks can sweep them uniformly.
 //!
-//! Ingest is fault-tolerant: deliveries are CRC- and sequence-checked and
-//! re-requested with bounded backoff ([`ingest_epoch`]), and AETS replay
+//! Every engine replays epochs that arrive already checked. The code that
+//! takes epochs in from outside the process does the checking: a feed's
+//! resync loop ([`ingest_epoch`], run by [`DurableBackup::ingest_from`]
+//! and the fleet) checks the frame CRC and the sequence and re-requests a
+//! bad delivery with bounded backoff; the WAL checks both on `append` and
+//! again when [`DurableBackup::open`] reads the suffix back. AETS replay
 //! is supervised — an unrecoverable group is quarantined with its
 //! visibility watermark frozen while healthy groups keep replaying.
 
@@ -52,7 +56,7 @@ pub use control::{plan_grouping, AdaptiveController, ControllerConfig};
 pub use dispatch::{
     dispatch_epoch, ingest_epoch, DispatchedEpoch, GroupWork, IngestStats, MiniTxn, RetryPolicy,
 };
-pub use engines::aets::{AetsConfig, AetsEngine, RateFn, Reconfigure, ReconfigureHandle};
+pub use engines::aets::{AetsConfig, AetsEngine, Reconfigure, ReconfigureHandle};
 pub use engines::atr::AtrEngine;
 pub use engines::c5::C5Engine;
 pub use engines::pool::CellPool;

@@ -25,6 +25,7 @@
 use crate::checkpoint::{CheckpointMeta, CheckpointStore};
 use crate::dispatch::{ingest_epoch, IngestStats, RetryPolicy};
 use crate::engines::aets::AetsEngine;
+use crate::engines::ReplayEngine;
 use crate::options::ServiceOptions;
 use crate::service::{BackupNode, NodeOptions};
 use crate::visibility::VisibilityBoard;
@@ -91,8 +92,7 @@ pub struct RecoveryReport {
 #[derive(Debug)]
 pub struct DurableBackup {
     /// Kept beside the node's type-erased handle for what only the AETS
-    /// engine has: the streaming replay of the recovery suffix and the
-    /// quarantine ledger the checkpoint policy reads.
+    /// engine has: the quarantine ledger the checkpoint policy reads.
     engine: Arc<AetsEngine>,
     /// Headless (no query workers): replays every ingested epoch, owns
     /// the Memtable, the board, the read sessions' GC floor, telemetry,
@@ -210,10 +210,13 @@ impl DurableBackup {
             }
         }
 
-        let mut suffix = wal.suffix_source(start_seq)?;
-        let suffix_epochs = suffix.num_epochs() as u64;
+        // `read_suffix` re-validates every frame's CRC and sequence, so
+        // the suffix goes straight to the engine. Like any replay outside
+        // `node.replay`, it does not tick the controller.
+        let suffix = wal.read_suffix(start_seq)?;
+        let suffix_epochs = suffix.len() as u64;
         if suffix_epochs > 0 {
-            engine.replay_stream(&mut suffix, node.db(), board)?;
+            engine.replay(&suffix, node.db(), board)?;
         }
         telemetry.registry().counter(names::RECOVERY_SUFFIX_EPOCHS).add(suffix_epochs);
 
@@ -298,8 +301,8 @@ impl DurableBackup {
     ///
     /// Delivery faults (stalls, checksum failures, gaps) are retried per
     /// `retry`; exhausted retries surface as an error after everything
-    /// ingested so far has been made durable. Ingest-loop stats land in
-    /// the telemetry registry exactly like the streaming engine path.
+    /// ingested so far has been made durable. The resync loop's counts
+    /// land in the registry's `aets_ingest_*` counters, their only home.
     pub fn ingest_from(
         &mut self,
         source: &mut dyn EpochSource,
@@ -646,6 +649,51 @@ mod tests {
         );
         assert_eq!(node.db().digest_at(Timestamp::MAX), want, "restored digest matches oracle");
         assert_eq!(node.next_seq(), epochs.len() as u64);
+        let _ = std::fs::remove_dir_all(&wal_dir);
+        let _ = std::fs::remove_dir_all(&ckpt_dir);
+    }
+
+    #[test]
+    fn a_torn_or_bit_flipped_epoch_is_refused_before_anything_changes() {
+        // A direct `ingest` is a path into the process of its own: the
+        // WAL append is the check the engine no longer repeats.
+        let (epochs, num_tables, grouping) = tpcc_stream(300);
+        let wal_dir = scratch("corrupt-wal");
+        let ckpt_dir = scratch("corrupt-ckpt");
+        let mut node = DurableBackup::open(
+            &wal_dir,
+            &ckpt_dir,
+            fresh_engine(&grouping),
+            num_tables,
+            DurableOptions::default(),
+            None,
+        )
+        .unwrap();
+        let half = epochs.len() / 2;
+        for e in &epochs[..half] {
+            node.ingest(e).unwrap();
+        }
+        let next = &epochs[half];
+        let torn = EncodedEpoch { bytes: next.bytes.slice(..next.bytes.len() - 1), ..next.clone() };
+        let mut flipped = next.bytes.to_vec();
+        flipped[next.bytes.len() / 2] ^= 0x10;
+        let flipped = EncodedEpoch { bytes: flipped.into(), ..next.clone() };
+        let state = |n: &DurableBackup| {
+            let b = n.board();
+            let watermarks: Vec<Timestamp> = (0..b.num_groups())
+                .map(|g| b.tg_cmt_ts(GroupId::new(g as u32)))
+                .chain([b.global_cmt_ts()])
+                .collect();
+            (n.next_seq(), n.wal.epoch_count(), n.db().digest_at(Timestamp::MAX), watermarks)
+        };
+        let before = state(&node);
+        for (what, bad) in [("torn", torn), ("bit-flipped", flipped)] {
+            assert_eq!(node.ingest(&bad).unwrap_err(), Error::CodecChecksum, "{what}");
+            assert_eq!(state(&node), before, "{what} epoch changed the backup");
+        }
+        // The clean delivery of the same epoch still goes in.
+        node.ingest(next).unwrap();
+        assert_eq!(node.next_seq(), half as u64 + 1);
         let _ = std::fs::remove_dir_all(&wal_dir);
         let _ = std::fs::remove_dir_all(&ckpt_dir);
     }

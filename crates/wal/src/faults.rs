@@ -4,17 +4,22 @@
 //! production backup must survive torn epochs, bit flips,
 //! duplicated/reordered/dropped deliveries, and stalls without taking
 //! analytical queries offline. This module provides the feed abstraction
-//! the replay side ingests from ([`EpochSource`]) plus a seeded, fully
-//! deterministic wrapper ([`FaultInjector`]) that perturbs deliveries
-//! according to a [`FaultPlan`]. The same seed always yields the same
-//! fault schedule, so every recovery test and CI matrix entry is exactly
-//! reproducible.
+//! ([`EpochSource`]) plus a seeded, fully deterministic feed
+//! ([`FaultInjector`]) that perturbs deliveries according to a
+//! [`FaultPlan`]. The same seed always yields the same fault schedule, so
+//! every recovery test and CI matrix entry is exactly reproducible.
 //!
-//! The feed is *pull-based*: the backup requests epoch `seq` and may
-//! re-request it (`attempt > 0`) after a checksum failure, sequence gap,
-//! or stall. Transient faults heal after [`FaultPlan::heal_after`] failed
-//! attempts — modelling a replication channel that redelivers correctly on
-//! retry — while persistent plans never heal and exercise the
+//! The feed is *pull-based*, and only the resync loop pulls from it
+//! (`aets_replay::ingest_epoch`, run by the durable backup's and the
+//! fleet's ingest): it requests epoch `seq` and may re-request it
+//! (`attempt > 0`) after a checksum failure, sequence gap, or stall. The
+//! two sources are this injector and the network receiver's
+//! `NetEpochSource`; the replay engines take checked epochs as a slice
+//! and pull from no source.
+//!
+//! Transient faults heal after [`FaultPlan::heal_after`] failed attempts
+//! — modelling a replication channel that redelivers correctly on retry
+//! — while persistent plans never heal and exercise the
 //! quarantine/degraded-mode paths downstream.
 
 use crate::codec::MetaScanner;
@@ -43,37 +48,6 @@ pub trait EpochSource: Send {
     /// epoch is not available yet (a stall); the caller should back off
     /// and re-request.
     fn fetch(&mut self, seq: u64, attempt: u32) -> Option<EncodedEpoch>;
-}
-
-/// The trivial in-memory source: a slice of already-encoded epochs,
-/// delivered faithfully. Re-requests return the same delivery.
-#[derive(Debug)]
-pub struct SliceSource<'a> {
-    epochs: &'a [EncodedEpoch],
-}
-
-impl<'a> SliceSource<'a> {
-    /// Wraps `epochs`.
-    pub fn new(epochs: &'a [EncodedEpoch]) -> Self {
-        Self { epochs }
-    }
-}
-
-impl EpochSource for SliceSource<'_> {
-    fn num_epochs(&self) -> usize {
-        self.epochs.len()
-    }
-
-    fn first_seq(&self) -> u64 {
-        // A slice may start mid-stream (e.g. the realtime runner replays
-        // one arrived epoch at a time); its epochs keep their stream ids.
-        self.epochs.first().map_or(0, |e| e.id.raw())
-    }
-
-    fn fetch(&mut self, seq: u64, _attempt: u32) -> Option<EncodedEpoch> {
-        let idx = seq.checked_sub(self.first_seq())?;
-        self.epochs.get(idx as usize).cloned()
-    }
 }
 
 /// The classes of fault the injector can apply to one delivery.

@@ -30,6 +30,6 @@ pub use entry::{DmlEntry, LogRecord, TxnLog};
 pub use epoch::{
     assemble_txns, batch_into_epochs, encode_epoch, heartbeat_txn, EncodedEpoch, Epoch,
 };
-pub use faults::{splitmix64, EpochSource, FaultInjector, FaultKind, FaultPlan, SliceSource};
-pub use segment::{FsyncPolicy, SegmentConfig, SegmentStore, SegmentSuffixSource};
+pub use faults::{splitmix64, EpochSource, FaultInjector, FaultKind, FaultPlan};
+pub use segment::{FsyncPolicy, SegmentConfig, SegmentStore};
 pub use stream::{insert_heartbeats, ReplicationTimeline};

@@ -57,10 +57,11 @@
 //! the primary's feed on resync). Files whose *header* is torn, and
 //! segments left non-contiguous by a gap (orphans from an interrupted
 //! retention pass), are deleted outright. Both the reopen scan and
-//! [`SegmentStore::read_suffix`] stream files in fixed 128 KiB
-//! (`READ_CHUNK`) reads through a reused buffer rather than slurping
-//! whole segments, so
-//! recovery's transient memory stays flat as segments grow.
+//! [`SegmentStore::read_suffix`] read each segment file whole and parse
+//! the buffer in place; a segment holds at most
+//! [`SegmentConfig::epochs_per_segment`] epochs, which bounds it.
+//! `read_suffix` copies each payload out on its own, so a replayed
+//! version never pins a whole segment buffer.
 //!
 //! All filesystem traffic is metered through an optional
 //! [`CrashClock`], which is how the crash-matrix
@@ -70,11 +71,10 @@
 use crate::crash::{charge, durable_write, CrashClock};
 use crate::crc::crc32;
 use crate::epoch::EncodedEpoch;
-use crate::faults::EpochSource;
 use aets_common::{EpochId, Error, Result, Timestamp};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read as _, Write as _};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -85,11 +85,6 @@ const HEADER_LEN: usize = 20;
 
 const FRAME_MAGIC: u32 = 0x4146_524D; // "AFRM"
 const FRAME_HEADER_LEN: usize = 36;
-
-/// Chunk size of streaming segment reads on the recovery path: large
-/// enough to amortize read syscalls, small enough that recovery's
-/// resident footprint stays flat no matter how big a segment grows.
-const READ_CHUNK: usize = 128 * 1024;
 
 /// When the store takes an fsync point on the active segment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -412,13 +407,10 @@ impl SegmentStore {
     }
 
     /// Reads back every retained epoch with sequence ≥ `from_seq`, fully
-    /// re-validating frame headers and payload CRCs. Segment files are
-    /// streamed in fixed-size chunks through one scratch buffer shared
-    /// across segments, so the read path's transient footprint stays flat
-    /// regardless of segment size.
+    /// re-validating frame headers, sequence numbers and payload CRCs:
+    /// what it returns is checked input for replay.
     pub fn read_suffix(&self, from_seq: u64) -> Result<Vec<EncodedEpoch>> {
         let mut out = Vec::new();
-        let mut scratch = Vec::with_capacity(READ_CHUNK);
         for m in &self.segments {
             if m.end_seq() <= from_seq {
                 continue;
@@ -426,8 +418,7 @@ impl SegmentStore {
             charge(&self.clock, "read segment")?;
             let mut epochs = Vec::new();
             let (count, valid_off, file_len) =
-                decode_frames_file(&m.path, m.first_seq, &mut scratch, Some(&mut epochs))?
-                    .unwrap_or((0, 0, 0));
+                decode_frames_file(&m.path, m.first_seq, Some(&mut epochs))?.unwrap_or((0, 0, 0));
             if count < m.count || valid_off < file_len {
                 return Err(Error::Io(format!(
                     "segment {} lost frames on disk ({} of {} readable)",
@@ -439,49 +430,6 @@ impl SegmentStore {
             out.extend(epochs.into_iter().filter(|e| e.id.raw() >= from_seq));
         }
         Ok(out)
-    }
-
-    /// An [`EpochSource`] over the retained suffix starting at `from_seq`,
-    /// for feeding recovery replay through the normal ingest path.
-    pub fn suffix_source(&self, from_seq: u64) -> Result<SegmentSuffixSource> {
-        let epochs = self.read_suffix(from_seq)?;
-        let first_seq = epochs.first().map_or(from_seq, |e| e.id.raw());
-        Ok(SegmentSuffixSource { epochs, first_seq })
-    }
-}
-
-/// The durable suffix of the log as a pull-based epoch feed: recovery
-/// replays it through the same two-stage path as live ingest.
-#[derive(Debug)]
-pub struct SegmentSuffixSource {
-    epochs: Vec<EncodedEpoch>,
-    first_seq: u64,
-}
-
-impl SegmentSuffixSource {
-    /// Epochs in the suffix.
-    pub fn len(&self) -> usize {
-        self.epochs.len()
-    }
-
-    /// Whether the suffix is empty.
-    pub fn is_empty(&self) -> bool {
-        self.epochs.is_empty()
-    }
-}
-
-impl EpochSource for SegmentSuffixSource {
-    fn num_epochs(&self) -> usize {
-        self.epochs.len()
-    }
-
-    fn first_seq(&self) -> u64 {
-        self.first_seq
-    }
-
-    fn fetch(&mut self, seq: u64, _attempt: u32) -> Option<EncodedEpoch> {
-        let idx = seq.checked_sub(self.first_seq)?;
-        self.epochs.get(idx as usize).cloned()
     }
 }
 
@@ -535,70 +483,25 @@ fn valid_header(bytes: &[u8], named_seq: u64) -> bool {
         && stored_crc == crc32(&bytes[..HEADER_LEN - 4])
 }
 
-/// Ensures at least `need` unparsed bytes sit in `scratch` past
-/// `*consumed`, compacting the parsed prefix and pulling
-/// [`READ_CHUNK`]-sized reads from `file` as required. Returns `false`
-/// when EOF arrives first; whatever tail bytes exist stay buffered.
-fn fill(
-    file: &mut File,
-    scratch: &mut Vec<u8>,
-    consumed: &mut usize,
-    eof: &mut bool,
-    need: usize,
-) -> Result<bool> {
-    if scratch.len() - *consumed >= need {
-        return Ok(true);
-    }
-    scratch.drain(..*consumed);
-    *consumed = 0;
-    while scratch.len() < need && !*eof {
-        let old = scratch.len();
-        scratch.resize(old + READ_CHUNK, 0);
-        let n = file.read(&mut scratch[old..])?;
-        scratch.truncate(old + n);
-        if n == 0 {
-            *eof = true;
-        }
-    }
-    Ok(scratch.len() >= need)
-}
-
-/// Streams one segment file through `scratch` in [`READ_CHUNK`]-sized
-/// reads, validating the header and decoding the valid frame prefix.
-/// Decoded epochs are pushed to `out` when provided; passing `None`
-/// validates and counts frames without retaining payloads (the open-time
-/// recovery scan needs only the count). Returns `None` when the segment
-/// header itself is invalid, otherwise `(frame_count, valid_off,
-/// file_len)` where `valid_off` is the byte offset up to which the file
-/// is a clean frame prefix.
+/// Reads one segment file whole, validates the header and decodes the
+/// valid frame prefix. Decoded epochs are pushed to `out` when provided;
+/// passing `None` validates and counts frames without copying payloads
+/// (the open-time recovery scan needs only the count). Returns `None`
+/// when the segment header itself is invalid, otherwise `(frame_count,
+/// valid_off, file_len)` where `valid_off` is the byte offset up to which
+/// the file is a clean frame prefix.
 fn decode_frames_file(
     path: &Path,
     named_seq: u64,
-    scratch: &mut Vec<u8>,
     mut out: Option<&mut Vec<EncodedEpoch>>,
 ) -> Result<Option<(u64, u64, u64)>> {
-    let mut file = File::open(path)?;
-    let file_len = file.metadata()?.len();
-    scratch.clear();
-    let mut consumed = 0usize;
-    let mut eof = false;
-
-    if !fill(&mut file, scratch, &mut consumed, &mut eof, HEADER_LEN)?
-        || !valid_header(&scratch[..HEADER_LEN], named_seq)
-    {
+    let data = fs::read(path)?;
+    if !valid_header(&data, named_seq) {
         return Ok(None);
     }
-    consumed = HEADER_LEN;
-
     let mut count = 0u64;
-    let mut valid_off = HEADER_LEN as u64;
-    loop {
-        if !fill(&mut file, scratch, &mut consumed, &mut eof, FRAME_HEADER_LEN)? {
-            break;
-        }
-        // Parse the header into locals before the payload fill: filling
-        // compacts the buffer, which moves the header bytes.
-        let mut h = &scratch[consumed..consumed + FRAME_HEADER_LEN];
+    let mut off = HEADER_LEN;
+    while let Some(mut h) = data.get(off..off + FRAME_HEADER_LEN) {
         let magic = h.get_u32_le();
         let seq = h.get_u64_le();
         let txn_count = h.get_u32_le();
@@ -608,15 +511,14 @@ fn decode_frames_file(
         let header_crc = h.get_u32_le();
         if magic != FRAME_MAGIC
             || seq != named_seq + count
-            || header_crc != crc32(&scratch[consumed..consumed + FRAME_HEADER_LEN - 4])
+            || header_crc != crc32(&data[off..off + FRAME_HEADER_LEN - 4])
         {
             break;
         }
-        if !fill(&mut file, scratch, &mut consumed, &mut eof, FRAME_HEADER_LEN + payload_len)? {
+        let payload_start = off + FRAME_HEADER_LEN;
+        let Some(payload) = data.get(payload_start..payload_start + payload_len) else {
             break;
-        }
-        let payload_start = consumed + FRAME_HEADER_LEN;
-        let payload = &scratch[payload_start..payload_start + payload_len];
+        };
         if crc32(payload) != payload_crc {
             break;
         }
@@ -630,26 +532,22 @@ fn decode_frames_file(
             });
         }
         count += 1;
-        consumed = payload_start + payload_len;
-        valid_off += (FRAME_HEADER_LEN + payload_len) as u64;
+        off = payload_start + payload_len;
     }
-    Ok(Some((count, valid_off, file_len)))
+    Ok(Some((count, off as u64, data.len() as u64)))
 }
 
 /// Validates one segment file on open. Returns `Some(frame_count)` after
 /// truncating any torn tail, or `None` when the header itself is invalid
-/// (the file should be deleted). Frames are streamed, validated, and
-/// counted without keeping their payloads resident.
+/// (the file should be deleted). Frames are validated and counted
+/// without copying their payloads out.
 fn recover_segment(
     path: &Path,
     named_seq: u64,
     clock: &Option<Arc<CrashClock>>,
 ) -> Result<Option<u64>> {
     charge(clock, "recover segment")?;
-    let mut scratch = Vec::new();
-    let Some((count, valid_off, file_len)) =
-        decode_frames_file(path, named_seq, &mut scratch, None)?
-    else {
+    let Some((count, valid_off, file_len)) = decode_frames_file(path, named_seq, None)? else {
         return Ok(None);
     };
     if valid_off < file_len {
@@ -863,16 +761,47 @@ mod tests {
         for e in &epochs {
             s.append(e).unwrap();
         }
-        let mut src = s.suffix_source(7).unwrap();
-        assert_eq!(src.num_epochs(), 3);
-        assert_eq!(src.first_seq(), 7);
-        for seq in 7..10 {
-            let e = src.fetch(seq, 0).unwrap();
-            assert_eq!(e.id.raw(), seq);
+        // Starts mid-segment (segment 4..8), in sequence, checked.
+        let suffix = s.read_suffix(7).unwrap();
+        let seqs: Vec<u64> = suffix.iter().map(|e| e.id.raw()).collect();
+        assert_eq!(seqs, [7, 8, 9]);
+        for e in &suffix {
             e.verify().unwrap();
+            assert_eq!(e.bytes, epochs[e.id.raw() as usize].bytes);
         }
-        assert!(src.fetch(10, 0).is_none());
-        assert!(src.fetch(6, 0).is_none());
+        assert!(s.read_suffix(10).unwrap().is_empty());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn every_single_byte_flip_reopens_to_a_clean_prefix() {
+        // The disk half of "every path that brings epoch bytes in checks
+        // them": whichever byte of a 3-frame segment rots, reopening
+        // keeps only frames that are exactly what was appended.
+        let dir = scratch("flip");
+        let epochs = encoded(12, 4); // 3 epochs
+        {
+            let mut s = store(&dir, 8);
+            for e in &epochs {
+                s.append(e).unwrap();
+            }
+        }
+        let path = dir.join(segment_file_name(0));
+        let clean = fs::read(&path).unwrap();
+        for i in 0..clean.len() {
+            let mut bytes = clean.clone();
+            bytes[i] ^= 0x5A;
+            fs::write(&path, &bytes).unwrap();
+            let back = store(&dir, 8).read_suffix(0).unwrap();
+            assert!(back.len() < epochs.len(), "flip at byte {i} went unnoticed");
+            for (got, want) in back.iter().zip(&epochs) {
+                assert_eq!(got.id, want.id, "flip at byte {i}");
+                assert_eq!(got.bytes, want.bytes, "flip at byte {i}");
+                assert_eq!(got.crc32, want.crc32, "flip at byte {i}");
+                assert_eq!(got.txn_count, want.txn_count, "flip at byte {i}");
+                assert_eq!(got.max_commit_ts, want.max_commit_ts, "flip at byte {i}");
+            }
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -73,10 +73,6 @@ fn main() {
             r * 100.0,
             c * 100.0
         );
-        println!(
-            "        ingest resync: {} retries ({} checksum failures, {} epoch gaps, {} stalls)",
-            m.ingest_retries, m.checksum_failures, m.epoch_gaps, m.ingest_stalls
-        );
         assert_eq!(got, want, "{name} must converge to the oracle state");
     }
     // ---- Live telemetry: the same AETS setup on a paced timeline. ------
@@ -99,7 +95,7 @@ fn main() {
     let epochs_live: Vec<_> = raw_live.iter().map(encode_epoch).collect();
     let db = Arc::new(MemDb::new(n));
     let cfg = RunnerConfig { time_scale: 0.5, ..Default::default() };
-    let outcome = run_realtime(
+    run_realtime(
         Arc::new(live),
         db,
         &Workload { epochs: &epochs_live, arrivals: &arrivals_live, queries: &[] },
@@ -115,13 +111,6 @@ fn main() {
             lag.p50_us, lag.p95_us, lag.p99_us, lag.max_us, lag.count
         );
     }
-    println!(
-        "  ingest resync: {} retries ({} checksum failures, {} epoch gaps, {} stalls)",
-        outcome.metrics.ingest_retries,
-        outcome.metrics.checksum_failures,
-        outcome.metrics.epoch_gaps,
-        outcome.metrics.ingest_stalls
-    );
     println!("  exposition snapshot excerpt:");
     let text = snap.render_prometheus();
     let excerpt = text.lines().filter(|l| {

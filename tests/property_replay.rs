@@ -7,8 +7,8 @@ use aets_suite::common::{
 };
 use aets_suite::memtable::MemDb;
 use aets_suite::replay::{
-    AetsConfig, AetsEngine, AtrEngine, C5Engine, ReplayEngine, RetryPolicy, SerialEngine,
-    TableGrouping, VisibilityBoard,
+    ingest_epoch, AetsConfig, AetsEngine, AtrEngine, C5Engine, IngestStats, ReplayEngine,
+    RetryPolicy, SerialEngine, TableGrouping, VisibilityBoard,
 };
 use aets_suite::wal::{
     batch_into_epochs, encode_epoch, DmlEntry, FaultInjector, FaultKind, FaultPlan, TxnLog,
@@ -138,9 +138,9 @@ proptest! {
     ) {
         // Any seeded schedule of *recoverable* faults (torn tails, bit
         // flips, duplicated/reordered/dropped epochs, stalls) over any
-        // generated stream must, with enough retries, replay to exactly
-        // the fault-free serial oracle's state — and leave no group
-        // quarantined.
+        // generated stream must, with enough retries of the feed's
+        // resync loop, replay to exactly the fault-free serial oracle's
+        // state — and leave no group quarantined.
         let txns = materialize(txn_ops);
         let epochs: Vec<_> = batch_into_epochs(txns, epoch_size)
             .unwrap()
@@ -164,8 +164,7 @@ proptest! {
             &hot,
         )
         .unwrap();
-        let retry = RetryPolicy { max_retries: 4, base_backoff_us: 1, max_backoff_us: 20 };
-        let eng = AetsEngine::builder(grouping).config(AetsConfig { threads: 2, retry, ..Default::default() }).build()
+        let eng = AetsEngine::builder(grouping).config(AetsConfig { threads: 2, ..Default::default() }).build()
         .unwrap();
         let db = MemDb::new(TABLES);
         let board = VisibilityBoard::builder(eng.board_groups()).build();
@@ -177,8 +176,14 @@ proptest! {
             FaultKind::Drop,
             FaultKind::Stall,
         ];
+        let n = epochs.len() as u64;
         let mut source = FaultInjector::new(epochs, FaultPlan::new(seed, 0.7, kinds));
-        let m = eng.replay_stream(&mut source, &db, &board).unwrap();
+        let retry = RetryPolicy { max_retries: 4, base_backoff_us: 1, max_backoff_us: 20 };
+        let mut stats = IngestStats::default();
+        let checked: Vec<_> = (0..n)
+            .map(|seq| ingest_epoch(&mut source, seq, &retry, &mut stats).unwrap())
+            .collect();
+        let m = eng.replay(&checked, &db, &board).unwrap();
         prop_assert!(!m.degraded(), "recoverable faults must not quarantine");
         prop_assert!(db.all_chains_ordered());
         prop_assert_eq!(db.digest_at(Timestamp::MAX), want, "seed {}", seed);

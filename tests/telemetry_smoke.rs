@@ -83,10 +83,13 @@ fn short_paced_replay_emits_parseable_consistent_telemetry() {
     assert_eq!(snap.counter_total(names::CELL_RECYCLED), m.cell_buffers_recycled);
     assert_eq!(snap.counter_total(names::CELL_ALLOCATED), m.cell_buffers_allocated);
     assert!(m.cell_buffers_recycled + m.cell_buffers_allocated > 0, "phase 1 takes cell buffers");
-    assert_eq!(snap.counter_total(names::INGEST_RETRIES), m.ingest_retries);
-    assert_eq!(snap.counter_total(names::CHECKSUM_FAILURES), m.checksum_failures);
-    assert_eq!(snap.counter_total(names::EPOCH_GAPS), m.epoch_gaps);
-    assert_eq!(snap.counter_total(names::INGEST_STALLS), m.ingest_stalls);
+    // The runner replays in-memory epochs and runs no resync loop, so
+    // the delivery-fault counters, fed only by one, stay at zero.
+    for name in
+        [names::INGEST_RETRIES, names::CHECKSUM_FAILURES, names::EPOCH_GAPS, names::INGEST_STALLS]
+    {
+        assert_eq!(snap.counter_total(name), 0, "{name}");
+    }
     assert_eq!(snap.counter_total(names::ADAPT_REGROUPS), m.regroups_applied);
     assert_eq!(snap.counter_total(names::ADAPT_RESPLITS), m.resplits_applied);
     assert_eq!(snap.counter_total(names::ADAPT_REJECTED), m.reconf_rejected);
