@@ -744,7 +744,7 @@ pub fn micro(scale: Scale) -> BenchResult {
     });
 
     // -- neural: 14 tables, window 12, hidden 48 (the paper's optimum)
-    let mut rng = aets_common::rng::seeded_rng(5);
+    let mut rng = aets_common::rng::Rng::new(5);
     let (tables, window, hidden) = (14usize, 12usize, 48usize);
     let x = Tensor::rand_uniform(&mut rng, &[hidden, tables, window], 0.5);
     let w = Tensor::rand_uniform(&mut rng, &[hidden, hidden, 2], 0.2);

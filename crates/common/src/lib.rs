@@ -3,8 +3,9 @@
 //! This crate defines the strongly-typed identifiers used throughout the
 //! replication pipeline (tables, transactions, log sequence numbers,
 //! timestamps, groups), the column [`Value`] model carried by value-log
-//! entries, a fast non-cryptographic hash map, and deterministic sampling
-//! helpers used by the workload generators.
+//! entries, a fast non-cryptographic hash map, and the one seeded
+//! generator every workload, weight and property case draws from
+//! ([`rng::Rng`]).
 
 pub mod error;
 pub mod fxhash;

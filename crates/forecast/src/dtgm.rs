@@ -12,11 +12,9 @@
 //! is the paper's Table IV ablation.
 
 use crate::series::{Forecaster, RateSeries};
-use aets_common::rng::seeded_rng;
+use aets_common::rng::Rng;
 use aets_common::{Error, Result};
 use aets_neural::{Adam, Tape, Tensor, Var};
-use rand::seq::SliceRandom;
-use rand::Rng;
 use std::rc::Rc;
 
 /// DTGM hyper-parameters.
@@ -141,14 +139,10 @@ pub struct Dtgm {
 }
 
 impl Dtgm {
-    fn build_params(
-        cfg: &DtgmConfig,
-        rng: &mut rand::rngs::StdRng,
-        hops: usize,
-    ) -> (Vec<Tensor>, Layout) {
+    fn build_params(cfg: &DtgmConfig, rng: &mut Rng, hops: usize) -> (Vec<Tensor>, Layout) {
         let h = cfg.hidden;
         let mut params = Vec::new();
-        let init = |rng: &mut rand::rngs::StdRng, shape: &[usize]| {
+        let init = |rng: &mut Rng, shape: &[usize]| {
             let fan_in = shape.iter().skip(1).product::<usize>().max(1) as f32;
             Tensor::rand_uniform(rng, shape, 1.0 / fan_in.sqrt())
         };
@@ -220,7 +214,7 @@ impl Dtgm {
         } else {
             adjacency_powers(n, &[], 0) // identity only: "w/o gcn"
         };
-        let mut rng = seeded_rng(cfg.seed);
+        let mut rng = Rng::new(cfg.seed);
         let (params, layout) = Self::build_params(&cfg, &mut rng, hops);
         let shapes: Vec<Vec<usize>> = params.iter().map(|p| p.shape().to_vec()).collect();
         let shape_refs: Vec<&[usize]> = shapes.iter().map(|s| s.as_slice()).collect();
@@ -248,7 +242,7 @@ impl Dtgm {
             if epoch > 0 && epoch % model.cfg.decay_every == 0 {
                 opt.decay_lr(model.cfg.lr_decay);
             }
-            order.shuffle(&mut rng);
+            rng.shuffle(&mut order);
             for &wi in order.iter().take(model.cfg.steps_per_epoch) {
                 let (input, target) = &windows[wi];
                 let mut tape = Tape::new();
@@ -263,7 +257,7 @@ impl Dtgm {
                         Tensor::new(
                             &[model.cfg.hidden, n, model.cfg.t_in],
                             (0..len)
-                                .map(|_| if rng.gen::<f32>() < keep { 1.0 / keep } else { 0.0 })
+                                .map(|_| if rng.unit_f32() < keep { 1.0 / keep } else { 0.0 })
                                 .collect(),
                         )
                     })

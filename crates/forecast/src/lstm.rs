@@ -4,9 +4,8 @@
 //! dimension.
 
 use crate::series::{Forecaster, RateSeries};
-use aets_common::rng::seeded_rng;
+use aets_common::rng::Rng;
 use aets_neural::{Adam, Tape, Tensor, Var};
-use rand::seq::SliceRandom;
 
 const GATES: usize = 4; // input, forget, output, candidate
 
@@ -103,7 +102,7 @@ impl Lstm {
 
     /// Trains on the series' sliding windows.
     pub fn fit(train: &RateSeries, cfg: LstmConfig) -> Self {
-        let mut rng = seeded_rng(cfg.seed);
+        let mut rng = Rng::new(cfg.seed);
         let shapes = Self::param_shapes(&cfg);
         let params: Vec<Tensor> = shapes
             .iter()
@@ -121,7 +120,7 @@ impl Lstm {
         let n = train.width();
         let mut order: Vec<usize> = (0..windows.len()).collect();
         for _ in 0..model.cfg.epochs {
-            order.shuffle(&mut rng);
+            rng.shuffle(&mut order);
             for &wi in order.iter().take(model.cfg.steps_per_epoch) {
                 let (input, target) = &windows[wi];
                 let means: Vec<f64> = (0..n)

@@ -1,7 +1,6 @@
 //! Access-rate time series: generation, windowing, and MAPE evaluation.
 
-use aets_common::rng::seeded_rng;
-use rand::Rng;
+use aets_common::rng::Rng;
 
 /// A multivariate time series: `values[t][n]` is the access rate of table
 /// `n` in slot `t`.
@@ -39,13 +38,13 @@ impl RateSeries {
     /// forecasting experiments: ground-truth rate model plus
     /// multiplicative noise.
     pub fn bustracker_hot(slots: usize, noise: f64, seed: u64) -> Self {
-        let mut rng = seeded_rng(seed);
+        let mut rng = Rng::new(seed);
         let values = (0..slots)
             .map(|s| {
                 (0..aets_workloads::bustracker::NUM_HOT)
                     .map(|t| {
                         let base = aets_workloads::bustracker::access_rate(t, s);
-                        let eps: f64 = rng.gen_range(-1.0..1.0);
+                        let eps = rng.uniform(-1.0, 1.0);
                         (base * (1.0 + noise * eps)).max(0.1)
                     })
                     .collect()

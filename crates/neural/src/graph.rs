@@ -442,7 +442,7 @@ impl Gradients {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aets_common::rng::seeded_rng;
+    use aets_common::rng::Rng;
 
     /// Finite-difference check of dLoss/dparam for a scalar-loss graph
     /// builder. `build` must construct the same graph for given leaf
@@ -483,7 +483,7 @@ mod tests {
 
     #[test]
     fn matmul_and_activation_gradients() {
-        let mut rng = seeded_rng(3);
+        let mut rng = Rng::new(3);
         let w = Tensor::rand_uniform(&mut rng, &[3, 2], 0.8);
         let x = Tensor::rand_uniform(&mut rng, &[2, 4], 0.8);
         let target = Tensor::rand_uniform(&mut rng, &[3, 4], 0.8);
@@ -501,7 +501,7 @@ mod tests {
 
     #[test]
     fn sigmoid_mul_gradients() {
-        let mut rng = seeded_rng(5);
+        let mut rng = Rng::new(5);
         let a = Tensor::rand_uniform(&mut rng, &[6], 0.9);
         let b = Tensor::rand_uniform(&mut rng, &[6], 0.9);
         let target = Tensor::zeros(&[6]);
@@ -519,7 +519,7 @@ mod tests {
 
     #[test]
     fn conv1d_weight_gradient() {
-        let mut rng = seeded_rng(7);
+        let mut rng = Rng::new(7);
         let w = Tensor::rand_uniform(&mut rng, &[2, 2, 2], 0.7);
         let x = Tensor::rand_uniform(&mut rng, &[2, 3, 5], 0.7);
         let target = Tensor::zeros(&[2, 3, 5]);
@@ -536,7 +536,7 @@ mod tests {
 
     #[test]
     fn conv1d_input_gradient() {
-        let mut rng = seeded_rng(9);
+        let mut rng = Rng::new(9);
         let w = Tensor::rand_uniform(&mut rng, &[2, 2, 2], 0.7);
         let x = Tensor::rand_uniform(&mut rng, &[2, 2, 4], 0.7);
         let target = Tensor::zeros(&[2, 2, 4]);
@@ -553,7 +553,7 @@ mod tests {
 
     #[test]
     fn gcn_mix_gradients() {
-        let mut rng = seeded_rng(11);
+        let mut rng = Rng::new(11);
         let n = 3;
         // Adjacency powers: identity + a random normalized matrix.
         let ident = {
@@ -597,7 +597,7 @@ mod tests {
 
     #[test]
     fn bias_slice_and_mask_gradients() {
-        let mut rng = seeded_rng(13);
+        let mut rng = Rng::new(13);
         let b = Tensor::rand_uniform(&mut rng, &[2], 0.5);
         let x = Tensor::rand_uniform(&mut rng, &[2, 2, 3], 0.5);
         let mask = Tensor::new(&[2, 2], vec![0.0, 2.0, 2.0, 0.0]);

@@ -73,12 +73,12 @@ impl Adam {
 mod tests {
     use super::*;
     use crate::graph::Tape;
-    use aets_common::rng::seeded_rng;
+    use aets_common::rng::Rng;
 
     #[test]
     fn adam_minimizes_a_quadratic() {
         // Minimize |Wx - y| over W via the tape.
-        let mut rng = seeded_rng(21);
+        let mut rng = Rng::new(21);
         let x = Tensor::rand_uniform(&mut rng, &[3, 8], 1.0);
         let w_true = Tensor::rand_uniform(&mut rng, &[2, 3], 1.0);
         let y = w_true.matmul(&x);

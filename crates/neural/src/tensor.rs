@@ -1,6 +1,7 @@
 //! Dense row-major `f32` tensors with the handful of shapes the DTGM
 //! model needs (2-D matrices and 3-D `[channels, nodes, time]` blocks).
 
+use aets_common::rng::Rng;
 use std::fmt;
 
 /// A dense tensor.
@@ -53,11 +54,11 @@ impl Tensor {
     }
 
     /// Uniform random tensor in `[-bound, bound]` (Kaiming-ish init).
-    pub fn rand_uniform<R: rand::Rng + ?Sized>(rng: &mut R, shape: &[usize], bound: f32) -> Self {
+    pub fn rand_uniform(rng: &mut Rng, shape: &[usize], bound: f32) -> Self {
         let n = shape.iter().product();
         Self {
             shape: shape.to_vec(),
-            data: (0..n).map(|_| rng.gen_range(-bound..=bound)).collect(),
+            data: (0..n).map(|_| -bound + rng.unit_f32() * (2.0 * bound)).collect(),
         }
     }
 
@@ -224,7 +225,7 @@ mod tests {
 
     #[test]
     fn rand_uniform_respects_bound() {
-        let mut rng = aets_common::rng::seeded_rng(1);
+        let mut rng = Rng::new(1);
         let t = Tensor::rand_uniform(&mut rng, &[100], 0.5);
         assert!(t.data().iter().all(|v| v.abs() <= 0.5));
         assert!(t.norm() > 0.0);

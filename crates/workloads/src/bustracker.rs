@@ -15,9 +15,8 @@
 //! compress 30 model-minutes into a few seconds of primary time.
 
 use crate::spec::{int_row, QueryInstance, TxnFactory, Workload};
-use aets_common::rng::seeded_rng;
+use aets_common::rng::Rng;
 use aets_common::{ColumnId, DmlOp, FxHashSet, Row, RowKey, TableId, Timestamp, Value};
-use rand::Rng;
 
 /// Number of tables in the schema.
 pub const NUM_TABLES: usize = 65;
@@ -182,9 +181,9 @@ pub fn access_rate(table: usize, slot: usize) -> f64 {
 }
 
 /// Samples a hot table to write, proportional to popularity.
-pub(crate) fn hot_write_table<R: Rng + ?Sized>(rng: &mut R) -> usize {
+pub(crate) fn hot_write_table(rng: &mut Rng) -> usize {
     let total: f64 = (0..NUM_HOT).map(popularity).sum();
-    let mut pick = rng.gen_range(0.0..total);
+    let mut pick = rng.uniform(0.0, total);
     for t in 0..NUM_HOT {
         let p = popularity(t);
         if pick < p {
@@ -249,7 +248,7 @@ pub(crate) fn class_footprint(table: usize) -> Vec<TableId> {
 /// Generates the BusTracker HTAP workload.
 pub fn generate(cfg: &BusTrackerConfig) -> Workload {
     assert!(cfg.slots >= 2, "need at least two slots");
-    let mut rng = seeded_rng(cfg.seed);
+    let mut rng = Rng::new(cfg.seed);
     let mut factory = TxnFactory::new(cfg.oltp_tps);
 
     // Hot txns write 3 hot entries; cold txns write 5 cold entries. Choose
@@ -261,21 +260,21 @@ pub fn generate(cfg: &BusTrackerConfig) -> Workload {
     let mut txns = Vec::with_capacity(cfg.num_txns);
     let mut next_key = vec![0u64; NUM_TABLES];
     for _ in 0..cfg.num_txns {
-        let rows: Vec<(TableId, DmlOp, RowKey, Row)> = if rng.gen_bool(f) {
+        let rows: Vec<(TableId, DmlOp, RowKey, Row)> = if rng.chance(f) {
             // Operational update: writes 3 hot tables, weighted by
             // popularity — heavily queried tables (positions, estimates)
             // are also the heavily updated ones in the real trace.
             (0..3)
                 .map(|_| {
                     let t = hot_write_table(&mut rng);
-                    let k = rng.gen_range(0..5000u64);
+                    let k = rng.below(5000);
                     (
                         TableId::new(t as u32),
                         DmlOp::Update,
                         RowKey::new(k),
                         vec![
-                            (ColumnId::new(0), Value::Float(rng.gen_range(-90.0..90.0))),
-                            (ColumnId::new(1), Value::Int(rng.gen_range(0..10_000))),
+                            (ColumnId::new(0), Value::Float(rng.uniform(-90.0, 90.0))),
+                            (ColumnId::new(1), Value::Int(rng.below(10_000) as i64)),
                         ],
                     )
                 })
@@ -284,14 +283,14 @@ pub fn generate(cfg: &BusTrackerConfig) -> Workload {
             // Telemetry burst: appends 5 rows to cold logging tables.
             (0..5)
                 .map(|_| {
-                    let t = NUM_HOT + rng.gen_range(0..NUM_TABLES - NUM_HOT);
+                    let t = NUM_HOT + rng.below((NUM_TABLES - NUM_HOT) as u64) as usize;
                     let k = next_key[t];
                     next_key[t] += 1;
                     (
                         TableId::new(t as u32),
                         DmlOp::Insert,
                         RowKey::new(k),
-                        int_row(&[(0, rng.gen_range(0..1_000_000)), (1, k as i64)]),
+                        int_row(&[(0, rng.below(1_000_000) as i64), (1, k as i64)]),
                     )
                 })
                 .collect()

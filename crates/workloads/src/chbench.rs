@@ -9,7 +9,7 @@
 
 use crate::spec::{poisson_query_stream, Workload};
 use crate::tpcc::{self, tables, TpccConfig};
-use aets_common::rng::seeded_rng;
+use aets_common::rng::Rng;
 use aets_common::{FxHashSet, TableId};
 
 /// Read-only reference tables appended to the TPC-C schema.
@@ -74,7 +74,7 @@ pub fn query_footprint(q: u32) -> Vec<TableId> {
 /// shared TPC-C OLTP side.
 pub fn generate(cfg: &TpccConfig) -> Workload {
     let base = tpcc::generate(cfg);
-    let mut rng = seeded_rng(cfg.seed ^ 0xC4B3); // independent OLAP stream
+    let mut rng = Rng::new(cfg.seed ^ 0xC4B3); // independent OLAP stream
 
     let horizon = base.txns.last().map(|t| t.commit_ts).unwrap_or_default();
     let classes: Vec<(u32, f64, Vec<TableId>)> =

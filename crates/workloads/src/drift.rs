@@ -26,9 +26,8 @@
 use crate::bustracker::{self, BusTrackerConfig};
 use crate::spec::{int_row, poisson_query_stream, QueryInstance, TxnFactory, Workload};
 use crate::tpcc::{self, tables, TpccConfig};
-use aets_common::rng::{seeded_rng, Zipf};
+use aets_common::rng::{Rng, Zipf};
 use aets_common::{ColumnId, DmlOp, FxHashSet, Row, RowKey, TableId, Timestamp, Value};
-use rand::Rng;
 
 /// Parameters of the rotating-hot-warehouse TPC-C stream.
 #[derive(Debug, Clone)]
@@ -84,7 +83,7 @@ pub fn rotating_tpcc(cfg: &RotatingTpccConfig) -> Workload {
         cfg.focus_share
     );
     let base = &cfg.base;
-    let mut rng = seeded_rng(base.seed);
+    let mut rng = Rng::new(base.seed);
     let mut factory = TxnFactory::new(base.oltp_tps);
     let mut st = tpcc::TpccState::new(base.warehouses);
     let item_zipf = Zipf::new(100_000, 0.5);
@@ -96,12 +95,12 @@ pub fn rotating_tpcc(cfg: &RotatingTpccConfig) -> Workload {
         let focus = focus_warehouse(p, base.warehouses);
         let n = per_phase.min(base.num_txns - txns.len());
         for _ in 0..n {
-            let w = if rng.gen_bool(cfg.focus_share) {
+            let w = if rng.chance(cfg.focus_share) {
                 focus
             } else {
-                rng.gen_range(0..u64::from(base.warehouses))
+                rng.below(u64::from(base.warehouses))
             };
-            let pick = rng.gen_range(0..92u32);
+            let pick = rng.below(92);
             let rows = if pick < 45 {
                 tpcc::new_order_at(&mut rng, &mut st, w, &item_zipf)
             } else if pick < 88 {
@@ -216,7 +215,7 @@ pub fn flash_crowd_bustracker(cfg: &FlashCrowdConfig) -> Workload {
         cfg.flash_start + cfg.flash_len,
         base.slots
     );
-    let mut rng = seeded_rng(base.seed);
+    let mut rng = Rng::new(base.seed);
     let mut factory = TxnFactory::new(base.oltp_tps);
 
     // Same write mix as the static generator: hot txns write 3 hot
@@ -226,18 +225,18 @@ pub fn flash_crowd_bustracker(cfg: &FlashCrowdConfig) -> Workload {
     let mut txns = Vec::with_capacity(base.num_txns);
     let mut next_key = vec![0u64; bustracker::NUM_TABLES];
     for _ in 0..base.num_txns {
-        let rows: Vec<(TableId, DmlOp, RowKey, Row)> = if rng.gen_bool(f) {
+        let rows: Vec<(TableId, DmlOp, RowKey, Row)> = if rng.chance(f) {
             (0..3)
                 .map(|_| {
                     let t = bustracker::hot_write_table(&mut rng);
-                    let k = rng.gen_range(0..5000u64);
+                    let k = rng.below(5000);
                     (
                         TableId::new(t as u32),
                         DmlOp::Update,
                         RowKey::new(k),
                         vec![
-                            (ColumnId::new(0), Value::Float(rng.gen_range(-90.0..90.0))),
-                            (ColumnId::new(1), Value::Int(rng.gen_range(0..10_000))),
+                            (ColumnId::new(0), Value::Float(rng.uniform(-90.0, 90.0))),
+                            (ColumnId::new(1), Value::Int(rng.below(10_000) as i64)),
                         ],
                     )
                 })
@@ -246,14 +245,14 @@ pub fn flash_crowd_bustracker(cfg: &FlashCrowdConfig) -> Workload {
             (0..5)
                 .map(|_| {
                     let t = bustracker::NUM_HOT
-                        + rng.gen_range(0..bustracker::NUM_TABLES - bustracker::NUM_HOT);
+                        + rng.below((bustracker::NUM_TABLES - bustracker::NUM_HOT) as u64) as usize;
                     let k = next_key[t];
                     next_key[t] += 1;
                     (
                         TableId::new(t as u32),
                         DmlOp::Insert,
                         RowKey::new(k),
-                        int_row(&[(0, rng.gen_range(0..1_000_000)), (1, k as i64)]),
+                        int_row(&[(0, rng.below(1_000_000) as i64), (1, k as i64)]),
                     )
                 })
                 .collect()

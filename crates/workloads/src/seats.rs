@@ -4,9 +4,8 @@
 //! 38.08 %.
 
 use crate::spec::{int_row, poisson_query_stream, TxnFactory, Workload};
-use aets_common::rng::seeded_rng;
+use aets_common::rng::Rng;
 use aets_common::{DmlOp, FxHashSet, Row, RowKey, TableId};
-use rand::Rng;
 
 /// Table ids of the SEATS schema subset we model.
 pub mod tables {
@@ -69,7 +68,7 @@ impl Default for SeatsConfig {
 /// Generates the SEATS workload (sufficient fidelity for Table I).
 pub fn generate(cfg: &SeatsConfig) -> Workload {
     use tables::*;
-    let mut rng = seeded_rng(cfg.seed);
+    let mut rng = Rng::new(cfg.seed);
     let mut factory = TxnFactory::new(cfg.oltp_tps);
     let mut next_res = 0u64;
 
@@ -78,51 +77,26 @@ pub fn generate(cfg: &SeatsConfig) -> Workload {
         // NewReservation 55 %, UpdateCustomer 25 %, UpdateReservation 20 %.
         // Write footprints tuned so hot (reservation + flight) entries are
         // ~38 % of the total.
-        let pick = rng.gen_range(0..100u32);
+        let pick = rng.below(100);
         let rows: Vec<(TableId, DmlOp, RowKey, Row)> = if pick < 55 {
             let r = next_res;
             next_res += 1;
             vec![
                 (RESERVATION, DmlOp::Insert, RowKey::new(r), int_row(&[(0, r as i64)])),
-                (FLIGHT, DmlOp::Update, RowKey::new(rng.gen_range(0..2000)), int_row(&[(0, 1)])),
-                (
-                    CUSTOMER,
-                    DmlOp::Update,
-                    RowKey::new(rng.gen_range(0..50_000)),
-                    int_row(&[(0, 1)]),
-                ),
-                (
-                    FREQUENT_FLYER,
-                    DmlOp::Update,
-                    RowKey::new(rng.gen_range(0..50_000)),
-                    int_row(&[(0, 1)]),
-                ),
+                (FLIGHT, DmlOp::Update, RowKey::new(rng.below(2000)), int_row(&[(0, 1)])),
+                (CUSTOMER, DmlOp::Update, RowKey::new(rng.below(50_000)), int_row(&[(0, 1)])),
+                (FREQUENT_FLYER, DmlOp::Update, RowKey::new(rng.below(50_000)), int_row(&[(0, 1)])),
             ]
         } else if pick < 80 {
             vec![
-                (
-                    CUSTOMER,
-                    DmlOp::Update,
-                    RowKey::new(rng.gen_range(0..50_000)),
-                    int_row(&[(1, 1)]),
-                ),
-                (
-                    FREQUENT_FLYER,
-                    DmlOp::Update,
-                    RowKey::new(rng.gen_range(0..50_000)),
-                    int_row(&[(1, 1)]),
-                ),
+                (CUSTOMER, DmlOp::Update, RowKey::new(rng.below(50_000)), int_row(&[(1, 1)])),
+                (FREQUENT_FLYER, DmlOp::Update, RowKey::new(rng.below(50_000)), int_row(&[(1, 1)])),
             ]
         } else {
-            let r = rng.gen_range(0..next_res.max(1));
+            let r = rng.below(next_res.max(1));
             vec![
                 (RESERVATION, DmlOp::Update, RowKey::new(r), int_row(&[(1, 1)])),
-                (
-                    CUSTOMER,
-                    DmlOp::Update,
-                    RowKey::new(rng.gen_range(0..50_000)),
-                    int_row(&[(2, 1)]),
-                ),
+                (CUSTOMER, DmlOp::Update, RowKey::new(rng.below(50_000)), int_row(&[(2, 1)])),
             ]
         };
         txns.push(factory.build(&mut rng, rows));

@@ -6,10 +6,9 @@
 //! tables it reads). The replay engines consume the first; the visibility
 //! experiments consume both.
 
+use aets_common::rng::Rng;
 use aets_common::{ColumnId, DmlOp, FxHashSet, Lsn, Row, RowKey, TableId, Timestamp, TxnId, Value};
 use aets_wal::{DmlEntry, TxnLog};
-use rand::rngs::StdRng;
-use rand::Rng;
 
 /// One analytical query instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,7 +126,7 @@ impl TxnFactory {
     ///
     /// `before` images are attached to updates (zero-valued placeholders)
     /// so the ATR baseline has something to check; AETS ignores them.
-    pub fn build(&mut self, rng: &mut StdRng, rows: Vec<(TableId, DmlOp, RowKey, Row)>) -> TxnLog {
+    pub fn build(&mut self, rng: &mut Rng, rows: Vec<(TableId, DmlOp, RowKey, Row)>) -> TxnLog {
         let txn_id = TxnId::new(self.next_txn);
         self.next_txn += 1;
         // Exponential inter-commit gap targeting `tps`.
@@ -168,7 +167,7 @@ impl TxnFactory {
 /// `classes` supplies `(class id, weight, footprint tables)`; each arrival
 /// picks a class proportionally to weight.
 pub fn poisson_query_stream(
-    rng: &mut StdRng,
+    rng: &mut Rng,
     qps: f64,
     horizon: Timestamp,
     classes: &[(u32, f64, Vec<TableId>)],
@@ -184,7 +183,7 @@ pub fn poisson_query_stream(
         if ts > horizon {
             break;
         }
-        let mut pick = rng.gen_range(0.0..total_w);
+        let mut pick = rng.uniform(0.0, total_w);
         let mut chosen = &classes[0];
         for c in classes {
             if pick < c.1 {
@@ -207,12 +206,11 @@ pub fn int_row(vals: &[(u16, i64)]) -> Row {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aets_common::rng::seeded_rng;
 
     #[test]
     fn factory_assigns_monotone_ids_and_timestamps() {
         let mut f = TxnFactory::new(1000.0);
-        let mut rng = seeded_rng(1);
+        let mut rng = Rng::new(1);
         let a = f.build(
             &mut rng,
             vec![(TableId::new(0), DmlOp::Insert, RowKey::new(1), int_row(&[(0, 1)]))],
@@ -231,7 +229,7 @@ mod tests {
     #[test]
     fn factory_tracks_target_tps() {
         let mut f = TxnFactory::new(10_000.0);
-        let mut rng = seeded_rng(2);
+        let mut rng = Rng::new(2);
         for _ in 0..5000 {
             f.build(&mut rng, vec![]);
         }
@@ -242,7 +240,7 @@ mod tests {
 
     #[test]
     fn poisson_stream_is_sorted_and_bounded() {
-        let mut rng = seeded_rng(3);
+        let mut rng = Rng::new(3);
         let classes =
             vec![(1, 1.0, vec![TableId::new(0)]), (2, 3.0, vec![TableId::new(1), TableId::new(2)])];
         let horizon = Timestamp::from_secs_f64(10.0);

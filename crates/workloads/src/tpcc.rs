@@ -12,10 +12,8 @@
 //! footprints.
 
 use crate::spec::{int_row, poisson_query_stream, TxnFactory, Workload};
-use aets_common::rng::{nurand, seeded_rng, Zipf};
+use aets_common::rng::{nurand, Rng, Zipf};
 use aets_common::{ColumnId, DmlOp, FxHashSet, Row, RowKey, TableId, Value};
-use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Table ids of the TPC-C schema.
 pub mod tables {
@@ -115,35 +113,36 @@ impl TpccState {
     }
 }
 
-fn text_value(rng: &mut StdRng, len: usize) -> Value {
+fn text_value(rng: &mut Rng, len: usize) -> Value {
     const CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789";
-    let s: String = (0..len).map(|_| CHARS[rng.gen_range(0..CHARS.len())] as char).collect();
+    let s: String =
+        (0..len).map(|_| CHARS[rng.below(CHARS.len() as u64) as usize] as char).collect();
     Value::from(s)
 }
 
 fn new_order(
-    rng: &mut StdRng,
+    rng: &mut Rng,
     st: &mut TpccState,
     warehouses: u32,
     item_zipf: &Zipf,
 ) -> Vec<(TableId, DmlOp, RowKey, Row)> {
-    let w = rng.gen_range(0..warehouses as u64);
+    let w = rng.below(u64::from(warehouses));
     new_order_at(rng, st, w, item_zipf)
 }
 
 /// [`new_order`] against a caller-chosen warehouse (the drift generator
 /// rotates its hot warehouse explicitly).
 pub(crate) fn new_order_at(
-    rng: &mut StdRng,
+    rng: &mut Rng,
     st: &mut TpccState,
     w: u64,
     item_zipf: &Zipf,
 ) -> Vec<(TableId, DmlOp, RowKey, Row)> {
-    let d = rng.gen_range(0..DISTRICTS_PER_WH);
+    let d = rng.below(DISTRICTS_PER_WH);
     let slot = TpccState::slot(w, d);
     let o = st.next_order[slot];
     st.next_order[slot] += 1;
-    let n_lines = rng.gen_range(5..=15u64);
+    let n_lines = 5 + rng.below(11);
     st.undelivered[slot].push((o, n_lines));
 
     let mut rows: Vec<(TableId, DmlOp, RowKey, Row)> = Vec::with_capacity(3 + 2 * n_lines as usize);
@@ -176,8 +175,8 @@ pub(crate) fn new_order_at(
             order_line_key(w, d, o, ol),
             vec![
                 (ColumnId::new(0), Value::Int(item as i64)),
-                (ColumnId::new(1), Value::Int(rng.gen_range(1..=10))),
-                (ColumnId::new(2), Value::Float(rng.gen_range(1.0..100.0))),
+                (ColumnId::new(1), Value::Int(1 + rng.below(10) as i64)),
+                (ColumnId::new(2), Value::Float(rng.uniform(1.0, 100.0))),
                 (ColumnId::new(3), Value::Null), // ol_delivery_d
             ],
         ));
@@ -185,30 +184,30 @@ pub(crate) fn new_order_at(
             tables::STOCK,
             DmlOp::Update,
             stock_key(w, item),
-            int_row(&[(0, rng.gen_range(10..100)), (1, 1)]), // s_quantity, s_order_cnt
+            int_row(&[(0, 10 + rng.below(90) as i64), (1, 1)]), // s_quantity, s_order_cnt
         ));
     }
     rows
 }
 
 fn payment(
-    rng: &mut StdRng,
+    rng: &mut Rng,
     st: &mut TpccState,
     warehouses: u32,
 ) -> Vec<(TableId, DmlOp, RowKey, Row)> {
-    let w = rng.gen_range(0..warehouses as u64);
+    let w = rng.below(u64::from(warehouses));
     payment_at(rng, st, w)
 }
 
 /// [`payment`] against a caller-chosen warehouse.
 pub(crate) fn payment_at(
-    rng: &mut StdRng,
+    rng: &mut Rng,
     st: &mut TpccState,
     w: u64,
 ) -> Vec<(TableId, DmlOp, RowKey, Row)> {
-    let d = rng.gen_range(0..DISTRICTS_PER_WH);
+    let d = rng.below(DISTRICTS_PER_WH);
     let c = nurand(rng, 1023, 1, CUSTOMERS_PER_DISTRICT, NURAND_C_CID) - 1;
-    let amount = rng.gen_range(1.0..5000.0f64);
+    let amount = rng.uniform(1.0, 5000.0);
     let h = st.next_history;
     st.next_history += 1;
     vec![
@@ -247,21 +246,21 @@ pub(crate) fn payment_at(
 }
 
 fn delivery(
-    rng: &mut StdRng,
+    rng: &mut Rng,
     st: &mut TpccState,
     warehouses: u32,
 ) -> Vec<(TableId, DmlOp, RowKey, Row)> {
-    let w = rng.gen_range(0..warehouses as u64);
+    let w = rng.below(u64::from(warehouses));
     delivery_at(rng, st, w)
 }
 
 /// [`delivery`] against a caller-chosen warehouse.
 pub(crate) fn delivery_at(
-    rng: &mut StdRng,
+    rng: &mut Rng,
     st: &mut TpccState,
     w: u64,
 ) -> Vec<(TableId, DmlOp, RowKey, Row)> {
-    let carrier = rng.gen_range(1..=10i64);
+    let carrier = 1 + rng.below(10) as i64;
     let mut rows = Vec::new();
     for d in 0..DISTRICTS_PER_WH {
         let slot = TpccState::slot(w, d);
@@ -282,8 +281,8 @@ pub(crate) fn delivery_at(
         rows.push((
             tables::CUSTOMER,
             DmlOp::Update,
-            customer_key(w, d, rng.gen_range(0..CUSTOMERS_PER_DISTRICT)),
-            vec![(ColumnId::new(0), Value::Float(rng.gen_range(1.0..100.0)))],
+            customer_key(w, d, rng.below(CUSTOMERS_PER_DISTRICT)),
+            vec![(ColumnId::new(0), Value::Float(rng.uniform(1.0, 100.0)))],
         ));
     }
     rows
@@ -304,7 +303,7 @@ fn query_classes() -> Vec<(u32, f64, Vec<TableId>)> {
 
 /// Generates the TPC-C HTAP workload.
 pub fn generate(cfg: &TpccConfig) -> Workload {
-    let mut rng = seeded_rng(cfg.seed);
+    let mut rng = Rng::new(cfg.seed);
     let mut factory = TxnFactory::new(cfg.oltp_tps);
     let mut st = TpccState::new(cfg.warehouses);
     let item_zipf = Zipf::new(ITEMS as usize, 0.5);
@@ -313,7 +312,7 @@ pub fn generate(cfg: &TpccConfig) -> Workload {
     for _ in 0..cfg.num_txns {
         // Renormalized default mix over the three read-write transactions:
         // NewOrder 45, Payment 43, Delivery 4 (of 92).
-        let pick = rng.gen_range(0..92u32);
+        let pick = rng.below(92);
         let rows = if pick < 45 {
             new_order(&mut rng, &mut st, cfg.warehouses, &item_zipf)
         } else if pick < 88 {

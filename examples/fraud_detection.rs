@@ -19,7 +19,6 @@ use aets_suite::simulator::{
     evaluate_queries, profile_epochs, simulate, CostModel, SimAetsConfig, SimConfig, SimEngineKind,
 };
 use aets_suite::workloads::{poisson_query_stream, TxnFactory};
-use rand::Rng;
 
 const ACCOUNTS: TableId = TableId::new(0);
 const PAYMENTS: TableId = TableId::new(1);
@@ -28,12 +27,12 @@ const CLICKSTREAM: TableId = TableId::new(3);
 
 fn main() {
     // ---- The primary: 80% of log volume is audit/clickstream noise. ----
-    let mut rng = aets_suite::common::rng::seeded_rng(7);
+    let mut rng = aets_suite::common::rng::Rng::new(7);
     let mut factory = TxnFactory::new(8_000.0);
     let mut txns = Vec::new();
     let mut next_payment = 0u64;
     for _ in 0..30_000 {
-        let rows = if rng.gen_bool(0.35) {
+        let rows = if rng.chance(0.35) {
             // A real payment: update the account balance, insert the
             // payment row — the data fraud scoring needs *now*.
             let pid = next_payment;
@@ -42,16 +41,16 @@ fn main() {
                 (
                     ACCOUNTS,
                     DmlOp::Update,
-                    RowKey::new(rng.gen_range(0..50_000)),
-                    vec![(ColumnId::new(0), Value::Float(rng.gen_range(-500.0..500.0)))],
+                    RowKey::new(rng.below(50_000)),
+                    vec![(ColumnId::new(0), Value::Float(rng.uniform(-500.0, 500.0)))],
                 ),
                 (
                     PAYMENTS,
                     DmlOp::Insert,
                     RowKey::new(pid),
                     vec![
-                        (ColumnId::new(0), Value::Float(rng.gen_range(1.0..9_000.0))),
-                        (ColumnId::new(1), Value::Int(rng.gen_range(0..50_000))),
+                        (ColumnId::new(0), Value::Float(rng.uniform(1.0, 9_000.0))),
+                        (ColumnId::new(1), Value::Int(rng.below(50_000) as i64)),
                     ],
                 ),
             ]
@@ -63,8 +62,8 @@ fn main() {
                     (
                         table,
                         DmlOp::Insert,
-                        RowKey::new(rng.gen::<u32>() as u64),
-                        vec![(ColumnId::new(0), Value::Int(rng.gen()))],
+                        RowKey::new(u64::from(rng.next_u64() as u32)),
+                        vec![(ColumnId::new(0), Value::Int(rng.next_u64() as i64))],
                     )
                 })
                 .collect()

@@ -157,13 +157,9 @@ fn pipelined_aets_matches_oracle_on_tpcc_and_bustracker() {
 /// `AETS_SEED=<u64>`.
 #[test]
 fn replay_crew_barrier_and_chunk_handoff_stress() {
+    use aets_suite::common::rng::Rng;
     use aets_suite::replay::Reconfigure;
     let seed = aets_suite::seeds(&[0x5E1F])[0];
-    // A seeded stream of draws off the workspace's own mixer.
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(1);
-        aets_suite::common::splitmix64(*state)
-    }
 
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
@@ -175,11 +171,11 @@ fn replay_crew_barrier_and_chunk_handoff_stress() {
         // Mostly one- and two-transaction epochs, and a few of 40 so a
         // split group has more than one chunk to hand off.
         let epochs: Vec<EncodedEpoch> = {
-            let mut rng = seed;
+            let mut rng = Rng::new(seed);
             let mut out = Vec::new();
             let mut txns = w.txns.iter().cloned();
             loop {
-                let draw = splitmix(&mut rng);
+                let draw = rng.next_u64();
                 let size = if draw.is_multiple_of(64) { 40 } else { 1 + (draw % 2) as usize };
                 let batch: Vec<_> = txns.by_ref().take(size).collect();
                 if batch.is_empty() {
@@ -207,7 +203,7 @@ fn replay_crew_barrier_and_chunk_handoff_stress() {
             ("per-table", TableGrouping::per_table(n, &w.analytic_tables, mean_rate)),
             ("dbscan", TableGrouping::dbscan(n, &w.analytic_tables, mean_rate, 0.5).unwrap()),
         ];
-        let mut rng = seed ^ 0xC4E3;
+        let mut rng = Rng::new(seed ^ 0xC4E3);
         for (gname, grouping) in &groupings {
             for threads in [1usize, 2, 3, 8] {
                 for two_stage in [false, true] {
@@ -227,10 +223,9 @@ fn replay_crew_barrier_and_chunk_handoff_stress() {
                         let mut txns = 0;
                         let mut at = 0;
                         while at < epochs.len() {
-                            let draw = splitmix(&mut rng);
+                            let draw = rng.next_u64();
                             if draw.is_multiple_of(3) {
-                                let split =
-                                    (0..ng).map(|_| (splitmix(&mut rng) % 5) as usize).collect();
+                                let split = (0..ng).map(|_| rng.below(5) as usize).collect();
                                 eng.reconfigure_handle()
                                     .send(Reconfigure::SetThreadSplit(split))
                                     .unwrap();

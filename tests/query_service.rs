@@ -9,6 +9,7 @@
 //! Seeds are pinned for CI (`query-stress` in `.github/workflows/ci.yml`);
 //! set `AETS_SEED` to replay a single seed.
 
+use aets_suite::common::rng::Rng;
 use aets_suite::common::{ColumnId, Error, TableId, Timestamp};
 use aets_suite::memtable::{Aggregate, MemDb, Scan};
 use aets_suite::replay::{
@@ -28,24 +29,6 @@ const ITERS: usize = 10;
 
 fn seeds() -> Vec<u64> {
     aets_suite::seeds(&[0x5EED_0001, 0x5EED_0002])
-}
-
-/// xorshift64* — deterministic per-seed query mix.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
 }
 
 /// The serial-oracle answer for `spec` at `qts`.
@@ -147,7 +130,7 @@ fn run_stress(seed: u64, poison: bool) {
 
         let mut clients = Vec::new();
         for c in 0..CLIENTS {
-            let mut rng = Rng(seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(c as u64 + 1)));
+            let mut rng = Rng::new(seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(c as u64 + 1)));
             let (node, oracle) = (&node, &oracle);
             let (epochs, healthy_tables) = (&epochs, &healthy_tables);
             let (served, degraded) = (&served, &degraded);
@@ -159,12 +142,12 @@ fn run_stress(seed: u64, poison: bool) {
                     // watermark still covers, so they always admit.
                     let pick_victim = poison && rng.below(4) == 0;
                     let (table, eidx) = if pick_victim {
-                        (victim, ANCHOR + rng.below(epochs.len() - ANCHOR))
+                        (victim, ANCHOR + rng.below((epochs.len() - ANCHOR) as u64) as usize)
                     } else {
                         let bound = if poison { poison_idx } else { epochs.len() };
                         (
-                            healthy_tables[rng.below(healthy_tables.len())],
-                            ANCHOR + rng.below(bound - ANCHOR),
+                            healthy_tables[rng.below(healthy_tables.len() as u64) as usize],
+                            ANCHOR + rng.below((bound - ANCHOR) as u64) as usize,
                         )
                     };
                     let qts = epochs[eidx].max_commit_ts;
@@ -172,11 +155,11 @@ fn run_stress(seed: u64, poison: bool) {
                         0 => QuerySpec::count(table),
                         1 => QuerySpec::aggregate(table, ColumnId::new(rng.below(4) as u16), {
                             [Aggregate::Sum, Aggregate::Min, Aggregate::Max, Aggregate::Avg]
-                                [rng.below(4)]
+                                [rng.below(4) as usize]
                         }),
                         _ => QuerySpec::rows(table).keys(
                             aets_suite::common::RowKey::new(0),
-                            aets_suite::common::RowKey::new(rng.next() % 512),
+                            aets_suite::common::RowKey::new(rng.below(512)),
                         ),
                     };
                     let session = node.open_session(qts, &[table]);
