@@ -11,7 +11,8 @@
 //! | `adaptive`      | static split vs live controller, with and without drift              |
 //! | `telemetry`     | the same bulk replay with instrumentation off and on                 |
 //! | `recovery`      | durable ingest, a hard kill, suffix-only restart                     |
-//! | `micro`         | kernel rows: allocator, codec, memtable, neural, dispatch/replay     |
+//! | `micro`         | kernel rows: allocator, codec, memtable points and walks, neural,    |
+//! |                 | dispatch/replay                                                      |
 
 use crate::experiments::Scale;
 use crate::harness::{median, paired, BenchResult, Target, PAIRED};
@@ -20,13 +21,15 @@ use aets_common::{
     splitmix64, ColumnId, DmlOp, EpochId, FxHashSet, RowKey, TableId, Timestamp, TxnId, Value,
 };
 use aets_forecast::ForecastModel;
-use aets_memtable::{BPlusTree, MemDb, Scan, Table, Version};
+use aets_memtable::{
+    decode_db, encode_db, gc_db, Aggregate, BPlusTree, MemDb, Scan, Table, Version,
+};
 use aets_neural::{Tape, Tensor};
 use aets_replay::{
-    allocate_threads, dbscan_1d, dispatch_epoch, translate_entry, AetsConfig, AetsEngine,
-    BackupNode, ControllerConfig, DurableBackup, DurableOptions, NodeOptions, QuerySpec,
-    QueryTarget, ReplayEngine, ReplayMetrics, SerialEngine, ServiceOptions, TableGrouping,
-    UrgencyMode, VisibilityBoard,
+    allocate_threads, dbscan_1d, dispatch_epoch, eval_spec, translate_entry, AetsConfig,
+    AetsEngine, BackupNode, ControllerConfig, DurableBackup, DurableOptions, NodeOptions,
+    QueryOutput, QuerySpec, QueryTarget, ReplayEngine, ReplayMetrics, SerialEngine, ServiceOptions,
+    TableGrouping, UrgencyMode, VisibilityBoard,
 };
 use aets_telemetry::{names, Telemetry};
 use aets_wal::{
@@ -36,6 +39,7 @@ use aets_wal::{
 use aets_workloads::drift::{rotating_tpcc, RotatingTpccConfig};
 use aets_workloads::tpcc::{tables, TpccConfig};
 use aets_workloads::QueryInstance;
+use bytes::BytesMut;
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -665,8 +669,10 @@ pub fn recovery(scale: Scale) -> BenchResult {
 /// Kernel rows, each an absolute median: the control-plane solvers on the
 /// per-epoch critical path, the value-log codec (full decode vs
 /// metadata-only scan — the asymmetry behind the C5-vs-ATR/AETS dispatch
-/// comparison), memtable point operations, one DTGM-scale forward and
-/// backward pass, and dispatch / translate / full engine passes.
+/// comparison), memtable point operations, the memtable's whole-database
+/// walks (scan, aggregate, GC pass, snapshot encode), one DTGM-scale
+/// forward and backward pass, and dispatch / translate / full engine
+/// passes.
 pub fn micro(scale: Scale) -> BenchResult {
     let mut r =
         BenchResult::new("micro", scale, 12, "median ns per call over time-budgeted samples");
@@ -741,6 +747,59 @@ pub fn micro(scale: Scale) -> BenchResult {
     r.timed("mvcc/read_row_time_travel", None, || {
         k = (k + 37) % 1_000;
         table.read_row(RowKey::new(black_box(k)), Timestamp::from_micros(k * 40 + 20))
+    });
+
+    // -- memtable walks: one seeded CH-benCHmark database, collected once
+    // at its midpoint so that it holds lone versions and longer chains the
+    // way a live backup does between passes. Each row first checks what
+    // it computes against the rows `eval_spec` materialises.
+    let ch = crate::chbench_bench(scale.of(30_000));
+    let db = MemDb::new(ch.workload.num_tables());
+    SerialEngine.replay_all(&ch.encode(256), &db).expect("oracle replay");
+    let mid = ch.workload.txns[ch.workload.txns.len() / 2].commit_ts;
+    gc_db(&db, mid);
+    let nodes = Some(db.tables().map(|t| t.len() as u64).sum());
+    // The scan_heavy workload's tables and columns: ol_amount,
+    // s_quantity, c_balance.
+    let scanned = [(tables::ORDER_LINE, 2), (tables::STOCK, 0), (tables::CUSTOMER, 0)]
+        .map(|(t, c)| (db.table(t), ColumnId::new(c)));
+    let visited = Some(scanned.iter().map(|(t, _)| t.len() as u64).sum());
+    let at = Scan::at(Timestamp::MAX);
+    let rows =
+        scanned.map(|(t, _)| match eval_spec(&db, &QuerySpec::rows(t.id()), Timestamp::MAX) {
+            QueryOutput::Rows(rows) => rows,
+            other => unreachable!("a row spec answered {other:?}"),
+        });
+    let count = || scanned.map(|(t, _)| at.count(t));
+    assert_eq!(count(), rows.each_ref().map(Vec::len), "count disagrees with eval_spec");
+    r.timed("memtable/scan_count", visited, count);
+    let sum = || scanned.map(|(t, c)| at.aggregate(t, c, Aggregate::Sum));
+    let want = std::array::from_fn(|i| {
+        let values = rows[i].iter().filter_map(|(_, row)| {
+            match row.iter().find(|(c, _)| *c == scanned[i].1).map(|(_, v)| v) {
+                Some(Value::Int(v)) => Some(*v as f64),
+                Some(Value::Float(v)) => Some(*v),
+                _ => None,
+            }
+        });
+        values.reduce(|a, v| a + v)
+    });
+    assert_eq!(sum(), want, "sum disagrees with eval_spec");
+    r.timed("memtable/aggregate_col", visited, sum);
+    let digest = [mid, Timestamp::MAX].map(|ts| db.digest_at(ts));
+    // Every pass after the first finds each chain settled: the walk, one
+    // exclusive lock per record and nothing pruned.
+    r.timed("memtable/gc_pass", nodes, || gc_db(&db, mid));
+    assert_eq!(gc_db(&db, mid).pruned, 0, "a repeated pass pruned");
+    assert_eq!([mid, Timestamp::MAX].map(|ts| db.digest_at(ts)), digest, "GC moved a digest");
+    let mut buf = BytesMut::new();
+    encode_db(&mut buf, &db, Timestamp::MAX);
+    let back = decode_db(&mut buf.clone().freeze()).expect("a snapshot decodes");
+    assert_eq!([mid, Timestamp::MAX].map(|ts| back.digest_at(ts)), digest, "encode→decode");
+    r.timed("memtable/encode_db", Some(db.total_versions() as u64), || {
+        buf.clear();
+        encode_db(&mut buf, &db, Timestamp::MAX);
+        buf.len()
     });
 
     // -- neural: 14 tables, window 12, hidden 48 (the paper's optimum)

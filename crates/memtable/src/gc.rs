@@ -104,9 +104,7 @@ pub fn gc_node(node: &RecordNode, watermark: Timestamp) -> GcStats {
         chain[boundary].cols = image;
     }
     if boundary > 0 {
-        chain.drain(..boundary);
-        // `drain` keeps the capacity of the longer chain; hand it back.
-        chain.shrink_to_fit();
+        chain.drop_oldest(boundary);
     }
     stats.pruned = boundary;
     stats.retained = chain.len();

@@ -27,6 +27,83 @@ pub struct Version {
     pub cols: Row,
 }
 
+/// A version chain, oldest first. Most records are written once, and GC
+/// folds most of the rest back to one version, so the lone version lives
+/// in the chain itself: a whole-table walk reaches it without following a
+/// pointer to a buffer of its own, and a new record costs no allocation
+/// beyond its node. The chain spills to a `Vec` when a second version is
+/// appended, and moves back in place when GC leaves one.
+#[derive(Debug)]
+pub(crate) enum Chain {
+    /// Exactly one version.
+    One(Version),
+    /// No version (nothing allocated), or two and more.
+    Many(Vec<Version>),
+}
+
+impl Default for Chain {
+    fn default() -> Self {
+        Chain::Many(Vec::new())
+    }
+}
+
+impl std::ops::Deref for Chain {
+    type Target = [Version];
+
+    fn deref(&self) -> &[Version] {
+        match self {
+            Chain::One(v) => std::slice::from_ref(v),
+            Chain::Many(vs) => vs,
+        }
+    }
+}
+
+impl std::ops::DerefMut for Chain {
+    fn deref_mut(&mut self) -> &mut [Version] {
+        match self {
+            Chain::One(v) => std::slice::from_mut(v),
+            Chain::Many(vs) => vs,
+        }
+    }
+}
+
+impl Chain {
+    /// Appends `v` as the newest version.
+    pub(crate) fn push(&mut self, v: Version) {
+        match self {
+            Chain::Many(vs) if !vs.is_empty() => vs.push(v),
+            _ => {
+                *self = match std::mem::take(self) {
+                    Chain::One(first) => Chain::Many(vec![first, v]),
+                    Chain::Many(_) => Chain::One(v),
+                }
+            }
+        }
+    }
+
+    /// Drops the `n` oldest versions, `0 < n < len`, leaving no spare slot
+    /// behind: a lone survivor moves back in place, a longer rest gives up
+    /// the capacity the longer chain had.
+    pub(crate) fn drop_oldest(&mut self, n: usize) {
+        let Chain::Many(vs) = self else { unreachable!("a lone version has none older") };
+        vs.drain(..n);
+        if vs.len() == 1 {
+            *self = Chain::One(vs.pop().expect("one version"));
+        } else {
+            vs.shrink_to_fit();
+        }
+    }
+
+    /// Slots the chain holds room for: 1 in place, else the buffer's.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        match self {
+            Chain::One(_) => 1,
+            Chain::Many(vs) => vs.capacity(),
+        }
+    }
+}
+
 /// A record node in the Memtable.
 ///
 /// The node address is stable for the record's lifetime: TPLR's phase 1
@@ -34,7 +111,7 @@ pub struct Version {
 /// appends to `versions` without touching the table index (Figure 6).
 #[derive(Debug, Default)]
 pub struct RecordNode {
-    versions: RwLock<Vec<Version>>,
+    versions: RwLock<Chain>,
 }
 
 impl RecordNode {
@@ -58,12 +135,6 @@ impl RecordNode {
             v.txn_id,
             chain.last().map(|l| l.txn_id),
         );
-        if chain.capacity() == 0 {
-            // Most records are written once, and GC leaves such a chain as
-            // it is: give the first version room for one, not the four
-            // slots `push` would start with and nothing would hand back.
-            chain.reserve_exact(1);
-        }
         chain.push(v);
     }
 
@@ -151,14 +222,14 @@ impl RecordNode {
 
     /// Shared-lock view of the whole chain, oldest version first: the
     /// snapshot codec encodes from it in place.
-    pub(crate) fn chain(&self) -> RwLockReadGuard<'_, Vec<Version>> {
+    pub(crate) fn chain(&self) -> RwLockReadGuard<'_, Chain> {
         read(&self.versions)
     }
 
     /// Exclusive-lock view of the chain: the garbage collector rewrites
     /// the prefix below its watermark in place. Callers keep the chain in
     /// commit order.
-    pub(crate) fn chain_mut(&self) -> RwLockWriteGuard<'_, Vec<Version>> {
+    pub(crate) fn chain_mut(&self) -> RwLockWriteGuard<'_, Chain> {
         write(&self.versions)
     }
 }
@@ -282,6 +353,19 @@ mod tests {
         assert_eq!(n.version_count(), 2);
         assert_eq!(n.latest_commit_ts(), Some(Timestamp::from_micros(40)));
         assert!(n.is_ordered());
+    }
+
+    #[test]
+    fn a_lone_version_lives_in_its_node() {
+        use std::mem::size_of;
+        // The inline variant is no wider than the version it holds: the
+        // spilled `Vec` fits beside the niche in `Version::op`.
+        assert_eq!(size_of::<Chain>(), size_of::<Version>());
+        // `Arc<RecordNode>` allocates the node behind two counts: 16 + 64
+        // = 80 bytes, which glibc's malloc serves from its 96-byte chunk
+        // class (request + 8-byte header, rounded up to 16). A record
+        // written once costs that one chunk and its columns' buffer.
+        assert!(size_of::<RecordNode>() <= 64, "{} bytes", size_of::<RecordNode>());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! below hold the fast forms to them, chain for chain and byte for byte.
 
 use crate::gc::GcStats;
-use crate::record::{OpType, RecordNode, Version};
+use crate::record::{Chain, OpType, RecordNode, Version};
 use crate::table::{MemDb, Table};
 use aets_common::{ColumnId, Row, RowKey, Timestamp, Value};
 use bytes::{BufMut, BytesMut};
@@ -40,19 +40,18 @@ pub(crate) fn read_at(chain: &[Version], ts: Timestamp) -> Option<Row> {
     Some(row)
 }
 
-/// `gc_node`: reconstruct the row at the watermark, then swap the prefix
-/// at or below it for one consolidated boundary version in a new chain.
-/// `pruned` is filled in here; the old `gc_table` counted it from the
-/// table's version totals before and after.
-pub(crate) fn gc_node(node: &RecordNode, watermark: Timestamp) -> GcStats {
+/// `gc_node` over a plain chain: reconstruct the row at the watermark,
+/// then swap the prefix at or below it for one consolidated boundary
+/// version in a new chain. `pruned` is filled in here; the old `gc_table`
+/// counted it from the table's version totals before and after.
+pub(crate) fn gc_chain(before: &[Version], watermark: Timestamp) -> (Vec<Version>, GcStats) {
     let mut stats = GcStats { nodes: 1, ..Default::default() };
-    let before = node.chain().clone();
     let end = before.partition_point(|v| v.commit_ts <= watermark);
     if end == 0 {
         stats.retained = before.len();
-        return stats;
+        return (before.to_vec(), stats);
     }
-    let image = read_at(&before, watermark);
+    let image = read_at(before, watermark);
     let boundary = Version {
         txn_id: before[end - 1].txn_id,
         commit_ts: before[end - 1].commit_ts,
@@ -65,7 +64,17 @@ pub(crate) fn gc_node(node: &RecordNode, watermark: Timestamp) -> GcStats {
     stats.pruned = before.len() - replaced.len();
     stats.retained = replaced.len();
     stats.consolidated = 1;
-    *node.chain_mut() = replaced;
+    (replaced, stats)
+}
+
+/// [`gc_chain`] on a node's chain, which is rebuilt from the result.
+pub(crate) fn gc_node(node: &RecordNode, watermark: Timestamp) -> GcStats {
+    let (replaced, stats) = gc_chain(&node.chain(), watermark);
+    let mut chain = Chain::default();
+    for v in replaced {
+        chain.push(v);
+    }
+    *node.chain_mut() = chain;
     stats
 }
 
@@ -86,7 +95,7 @@ pub(crate) fn encode_db(buf: &mut BytesMut, db: &MemDb, watermark: Timestamp) {
         buf.put_u32_le(table.id().raw());
         let mut kept: Vec<(RowKey, Vec<Version>)> = Vec::with_capacity(entries.len());
         for (key, node) in entries {
-            let mut chain = node.chain().clone();
+            let mut chain = node.chain().to_vec();
             chain.retain(|v| v.commit_ts <= watermark);
             if !chain.is_empty() {
                 kept.push((key, chain));
@@ -111,7 +120,7 @@ mod tests {
     use crate::gc;
     use crate::record::is_canonical;
     use crate::snapshot;
-    use aets_common::TxnId;
+    use aets_common::{TableId, TxnId};
     use aets_wal::TxnLog;
     use aets_workloads::bustracker::{self, BusTrackerConfig};
     use aets_workloads::tpcc::{self, TpccConfig};
@@ -210,6 +219,85 @@ mod tests {
             let again = gc::gc_node(&fast, wm);
             prop_assert_eq!(again.pruned, 0);
             same_chains(&fast.chain(), &slow.chain());
+        }
+    }
+
+    /// One step of a chain's life: append a version, a GC pass, or a trip
+    /// through the snapshot codec, each at the watermark drawn with it.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Append(u64, OpType, Row),
+        Gc(Timestamp),
+        Snapshot(Timestamp),
+    }
+
+    fn steps() -> impl Strategy<Value = Vec<Step>> {
+        let step =
+            (0u8..4, 0u64..3, 0u8..3, cols(), 0u64..600).prop_map(|(kind, gap, op, cols, wm)| {
+                let wm = if wm >= 500 { Timestamp::MAX } else { Timestamp::from_micros(wm) };
+                match kind {
+                    0 | 1 => Step::Append(
+                        gap,
+                        [OpType::Insert, OpType::Update, OpType::Delete][op as usize],
+                        cols,
+                    ),
+                    2 => Step::Gc(wm),
+                    _ => Step::Snapshot(wm),
+                }
+            });
+        prop::collection::vec(step, 0..16)
+    }
+
+    proptest! {
+        /// The inline-first chain against a plain `Vec<Version>` model: the
+        /// same versions after every step, a lone version always in place,
+        /// and no spare slot after a GC that pruned.
+        #[test]
+        fn chain_agrees_with_a_vec_model(steps in steps()) {
+            let key = RowKey::new(7);
+            let mut db = MemDb::new(1);
+            let mut model: Vec<Version> = Vec::new();
+            let mut ts = 1u64;
+            for step in steps {
+                let node = db.table(TableId::new(0)).node_or_insert(key);
+                let mut pruned = false;
+                match step {
+                    Step::Append(gap, op, cols) => {
+                        ts += gap;
+                        let v = Version {
+                            txn_id: TxnId::new(ts),
+                            commit_ts: Timestamp::from_micros(ts * 10),
+                            op,
+                            cols,
+                        };
+                        model.push(v.clone());
+                        node.append_version(v);
+                    }
+                    Step::Gc(wm) => {
+                        let (after, want) = gc_chain(&model, wm);
+                        model = after;
+                        let got = gc::gc_node(&node, wm);
+                        prop_assert_eq!(got, want);
+                        pruned = got.pruned > 0;
+                    }
+                    Step::Snapshot(wm) => {
+                        model.retain(|v| v.commit_ts <= wm);
+                        let mut buf = BytesMut::new();
+                        snapshot::encode_db(&mut buf, &db, wm);
+                        db = snapshot::decode_db(&mut buf.freeze()).expect("own snapshot");
+                    }
+                }
+                let node = db.table(TableId::new(0)).node_or_insert(key);
+                let chain = node.chain();
+                same_chains(&chain, &model);
+                if chain.len() == 1 {
+                    prop_assert!(matches!(*chain, Chain::One(_)), "a lone version spilled");
+                    prop_assert_eq!(chain.capacity(), 1);
+                }
+                if pruned {
+                    prop_assert_eq!(chain.capacity(), chain.len(), "a pruned chain kept spare slots");
+                }
+            }
         }
     }
 

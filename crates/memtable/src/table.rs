@@ -75,17 +75,6 @@ impl Table {
         self.node(key).and_then(|n| n.read_at(ts))
     }
 
-    /// Snapshot scan at `ts`: visits every row visible at `ts` in key
-    /// order.
-    pub fn scan_at<F: FnMut(RowKey, Row)>(&self, ts: Timestamp, mut f: F) {
-        let index = read(&self.index);
-        index.scan(|k, n| {
-            if let Some(row) = n.read_at(ts) {
-                f(*k, row);
-            }
-        });
-    }
-
     /// Counts rows visible at `ts`, without reconstructing any of them.
     pub fn count_at(&self, ts: Timestamp) -> usize {
         let mut n = 0;
@@ -251,8 +240,11 @@ mod tests {
             t.apply_version(RowKey::new(i), version(i + 1, (i + 1) * 10, i as i64));
         }
         assert_eq!(t.count_at(Timestamp::from_micros(500)), 50);
-        let mut keys = Vec::new();
-        t.scan_at(Timestamp::from_micros(305), |k, _| keys.push(k.raw()));
+        let keys: Vec<u64> = crate::query::Scan::at(Timestamp::from_micros(305))
+            .collect(&t)
+            .into_iter()
+            .map(|(k, _)| k.raw())
+            .collect();
         assert_eq!(keys, (0..30).collect::<Vec<_>>());
     }
 
