@@ -22,7 +22,8 @@ use aets_common::{
 };
 use aets_forecast::ForecastModel;
 use aets_memtable::{
-    decode_db, encode_db, gc_db, Aggregate, BPlusTree, MemDb, Scan, Table, Version,
+    decode_db, encode_db, gc_db, AggState, Aggregate, BPlusTree, MemDb, Scan, Table, Version,
+    MIN_CUT_LEN,
 };
 use aets_neural::{Tape, Tensor};
 use aets_replay::{
@@ -302,9 +303,9 @@ fn pick_scan_table(oracle: &MemDb) -> (TableId, Duration) {
 
 /// The query-serving `BackupNode` under a paced TPC-C stream: closed-loop
 /// clients run a scan whose snapshot sits *ahead* of the watermark, so
-/// every query parks on Algorithm 3 until replay catches up. Scans on few
-/// cores cannot parallelise; throughput scaling from extra workers is the
-/// overlap of concurrent admission waits, which is what the pool is for.
+/// every query parks on Algorithm 3 until replay catches up. Throughput
+/// scaling from extra workers is the overlap of concurrent admission waits,
+/// which is what the pool is for.
 pub fn query_service(scale: Scale) -> BenchResult {
     let mut r = BenchResult::new("query-service", scale, 1, "one paced run per configuration");
     let bench = tpcc(scale.of(12_800), 2);
@@ -754,7 +755,7 @@ pub fn micro(scale: Scale) -> BenchResult {
     // way a live backup does between passes. Each row first checks what
     // it computes against the rows `eval_spec` materialises.
     let ch = crate::chbench_bench(scale.of(30_000));
-    let db = MemDb::new(ch.workload.num_tables());
+    let db = Arc::new(MemDb::new(ch.workload.num_tables()));
     SerialEngine.replay_all(&ch.encode(256), &db).expect("oracle replay");
     let mid = ch.workload.txns[ch.workload.txns.len() / 2].commit_ts;
     gc_db(&db, mid);
@@ -774,18 +775,40 @@ pub fn micro(scale: Scale) -> BenchResult {
     assert_eq!(count(), rows.each_ref().map(Vec::len), "count disagrees with eval_spec");
     r.timed("memtable/scan_count", visited, count);
     let sum = || scanned.map(|(t, c)| at.aggregate(t, c, Aggregate::Sum));
+    // The exact fold over the copied-out rows: independent of the chain
+    // walk, and of the order the walk adds in.
     let want = std::array::from_fn(|i| {
-        let values = rows[i].iter().filter_map(|(_, row)| {
+        let mut exact = AggState::new(Aggregate::Sum);
+        for (_, row) in &rows[i] {
             match row.iter().find(|(c, _)| *c == scanned[i].1).map(|(_, v)| v) {
-                Some(Value::Int(v)) => Some(*v as f64),
-                Some(Value::Float(v)) => Some(*v),
-                _ => None,
+                Some(Value::Int(v)) => exact.push(*v as f64),
+                Some(Value::Float(v)) => exact.push(*v),
+                _ => {}
             }
-        });
-        values.reduce(|a, v| a + v)
+        }
+        exact.finish()
     });
     assert_eq!(sum(), want, "sum disagrees with eval_spec");
     r.timed("memtable/aggregate_col", visited, sum);
+    // The same Sums served through a node's session: each table large
+    // enough splits over the idle query workers.
+    let node = BackupNode::builder()
+        .engine(Arc::new(aets(&ch.grouping, 1).build().expect("engine config")))
+        .db(db.clone())
+        .telemetry(Arc::new(Telemetry::new()))
+        .build()
+        .expect("node config");
+    let qts = ch.workload.txns.last().expect("a nonempty stream").commit_ts;
+    node.board().publish_global(qts);
+    let specs = scanned.map(|(t, c)| QuerySpec::aggregate(t.id(), c, Aggregate::Sum));
+    let served = || specs.each_ref().map(|s| node.query_one(qts, s.clone()).expect("served"));
+    assert_eq!(served(), specs.each_ref().map(|s| eval_spec(&db, s, qts)), "served != eval_spec");
+    let parts = node.telemetry().snapshot().counter_total(names::QUERY_SCAN_PARTS);
+    let big = scanned.iter().any(|(t, _)| t.len() >= 2 * MIN_CUT_LEN);
+    assert!(parts > 0 || !big, "no served scan was split");
+    r.timed("service/split_scan", visited, served);
+    r.value("service/split_scan_parts", "count", parts as f64);
+    drop(node);
     let digest = [mid, Timestamp::MAX].map(|ts| db.digest_at(ts));
     // Every pass after the first finds each chain settled: the walk, one
     // exclusive lock per record and nothing pruned.

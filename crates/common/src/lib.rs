@@ -21,7 +21,7 @@ pub mod value;
 pub use error::{Error, Result};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use ids::{ColumnId, EpochId, GroupId, Lsn, RowKey, TableId, Timestamp, TxnId};
-pub use json::json_escape;
+pub use json::{hex_decode, hex_encode, json_escape};
 pub use mix::{splitmix64, unit_f64};
 pub use ops::DmlOp;
 pub use text::Utf8Bytes;

@@ -16,6 +16,11 @@ use std::mem;
 /// Maximum number of keys per node before it splits.
 const MAX_KEYS: usize = 32;
 
+/// [`BPlusTree::cut`] leaves a key range it estimates at fewer pairs than
+/// this whole: below it, handing parts to other threads costs more than
+/// the walk it shares.
+pub const MIN_CUT_LEN: usize = 16_384;
+
 // Boxing the `Vec` keeps sibling nodes pointer-sized inside parents.
 #[allow(clippy::box_collection, clippy::vec_box)]
 #[derive(Debug, Clone)]
@@ -128,6 +133,22 @@ impl<K: Ord + Clone, V> Node<K, V> {
         }
     }
 
+    /// The children overlapping `[lo, hi]` in key order, each with the
+    /// separator it starts at (the first with `at`, this node's own); none
+    /// for a leaf.
+    fn children_in<'a>(
+        &'a self,
+        lo: &K,
+        hi: &K,
+        at: Option<&'a K>,
+    ) -> Vec<(Option<&'a K>, &'a Self)> {
+        let Node::Internal { keys, children } = self else { return Vec::new() };
+        let first = keys.partition_point(|k| k <= lo);
+        let last = keys.partition_point(|k| k <= hi);
+        let rest = (first + 1..=last).map(|i| (Some(&keys[i - 1]), &*children[i]));
+        std::iter::once((at, &*children[first])).chain(rest).collect()
+    }
+
     fn depth(&self) -> usize {
         match self {
             Node::Leaf { .. } => 1,
@@ -201,6 +222,43 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
             return;
         }
         self.root.range_scan(lo, hi, &mut f);
+    }
+
+    /// Up to `parts - 1` keys inside `(lo, hi]`, ascending, that cut
+    /// `[lo, hi]` into `parts` key ranges of about equal size; none when
+    /// the range is estimated at fewer than [`MIN_CUT_LEN`] pairs. The
+    /// tree keeps no counts, so the estimate comes from the size of its
+    /// leaf level over the range: the leaves' parents overlapping it are
+    /// visited (no leaf is), and a leaf is taken as three quarters full,
+    /// between the half a split leaves and full. The cuts are separators
+    /// of those parents.
+    pub fn cut(&self, lo: &K, hi: &K, parts: usize) -> Vec<K> {
+        let depth = self.depth();
+        if parts < 2 || lo > hi || depth < 2 {
+            return Vec::new();
+        }
+        let mut level = vec![(None, &*self.root)];
+        for _ in 2..depth {
+            level = level.into_iter().flat_map(|(at, node)| node.children_in(lo, hi, at)).collect();
+        }
+        let leaves: Vec<usize> =
+            level.iter().map(|(_, n)| n.children_in(lo, hi, None).len()).collect();
+        let total: usize = leaves.iter().sum();
+        let mut cuts = Vec::new();
+        if total * (MAX_KEYS * 3 / 4) < MIN_CUT_LEN {
+            return cuts;
+        }
+        let mut before = 0;
+        for ((at, _), n) in level.into_iter().zip(leaves) {
+            // Cut `j` goes at the first parent starting past `j/parts`.
+            if let Some(k) = at.filter(|_| before * parts >= total * (cuts.len() + 1)) {
+                if cuts.len() + 1 < parts {
+                    cuts.push(k.clone());
+                }
+            }
+            before += n;
+        }
+        cuts
     }
 
     /// Tree height (1 for a single leaf). Exposed for tests/benches.
@@ -291,6 +349,42 @@ mod tests {
         let mut seen = Vec::new();
         t.range_scan(&999, &1011, |k, _| seen.push(*k));
         assert_eq!(seen, vec![1000, 1002, 1004, 1006, 1008, 1010]);
+    }
+
+    /// Cuts fall inside the range, ascending, into parts of about equal
+    /// size; a range estimated under [`MIN_CUT_LEN`] is never cut.
+    #[test]
+    fn cut_splits_large_ranges_evenly_and_leaves_small_ones_whole() {
+        let mut t = BPlusTree::new();
+        let n = 200_000u64;
+        for i in 0..n {
+            t.insert(i * 3, ());
+        }
+        let size = |lo: u64, hi: u64| (lo..=hi).filter(|k| k % 3 == 0).count() as f64;
+        for (lo, hi, parts) in [(0, u64::MAX, 2), (0, u64::MAX, 5), (30_000, 400_000, 3)] {
+            let cuts = t.cut(&lo, &hi, parts);
+            assert_eq!(cuts.len(), parts - 1, "{lo}..={hi} in {parts}");
+            assert!(cuts.windows(2).all(|w| w[0] < w[1]) && cuts[0] > lo);
+            let ends: Vec<u64> = std::iter::once(lo)
+                .chain(cuts.iter().copied())
+                .chain(std::iter::once(hi.min(3 * n) + 1))
+                .collect();
+            let want = size(lo, hi.min(3 * n)) / parts as f64;
+            for w in ends.windows(2) {
+                let got = size(w[0], w[1] - 1);
+                assert!((got - want).abs() < 0.2 * want, "part {w:?} holds {got}, not ~{want}");
+            }
+        }
+        assert!(t.cut(&0, &u64::MAX, 1).is_empty());
+        assert!(t.cut(&9, &3, 2).is_empty());
+        for (lo, hi) in [(0, 3 * 1024), (90_000, 93_072), (3 * (n - 1000), u64::MAX)] {
+            assert!(t.cut(&lo, &hi, 2).is_empty(), "{lo}..={hi} is ~1k rows");
+        }
+        let mut small = BPlusTree::new();
+        for i in 0..MIN_CUT_LEN as u64 / 2 {
+            small.insert(i, ());
+        }
+        assert!(small.cut(&0, &u64::MAX, 4).is_empty());
     }
 
     proptest! {

@@ -8,6 +8,7 @@
 //! exclusive lock.
 
 pub mod bptree;
+pub mod exact;
 pub mod gc;
 pub mod query;
 pub mod record;
@@ -17,9 +18,10 @@ mod reference;
 pub mod snapshot;
 pub mod table;
 
-pub use bptree::BPlusTree;
+pub use bptree::{BPlusTree, MIN_CUT_LEN};
+pub use exact::ExactSum;
 pub use gc::{gc_db, gc_node, gc_table, FloorTicket, GcStats, QueryFloor};
-pub use query::{compare_values, Aggregate, CmpOp, Filter, Scan};
+pub use query::{compare_values, AggState, Aggregate, CmpOp, Filter, Scan};
 pub use record::{OpType, RecordNode, Version};
 pub use snapshot::{decode_db, encode_db};
 pub use table::{MemDb, Table};

@@ -6,6 +6,7 @@
 //! `qts` — so a query admitted by Algorithm 3 computes over exactly the
 //! primary's committed prefix at its arrival time.
 
+use crate::exact::ExactSum;
 use crate::record::RecordNode;
 use crate::table::Table;
 use aets_common::{ColumnId, Row, RowKey, Timestamp, Value};
@@ -183,9 +184,9 @@ impl Scan {
 
     /// Numeric aggregate over a column of the matching rows. Non-numeric
     /// and missing column values are skipped; returns `None` when no row
-    /// contributed.
+    /// contributed. Sum and Avg are correctly rounded ([`AggState`]).
     pub fn aggregate(&self, table: &Table, column: ColumnId, agg: Aggregate) -> Option<f64> {
-        self.try_aggregate(table, column, agg, go_on).unwrap_or_else(|e| match e {})
+        self.try_aggregate(table, column, agg, go_on).unwrap_or_else(|e| match e {}).finish()
     }
 
     /// [`Scan::collect`] under a stop check: `check` is asked before each
@@ -218,28 +219,22 @@ impl Scan {
         Ok(n)
     }
 
-    /// [`Scan::aggregate`] under a stop check (see [`Scan::try_collect`]).
+    /// [`Scan::aggregate`] under a stop check (see [`Scan::try_collect`]),
+    /// before [`AggState::finish`]: a state to merge with other ranges'.
     pub fn try_aggregate<E>(
         &self,
         table: &Table,
         column: ColumnId,
         agg: Aggregate,
         check: impl FnMut() -> Result<(), E>,
-    ) -> Result<Option<f64>, E> {
-        let mut acc: Option<(f64, usize)> = None;
+    ) -> Result<AggState, E> {
+        let mut acc = AggState::new(agg);
         self.for_each_value(table, column, check, |_, v| {
-            let Some(v) = v.and_then(numeric) else { return };
-            acc = Some(match (acc, agg) {
-                (None, _) => (v, 1),
-                (Some((a, n)), Aggregate::Sum | Aggregate::Avg) => (a + v, n + 1),
-                (Some((a, n)), Aggregate::Min) => (a.min(v), n + 1),
-                (Some((a, n)), Aggregate::Max) => (a.max(v), n + 1),
-            });
+            if let Some(v) = v.and_then(numeric) {
+                acc.push(v);
+            }
         })?;
-        Ok(acc.map(|(a, n)| match agg {
-            Aggregate::Avg => a / n as f64,
-            _ => a,
-        }))
+        Ok(acc)
     }
 
     /// Groups matching rows by an integer column and counts each group.
@@ -270,6 +265,68 @@ pub enum Aggregate {
     Min,
     /// Maximum.
     Max,
+}
+
+/// A mergeable partial [`Aggregate`]. Sum and Avg stay exact until
+/// `finish` rounds them once ([`ExactSum`]); Min and Max pick by
+/// `total_cmp`, NaN only when nothing else came. So the answer depends
+/// neither on the order of the values nor on how they were split.
+#[derive(Debug, Clone)]
+pub struct AggState {
+    agg: Aggregate,
+    n: u64,
+    sum: ExactSum,
+    /// The Min or Max so far.
+    best: Option<f64>,
+}
+
+impl AggState {
+    /// The state of no values.
+    pub fn new(agg: Aggregate) -> Self {
+        Self { agg, n: 0, sum: ExactSum::default(), best: None }
+    }
+
+    /// Adds one value.
+    #[inline]
+    pub fn push(&mut self, v: f64) {
+        self.n += 1;
+        match self.agg {
+            Aggregate::Sum | Aggregate::Avg => self.sum.push(v),
+            Aggregate::Min | Aggregate::Max => self.best = Some(self.pick(v)),
+        }
+    }
+
+    /// Adds every value `other` saw; `other` is of the same [`Aggregate`].
+    pub fn merge(&mut self, other: &AggState) {
+        self.n += other.n;
+        self.sum.merge(&other.sum);
+        self.best = other.best.map_or(self.best, |v| Some(self.pick(v)));
+    }
+
+    /// The aggregate; `None` when no value came.
+    pub fn finish(&self) -> Option<f64> {
+        match self.agg {
+            Aggregate::Sum => (self.n > 0).then(|| self.sum.sum()),
+            Aggregate::Avg => (self.n > 0).then(|| self.sum.mean(self.n)),
+            Aggregate::Min | Aggregate::Max => self.best,
+        }
+    }
+
+    /// Whichever of `v` and the best so far the Min (Max) keeps.
+    fn pick(&self, v: f64) -> f64 {
+        let Some(best) = self.best else { return v };
+        let flip = |x: f64| if self.agg == Aggregate::Max { -x } else { x };
+        let v_first = match (v.is_nan(), best.is_nan()) {
+            (false, true) => true,
+            (true, false) => false,
+            _ => flip(v).total_cmp(&flip(best)).is_lt(),
+        };
+        if v_first {
+            v
+        } else {
+            best
+        }
+    }
 }
 
 /// The check that never stops a scan; with it a `try_*` terminal is the

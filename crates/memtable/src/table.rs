@@ -100,6 +100,14 @@ impl Table {
         read(&self.index).range_scan(&lo, &hi, |k, n| f(*k, n));
     }
 
+    /// Up to `parts - 1` keys that cut `[lo, hi]` into key ranges of
+    /// about equal size, none for a range estimated at fewer than
+    /// [`crate::MIN_CUT_LEN`] records ([`BPlusTree::cut`]). A cut `c`
+    /// starts a range: the one before it ends at `c - 1`.
+    pub fn cut(&self, lo: RowKey, hi: RowKey, parts: usize) -> Vec<RowKey> {
+        read(&self.index).cut(&lo, &hi, parts)
+    }
+
     /// Snapshot of every `(key, node)` pair in key order (clones the
     /// `Arc`s, so the index lock is released before the caller uses them).
     pub fn entries(&self) -> Vec<(RowKey, Arc<RecordNode>)> {

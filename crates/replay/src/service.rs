@@ -30,7 +30,7 @@ use crate::control::AdaptiveController;
 use crate::engines::ReplayEngine;
 use crate::metrics::ReplayMetrics;
 use crate::options::ServiceOptions;
-use crate::target::try_eval_spec;
+use crate::target::{try_eval_part, Partial};
 use crate::visibility::{VisibilityBoard, WaitOutcome};
 use aets_common::sync::{lock, wait};
 use aets_common::{Error, Result, Row, RowKey, TableId, Timestamp};
@@ -44,7 +44,7 @@ use aets_telemetry::{
 use aets_wal::EncodedEpoch;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -194,14 +194,25 @@ struct Job {
     reply: mpsc::Sender<Result<QueryOutput>>,
 }
 
+/// What the admission queue hands a worker.
+enum Task {
+    /// A submitted query.
+    Query(Job),
+    /// A part of a split scan, for whichever worker is idle.
+    Part(Arc<Split>),
+}
+
 #[derive(Default)]
 struct QueueState {
-    jobs: VecDeque<Job>,
+    tasks: VecDeque<Task>,
+    /// `Task::Query`s in `tasks`: the count the capacity bounds.
+    queries: usize,
     closed: bool,
 }
 
 /// Bounded MPMC admission queue: sessions push (rejecting when full),
-/// workers pop (blocking), `close` drains the pool at node drop.
+/// workers pop (blocking), `close` drains the pool at node drop. Parts of
+/// a split scan go to the front, outside the bound.
 struct AdmissionQueue {
     cap: usize,
     state: Mutex<QueueState>,
@@ -219,21 +230,33 @@ impl AdmissionQueue {
     #[allow(clippy::result_large_err)]
     fn try_push(&self, job: Job) -> std::result::Result<(), Job> {
         let mut s = lock(&self.state);
-        if s.closed || s.jobs.len() >= self.cap {
+        if s.closed || s.queries >= self.cap {
             return Err(job);
         }
-        s.jobs.push_back(job);
+        s.tasks.push_back(Task::Query(job));
+        s.queries += 1;
         drop(s);
         self.cv.notify_one();
         Ok(())
     }
 
-    /// Blocks for the next job; `None` once closed and drained.
-    fn pop(&self) -> Option<Job> {
+    /// Offers parts `1..` of `split` ahead of every queued query. Never
+    /// refused: its owner claims whatever no worker takes.
+    fn push_parts(&self, split: &Arc<Split>) {
+        let mut s = lock(&self.state);
+        for _ in 1..split.ranges.len() {
+            s.tasks.push_front(Task::Part(split.clone()));
+            self.cv.notify_one();
+        }
+    }
+
+    /// Blocks for the next task; `None` once closed and drained.
+    fn pop(&self) -> Option<Task> {
         let mut s = lock(&self.state);
         loop {
-            if let Some(job) = s.jobs.pop_front() {
-                return Some(job);
+            if let Some(task) = s.tasks.pop_front() {
+                s.queries -= usize::from(matches!(task, Task::Query(_)));
+                return Some(task);
             }
             if s.closed {
                 return None;
@@ -271,6 +294,9 @@ struct ServiceStats {
     gc_passes: Counter,
     gc_pruned: Counter,
     gc_pass_us: Histogram,
+    /// Parts of split scans run by an idle worker, or by their owner.
+    parts_by_helper: Counter,
+    parts_by_owner: Counter,
     /// Per-table `aets_table_access_total` counters, indexed by table id;
     /// bumped once per footprint table at session open. This is the
     /// signal the adaptive controller samples into its rate tracker.
@@ -300,6 +326,8 @@ impl ServiceStats {
             gc_passes: reg.counter(names::GC_PASSES),
             gc_pruned: reg.counter(names::GC_PRUNED),
             gc_pass_us: reg.histogram(names::GC_PASS_US),
+            parts_by_helper: reg.counter_with(names::QUERY_SCAN_PARTS, "ran_by=\"helper\"".into()),
+            parts_by_owner: reg.counter_with(names::QUERY_SCAN_PARTS, "ran_by=\"owner\"".into()),
         }
     }
 
@@ -322,9 +350,24 @@ struct NodeCore {
     board: Arc<VisibilityBoard>,
     stats: ServiceStats,
     telemetry: Arc<Telemetry>,
+    /// Parts a large scan is cut into.
+    degree: usize,
 }
 
 impl NodeCore {
+    /// The key ranges `spec` scans as: its own range whole, or cut into
+    /// up to `degree` parts when it is large enough to share.
+    fn parts(&self, spec: &QuerySpec) -> Vec<Option<(RowKey, RowKey)>> {
+        let (lo, hi) = spec.key_range.unwrap_or((RowKey::new(0), RowKey::new(u64::MAX)));
+        let cuts = self.db.table(spec.table).cut(lo, hi, self.degree);
+        if cuts.is_empty() {
+            return vec![spec.key_range];
+        }
+        let starts = std::iter::once(lo).chain(cuts.iter().copied());
+        let ends = cuts.iter().map(|c| RowKey::new(c.raw() - 1)).chain(std::iter::once(hi));
+        starts.zip(ends).map(Some).collect()
+    }
+
     /// Algorithm 3 for one query, on the calling thread: resolves
     /// `tables` to board groups under the engine's *live* grouping,
     /// generation-tagged for the board, and parks until the snapshot at
@@ -398,6 +441,7 @@ pub struct BackupNodeBuilder {
     telemetry: Option<Arc<Telemetry>>,
     clock: Option<ClockFn>,
     headless: bool,
+    degree: Option<usize>,
     opts: NodeOptions,
 }
 
@@ -468,6 +512,13 @@ impl BackupNodeBuilder {
         self
     }
 
+    /// Cuts large scans into `k` parts on any host.
+    #[cfg(test)]
+    pub(crate) fn split_degree(mut self, k: usize) -> Self {
+        self.degree = Some(k);
+        self
+    }
+
     /// Finishes the node and spawns its query worker pool.
     pub fn build(self) -> Result<BackupNode> {
         let engine =
@@ -533,7 +584,10 @@ impl BackupNodeBuilder {
             // Nobody would pop: shed a submission instead of parking it.
             queue.close();
         }
-        let core = Arc::new(NodeCore { engine, queue, db, board, stats, telemetry });
+        let degree = self.degree.unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(1, |n| n.get()).min(pool)
+        });
+        let core = Arc::new(NodeCore { engine, queue, db, board, stats, telemetry, degree });
         let workers = (0..pool)
             .map(|i| {
                 let core = core.clone();
@@ -748,13 +802,14 @@ impl ReadSession<'_> {
             cancel: cancel.clone(),
             reply: tx,
         };
+        let stats = &self.node.core.stats;
+        // Counted before the push: a worker may pop (and uncount) it at once.
+        stats.queue_depth.add(1);
         match self.node.core.queue.try_push(job) {
-            Ok(()) => {
-                self.node.core.stats.queue_depth.add(1);
-                Ok(QueryHandle { rx, cancel })
-            }
+            Ok(()) => Ok(QueryHandle { rx, cancel }),
             Err(_) => {
-                self.node.core.stats.overloaded.inc();
+                stats.queue_depth.sub(1);
+                stats.overloaded.inc();
                 Err(Error::Overloaded)
             }
         }
@@ -790,7 +845,14 @@ impl Drop for GaugeGuard<'_> {
 const SHUTDOWN_SLICE: Duration = Duration::from_millis(100);
 
 fn worker_loop(core: &NodeCore) {
-    while let Some(job) = core.queue.pop() {
+    while let Some(task) = core.queue.pop() {
+        let job = match task {
+            Task::Query(job) => job,
+            Task::Part(split) => {
+                split.run_next(core, &core.stats.parts_by_helper);
+                continue;
+            }
+        };
         core.stats.queue_depth.sub(1);
         core.stats.queue_wait.record(job.enqueued.elapsed());
         let res = catch_unwind(AssertUnwindSafe(|| serve_one(core, &job)))
@@ -809,7 +871,8 @@ fn worker_loop(core: &NodeCore) {
 
 /// Admission + execution of one job on a worker thread. The job's
 /// deadline covers both; cancellation is honoured before admission, at
-/// every admission slice (as is node shutdown) and every 256 scanned records.
+/// every admission slice (as is node shutdown) and every 256 scanned
+/// records. The scan runs as a [`Split`], of one part unless it is large.
 fn serve_one(core: &NodeCore, job: &Job) -> Result<QueryOutput> {
     let cancel_if = |stop: bool| if stop { Err(Error::Cancelled) } else { Ok(()) };
     let cancelled = || cancel_if(job.cancel.load(Ordering::Acquire));
@@ -822,23 +885,112 @@ fn serve_one(core: &NodeCore, job: &Job) -> Result<QueryOutput> {
     let _guard = GaugeGuard(&core.stats.inflight);
     let ring = core.telemetry.spans();
     let exec_span = ring.begin(ring.epoch_hint().unwrap_or(0), stages::QUERY_EXEC, None, adm_span);
-    let mut seen = 0usize;
-    let res = try_eval_spec(&core.db, &job.spec, job.qts, || {
-        seen += 1;
-        if seen & 0xFF != 0 {
-            return Ok(());
-        }
-        cancelled()?;
-        if Instant::now() >= job.deadline {
-            return Err(Error::QueryTimeout);
-        }
-        Ok(())
-    });
+    let res = Split::serve(core, job);
     if let Some(s) = exec_span {
         s.finish(ring);
     }
     res
 }
+
+/// A query's scan as key-range parts ([`NodeCore::parts`]), each run by
+/// whoever claims it: an idle worker popping a `Task::Part`, or the
+/// query's own worker (the owner), which runs part 0, claims whatever is
+/// left, and then waits only for parts already running. A part never
+/// splits again and never waits, so nothing deadlocks; on a busy pool the
+/// owner runs every part. The first failing part stops its siblings.
+struct Split {
+    spec: QuerySpec,
+    qts: Timestamp,
+    deadline: Instant,
+    cancel: Arc<AtomicBool>,
+    /// The parts' key ranges, in key order.
+    ranges: Vec<Option<(RowKey, RowKey)>>,
+    /// Parts claimed so far (part 0 by the owner, from the start).
+    claimed: AtomicUsize,
+    failed: AtomicBool,
+    /// Each claimed part's outcome, to the owner.
+    done: mpsc::Sender<(usize, Result<Partial>)>,
+}
+
+impl Split {
+    /// The owner's side: offers parts `1..` to the pool, runs part 0 and
+    /// every part nobody took, and merges the outcomes in key order.
+    fn serve(core: &NodeCore, job: &Job) -> Result<QueryOutput> {
+        let (done, outcomes) = mpsc::channel();
+        let split = Arc::new(Split {
+            spec: job.spec.clone(),
+            qts: job.qts,
+            deadline: job.deadline,
+            cancel: job.cancel.clone(),
+            ranges: core.parts(&job.spec),
+            claimed: AtomicUsize::new(1),
+            failed: AtomicBool::new(false),
+            done,
+        });
+        core.queue.push_parts(&split);
+        split.run(core, 0, &core.stats.parts_by_owner);
+        while split.run_next(core, &core.stats.parts_by_owner) {}
+        let mut outs: Vec<_> = outcomes.iter().take(split.ranges.len()).collect();
+        // The first error to arrive is the query's: its siblings stopped on it.
+        if let Some(at) = outs.iter().position(|(_, out)| out.is_err()) {
+            return outs.swap_remove(at).1.map(Partial::finish);
+        }
+        outs.sort_unstable_by_key(|(i, _)| *i);
+        let parts = outs.into_iter().filter_map(|(_, out)| out.ok());
+        Ok(parts.reduce(Partial::merge).expect("a split has parts").finish())
+    }
+
+    /// Claims and runs the next unclaimed part; false once every part is
+    /// claimed.
+    fn run_next(&self, core: &NodeCore, ran_by: &Counter) -> bool {
+        let i = self.claimed.fetch_add(1, Ordering::AcqRel);
+        let claimed = i < self.ranges.len();
+        if claimed {
+            self.run(core, i, ran_by);
+        }
+        claimed
+    }
+
+    /// Runs claimed part `i`, counting it under `ran_by` if the scan is
+    /// split, and reports its outcome; a panic is its error. Every 256
+    /// records the part looks for cancellation, the deadline and a failed
+    /// sibling.
+    fn run(&self, core: &NodeCore, i: usize, ran_by: &Counter) {
+        if self.ranges.len() > 1 {
+            ran_by.inc();
+        }
+        let mut seen = 0usize;
+        let check = || {
+            seen += 1;
+            if seen & 0xFF != 0 {
+                return Ok(());
+            }
+            if self.cancel.load(Ordering::Acquire) || self.failed.load(Ordering::Acquire) {
+                return Err(Error::Cancelled);
+            }
+            if Instant::now() >= self.deadline {
+                return Err(Error::QueryTimeout);
+            }
+            Ok(())
+        };
+        let out = catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(test)]
+            assert!(i != 1 || self.qts != split_tests::PANIC_AT, "a part panics");
+            try_eval_part(&core.db, &self.spec, self.qts, self.ranges[i], check)
+        }))
+        .unwrap_or_else(|_| Err(Error::Replay("query part panicked".into())));
+        // Sent before the siblings are stopped, so the error that stops
+        // them reaches the owner ahead of theirs.
+        let failed = out.is_err();
+        let _ = self.done.send((i, out));
+        if failed {
+            self.failed.store(true, Ordering::Release);
+        }
+    }
+}
+
+#[cfg(test)]
+mod split_tests;
 
 #[cfg(test)]
 mod tests {

@@ -15,8 +15,8 @@
 use std::convert::Infallible;
 use std::sync::Arc;
 
-use aets_common::{Error, Result, TableId, Timestamp};
-use aets_memtable::{MemDb, Scan};
+use aets_common::{Error, Result, Row, RowKey, TableId, Timestamp};
+use aets_memtable::{AggState, MemDb, Scan};
 
 use crate::service::{BackupNode, OutputKind, QueryHandle, QueryOutput, QuerySpec};
 
@@ -44,32 +44,68 @@ pub trait QueryTarget {
 }
 
 /// Evaluates `spec` directly against `db`'s MVCC snapshot at `qts` — the
-/// shared oracle-answer path. No admission, no pinning: the caller
-/// guarantees the snapshot is reachable (serial oracles never GC).
+/// shared oracle-answer path, and the one-part case of `try_eval_part`,
+/// serial. No admission, no pinning: the caller guarantees the snapshot is
+/// reachable (serial oracles never GC).
 pub fn eval_spec(db: &MemDb, spec: &QuerySpec, qts: Timestamp) -> QueryOutput {
-    try_eval_spec(db, spec, qts, || Ok::<(), Infallible>(())).unwrap_or_else(|e| match e {})
+    let whole = try_eval_part(db, spec, qts, spec.key_range, || Ok::<(), Infallible>(()));
+    whole.unwrap_or_else(|e| match e {}).finish()
 }
 
-/// [`eval_spec`] under a stop check, asked before each scanned record; its
-/// first error ends the evaluation ([`Scan::try_collect`]). Each output
-/// reads no more of a row than it needs: a count no row at all, an
-/// aggregate its one column. This is the one evaluator: the query workers
-/// run it with their cancel/deadline check, everything else unchecked.
-pub(crate) fn try_eval_spec<E>(
+/// `spec` over the key range `keys` (its own, or a part of it) at `qts`,
+/// as a [`Partial`] that merges with the parts after it. A stop check is
+/// asked before each scanned record; its first error ends the evaluation
+/// ([`Scan::try_collect`]). Each output reads no more of a row than it
+/// needs: a count no row at all, an aggregate its one column. This is the
+/// one evaluator: the query workers run it with their cancel/deadline
+/// check, everything else unchecked.
+pub(crate) fn try_eval_part<E>(
     db: &MemDb,
     spec: &QuerySpec,
     qts: Timestamp,
+    keys: Option<(RowKey, RowKey)>,
     check: impl FnMut() -> std::result::Result<(), E>,
-) -> std::result::Result<QueryOutput, E> {
-    let scan = Scan { ts: qts, key_range: spec.key_range, filters: spec.filters.clone() };
+) -> std::result::Result<Partial, E> {
+    let scan = Scan { ts: qts, key_range: keys, filters: spec.filters.clone() };
     let table = db.table(spec.table);
     Ok(match &spec.output {
-        OutputKind::Rows => QueryOutput::Rows(scan.try_collect(table, check)?),
-        OutputKind::Count => QueryOutput::Count(scan.try_count(table, check)?),
+        OutputKind::Rows => Partial::Rows(scan.try_collect(table, check)?),
+        OutputKind::Count => Partial::Count(scan.try_count(table, check)?),
         OutputKind::AggregateCol { column, agg } => {
-            QueryOutput::Aggregate(scan.try_aggregate(table, *column, *agg, check)?)
+            Partial::Aggregate(Box::new(scan.try_aggregate(table, *column, *agg, check)?))
         }
     })
+}
+
+/// One key range's answer to a spec, in the mergeable form of its
+/// [`OutputKind`]. Merged in key order, the parts of a range answer what
+/// the whole range does, exactly: rows concatenate, counts add, and an
+/// [`AggState`] is independent of how its values were split.
+pub(crate) enum Partial {
+    Rows(Vec<(RowKey, Row)>),
+    Count(usize),
+    Aggregate(Box<AggState>),
+}
+
+impl Partial {
+    /// Folds in the answer of the key range that follows this one.
+    pub(crate) fn merge(mut self, next: Partial) -> Partial {
+        match (&mut self, next) {
+            (Partial::Rows(a), Partial::Rows(b)) => a.extend(b),
+            (Partial::Count(a), Partial::Count(b)) => *a += b,
+            (Partial::Aggregate(a), Partial::Aggregate(b)) => a.merge(&b),
+            _ => unreachable!("the parts of one spec have one output kind"),
+        }
+        self
+    }
+
+    pub(crate) fn finish(self) -> QueryOutput {
+        match self {
+            Partial::Rows(rows) => QueryOutput::Rows(rows),
+            Partial::Count(n) => QueryOutput::Count(n),
+            Partial::Aggregate(state) => QueryOutput::Aggregate(state.finish()),
+        }
+    }
 }
 
 /// The serial oracle is a target too: every timestamp is safe (there is

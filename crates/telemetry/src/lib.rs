@@ -171,6 +171,11 @@ pub mod names {
     /// Query service: submissions currently waiting in the admission
     /// queue (level).
     pub const QUERY_QUEUE_DEPTH: &str = "aets_query_queue_depth";
+    /// Query service: parts of split scans run, labeled `ran_by="helper"`
+    /// (an idle query worker took the part) or `ran_by="owner"` (the
+    /// query's own worker ran it, because no worker was idle). A high
+    /// owner share says the pool had no cores to lend.
+    pub const QUERY_SCAN_PARTS: &str = "aets_query_scan_parts_total";
     /// Query service: read sessions opened.
     pub const SESSIONS_OPENED: &str = "aets_sessions_opened_total";
     /// Query service: read sessions closed (floor pin released).

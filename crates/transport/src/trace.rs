@@ -24,7 +24,8 @@
 //! trace is also integrity-checked end to end.
 
 use aets_common::{
-    json_escape, ColumnId, EpochId, Error, FxHasher, Result, RowKey, TableId, Timestamp,
+    hex_decode, hex_encode, json_escape, ColumnId, EpochId, Error, FxHasher, Result, RowKey,
+    TableId, Timestamp,
 };
 use aets_memtable::{Aggregate, MemDb};
 use aets_replay::{
@@ -140,29 +141,6 @@ pub fn render_result(out: &QueryOutput) -> String {
 }
 
 // --- minimal JSON line codec -------------------------------------------
-
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
-}
-
-/// Decodes over the raw bytes, so a corrupted payload holding a
-/// multi-byte character is a codec error rather than a slice panic.
-fn hex_decode(s: &str) -> Result<Vec<u8>> {
-    let nibble = |b: u8| {
-        char::from(b)
-            .to_digit(16)
-            .ok_or_else(|| Error::Codec("non-hex byte in trace payload".into()))
-    };
-    let s = s.as_bytes();
-    if !s.len().is_multiple_of(2) {
-        return Err(Error::Codec("odd-length hex payload".into()));
-    }
-    s.chunks_exact(2).map(|p| Ok((nibble(p[0])? << 4 | nibble(p[1])?) as u8)).collect()
-}
 
 /// Extracts `"field":<u64>` from a JSON line.
 fn field_u64(line: &str, field: &str) -> Result<u64> {
