@@ -34,8 +34,8 @@ use aets_replay::{
 };
 use aets_telemetry::{names, Telemetry};
 use aets_wal::{
-    crc32, crc32_scalar, decode_batch, decode_record, encode_epoch, EncodedEpoch, FsyncPolicy,
-    LogRecord, MetaScanner, SegmentConfig, SegmentStore,
+    crc32, crc32_scalar, decode_at, decode_batch, decode_record, encode_epoch, EncodedEpoch,
+    FsyncPolicy, LogRecord, MetaScanner, SegmentConfig, SegmentStore,
 };
 use aets_workloads::drift::{rotating_tpcc, RotatingTpccConfig};
 use aets_workloads::tpcc::{tables, TpccConfig};
@@ -707,6 +707,29 @@ pub fn micro(scale: Scale) -> BenchResult {
             rec.expect("valid record");
             n + 1
         })
+    });
+    // Two threads decode disjoint halves of one frame's DML records, as
+    // two crew members translating one epoch do; every column is counted.
+    let dml: Vec<_> = MetaScanner::new(encoded.bytes.clone())
+        .map(|rec| rec.expect("valid record"))
+        .filter_map(|(meta, range)| meta.table.map(|_| range))
+        .collect();
+    let (lo, hi) = dml.split_at(dml.len() / 2);
+    let cols = |part: &[std::ops::Range<usize>]| -> usize {
+        part.iter()
+            .map(|range| match decode_at(&encoded.bytes, range.clone()).expect("valid record") {
+                LogRecord::Dml(d) => d.cols.len(),
+                other => panic!("a DML range decoded as {other:?}"),
+            })
+            .sum()
+    };
+    let all_cols = cols(&dml);
+    r.timed("codec/decode_at_2t", Some(dml.len() as u64), || {
+        let (a, b) = std::thread::scope(|s| {
+            let other = s.spawn(|| cols(hi));
+            (cols(lo), other.join().expect("decoder thread"))
+        });
+        assert_eq!(a + b, all_cols, "the halves decode every column once");
     });
 
     // -- memtable

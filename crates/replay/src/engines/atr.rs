@@ -20,7 +20,7 @@ use aets_common::{Error, FxHashMap, FxHashSet, GroupId, Result, RowKey, TableId}
 use aets_memtable::MemDb;
 use aets_wal::{decode_at, EncodedEpoch, LogRecord};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Sharded map of applied row versions (the backup-side RVID table).
@@ -100,26 +100,33 @@ impl ReplayEngine for AtrEngine {
             m.dispatch_busy += t_dispatch.elapsed();
             let txns: &[MiniTxn] = &work.group(GroupId::new(0)).mini_txns;
             let done: Vec<AtomicBool> = (0..txns.len()).map(|_| AtomicBool::new(false)).collect();
+            // The epoch's first decode error, doubling as the abort flag
+            // every wait checks: without it a failed worker's rows and
+            // `done` slots would be waited on forever.
+            let failed: OnceLock<Error> = OnceLock::new();
 
             std::thread::scope(|scope| {
                 for wid in 0..self.threads {
                     let bytes = work.bytes.clone();
-                    let done = &done;
+                    let (done, failed) = (&done, &failed);
                     let rvids = &rvids;
                     let replay_busy = &replay_busy;
                     scope.spawn(move || {
                         let t0 = Instant::now();
                         // Transaction-ID-based dispatch: worker `wid` owns
                         // transactions with index ≡ wid (mod threads).
-                        for (i, mt) in txns.iter().enumerate() {
+                        'txns: for (i, mt) in txns.iter().enumerate() {
                             if i % self.threads != wid {
                                 continue;
                             }
                             for r in &mt.entry_ranges {
-                                let LogRecord::Dml(entry) =
-                                    decode_at(&bytes, r.clone()).expect("range decodes")
-                                else {
-                                    unreachable!("dispatched ranges are DML")
+                                let entry = match decode_at(&bytes, r.clone()) {
+                                    Ok(LogRecord::Dml(entry)) => entry,
+                                    Ok(_) => unreachable!("dispatched ranges are DML"),
+                                    Err(e) => {
+                                        let _ = failed.set(e);
+                                        break 'txns;
+                                    }
                                 };
                                 // Operation-sequence check: wait until the
                                 // row's previous version has been applied.
@@ -127,6 +134,9 @@ impl ReplayEngine for AtrEngine {
                                     while rvids.applied(entry.table, entry.key)
                                         < entry.row_version - 1
                                     {
+                                        if failed.get().is_some() {
+                                            break 'txns;
+                                        }
                                         std::thread::yield_now();
                                     }
                                 }
@@ -139,12 +149,15 @@ impl ReplayEngine for AtrEngine {
                     });
                 }
                 // Single visibility thread: publish in commit order.
-                let done = &done;
+                let (done, failed) = (&done, &failed);
                 let commit_busy = &commit_busy;
                 scope.spawn(move || {
                     let t0 = Instant::now();
-                    for (i, mt) in txns.iter().enumerate() {
+                    'publish: for (i, mt) in txns.iter().enumerate() {
                         while !done[i].load(Ordering::Acquire) {
+                            if failed.get().is_some() {
+                                break 'publish;
+                            }
                             std::thread::yield_now();
                         }
                         board.publish_group(GroupId::new(0), mt.commit_ts);
@@ -152,6 +165,9 @@ impl ReplayEngine for AtrEngine {
                     commit_busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 });
             });
+            if let Some(e) = failed.into_inner() {
+                return Err(e);
+            }
 
             board.publish_group(GroupId::new(0), work.max_commit_ts);
             board.publish_global(work.max_commit_ts);
@@ -213,6 +229,29 @@ mod tests {
         let board = VisibilityBoard::builder(1).build();
         AtrEngine::new(2).unwrap().replay(&epochs, &db, &board).unwrap();
         assert!(board.is_visible(&[GroupId::new(0)], last));
+    }
+
+    #[test]
+    fn atr_returns_a_corrupt_record_error_instead_of_hanging() {
+        use crate::engines::with_watchdog;
+        use aets_common::TableId;
+        use aets_wal::faults::corrupt_record_of;
+        let w = tpcc::generate(&TpccConfig { num_txns: 400, warehouses: 2, ..Default::default() });
+        let mut epochs = encode(w.txns, 64);
+        let n = w.table_names.len();
+        let (i, bad) = (0..epochs.len())
+            .find_map(|i| Some((i, corrupt_record_of(&epochs[i], TableId::new(2))?)))
+            .expect("a DML of table 2");
+        epochs[i] = bad;
+        let serial = SerialEngine.replay_all(&epochs, &MemDb::new(n));
+        assert!(matches!(serial, Err(Error::CodecChecksum)), "{serial:?}");
+        for threads in [1, 2, 4] {
+            let epochs = epochs.clone();
+            let got = with_watchdog(move || {
+                AtrEngine::new(threads).unwrap().replay_all(&epochs, &MemDb::new(n))
+            });
+            assert!(matches!(got, Err(Error::CodecChecksum)), "{threads} threads: {got:?}");
+        }
     }
 
     #[test]

@@ -26,9 +26,9 @@ pub mod serial;
 
 use crate::metrics::ReplayMetrics;
 use crate::visibility::VisibilityBoard;
-use aets_common::{Error, GroupId, Result, TableId};
+use aets_common::{DmlOp, Error, GroupId, Result, Row, TableId, TxnId};
 use aets_memtable::{MemDb, RecordNode, Version};
-use aets_wal::{decode_at, DmlEntry, EncodedEpoch, LogRecord};
+use aets_wal::{decode_dml_at, DmlEntry, EncodedEpoch};
 use bytes::Bytes;
 use std::ops::Range;
 use std::sync::Arc;
@@ -117,27 +117,27 @@ pub(crate) fn with_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 's
 }
 
 /// An uncommitted cell produced by TPLR phase 1: the target Memtable node
-/// plus the decoded column payload, held in the transaction context until
-/// the commit phase appends it (Figure 6).
+/// plus what the commit phase links into it, held in the transaction
+/// context until the commit phase appends it (Figure 6).
 #[derive(Debug)]
 pub struct Cell {
     /// Target record node (stable address).
     pub node: Arc<RecordNode>,
-    /// Decoded entry (op, columns, row version).
-    pub entry: DmlEntry,
+    /// Producing transaction.
+    pub txn_id: TxnId,
+    /// Row operation kind.
+    pub op: DmlOp,
+    /// Decoded new values.
+    pub cols: Row,
 }
 
 /// Decodes the DML entry at `range` of `buf` and resolves its Memtable
 /// node — the phase-1 *translate* step. Performs no locking beyond the
-/// index read/insert; nothing becomes visible.
+/// index read/insert; nothing becomes visible. The before image is
+/// validated but never built: AETS does not read it.
 pub fn translate_entry(db: &MemDb, buf: &Bytes, range: Range<usize>) -> Result<Cell> {
-    match decode_at(buf, range)? {
-        LogRecord::Dml(entry) => {
-            let node = db.table(entry.table).node_or_insert(entry.key);
-            Ok(Cell { node, entry })
-        }
-        other => Err(Error::Replay(format!("expected DML entry in range, found {other:?}"))),
-    }
+    let DmlEntry { txn_id, table, op, key, cols, .. } = decode_dml_at(buf, range)?;
+    Ok(Cell { node: db.table(table).node_or_insert(key), txn_id, op, cols })
 }
 
 /// Appends a cell's version with the *commit* timestamp of its owning
@@ -148,13 +148,8 @@ pub fn translate_entry(db: &MemDb, buf: &Bytes, range: Range<usize>) -> Result<C
 /// payload into the version chain — no copying — which is why the paper's
 /// Table II measures commit at well under 1 % of replay time.
 pub fn commit_cell(cell: Cell, commit_ts: aets_common::Timestamp) {
-    let Cell { node, entry } = cell;
-    node.append_version(Version {
-        txn_id: entry.txn_id,
-        commit_ts,
-        op: entry.op,
-        cols: entry.cols,
-    });
+    let Cell { node, txn_id, op, cols } = cell;
+    node.append_version(Version { txn_id, commit_ts, op, cols });
 }
 
 /// Applies a fully-decoded entry directly (used by the serial oracle, ATR,
@@ -167,4 +162,68 @@ pub fn apply_entry(db: &MemDb, entry: &DmlEntry, commit_ts: aets_common::Timesta
         op: entry.op,
         cols: entry.cols.clone(),
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aets_common::{ColumnId, Lsn, RowKey, Timestamp, Value};
+    use aets_wal::{crc32, decode_at, encode_record, LogRecord};
+    use bytes::BytesMut;
+
+    /// An update whose before image is one text column, `"ok"`, the last
+    /// bytes of the record body.
+    fn update_bytes() -> Vec<u8> {
+        let rec = LogRecord::Dml(DmlEntry {
+            lsn: Lsn::new(9),
+            txn_id: TxnId::new(4),
+            ts: Timestamp::from_micros(77),
+            table: TableId::new(1),
+            op: DmlOp::Update,
+            key: RowKey::new(31),
+            row_version: 2,
+            cols: vec![
+                (ColumnId::new(0), Value::Int(-3)),
+                (ColumnId::new(2), Value::from("naïve €")),
+                (ColumnId::new(3), Value::from(vec![0u8, 255])),
+            ],
+            before: Some(vec![(ColumnId::new(2), Value::from("ok"))]),
+        });
+        let mut buf = BytesMut::new();
+        encode_record(&mut buf, &rec);
+        buf.to_vec()
+    }
+
+    #[test]
+    fn translate_builds_decode_ats_cell_and_fails_with_its_error() {
+        let db = MemDb::new(2);
+        let clean = Bytes::from(update_bytes());
+        let n = clean.len();
+        let cell = translate_entry(&db, &clean, 0..n).unwrap();
+        let Ok(LogRecord::Dml(e)) = decode_at(&clean, 0..n) else { panic!("clean update") };
+        assert_eq!((cell.txn_id, cell.op, &cell.cols), (e.txn_id, e.op, &e.cols));
+        assert!(Arc::ptr_eq(&cell.node, &db.table(e.table).node_or_insert(e.key)));
+
+        // Malform the before image alone and restamp the record CRC, so
+        // only the image's own validation can catch it. The image is
+        // cid(2) + tag(1) + len(4) + "ok" right before the CRC trailer.
+        let body_end = n - 4;
+        // (what, bytes before the body end, patch)
+        let malformations: [(&str, usize, &[u8]); 3] = [
+            ("invalid utf-8", 2, &[0xFF]),
+            ("unknown value tag", 7, &[9]),
+            ("length past the record", 6, &1000u32.to_le_bytes()),
+        ];
+        for (what, back, patch) in malformations {
+            let mut v = update_bytes();
+            let at = body_end - back;
+            v[at..at + patch.len()].copy_from_slice(patch);
+            let crc = crc32(&v[..body_end]);
+            v[body_end..].copy_from_slice(&crc.to_le_bytes());
+            let bad = Bytes::from(v);
+            let want = decode_at(&bad, 0..n).expect_err(what).to_string();
+            let got = translate_entry(&db, &bad, 0..n).expect_err(what).to_string();
+            assert_eq!(got, want, "{what}");
+        }
+    }
 }

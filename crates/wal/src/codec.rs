@@ -7,19 +7,24 @@
 //! metadata-only parsing (ATR/AETS) and full-data-image parsing (C5) maps
 //! onto [`decode_meta`] vs [`decode_record`].
 //!
-//! Every record carries a trailing CRC32 over its encoded body.
-//! [`decode_record`] verifies it (so full decoding — the workers' phase-1
-//! translate, C5's dispatcher, the serial oracle — catches corruption that
-//! slipped past the epoch frame check), while [`decode_meta`] *skips* it:
-//! the metadata-only dispatch path never touches data images, and its
-//! integrity is covered by the per-epoch CRC verified once at ingest.
+//! Every record carries a trailing CRC32 over its encoded body. One
+//! offset parser over the borrowed frame decodes full records for every
+//! caller — [`decode_record`] (C5's dispatcher), [`decode_at`] (ATR),
+//! [`decode_dml_at`] (AETS's phase-1 translate, which validates the before
+//! image without building it), [`decode_batch_into`] (the serial oracle)
+//! and [`decode_row`] — and verifies the CRC after the body, so corruption
+//! that slipped past the epoch frame check fails the same way whoever
+//! reads it. [`decode_meta`] *skips* the CRC: the metadata-only dispatch
+//! path never touches data images, and its integrity is covered by the
+//! per-epoch CRC verified once at ingest.
 
 use crate::crc::crc32;
 use crate::entry::{DmlEntry, LogRecord};
 use aets_common::{
-    ColumnId, DmlOp, Error, Lsn, Result, Row, RowKey, TableId, Timestamp, TxnId, Value,
+    ColumnId, DmlOp, Error, Lsn, Result, Row, RowKey, TableId, Timestamp, TxnId, Utf8Bytes, Value,
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::ops::Range;
 
 const TAG_BEGIN: u8 = 0xB0;
 const TAG_COMMIT: u8 = 0xC0;
@@ -55,65 +60,11 @@ fn put_value(buf: &mut BytesMut, v: &Value) {
     }
 }
 
-fn get_value(buf: &mut Bytes) -> Result<Value> {
-    if buf.remaining() < 1 {
-        return Err(Error::CodecTruncated);
-    }
-    match buf.get_u8() {
-        VTAG_NULL => Ok(Value::Null),
-        VTAG_INT => {
-            need(buf, 8)?;
-            Ok(Value::Int(buf.get_i64_le()))
-        }
-        VTAG_FLOAT => {
-            need(buf, 8)?;
-            Ok(Value::Float(buf.get_f64_le()))
-        }
-        VTAG_TEXT => {
-            need(buf, 4)?;
-            let n = buf.get_u32_le() as usize;
-            need(buf, n)?;
-            // Zero-copy: the value is a refcounted slice of the epoch
-            // buffer; only UTF-8 validation touches the payload.
-            aets_common::Utf8Bytes::from_utf8(buf.split_to(n))
-                .map(Value::Text)
-                .map_err(|_| Error::Codec("invalid utf-8 in text value".into()))
-        }
-        VTAG_BYTES => {
-            need(buf, 4)?;
-            let n = buf.get_u32_le() as usize;
-            need(buf, n)?;
-            Ok(Value::Bytes(buf.split_to(n)))
-        }
-        _ => Err(Error::CodecBadTag),
-    }
-}
-
 fn put_row(buf: &mut BytesMut, row: &Row) {
     buf.put_u16_le(row.len() as u16);
     for (cid, v) in row {
         buf.put_u16_le(cid.raw());
         put_value(buf, v);
-    }
-}
-
-fn get_row(buf: &mut Bytes) -> Result<Row> {
-    need(buf, 2)?;
-    let n = buf.get_u16_le() as usize;
-    let mut row = Vec::with_capacity(n);
-    for _ in 0..n {
-        need(buf, 2)?;
-        let cid = ColumnId::new(buf.get_u16_le());
-        row.push((cid, get_value(buf)?));
-    }
-    Ok(row)
-}
-
-fn need(buf: &Bytes, n: usize) -> Result<()> {
-    if buf.remaining() < n {
-        Err(Error::CodecTruncated)
-    } else {
-        Ok(())
     }
 }
 
@@ -127,7 +78,10 @@ pub fn encode_row(buf: &mut BytesMut, row: &Row) {
 /// Decodes one row from the front of `buf`, consuming it. Inverse of
 /// [`encode_row`].
 pub fn decode_row(buf: &mut Bytes) -> Result<Row> {
-    get_row(buf)
+    let (mut pos, mut row) = (0, Vec::new());
+    row_at(buf, buf.len(), &mut pos, Some(&mut row))?;
+    buf.advance(pos);
+    Ok(row)
 }
 
 /// Encodes one record, appending to `buf`: the record body followed by a
@@ -174,59 +128,58 @@ fn encode_body(buf: &mut BytesMut, rec: &LogRecord) {
 /// Decodes one record from the front of `buf`, consuming it, and verifies
 /// its trailing CRC32 against the body bytes actually read.
 pub fn decode_record(buf: &mut Bytes) -> Result<LogRecord> {
-    let snapshot = buf.clone();
-    let rec = decode_body(buf)?;
-    let body_len = snapshot.remaining() - buf.remaining();
-    need(buf, 4)?;
-    if buf.get_u32_le() != crc32(&snapshot[..body_len]) {
-        return Err(Error::CodecChecksum);
-    }
+    let mut pos = 0;
+    let rec = record_at(buf, buf.len(), &mut pos, true)?;
+    buf.advance(pos);
     Ok(rec)
 }
 
-fn decode_body(buf: &mut Bytes) -> Result<LogRecord> {
-    need(buf, 1)?;
-    let tag = buf.get_u8();
-    match tag {
-        TAG_BEGIN | TAG_COMMIT => {
-            need(buf, 24)?;
-            let lsn = Lsn::new(buf.get_u64_le());
-            let txn_id = TxnId::new(buf.get_u64_le());
-            let ts = Timestamp::from_micros(buf.get_u64_le());
-            Ok(if tag == TAG_BEGIN {
-                LogRecord::Begin { lsn, txn_id, ts }
-            } else {
-                LogRecord::Commit { lsn, txn_id, ts }
-            })
+/// The one record parser: parses the record at `*pos` of `buf[..end]`,
+/// verifies its CRC32 trailer against the body bytes, and leaves `*pos`
+/// past the trailer. Offset arithmetic over the borrowed frame, so the
+/// only refcount bumps are the zero-copy slices of text and byte
+/// payloads. Without `build_before` a DML before image is validated
+/// (tags, lengths, UTF-8) but not built, and `before` comes back `None`.
+fn record_at(buf: &Bytes, end: usize, pos: &mut usize, build_before: bool) -> Result<LogRecord> {
+    let data = &buf[..end];
+    let start = *pos;
+    let tag = take(data, pos, 1)?[0];
+    // The whole fixed header is length-checked before any field is read:
+    // lsn(8) + txn(8) + ts(8), then for DML table(4) + op(1) + key(8) +
+    // row_version(8) + before-flag(1).
+    let fixed = match tag {
+        TAG_BEGIN | TAG_COMMIT => take(data, pos, 24)?,
+        TAG_DML => take(data, pos, 46)?,
+        _ => return Err(Error::CodecBadTag),
+    };
+    let mut f = 0;
+    let lsn = Lsn::new(take_u64(fixed, &mut f)?);
+    let txn_id = TxnId::new(take_u64(fixed, &mut f)?);
+    let ts = Timestamp::from_micros(take_u64(fixed, &mut f)?);
+    let rec = match tag {
+        TAG_BEGIN => LogRecord::Begin { lsn, txn_id, ts },
+        TAG_COMMIT => LogRecord::Commit { lsn, txn_id, ts },
+        _ => {
+            let table = TableId::new(take_u32(fixed, &mut f)?);
+            let op = DmlOp::from_tag(take(fixed, &mut f, 1)?[0]).ok_or(Error::CodecBadTag)?;
+            let key = RowKey::new(take_u64(fixed, &mut f)?);
+            let row_version = take_u64(fixed, &mut f)?;
+            let has_before = take(fixed, &mut f, 1)?[0] != 0;
+            let mut cols = Vec::new();
+            row_at(buf, end, pos, Some(&mut cols))?;
+            let mut image = Vec::new();
+            if has_before {
+                row_at(buf, end, pos, build_before.then_some(&mut image))?;
+            }
+            let before = (has_before && build_before).then_some(image);
+            LogRecord::Dml(DmlEntry { lsn, txn_id, ts, table, op, key, row_version, cols, before })
         }
-        TAG_DML => {
-            // lsn(8) + txn(8) + ts(8) + table(4) + op(1) + key(8) +
-            // row_version(8) + before-flag(1)
-            need(buf, 46)?;
-            let lsn = Lsn::new(buf.get_u64_le());
-            let txn_id = TxnId::new(buf.get_u64_le());
-            let ts = Timestamp::from_micros(buf.get_u64_le());
-            let table = TableId::new(buf.get_u32_le());
-            let op = DmlOp::from_tag(buf.get_u8()).ok_or(Error::CodecBadTag)?;
-            let key = RowKey::new(buf.get_u64_le());
-            let row_version = buf.get_u64_le();
-            let has_before = buf.get_u8() != 0;
-            let cols = get_row(buf)?;
-            let before = if has_before { Some(get_row(buf)?) } else { None };
-            Ok(LogRecord::Dml(DmlEntry {
-                lsn,
-                txn_id,
-                ts,
-                table,
-                op,
-                key,
-                row_version,
-                cols,
-                before,
-            }))
-        }
-        _ => Err(Error::CodecBadTag),
+    };
+    let body = start..*pos;
+    if take_u32(data, pos)? != crc32(&data[body]) {
+        return Err(Error::CodecChecksum);
     }
+    Ok(rec)
 }
 
 /// Metadata of a DML entry decoded without touching the data image.
@@ -314,6 +267,50 @@ fn meta_at(data: &[u8], start: usize) -> Result<(RecordMeta, usize)> {
     Ok((meta, pos - start))
 }
 
+/// Parses the row at `*pos` of `buf[..end]`, appending its columns to
+/// `out`; with `out` `None` it checks every tag, length and UTF-8 payload
+/// and builds nothing.
+fn row_at(buf: &Bytes, end: usize, pos: &mut usize, mut out: Option<&mut Row>) -> Result<()> {
+    let data = &buf[..end];
+    let n = take_u16(data, pos)? as usize;
+    if let Some(row) = out.as_deref_mut() {
+        row.reserve_exact(n);
+    }
+    for _ in 0..n {
+        let cid = ColumnId::new(take_u16(data, pos)?);
+        let value = match take(data, pos, 1)?[0] {
+            VTAG_NULL => Value::Null,
+            VTAG_INT => Value::Int(take_u64(data, pos)? as i64),
+            VTAG_FLOAT => Value::Float(f64::from_bits(take_u64(data, pos)?)),
+            vtag @ (VTAG_TEXT | VTAG_BYTES) => {
+                let len = take_u32(data, pos)? as usize;
+                let start = *pos;
+                take(data, pos, len)?;
+                let payload = start..*pos;
+                let bad_utf8 = |_| Error::Codec("invalid utf-8 in text value".into());
+                match (vtag, out.is_some()) {
+                    // Zero-copy: the value is a refcounted slice of the
+                    // epoch buffer; only UTF-8 validation reads the payload.
+                    (VTAG_TEXT, true) => {
+                        Value::Text(Utf8Bytes::from_utf8(buf.slice(payload)).map_err(bad_utf8)?)
+                    }
+                    (_, true) => Value::Bytes(buf.slice(payload)),
+                    (VTAG_TEXT, false) => {
+                        std::str::from_utf8(&data[payload]).map_err(bad_utf8)?;
+                        Value::Null
+                    }
+                    _ => Value::Null,
+                }
+            }
+            _ => return Err(Error::CodecBadTag),
+        };
+        if let Some(row) = out.as_deref_mut() {
+            row.push((cid, value));
+        }
+    }
+    Ok(())
+}
+
 fn skip_row_at(data: &[u8], pos: &mut usize) -> Result<()> {
     let n = take_u16(data, pos)? as usize;
     for _ in 0..n {
@@ -354,7 +351,7 @@ impl MetaScanner {
 }
 
 impl Iterator for MetaScanner {
-    type Item = Result<(RecordMeta, std::ops::Range<usize>)>;
+    type Item = Result<(RecordMeta, Range<usize>)>;
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.pos >= self.buf.len() {
@@ -379,9 +376,19 @@ impl Iterator for MetaScanner {
 
 /// Decodes the full record stored at `range` of `buf` (a range previously
 /// produced by [`MetaScanner`]).
-pub fn decode_at(buf: &Bytes, range: std::ops::Range<usize>) -> Result<LogRecord> {
-    let mut slice = buf.slice(range);
-    decode_record(&mut slice)
+pub fn decode_at(buf: &Bytes, range: Range<usize>) -> Result<LogRecord> {
+    record_at(buf, range.end, &mut range.start.clone(), true)
+}
+
+/// Decodes the DML record stored at `range` of `buf` the way phase-1
+/// translate needs it: every byte is validated and the CRC verified
+/// exactly as in [`decode_at`], but the before image is not built
+/// (`before` is `None`). A BEGIN/COMMIT record at `range` is an error.
+pub fn decode_dml_at(buf: &Bytes, range: Range<usize>) -> Result<DmlEntry> {
+    match record_at(buf, range.end, &mut range.start.clone(), false)? {
+        LogRecord::Dml(entry) => Ok(entry),
+        other => Err(Error::Codec(format!("expected a DML record, found {other:?}"))),
+    }
 }
 
 /// Encodes a batch of records into one buffer.
@@ -403,22 +410,11 @@ pub fn decode_batch(buf: Bytes) -> Result<Vec<LogRecord>> {
 /// Decodes a whole epoch frame in one pass, appending records to `out`.
 ///
 /// The batched twin of [`decode_batch`]: the caller owns the output
-/// vector, so a replay loop reuses one scratch allocation across epochs,
-/// and the frame is walked with a single cursor — each record's CRC is
-/// verified against the original buffer by offset instead of cloning a
-/// `Bytes` snapshot per record the way [`decode_record`] must.
+/// vector, so a replay loop reuses one scratch allocation across epochs.
 pub fn decode_batch_into(buf: &Bytes, out: &mut Vec<LogRecord>) -> Result<()> {
-    let total = buf.len();
-    let mut cursor = buf.clone();
-    while cursor.has_remaining() {
-        let start = total - cursor.remaining();
-        let rec = decode_body(&mut cursor)?;
-        let body_end = total - cursor.remaining();
-        need(&cursor, 4)?;
-        if cursor.get_u32_le() != crc32(&buf[start..body_end]) {
-            return Err(Error::CodecChecksum);
-        }
-        out.push(rec);
+    let mut pos = 0;
+    while pos < buf.len() {
+        out.push(record_at(buf, buf.len(), &mut pos, true)?);
     }
     Ok(())
 }
@@ -559,6 +555,264 @@ mod tests {
         assert!(matches!(decode_record(&mut b), Err(Error::CodecBadTag)));
         let mut b2 = Bytes::from_static(&[0xFFu8; 32][..]);
         assert!(decode_meta(&mut b2).is_err());
+    }
+
+    /// The `Bytes`-cursor decoder the offset parser replaced, kept as the
+    /// reference it must agree with on every input, corrupt ones included.
+    mod cursor {
+        use super::super::*;
+
+        fn need(buf: &Bytes, n: usize) -> Result<()> {
+            if buf.remaining() < n {
+                Err(Error::CodecTruncated)
+            } else {
+                Ok(())
+            }
+        }
+
+        fn get_value(buf: &mut Bytes) -> Result<Value> {
+            need(buf, 1)?;
+            match buf.get_u8() {
+                VTAG_NULL => Ok(Value::Null),
+                VTAG_INT => {
+                    need(buf, 8)?;
+                    Ok(Value::Int(buf.get_i64_le()))
+                }
+                VTAG_FLOAT => {
+                    need(buf, 8)?;
+                    Ok(Value::Float(buf.get_f64_le()))
+                }
+                VTAG_TEXT => {
+                    need(buf, 4)?;
+                    let n = buf.get_u32_le() as usize;
+                    need(buf, n)?;
+                    Utf8Bytes::from_utf8(buf.split_to(n))
+                        .map(Value::Text)
+                        .map_err(|_| Error::Codec("invalid utf-8 in text value".into()))
+                }
+                VTAG_BYTES => {
+                    need(buf, 4)?;
+                    let n = buf.get_u32_le() as usize;
+                    need(buf, n)?;
+                    Ok(Value::Bytes(buf.split_to(n)))
+                }
+                _ => Err(Error::CodecBadTag),
+            }
+        }
+
+        pub fn get_row(buf: &mut Bytes) -> Result<Row> {
+            need(buf, 2)?;
+            let n = buf.get_u16_le() as usize;
+            let mut row = Vec::with_capacity(n);
+            for _ in 0..n {
+                need(buf, 2)?;
+                let cid = ColumnId::new(buf.get_u16_le());
+                row.push((cid, get_value(buf)?));
+            }
+            Ok(row)
+        }
+
+        fn decode_body(buf: &mut Bytes) -> Result<LogRecord> {
+            need(buf, 1)?;
+            let tag = buf.get_u8();
+            match tag {
+                TAG_BEGIN | TAG_COMMIT => {
+                    need(buf, 24)?;
+                    let lsn = Lsn::new(buf.get_u64_le());
+                    let txn_id = TxnId::new(buf.get_u64_le());
+                    let ts = Timestamp::from_micros(buf.get_u64_le());
+                    Ok(if tag == TAG_BEGIN {
+                        LogRecord::Begin { lsn, txn_id, ts }
+                    } else {
+                        LogRecord::Commit { lsn, txn_id, ts }
+                    })
+                }
+                TAG_DML => {
+                    need(buf, 46)?;
+                    let lsn = Lsn::new(buf.get_u64_le());
+                    let txn_id = TxnId::new(buf.get_u64_le());
+                    let ts = Timestamp::from_micros(buf.get_u64_le());
+                    let table = TableId::new(buf.get_u32_le());
+                    let op = DmlOp::from_tag(buf.get_u8()).ok_or(Error::CodecBadTag)?;
+                    let key = RowKey::new(buf.get_u64_le());
+                    let row_version = buf.get_u64_le();
+                    let has_before = buf.get_u8() != 0;
+                    let cols = get_row(buf)?;
+                    let before = if has_before { Some(get_row(buf)?) } else { None };
+                    Ok(LogRecord::Dml(DmlEntry {
+                        lsn,
+                        txn_id,
+                        ts,
+                        table,
+                        op,
+                        key,
+                        row_version,
+                        cols,
+                        before,
+                    }))
+                }
+                _ => Err(Error::CodecBadTag),
+            }
+        }
+
+        pub fn decode_record(buf: &mut Bytes) -> Result<LogRecord> {
+            let snapshot = buf.clone();
+            let rec = decode_body(buf)?;
+            let body_len = snapshot.remaining() - buf.remaining();
+            need(buf, 4)?;
+            if buf.get_u32_le() != crc32(&snapshot[..body_len]) {
+                return Err(Error::CodecChecksum);
+            }
+            Ok(rec)
+        }
+    }
+
+    /// Text drawn from ASCII and 2-, 3- and 4-byte UTF-8 characters.
+    fn random_text(rng: &mut aets_common::rng::Rng) -> String {
+        const CHARS: [char; 6] = ['a', 'Z', '7', 'é', '€', '𝄞'];
+        (0..rng.below(6)).map(|_| CHARS[rng.below(6) as usize]).collect()
+    }
+
+    fn random_row(rng: &mut aets_common::rng::Rng) -> Row {
+        (0..rng.below(5))
+            .map(|_| {
+                let v = match rng.below(5) {
+                    0 => Value::Null,
+                    1 => Value::Int(rng.next_u64() as i64),
+                    2 => Value::Float(rng.uniform(-1e9, 1e9)),
+                    3 => Value::from(random_text(rng)),
+                    _ => Value::from(
+                        (0..rng.below(6)).map(|_| rng.next_u64() as u8).collect::<Vec<_>>(),
+                    ),
+                };
+                (ColumnId::new(rng.below(64) as u16), v)
+            })
+            .collect()
+    }
+
+    /// Seeded records of every kind: markers, and DML of every op with
+    /// every value kind, with and without a before image.
+    fn random_records(n: usize) -> Vec<LogRecord> {
+        let mut rng = aets_common::rng::Rng::new(0xC0DEC);
+        (0..n)
+            .map(|i| {
+                let (lsn, txn_id) = (Lsn::new(rng.next_u64()), TxnId::new(rng.next_u64()));
+                let ts = Timestamp::from_micros(rng.next_u64());
+                match i % 6 {
+                    0 => LogRecord::Begin { lsn, txn_id, ts },
+                    1 => LogRecord::Commit { lsn, txn_id, ts },
+                    _ => LogRecord::Dml(DmlEntry {
+                        lsn,
+                        txn_id,
+                        ts,
+                        table: TableId::new(rng.below(70) as u32),
+                        op: DmlOp::from_tag(rng.below(3) as u8).unwrap(),
+                        key: RowKey::new(rng.next_u64()),
+                        row_version: rng.next_u64(),
+                        cols: random_row(&mut rng),
+                        before: rng.chance(0.5).then(|| random_row(&mut rng)),
+                    }),
+                }
+            })
+            .collect()
+    }
+
+    /// The buffers a record must be checked on: the clean encoding, its
+    /// every truncation, and its every single-byte flip (three patterns).
+    fn damaged(clean: &[u8]) -> impl Iterator<Item = (String, Bytes)> + '_ {
+        let cuts = (0..clean.len()).map(|cut| (format!("cut at {cut}"), clean[..cut].to_vec()));
+        let flips = (0..clean.len()).flat_map(move |pos| {
+            [0x01u8, 0xFF, 0x80].map(|mask| {
+                let mut bad = clean.to_vec();
+                bad[pos] ^= mask;
+                (format!("flip {mask:#x} at {pos}"), bad)
+            })
+        });
+        std::iter::once(("clean".to_string(), clean.to_vec()))
+            .chain(cuts)
+            .chain(flips)
+            .map(|(what, b)| (what, Bytes::from(b)))
+    }
+
+    /// Outcomes compared by their `Debug` form: the same value (NaN
+    /// floats included) or the same `Error`, message and all.
+    fn show<T: std::fmt::Debug>(r: &Result<T>) -> String {
+        format!("{r:?}")
+    }
+
+    #[test]
+    fn offset_parser_matches_the_cursor_reference_on_every_damage() {
+        for rec in random_records(120) {
+            let mut enc = BytesMut::new();
+            encode_record(&mut enc, &rec);
+            for (what, buf) in damaged(&enc) {
+                let want = cursor::decode_record(&mut buf.clone());
+                let ctx = format!("{what} of {rec:?}");
+                assert_eq!(show(&decode_record(&mut buf.clone())), show(&want), "{ctx}");
+                assert_eq!(show(&decode_at(&buf, 0..buf.len())), show(&want), "{ctx}");
+                // `decode_at` reads only its range, even inside a longer frame.
+                let mut framed = buf.to_vec();
+                framed.extend_from_slice(&enc);
+                let framed = Bytes::from(framed);
+                assert_eq!(show(&decode_at(&framed, 0..buf.len())), show(&want), "{ctx}");
+                let lean = want.clone().and_then(|r| match r {
+                    LogRecord::Dml(d) => Ok(DmlEntry { before: None, ..d }),
+                    other => Err(Error::Codec(format!("expected a DML record, found {other:?}"))),
+                });
+                assert_eq!(show(&decode_dml_at(&buf, 0..buf.len())), show(&lean), "{ctx}");
+                let mut batch = Vec::new();
+                let got = decode_batch_into(&buf, &mut batch).map(|()| batch);
+                let mut cur = buf.clone();
+                let mut batch_want = Ok(Vec::new());
+                while cur.has_remaining() {
+                    match cursor::decode_record(&mut cur) {
+                        Ok(r) => batch_want.as_mut().unwrap().push(r),
+                        Err(e) => {
+                            batch_want = Err(e);
+                            break;
+                        }
+                    }
+                }
+                assert_eq!(show(&got), show(&batch_want), "{ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn decode_row_matches_the_cursor_reference_on_every_damage() {
+        let mut rng = aets_common::rng::Rng::new(7);
+        for _ in 0..200 {
+            let row = random_row(&mut rng);
+            let mut enc = BytesMut::new();
+            encode_row(&mut enc, &row);
+            for (what, buf) in damaged(&enc) {
+                let (mut a, mut b) = (buf.clone(), buf.clone());
+                let (got, want) = (decode_row(&mut a), cursor::get_row(&mut b));
+                assert_eq!(show(&got), show(&want), "{what} of {row:?}");
+                if want.is_ok() {
+                    assert_eq!(a.remaining(), b.remaining(), "{what} of {row:?}");
+                }
+            }
+        }
+    }
+
+    /// The WAL-codec line of the byte-flip sweep: no single-byte flip of
+    /// any record kind decodes, whatever entry point reads it.
+    #[test]
+    fn every_single_byte_flip_of_a_record_is_rejected() {
+        for rec in random_records(120) {
+            let mut enc = BytesMut::new();
+            encode_record(&mut enc, &rec);
+            for (what, buf) in damaged(&enc).filter(|(what, _)| what.starts_with("flip")) {
+                let n = buf.len();
+                assert!(decode_record(&mut buf.clone()).is_err(), "{what} of {rec:?}");
+                assert!(decode_at(&buf, 0..n).is_err(), "{what} of {rec:?}");
+                assert!(decode_batch(buf.clone()).is_err(), "{what} of {rec:?}");
+                if matches!(rec, LogRecord::Dml(_)) {
+                    assert!(decode_dml_at(&buf, 0..n).is_err(), "{what} of {rec:?}");
+                }
+            }
+        }
     }
 
     fn arb_value() -> impl Strategy<Value = Value> {

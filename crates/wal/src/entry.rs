@@ -4,8 +4,9 @@
 //! transaction ID, creation timestamp, and — for DML entries — the table
 //! ID, the row key, and the concatenation of (column id, new value) pairs.
 //! Updates optionally carry the before-image of the modified columns; the
-//! ATR baseline needs it for its operation-sequence check, while AETS and
-//! C5 ignore it.
+//! ATR baseline decodes it in full, while AETS and C5 ignore it. AETS's
+//! phase-1 translate does not even build it: `decode_dml_at` validates its
+//! bytes and returns `before: None`.
 
 use aets_common::{value::row_wire_size, DmlOp, Lsn, Row, RowKey, TableId, Timestamp, TxnId};
 

@@ -21,8 +21,8 @@ pub mod segment;
 pub mod stream;
 
 pub use codec::{
-    decode_at, decode_batch, decode_batch_into, decode_meta, decode_record, decode_row,
-    encode_batch, encode_record, encode_row, MetaScanner, RecordMeta,
+    decode_at, decode_batch, decode_batch_into, decode_dml_at, decode_meta, decode_record,
+    decode_row, encode_batch, encode_record, encode_row, MetaScanner, RecordMeta,
 };
 pub use crash::CrashClock;
 pub use crc::{crc32, crc32_scalar};
