@@ -26,9 +26,10 @@ use aets_memtable::{
     MIN_CUT_LEN,
 };
 use aets_neural::{Tape, Tensor};
+use aets_replay::engines::aets::CHUNK;
 use aets_replay::{
-    allocate_threads, dbscan_1d, dispatch_epoch, eval_spec, translate_entry, AetsConfig,
-    AetsEngine, BackupNode, ControllerConfig, DurableBackup, DurableOptions, NodeOptions,
+    allocate_threads, dbscan_1d, dispatch_epoch, eval_spec, translate_mini_txns, AetsConfig,
+    AetsEngine, BackupNode, ControllerConfig, DurableBackup, DurableOptions, MiniTxn, NodeOptions,
     QueryOutput, QuerySpec, QueryTarget, ReplayEngine, ReplayMetrics, SerialEngine, ServiceOptions,
     TableGrouping, UrgencyMode, VisibilityBoard,
 };
@@ -882,17 +883,44 @@ pub fn micro(scale: Scale) -> BenchResult {
     });
     let work = dispatch_epoch(&one_epoch[0], &bench.grouping).expect("dispatch");
     let db = MemDb::new(n);
-    let sample: Vec<_> = work.groups[0]
-        .mini_txns
-        .iter()
-        .flat_map(|mt| mt.entry_ranges.iter().cloned())
-        .take(1_000)
-        .collect();
-    r.timed("replay/phase1_translate_1k", Some(sample.len() as u64), || {
-        for range in &sample {
-            black_box(translate_entry(&db, &work.bytes, range.clone()).expect("translate"));
+    // Phase 1 as a crew member runs it: `CHUNK` mini-transactions at a
+    // time, each table's keys resolved under one index guard.
+    let group = &work.groups[0].mini_txns;
+    let translate = |db: &MemDb, mts: &[MiniTxn]| {
+        // Sized up front, as the engine's pooled buffers are.
+        let mut cells = Vec::with_capacity(mts.iter().map(|mt| mt.entry_ranges.len()).sum());
+        for chunk in mts.chunks(CHUNK) {
+            assert!(translate_mini_txns(db, &work.bytes, chunk, &mut cells).1.is_none());
         }
-    });
+        cells
+    };
+    let mut seen = 0;
+    let sample = &group[..group
+        .iter()
+        .take_while(|mt| {
+            seen += mt.entry_ranges.len();
+            seen <= 1_000
+        })
+        .count()];
+    let items = Some(translate(&db, sample).len() as u64);
+    r.timed("replay/phase1_translate_1k", items, || translate(&db, black_box(sample)));
+    // Two threads translate disjoint halves of the group's chunks into one
+    // `MemDb`, checked against one thread's cells: crew members share a
+    // table's index only this way, and only when a group is split.
+    let (lo, hi) = group.split_at((group.len().div_ceil(CHUNK) / 2 * CHUNK).min(group.len()));
+    let two = |db: &MemDb| {
+        std::thread::scope(|s| {
+            let other = s.spawn(|| translate(db, hi));
+            (translate(db, lo), other.join().expect("translator thread"))
+        })
+    };
+    let (a, b) = two(&db);
+    let one = translate(&db, group);
+    assert_eq!(a.len() + b.len(), one.len(), "the halves translate every entry once");
+    for (got, want) in a.iter().chain(&b).zip(&one) {
+        assert!(got.txn_id == want.txn_id && Arc::ptr_eq(&got.node, &want.node), "another cell");
+    }
+    r.timed("replay/phase1_translate_2t", Some(one.len() as u64), || two(&db));
     let entries = Some(bench.workload.total_entries() as u64);
     let engine = aets(&bench.grouping, 2).build().expect("valid config");
     r.timed("replay/aets_full_replay_2t", entries, || {

@@ -149,6 +149,13 @@ impl<K: Ord + Clone, V> Node<K, V> {
         std::iter::once((at, &*children[first])).chain(rest).collect()
     }
 
+    fn last_key(&self) -> Option<&K> {
+        match self {
+            Node::Leaf { keys, .. } => keys.last(),
+            Node::Internal { children, .. } => children.last()?.last_key(),
+        }
+    }
+
     fn depth(&self) -> usize {
         match self {
             Node::Leaf { .. } => 1,
@@ -189,6 +196,11 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
     /// Point lookup.
     pub fn get(&self, key: &K) -> Option<&V> {
         self.root.get(key)
+    }
+
+    /// The largest key, if any: one walk down the rightmost edge.
+    pub fn last_key(&self) -> Option<&K> {
+        self.root.last_key()
     }
 
     /// Inserts `key -> val`, returning the previous value if present.
@@ -294,8 +306,10 @@ mod tests {
     #[test]
     fn sequential_inserts_split_and_stay_sorted() {
         let mut t = BPlusTree::new();
+        assert_eq!(t.last_key(), None);
         for i in 0..10_000u64 {
             t.insert(i, i * 2);
+            assert_eq!(t.last_key(), Some(&i));
         }
         assert_eq!(t.len(), 10_000);
         assert!(t.depth() > 1, "tree should have split");

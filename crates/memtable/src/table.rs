@@ -10,9 +10,16 @@ use std::sync::{Arc, RwLock};
 /// shareable [`RecordNode`].
 ///
 /// Lock protocol: the index `RwLock` guards only the *structure* of the
-/// B+Tree. Phase-1 lookups take the read lock; inserting a brand-new record
-/// node (first time a key is seen) takes the write lock. Version chains are
-/// mutated through the node's own lock, never through the index lock.
+/// B+Tree. Phase-1 lookups take the read lock, once per run of keys
+/// ([`Table::nodes_or_insert`]); inserting brand-new record nodes (first
+/// time a key is seen) takes the write lock, once per run. Version chains
+/// are mutated through the node's own lock, never through the index lock.
+///
+/// No caller holds two tables' index guards at once. `std`'s `RwLock`
+/// prefers writers: a reader queues behind a waiting writer even while
+/// other readers — a query scan holds its guard for a whole walk — are
+/// inside. Two threads that each held one table's guard while asking for
+/// the other's would wait on each other through the queued writers.
 #[derive(Debug)]
 pub struct Table {
     id: TableId,
@@ -45,23 +52,64 @@ impl Table {
         read(&self.index).get(&key).cloned()
     }
 
-    /// Looks up or creates the node for `key`.
-    ///
-    /// Used by TPLR phase 1 for `insert` log entries: the node is created
-    /// immediately (so the cell can point at it) but stays invisible until
-    /// the commit phase appends its first version.
+    /// Looks up or creates the node for `key`: the one-key case of
+    /// [`Table::nodes_or_insert`]. A new node stays invisible until the
+    /// commit phase appends its first version.
     pub fn node_or_insert(&self, key: RowKey) -> Arc<RecordNode> {
-        if let Some(n) = read(&self.index).get(&key) {
-            return n.clone();
+        let mut out = [None];
+        self.nodes_or_insert([(key, 0)], &mut out);
+        out[0].take().expect("nodes_or_insert resolves every slot")
+    }
+
+    /// Resolves every `(key, slot)` of `run` into `out[slot]`, creating
+    /// the nodes of new keys: one read guard for the run, then one write
+    /// guard for its misses. Each miss is re-checked under the write
+    /// guard — another thread, or an earlier duplicate in `run`, may have
+    /// inserted it in between — so a key only ever gets one node.
+    pub fn nodes_or_insert<I>(&self, run: I, out: &mut [Option<Arc<RecordNode>>])
+    where
+        I: IntoIterator<Item = (RowKey, usize)> + Clone,
+    {
+        let index = read(&self.index);
+        // A key past the table's last one is new without a lookup: most new
+        // keys are appends. The last key is found at the first miss of a
+        // run of several keys, so neither a run of hits nor a lone key
+        // (which has nothing to share the walk with) pays for it.
+        let several = run.clone().into_iter().nth(1).is_some();
+        let mut last = None;
+        let mut missed = false;
+        for (key, slot) in run.clone() {
+            out[slot] = match last {
+                Some(last) if Some(key) > last => None,
+                _ => index.get(&key).cloned(),
+            };
+            if out[slot].is_none() {
+                missed = true;
+                if several {
+                    last.get_or_insert_with(|| index.last_key().copied());
+                }
+            }
+        }
+        drop(index);
+        if !missed {
+            return;
         }
         let mut index = write(&self.index);
-        // Re-check: another worker may have raced us between locks.
-        if let Some(n) = index.get(&key) {
-            return n.clone();
+        for (key, slot) in run {
+            if out[slot].is_none() {
+                // The insert is the re-check: a node it displaces is put
+                // back, and is the key's node. So a miss costs one walk of
+                // the tree under this guard, not a lookup and an insert.
+                let node = Arc::new(RecordNode::new());
+                out[slot] = Some(match index.insert(key, node.clone()) {
+                    None => node,
+                    Some(old) => {
+                        index.insert(key, old.clone());
+                        old
+                    }
+                });
+            }
         }
-        let node = Arc::new(RecordNode::new());
-        index.insert(key, node.clone());
-        node
     }
 
     /// Convenience: append a committed version directly (used by the serial
@@ -256,6 +304,42 @@ mod tests {
         assert_eq!(keys, (0..30).collect::<Vec<_>>());
     }
 
+    /// `(key, slot)` pairs for `keys`, in order.
+    fn run(keys: &[u64]) -> Vec<(RowKey, usize)> {
+        keys.iter().enumerate().map(|(slot, &k)| (RowKey::new(k), slot)).collect()
+    }
+
+    #[test]
+    fn nodes_or_insert_resolves_hits_and_misses_like_node_or_insert() {
+        let t = Table::new(TableId::new(0));
+        let old = [2u64, 4, 6].map(|k| t.node_or_insert(RowKey::new(k)));
+        let keys = [9u64, 2, 3, 6, 1, 4];
+        let mut out = vec![None; keys.len()];
+        t.nodes_or_insert(run(&keys), &mut out);
+        assert_eq!(t.len(), 6);
+        for (&k, node) in keys.iter().zip(&out) {
+            let node = node.as_ref().expect("every slot resolved");
+            assert!(Arc::ptr_eq(node, &t.node_or_insert(RowKey::new(k))), "key {k}");
+        }
+        // Slots 1, 5 and 3 hold keys 2, 4 and 6, which existed before.
+        for (slot, node) in [1, 5, 3].into_iter().zip(&old) {
+            assert!(Arc::ptr_eq(out[slot].as_ref().unwrap(), node), "a hit kept its node");
+        }
+    }
+
+    #[test]
+    fn nodes_or_insert_gives_a_repeated_key_one_node() {
+        let t = Table::new(TableId::new(0));
+        let keys = [5u64, 5, 8, 5];
+        let mut out = vec![None; keys.len()];
+        t.nodes_or_insert(run(&keys), &mut out);
+        assert_eq!(t.len(), 2);
+        let five = t.node(RowKey::new(5)).unwrap();
+        for slot in [0, 1, 3] {
+            assert!(Arc::ptr_eq(out[slot].as_ref().unwrap(), &five), "slot {slot}");
+        }
+    }
+
     #[test]
     fn concurrent_node_or_insert_races_safely() {
         let t = Arc::new(Table::new(TableId::new(0)));
@@ -273,6 +357,36 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(t.len(), 100);
+
+        // Batches: every round, 8 threads start together on overlapping
+        // runs of fresh keys, so misses race between the read and the
+        // write guard. Each key must end with one node, the one every
+        // thread was handed.
+        const ROUNDS: u64 = 200;
+        let start = Arc::new(std::sync::Barrier::new(8));
+        let handles: Vec<_> = (0..8u64)
+            .map(|tid| {
+                let (t, start) = (t.clone(), start.clone());
+                thread::spawn(move || {
+                    let mut got = Vec::new();
+                    for round in 0..ROUNDS {
+                        let base = 1_000 + round * 64;
+                        let keys: Vec<u64> = (0..32).map(|i| base + (i + tid * 4) % 64).collect();
+                        let mut out = vec![None; keys.len()];
+                        start.wait();
+                        t.nodes_or_insert(run(&keys), &mut out);
+                        got.extend(keys.into_iter().zip(out.into_iter().map(Option::unwrap)));
+                    }
+                    got
+                })
+            })
+            .collect();
+        for h in handles {
+            for (k, node) in h.join().unwrap() {
+                assert!(Arc::ptr_eq(&node, &t.node(RowKey::new(k)).unwrap()), "key {k}");
+            }
+        }
+        assert_eq!(t.len(), 100 + 60 * ROUNDS as usize);
     }
 
     #[test]

@@ -185,7 +185,7 @@ impl CheckpointStore {
         for (seq, path) in self.list()?.into_iter().rev() {
             charge(&self.clock, "read checkpoint manifest")?;
             match std::fs::read(&path) {
-                Ok(raw) => match parse_checkpoint(&raw, seq) {
+                Ok(raw) => match parse_checkpoint(&Bytes::from(raw), seq) {
                     Ok((meta, db)) => return Ok((Some(Checkpoint { meta, db, path }), fallbacks)),
                     Err(_) => fallbacks += 1,
                 },
@@ -226,13 +226,16 @@ fn parse_checkpoint_name(path: &Path) -> Option<u64> {
 /// Validates and decodes one manifest. `named_seq` is the sequence from
 /// the file name; a mismatch with the header means the file was tampered
 /// with or misplaced and is treated as invalid.
-fn parse_checkpoint(raw: &[u8], named_seq: u64) -> Result<(CheckpointMeta, MemDb)> {
+///
+/// The snapshot decodes in place: decoded text and byte values are views
+/// of `raw`, so they pin the file's one buffer and nothing is copied.
+fn parse_checkpoint(raw: &Bytes, named_seq: u64) -> Result<(CheckpointMeta, MemDb)> {
     // Fixed prelude through num_groups.
     let fail = || Error::CodecChecksum;
     if raw.len() < 32 {
         return Err(fail());
     }
-    let mut cur: &[u8] = raw;
+    let mut cur: &[u8] = raw.as_slice();
     if cur.get_u32_le() != CKPT_MAGIC || cur.get_u32_le() != CKPT_VERSION {
         return Err(fail());
     }
@@ -264,16 +267,11 @@ fn parse_checkpoint(raw: &[u8], named_seq: u64) -> Result<(CheckpointMeta, MemDb
     if cur.remaining() != snapshot_len + 4 {
         return Err(fail());
     }
-    let snapshot = &raw[raw.len() - cur.remaining()..raw.len() - 4];
-    let stored_snap_crc = {
-        let mut tail: &[u8] = &raw[raw.len() - 4..];
-        tail.get_u32_le()
-    };
-    if crc32(snapshot) != stored_snap_crc {
+    let mut snapshot = raw.slice(raw.len() - cur.remaining()..raw.len() - 4);
+    if crc32(&snapshot) != (&raw[raw.len() - 4..]).get_u32_le() {
         return Err(fail());
     }
-    let mut snap_buf: Bytes = Bytes::copy_from_slice(snapshot);
-    let db = decode_db(&mut snap_buf)?;
+    let db = decode_db(&mut snapshot)?;
     Ok((CheckpointMeta { next_epoch_seq, global_cmt_ts, tg_cmt_ts, quarantined }, db))
 }
 
@@ -352,7 +350,8 @@ mod tests {
 
     #[test]
     fn a_manifest_the_previous_writer_wrote_loads_and_is_what_we_write() {
-        let (meta, db) = parse_checkpoint(PARENT_MANIFEST, 7).expect("version 1 still loads");
+        let (meta, db) = parse_checkpoint(&Bytes::from_static(PARENT_MANIFEST), 7)
+            .expect("version 1 still loads");
         assert_eq!(meta, sample_meta(7));
         let want = fixture_db();
         assert_eq!(db.total_versions(), want.total_versions());
@@ -410,16 +409,49 @@ mod tests {
         let dir = scratch("trunc");
         let store = CheckpointStore::open(&dir, None).unwrap();
         let path = store.write(&sample_meta(1), &sample_db(), Timestamp::MAX).unwrap();
-        let raw = std::fs::read(&path).unwrap();
+        let raw = Bytes::from(std::fs::read(&path).unwrap());
         for cut in 0..raw.len() {
             assert!(
-                parse_checkpoint(&raw[..cut], 1).is_err(),
+                parse_checkpoint(&raw.slice(..cut), 1).is_err(),
                 "prefix of {cut}/{} bytes must not validate",
                 raw.len()
             );
         }
         assert!(parse_checkpoint(&raw, 1).is_ok());
         assert!(parse_checkpoint(&raw, 2).is_err(), "name/header seq mismatch rejected");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_single_byte_flip_of_a_manifest_falls_back() {
+        let dir = scratch("flip");
+        let store = CheckpointStore::open(&dir, None).unwrap();
+        let want = fixture_db();
+        store.write(&sample_meta(3), &want, Timestamp::MAX).unwrap();
+        let newest = store.write(&sample_meta(9), &want, Timestamp::MAX).unwrap();
+        let clean = std::fs::read(&newest).unwrap();
+        for at in 0..clean.len() {
+            for flip in [0x01u8, 0x80, 0xFF] {
+                let mut raw = clean.clone();
+                raw[at] ^= flip;
+                std::fs::write(&newest, &raw).unwrap();
+                let (ckpt, fallbacks) = store.load_latest().unwrap();
+                let ckpt = ckpt.expect("the intact older manifest loads");
+                assert_eq!((ckpt.meta.next_epoch_seq, fallbacks), (3, 1), "byte {at} ^ {flip:#x}");
+                assert_eq!(ckpt.db.digest_at(Timestamp::MAX), want.digest_at(Timestamp::MAX));
+            }
+        }
+        // With no older manifest to fall back to, a damaged one is a cold
+        // start.
+        for (seq, path) in store.list().unwrap() {
+            if seq == 3 {
+                std::fs::remove_file(path).unwrap();
+            }
+        }
+        let mut raw = clean;
+        raw[0] ^= 0xFF;
+        std::fs::write(&newest, &raw).unwrap();
+        assert!(matches!(store.load_latest().unwrap(), (None, 1)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -47,7 +47,7 @@ use crate::alloc::{allocate_threads, UrgencyMode};
 use crate::dispatch::{dispatch_epoch, DispatchedEpoch, GroupWork, MiniTxn};
 use crate::engines::crew::{Backoff, Crew};
 use crate::engines::pool::CellPool;
-use crate::engines::{commit_cell, panic_error, translate_entry, Cell, ReplayEngine};
+use crate::engines::{commit_cell, panic_error, translate_mini_txns, Cell, ReplayEngine};
 use crate::grouping::TableGrouping;
 use crate::metrics::ReplayMetrics;
 use crate::visibility::VisibilityBoard;
@@ -646,11 +646,10 @@ impl AetsEngine {
         }
     }
 
-    /// TPLR phase 1 for chunk `c` of a group: decodes every entry and
-    /// resolves its Memtable node into one pooled buffer. Stops at the
-    /// first mini-transaction that fails to translate, keeping the ones
-    /// before it, so the committer freezes the group at exactly the last
-    /// consistent commit.
+    /// TPLR phase 1 for chunk `c` of a group: [`translate_mini_txns`] into
+    /// one pooled buffer. It stops at the first mini-transaction that
+    /// fails to translate, keeping the ones before it, so the committer
+    /// freezes the group at exactly the last consistent commit.
     fn translate_chunk(&self, epoch: &EpochRun<'_>, task: &GroupTask<'_>, c: usize) -> Chunk {
         let t0 = Instant::now();
         let ring = self.telemetry.spans();
@@ -661,20 +660,8 @@ impl AetsEngine {
         let entries: usize = mini_txns.iter().map(|mt| mt.entry_ranges.len()).sum();
         let mut chunk =
             Chunk { cells: self.pools[task.gid.index()].take(entries), translated: 0, err: None };
-        'mini_txns: for mt in mini_txns {
-            let start = chunk.cells.len();
-            for r in &mt.entry_ranges {
-                match translate_entry(epoch.db, &epoch.work.bytes, r.clone()) {
-                    Ok(cell) => chunk.cells.push(cell),
-                    Err(e) => {
-                        chunk.cells.truncate(start);
-                        chunk.err = Some(e);
-                        break 'mini_txns;
-                    }
-                }
-            }
-            chunk.translated += 1;
-        }
+        (chunk.translated, chunk.err) =
+            translate_mini_txns(epoch.db, &epoch.work.bytes, mini_txns, &mut chunk.cells);
         if let Some(s) = span {
             s.finish(ring);
         }
@@ -864,7 +851,7 @@ const DISPATCH_AHEAD: usize = 2;
 /// pool round trip and (split groups) its slot lock over enough work to
 /// take all three off the hot path, and is still small next to an epoch,
 /// so a split group has several chunks to share out.
-const CHUNK: usize = 32;
+pub const CHUNK: usize = 32;
 
 /// Busy time of every crew member over one `replay` call, in
 /// nanoseconds, added chunk by chunk: translate (phase 1) and commit

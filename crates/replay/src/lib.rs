@@ -61,7 +61,7 @@ pub use engines::atr::AtrEngine;
 pub use engines::c5::C5Engine;
 pub use engines::pool::CellPool;
 pub use engines::serial::SerialEngine;
-pub use engines::{apply_entry, commit_cell, translate_entry, Cell, ReplayEngine};
+pub use engines::{apply_entry, commit_cell, translate_mini_txns, Cell, ReplayEngine};
 pub use grouping::{dbscan_1d, TableGrouping};
 pub use metrics::ReplayMetrics;
 pub use options::{ServiceOptions, ServiceOptionsBuilder};
