@@ -4,10 +4,10 @@
 //! Everything in the reproduction that involves randomness takes an
 //! explicit seed so that experiments are replayable: workload logs and
 //! query streams, forecaster weights and training order, and
-//! property-test cases all draw from [`Rng`]. The fault plans are keyed
-//! by coordinate instead and use the stateless [`crate::mix`] functions
-//! directly. `tests/generator_pins.rs` pins every seeded stream bit for
-//! bit.
+//! property-test cases (through [`check`]) all draw from [`Rng`]. The
+//! fault plans are keyed by coordinate instead and use the stateless
+//! [`crate::mix`] functions directly. `tests/generator_pins.rs` pins
+//! every seeded stream bit for bit.
 
 use crate::mix::{splitmix64, unit_f64};
 
@@ -140,6 +140,26 @@ pub fn nurand(rng: &mut Rng, a: u64, x: u64, y: u64, c: u64) -> u64 {
     (((r1 | r2) + c) % (y - x + 1)) + x
 }
 
+/// Runs the property `case` over `cases` generated cases. Case `i` draws
+/// from an [`Rng`] seeded with FNV-1a(`name`) + `i`, so every run draws
+/// the same cases with no state kept between runs. A case fails by
+/// panicking: the run stops there, prints the property, case index and
+/// seed, and re-raises the case's panic.
+pub fn check(name: &str, cases: u32, mut case: impl FnMut(&mut Rng)) {
+    let base = name
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3));
+    for i in 0..cases {
+        let seed = base.wrapping_add(u64::from(i));
+        let mut rng = Rng::new(seed);
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| case(&mut rng)));
+        if let Err(payload) = run {
+            eprintln!("property `{name}` failed at case {i} (seed {seed:#x})");
+            std::panic::resume_unwind(payload);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,5 +288,46 @@ mod tests {
             let v = nurand(&mut rng, 1023, 1, 3000, 123);
             assert!((1..=3000).contains(&v));
         }
+    }
+
+    #[test]
+    fn check_draws_its_cases_from_the_property_name() {
+        let stream = |name: &str| {
+            let mut words = Vec::new();
+            check(name, 5, |rng| words.push(rng.next_u64()));
+            words
+        };
+        assert_eq!(stream("det"), stream("det"));
+        assert_ne!(stream("det"), stream("other"));
+        // Case 0 is seeded with FNV-1a of the name, case 1 with one more.
+        let base: u64 = 0xcbf2_9ce4_8422_2325;
+        let seed =
+            b"det".iter().fold(base, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3));
+        assert_eq!(stream("det")[..2], [Rng::new(seed).next_u64(), Rng::new(seed + 1).next_u64()]);
+    }
+
+    #[test]
+    fn check_runs_exactly_cases_times() {
+        for cases in [0, 1, 64] {
+            let mut calls = 0u32;
+            check("count", cases, |_| calls += 1);
+            assert_eq!(calls, cases);
+        }
+    }
+
+    #[test]
+    fn a_failing_case_stops_the_run_and_reraises_its_panic() {
+        let mut calls = 0u32;
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            check("fails", 10, |_| {
+                calls += 1;
+                if calls == 4 {
+                    std::panic::panic_any(String::from("case 3 broke"));
+                }
+            })
+        }));
+        let payload = run.expect_err("the failing case must fail the run");
+        assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("case 3 broke"));
+        assert_eq!(calls, 4, "the run went on past the failing case");
     }
 }

@@ -282,8 +282,8 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use std::collections::BTreeMap;
+    use aets_common::rng::check;
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn empty_tree_behaves() {
@@ -401,30 +401,33 @@ mod tests {
         assert!(small.cut(&0, &u64::MAX, 4).is_empty());
     }
 
-    proptest! {
-        #[test]
-        fn matches_btreemap(ops in prop::collection::vec((any::<u16>(), any::<u32>()), 0..2000)) {
+    #[test]
+    fn matches_btreemap() {
+        check("matches_btreemap", 64, |rng| {
+            let ops: Vec<(u16, u32)> = (0..rng.below(2000))
+                .map(|_| (rng.next_u64() as u16, rng.next_u64() as u32))
+                .collect();
             let mut ours = BPlusTree::new();
             let mut std = BTreeMap::new();
             for (k, v) in &ops {
-                prop_assert_eq!(ours.insert(*k, *v), std.insert(*k, *v));
+                assert_eq!(ours.insert(*k, *v), std.insert(*k, *v));
             }
-            prop_assert_eq!(ours.len(), std.len());
+            assert_eq!(ours.len(), std.len());
             for (k, v) in &std {
-                prop_assert_eq!(ours.get(k), Some(v));
+                assert_eq!(ours.get(k), Some(v));
             }
             let mut pairs = Vec::new();
             ours.scan(|k, v| pairs.push((*k, *v)));
             let expect: Vec<_> = std.iter().map(|(k, v)| (*k, *v)).collect();
-            prop_assert_eq!(pairs, expect);
-        }
+            assert_eq!(pairs, expect);
+        });
+    }
 
-        #[test]
-        fn range_matches_btreemap(
-            keys in prop::collection::btree_set(any::<u16>(), 0..500),
-            lo in any::<u16>(),
-            hi in any::<u16>(),
-        ) {
+    #[test]
+    fn range_matches_btreemap() {
+        check("range_matches_btreemap", 64, |rng| {
+            let keys: BTreeSet<u16> = (0..rng.below(500)).map(|_| rng.next_u64() as u16).collect();
+            let (lo, hi) = (rng.next_u64() as u16, rng.next_u64() as u16);
             let mut ours = BPlusTree::new();
             for k in &keys {
                 ours.insert(*k, ());
@@ -433,7 +436,7 @@ mod tests {
             let mut got = Vec::new();
             ours.range_scan(&lo, &hi, |k, _| got.push(*k));
             let expect: Vec<_> = keys.range(lo..=hi).copied().collect();
-            prop_assert_eq!(got, expect);
-        }
+            assert_eq!(got, expect);
+        });
     }
 }

@@ -120,42 +120,39 @@ mod tests {
     use crate::gc;
     use crate::record::is_canonical;
     use crate::snapshot;
+    use aets_common::rng::{check, Rng};
     use aets_common::{TableId, TxnId};
     use aets_wal::TxnLog;
     use aets_workloads::bustracker::{self, BusTrackerConfig};
     use aets_workloads::tpcc::{self, TpccConfig};
-    use proptest::prelude::*;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::mpsc;
 
     /// Columns as a log could carry them and as it never would: any order,
     /// repeats allowed, so the canonical-image shortcuts get inputs that
     /// are not canonical.
-    fn cols() -> impl Strategy<Value = Row> {
-        prop::collection::vec((0u16..6, -3i64..4), 0..5).prop_map(|cols| {
-            cols.into_iter().map(|(c, v)| (ColumnId::new(c), Value::Int(v))).collect()
-        })
+    fn cols(rng: &mut Rng) -> Row {
+        (0..rng.below(5))
+            .map(|_| (ColumnId::new(rng.below(6) as u16), Value::Int(rng.below(7) as i64 - 3)))
+            .collect()
     }
 
     /// A chain in commit order: timestamps never decrease and may repeat
     /// (one transaction touching the record twice).
-    fn chain() -> impl Strategy<Value = Vec<Version>> {
-        prop::collection::vec((0u64..3, 0u8..3, cols()), 0..8).prop_map(|steps| {
-            let mut ts = 1u64;
-            steps
-                .into_iter()
-                .map(|(gap, op, cols)| {
-                    ts += gap;
-                    let op = [OpType::Insert, OpType::Update, OpType::Delete][op as usize];
-                    Version {
-                        txn_id: TxnId::new(ts),
-                        commit_ts: Timestamp::from_micros(ts * 10),
-                        op,
-                        cols,
-                    }
-                })
-                .collect()
-        })
+    fn chain(rng: &mut Rng) -> Vec<Version> {
+        let mut ts = 1u64;
+        (0..rng.below(8))
+            .map(|_| {
+                ts += rng.below(3);
+                let op = [OpType::Insert, OpType::Update, OpType::Delete][rng.below(3) as usize];
+                Version {
+                    txn_id: TxnId::new(ts),
+                    commit_ts: Timestamp::from_micros(ts * 10),
+                    op,
+                    cols: cols(rng),
+                }
+            })
+            .collect()
     }
 
     fn node_of(chain: &[Version]) -> RecordNode {
@@ -181,45 +178,50 @@ mod tests {
         }
     }
 
-    proptest! {
-        #[test]
-        fn reads_and_counts_agree_with_the_reference(chain in chain()) {
+    #[test]
+    fn reads_and_counts_agree_with_the_reference() {
+        check("reads_and_counts_agree_with_the_reference", 64, |rng| {
+            let chain = chain(rng);
             let node = node_of(&chain);
             for ts in (0..=200).step_by(5).map(Timestamp::from_micros) {
                 let want = read_at(&chain, ts);
-                prop_assert_eq!(node.visible_at(ts), want.is_some(), "visible_at {:?}", ts);
-                prop_assert_eq!(node.with_row_at(ts, Row::clone), want.clone(), "lent row {:?}", ts);
+                assert_eq!(node.visible_at(ts), want.is_some(), "visible_at {:?}", ts);
+                assert_eq!(node.with_row_at(ts, Row::clone), want.clone(), "lent row {:?}", ts);
                 // One more column than `cols()` draws: a column no row has.
                 for c in (0..7).map(ColumnId::new) {
-                    let in_row = |row: &Row| row.iter().find(|(cid, _)| *cid == c).map(|(_, v)| v.clone());
+                    let in_row =
+                        |row: &Row| row.iter().find(|(cid, _)| *cid == c).map(|(_, v)| v.clone());
                     let got = node.with_value_at(ts, c, |v| v.cloned());
-                    prop_assert_eq!(got, want.as_ref().map(in_row), "column {:?} at {:?}", c, ts);
+                    assert_eq!(got, want.as_ref().map(in_row), "column {:?} at {:?}", c, ts);
                 }
-                prop_assert_eq!(node.read_at(ts), want, "read_at {:?}", ts);
+                assert_eq!(node.read_at(ts), want, "read_at {:?}", ts);
             }
-        }
+        });
+    }
 
-        #[test]
-        fn gc_in_place_agrees_with_the_reference(chain in chain(), wm in 0u64..200) {
-            let wm = Timestamp::from_micros(wm);
+    #[test]
+    fn gc_in_place_agrees_with_the_reference() {
+        check("gc_in_place_agrees_with_the_reference", 64, |rng| {
+            let chain = chain(rng);
+            let wm = Timestamp::from_micros(rng.below(200));
             let (fast, slow) = (node_of(&chain), node_of(&chain));
             let fast_stats = gc::gc_node(&fast, wm);
             let slow_stats = gc_node(&slow, wm);
-            prop_assert_eq!(fast_stats, slow_stats);
+            assert_eq!(fast_stats, slow_stats);
             same_chains(&fast.chain(), &slow.chain());
-            prop_assert!(fast.is_ordered());
+            assert!(fast.is_ordered());
             if fast_stats.pruned > 0 {
-                prop_assert_eq!(fast.chain().capacity(), fast.chain().len(), "excess capacity kept");
+                assert_eq!(fast.chain().capacity(), fast.chain().len(), "excess capacity kept");
             }
             // Readers at or above the watermark see what they saw before.
             for ts in (wm.as_micros()..=200).map(Timestamp::from_micros) {
-                prop_assert_eq!(fast.read_at(ts), read_at(&chain, ts), "read_at {:?}", ts);
+                assert_eq!(fast.read_at(ts), read_at(&chain, ts), "read_at {:?}", ts);
             }
             // A second pass at the same watermark finds nothing to do.
             let again = gc::gc_node(&fast, wm);
-            prop_assert_eq!(again.pruned, 0);
+            assert_eq!(again.pruned, 0);
             same_chains(&fast.chain(), &slow.chain());
-        }
+        });
     }
 
     /// One step of a chain's life: append a version, a GC pass, or a trip
@@ -231,29 +233,28 @@ mod tests {
         Snapshot(Timestamp),
     }
 
-    fn steps() -> impl Strategy<Value = Vec<Step>> {
-        let step =
-            (0u8..4, 0u64..3, 0u8..3, cols(), 0u64..600).prop_map(|(kind, gap, op, cols, wm)| {
-                let wm = if wm >= 500 { Timestamp::MAX } else { Timestamp::from_micros(wm) };
-                match kind {
-                    0 | 1 => Step::Append(
-                        gap,
-                        [OpType::Insert, OpType::Update, OpType::Delete][op as usize],
-                        cols,
-                    ),
-                    2 => Step::Gc(wm),
-                    _ => Step::Snapshot(wm),
-                }
-            });
-        prop::collection::vec(step, 0..16)
+    fn step(rng: &mut Rng) -> Step {
+        let (kind, gap, op, cols, wm) =
+            (rng.below(4), rng.below(3), rng.below(3), cols(rng), rng.below(600));
+        let wm = if wm >= 500 { Timestamp::MAX } else { Timestamp::from_micros(wm) };
+        match kind {
+            0 | 1 => Step::Append(
+                gap,
+                [OpType::Insert, OpType::Update, OpType::Delete][op as usize],
+                cols,
+            ),
+            2 => Step::Gc(wm),
+            _ => Step::Snapshot(wm),
+        }
     }
 
-    proptest! {
-        /// The inline-first chain against a plain `Vec<Version>` model: the
-        /// same versions after every step, a lone version always in place,
-        /// and no spare slot after a GC that pruned.
-        #[test]
-        fn chain_agrees_with_a_vec_model(steps in steps()) {
+    /// The inline-first chain against a plain `Vec<Version>` model: the
+    /// same versions after every step, a lone version always in place,
+    /// and no spare slot after a GC that pruned.
+    #[test]
+    fn chain_agrees_with_a_vec_model() {
+        check("chain_agrees_with_a_vec_model", 64, |rng| {
+            let steps: Vec<Step> = (0..rng.below(16)).map(|_| step(rng)).collect();
             let key = RowKey::new(7);
             let mut db = MemDb::new(1);
             let mut model: Vec<Version> = Vec::new();
@@ -277,7 +278,7 @@ mod tests {
                         let (after, want) = gc_chain(&model, wm);
                         model = after;
                         let got = gc::gc_node(&node, wm);
-                        prop_assert_eq!(got, want);
+                        assert_eq!(got, want);
                         pruned = got.pruned > 0;
                     }
                     Step::Snapshot(wm) => {
@@ -291,14 +292,14 @@ mod tests {
                 let chain = node.chain();
                 same_chains(&chain, &model);
                 if chain.len() == 1 {
-                    prop_assert!(matches!(*chain, Chain::One(_)), "a lone version spilled");
-                    prop_assert_eq!(chain.capacity(), 1);
+                    assert!(matches!(*chain, Chain::One(_)), "a lone version spilled");
+                    assert_eq!(chain.capacity(), 1);
                 }
                 if pruned {
-                    prop_assert_eq!(chain.capacity(), chain.len(), "a pruned chain kept spare slots");
+                    assert_eq!(chain.capacity(), chain.len(), "a pruned chain kept spare slots");
                 }
             }
-        }
+        });
     }
 
     /// Replays `txns` the way the serial oracle does. The generators list

@@ -356,7 +356,7 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use aets_common::rng::check;
 
     fn sample_epoch(seq: u64, payload: &[u8]) -> EncodedEpoch {
         let bytes = bytes::Bytes::copy_from_slice(payload);
@@ -529,36 +529,37 @@ mod tests {
         assert!(matches!(read_frame(&mut cursor).expect("eof"), ReadEvent::Eof));
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Arbitrary epoch payloads round-trip through the epoch frame.
-        #[test]
-        fn epoch_frames_round_trip(seq in any::<u64>(), payload in proptest::collection::vec(any::<u8>(), 0..512)) {
+    /// Arbitrary epoch payloads round-trip through the epoch frame.
+    #[test]
+    fn epoch_frames_round_trip() {
+        check("epoch_frames_round_trip", 64, |rng| {
+            let seq = rng.next_u64();
+            let payload: Vec<u8> = (0..rng.below(512)).map(|_| rng.next_u64() as u8).collect();
             let f = Frame::Epoch(sample_epoch(seq, &payload));
             let mut buf = Vec::new();
             encode_frame(&f, &mut buf);
             let (got, used) = decode_frame(&buf).expect("decode");
-            prop_assert_eq!(used, buf.len());
-            prop_assert_eq!(got, f);
-        }
+            assert_eq!(used, buf.len());
+            assert_eq!(got, f);
+        });
+    }
 
-        /// Random single-byte damage at a random position is detected on
-        /// arbitrary epoch frames too (the exhaustive unit test covers
-        /// fixed frames; this covers the payload space).
-        #[test]
-        fn random_byte_damage_is_detected(
-            seq in any::<u64>(),
-            payload in proptest::collection::vec(any::<u8>(), 0..256),
-            pos_sel in any::<u64>(),
-            mask in 1u8..=255,
-        ) {
+    /// Random single-byte damage at a random position is detected on
+    /// arbitrary epoch frames too (the exhaustive unit test covers
+    /// fixed frames; this covers the payload space).
+    #[test]
+    fn random_byte_damage_is_detected() {
+        check("random_byte_damage_is_detected", 64, |rng| {
+            let seq = rng.next_u64();
+            let payload: Vec<u8> = (0..rng.below(256)).map(|_| rng.next_u64() as u8).collect();
+            let pos_sel = rng.next_u64();
+            let mask = 1 + rng.below(255) as u8;
             let f = Frame::Epoch(sample_epoch(seq, &payload));
             let mut buf = Vec::new();
             encode_frame(&f, &mut buf);
             let pos = (pos_sel % buf.len() as u64) as usize;
             buf[pos] ^= mask;
-            prop_assert!(decode_frame(&buf).is_err());
-        }
+            assert!(decode_frame(&buf).is_err());
+        });
     }
 }

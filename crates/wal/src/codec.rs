@@ -422,7 +422,7 @@ pub fn decode_batch_into(buf: &Bytes, out: &mut Vec<LogRecord>) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use aets_common::rng::{check, Rng};
 
     fn sample_dml() -> LogRecord {
         LogRecord::Dml(DmlEntry {
@@ -815,33 +815,43 @@ mod tests {
         }
     }
 
-    fn arb_value() -> impl Strategy<Value = Value> {
-        prop_oneof![
-            Just(Value::Null),
-            any::<i64>().prop_map(Value::Int),
-            (-1e12f64..1e12).prop_map(Value::Float),
-            "[a-zA-Z0-9]{0,40}".prop_map(Value::from),
-            prop::collection::vec(any::<u8>(), 0..64).prop_map(Value::from),
-        ]
+    /// `[a-zA-Z0-9]`, in the order the generated strings index it.
+    const ALNUM: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
+
+    fn arb_value(rng: &mut Rng) -> Value {
+        match rng.below(5) {
+            0 => Value::Null,
+            1 => Value::Int(rng.next_u64() as i64),
+            2 => Value::Float(rng.uniform(-1e12, 1e12)),
+            3 => Value::from(
+                (0..rng.below(41))
+                    .map(|_| ALNUM[rng.below(62) as usize] as char)
+                    .collect::<String>(),
+            ),
+            _ => Value::from((0..rng.below(64)).map(|_| rng.next_u64() as u8).collect::<Vec<u8>>()),
+        }
     }
 
-    fn arb_row() -> impl Strategy<Value = Row> {
-        prop::collection::vec((any::<u16>().prop_map(ColumnId::new), arb_value()), 0..8)
+    fn arb_row(rng: &mut Rng) -> Row {
+        (0..rng.below(8)).map(|_| (ColumnId::new(rng.next_u64() as u16), arb_value(rng))).collect()
     }
 
-    proptest! {
-        #[test]
-        fn dml_round_trips(
-            lsn in any::<u64>(),
-            txn in any::<u64>(),
-            ts in any::<u64>(),
-            table in any::<u32>(),
-            op in prop_oneof![Just(DmlOp::Insert), Just(DmlOp::Update), Just(DmlOp::Delete)],
-            key in any::<u64>(),
-            row_version in any::<u64>(),
-            cols in arb_row(),
-            before in prop::option::of(arb_row()),
-        ) {
+    fn arb_before(rng: &mut Rng) -> Option<Row> {
+        (!rng.chance(0.25)).then(|| arb_row(rng))
+    }
+
+    #[test]
+    fn dml_round_trips() {
+        check("dml_round_trips", 64, |rng| {
+            let lsn = rng.next_u64();
+            let txn = rng.next_u64();
+            let ts = rng.next_u64();
+            let table = rng.next_u64() as u32;
+            let op = [DmlOp::Insert, DmlOp::Update, DmlOp::Delete][rng.below(3) as usize];
+            let key = rng.next_u64();
+            let row_version = rng.next_u64();
+            let cols = arb_row(rng);
+            let before = arb_before(rng);
             let rec = LogRecord::Dml(DmlEntry {
                 lsn: Lsn::new(lsn),
                 txn_id: TxnId::new(txn),
@@ -857,19 +867,26 @@ mod tests {
             encode_record(&mut buf, &rec);
             let mut bytes = buf.freeze();
             let back = decode_record(&mut bytes).unwrap();
-            prop_assert_eq!(back, rec);
-            prop_assert!(!bytes.has_remaining());
-        }
+            assert_eq!(back, rec);
+            assert!(!bytes.has_remaining());
+        });
+    }
 
-        #[test]
-        fn meta_and_full_decode_agree(
-            cols in arb_row(),
-            before in prop::option::of(arb_row()),
-        ) {
+    #[test]
+    fn meta_and_full_decode_agree() {
+        check("meta_and_full_decode_agree", 64, |rng| {
+            let cols = arb_row(rng);
+            let before = arb_before(rng);
             let rec = LogRecord::Dml(DmlEntry {
-                lsn: Lsn::new(1), txn_id: TxnId::new(2), ts: Timestamp::from_micros(3),
-                table: TableId::new(4), op: DmlOp::Insert, key: RowKey::new(5),
-                row_version: 1, cols, before,
+                lsn: Lsn::new(1),
+                txn_id: TxnId::new(2),
+                ts: Timestamp::from_micros(3),
+                table: TableId::new(4),
+                op: DmlOp::Insert,
+                key: RowKey::new(5),
+                row_version: 1,
+                cols,
+                before,
             });
             let mut buf = BytesMut::new();
             encode_record(&mut buf, &rec);
@@ -877,9 +894,9 @@ mod tests {
             let mut b2 = buf.freeze();
             let meta = decode_meta(&mut b1).unwrap();
             let full = decode_record(&mut b2).unwrap();
-            prop_assert_eq!(meta.lsn, full.lsn());
-            prop_assert_eq!(meta.txn_id, full.txn_id());
-            prop_assert_eq!(b1.remaining(), b2.remaining());
-        }
+            assert_eq!(meta.lsn, full.lsn());
+            assert_eq!(meta.txn_id, full.txn_id());
+            assert_eq!(b1.remaining(), b2.remaining());
+        });
     }
 }

@@ -13,6 +13,7 @@
 //! `stale_manifest_falls_back` tests double as the CI crash-matrix
 //! entries (see `.github/workflows/ci.yml`).
 
+use aets_suite::common::rng::{check, Rng};
 use aets_suite::common::Timestamp;
 use aets_suite::memtable::MemDb;
 use aets_suite::replay::{
@@ -24,7 +25,6 @@ use aets_suite::wal::{
     batch_into_epochs, encode_epoch, CrashClock, EncodedEpoch, FsyncPolicy, SegmentConfig,
 };
 use aets_suite::workloads::{bustracker, tpcc, Workload};
-use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -265,32 +265,35 @@ fn run_schedule_opts(
 // Property: any crash schedule converges to the oracle
 // ---------------------------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+/// Up to `max_crashes` (at least one) crash budgets of 1..300
+/// filesystem operations each.
+fn crash_schedule(rng: &mut Rng, max_crashes: u64) -> Vec<u64> {
+    (0..1 + rng.below(max_crashes)).map(|_| 1 + rng.below(299)).collect()
+}
 
-    /// TPC-C: crash after an arbitrary number of filesystem operations,
-    /// up to three times in a row (including crashes during the recovery
-    /// of a previous crash), then finish. The recovered digest must equal
-    /// the fault-free oracle digest, and no recovery may replay more than
-    /// the post-checkpoint suffix.
-    #[test]
-    fn tpcc_any_crash_schedule_converges(
-        schedule in prop::collection::vec(1u64..300, 1..4)
-    ) {
+/// TPC-C: crash after an arbitrary number of filesystem operations,
+/// up to three times in a row (including crashes during the recovery
+/// of a previous crash), then finish. The recovered digest must equal
+/// the fault-free oracle digest, and no recovery may replay more than
+/// the post-checkpoint suffix.
+#[test]
+fn tpcc_any_crash_schedule_converges() {
+    check("tpcc_any_crash_schedule_converges", 12, |rng| {
+        let schedule = crash_schedule(rng, 3);
         // A budget larger than the run's total op count simply completes
         // without crashing, so `restarts <= schedule.len()` rather than
         // strictly equal.
         let out = run_schedule(tpcc_fixture(), &schedule, "prop-tpcc");
-        prop_assert!(out.restarts as usize <= schedule.len());
-    }
+        assert!(out.restarts as usize <= schedule.len());
+    });
+}
 
-    /// BusTracker: same contract on the second headline workload.
-    #[test]
-    fn bustracker_any_crash_schedule_converges(
-        schedule in prop::collection::vec(1u64..300, 1..3)
-    ) {
-        run_schedule(bustracker_fixture(), &schedule, "prop-bus");
-    }
+/// BusTracker: same contract on the second headline workload.
+#[test]
+fn bustracker_any_crash_schedule_converges() {
+    check("bustracker_any_crash_schedule_converges", 12, |rng| {
+        run_schedule(bustracker_fixture(), &crash_schedule(rng, 2), "prop-bus");
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -568,21 +571,18 @@ fn assert_retention_frozen(
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// For any poison position, checkpoint cadence, and reopen point
-    /// past the quarantine: no WAL segment is ever retired past the
-    /// oldest manifest, and retention is completely frozen from the
-    /// quarantine instant on — including across a crash/reopen, whose
-    /// suffix replay re-poisons the fresh engine and must re-freeze
-    /// before the overdue-checkpoint path can truncate anything.
-    #[test]
-    fn quarantine_never_outruns_wal_retention(
-        poison_frac in 0.1f64..0.8,
-        cadence in 2u64..5,
-        reopen_gap in 1usize..6,
-    ) {
+/// For any poison position, checkpoint cadence, and reopen point
+/// past the quarantine: no WAL segment is ever retired past the
+/// oldest manifest, and retention is completely frozen from the
+/// quarantine instant on — including across a crash/reopen, whose
+/// suffix replay re-poisons the fresh engine and must re-freeze
+/// before the overdue-checkpoint path can truncate anything.
+#[test]
+fn quarantine_never_outruns_wal_retention() {
+    check("quarantine_never_outruns_wal_retention", 10, |rng| {
+        let poison_frac = rng.uniform(0.1, 0.8);
+        let cadence = 2 + rng.below(3);
+        let reopen_gap = 1 + rng.below(5) as usize;
         let fx = tpcc_fixture();
         let mut epochs = fx.epochs.clone();
         let victim = aets_suite::common::TableId::new((fx.num_tables - 1) as u32);
@@ -596,25 +596,37 @@ proptest! {
         let opts = DurableOptions { checkpoint_every: cadence, ..durable_opts() };
 
         let mut node = DurableBackup::open(
-            &wal_dir, &ckpt_dir, fresh_engine(&fx.grouping), fx.num_tables, opts.clone(), None,
-        ).unwrap();
+            &wal_dir,
+            &ckpt_dir,
+            fresh_engine(&fx.grouping),
+            fx.num_tables,
+            opts.clone(),
+            None,
+        )
+        .unwrap();
         let mut frozen = None;
         let stop = (eidx + reopen_gap).min(epochs.len());
         for e in &epochs[..stop] {
             node.ingest(e).unwrap();
             assert_retention_frozen(&node, &mut frozen, "first life");
         }
-        prop_assert!(node.board().any_quarantined(), "poisoned epoch must quarantine");
-        prop_assert!(frozen.is_some());
+        assert!(node.board().any_quarantined(), "poisoned epoch must quarantine");
+        assert!(frozen.is_some());
 
         // Crash: drop the node, reopen on the same directories. The WAL
         // suffix includes the poisoned epoch, so recovery re-quarantines
         // and the frozen retention state must carry over unchanged.
         drop(node);
         let mut node = DurableBackup::open(
-            &wal_dir, &ckpt_dir, fresh_engine(&fx.grouping), fx.num_tables, opts, None,
-        ).unwrap();
-        prop_assert!(
+            &wal_dir,
+            &ckpt_dir,
+            fresh_engine(&fx.grouping),
+            fx.num_tables,
+            opts,
+            None,
+        )
+        .unwrap();
+        assert!(
             node.board().any_quarantined(),
             "reopen replayed the poisoned suffix and must re-quarantine"
         );
@@ -627,9 +639,9 @@ proptest! {
         // oldest manifest (or epoch 0) can reach every epoch the
         // quarantined group has not replayed.
         if let Some(f) = node.wal_first_retained_seq() {
-            prop_assert!(f <= eidx as u64, "poisoned epoch {eidx} fell off the WAL ({f})");
+            assert!(f <= eidx as u64, "poisoned epoch {eidx} fell off the WAL ({f})");
         }
         let _ = std::fs::remove_dir_all(&wal_dir);
         let _ = std::fs::remove_dir_all(&ckpt_dir);
-    }
+    });
 }

@@ -2,6 +2,7 @@
 //! exactly the serial oracle's MVCC state, on every workload, at every
 //! snapshot.
 
+use aets_suite::common::rng::check;
 use aets_suite::common::{FxHashSet, GroupId, TableId, Timestamp};
 use aets_suite::memtable::MemDb;
 use aets_suite::replay::{
@@ -10,7 +11,6 @@ use aets_suite::replay::{
 };
 use aets_suite::wal::{batch_into_epochs, crc32, crc32_scalar, encode_epoch, EncodedEpoch};
 use aets_suite::workloads::{bustracker, chbench, tpcc, Workload};
-use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 fn encode(w: &Workload, epoch_size: usize) -> Vec<EncodedEpoch> {
@@ -293,19 +293,18 @@ fn round_robin_grouping(n: usize, k: usize, hot: &FxHashSet<TableId>) -> TableGr
     TableGrouping::new(n, groups, rates, hot).unwrap()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The slice-by-8 CRC kernel on the ingest hot path must be a drop-in
-    /// for the bytewise reference: identical digests on arbitrary byte
-    /// strings, including lengths that leave a non-8-aligned head/tail.
-    #[test]
-    fn crc_slice_by_8_matches_bytewise_reference(bytes in proptest::collection::vec(any::<u8>(), 0..4096)) {
-        prop_assert_eq!(crc32(&bytes), crc32_scalar(&bytes));
-    }
+/// The slice-by-8 CRC kernel on the ingest hot path must be a drop-in
+/// for the bytewise reference: identical digests on arbitrary byte
+/// strings, including lengths that leave a non-8-aligned head/tail.
+#[test]
+fn crc_slice_by_8_matches_bytewise_reference() {
+    check("crc_slice_by_8_matches_bytewise_reference", 64, |rng| {
+        let bytes: Vec<u8> = (0..rng.below(4096)).map(|_| rng.next_u64() as u8).collect();
+        assert_eq!(crc32(&bytes), crc32_scalar(&bytes));
+    });
 }
 
-/// Deterministic CRC edge cases the proptest could miss in a short run:
+/// Deterministic CRC edge cases the property test could miss in a short run:
 /// empty input, every sub-word length straddling the 8-byte step, and
 /// misaligned views into a larger buffer.
 #[test]
@@ -321,32 +320,27 @@ fn crc_kernels_agree_on_empty_and_unaligned_inputs() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Epoch-barrier invariant under randomized epoch sizes and group
-    /// counts: while replay runs, `global_cmt_ts`
-    /// and every `tg_cmt_ts` only ever advance, and no group's published
-    /// watermark drops below the global one — the global mark only moves
-    /// once an epoch is fully replayed, so a group observed behind it
-    /// would mean epoch `e+1` work committed before epoch `e` finished.
-    #[test]
-    fn epoch_barrier_holds_under_randomized_shapes(
-        num_txns in 50usize..250,
-        epoch_size in 1usize..64,
-        num_groups in 1usize..5,
-    ) {
-        let w = tpcc::generate(&tpcc::TpccConfig {
-            num_txns,
-            warehouses: 2,
-            ..Default::default()
-        });
+/// Epoch-barrier invariant under randomized epoch sizes and group
+/// counts: while replay runs, `global_cmt_ts`
+/// and every `tg_cmt_ts` only ever advance, and no group's published
+/// watermark drops below the global one — the global mark only moves
+/// once an epoch is fully replayed, so a group observed behind it
+/// would mean epoch `e+1` work committed before epoch `e` finished.
+#[test]
+fn epoch_barrier_holds_under_randomized_shapes() {
+    check("epoch_barrier_holds_under_randomized_shapes", 12, |rng| {
+        let num_txns = 50 + rng.below(200) as usize;
+        let epoch_size = 1 + rng.below(63) as usize;
+        let num_groups = 1 + rng.below(4) as usize;
+        let w = tpcc::generate(&tpcc::TpccConfig { num_txns, warehouses: 2, ..Default::default() });
         let epochs = encode(&w, epoch_size);
         let n = w.num_tables();
         let grouping = round_robin_grouping(n, num_groups.min(n), &w.analytic_tables);
         let ng = grouping.num_groups();
-        let eng = AetsEngine::builder(grouping).config(AetsConfig { threads: 2, ..Default::default() }).build()
-        .unwrap();
+        let eng = AetsEngine::builder(grouping)
+            .config(AetsConfig { threads: 2, ..Default::default() })
+            .build()
+            .unwrap();
 
         let db = MemDb::new(n);
         let board = VisibilityBoard::builder(ng).build();
@@ -383,21 +377,21 @@ proptest! {
             });
             let m = eng.replay(&epochs, &db, &board).unwrap();
             stop.store(true, Ordering::Release);
-            prop_assert_eq!(m.txns, w.txns.len());
+            assert_eq!(m.txns, w.txns.len());
             observer.join().expect("observer panicked")
         });
-        prop_assert!(violation.is_none(), "{}", violation.unwrap_or_default());
+        assert!(violation.is_none(), "{}", violation.unwrap_or_default());
 
         // After replay every watermark sits at the last epoch's high-water
         // mark, and the state matches the serial oracle.
         let last = epochs.last().unwrap().max_commit_ts;
-        prop_assert_eq!(board.global_cmt_ts(), last);
+        assert_eq!(board.global_cmt_ts(), last);
         for g in 0..ng as u32 {
-            prop_assert!(board.tg_cmt_ts(GroupId::new(g)) >= last);
+            assert!(board.tg_cmt_ts(GroupId::new(g)) >= last);
         }
         let oracle = MemDb::new(n);
         SerialEngine.replay_all(&epochs, &oracle).unwrap();
-        prop_assert!(db.all_chains_ordered());
-        prop_assert_eq!(db.digest_at(Timestamp::MAX), oracle.digest_at(Timestamp::MAX));
-    }
+        assert!(db.all_chains_ordered());
+        assert_eq!(db.digest_at(Timestamp::MAX), oracle.digest_at(Timestamp::MAX));
+    });
 }

@@ -5,9 +5,9 @@
 //! digest moves every experiment drawn from that stream: update it only
 //! together with the regenerated `results/` files.
 
+use aets_suite::common::rng::check;
 use aets_suite::forecast::{Dtgm, DtgmConfig, Forecaster, Lstm, LstmConfig, RateSeries};
 use aets_suite::workloads::{bustracker, chbench, drift, seats, tpcc, Workload};
-use proptest::prelude::*;
 use std::fmt::Debug;
 
 /// FNV-1a over the value's `Debug` rendering. Floats print in their
@@ -109,17 +109,25 @@ fn forecaster_weights_and_training_order_are_pinned() {
 
 #[test]
 fn property_cases_are_pinned() {
-    let strategy = (
-        (any::<u64>(), any::<bool>(), any::<f64>(), -40i32..40),
-        (
-            0u8..=255,
-            1.5f64..2.5,
-            prop::collection::vec(prop_oneof![Just(0u16), 7u16..=9], 0..6),
-            prop::option::of("[a-c]{1,3}"),
-        ),
-    );
+    // The runner's per-case seeding and the draw formulas the properties
+    // use: integer ranges, `any` words and floats, a pick among options,
+    // a sized collection, an optional value and a character class.
     let mut cases = Vec::new();
-    let mut runner = proptest::test_runner::TestRunner::new(ProptestConfig::with_cases(16));
-    runner.run_named("pinned", |rng| cases.push(strategy.generate(rng)));
+    check("pinned", 16, |rng| {
+        let word = rng.next_u64();
+        let flag = rng.next_u64() & 1 == 1;
+        let mag = rng.unit() * 1e15;
+        let float = if rng.next_u64() & 1 == 1 { mag } else { -mag };
+        let small = rng.below(80) as i32 - 40;
+        let byte = rng.below(256) as u8;
+        let unit = rng.uniform(1.5, 2.5);
+        let picks: Vec<u16> = (0..rng.below(6))
+            .map(|_| if rng.below(2) == 0 { 0 } else { 7 + rng.below(3) as u16 })
+            .collect();
+        let text = (!rng.chance(0.25)).then(|| {
+            (0..1 + rng.below(3)).map(|_| b"abc"[rng.below(3) as usize] as char).collect::<String>()
+        });
+        cases.push(((word, flag, float, small), (byte, unit, picks, text)));
+    });
     assert_eq!(digest(&cases), 0xfea4_d3ab_ce76_625e, "digest: {:#x}", digest(&cases));
 }

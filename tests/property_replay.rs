@@ -2,6 +2,7 @@
 //! streams round-trip through the wire format and replay identically on
 //! every engine.
 
+use aets_suite::common::rng::{check, Rng};
 use aets_suite::common::{
     ColumnId, DmlOp, FxHashMap, FxHashSet, Lsn, RowKey, TableId, Timestamp, TxnId, Value,
 };
@@ -13,12 +14,21 @@ use aets_suite::replay::{
 use aets_suite::wal::{
     batch_into_epochs, encode_epoch, DmlEntry, FaultInjector, FaultKind, FaultPlan, TxnLog,
 };
-use proptest::prelude::*;
 
 const TABLES: usize = 4;
 
 /// An abstract op: (table, key, op-kind selector, value).
 type AbstractOp = (u8, u8, u8, i64);
+
+/// 1..`max_txns` transactions of 0..`max_ops` abstract ops each.
+fn txn_ops(rng: &mut Rng, max_txns: u64, max_ops: u64) -> Vec<Vec<AbstractOp>> {
+    let op = |rng: &mut Rng| {
+        (rng.next_u64() as u8, rng.next_u64() as u8, rng.next_u64() as u8, rng.next_u64() as i64)
+    };
+    (0..1 + rng.below(max_txns - 1))
+        .map(|_| (0..rng.below(max_ops)).map(|_| op(rng)).collect())
+        .collect()
+}
 
 /// Materializes abstract ops into well-formed transactions: LSNs,
 /// commit timestamps, and per-row RVIDs assigned consistently.
@@ -65,31 +75,19 @@ fn materialize(txn_ops: Vec<Vec<AbstractOp>>) -> Vec<TxnLog> {
     out
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn all_engines_agree_on_arbitrary_streams(
-        txn_ops in prop::collection::vec(
-            prop::collection::vec(any::<AbstractOp>(), 0..6),
-            1..40,
-        ),
-        epoch_size in 1usize..20,
-    ) {
+#[test]
+fn all_engines_agree_on_arbitrary_streams() {
+    check("all_engines_agree_on_arbitrary_streams", 24, |rng| {
+        let txn_ops = txn_ops(rng, 40, 6);
+        let epoch_size = 1 + rng.below(19) as usize;
         let txns = materialize(txn_ops);
-        let epochs: Vec<_> = batch_into_epochs(txns.clone(), epoch_size)
-            .unwrap()
-            .iter()
-            .map(encode_epoch)
-            .collect();
+        let epochs: Vec<_> =
+            batch_into_epochs(txns.clone(), epoch_size).unwrap().iter().map(encode_epoch).collect();
 
         let oracle = MemDb::new(TABLES);
         SerialEngine.replay_all(&epochs, &oracle).unwrap();
-        let probes = [
-            Timestamp::ZERO,
-            Timestamp::from_micros(txns.len() as u64 * 5),
-            Timestamp::MAX,
-        ];
+        let probes =
+            [Timestamp::ZERO, Timestamp::from_micros(txns.len() as u64 * 5), Timestamp::MAX];
         let want: Vec<u64> = probes.iter().map(|ts| oracle.digest_at(*ts)).collect();
 
         let hot: FxHashSet<TableId> = [TableId::new(0), TableId::new(1)].into_iter().collect();
@@ -106,7 +104,12 @@ proptest! {
         .unwrap();
 
         let engines: Vec<Box<dyn ReplayEngine>> = vec![
-            Box::new(AetsEngine::builder(grouping).config(AetsConfig { threads: 2, ..Default::default() }).build().unwrap()),
+            Box::new(
+                AetsEngine::builder(grouping)
+                    .config(AetsConfig { threads: 2, ..Default::default() })
+                    .build()
+                    .unwrap(),
+            ),
             Box::new(AetsEngine::tplr_baseline(2, TABLES, &hot).unwrap()),
             Box::new(AtrEngine::new(2).unwrap()),
             Box::new(C5Engine::new(2).unwrap()),
@@ -114,39 +117,28 @@ proptest! {
         for engine in engines {
             let db = MemDb::new(TABLES);
             engine.replay_all(&epochs, &db).unwrap();
-            prop_assert!(db.all_chains_ordered(), "{} ordering", engine.name());
+            assert!(db.all_chains_ordered(), "{} ordering", engine.name());
             for (ts, expect) in probes.iter().zip(&want) {
-                prop_assert_eq!(
-                    db.digest_at(*ts),
-                    *expect,
-                    "{} at {}",
-                    engine.name(),
-                    ts
-                );
+                assert_eq!(db.digest_at(*ts), *expect, "{} at {}", engine.name(), ts);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn fault_injected_replay_recovers_to_oracle(
-        txn_ops in prop::collection::vec(
-            prop::collection::vec(any::<AbstractOp>(), 0..5),
-            1..30,
-        ),
-        epoch_size in 1usize..10,
-        seed in any::<u64>(),
-    ) {
+#[test]
+fn fault_injected_replay_recovers_to_oracle() {
+    check("fault_injected_replay_recovers_to_oracle", 24, |rng| {
+        let txn_ops = txn_ops(rng, 30, 5);
+        let epoch_size = 1 + rng.below(9) as usize;
+        let seed = rng.next_u64();
         // Any seeded schedule of *recoverable* faults (torn tails, bit
         // flips, duplicated/reordered/dropped epochs, stalls) over any
         // generated stream must, with enough retries of the feed's
         // resync loop, replay to exactly the fault-free serial oracle's
         // state — and leave no group quarantined.
         let txns = materialize(txn_ops);
-        let epochs: Vec<_> = batch_into_epochs(txns, epoch_size)
-            .unwrap()
-            .iter()
-            .map(encode_epoch)
-            .collect();
+        let epochs: Vec<_> =
+            batch_into_epochs(txns, epoch_size).unwrap().iter().map(encode_epoch).collect();
 
         let oracle = MemDb::new(TABLES);
         SerialEngine.replay_all(&epochs, &oracle).unwrap();
@@ -164,8 +156,10 @@ proptest! {
             &hot,
         )
         .unwrap();
-        let eng = AetsEngine::builder(grouping).config(AetsConfig { threads: 2, ..Default::default() }).build()
-        .unwrap();
+        let eng = AetsEngine::builder(grouping)
+            .config(AetsConfig { threads: 2, ..Default::default() })
+            .build()
+            .unwrap();
         let db = MemDb::new(TABLES);
         let board = VisibilityBoard::builder(eng.board_groups()).build();
         let kinds = vec![
@@ -180,29 +174,25 @@ proptest! {
         let mut source = FaultInjector::new(epochs, FaultPlan::new(seed, 0.7, kinds));
         let retry = RetryPolicy { max_retries: 4, base_backoff_us: 1, max_backoff_us: 20 };
         let mut stats = IngestStats::default();
-        let checked: Vec<_> = (0..n)
-            .map(|seq| ingest_epoch(&mut source, seq, &retry, &mut stats).unwrap())
-            .collect();
+        let checked: Vec<_> =
+            (0..n).map(|seq| ingest_epoch(&mut source, seq, &retry, &mut stats).unwrap()).collect();
         let m = eng.replay(&checked, &db, &board).unwrap();
-        prop_assert!(!m.degraded(), "recoverable faults must not quarantine");
-        prop_assert!(db.all_chains_ordered());
-        prop_assert_eq!(db.digest_at(Timestamp::MAX), want, "seed {}", seed);
-    }
+        assert!(!m.degraded(), "recoverable faults must not quarantine");
+        assert!(db.all_chains_ordered());
+        assert_eq!(db.digest_at(Timestamp::MAX), want, "seed {}", seed);
+    });
+}
 
-    #[test]
-    fn wire_format_round_trips_arbitrary_epochs(
-        txn_ops in prop::collection::vec(
-            prop::collection::vec(any::<AbstractOp>(), 0..5),
-            1..20,
-        ),
-    ) {
-        let txns = materialize(txn_ops);
+#[test]
+fn wire_format_round_trips_arbitrary_epochs() {
+    check("wire_format_round_trips_arbitrary_epochs", 24, |rng| {
+        let txns = materialize(txn_ops(rng, 20, 5));
         let epochs = batch_into_epochs(txns.clone(), 8).unwrap();
         for epoch in &epochs {
             let encoded = encode_epoch(epoch);
             let records = aets_suite::wal::decode_batch(encoded.bytes.clone()).unwrap();
             let back = aets_suite::wal::assemble_txns(&records).unwrap();
-            prop_assert_eq!(&back, &epoch.txns);
+            assert_eq!(&back, &epoch.txns);
         }
-    }
+    });
 }
