@@ -22,8 +22,8 @@ use aets_common::{
 };
 use aets_forecast::ForecastModel;
 use aets_memtable::{
-    decode_db, encode_db, gc_db, AggState, Aggregate, BPlusTree, MemDb, Scan, Table, Version,
-    MIN_CUT_LEN,
+    decode_db, encode_db, gc_db, AggState, Aggregate, BPlusTree, MemDb, Scan, SnapshotWalk, Table,
+    Version, MIN_CUT_LEN,
 };
 use aets_neural::{Tape, Tensor};
 use aets_replay::engines::aets::CHUNK;
@@ -847,6 +847,28 @@ pub fn micro(scale: Scale) -> BenchResult {
         buf.clear();
         encode_db(&mut buf, &db, Timestamp::MAX);
         buf.len()
+    });
+    // A checkpoint's one walk: GC at `mid` and encode, fused per chain,
+    // on two threads claiming key-range parts as the engine's two crew
+    // members do; the parts' buffers sized from the walk before.
+    let walk_2t = |bytes_per_node| {
+        let walk = SnapshotWalk::plan(&db, Timestamp::MAX, Some(mid), 2, bytes_per_node);
+        std::thread::scope(|s| {
+            s.spawn(|| walk.work());
+            walk.work();
+        });
+        walk.finish()
+    };
+    let first = walk_2t(0);
+    assert!(
+        first.pieces.iter().flat_map(|p| p.iter().copied()).collect::<Vec<u8>>() == buf[..],
+        "the walk's bytes are encode_db's"
+    );
+    assert_eq!(first.gc.pruned, 0, "the chains were settled at `mid` already");
+    let bytes_per_node = first.bytes_per_node;
+    drop(first);
+    r.timed("memtable/checkpoint_walk_2t", Some(db.total_versions() as u64), || {
+        walk_2t(bytes_per_node).len
     });
 
     // -- neural: 14 tables, window 12, hidden 48 (the paper's optimum)

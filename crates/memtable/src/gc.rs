@@ -16,8 +16,8 @@
 //! *consolidated* — rewritten as a full `insert` image of the row at the
 //! watermark (or a `delete` tombstone).
 
-use crate::record::{is_canonical, keep_first_per_column, OpType, RecordNode};
-use crate::table::{MemDb, Table};
+use crate::record::{is_canonical, keep_first_per_column, Chain, OpType, RecordNode};
+use crate::table::MemDb;
 use aets_common::sync::lock;
 use aets_common::{Row, Timestamp};
 use std::sync::Mutex;
@@ -47,10 +47,15 @@ impl GcStats {
 }
 
 /// Prunes one record's chain against the watermark, in place under one
-/// exclusive lock. Exposed for tests; engines call [`gc_table`] /
-/// [`gc_db`].
+/// exclusive lock. Exposed for tests; engines call [`gc_db`], and a
+/// checkpoint prunes inside its snapshot walk.
 pub fn gc_node(node: &RecordNode, watermark: Timestamp) -> GcStats {
-    let mut chain = node.chain_mut();
+    prune(&mut node.chain_mut(), watermark)
+}
+
+/// [`gc_node`]'s rule on a chain the caller holds exclusively: the
+/// snapshot walk prunes and encodes a chain under one guard.
+pub(crate) fn prune(chain: &mut Chain, watermark: Timestamp) -> GcStats {
     let mut stats = GcStats { nodes: 1, retained: chain.len(), ..Default::default() };
     let end = chain.partition_point(|v| v.commit_ts <= watermark);
     if end == 0 {
@@ -111,18 +116,11 @@ pub fn gc_node(node: &RecordNode, watermark: Timestamp) -> GcStats {
     stats
 }
 
-/// Runs GC over every record of a table.
-pub fn gc_table(table: &Table, watermark: Timestamp) -> GcStats {
-    let mut stats = GcStats::default();
-    table.for_each_node(|_, node| stats.merge(gc_node(node, watermark)));
-    stats
-}
-
 /// Runs GC over the whole database.
 pub fn gc_db(db: &MemDb, watermark: Timestamp) -> GcStats {
     let mut stats = GcStats::default();
     for t in db.tables() {
-        stats.merge(gc_table(t, watermark));
+        t.for_each_node(|_, node| stats.merge(gc_node(node, watermark)));
     }
     stats
 }

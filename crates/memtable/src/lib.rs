@@ -20,8 +20,8 @@ pub mod table;
 
 pub use bptree::{BPlusTree, MIN_CUT_LEN};
 pub use exact::ExactSum;
-pub use gc::{gc_db, gc_node, gc_table, FloorTicket, GcStats, QueryFloor};
+pub use gc::{gc_db, gc_node, FloorTicket, GcStats, QueryFloor};
 pub use query::{compare_values, AggState, Aggregate, CmpOp, Filter, Scan};
 pub use record::{OpType, RecordNode, Version};
-pub use snapshot::{decode_db, encode_db};
+pub use snapshot::{decode_db, encode_db, Snapshot, SnapshotWalk};
 pub use table::{MemDb, Table};

@@ -119,7 +119,7 @@ mod tests {
     use super::*;
     use crate::gc;
     use crate::record::is_canonical;
-    use crate::snapshot;
+    use crate::snapshot::{self, SnapshotWalk};
     use aets_common::rng::{check, Rng};
     use aets_common::{TableId, TxnId};
     use aets_wal::TxnLog;
@@ -375,6 +375,91 @@ mod tests {
             assert!(got == want, "{name}: chains differ after GC");
             assert!(fast.all_chains_ordered());
         }
+    }
+
+    /// One table of a drawn database: each key's chain, `None` for a node
+    /// phase 1 created and nothing committed to.
+    type TableSpec = Vec<(RowKey, Option<Vec<Version>>)>;
+
+    fn build(spec: &[TableSpec]) -> MemDb {
+        let db = MemDb::new(spec.len());
+        for (t, keys) in spec.iter().enumerate() {
+            let table = db.table(TableId::new(t as u32));
+            for (key, chain) in keys {
+                let node = table.node_or_insert(*key);
+                for v in chain.iter().flatten() {
+                    node.append_version(v.clone());
+                }
+            }
+        }
+        db
+    }
+
+    /// The snapshot walk over random databases — multi-version chains that
+    /// need consolidation, tombstones, invisible phase-1 nodes, empty
+    /// tables — cut at random keys into parts of one key, of none and of
+    /// many, walked by two threads: its bytes and `GcStats` are those of
+    /// `gc_db(floor)` then `encode_db(W)` on a twin database, and the
+    /// reference encoder's; its CRC is the bytes'; and it pruned the
+    /// chains in place as that pass did.
+    #[test]
+    fn a_part_walk_is_gc_then_encode() {
+        check("a_part_walk_is_gc_then_encode", 64, |rng| {
+            let spec: Vec<TableSpec> = (0..rng.below(4))
+                .map(|_| {
+                    let mut keys: Vec<u64> = (0..rng.below(12)).map(|_| rng.below(40)).collect();
+                    keys.sort_unstable();
+                    keys.dedup();
+                    let invisible = rng.below(4);
+                    keys.into_iter()
+                        .map(|k| (RowKey::new(k), (k % 4 != invisible).then(|| chain(rng))))
+                        .collect()
+                })
+                .collect();
+            let cuts: Vec<Vec<RowKey>> = spec
+                .iter()
+                .map(|_| {
+                    let mut cuts: Vec<u64> = (0..rng.below(5)).map(|_| 1 + rng.below(42)).collect();
+                    cuts.sort_unstable();
+                    cuts.dedup();
+                    cuts.into_iter().map(RowKey::new).collect()
+                })
+                .collect();
+            let wm = match rng.below(200) {
+                w if w >= 180 => Timestamp::MAX,
+                w => Timestamp::from_micros(w),
+            };
+            let floor = match rng.below(3) {
+                0 => None,
+                1 => Some(wm),
+                _ => Some(Timestamp::from_micros(rng.below(wm.as_micros().min(200) + 1))),
+            };
+            let bytes_per_node = rng.below(64) as usize;
+
+            let (walked, twin) = (build(&spec), build(&spec));
+            let walk = SnapshotWalk::with_cuts(&walked, wm, floor, cuts.clone(), bytes_per_node);
+            std::thread::scope(|s| {
+                s.spawn(|| walk.work());
+                walk.work();
+            });
+            let snap = walk.finish();
+            let got = snapshot::tests::joined(&snap);
+            let want_gc = floor.map_or(GcStats::default(), |f| gc::gc_db(&twin, f));
+            assert_eq!(snap.gc, want_gc, "cuts {cuts:?}");
+            let mut want = BytesMut::new();
+            snapshot::encode_db(&mut want, &twin, wm);
+            assert!(got == want[..], "walk != gc_db then encode_db, cuts {cuts:?}");
+            let mut reference = BytesMut::new();
+            encode_db(&mut reference, &twin, wm);
+            assert!(got == reference[..], "walk != the reference encoder");
+            assert_eq!((snap.len, snap.crc), (got.len(), aets_wal::crc32(&got)));
+            let [after, twin_after] = [&walked, &twin].map(|db| {
+                let mut buf = BytesMut::new();
+                snapshot::encode_db(&mut buf, db, Timestamp::MAX);
+                buf
+            });
+            assert!(after == twin_after, "the walk left other chains than gc_db");
+        });
     }
 
     #[test]

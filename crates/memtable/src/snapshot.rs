@@ -22,10 +22,15 @@
 //! checkpoint store's job, not the codec's: the store checksums the whole
 //! snapshot blob alongside its manifest.
 
+use crate::gc::{prune, GcStats};
 use crate::record::{OpType, Version};
 use crate::table::{MemDb, Table};
-use aets_common::{Error, Result, RowKey, Timestamp, TxnId};
+use aets_common::sync::lock;
+use aets_common::{Error, Result, RowKey, TableId, Timestamp, TxnId};
+use aets_wal::{crc32, crc32_combine, crc32_update};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Serializes the versions of `db` with `commit_ts <= watermark`,
 /// appending to `buf`. Pass [`Timestamp::MAX`] to snapshot everything;
@@ -33,40 +38,184 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 /// equivalent (no version beyond the barrier exists yet) but keeps the
 /// on-disk state independent of any replay that races the serialization.
 ///
-/// Nothing is copied on the way: each chain is encoded in place under its
-/// shared lock while the index is walked.
+/// The checkpoint's [`SnapshotWalk`], with no GC, on the calling thread.
 pub fn encode_db(buf: &mut BytesMut, db: &MemDb, watermark: Timestamp) {
-    buf.put_u32_le(db.num_tables() as u32);
-    for table in db.tables() {
-        encode_table(buf, table, watermark);
+    let walk = SnapshotWalk::plan(db, watermark, None, 1, 0);
+    walk.work();
+    for piece in walk.finish().pieces {
+        buf.put_slice(&piece);
     }
 }
 
-fn encode_table(buf: &mut BytesMut, table: &Table, watermark: Timestamp) {
-    buf.put_u32_le(table.id().raw());
-    // The key count is known only after the walk: nodes without a covered
-    // version (created by phase 1, never committed) are not persisted.
-    let count_at = buf.len();
-    buf.put_u64_le(0);
-    let mut keys = 0u64;
-    table.for_each_node(|key, node| {
-        let chain = node.chain();
-        // Chains are in commit order: the covered versions are a prefix.
-        let covered = &chain[..chain.partition_point(|v| v.commit_ts <= watermark)];
-        if covered.is_empty() {
-            return;
+/// One key range `[lo, hi]` of one table, and what walking it wrote.
+#[derive(Debug)]
+struct Part {
+    table: TableId,
+    lo: RowKey,
+    hi: RowKey,
+    buf: BytesMut,
+    /// Keys written: a node phase 1 made and nothing committed to has no
+    /// covered version and is not persisted.
+    keys: u64,
+    gc: GcStats,
+    /// CRC32 of `buf`, taken by its walker while the bytes are hot.
+    crc: u32,
+}
+
+/// The one snapshot encoder, which a checkpoint runs at an epoch barrier
+/// on the idle replay crew: the database cut into key-range parts, each
+/// encoded into a buffer of its own by whichever thread claims it in
+/// [`SnapshotWalk::work`]. With a GC floor each chain is pruned by
+/// [`crate::gc_node`]'s rule and encoded under one exclusive guard.
+#[derive(Debug)]
+pub struct SnapshotWalk<'a> {
+    db: &'a MemDb,
+    watermark: Timestamp,
+    floor: Option<Timestamp>,
+    /// In table order, then key order.
+    parts: Vec<Mutex<Part>>,
+    next: AtomicUsize,
+    /// Record nodes of `db`, for [`Snapshot::bytes_per_node`].
+    nodes: usize,
+}
+
+impl<'a> SnapshotWalk<'a> {
+    /// Plans the walk of `db` at `watermark`, pruning first at `floor`
+    /// (at most `watermark`) when given, for `walkers` threads: about four
+    /// parts per walker. A table holding more than a part's share of the
+    /// records is cut by [`Table::cut`], which leaves one below
+    /// [`crate::MIN_CUT_LEN`] whole. The part buffers are allocated here,
+    /// on the calling thread, at `bytes_per_node` (the previous snapshot's
+    /// [`Snapshot::bytes_per_node`]; 0 lets them grow from empty).
+    pub fn plan(
+        db: &'a MemDb,
+        watermark: Timestamp,
+        floor: Option<Timestamp>,
+        walkers: usize,
+        bytes_per_node: usize,
+    ) -> Self {
+        let total: usize = db.tables().map(Table::len).sum();
+        let part_len = total.div_ceil(4 * walkers.max(1)).max(1);
+        let (lo, hi) = (RowKey::new(0), RowKey::new(u64::MAX));
+        let cuts = db.tables().map(|t| t.cut(lo, hi, t.len().div_ceil(part_len))).collect();
+        Self::with_cuts(db, watermark, floor, cuts, bytes_per_node)
+    }
+
+    /// The walk with the parts given: `cuts[t]`, ascending and positive,
+    /// cuts table `t` as [`Table::cut`]'s keys do.
+    pub(crate) fn with_cuts(
+        db: &'a MemDb,
+        watermark: Timestamp,
+        floor: Option<Timestamp>,
+        cuts: Vec<Vec<RowKey>>,
+        bytes_per_node: usize,
+    ) -> Self {
+        assert_eq!(cuts.len(), db.num_tables(), "one cut list per table");
+        let (mut parts, mut nodes) = (Vec::new(), 0);
+        for (table, cuts) in db.tables().zip(cuts) {
+            nodes += table.len();
+            let size = table.len() / (cuts.len() + 1) * bytes_per_node * 5 / 4 + 64;
+            let starts = std::iter::once(RowKey::new(0)).chain(cuts.iter().copied());
+            let ends = cuts.iter().map(|c| RowKey::new(c.raw() - 1)).chain([RowKey::new(u64::MAX)]);
+            parts.extend(starts.zip(ends).map(|(lo, hi)| {
+                let (buf, gc) = (BytesMut::with_capacity(size), GcStats::default());
+                Mutex::new(Part { table: table.id(), lo, hi, buf, keys: 0, gc, crc: 0 })
+            }));
         }
-        keys += 1;
-        buf.put_u64_le(key.raw());
-        buf.put_u32_le(covered.len() as u32);
-        for v in covered {
-            buf.put_u64_le(v.txn_id.raw());
-            buf.put_u64_le(v.commit_ts.as_micros());
-            buf.put_u8(v.op.tag());
-            aets_wal::encode_row(buf, &v.cols);
+        Self { db, watermark, floor, parts, next: AtomicUsize::new(0), nodes }
+    }
+
+    /// Walks parts until none is left to claim: every thread lent to the
+    /// walk calls it, and the caller's call alone walks them all.
+    pub fn work(&self) {
+        while let Some(part) = self.parts.get(self.next.fetch_add(1, Ordering::Relaxed)) {
+            let p = &mut *lock(part);
+            let (buf, keys, wm) = (&mut p.buf, &mut p.keys, self.watermark);
+            let mut encode = |key: RowKey, chain: &[Version]| {
+                // Chains are in commit order: the covered versions are a
+                // prefix.
+                let covered = &chain[..chain.partition_point(|v| v.commit_ts <= wm)];
+                if covered.is_empty() {
+                    return;
+                }
+                *keys += 1;
+                buf.put_u64_le(key.raw());
+                buf.put_u32_le(covered.len() as u32);
+                for v in covered {
+                    buf.put_u64_le(v.txn_id.raw());
+                    buf.put_u64_le(v.commit_ts.as_micros());
+                    buf.put_u8(v.op.tag());
+                    aets_wal::encode_row(buf, &v.cols);
+                }
+            };
+            let gc = &mut p.gc;
+            self.db.table(p.table).for_each_node_in(p.lo, p.hi, |key, node| match self.floor {
+                Some(floor) => {
+                    let mut chain = node.chain_mut();
+                    gc.merge(prune(&mut chain, floor));
+                    encode(key, &chain);
+                }
+                None => encode(key, &node.chain()),
+            });
+            p.crc = crc32(&p.buf);
         }
-    });
-    buf[count_at..count_at + 8].copy_from_slice(&keys.to_le_bytes());
+    }
+
+    /// The walked snapshot. Panics if a part was never claimed: some
+    /// thread must have called [`SnapshotWalk::work`] to the end.
+    pub fn finish(self) -> Snapshot {
+        let claimed = self.next.load(Ordering::Relaxed) >= self.parts.len();
+        assert!(claimed, "a snapshot part was never walked");
+        let parts = self.parts.into_iter();
+        let mut parts =
+            parts.map(|p| p.into_inner().unwrap_or_else(PoisonError::into_inner)).peekable();
+        let mut snap = Snapshot::default();
+        let mut count = BytesMut::with_capacity(4);
+        count.put_u32_le(self.db.num_tables() as u32);
+        snap.push(count, None);
+        for table in self.db.tables() {
+            let mine: Vec<Part> =
+                std::iter::from_fn(|| parts.next_if(|p| p.table == table.id())).collect();
+            let mut head = BytesMut::with_capacity(12);
+            head.put_u32_le(table.id().raw());
+            head.put_u64_le(mine.iter().map(|p| p.keys).sum());
+            snap.push(head, None);
+            for p in mine {
+                snap.gc.merge(p.gc);
+                snap.push(p.buf, Some(p.crc));
+            }
+        }
+        snap.bytes_per_node = snap.len.div_ceil(self.nodes.max(1));
+        snap
+    }
+}
+
+/// A finished [`SnapshotWalk`].
+#[derive(Debug, Default)]
+pub struct Snapshot {
+    /// The snapshot in order — `[num_tables]`, then per table
+    /// `[table_id][num_keys]` and its parts — to be written back to back:
+    /// joined, they are [`encode_db`]'s bytes.
+    pub pieces: Vec<BytesMut>,
+    /// Total length of the pieces.
+    pub len: usize,
+    /// CRC32 of the pieces joined: the walkers' part CRCs folded in order.
+    pub crc: u32,
+    /// What the walk pruned (nothing without a GC floor).
+    pub gc: GcStats,
+    /// Bytes per record node, rounded up: the next walk's buffer sizing.
+    pub bytes_per_node: usize,
+}
+
+impl Snapshot {
+    fn push(&mut self, piece: BytesMut, crc: Option<u32>) {
+        self.crc = match crc {
+            Some(crc) => crc32_combine(self.crc, crc, piece.len() as u64),
+            None => crc32_update(self.crc, &piece),
+        };
+        self.len += piece.len();
+        self.pieces.push(piece);
+    }
 }
 
 /// Rebuilds a [`MemDb`] from a snapshot produced by [`encode_db`],
@@ -114,7 +263,7 @@ fn need(buf: &Bytes, n: usize) -> Result<()> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use aets_common::{ColumnId, TableId, Value};
 
@@ -197,6 +346,37 @@ mod tests {
         encode_db(&mut buf, &db, Timestamp::MAX);
         buf.put_u8(0xFF);
         assert!(decode_db(&mut buf.freeze()).is_err());
+    }
+
+    /// The snapshot's pieces joined.
+    pub(crate) fn joined(snap: &Snapshot) -> Vec<u8> {
+        snap.pieces.iter().flat_map(|p| p.iter().copied()).collect()
+    }
+
+    #[test]
+    fn a_walk_cuts_only_big_tables_and_writes_encode_db_bytes() {
+        use crate::MIN_CUT_LEN;
+        let db = sample_db();
+        let big = db.table(TableId::new(1));
+        for k in 0..3 * MIN_CUT_LEN as u64 {
+            big.apply_version(
+                RowKey::new(k),
+                ver(k + 1, k + 1, OpType::Insert, vec![(0, Value::Int(1))]),
+            );
+        }
+        let mut want = BytesMut::new();
+        encode_db(&mut want, &db, Timestamp::MAX);
+        for walkers in [1, 2, 3] {
+            let walk = SnapshotWalk::plan(&db, Timestamp::MAX, None, walkers, 40);
+            let parts_of =
+                |t: u32| walk.parts.iter().filter(|p| lock(p).table == TableId::new(t)).count();
+            assert_eq!([parts_of(0), parts_of(2)], [1, 1], "small tables stay whole");
+            assert!(parts_of(1) > walkers, "{walkers} walkers: {} parts", parts_of(1));
+            walk.work();
+            let snap = walk.finish();
+            assert!(joined(&snap) == want[..], "{walkers} walkers");
+            assert_eq!(snap.gc, GcStats::default(), "no floor, no GC");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! [num_quarantined u32] [group u32 x num_quarantined]
 //! [snapshot_len u64]
 //! [meta_crc u32]              -- CRC32 over everything above
-//! [snapshot bytes]            -- aets_memtable::encode_db
+//! [snapshot bytes]            -- aets_memtable::encode_db, as a SnapshotWalk
 //! [snapshot_crc u32]          -- CRC32 over the snapshot bytes
 //! ```
 //!
@@ -27,7 +27,7 @@
 //! back across manifests that fail any checksum.
 
 use aets_common::{Error, Result, Timestamp};
-use aets_memtable::{decode_db, encode_db, MemDb};
+use aets_memtable::{decode_db, MemDb, Snapshot, SnapshotWalk};
 use aets_wal::crash::{charge, durable_write, CrashClock};
 use aets_wal::crc32;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -72,9 +72,8 @@ pub struct Checkpoint {
 pub struct CheckpointStore {
     dir: PathBuf,
     clock: Option<Arc<CrashClock>>,
-    /// Size of the last manifest image written (0 before the first): the
-    /// next image's buffer is sized from it.
-    last_image_len: AtomicUsize,
+    /// See [`CheckpointStore::bytes_per_node`].
+    bytes_per_node: AtomicUsize,
 }
 
 impl CheckpointStore {
@@ -83,7 +82,7 @@ impl CheckpointStore {
     pub fn open(dir: impl Into<PathBuf>, clock: Option<Arc<CrashClock>>) -> Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let store = Self { dir, clock, last_image_len: AtomicUsize::new(0) };
+        let store = Self { dir, clock, bytes_per_node: AtomicUsize::new(0) };
         for entry in std::fs::read_dir(&store.dir)? {
             let path = entry?.path();
             if path.extension().is_some_and(|e| e == "tmp") {
@@ -119,42 +118,53 @@ impl CheckpointStore {
     /// are excluded); pass the barrier's `global_cmt_ts`, or
     /// [`Timestamp::MAX`] to snapshot everything.
     ///
-    /// The file image is built once, in one buffer sized from the previous
-    /// image: header with its length and CRC fields left blank, snapshot
-    /// encoded straight behind it, then the blanks patched and the CRCs
-    /// taken over the regions where they lie.
+    /// The snapshot is walked with no GC on the calling thread, then
+    /// written by [`CheckpointStore::write_snapshot`].
     pub fn write(
         &self,
         meta: &CheckpointMeta,
         db: &MemDb,
         watermark: Timestamp,
     ) -> Result<PathBuf> {
-        let last = self.last_image_len.load(Ordering::Relaxed);
-        let mut buf = BytesMut::with_capacity(last + last / 4 + 128);
-        buf.put_u32_le(CKPT_MAGIC);
-        buf.put_u32_le(CKPT_VERSION);
-        buf.put_u64_le(meta.next_epoch_seq);
-        buf.put_u64_le(meta.global_cmt_ts.as_micros());
-        buf.put_u32_le(meta.tg_cmt_ts.len() as u32);
+        let walk = SnapshotWalk::plan(db, watermark, None, 1, self.bytes_per_node());
+        walk.work();
+        self.write_snapshot(meta, &walk.finish())
+    }
+
+    /// Snapshot bytes per record node of the last manifest written (0
+    /// before the first): the next walk's buffers are sized from it.
+    pub fn bytes_per_node(&self) -> usize {
+        self.bytes_per_node.load(Ordering::Relaxed)
+    }
+
+    /// Writes a walked snapshot as the manifest for `meta`, atomically
+    /// (see [`CheckpointStore::write`]). The header, the snapshot's
+    /// pieces and the trailer go to the file back to back as one metered
+    /// write: the image is never joined into one buffer. The snapshot CRC
+    /// folds the CRCs its walkers took of their parts.
+    pub fn write_snapshot(&self, meta: &CheckpointMeta, snapshot: &Snapshot) -> Result<PathBuf> {
+        let mut head =
+            BytesMut::with_capacity(48 + 8 * meta.tg_cmt_ts.len() + 4 * meta.quarantined.len());
+        head.put_u32_le(CKPT_MAGIC);
+        head.put_u32_le(CKPT_VERSION);
+        head.put_u64_le(meta.next_epoch_seq);
+        head.put_u64_le(meta.global_cmt_ts.as_micros());
+        head.put_u32_le(meta.tg_cmt_ts.len() as u32);
         for ts in &meta.tg_cmt_ts {
-            buf.put_u64_le(ts.as_micros());
+            head.put_u64_le(ts.as_micros());
         }
-        buf.put_u32_le(meta.quarantined.len() as u32);
+        head.put_u32_le(meta.quarantined.len() as u32);
         for g in &meta.quarantined {
-            buf.put_u32_le(*g);
+            head.put_u32_le(*g);
         }
-        let len_at = buf.len();
-        buf.put_u64_le(0); // snapshot_len
-        buf.put_u32_le(0); // meta_crc
-        let snap_at = buf.len();
-        encode_db(&mut buf, db, watermark);
-        let snapshot_len = (buf.len() - snap_at) as u64;
-        buf[len_at..len_at + 8].copy_from_slice(&snapshot_len.to_le_bytes());
-        let meta_crc = crc32(&buf[..len_at + 8]);
-        buf[len_at + 8..snap_at].copy_from_slice(&meta_crc.to_le_bytes());
-        let snap_crc = crc32(&buf[snap_at..]);
-        buf.put_u32_le(snap_crc);
-        self.last_image_len.store(buf.len(), Ordering::Relaxed);
+        head.put_u64_le(snapshot.len as u64);
+        let meta_crc = crc32(&head);
+        head.put_u32_le(meta_crc);
+        let trailer = snapshot.crc.to_le_bytes();
+        let mut segs = vec![&head[..]];
+        segs.extend(snapshot.pieces.iter().map(|p| &p[..]));
+        segs.push(&trailer);
+        self.bytes_per_node.store(snapshot.bytes_per_node, Ordering::Relaxed);
 
         let final_path = self.dir.join(checkpoint_file_name(meta.next_epoch_seq));
         let tmp_path = final_path.with_extension("tmp");
@@ -165,7 +175,7 @@ impl CheckpointStore {
                 .truncate(true)
                 .write(true)
                 .open(&tmp_path)?;
-            durable_write(&mut f, &buf, &self.clock, "checkpoint manifest")?;
+            durable_write(&mut f, &segs, &self.clock, "checkpoint manifest")?;
             charge(&self.clock, "fsync checkpoint tmp")?;
             f.sync_data()?;
         }

@@ -412,6 +412,19 @@ impl AetsEngine {
         self.quarantine.poisoned()
     }
 
+    /// Replay threads `T`, the caller of `replay` included.
+    pub(crate) fn threads(&self) -> usize {
+        self.cfg.threads
+    }
+
+    /// Lends the idle crew to one job between replay calls (the
+    /// checkpoint's snapshot walk): `job` runs on the caller and on each
+    /// helper through the gate of [`Crew::run`]; with `threads: 1` the
+    /// caller runs it alone.
+    pub(crate) fn lend_crew(&self, job: &(dyn Fn() + Sync)) -> Result<()> {
+        lock(&self.crew).run(self.cfg.threads - 1, job).map(drop)
+    }
+
     /// The ungrouped TPLR baseline: one group, no staging.
     pub fn tplr_baseline(
         threads: usize,
@@ -1665,6 +1678,62 @@ mod tests {
             .map(aets_wal::encode_epoch)
             .collect();
         (grouping, epochs)
+    }
+
+    /// The crew lent to a snapshot walk: with `threads: 1` the caller is
+    /// the only walker and walks every part itself (`finish` panics on a
+    /// part nobody walked); with helpers the caller walks too, and the
+    /// bytes are the one-thread encoder's either way.
+    #[test]
+    fn a_lent_crew_walks_every_snapshot_part() {
+        use aets_common::{ColumnId, RowKey, TxnId, Value};
+        use aets_memtable::{encode_db, OpType, SnapshotWalk, Version, MIN_CUT_LEN};
+        use bytes::BytesMut;
+        with_watchdog(|| {
+            let db = MemDb::new(2);
+            for k in 0..3 * MIN_CUT_LEN as u64 {
+                db.table(TableId::new((k % 7 == 0) as u32)).apply_version(
+                    RowKey::new(k),
+                    Version {
+                        txn_id: TxnId::new(k + 1),
+                        commit_ts: Timestamp::from_micros(k + 1),
+                        op: OpType::Insert,
+                        cols: vec![(ColumnId::new(0), Value::Int(k as i64))],
+                    },
+                );
+            }
+            let mut want = BytesMut::new();
+            encode_db(&mut want, &db, Timestamp::MAX);
+            let me = std::thread::current().id();
+            for threads in [1usize, 2] {
+                let eng = AetsEngine::builder(TableGrouping::single(2, &FxHashSet::default()))
+                    .config(AetsConfig { threads, ..Default::default() })
+                    .build()
+                    .unwrap();
+                // Planned for more walkers than the engine has: many parts.
+                let walk = SnapshotWalk::plan(&db, Timestamp::MAX, None, 4, 0);
+                let walkers = Mutex::new(Vec::new());
+                eng.lend_crew(&|| {
+                    lock(&walkers).push(std::thread::current().id());
+                    walk.work();
+                })
+                .unwrap();
+                let walkers = walkers.into_inner().unwrap();
+                assert!(walkers.contains(&me), "threads {threads}: the caller walks");
+                if threads == 1 {
+                    assert_eq!(walkers, [me], "a one-thread engine lends only its caller");
+                }
+                assert!(
+                    walk.finish()
+                        .pieces
+                        .iter()
+                        .flat_map(|p| p.iter().copied())
+                        .collect::<Vec<u8>>()
+                        == want[..],
+                    "threads {threads}"
+                );
+            }
+        });
     }
 
     #[test]

@@ -30,7 +30,7 @@ use crate::options::ServiceOptions;
 use crate::service::{BackupNode, NodeOptions};
 use crate::visibility::VisibilityBoard;
 use aets_common::{Error, GroupId, Result, Timestamp};
-use aets_memtable::{MemDb, QueryFloor};
+use aets_memtable::{MemDb, QueryFloor, SnapshotWalk};
 use aets_telemetry::trace::stages;
 use aets_telemetry::{names, EventKind, Telemetry};
 use aets_wal::crash::CrashClock;
@@ -345,16 +345,6 @@ impl DurableBackup {
             return Ok(false);
         }
         let t0 = Instant::now();
-        if self.opts.gc_before_checkpoint {
-            // Both floors clamp: the manually published replica floor and
-            // the oldest read session pinned through a served node.
-            self.node.gc_clamped(self.query_floor);
-        }
-        // Group-commit invariant: the WAL prefix below the checkpoint
-        // barrier must be durable before the manifest is — otherwise a
-        // crash could leave a checkpoint that outruns the durable log,
-        // and the resumed stream would hit an epoch gap.
-        self.wal.sync()?;
         let board = self.node.board();
         let meta = CheckpointMeta {
             next_epoch_seq: self.next_seq,
@@ -364,9 +354,26 @@ impl DurableBackup {
                 .collect(),
             quarantined: vec![],
         };
-        // The barrier's own watermark, not `Timestamp::MAX`: a version
-        // appended after the cut must never reach this manifest.
-        let manifest = self.ckpt.write(&meta, self.node.db(), meta.global_cmt_ts)?;
+        // One walk on the idle crew prunes and encodes. Both floors clamp
+        // the GC: the manual replica floor and the oldest pinned session.
+        // The barrier's own watermark, not `Timestamp::MAX`, bounds the
+        // snapshot: a version appended after the cut must never reach it.
+        let floor =
+            self.opts.gc_before_checkpoint.then(|| self.node.gc_watermark(self.query_floor));
+        let (db, walkers) = (self.node.db(), self.engine.threads());
+        let walk =
+            SnapshotWalk::plan(db, meta.global_cmt_ts, floor, walkers, self.ckpt.bytes_per_node());
+        self.engine.lend_crew(&|| walk.work())?;
+        let snapshot = walk.finish();
+        if floor.is_some() {
+            self.node.record_gc(snapshot.gc, t0.elapsed());
+        }
+        // Group-commit invariant: the WAL prefix below the checkpoint
+        // barrier must be durable before the manifest is — otherwise a
+        // crash could leave a checkpoint that outruns the durable log,
+        // and the resumed stream would hit an epoch gap.
+        self.wal.sync()?;
+        let manifest = self.ckpt.write_snapshot(&meta, &snapshot)?;
         reg.counter(names::CHECKPOINTS_WRITTEN).inc();
         if let Ok(on_disk) = std::fs::metadata(&manifest) {
             reg.gauge(names::CHECKPOINT_BYTES).set(on_disk.len());
@@ -983,6 +990,133 @@ mod tests {
         let evs = tel.drain_events();
         assert!(evs.iter().any(|e| e.kind.name() == "checkpoint_written"));
         assert!(evs.iter().any(|e| e.kind.name() == "wal_segment_retired"));
+        let _ = std::fs::remove_dir_all(&wal_dir);
+        let _ = std::fs::remove_dir_all(&ckpt_dir);
+    }
+
+    /// The checkpoint's walk prunes what a GC pass of its own would,
+    /// accounts for it the same way (`aets_gc_*`, the `GcPass` event), and
+    /// writes the manifest that pass followed by a checkpoint without GC
+    /// writes.
+    #[test]
+    fn a_checkpoint_walk_prunes_and_counts_like_a_separate_gc_pass() {
+        let (epochs, num_tables, grouping) = tpcc_stream(800);
+        let mut runs = Vec::new();
+        for fused in [true, false] {
+            let (wal_dir, ckpt_dir) = (scratch("fused-wal"), scratch("fused-ckpt"));
+            let tel = Arc::new(Telemetry::new());
+            let opts = DurableOptions {
+                checkpoint_every: 0,
+                gc_before_checkpoint: fused,
+                ..Default::default()
+            };
+            let engine = instrumented_engine(&grouping, &tel);
+            let mut node =
+                DurableBackup::open(&wal_dir, &ckpt_dir, engine, num_tables, opts, None).unwrap();
+            for e in &epochs {
+                node.ingest(e).unwrap();
+            }
+            assert_eq!(tel.snapshot().counter_total(names::GC_PASSES), 0);
+            if !fused {
+                node.node.gc_clamped(node.query_floor);
+            }
+            assert!(node.checkpoint_now().unwrap());
+            let snap = tel.snapshot();
+            let pass_us = snap.histogram_summary_all(names::GC_PASS_US).expect("gc histogram");
+            let events: Vec<(usize, usize)> = tel
+                .drain_events()
+                .into_iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::GcPass { nodes, pruned } => Some((nodes, pruned)),
+                    _ => None,
+                })
+                .collect();
+            let (_, path) = node.ckpt.list().unwrap().pop().expect("a manifest");
+            let counts = (snap.counter_total(names::GC_PASSES), pass_us.count, events.len() as u64);
+            assert_eq!(counts, (1, 1, 1), "fused {fused}: one pass, timed once, one event");
+            runs.push((snap.counter_total(names::GC_PRUNED), events, std::fs::read(path).unwrap()));
+            let _ = std::fs::remove_dir_all(&wal_dir);
+            let _ = std::fs::remove_dir_all(&ckpt_dir);
+        }
+        assert!(runs[0].0 > 0, "hot TPC-C rows must shed versions");
+        assert_eq!(runs[0].0, runs[1].0, "pruned");
+        assert_eq!(runs[0].1, runs[1].1, "GcPass events");
+        assert!(runs[0].2 == runs[1].2, "the fused walk wrote another manifest");
+    }
+
+    /// Read sessions served while checkpoints walk the database on both
+    /// crew members — pruning chains under their exclusive guards — get
+    /// the serial oracle's answers. The session's pin keeps every walk's
+    /// GC floor at or below its snapshot.
+    #[test]
+    fn a_served_query_during_a_crew_parallel_checkpoint_reads_the_oracle_answer() {
+        use crate::engines::serial::SerialEngine;
+        use crate::service::QuerySpec;
+        use crate::target::eval_spec;
+        use aets_common::ColumnId;
+        use aets_memtable::Aggregate;
+        use std::sync::atomic::AtomicBool;
+
+        let (epochs, num_tables, grouping) = tpcc_stream(2_000);
+        let oracle = MemDb::new(num_tables);
+        let oracle_board = VisibilityBoard::builder(grouping.num_groups()).build();
+        SerialEngine.replay(&epochs, &oracle, &oracle_board).unwrap();
+        let (wal_dir, ckpt_dir) = (scratch("ckpt-read-wal"), scratch("ckpt-read-ckpt"));
+        let tel = Arc::new(Telemetry::new());
+        let opts = DurableOptions { checkpoint_every: 2, ..Default::default() };
+        let engine = instrumented_engine(&grouping, &tel);
+        let mut backup =
+            DurableBackup::open(&wal_dir, &ckpt_dir, engine, num_tables, opts, None).unwrap();
+        let half = epochs.len() / 2;
+        for e in &epochs[..half] {
+            backup.ingest(e).unwrap();
+        }
+        // The head as the session pins it: without the pin, the next
+        // checkpoints' GC would fold the versions it reads into newer ones.
+        let qts = epochs[half - 1].max_commit_ts;
+        let tables: Vec<TableId> = (0..num_tables as u32).map(TableId::new).collect();
+        let specs: Vec<QuerySpec> = tables
+            .iter()
+            .flat_map(|&t| {
+                [QuerySpec::count(t), QuerySpec::aggregate(t, ColumnId::new(0), Aggregate::Sum)]
+            })
+            .collect();
+        let want: Vec<_> = specs.iter().map(|s| eval_spec(&oracle, s, qts)).collect();
+        let node = backup.serve(NodeOptions::default()).unwrap();
+        let written = || tel.snapshot().counter_total(names::CHECKPOINTS_WRITTEN);
+        let before = written();
+        let (pinned, wait_pinned) = std::sync::mpsc::channel();
+        let stop = AtomicBool::new(false);
+        let rounds = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let session = node.open_session(qts, &tables);
+                pinned.send(()).expect("the ingest side waits");
+                let mut rounds = 0u64;
+                while rounds == 0 || !stop.load(Ordering::SeqCst) {
+                    for (spec, want) in specs.iter().zip(&want) {
+                        assert_eq!(&session.query(spec.clone()).unwrap(), want, "{spec:?}");
+                    }
+                    rounds += 1;
+                }
+                rounds
+            });
+            wait_pinned.recv().expect("the reader pins its session");
+            for e in &epochs[half..] {
+                backup.ingest(e).unwrap();
+            }
+            stop.store(true, Ordering::SeqCst);
+            reader.join().expect("every answer matched the oracle")
+        });
+        assert!(rounds > 0);
+        assert!(written() - before >= 5, "checkpoints ran while the session read");
+        // Every checkpoint has run now, each while the reader's pin held.
+        let session = node.open_session(qts, &tables);
+        for (spec, want) in specs.iter().zip(&want) {
+            assert_eq!(&session.query(spec.clone()).unwrap(), want, "after: {spec:?}");
+        }
+        drop(session);
+        drop(node);
+        assert_eq!(backup.db().digest_at(Timestamp::MAX), oracle.digest_at(Timestamp::MAX));
         let _ = std::fs::remove_dir_all(&wal_dir);
         let _ = std::fs::remove_dir_all(&ckpt_dir);
     }

@@ -688,12 +688,19 @@ impl BackupNode {
         let wm = self.gc_watermark(extra_floor);
         let t0 = Instant::now();
         let pass = gc_db(&self.core.db, wm);
+        self.record_gc(pass, t0.elapsed());
+        pass
+    }
+
+    /// Accounts for one GC pass that took `wall`: `aets_gc_*` and the
+    /// `GcPass` event, for a pass of its own and for the one a
+    /// checkpoint's snapshot walk makes on the way.
+    pub(crate) fn record_gc(&self, pass: GcStats, wall: Duration) {
         let stats = &self.core.stats;
-        stats.gc_pass_us.record_micros(t0.elapsed().as_micros() as u64);
+        stats.gc_pass_us.record_micros(wall.as_micros() as u64);
         stats.gc_passes.inc();
         stats.gc_pruned.add(pass.pruned as u64);
         self.core.telemetry.event(EventKind::GcPass { nodes: pass.nodes, pruned: pass.pruned });
-        pass
     }
 
     /// The watermark [`BackupNode::gc_clamped`] would prune at.

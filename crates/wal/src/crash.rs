@@ -113,34 +113,39 @@ pub fn charge(clock: &Option<Arc<CrashClock>>, what: &str) -> Result<()> {
     }
 }
 
-/// Writes `buf` to `file`, metering the write on `clock`: at the crash
-/// instant only a deterministic prefix reaches the file (a torn write),
-/// and the prefix is flushed so a reopen observes exactly what a real
-/// crash would have left on disk. Shared by every durability store (WAL
-/// segments, checkpoints).
+/// Writes `segs` to `file` back to back as one write metered on `clock`:
+/// at the crash instant only a deterministic prefix of their concatenation
+/// reaches the file (a torn write), and the prefix is flushed so a reopen
+/// observes exactly what a real crash would have left on disk. One
+/// segment or many, the same bytes tear the same way, and nothing is
+/// joined on the way. Shared by every durability store (WAL segments,
+/// checkpoints).
 pub fn durable_write(
     file: &mut std::fs::File,
-    buf: &[u8],
+    segs: &[&[u8]],
     clock: &Option<Arc<CrashClock>>,
     what: &str,
 ) -> Result<()> {
     use std::io::Write as _;
-    match clock {
-        None => {
-            file.write_all(buf)?;
-            Ok(())
+    let len = segs.iter().map(|s| s.len()).sum();
+    let (mut keep, crash) = match clock.as_ref().map(|c| c.charge_write(what, len)) {
+        None | Some(Ok(_)) => (len, None),
+        Some(Err((torn, e))) => (torn, Some(e)),
+    };
+    for seg in segs {
+        let n = seg.len().min(keep);
+        keep -= n;
+        let wrote = file.write_all(&seg[..n]);
+        if crash.is_none() {
+            wrote?;
         }
-        Some(c) => match c.charge_write(what, buf.len()) {
-            Ok(_) => {
-                file.write_all(buf)?;
-                Ok(())
-            }
-            Err((torn, e)) => {
-                let _ = file.write_all(&buf[..torn]);
-                let _ = file.flush();
-                Err(e)
-            }
-        },
+    }
+    match crash {
+        None => Ok(()),
+        Some(e) => {
+            let _ = file.flush();
+            Err(e)
+        }
     }
 }
 
@@ -182,6 +187,42 @@ mod tests {
         // Post-crash writes persist nothing.
         let (t2, _) = a.charge_write("seg", 100).unwrap_err();
         assert_eq!(t2, 0);
+    }
+
+    /// A write in segments tears at the same point of the concatenation,
+    /// and leaves the same file, as one write of the joined buffer at the
+    /// same op budget.
+    #[test]
+    fn a_torn_segmented_write_leaves_what_a_torn_single_write_does() {
+        let dir = std::env::temp_dir().join(format!("aets-crash-segs-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let joined: Vec<u8> = (0..300u32).map(|i| (i * 7) as u8).collect();
+        let segs: [&[u8]; 5] =
+            [&joined[..0], &joined[..13], &joined[13..14], &joined[14..200], &joined[200..]];
+        for budget in 1..=4u64 {
+            let mut files = Vec::new();
+            for name in ["one", "segs"] {
+                let path = dir.join(format!("{name}-{budget}"));
+                let mut f = std::fs::File::create(&path).unwrap();
+                let clock = Some(CrashClock::with_budget(budget));
+                // Writes before the crash instant land whole; the one at
+                // it is torn.
+                let mut crashed = false;
+                for _ in 0..budget {
+                    crashed |= match name {
+                        "one" => durable_write(&mut f, &[&joined], &clock, "w"),
+                        _ => durable_write(&mut f, &segs, &clock, "w"),
+                    }
+                    .is_err();
+                }
+                assert!(crashed, "budget {budget} crashes inside its last write");
+                drop(f);
+                files.push(std::fs::read(&path).unwrap());
+            }
+            assert_eq!(files[0], files[1], "budget {budget}");
+            assert!(files[0].len() < joined.len() * budget as usize, "budget {budget} tore");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -51,13 +51,20 @@ const fn build_tables() -> [[u32; 256]; 8] {
 static TABLES: [[u32; 256]; 8] = build_tables();
 
 /// CRC32 of `data` (init `!0`, final xor `!0` — matches zlib's `crc32`).
+pub fn crc32(data: &[u8]) -> u32 {
+    crc32_update(0, data)
+}
+
+/// Extends `crc`, the CRC32 of some bytes, to those bytes followed by
+/// `data` (zlib's `crc32(crc, data)`): a buffer in pieces is checksummed
+/// piece by piece.
 ///
 /// Slice-by-8: the main loop folds 8 bytes per iteration — the running
 /// CRC is xored into the first 4 and all 8 are looked up in parallel
 /// tables — then a byte-at-a-time tail handles the remainder. Identical
 /// output to [`crc32_scalar`] on every input (a property test checks it).
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
+pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
+    let mut crc = !crc;
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {
         // One 8-byte load per block; the xor folds the running CRC into
@@ -76,6 +83,35 @@ pub fn crc32(data: &[u8]) -> u32 {
         crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
+}
+
+/// CRC32 of `a` followed by `b`, from `crc32(a)`, `crc32(b)` and `b`'s
+/// length alone (zlib's `crc32_combine`): adjacent pieces of one buffer
+/// are checksummed apart, by different threads, and folded in order.
+/// Appending zeros to `a` is linear over GF(2); the 32×32 bit matrix for
+/// one zero byte is squared through the bits of `len_b`, so the cost is
+/// `O(log len_b)` matrix products, not `O(len_b)`.
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    // `mat · vec` over GF(2): column `i` of `mat` is `mat[i]`.
+    let times = |mat: &[u32; 32], vec: u32| {
+        (0..32).filter(|i| vec >> i & 1 != 0).fold(0, |sum, i| sum ^ mat[i])
+    };
+    let square = |mat: &[u32; 32]| std::array::from_fn(|i| times(mat, mat[i]));
+    // One zero bit shifts right, folding in the polynomial when the bit
+    // shifted out was set; three squarings make it one zero byte.
+    let mut op: [u32; 32] = std::array::from_fn(|i| if i == 0 { POLY } else { 1 << (i - 1) });
+    for _ in 0..3 {
+        op = square(&op);
+    }
+    let (mut crc, mut len) = (crc_a, len_b);
+    while len != 0 {
+        if len & 1 != 0 {
+            crc = times(&op, crc);
+        }
+        len >>= 1;
+        op = square(&op);
+    }
+    crc ^ crc_b
 }
 
 /// The byte-at-a-time reference loop. Kept as the oracle for the
@@ -135,6 +171,30 @@ mod tests {
             let skew = rng.below(8) as usize;
             let view = &data[skew.min(data.len())..];
             assert_eq!(crc32(view), crc32_scalar(view));
+        });
+    }
+
+    /// A buffer cut at random points checksums the same streamed through
+    /// `crc32_update` and folded from its pieces' own CRCs with
+    /// `crc32_combine`: empty and odd-length pieces included.
+    #[test]
+    fn streamed_and_combined_equal_scalar() {
+        check("streamed_and_combined_equal_scalar", 64, |rng| {
+            let data: Vec<u8> = (0..rng.below(2048)).map(|_| rng.next_u64() as u8).collect();
+            let mut cuts: Vec<usize> =
+                (0..rng.below(6)).map(|_| rng.below(data.len() as u64 + 1) as usize).collect();
+            cuts.sort_unstable();
+            let bounds: Vec<usize> =
+                std::iter::once(0).chain(cuts).chain(std::iter::once(data.len())).collect();
+            let (mut streamed, mut combined) = (0, 0);
+            for w in bounds.windows(2) {
+                let piece = &data[w[0]..w[1]];
+                streamed = crc32_update(streamed, piece);
+                combined = crc32_combine(combined, crc32_scalar(piece), piece.len() as u64);
+            }
+            let want = crc32_scalar(&data);
+            assert_eq!(streamed, want, "streamed over {bounds:?}");
+            assert_eq!(combined, want, "combined over {bounds:?}");
         });
     }
 }

@@ -333,7 +333,7 @@ impl SegmentStore {
             .current
             .as_mut()
             .ok_or_else(|| Error::Io("segment store has no open segment".into()))?;
-        durable_write(file, &frame, &self.clock, "wal frame")?;
+        durable_write(file, &[&frame], &self.clock, "wal frame")?;
         if let Some(m) = self.segments.last_mut() {
             m.count += 1;
         }
@@ -360,7 +360,7 @@ impl SegmentStore {
         charge(&self.clock, "create segment")?;
         let mut file = OpenOptions::new().create(true).truncate(true).write(true).open(&path)?;
         let header = encode_header(first_seq);
-        durable_write(&mut file, &header, &self.clock, "segment header")?;
+        durable_write(&mut file, &[&header], &self.clock, "segment header")?;
         self.segments.push(SegmentMeta { first_seq, count: 0, path });
         self.current = Some(file);
         Ok(())
