@@ -1,24 +1,21 @@
 //! The bodies behind `repro bench <name>`: what each bench times, at what
 //! full-scale size, against what target. Every number goes through
 //! [`crate::harness`]; sizes are stated at full scale and shrunk by
-//! [`Scale::of`] below it.
+//! [`Scale::of`] below it. End-to-end numbers (ingest, WAL, recovery,
+//! query service, freshness) come from `benchmark/`, not from here.
 //!
-//! | name            | what is timed                                                        |
-//! |-----------------|----------------------------------------------------------------------|
-//! | `ingest`        | CRC slice-by-8 vs the scalar oracle, batched vs per-record decode,   |
-//! |                 | `FsyncPolicy::EveryEpoch` vs `Coalesced`                             |
-//! | `query-service` | worker scaling, freshness under query load, admission wait           |
-//! | `adaptive`      | static split vs live controller, with and without drift              |
-//! | `telemetry`     | the same bulk replay with instrumentation off and on                 |
-//! | `recovery`      | durable ingest, a hard kill, suffix-only restart                     |
-//! | `micro`         | kernel rows: allocator, codec, memtable points and walks, neural,    |
-//! |                 | dispatch/replay                                                      |
+//! | name        | what is timed                                                        |
+//! |-------------|----------------------------------------------------------------------|
+//! | `adaptive`  | static split vs live controller, with and without drift              |
+//! | `telemetry` | the same bulk replay with instrumentation off and on                 |
+//! | `micro`     | kernel rows: allocator, codec, memtable points and walks, neural,    |
+//! |             | dispatch/replay                                                      |
 
 use crate::experiments::Scale;
 use crate::harness::{median, paired, BenchResult, Target, PAIRED};
 use crate::{tpcc_bench_with, Bench};
 use aets_common::{
-    splitmix64, ColumnId, DmlOp, EpochId, FxHashSet, RowKey, TableId, Timestamp, TxnId, Value,
+    splitmix64, ColumnId, DmlOp, FxHashSet, RowKey, TableId, Timestamp, TxnId, Value,
 };
 use aets_forecast::ForecastModel;
 use aets_memtable::{
@@ -29,22 +26,20 @@ use aets_neural::{Tape, Tensor};
 use aets_replay::engines::aets::CHUNK;
 use aets_replay::{
     allocate_threads, dbscan_1d, dispatch_epoch, eval_spec, translate_mini_txns, AetsConfig,
-    AetsEngine, BackupNode, ControllerConfig, DurableBackup, DurableOptions, MiniTxn, NodeOptions,
-    QueryOutput, QuerySpec, QueryTarget, ReplayEngine, ReplayMetrics, SerialEngine, ServiceOptions,
-    TableGrouping, UrgencyMode, VisibilityBoard,
+    AetsEngine, BackupNode, ControllerConfig, MiniTxn, NodeOptions, QueryOutput, QuerySpec,
+    QueryTarget, ReplayEngine, ReplayMetrics, SerialEngine, ServiceOptions, TableGrouping,
+    UrgencyMode, VisibilityBoard,
 };
 use aets_telemetry::{names, Telemetry};
 use aets_wal::{
-    crc32, crc32_scalar, decode_at, decode_batch, decode_record, encode_epoch, EncodedEpoch,
-    FsyncPolicy, LogRecord, MetaScanner, SegmentConfig, SegmentStore,
+    crc32, crc32_scalar, decode_at, decode_batch, encode_epoch, EncodedEpoch, LogRecord,
+    MetaScanner,
 };
 use aets_workloads::drift::{rotating_tpcc, RotatingTpccConfig};
 use aets_workloads::tpcc::{tables, TpccConfig};
 use aets_workloads::QueryInstance;
 use bytes::BytesMut;
 use std::hint::black_box;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -53,11 +48,8 @@ pub type BenchFn = (&'static str, &'static str, fn(Scale) -> BenchResult);
 
 /// Every bench `repro bench` knows, in `all` order.
 pub const BENCHES: &[BenchFn] = &[
-    ("ingest", "ingest", ingest),
-    ("query-service", "query_service", query_service),
     ("adaptive", "adaptive", adaptive),
     ("telemetry", "observability", telemetry),
-    ("recovery", "recovery", recovery),
     ("micro", "micro", micro),
 ];
 
@@ -69,292 +61,8 @@ fn aets(grouping: &TableGrouping, threads: usize) -> aets_replay::engines::aets:
     AetsEngine::builder(grouping.clone()).config(AetsConfig { threads, ..Default::default() })
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("aets-bench-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 fn us(d: Duration) -> f64 {
     d.as_secs_f64() * 1e6
-}
-
-// ------------------------------------------------------------------ ingest
-
-/// The surviving levers of the raw-speed ingest campaign, each a paired
-/// before/after on the code that still ships both sides.
-pub fn ingest(scale: Scale) -> BenchResult {
-    let mut r = BenchResult::new("ingest", scale, 7, PAIRED);
-    let reps = r.provenance.reps;
-    let epochs = tpcc(scale.of(20_000), 4).encode(256);
-
-    // 1. CRC kernel: bytewise oracle vs slice-by-8 over one 64 KiB buffer.
-    let buf: Vec<u8> = (0..64 * 1024u64).map(|i| splitmix64(0xC12C + i) as u8).collect();
-    let iters = scale.of(2_000);
-    let mib = (buf.len() * iters) as f64 / (1024.0 * 1024.0);
-    let crc_rate = |kernel: fn(&[u8]) -> u32| {
-        let t = Instant::now();
-        for _ in 0..iters {
-            black_box(kernel(black_box(&buf)));
-        }
-        mib / t.elapsed().as_secs_f64()
-    };
-    let (b, a) = paired(reps, || crc_rate(crc32_scalar), || crc_rate(crc32));
-    r.value("crc_slice_by_8.buf_kib", "KiB", (buf.len() / 1024) as f64);
-    let speedup = r.pair("crc_slice_by_8", "MiB/s", &b, &a).target(Target::AtLeast(4.0)).judged();
-    // Holds at any size, on any machine, with or without `--gate` — for
-    // the optimised kernels; an unoptimised build measures neither.
-    assert!(
-        speedup >= 1.0 || cfg!(debug_assertions),
-        "slice-by-8 must not be slower than the bytewise kernel"
-    );
-
-    // 2. Decode: a per-record loop into a fresh Vec per epoch (each record
-    // re-snapshots the cursor to verify its CRC) vs one batched pass into
-    // a reused scratch Vec.
-    let mut scratch: Vec<LogRecord> = Vec::new();
-    let mut records = 0usize;
-    for e in &epochs {
-        e.decode_records_into(&mut scratch).expect("valid epoch");
-        records += scratch.len();
-    }
-    let (b, a) = paired(
-        reps,
-        || {
-            let t = Instant::now();
-            for e in &epochs {
-                let mut out: Vec<LogRecord> = Vec::new();
-                let mut cursor = e.bytes.clone();
-                while !cursor.is_empty() {
-                    out.push(decode_record(&mut cursor).expect("valid record"));
-                }
-                black_box(&out);
-            }
-            records as f64 / t.elapsed().as_secs_f64()
-        },
-        || {
-            let mut out: Vec<LogRecord> = Vec::new();
-            let t = Instant::now();
-            for e in &epochs {
-                e.decode_records_into(&mut out).expect("valid epoch");
-                black_box(&out);
-            }
-            records as f64 / t.elapsed().as_secs_f64()
-        },
-    );
-    r.pair("batched_decode", "rec/s", &b, &a);
-
-    // 3. WAL fsync policy over the same re-stamped stream: sync every
-    // epoch vs group commit (32 frames / 2 ms; the ack is then no longer
-    // durable, `synced_seq` bounds the loss window — DESIGN.md §11).
-    let stream: Vec<EncodedEpoch> = (0..scale.of(512))
-        .map(|i| EncodedEpoch { id: EpochId::new(i as u64), ..epochs[i % epochs.len()].clone() })
-        .collect();
-    let append_rate = |fsync: FsyncPolicy| {
-        let dir = scratch_dir("wal");
-        let cfg = SegmentConfig { fsync, ..Default::default() };
-        let mut store = SegmentStore::open(&dir, cfg, None).expect("open store");
-        let t = Instant::now();
-        for e in &stream {
-            store.append(e).expect("append");
-        }
-        store.sync().expect("final sync");
-        let rate = stream.len() as f64 / t.elapsed().as_secs_f64();
-        drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
-        rate
-    };
-    let coalesced = FsyncPolicy::Coalesced { max_frames: 32, max_wait: Duration::from_millis(2) };
-    let (b, a) = paired(reps, || append_rate(FsyncPolicy::EveryEpoch), || append_rate(coalesced));
-    r.value("wal_group_commit.epochs", "count", stream.len() as f64);
-    r.pair("wal_group_commit", "epochs/s", &b, &a);
-    r
-}
-
-// ----------------------------------------------------------- query-service
-
-/// How a client picks the snapshot timestamp of its next query.
-#[derive(Clone, Copy)]
-enum QtsPolicy {
-    /// `watermark + margin` (µs), capped at the stream head: a reader
-    /// demanding data fresher than what has replayed.
-    Margin(u64),
-    /// The first epoch watermark strictly above the current global
-    /// watermark: a reader synchronised to the next publish.
-    NextPublish,
-}
-
-struct Served {
-    served: usize,
-    throughput_qps: f64,
-    vis_delay_mean_us: f64,
-    wait_mean_us: f64,
-}
-
-/// One paced run: a feeder thread replays one epoch per `gap` while
-/// `clients` closed-loop readers count `table` at the policy's `qts`.
-fn pace_and_serve(
-    bench: &Bench,
-    epochs: &[EncodedEpoch],
-    gap: Duration,
-    workers: usize,
-    policy: QtsPolicy,
-    table: TableId,
-) -> Served {
-    let tel = Arc::new(Telemetry::new());
-    let engine = aets(&bench.grouping, 2).telemetry(tel.clone()).build().expect("valid config");
-    let node = BackupNode::builder()
-        .engine(Arc::new(engine))
-        .num_tables(bench.workload.num_tables())
-        .options(NodeOptions { query_workers: workers.max(1), ..Default::default() })
-        .build()
-        .expect("valid node");
-
-    let last = epochs.last().expect("nonempty stream").max_commit_ts.as_micros();
-    node.replay(&epochs[..1]).expect("seed epoch");
-
-    let stop = AtomicBool::new(false);
-    let t0 = Instant::now();
-    let (vis_delay_mean_us, window, served) = std::thread::scope(|scope| {
-        let feeder = scope.spawn(|| {
-            let mut staleness_us = 0u64;
-            for i in 1..epochs.len() {
-                // Ship epoch i at its arrival instant and charge the mean
-                // staleness of its commits: publish lag behind arrival
-                // plus half a gap of epoch-batching delay.
-                let arrive = gap * i as u32;
-                if let Some(sleep) = arrive.checked_sub(t0.elapsed()) {
-                    std::thread::sleep(sleep);
-                }
-                node.replay(&epochs[i..=i]).expect("replay");
-                let lag = t0.elapsed().saturating_sub(arrive);
-                staleness_us += lag.as_micros() as u64 + gap.as_micros() as u64 / 2;
-            }
-            stop.store(true, Ordering::Release);
-            (staleness_us as f64 / (epochs.len() - 1) as f64, t0.elapsed())
-        });
-
-        // One closed-loop client per worker (none for the no-query baseline).
-        let readers: Vec<_> = (0..workers)
-            .map(|_| {
-                let (node, stop) = (&node, &stop);
-                scope.spawn(move || {
-                    let mut done: Vec<Duration> = Vec::new();
-                    while !stop.load(Ordering::Acquire) {
-                        let wm = node.safe_ts().as_micros();
-                        let qts = match policy {
-                            QtsPolicy::Margin(margin) => (wm + margin).min(last),
-                            QtsPolicy::NextPublish => epochs
-                                .iter()
-                                .map(|e| e.max_commit_ts.as_micros())
-                                .find(|w| *w > wm)
-                                .unwrap_or(last),
-                        };
-                        node.query_one(Timestamp::from_micros(qts), QuerySpec::count(table))
-                            .expect("query");
-                        done.push(t0.elapsed());
-                    }
-                    done
-                })
-            })
-            .collect();
-        let completions: Vec<Vec<Duration>> =
-            readers.into_iter().map(|r| r.join().expect("reader")).collect();
-        let (vis, window) = feeder.join().expect("feeder");
-        let served = completions.iter().flatten().filter(|d| **d <= window).count();
-        (vis, window, served)
-    });
-
-    let snap = tel.snapshot();
-    let mean = |name: &str| snap.histogram_summary_all(name).map_or(0.0, |h| h.mean_us);
-    Served {
-        served,
-        throughput_qps: served as f64 / window.as_secs_f64(),
-        vis_delay_mean_us,
-        wait_mean_us: mean(names::QUERY_QUEUE_WAIT_US) + mean(names::QUERY_ADMISSION_WAIT_US),
-    }
-}
-
-/// Largest table whose full snapshot count stays under ~900us — heavy
-/// enough to be scan-bound, light enough that four concurrent scans leave
-/// the replay path its CPU.
-fn pick_scan_table(oracle: &MemDb) -> (TableId, Duration) {
-    let timed: Vec<(TableId, usize, Duration)> = (0..oracle.num_tables() as u32)
-        .map(|t| {
-            let table = TableId::new(t);
-            let mut cost = Duration::MAX;
-            let mut rows = 0;
-            for _ in 0..3 {
-                let start = Instant::now();
-                rows = Scan::at(Timestamp::MAX).count(oracle.table(table));
-                cost = cost.min(start.elapsed());
-            }
-            (table, rows, cost)
-        })
-        .collect();
-    let light = timed.iter().filter(|(_, _, c)| *c <= Duration::from_micros(900));
-    // `rev`: on a tie `max_by_key` keeps the last, so this keeps the first.
-    let (table, _, cost) = light
-        .rev()
-        .max_by_key(|(_, rows, _)| *rows)
-        .or_else(|| timed.iter().min_by_key(|(_, _, c)| *c))
-        .expect("at least one table");
-    (*table, *cost)
-}
-
-/// The query-serving `BackupNode` under a paced TPC-C stream: closed-loop
-/// clients run a scan whose snapshot sits *ahead* of the watermark, so
-/// every query parks on Algorithm 3 until replay catches up. Throughput
-/// scaling from extra workers is the overlap of concurrent admission waits,
-/// which is what the pool is for.
-pub fn query_service(scale: Scale) -> BenchResult {
-    let mut r = BenchResult::new("query-service", scale, 1, "one paced run per configuration");
-    let bench = tpcc(scale.of(12_800), 2);
-    // Coarse epochs for the scaling / freshness phases, fine epochs for
-    // the admission phase (more publishes = more parked waits).
-    let (coarse, fine) = (bench.encode(128), bench.encode(64));
-    let oracle = MemDb::new(bench.workload.num_tables());
-    SerialEngine.replay_all(&coarse, &oracle).expect("oracle replay");
-    let (table, scan_cost) = pick_scan_table(&oracle);
-    r.value("txns", "count", bench.workload.txns.len() as f64);
-    r.value("scan_table", "id", f64::from(table.raw()));
-    r.value("scan_cost", "us", us(scan_cost));
-
-    // Pacing with headroom over the replay cost, and a freshness margin
-    // of 1.5 gaps so margin-policy queries always park.
-    let (gap, fine_gap) = (Duration::from_millis(40), Duration::from_millis(20));
-    let margin = QtsPolicy::Margin(gap.as_micros() as u64 * 3 / 2);
-    let base = pace_and_serve(&bench, &coarse, gap, 0, margin, table);
-    let one = pace_and_serve(&bench, &coarse, gap, 1, margin, table);
-    let four = pace_and_serve(&bench, &coarse, gap, 4, margin, table);
-    r.value("scaling.epochs", "count", coarse.len() as f64);
-    r.value("scaling.epoch_gap", "ms", gap.as_millis() as f64);
-    r.value("scaling.freshness_margin", "gaps", 1.5);
-    r.pair(
-        "scaling.throughput_1_to_4_workers",
-        "q/s",
-        &[one.throughput_qps],
-        &[four.throughput_qps],
-    )
-    .target(Target::AtLeast(2.0));
-    // Mean replay visibility delay (publish lag + half the epoch gap of
-    // batching staleness): no-query baseline vs four clients.
-    r.pair(
-        "freshness.vis_delay_under_load",
-        "us",
-        &[base.vis_delay_mean_us],
-        &[four.vis_delay_mean_us],
-    )
-    .target(Target::AtMost(1.10));
-
-    // Every query targets the *next* unpublished watermark: pure wake-up
-    // latency, parked waiters resume at the publish.
-    let event = pace_and_serve(&bench, &fine, fine_gap, 4, QtsPolicy::NextPublish, table);
-    r.value("admission.epochs", "count", fine.len() as f64);
-    r.value("admission.epoch_gap", "ms", fine_gap.as_millis() as f64);
-    r.value("admission.event_driven_mean_wait", "us", event.wait_mean_us);
-    r.value("admission.event_driven_queries", "count", event.served as f64);
-    r
 }
 
 // ---------------------------------------------------------------- adaptive
@@ -609,72 +317,15 @@ pub fn telemetry(scale: Scale) -> BenchResult {
     r
 }
 
-// ---------------------------------------------------------------- recovery
-
-/// Restart recovery: a TPC-C stream through a `DurableBackup` (WAL-first
-/// ingest + epoch-aligned checkpoints), a hard kill, a restart from disk
-/// that replays only the WAL suffix — and must equal the serial oracle.
-pub fn recovery(scale: Scale) -> BenchResult {
-    let mut r =
-        BenchResult::new("recovery", scale, 3, "median of independent ingest/kill/restart runs");
-    let bench = tpcc(scale.of(20_000), 4);
-    let epochs = bench.encode(256);
-    let n = bench.workload.num_tables();
-    let oracle = MemDb::new(n);
-    SerialEngine.replay_all(&epochs, &oracle).expect("oracle replay");
-    let want = oracle.digest_at(Timestamp::MAX);
-
-    let opts = DurableOptions {
-        checkpoint_every: 16,
-        keep_checkpoints: 2,
-        segment: SegmentConfig { epochs_per_segment: 8, ..Default::default() },
-        gc_before_checkpoint: true,
-        ..Default::default()
-    };
-    let open = |base: &PathBuf| {
-        let engine = aets(&bench.grouping, 2).build().expect("positive thread count");
-        DurableBackup::open(base.join("wal"), base.join("ckpt"), engine, n, opts.clone(), None)
-    };
-    let (mut ingest_s, mut recovery_s, mut suffix) = (Vec::new(), Vec::new(), 0);
-    for _ in 0..r.provenance.reps {
-        let base = scratch_dir("recovery");
-        {
-            let mut node = open(&base).expect("cold start");
-            let t0 = Instant::now();
-            for e in &epochs {
-                node.ingest(e).expect("durable ingest");
-            }
-            ingest_s.push(t0.elapsed().as_secs_f64());
-            // Dropped without any shutdown handshake: the "crash".
-        }
-        let node = open(&base).expect("restart recovery");
-        assert_eq!(node.db().digest_at(Timestamp::MAX), want, "recovered state == oracle");
-        recovery_s.push(node.recovery().recovery_wall.as_secs_f64());
-        suffix = node.recovery().suffix_epochs;
-        drop(node);
-        let _ = std::fs::remove_dir_all(&base);
-    }
-    r.value("txns", "count", bench.workload.txns.len() as f64);
-    r.value("epochs", "count", epochs.len() as f64);
-    r.value("checkpoint_every", "epochs", opts.checkpoint_every as f64);
-    r.sampled("ingest_wall", "s", &ingest_s);
-    r.value("suffix_epochs_replayed", "count", suffix as f64);
-    r.value("full_history_epochs", "count", epochs.len() as f64);
-    r.sampled("recovery_wall", "s", &recovery_s);
-    r.value("recovery_speedup_vs_full_replay", "ratio", epochs.len() as f64 / suffix.max(1) as f64);
-    r.value("digest_matches_oracle", "bool", 1.0);
-    r
-}
-
 // ------------------------------------------------------------------- micro
 
 /// Kernel rows, each an absolute median: the control-plane solvers on the
-/// per-epoch critical path, the value-log codec (full decode vs
-/// metadata-only scan — the asymmetry behind the C5-vs-ATR/AETS dispatch
-/// comparison), memtable point operations, the memtable's whole-database
-/// walks (scan, aggregate, GC pass, snapshot encode), one DTGM-scale
-/// forward and backward pass, and dispatch / translate / full engine
-/// passes.
+/// per-epoch critical path, the CRC kernels, the value-log codec (full
+/// decode vs metadata-only scan — the asymmetry behind the C5-vs-ATR/AETS
+/// dispatch comparison), memtable point operations, the memtable's
+/// whole-database walks (scan, aggregate, GC pass, snapshot encode), one
+/// DTGM-scale forward and backward pass, and dispatch / translate / full
+/// engine passes.
 pub fn micro(scale: Scale) -> BenchResult {
     let mut r =
         BenchResult::new("micro", scale, 12, "median ns per call over time-budgeted samples");
@@ -694,7 +345,18 @@ pub fn micro(scale: Scale) -> BenchResult {
             .expect("finite")
     });
 
-    // -- codec
+    // -- codec: the CRC kernels over one 64 KiB buffer, then the log codec.
+    let buf: Vec<u8> = (0..64 * 1024u64).map(|i| splitmix64(0xC12C + i) as u8).collect();
+    let bytes = Some(buf.len() as u64);
+    let scalar =
+        r.timed("codec/crc32_scalar_64k", bytes, || crc32_scalar(black_box(&buf))).judged();
+    let slice8 = r.timed("codec/crc32_slice8_64k", bytes, || crc32(black_box(&buf))).judged();
+    // Holds at any size, on any machine, with or without `--gate` — for
+    // the optimised kernels; an unoptimised build measures neither.
+    assert!(
+        slice8 >= scalar || cfg!(debug_assertions),
+        "slice-by-8 must not be slower than the bytewise kernel"
+    );
     let small = tpcc(1_000, 2);
     let raw = aets_wal::batch_into_epochs(small.workload.txns.clone(), 1_000).expect("epoch size");
     let entries = Some(small.workload.total_entries() as u64);

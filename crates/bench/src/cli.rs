@@ -119,7 +119,7 @@ mod tests {
         let mut r = BenchResult::new("t", Scale::fast(), 1, "test");
         r.value("overhead_pct", "%", 2.0).target(Target::AtMost(3.0));
         assert_eq!(gate_exit_code(std::slice::from_ref(&r)), 0);
-        r.value("speedup", "x", 3.9).target(Target::AtLeast(4.0));
+        r.value("speedup", "x", 4.0).target(Target::Above(4.0));
         assert_ne!(gate_exit_code(&[r]), 0);
     }
 }

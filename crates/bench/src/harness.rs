@@ -86,8 +86,6 @@ pub struct Provenance {
 /// The bound a row states for itself; `--gate` fails on any miss.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Target {
-    /// `>= bound`.
-    AtLeast(f64),
     /// `<= bound`.
     AtMost(f64),
     /// `> bound`.
@@ -97,7 +95,6 @@ pub enum Target {
 impl std::fmt::Display for Target {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Target::AtLeast(b) => write!(f, ">= {b}"),
             Target::AtMost(b) => write!(f, "<= {b}"),
             Target::Above(b) => write!(f, "> {b}"),
         }
@@ -128,7 +125,7 @@ impl Row {
     }
 
     /// The number a target applies to: the value, or `after / before`.
-    pub fn judged(&self) -> f64 {
+    pub(crate) fn judged(&self) -> f64 {
         match self.measured {
             Measured::Value(q) => q[1],
             Measured::Pair { before, after } => after[1] / before[1],
@@ -139,7 +136,6 @@ impl Row {
     pub fn met(&self) -> Option<bool> {
         let v = self.judged();
         self.target.map(|t| match t {
-            Target::AtLeast(b) => v >= b,
             Target::AtMost(b) => v <= b,
             Target::Above(b) => v > b,
         })
@@ -383,14 +379,14 @@ mod tests {
         r.rows.pop();
         let speedup = r.pair("p", "MiB/s", &[100.0, 90.0, 110.0], &[400.0, 500.0, 450.0]);
         assert_eq!(speedup.judged(), 4.5);
-        assert_eq!(speedup.target(Target::AtLeast(4.0)).met(), Some(true));
+        assert_eq!(speedup.target(Target::Above(4.0)).met(), Some(true));
         assert!(r.all_targets_met());
 
         let Json::Obj(row) = r.rows[2].to_json() else { panic!("row is an object") };
         assert_eq!(row["before"], Json::Num(100.0));
         assert_eq!(row["after"], Json::Num(450.0));
         assert_eq!(row["ratio"], Json::Num(4.5));
-        assert_eq!(row["target"], Json::Str(">= 4".into()));
+        assert_eq!(row["target"], Json::Str("> 4".into()));
         assert_eq!(row["met"], Json::Bool(true));
         let Json::Obj(plain) = r.rows[0].to_json() else { panic!("row is an object") };
         assert_eq!(plain.keys().collect::<Vec<_>>(), ["name", "unit", "value"]);

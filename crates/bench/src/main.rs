@@ -6,7 +6,7 @@
 //! repro --fast all              # smoke scale (seconds); writes nothing
 //! repro fig8 table3             # selected experiments
 //! repro bench all               # every bench; writes results/BENCH_*.json
-//! repro --fast bench ingest     # one bench at smoke scale
+//! repro --fast bench micro      # one bench at smoke scale
 //! repro bench telemetry --gate  # non-zero exit on a missed target
 //! ```
 

@@ -41,30 +41,6 @@ impl Value {
             Value::Bytes(b) => 5 + b.len(),
         }
     }
-
-    /// Returns the integer payload if this is `Int`.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Returns the float payload if this is `Float`.
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Float(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Returns the text payload if this is `Text`.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -131,14 +107,6 @@ mod tests {
         assert_eq!(Value::Int(0).wire_size(), 9);
         assert_eq!(Value::Text("abc".into()).wire_size(), 8);
         assert_eq!(Value::from(vec![0u8; 10]).wire_size(), 15);
-    }
-
-    #[test]
-    fn accessors_match_variants() {
-        assert_eq!(Value::Int(5).as_int(), Some(5));
-        assert_eq!(Value::Float(1.5).as_float(), Some(1.5));
-        assert_eq!(Value::Text("x".into()).as_text(), Some("x"));
-        assert_eq!(Value::Null.as_int(), None);
     }
 
     #[test]

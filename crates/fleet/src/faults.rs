@@ -63,12 +63,6 @@ impl FleetFaultPlan {
         self
     }
 
-    /// Overrides the hang-duration bound.
-    pub fn max_hang(mut self, ticks: u64) -> Self {
-        self.max_hang_ticks = ticks.max(1);
-        self
-    }
-
     fn draw(&self, shard: usize, tick: u64, salt: u64) -> u64 {
         // Two rounds decorrelate the low bits of neighbouring
         // (shard, tick) pairs; the salt separates the fault/duration
@@ -130,7 +124,7 @@ mod tests {
 
     #[test]
     fn hang_ticks_respects_bound() {
-        let p = FleetFaultPlan::new(9, 1.0).max_hang(4);
+        let p = FleetFaultPlan { max_hang_ticks: 4, ..FleetFaultPlan::new(9, 1.0) };
         for t in 0..500 {
             let h = p.hang_ticks(1, t);
             assert!((1..=4).contains(&h));

@@ -122,14 +122,6 @@ impl ShardPlan {
         self.shard_of_group(self.grouping.group_of(table))
     }
 
-    /// Shards a query footprint touches (sorted, deduplicated).
-    pub fn shards_for(&self, tables: &[TableId]) -> Vec<usize> {
-        let mut out: Vec<usize> = tables.iter().map(|t| self.shard_of_table(*t)).collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// Groups owned by `shard` (ascending).
     pub fn groups_on(&self, shard: usize) -> Vec<GroupId> {
         self.assign
@@ -182,7 +174,6 @@ mod tests {
         assert_eq!(p.shard_of_table(TableId::new(2)), 1);
         assert_eq!(p.groups_on(1), vec![GroupId::new(1), GroupId::new(3)]);
         assert_eq!(p.tables_on(1), vec![TableId::new(2), TableId::new(5)]);
-        assert_eq!(p.shards_for(&[TableId::new(5), TableId::new(3), TableId::new(2)]), vec![0, 1]);
     }
 
     #[test]

@@ -235,11 +235,6 @@ impl Shard {
         self.backup.as_ref().map_or(self.reported, |b| b.board().global_cmt_ts())
     }
 
-    /// Watermark of the last heartbeat the coordinator accepted.
-    pub fn reported_watermark(&self) -> Timestamp {
-        self.reported
-    }
-
     /// Recovery report of the current incarnation.
     pub fn recovery(&self) -> Option<&RecoveryReport> {
         self.backup.as_ref().map(|b| b.recovery())

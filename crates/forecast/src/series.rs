@@ -59,11 +59,6 @@ impl RateSeries {
         (RateSeries::new(self.values[..at].to_vec()), RateSeries::new(self.values[at..].to_vec()))
     }
 
-    /// Maximum value (for normalization); at least 1.
-    pub fn max_value(&self) -> f64 {
-        self.values.iter().flatten().fold(1.0f64, |m, v| m.max(*v))
-    }
-
     /// Sliding windows `(input, target)` where the input covers
     /// `t_in` slots and the target the following `t_f` slots.
     #[allow(clippy::type_complexity)]
@@ -147,7 +142,6 @@ mod tests {
         let (a, b) = s.split(30);
         assert_eq!(a.len(), 30);
         assert_eq!(b.len(), 20);
-        assert!(s.max_value() > 1.0);
     }
 
     #[test]

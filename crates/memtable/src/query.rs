@@ -236,22 +236,6 @@ impl Scan {
         })?;
         Ok(acc)
     }
-
-    /// Groups matching rows by an integer column and counts each group.
-    pub fn group_count(
-        &self,
-        table: &Table,
-        column: ColumnId,
-    ) -> aets_common::FxHashMap<i64, usize> {
-        let mut groups = aets_common::FxHashMap::default();
-        let counted = self.for_each_value(table, column, go_on, |_, v| {
-            if let Some(Value::Int(g)) = v {
-                *groups.entry(*g).or_insert(0) += 1;
-            }
-        });
-        counted.unwrap_or_else(|e| match e {});
-        groups
-    }
 }
 
 /// Aggregate kind for [`Scan::aggregate`].
@@ -472,9 +456,6 @@ mod tests {
                     .collect();
                 let sum = (!amounts.is_empty()).then(|| amounts.iter().sum::<f64>());
                 assert_eq!(scan.aggregate(&t, ColumnId::new(1), Aggregate::Sum), sum);
-                let grouped: usize = scan.group_count(&t, ColumnId::new(0)).values().sum();
-                let with_group = rows.iter().filter(|(_, r)| r[0].0 == ColumnId::new(0)).count();
-                assert_eq!(grouped, with_group);
             }
         }
     }
@@ -518,14 +499,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn group_by_counts() {
-        let t = table_with_rows();
-        let groups = Scan::at(Timestamp::MAX).group_count(&t, ColumnId::new(0));
-        assert_eq!(groups.len(), 10);
-        assert!(groups.values().all(|n| *n == 10));
     }
 
     #[test]

@@ -143,11 +143,6 @@ impl RecordNode {
         read(&self.versions).len()
     }
 
-    /// Commit timestamp of the newest version, if any.
-    pub fn latest_commit_ts(&self) -> Option<Timestamp> {
-        read(&self.versions).last().map(|v| v.commit_ts)
-    }
-
     /// Whether the version chain is in non-decreasing txn-id order — the
     /// core correctness invariant of the commit phase. (Equal adjacent ids
     /// are allowed: a single transaction touching the record twice.)
@@ -347,11 +342,9 @@ mod tests {
     #[test]
     fn version_metadata_accessors() {
         let n = RecordNode::new();
-        assert_eq!(n.latest_commit_ts(), None);
         n.append_version(ver(1, 10, OpType::Insert, vec![(0, 1)]));
         n.append_version(ver(4, 40, OpType::Update, vec![(0, 2)]));
         assert_eq!(n.version_count(), 2);
-        assert_eq!(n.latest_commit_ts(), Some(Timestamp::from_micros(40)));
         assert!(n.is_ordered());
     }
 

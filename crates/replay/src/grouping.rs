@@ -174,16 +174,6 @@ impl TableGrouping {
         self.rates[group.index()]
     }
 
-    /// Overwrites the access rates (adaptive re-grouping between epochs
-    /// keeps the structure but refreshes rates from the predictor).
-    pub fn set_rates(&mut self, rates: Vec<f64>) -> Result<()> {
-        if rates.len() != self.groups.len() {
-            return Err(Error::Config("rate vector length mismatch".into()));
-        }
-        self.rates = rates;
-        Ok(())
-    }
-
     /// Group ids of all hot groups.
     pub fn hot_groups(&self) -> Vec<GroupId> {
         (0..self.groups.len() as u32).map(GroupId::new).filter(|g| self.is_hot(*g)).collect()
@@ -408,13 +398,5 @@ mod tests {
         let g = TableGrouping::single(4, &hotset(&[0]));
         let gids = g.groups_of(&[TableId::new(0), TableId::new(3), TableId::new(1)]);
         assert_eq!(gids.len(), 1);
-    }
-
-    #[test]
-    fn set_rates_validates_length() {
-        let mut g = TableGrouping::single(2, &hotset(&[]));
-        assert!(g.set_rates(vec![1.0, 2.0]).is_err());
-        assert!(g.set_rates(vec![3.0]).is_ok());
-        assert_eq!(g.rate(GroupId::new(0)), 3.0);
     }
 }

@@ -590,74 +590,69 @@ mod tests {
 
     #[test]
     fn restart_resumes_from_checkpoint_and_replays_only_the_suffix() {
-        let (epochs, num_tables, grouping) = tpcc_stream(2_000);
+        // 36 epochs: a multiple of neither cadence, so the restart has a
+        // suffix to replay past the last checkpoint.
+        let (epochs, num_tables, grouping) = tpcc_stream(2_300);
         let want = oracle_digest(&epochs, num_tables, &grouping);
-        let wal_dir = scratch("resume-wal");
-        let ckpt_dir = scratch("resume-ckpt");
-        let opts = DurableOptions {
-            checkpoint_every: 8,
-            segment: SegmentConfig { epochs_per_segment: 4, ..Default::default() },
-            ..Default::default()
-        };
+        // Two shapes, each keeping 2 manifests and collecting before every
+        // checkpoint (the defaults): a checkpoint every 8 epochs over
+        // 4-epoch segments, and every 16 over 8-epoch segments.
+        for (every, per_segment) in [(8, 4), (16, 8)] {
+            let wal_dir = scratch("resume-wal");
+            let ckpt_dir = scratch("resume-ckpt");
+            let opts = DurableOptions {
+                checkpoint_every: every,
+                segment: SegmentConfig { epochs_per_segment: per_segment, ..Default::default() },
+                ..Default::default()
+            };
+            let open = |tel: &Arc<Telemetry>| {
+                let engine = instrumented_engine(&grouping, tel);
+                DurableBackup::open(&wal_dir, &ckpt_dir, engine, num_tables, opts.clone(), None)
+                    .unwrap()
+            };
 
-        // First life: ingest the whole stream, checkpointing as we go.
-        {
-            let tel = Arc::new(Telemetry::new());
-            let mut node = DurableBackup::open(
-                &wal_dir,
-                &ckpt_dir,
-                instrumented_engine(&grouping, &tel),
-                num_tables,
-                opts.clone(),
-                None,
-            )
-            .unwrap();
-            assert!(node.recovery().restored_seq.is_none(), "cold start");
-            for e in &epochs {
-                node.ingest(e).unwrap();
+            // First life: ingest the whole stream, checkpointing as we go.
+            {
+                let tel = Arc::new(Telemetry::new());
+                let mut node = open(&tel);
+                assert!(node.recovery().restored_seq.is_none(), "cold start");
+                for e in &epochs {
+                    node.ingest(e).unwrap();
+                }
+                let snap = tel.snapshot();
+                assert_eq!(
+                    snap.counter_total(names::CHECKPOINTS_WRITTEN),
+                    epochs.len() as u64 / every,
+                    "one checkpoint per full cadence"
+                );
+                assert!(snap.counter_total(names::WAL_SEGMENTS_RETIRED) > 0, "WAL must shrink");
+                assert_eq!(snap.counter_total(names::RECOVERY_SUFFIX_EPOCHS), 0, "cold start");
+                assert_eq!(node.db().digest_at(Timestamp::MAX), want);
+                // Dropped without any shutdown handshake: the crash.
             }
-            let snap = tel.snapshot();
-            assert_eq!(
-                snap.counter_total(names::CHECKPOINTS_WRITTEN),
-                epochs.len() as u64 / 8,
-                "one checkpoint per full cadence"
-            );
-            assert!(snap.counter_total(names::WAL_SEGMENTS_RETIRED) > 0, "WAL must shrink");
-            assert_eq!(snap.counter_total(names::RECOVERY_SUFFIX_EPOCHS), 0, "cold start");
-            assert_eq!(node.db().digest_at(Timestamp::MAX), want);
-        }
 
-        // Second life: restart. Only the post-checkpoint suffix replays.
-        let tel = Arc::new(Telemetry::new());
-        let node = DurableBackup::open(
-            &wal_dir,
-            &ckpt_dir,
-            instrumented_engine(&grouping, &tel),
-            num_tables,
-            opts.clone(),
-            None,
-        )
-        .unwrap();
-        let rec = node.recovery();
-        let restored = rec.restored_seq.expect("must restore from a checkpoint");
-        assert_eq!(
-            tel.snapshot().counter_total(names::RECOVERY_SUFFIX_EPOCHS),
-            epochs.len() as u64 - restored,
-            "the registry counts the replayed suffix"
-        );
-        assert_eq!(
-            rec.suffix_epochs,
-            epochs.len() as u64 - restored,
-            "recovery must replay exactly the epochs after the checkpoint"
-        );
-        assert!(
-            rec.suffix_epochs < epochs.len() as u64,
-            "suffix replay must be shorter than full history"
-        );
-        assert_eq!(node.db().digest_at(Timestamp::MAX), want, "restored digest matches oracle");
-        assert_eq!(node.next_seq(), epochs.len() as u64);
-        let _ = std::fs::remove_dir_all(&wal_dir);
-        let _ = std::fs::remove_dir_all(&ckpt_dir);
+            // Second life: restart. Only the post-checkpoint suffix replays.
+            let tel = Arc::new(Telemetry::new());
+            let node = open(&tel);
+            let rec = node.recovery();
+            let restored = rec.restored_seq.expect("must restore from a checkpoint");
+            assert_eq!(
+                tel.snapshot().counter_total(names::RECOVERY_SUFFIX_EPOCHS),
+                epochs.len() as u64 - restored,
+                "the registry counts the replayed suffix"
+            );
+            assert_eq!(
+                rec.suffix_epochs,
+                epochs.len() as u64 - restored,
+                "recovery must replay exactly the epochs after the checkpoint"
+            );
+            assert!(rec.suffix_epochs > 0, "every {every}: the restart replays a suffix");
+            assert_eq!(node.db().digest_at(Timestamp::MAX), want, "restored digest matches oracle");
+            assert_eq!(node.next_seq(), epochs.len() as u64);
+            drop(node);
+            let _ = std::fs::remove_dir_all(&wal_dir);
+            let _ = std::fs::remove_dir_all(&ckpt_dir);
+        }
     }
 
     #[test]

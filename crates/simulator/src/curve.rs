@@ -46,14 +46,6 @@ impl VisibilityCurve {
         self.points.is_empty()
     }
 
-    /// Published commit timestamp at `wall_us`.
-    pub fn value_at(&self, wall_us: u64) -> Timestamp {
-        match self.points.partition_point(|(w, _)| *w <= wall_us) {
-            0 => Timestamp::ZERO,
-            i => Timestamp::from_micros(self.points[i - 1].1),
-        }
-    }
-
     /// Earliest wall time at which the published timestamp reaches `qts`,
     /// or `None` if it never does.
     pub fn first_time_reaching(&self, qts: Timestamp) -> Option<u64> {
@@ -65,11 +57,6 @@ impl VisibilityCurve {
     /// Final published timestamp.
     pub fn final_ts(&self) -> Timestamp {
         self.points.last().map_or(Timestamp::ZERO, |(_, t)| Timestamp::from_micros(*t))
-    }
-
-    /// Final wall time.
-    pub fn final_wall(&self) -> u64 {
-        self.points.last().map_or(0, |(w, _)| *w)
     }
 }
 
@@ -87,9 +74,6 @@ mod tests {
         c.push(10, ts(100));
         c.push(20, ts(250));
         c.push(30, ts(400));
-        assert_eq!(c.value_at(5), Timestamp::ZERO);
-        assert_eq!(c.value_at(10), ts(100));
-        assert_eq!(c.value_at(25), ts(250));
         assert_eq!(c.first_time_reaching(ts(100)), Some(10));
         assert_eq!(c.first_time_reaching(ts(101)), Some(20));
         assert_eq!(c.first_time_reaching(ts(250)), Some(20));
@@ -104,14 +88,11 @@ mod tests {
         assert_eq!(c.len(), 1);
         c.push(8, ts(200)); // wall goes backwards: clamped to 10
         assert_eq!(c.first_time_reaching(ts(200)), Some(10));
-        assert_eq!(c.value_at(9), Timestamp::ZERO); // nothing published before 10
-        assert_eq!(c.value_at(10), ts(200));
     }
 
     #[test]
     fn empty_curve_behaviour() {
         let c = VisibilityCurve::new();
-        assert_eq!(c.value_at(1000), Timestamp::ZERO);
         assert_eq!(c.first_time_reaching(ts(1)), None);
         assert_eq!(c.final_ts(), Timestamp::ZERO);
         assert!(c.is_empty());

@@ -89,13 +89,6 @@ pub struct Span {
     pub parent: Option<SpanId>,
 }
 
-impl Span {
-    /// Wall duration of the span in microseconds.
-    pub fn duration_us(&self) -> u64 {
-        self.end_us.saturating_sub(self.start_us)
-    }
-}
-
 /// A started-but-unfinished span: holds the id and start stamp, pushed
 /// into the ring only on [`OpenSpan::finish`]. `Copy`-cheap to thread
 /// through worker closures.

@@ -25,7 +25,7 @@
 use crate::codec::MetaScanner;
 use crate::crc::crc32;
 use crate::epoch::EncodedEpoch;
-use aets_common::{unit_f64, TableId, Timestamp};
+use aets_common::{unit_f64, TableId};
 use bytes::Bytes;
 use std::ops::Range;
 
@@ -95,31 +95,17 @@ pub struct FaultPlan {
     /// fault). Note [`FaultKind::RecordCorruption`] is undetectable at
     /// ingest, so healing never gets a chance to apply to it.
     pub heal_after: u32,
-    /// Total stall budget in primary-clock microseconds: once the
-    /// cumulative delay charged by [`FaultKind::Stall`] faults reaches
-    /// it, further stalls are suppressed and deliver cleanly. `None` is
-    /// unbounded (the pre-budget behaviour). A persistent plan heavy on
-    /// stalls can otherwise wedge a schedule indefinitely; the budget
-    /// bounds the worst case so CI watchdogs fire on real hangs, not on
-    /// injected ones.
-    pub stall_budget_us: Option<u64>,
 }
 
 impl FaultPlan {
     /// A transient plan (heals after one failed attempt).
     pub fn new(seed: u64, rate: f64, kinds: Vec<FaultKind>) -> Self {
-        Self { seed, rate, kinds, heal_after: 1, stall_budget_us: None }
+        Self { seed, rate, kinds, heal_after: 1 }
     }
 
     /// Makes the plan persistent: faulted epochs never deliver cleanly.
     pub fn persistent(mut self) -> Self {
         self.heal_after = u32::MAX;
-        self
-    }
-
-    /// Bounds the total injected stall delay at `us` microseconds.
-    pub fn stall_budget(mut self, us: u64) -> Self {
-        self.stall_budget_us = Some(us);
         self
     }
 }
@@ -136,15 +122,12 @@ pub use aets_common::splitmix64;
 pub struct FaultInjector {
     epochs: Vec<EncodedEpoch>,
     plan: FaultPlan,
-    /// Cumulative stall delay charged so far against
-    /// [`FaultPlan::stall_budget_us`].
-    stall_spent_us: u64,
 }
 
 impl FaultInjector {
     /// Wraps `epochs` under `plan`.
     pub fn new(epochs: Vec<EncodedEpoch>, plan: FaultPlan) -> Self {
-        Self { epochs, plan, stall_spent_us: 0 }
+        Self { epochs, plan }
     }
 
     fn draw(&self, seq: u64) -> u64 {
@@ -162,47 +145,6 @@ impl FaultInjector {
             return None;
         }
         Some(self.plan.kinds[(h % self.plan.kinds.len() as u64) as usize])
-    }
-
-    /// Extra delivery delay (primary-clock microseconds) a stalled epoch
-    /// suffers; zero for epochs without a scheduled stall.
-    pub fn stall_delay_us(&self, seq: u64) -> u64 {
-        match self.fault_for(seq) {
-            Some(FaultKind::Stall) => 1_000 + self.draw(seq ^ 0x5741) % 5_000,
-            _ => 0,
-        }
-    }
-
-    /// Arrival times of the wrapped stream after stall delays, clamped
-    /// monotone: an epoch delivered late pushes every later epoch's
-    /// delivery later, because the feed is FIFO. Feeding a runner with
-    /// these (rather than naively per-epoch shifted times) is what keeps
-    /// `global_cmt_ts` monotone when an epoch stalls — see
-    /// `ReplicationTimeline::arrivals_with_delays`. Stalls past the
-    /// plan's total budget are suppressed, charging the budget in stream
-    /// order — the same accounting [`FaultInjector::fetch`] applies on an
-    /// in-order fetch sequence.
-    pub fn delayed_arrivals(&self, base: &[Timestamp]) -> Vec<Timestamp> {
-        let mut hwm = Timestamp::ZERO;
-        let mut spent = 0u64;
-        let mut out = Vec::with_capacity(base.len());
-        for (seq, b) in base.iter().enumerate() {
-            let mut delay = self.stall_delay_us(seq as u64);
-            match self.plan.stall_budget_us {
-                Some(budget) if spent + delay > budget => delay = 0,
-                _ => spent += delay,
-            }
-            let a = b.saturating_add(delay).max(hwm);
-            hwm = a;
-            out.push(a);
-        }
-        out
-    }
-
-    /// Cumulative stall delay fetches have charged against the plan's
-    /// budget so far.
-    pub fn stall_spent_us(&self) -> u64 {
-        self.stall_spent_us
     }
 
     fn apply(&self, kind: FaultKind, seq: u64, clean: EncodedEpoch) -> Option<EncodedEpoch> {
@@ -289,21 +231,6 @@ impl EpochSource for FaultInjector {
         if attempt >= self.plan.heal_after {
             return Some(clean);
         }
-        if kind == FaultKind::Stall {
-            // The budget bounds the *total* injected stall time: a stall
-            // whose delay would overrun it delivers cleanly instead. Each
-            // stalled epoch is charged once (on its first attempt); the
-            // re-requests until heal_after share that one delay.
-            let delay = self.stall_delay_us(seq);
-            if let Some(budget) = self.plan.stall_budget_us {
-                if self.stall_spent_us + delay > budget {
-                    return Some(clean);
-                }
-            }
-            if attempt == 0 {
-                self.stall_spent_us += delay;
-            }
-        }
         self.apply(kind, seq, clean)
     }
 }
@@ -313,7 +240,7 @@ mod tests {
     use super::*;
     use crate::entry::TxnLog;
     use crate::epoch::{batch_into_epochs, encode_epoch};
-    use aets_common::TxnId;
+    use aets_common::{Timestamp, TxnId};
 
     fn encoded(n_txns: u64, per_epoch: usize) -> Vec<EncodedEpoch> {
         let txns: Vec<TxnLog> = (1..=n_txns)
@@ -423,55 +350,5 @@ mod tests {
         // Full decode of the batch hits the corrupted record CRC.
         let err = crate::codec::decode_batch(e.bytes.clone()).unwrap_err();
         assert!(matches!(err, aets_common::Error::CodecChecksum));
-    }
-
-    #[test]
-    fn stall_budget_bounds_total_injected_delay() {
-        let epochs = encoded(128, 4);
-        // Persistent all-stall plan: unbounded, every fetch of a faulted
-        // epoch stalls forever; with a budget, stalls stop once spent.
-        let plan = FaultPlan::new(11, 1.0, vec![FaultKind::Stall]).persistent();
-        let budget = 8_000u64;
-        let mut bounded = FaultInjector::new(epochs.clone(), plan.clone().stall_budget(budget));
-        let mut suppressed_after_exhaustion = false;
-        for seq in 0..epochs.len() as u64 {
-            match bounded.fetch(seq, 0) {
-                None => {} // stall within budget
-                Some(e) => {
-                    e.verify().unwrap();
-                    assert_eq!(e.id.raw(), seq, "suppressed stall must deliver cleanly");
-                    suppressed_after_exhaustion = true;
-                }
-            }
-            assert!(bounded.stall_spent_us() <= budget, "budget overrun at epoch {seq}");
-        }
-        assert!(suppressed_after_exhaustion, "an 8ms budget cannot absorb 32 stalls of >=1ms each");
-
-        // The arrival timeline respects the same bound: total added delay
-        // across the stream never exceeds the budget.
-        let base: Vec<Timestamp> =
-            (0..epochs.len() as u64).map(|i| Timestamp::from_micros(i * 10_000)).collect();
-        let unbounded = FaultInjector::new(epochs.clone(), plan.clone());
-        let free = unbounded.delayed_arrivals(&base);
-        let capped = FaultInjector::new(epochs, plan.stall_budget(budget)).delayed_arrivals(&base);
-        let total_free: u64 =
-            free.iter().zip(&base).map(|(d, b)| d.as_micros() - b.as_micros()).sum();
-        let total_capped: u64 =
-            capped.iter().zip(&base).map(|(d, b)| d.as_micros() - b.as_micros()).sum();
-        assert!(total_capped <= budget, "capped timeline added {total_capped}us");
-        assert!(total_free > budget, "rate-1.0 stalls must exceed the budget unbounded");
-    }
-
-    #[test]
-    fn stalls_shift_arrivals_monotonically() {
-        let epochs = encoded(64, 4);
-        let inj = FaultInjector::new(epochs, FaultPlan::new(11, 0.5, vec![FaultKind::Stall]));
-        let base: Vec<Timestamp> = (0..16).map(|i| Timestamp::from_micros(i * 100)).collect();
-        let delayed = inj.delayed_arrivals(&base);
-        assert!(delayed.windows(2).all(|w| w[0] <= w[1]), "delayed arrivals not monotone");
-        assert!(
-            delayed.iter().zip(&base).any(|(d, b)| d > b),
-            "rate 0.5 over 16 epochs should stall at least one"
-        );
     }
 }

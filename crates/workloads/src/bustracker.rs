@@ -207,12 +207,6 @@ pub fn popularity(table: usize) -> f64 {
 /// measured slots).
 pub const DAY_SLOTS: usize = 35;
 
-/// The full rate matrix: `slots x NUM_TABLES`, cold columns all zero.
-/// This is the forecasting ground truth for Tables III/IV and Figure 14.
-pub fn rate_matrix(slots: usize) -> Vec<Vec<f64>> {
-    (0..slots).map(|s| (0..NUM_TABLES).map(|t| access_rate(t, s)).collect()).collect()
-}
-
 /// Co-access adjacency between hot tables, from the prediction queries'
 /// join structure. Used to build DTGM's table-access graph.
 pub fn access_graph() -> Vec<(usize, usize)> {
@@ -381,13 +375,6 @@ mod tests {
         let early = access_rate(1, 2);
         let late = access_rate(1, 30);
         assert!(late > 2.0 * early, "early {early}, late {late}");
-    }
-
-    #[test]
-    fn rate_matrix_shape() {
-        let m = rate_matrix(10);
-        assert_eq!(m.len(), 10);
-        assert_eq!(m[0].len(), NUM_TABLES);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! Runs a TPC-C stream through a [`DurableBackup`] (WAL-first ingest +
 //! epoch-aligned checkpoints), "kills" the node by dropping it, restarts
 //! it from disk, and verifies the recovered state equals a fault-free
-//! serial-oracle replay. The demo prints and asserts; the measured rows
-//! (`results/BENCH_recovery.json`) come from `repro bench recovery`.
+//! serial-oracle replay. The demo prints and asserts; recovery time and
+//! suffix length are measured by `benchmark/`'s `catchup_durable_chbench`
+//! (`recovery_s`, `recovery.suffix_epochs`).
 
 use aets_suite::common::Timestamp;
 use aets_suite::memtable::MemDb;
