@@ -9,13 +9,13 @@
 //! | `adaptive`  | static split vs live controller, with and without drift              |
 //! | `telemetry` | the same bulk replay with instrumentation off and on                 |
 //! | `micro`     | kernel rows: allocator, codec, memtable points and walks, neural,    |
-//! |             | dispatch/replay                                                      |
+//! |             | dispatch, translate, commit and whole replays                        |
 
 use crate::experiments::Scale;
 use crate::harness::{median, paired, BenchResult, Target, PAIRED};
 use crate::{tpcc_bench_with, Bench};
 use aets_common::{
-    splitmix64, ColumnId, DmlOp, FxHashSet, RowKey, TableId, Timestamp, TxnId, Value,
+    splitmix64, ColumnId, DmlOp, FxHashSet, GroupId, RowKey, TableId, Timestamp, TxnId, Value,
 };
 use aets_forecast::ForecastModel;
 use aets_memtable::{
@@ -25,10 +25,10 @@ use aets_memtable::{
 use aets_neural::{Tape, Tensor};
 use aets_replay::engines::aets::CHUNK;
 use aets_replay::{
-    allocate_threads, dbscan_1d, dispatch_epoch, eval_spec, translate_mini_txns, AetsConfig,
-    AetsEngine, BackupNode, ControllerConfig, MiniTxn, NodeOptions, QueryOutput, QuerySpec,
-    QueryTarget, ReplayEngine, ReplayMetrics, SerialEngine, ServiceOptions, TableGrouping,
-    UrgencyMode, VisibilityBoard,
+    allocate_threads, commit_cell, dbscan_1d, dispatch_epoch, eval_spec, translate_mini_txns,
+    AetsConfig, AetsEngine, BackupNode, Cell, ControllerConfig, MiniTxn, NodeOptions, QueryOutput,
+    QuerySpec, QueryTarget, ReplayEngine, ReplayMetrics, SerialEngine, ServiceOptions,
+    TableGrouping, UrgencyMode, VisibilityBoard,
 };
 use aets_telemetry::{names, Telemetry};
 use aets_wal::{
@@ -324,8 +324,8 @@ pub fn telemetry(scale: Scale) -> BenchResult {
 /// decode vs metadata-only scan — the asymmetry behind the C5-vs-ATR/AETS
 /// dispatch comparison), memtable point operations, the memtable's
 /// whole-database walks (scan, aggregate, GC pass, snapshot encode), one
-/// DTGM-scale forward and backward pass, and dispatch / translate / full
-/// engine passes.
+/// DTGM-scale forward and backward pass, and dispatch / translate / commit /
+/// full engine passes.
 pub fn micro(scale: Scale) -> BenchResult {
     let mut r =
         BenchResult::new("micro", scale, 12, "median ns per call over time-budgeted samples");
@@ -605,6 +605,46 @@ pub fn micro(scale: Scale) -> BenchResult {
         assert!(got.txn_id == want.txn_id && Arc::ptr_eq(&got.node, &want.node), "another cell");
     }
     r.timed("replay/phase1_translate_2t", Some(one.len() as u64), || two(&db));
+    // Phase 2 as one committer runs it over BusTracker chunks: each
+    // chunk's cells, translated untimed into a fresh `MemDb`, appended with
+    // `commit_cell`, `publish_group` after each mini-transaction.
+    let bus = crate::bustracker_bench(2_048, 35);
+    let bus_epoch = &bus.encode(2_048)[0];
+    let bus_work = dispatch_epoch(bus_epoch, &bus.grouping).expect("dispatch");
+    let board = VisibilityBoard::builder(bus.grouping.num_groups()).build();
+    let translated = || {
+        let db = MemDb::new(bus.workload.num_tables());
+        let chunks = bus_work.groups.iter().flat_map(|g| g.mini_txns.chunks(CHUNK));
+        let cells = chunks
+            .map(|chunk| {
+                let mut cells = Vec::new();
+                assert!(translate_mini_txns(&db, &bus_work.bytes, chunk, &mut cells).1.is_none());
+                cells
+            })
+            .collect();
+        (db, cells)
+    };
+    let commit = |(db, cells): (MemDb, Vec<Vec<Cell>>)| {
+        let mut cells = cells.into_iter();
+        for (g, group) in (0..).map(GroupId::new).zip(&bus_work.groups) {
+            for (chunk, chunk_cells) in group.mini_txns.chunks(CHUNK).zip(cells.by_ref()) {
+                let mut chunk_cells = chunk_cells.into_iter();
+                for mt in chunk {
+                    for cell in chunk_cells.by_ref().take(mt.entry_ranges.len()) {
+                        commit_cell(cell, mt.commit_ts);
+                    }
+                    board.publish_group(g, mt.commit_ts);
+                }
+            }
+        }
+        db
+    };
+    let oracle = MemDb::new(bus.workload.num_tables());
+    SerialEngine.replay_all(std::slice::from_ref(bus_epoch), &oracle).expect("oracle replay");
+    let digest = oracle.digest_at(Timestamp::MAX);
+    assert_eq!(commit(translated()).digest_at(Timestamp::MAX), digest, "commit_chunk != oracle");
+    let cells = Some(bus_work.groups.iter().map(|g| g.entries as u64).sum());
+    r.timed_consuming("replay/commit_chunk", cells, 16, translated, commit);
     let entries = Some(bench.workload.total_entries() as u64);
     let engine = aets(&bench.grouping, 2).build().expect("valid config");
     r.timed("replay/aets_full_replay_2t", entries, || {

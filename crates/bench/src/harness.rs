@@ -2,8 +2,9 @@
 //!
 //! Every timing the repo reports outside `benchmark/` goes through this
 //! module: one [`median`]/[`quartiles`], one alternating-pair loop
-//! ([`paired`]), one absolute-row timer ([`BenchResult::timed`]), one
-//! provenance block and one result schema:
+//! ([`paired`]), one absolute-row timer ([`BenchResult::timed`], with
+//! [`BenchResult::timed_consuming`] for a body that consumes its input),
+//! one provenance block and one result schema:
 //!
 //! ```text
 //! { "benchmark": …, "provenance": { nproc, git_rev, profile, reps, method },
@@ -259,8 +260,41 @@ impl BenchResult {
         };
         let iters = ((self.sample_budget.as_nanos() as f64 / per_call) as u64).clamp(1, 1 << 24);
         let ns: Vec<f64> = (0..self.provenance.reps).map(|_| run(iters)).collect();
+        self.rate_row(name, throughput, &ns)
+    }
+
+    /// [`BenchResult::timed`] for a `body` that consumes its input, as a
+    /// commit consumes its cells: each sample first makes its inputs with
+    /// `setup` and afterwards drops the outputs, neither timed. A sample
+    /// holds at most `max_batch` inputs, which bounds its memory.
+    pub fn timed_consuming<I, O>(
+        &mut self,
+        name: &str,
+        throughput: Option<u64>,
+        max_batch: u64,
+        mut setup: impl FnMut() -> I,
+        mut body: impl FnMut(I) -> O,
+    ) -> &mut Row {
+        let mut run = |iters: u64| {
+            let inputs: Vec<I> = (0..iters).map(|_| setup()).collect();
+            let t = Instant::now();
+            let outputs: Vec<O> = inputs.into_iter().map(&mut body).collect();
+            let ns = t.elapsed().as_nanos().max(1) as f64 / iters as f64;
+            drop(black_box(outputs));
+            ns
+        };
+        let per_call = run(1).min(run(1));
+        let budget = self.sample_budget.as_nanos() as f64;
+        let iters = ((budget / per_call) as u64).clamp(1, max_batch);
+        let ns: Vec<f64> = (0..self.provenance.reps).map(|_| run(iters)).collect();
+        self.rate_row(name, throughput, &ns)
+    }
+
+    /// The row of per-call times `ns`: in `ns/iter`, or — when one call
+    /// processes `throughput` elements — in `elem/s`.
+    fn rate_row(&mut self, name: &str, throughput: Option<u64>, ns: &[f64]) -> &mut Row {
         match throughput {
-            None => self.sampled(name, "ns/iter", &ns),
+            None => self.sampled(name, "ns/iter", ns),
             Some(n) => {
                 let rates: Vec<f64> = ns.iter().map(|t| n as f64 * 1e9 / t).collect();
                 self.sampled(name, "elem/s", &rates)

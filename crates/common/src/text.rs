@@ -1,10 +1,11 @@
 //! UTF-8 string view over shared [`Bytes`] storage.
 //!
-//! Decoded `Value::Text` payloads are slices of the epoch buffer rather
-//! than owned `String`s, so log decode allocates nothing for text columns
-//! and cloning a value during replay is a reference-count bump. The
-//! validity invariant is established once at construction
-//! ([`Utf8Bytes::from_utf8`]) and every accessor relies on it.
+//! A decoded `Value::Text` wraps `Bytes` rather than a `String`, so
+//! cloning a value during replay is a reference-count bump. The decoder
+//! gives each text payload an allocation of its own rather than a slice of
+//! the buffer it read. The validity invariant is established once at
+//! construction ([`Utf8Bytes::from_utf8`]) and every accessor relies on
+//! it.
 
 use bytes::Bytes;
 use std::borrow::Borrow;

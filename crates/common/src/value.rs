@@ -11,10 +11,10 @@ use std::fmt;
 /// value. Variants cover what the benchmark schemas need; `Bytes` doubles
 /// as an opaque payload for synthetic wide columns.
 ///
-/// `Text` and `Bytes` are backed by shared [`bytes::Bytes`] storage: the
-/// log decoder hands out slices of the epoch buffer, so decoding a text or
-/// blob column copies nothing and cloning a value is a reference-count
-/// bump. The epoch buffer stays alive as long as any decoded value does.
+/// `Text` and `Bytes` are backed by shared [`bytes::Bytes`] storage, so
+/// cloning a value is a reference-count bump. The decoder copies each
+/// payload into an allocation of its own, so a committed version keeps no
+/// epoch frame or checkpoint manifest alive.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// SQL NULL.

@@ -1172,6 +1172,37 @@ mod tests {
     }
 
     #[test]
+    fn committed_text_values_keep_no_frame_alive() {
+        let w = tpcc::generate(&TpccConfig { num_txns: 600, warehouses: 2, ..Default::default() });
+        let epochs = encode(&w, 200);
+        let eng = AetsEngine::builder(tpcc_grouping(&w))
+            .config(AetsConfig { threads: 2, ..Default::default() })
+            .build()
+            .unwrap();
+        let db = MemDb::new(w.table_names.len());
+        let board = VisibilityBoard::builder(eng.board_groups()).build();
+        eng.replay(&epochs, &db, &board).unwrap();
+
+        let frames: Vec<_> = epochs
+            .iter()
+            .map(|e| e.bytes.as_ptr() as usize..e.bytes.as_ptr() as usize + e.bytes.len())
+            .collect();
+        let history = db.table(tpcc::tables::HISTORY);
+        let mut texts = 0;
+        for (key, _) in history.entries() {
+            for (_, v) in history.read_row(key, Timestamp::MAX).unwrap() {
+                let aets_common::Value::Text(s) = v else { continue };
+                let p = s.as_bytes().as_ptr() as usize..s.as_bytes().as_ptr() as usize + s.len();
+                for f in &frames {
+                    assert!(p.end <= f.start || p.start >= f.end, "{key:?}: {p:?} in {f:?}");
+                }
+                texts += 1;
+            }
+        }
+        assert!(texts > 100, "only {texts} history text values read back");
+    }
+
+    #[test]
     fn tplr_baseline_matches_serial() {
         let w = tpcc::generate(&TpccConfig { num_txns: 600, warehouses: 2, ..Default::default() });
         let epochs = encode(&w, 200);

@@ -17,6 +17,10 @@
 //! reads it. [`decode_meta`] *skips* the CRC: the metadata-only dispatch
 //! path never touches data images, and its integrity is covered by the
 //! per-epoch CRC verified once at ingest.
+//!
+//! A decoded text or bytes value owns its payload: each is copied out of
+//! the buffer it was read from, so no committed version keeps an epoch
+//! frame or a checkpoint manifest alive.
 
 use crate::crc::crc32;
 use crate::entry::{DmlEntry, LogRecord};
@@ -136,10 +140,11 @@ pub fn decode_record(buf: &mut Bytes) -> Result<LogRecord> {
 
 /// The one record parser: parses the record at `*pos` of `buf[..end]`,
 /// verifies its CRC32 trailer against the body bytes, and leaves `*pos`
-/// past the trailer. Offset arithmetic over the borrowed frame, so the
-/// only refcount bumps are the zero-copy slices of text and byte
-/// payloads. Without `build_before` a DML before image is validated
-/// (tags, lengths, UTF-8) but not built, and `before` comes back `None`.
+/// past the trailer. Offset arithmetic over the borrowed frame: the
+/// frame's refcount is never touched, and each text or bytes value owns
+/// a copy of its payload, so a decoded record keeps no frame alive.
+/// Without `build_before` a DML before image is validated (tags, lengths,
+/// UTF-8) but not built, and `before` comes back `None`.
 fn record_at(buf: &Bytes, end: usize, pos: &mut usize, build_before: bool) -> Result<LogRecord> {
     let data = &buf[..end];
     let start = *pos;
@@ -289,12 +294,14 @@ fn row_at(buf: &Bytes, end: usize, pos: &mut usize, mut out: Option<&mut Row>) -
                 let payload = start..*pos;
                 let bad_utf8 = |_| Error::Codec("invalid utf-8 in text value".into());
                 match (vtag, out.is_some()) {
-                    // Zero-copy: the value is a refcounted slice of the
-                    // epoch buffer; only UTF-8 validation reads the payload.
-                    (VTAG_TEXT, true) => {
-                        Value::Text(Utf8Bytes::from_utf8(buf.slice(payload)).map_err(bad_utf8)?)
-                    }
-                    (_, true) => Value::Bytes(buf.slice(payload)),
+                    // A copy, not a slice: a slice would keep all of `buf`
+                    // (an epoch frame, a checkpoint manifest) alive for as
+                    // long as any version holding the value lives.
+                    (VTAG_TEXT, true) => Value::Text(
+                        Utf8Bytes::from_utf8(Bytes::copy_from_slice(&data[payload]))
+                            .map_err(bad_utf8)?,
+                    ),
+                    (_, true) => Value::Bytes(Bytes::copy_from_slice(&data[payload])),
                     (VTAG_TEXT, false) => {
                         std::str::from_utf8(&data[payload]).map_err(bad_utf8)?;
                         Value::Null
@@ -537,6 +544,54 @@ mod tests {
         let meta = decode_meta(&mut b2).unwrap();
         assert_eq!(meta.lsn, Lsn::new(42));
         assert!(!b2.has_remaining());
+    }
+
+    /// The address range of every text and bytes payload in `row`.
+    fn payloads(row: &Row) -> Vec<Range<usize>> {
+        row.iter()
+            .filter_map(|(_, v)| match v {
+                Value::Text(s) => Some(s.as_bytes()),
+                Value::Bytes(b) => Some(&b[..]),
+                _ => None,
+            })
+            .map(|p| p.as_ptr() as usize..p.as_ptr() as usize + p.len())
+            .collect()
+    }
+
+    fn span(buf: &[u8]) -> Range<usize> {
+        buf.as_ptr() as usize..buf.as_ptr() as usize + buf.len()
+    }
+
+    /// `row`'s text and bytes payloads all lie outside `frame`.
+    fn assert_owns_payloads(frame: &[u8], row: &Row, who: &str) {
+        let (frame, got) = (span(frame), payloads(row));
+        assert_eq!(got.len(), 2, "{who}: one text and one bytes value");
+        for p in got {
+            assert!(p.end <= frame.start || p.start >= frame.end, "{who}: {p:?} in {frame:?}");
+        }
+    }
+
+    #[test]
+    fn a_decoded_value_owns_its_payload() {
+        let cols = |rec: LogRecord| match rec {
+            LogRecord::Dml(d) => d.cols,
+            other => panic!("{other:?} is not a DML record"),
+        };
+        let frame = encode_batch(&[sample_dml()]);
+        let n = frame.len();
+        assert_owns_payloads(&frame, &cols(decode_at(&frame, 0..n).unwrap()), "decode_at");
+        assert_owns_payloads(&frame, &decode_dml_at(&frame, 0..n).unwrap().cols, "decode_dml_at");
+        let rec = decode_record(&mut frame.clone()).unwrap();
+        assert_owns_payloads(&frame, &cols(rec), "decode_record");
+        let mut batch = Vec::new();
+        decode_batch_into(&frame, &mut batch).unwrap();
+        assert_owns_payloads(&frame, &cols(batch.remove(0)), "decode_batch_into");
+        // The snapshot loader's row decoder, over a manifest's row encoding.
+        let mut enc = BytesMut::new();
+        encode_row(&mut enc, &cols(sample_dml()));
+        let manifest = enc.freeze();
+        let row = decode_row(&mut manifest.clone()).unwrap();
+        assert_owns_payloads(&manifest, &row, "decode_row");
     }
 
     #[test]
