@@ -32,8 +32,8 @@ use aets_replay::{
 };
 use aets_telemetry::{names, Telemetry};
 use aets_wal::{
-    crc32, crc32_scalar, decode_at, decode_batch, encode_epoch, EncodedEpoch, LogRecord,
-    MetaScanner,
+    crc32, crc32_scalar, crc32_slice8, decode_at, decode_batch, encode_epoch, EncodedEpoch,
+    LogRecord, MetaScanner,
 };
 use aets_workloads::drift::{rotating_tpcc, RotatingTpccConfig};
 use aets_workloads::tpcc::{tables, TpccConfig};
@@ -345,17 +345,23 @@ pub fn micro(scale: Scale) -> BenchResult {
             .expect("finite")
     });
 
-    // -- codec: the CRC kernels over one 64 KiB buffer, then the log codec.
+    // -- codec: the CRC kernels over one 64 KiB buffer and one record-sized
+    // input (`crc32` is whatever kernel this CPU dispatches to), then the
+    // log codec.
     let buf: Vec<u8> = (0..64 * 1024u64).map(|i| splitmix64(0xC12C + i) as u8).collect();
     let bytes = Some(buf.len() as u64);
     let scalar =
         r.timed("codec/crc32_scalar_64k", bytes, || crc32_scalar(black_box(&buf))).judged();
-    let slice8 = r.timed("codec/crc32_slice8_64k", bytes, || crc32(black_box(&buf))).judged();
+    let slice8 =
+        r.timed("codec/crc32_slice8_64k", bytes, || crc32_slice8(black_box(&buf))).judged();
+    let dispatched = r.timed("codec/crc32_64k", bytes, || crc32(black_box(&buf))).judged();
+    r.timed("codec/crc32_96b", Some(96), || crc32(black_box(&buf[..96])));
     // Holds at any size, on any machine, with or without `--gate` — for
-    // the optimised kernels; an unoptimised build measures neither.
+    // the optimised kernels; an unoptimised build measures none of them.
     assert!(
-        slice8 >= scalar || cfg!(debug_assertions),
-        "slice-by-8 must not be slower than the bytewise kernel"
+        (dispatched >= slice8 && slice8 >= scalar) || cfg!(debug_assertions),
+        "CRC kernels out of order (B/s): dispatched {dispatched:.0}, slice-by-8 {slice8:.0}, \
+         bytewise {scalar:.0}"
     );
     let small = tpcc(1_000, 2);
     let raw = aets_wal::batch_into_epochs(small.workload.txns.clone(), 1_000).expect("epoch size");

@@ -1,13 +1,25 @@
 //! CRC-32 (ISO-HDLC, the zlib polynomial) for log integrity checking.
 //!
 //! The codec appends a CRC32 to every record and [`crate::EncodedEpoch`]
-//! carries one over its whole byte frame — so on the ingest hot path the
-//! checksum runs over every byte *twice* (once at encode, once at
-//! verify). [`crc32`] is therefore the slice-by-8 variant: eight
-//! interleaved 256-entry tables let one iteration fold eight message
-//! bytes, turning the byte-at-a-time loop's serial 8-bit dependency chain
-//! into eight independent table loads per step. The classic one-table
-//! loop survives as [`crc32_scalar`], the differential-test oracle.
+//! carries one over its whole byte frame, and on the durable path an
+//! epoch's payload is checksummed again at each hop (frame encode and
+//! decode, receiver admission, ingest, WAL append, record decode), so the
+//! checksum is the densest loop in the system. [`crc32_update`] therefore
+//! picks the fastest kernel the CPU runs:
+//!
+//! - on x86_64 with PCLMULQDQ and SSE4.1, inputs of at least 64 bytes are
+//!   folded with carry-less multiplies: four 128-bit lanes advance 512
+//!   bits per step, collapse into one, which a Barrett step reduces to 32
+//!   bits (the reflected-polynomial method of zlib's `crc32_simd.c` and
+//!   Linux's `crc32-pclmul`, with their constants). The last `len % 16`
+//!   bytes go to slice-by-8;
+//! - everywhere else, slice-by-8 ([`crc32_slice8`]): eight interleaved
+//!   256-entry tables let one iteration fold eight message bytes, turning
+//!   the byte-at-a-time loop's serial 8-bit dependency chain into eight
+//!   independent table loads per step.
+//!
+//! Both return the same value on every input; the classic one-table loop
+//! survives as [`crc32_scalar`], the differential-test oracle.
 
 /// Reflected polynomial of CRC-32/ISO-HDLC.
 const POLY: u32 = 0xEDB8_8320;
@@ -59,12 +71,34 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// `data` (zlib's `crc32(crc, data)`): a buffer in pieces is checksummed
 /// piece by piece.
 ///
-/// Slice-by-8: the main loop folds 8 bytes per iteration — the running
-/// CRC is xored into the first 4 and all 8 are looked up in parallel
-/// tables — then a byte-at-a-time tail handles the remainder. Identical
-/// output to [`crc32_scalar`] on every input (a property test checks it).
+/// Folds with carry-less multiplies where the CPU has them and `data` is
+/// at least 64 bytes, else runs slice-by-8 (module doc). Identical output
+/// to [`crc32_scalar`] on every input (property tests check it).
 pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
-    let mut crc = !crc;
+    #[cfg(target_arch = "x86_64")]
+    if data.len() >= clmul::MIN_LEN && clmul::available() {
+        let (blocks, tail) = data.as_chunks::<16>();
+        // SAFETY: `fold` is a safe function compiled for `pclmulqdq` and
+        // `sse4.1`; calling it is sound exactly when the running CPU has
+        // both, which `available()` has just checked.
+        let state = unsafe { clmul::fold(!crc, blocks) };
+        return !slice8(state, tail);
+    }
+    !slice8(!crc, data)
+}
+
+/// CRC32 of `data` by slice-by-8 alone, on any CPU: the portable path
+/// [`crc32_update`] takes for short inputs and on other targets, exposed
+/// so tests and benches reach it on hosts where the folding kernel runs.
+pub fn crc32_slice8(data: &[u8]) -> u32 {
+    !slice8(!0, data)
+}
+
+/// Slice-by-8 over the raw (inverted) CRC register: the main loop folds 8
+/// bytes per iteration — the running CRC is xored into the first 4 and
+/// all 8 are looked up in parallel tables — then a byte-at-a-time tail
+/// handles the remainder.
+fn slice8(mut crc: u32, data: &[u8]) -> u32 {
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {
         // One 8-byte load per block; the xor folds the running CRC into
@@ -82,7 +116,97 @@ pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
     }
-    !crc
+    crc
+}
+
+/// The carry-less-multiply folding kernel (Gopal et al., "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ", Intel 2009), in
+/// its bit-reflected form.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// Shortest input [`fold`] takes: its four lanes start full.
+    pub(super) const MIN_LEN: usize = 64;
+
+    // Reflected CRC-32/ISO-HDLC constants, as zlib and Linux lay them
+    // out: k1, k2 fold a lane 4·128 bits ahead (x^(512±32) mod P), k3, k4
+    // one lane 128 bits ahead (x^(128±32) mod P), k5 folds 64 bits into
+    // 32 (x^64 mod P); μ = floor(x^64 / P) and P itself (33 bits) drive
+    // the closing Barrett reduction.
+    const K1: i64 = 0x1_5444_2BD4;
+    const K2: i64 = 0x1_C6E4_1596;
+    const K3: i64 = 0x1_7519_97D0;
+    const K4: i64 = 0x0_CCAA_009E;
+    const K5: i64 = 0x1_63CD_6124;
+    const P: i64 = 0x1_DB71_0641;
+    const MU: i64 = 0x1_F701_1641;
+
+    /// Whether the running CPU can execute [`fold`].
+    pub(super) fn available() -> bool {
+        std::is_x86_feature_detected!("pclmulqdq") && std::is_x86_feature_detected!("sse4.1")
+    }
+
+    /// One block as a 128-bit lane, byte 0 lowest (a little-endian load).
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn load(block: &[u8; 16]) -> __m128i {
+        let v = u128::from_le_bytes(*block);
+        _mm_set_epi64x((v >> 64) as u64 as i64, v as u64 as i64)
+    }
+
+    /// `lane` carried `k`'s distance ahead, xored into `next`: the low
+    /// half times `k`'s low constant plus the high half times its high one.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold_into(lane: __m128i, k: __m128i, next: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(lane, k, 0x00);
+        let hi = _mm_clmulepi64_si128(lane, k, 0x11);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+    }
+
+    /// Advances the raw (inverted) CRC register `crc` over `blocks`, of
+    /// which there are at least four (`MIN_LEN` bytes).
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn fold(crc: u32, blocks: &[[u8; 16]]) -> u32 {
+        let (first, rest) = blocks.split_first_chunk::<4>().expect("at least MIN_LEN bytes");
+        let mut lanes = [load(&first[0]), load(&first[1]), load(&first[2]), load(&first[3])];
+        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(crc as i32));
+        // Four independent lanes, each carried 512 bits per step.
+        let (quads, singles) = rest.as_chunks::<4>();
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        for quad in quads {
+            for (lane, block) in lanes.iter_mut().zip(quad) {
+                *lane = fold_into(*lane, k1k2, load(block));
+            }
+        }
+        // Collapse into one lane, then fold in the remaining blocks.
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut acc = fold_into(lanes[0], k3k4, lanes[1]);
+        acc = fold_into(acc, k3k4, lanes[2]);
+        acc = fold_into(acc, k3k4, lanes[3]);
+        for block in singles {
+            acc = fold_into(acc, k3k4, load(block));
+        }
+        // 128 → 64 bits (which appends the 32 zero bits the CRC implies),
+        // then 64 → 32.
+        let low32 = _mm_set_epi64x(0, 0xFFFF_FFFF);
+        acc = _mm_xor_si128(_mm_srli_si128(acc, 8), _mm_clmulepi64_si128(acc, k3k4, 0x10));
+        let k5 = _mm_set_epi64x(0, K5);
+        acc = _mm_xor_si128(
+            _mm_srli_si128(acc, 4),
+            _mm_clmulepi64_si128(_mm_and_si128(acc, low32), k5, 0x00),
+        );
+        // Barrett: q = low32(acc)·μ, then acc ⊕ low32(q)·P leaves the
+        // remainder in bits 32..64.
+        let p_mu = _mm_set_epi64x(MU, P);
+        let q = _mm_and_si128(_mm_clmulepi64_si128(_mm_and_si128(acc, low32), p_mu, 0x10), low32);
+        acc = _mm_xor_si128(acc, _mm_clmulepi64_si128(q, p_mu, 0x00));
+        _mm_extract_epi32(acc, 1) as u32
+    }
 }
 
 /// CRC32 of `a` followed by `b`, from `crc32(a)`, `crc32(b)` and `b`'s
@@ -154,47 +278,63 @@ mod tests {
     #[test]
     fn sliced_matches_scalar_on_every_length_through_two_blocks() {
         // Exhaustive over the lengths where stride handling can go wrong:
-        // empty, sub-stride, exactly one/two strides, and every tail size.
-        let data: Vec<u8> = (0..17u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
-        for len in 0..=data.len() {
-            assert_eq!(crc32(&data[..len]), crc32_scalar(&data[..len]), "len {len}");
+        // empty, sub-stride, every slice-by-8 tail, the folding kernel's
+        // 64-byte threshold, one to four 512-bit steps, every count of
+        // trailing 16-byte blocks and every sub-block tail — each at all
+        // sixteen offsets a 16-byte load can start from.
+        let data: Vec<u8> = (0..336u32).map(|i| (i.wrapping_mul(37) ^ 0x5A) as u8).collect();
+        for start in 0..16 {
+            for len in 0..=320 {
+                let view = &data[start..start + len];
+                let want = crc32_scalar(view);
+                assert_eq!(crc32(view), want, "dispatched, offset {start} len {len}");
+                assert_eq!(crc32_slice8(view), want, "slice-by-8, offset {start} len {len}");
+            }
         }
     }
 
-    /// Differential: the slice-by-8 kernel is byte-for-byte equivalent
-    /// to the scalar loop on arbitrary inputs, including lengths not
-    /// divisible by 8 and arbitrary (unaligned) slice starts.
+    /// Differential: both kernels are byte-for-byte equivalent to the
+    /// scalar loop on arbitrary inputs up to 64 KiB, including lengths
+    /// not divisible by 8 or 16 and arbitrary (unaligned) slice starts.
     #[test]
     fn sliced_equals_scalar() {
         check("sliced_equals_scalar", 64, |rng| {
-            let data: Vec<u8> = (0..rng.below(4096)).map(|_| rng.next_u64() as u8).collect();
-            let skew = rng.below(8) as usize;
+            let len = rng.below(64 * 1024 + 1);
+            let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let skew = rng.below(16) as usize;
             let view = &data[skew.min(data.len())..];
-            assert_eq!(crc32(view), crc32_scalar(view));
+            let want = crc32_scalar(view);
+            assert_eq!(crc32(view), want, "dispatched, len {}", view.len());
+            assert_eq!(crc32_slice8(view), want, "slice-by-8, len {}", view.len());
         });
     }
 
-    /// A buffer cut at random points checksums the same streamed through
+    /// A buffer cut into pieces checksums the same streamed through
     /// `crc32_update` and folded from its pieces' own CRCs with
-    /// `crc32_combine`: empty and odd-length pieces included.
+    /// `crc32_combine`: empty and odd-length pieces included, most of
+    /// them either side of the folding kernel's 64-byte threshold, so the
+    /// kernel starts from a running CRC as often as from a fresh one.
     #[test]
     fn streamed_and_combined_equal_scalar() {
         check("streamed_and_combined_equal_scalar", 64, |rng| {
-            let data: Vec<u8> = (0..rng.below(2048)).map(|_| rng.next_u64() as u8).collect();
-            let mut cuts: Vec<usize> =
-                (0..rng.below(6)).map(|_| rng.below(data.len() as u64 + 1) as usize).collect();
-            cuts.sort_unstable();
-            let bounds: Vec<usize> =
-                std::iter::once(0).chain(cuts).chain(std::iter::once(data.len())).collect();
-            let (mut streamed, mut combined) = (0, 0);
-            for w in bounds.windows(2) {
-                let piece = &data[w[0]..w[1]];
+            let lens: Vec<usize> = (0..rng.below(8))
+                .map(|_| match rng.below(4) {
+                    0 => rng.below(2048) as usize,
+                    _ => rng.below(160) as usize,
+                })
+                .collect();
+            let data: Vec<u8> =
+                (0..lens.iter().sum::<usize>()).map(|_| rng.next_u64() as u8).collect();
+            let (mut streamed, mut combined, mut at) = (0, 0, 0);
+            for &len in &lens {
+                let piece = &data[at..at + len];
+                at += len;
                 streamed = crc32_update(streamed, piece);
                 combined = crc32_combine(combined, crc32_scalar(piece), piece.len() as u64);
             }
             let want = crc32_scalar(&data);
-            assert_eq!(streamed, want, "streamed over {bounds:?}");
-            assert_eq!(combined, want, "combined over {bounds:?}");
+            assert_eq!(streamed, want, "streamed over piece lengths {lens:?}");
+            assert_eq!(combined, want, "combined over piece lengths {lens:?}");
         });
     }
 }

@@ -25,7 +25,7 @@ pub use codec::{
     decode_row, encode_batch, encode_record, encode_row, MetaScanner, RecordMeta,
 };
 pub use crash::CrashClock;
-pub use crc::{crc32, crc32_combine, crc32_scalar, crc32_update};
+pub use crc::{crc32, crc32_combine, crc32_scalar, crc32_slice8, crc32_update};
 pub use entry::{DmlEntry, LogRecord, TxnLog};
 pub use epoch::{
     assemble_txns, batch_into_epochs, encode_epoch, heartbeat_txn, EncodedEpoch, Epoch,

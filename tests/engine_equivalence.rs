@@ -293,9 +293,10 @@ fn round_robin_grouping(n: usize, k: usize, hot: &FxHashSet<TableId>) -> TableGr
     TableGrouping::new(n, groups, rates, hot).unwrap()
 }
 
-/// The slice-by-8 CRC kernel on the ingest hot path must be a drop-in
-/// for the bytewise reference: identical digests on arbitrary byte
-/// strings, including lengths that leave a non-8-aligned head/tail.
+/// The CRC kernel on the ingest hot path (the carry-less-multiply fold or
+/// slice-by-8, whichever `crc32` dispatches to) must be a drop-in for the
+/// bytewise reference: identical digests on arbitrary byte strings,
+/// including lengths that leave a non-8-aligned head/tail.
 #[test]
 fn crc_slice_by_8_matches_bytewise_reference() {
     check("crc_slice_by_8_matches_bytewise_reference", 64, |rng| {
