@@ -575,12 +575,12 @@ pub fn micro(scale: Scale) -> BenchResult {
     let db = MemDb::new(n);
     // Phase 1 as a crew member runs it: `CHUNK` mini-transactions at a
     // time, each table's keys resolved under one index guard.
-    let group = &work.groups[0].mini_txns;
+    let (group, ranges) = (&work.groups[0].mini_txns, &work.groups[0].entry_ranges);
     let translate = |db: &MemDb, mts: &[MiniTxn]| {
         // Sized up front, as the engine's pooled buffers are.
-        let mut cells = Vec::with_capacity(mts.iter().map(|mt| mt.entry_ranges.len()).sum());
+        let mut cells = Vec::with_capacity(mts.iter().map(|mt| mt.entries.len()).sum());
         for chunk in mts.chunks(CHUNK) {
-            assert!(translate_mini_txns(db, &work.bytes, chunk, &mut cells).1.is_none());
+            assert!(translate_mini_txns(db, &work.bytes, ranges, chunk, &mut cells).1.is_none());
         }
         cells
     };
@@ -588,7 +588,7 @@ pub fn micro(scale: Scale) -> BenchResult {
     let sample = &group[..group
         .iter()
         .take_while(|mt| {
-            seen += mt.entry_ranges.len();
+            seen += mt.entries.len();
             seen <= 1_000
         })
         .count()];
@@ -620,11 +620,14 @@ pub fn micro(scale: Scale) -> BenchResult {
     let board = VisibilityBoard::builder(bus.grouping.num_groups()).build();
     let translated = || {
         let db = MemDb::new(bus.workload.num_tables());
-        let chunks = bus_work.groups.iter().flat_map(|g| g.mini_txns.chunks(CHUNK));
+        let chunks =
+            bus_work.groups.iter().flat_map(|g| g.mini_txns.chunks(CHUNK).map(move |c| (g, c)));
         let cells = chunks
-            .map(|chunk| {
+            .map(|(g, chunk)| {
                 let mut cells = Vec::new();
-                assert!(translate_mini_txns(&db, &bus_work.bytes, chunk, &mut cells).1.is_none());
+                let ranges = &g.entry_ranges;
+                let (_, err) = translate_mini_txns(&db, &bus_work.bytes, ranges, chunk, &mut cells);
+                assert!(err.is_none());
                 cells
             })
             .collect();
@@ -636,7 +639,7 @@ pub fn micro(scale: Scale) -> BenchResult {
             for (chunk, chunk_cells) in group.mini_txns.chunks(CHUNK).zip(cells.by_ref()) {
                 let mut chunk_cells = chunk_cells.into_iter();
                 for mt in chunk {
-                    for cell in chunk_cells.by_ref().take(mt.entry_ranges.len()) {
+                    for cell in chunk_cells.by_ref().take(mt.entries.len()) {
                         commit_cell(cell, mt.commit_ts);
                     }
                     board.publish_group(g, mt.commit_ts);
@@ -656,8 +659,10 @@ pub fn micro(scale: Scale) -> BenchResult {
     r.timed("replay/aets_full_replay_2t", entries, || {
         engine.replay_all(black_box(&one_epoch), &MemDb::new(n)).expect("replay")
     });
-    // A multi-epoch stream: the one shape that gets the dispatcher thread
-    // (the single 2 048-txn epoch above dispatches inline).
+    // A multi-epoch stream: the one shape in which a crew member idle in
+    // an epoch's last stage dispatches the next epoch and translates its
+    // first stage ahead (the single 2 048-txn epoch above dispatches
+    // inline and has nothing to look ahead to).
     let small_epochs = bench.encode(256);
     r.timed("replay/aets_multi_epoch_2t_pipelined", entries, || {
         engine.replay_all(black_box(&small_epochs), &MemDb::new(n)).expect("replay")

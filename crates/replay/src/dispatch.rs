@@ -30,9 +30,9 @@ pub struct MiniTxn {
     pub txn_id: TxnId,
     /// Commit timestamp of the owning transaction.
     pub commit_ts: Timestamp,
-    /// Byte ranges of this group's DML entries within the epoch buffer,
-    /// in LSN order. Empty for heartbeat placements.
-    pub entry_ranges: Vec<Range<usize>>,
+    /// This group's DML entries, in LSN order: a span of its
+    /// [`GroupWork::entry_ranges`]. Empty for heartbeat placements.
+    pub entries: Range<usize>,
     /// Total encoded bytes of those entries (the mini-txn's share of
     /// `n_gi`).
     pub bytes: u64,
@@ -44,6 +44,11 @@ pub struct GroupWork {
     /// Mini-transactions in primary commit order (the group's
     /// `commit_order_queue`).
     pub mini_txns: Vec<MiniTxn>,
+    /// Byte ranges of the group's DML entries within the epoch buffer,
+    /// mini-transaction after mini-transaction, in LSN order. One list
+    /// per group, so dispatch allocates per group rather than per
+    /// mini-transaction.
+    pub entry_ranges: Vec<Range<usize>>,
     /// Sum of entry bytes (`n_gi` for the allocation solver).
     pub bytes: u64,
     /// Total entries.
@@ -219,10 +224,11 @@ pub fn dispatch_epoch(epoch: &EncodedEpoch, grouping: &TableGrouping) -> Result<
                             }
                         } else {
                             for g in groups.iter_mut() {
+                                let at = g.entry_ranges.len();
                                 g.mini_txns.push(MiniTxn {
                                     txn_id: meta.txn_id,
                                     commit_ts,
-                                    entry_ranges: Vec::new(),
+                                    entries: at..at,
                                     bytes: 0,
                                 });
                             }
@@ -254,20 +260,25 @@ pub fn dispatch_epoch(epoch: &EncodedEpoch, grouping: &TableGrouping) -> Result<
                 txn_had_dml = true;
                 let gid = grouping.group_of(table).index();
                 let len = (range.end - range.start) as u64;
+                let g = &mut groups[gid];
                 if open_slots[gid] == usize::MAX {
-                    open_slots[gid] = groups[gid].mini_txns.len();
-                    groups[gid].mini_txns.push(MiniTxn {
+                    open_slots[gid] = g.mini_txns.len();
+                    let at = g.entry_ranges.len();
+                    g.mini_txns.push(MiniTxn {
                         txn_id: t,
                         commit_ts: Timestamp::ZERO,
-                        entry_ranges: Vec::new(),
+                        entries: at..at,
                         bytes: 0,
                     });
                 }
-                let mt = &mut groups[gid].mini_txns[open_slots[gid]];
-                mt.entry_ranges.push(range);
+                // One transaction is open at a time, so its entries of
+                // this group are contiguous in the group's list.
+                g.entry_ranges.push(range);
+                let mt = &mut g.mini_txns[open_slots[gid]];
+                mt.entries.end += 1;
                 mt.bytes += len;
-                groups[gid].bytes += len;
-                groups[gid].entries += 1;
+                g.bytes += len;
+                g.entries += 1;
             }
         }
     }
@@ -331,9 +342,9 @@ mod tests {
         let g0 = d.group(GroupId::new(0));
         let g1 = d.group(GroupId::new(1));
         assert_eq!(g0.mini_txns.len(), 1);
-        assert_eq!(g0.mini_txns[0].entry_ranges.len(), 2);
+        assert_eq!(g0.mini_txns[0].entries, 0..2);
         assert_eq!(g0.entries, 2);
-        assert_eq!(g1.mini_txns[0].entry_ranges.len(), 1);
+        assert_eq!(g1.mini_txns[0].entries, 0..1);
         assert_eq!(g0.mini_txns[0].commit_ts, Timestamp::from_micros(100));
         assert!(g0.bytes > 0 && g1.bytes > 0);
     }
@@ -367,7 +378,7 @@ mod tests {
         for gid in 0..2 {
             let g = d.group(GroupId::new(gid));
             assert_eq!(g.mini_txns.len(), 1);
-            assert!(g.mini_txns[0].entry_ranges.is_empty());
+            assert!(g.mini_txns[0].entries.is_empty());
             assert_eq!(g.mini_txns[0].commit_ts, Timestamp::from_micros(99));
         }
     }

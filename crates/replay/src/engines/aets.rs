@@ -6,11 +6,12 @@
 //! slice. Per epoch (Section III-D):
 //!
 //! 1. the dispatcher routes entries into per-group mini-transactions
-//!    (metadata-only parse). A call that replays several epochs runs it on
-//!    a scoped thread, feeding the replay loop through a bounded channel
-//!    so the metadata scan of epoch `e+1` overlaps the replay of epoch
-//!    `e`; a single-epoch call has nothing to overlap and dispatches
-//!    inline into the same loop (see DESIGN.md, "Replay datapath");
+//!    (metadata-only parse) and gives every group a claim cursor and one
+//!    hand-off slot per chunk. In a call that replays several epochs, the
+//!    first crew member the last stage of epoch `e` leaves without a
+//!    group dispatches `e+1`; the replay loop dispatches inline only when
+//!    nobody got ahead — the first epoch, a single-epoch call, `threads:
+//!    1` (see DESIGN.md, "Replay datapath");
 //! 2. threads are allocated to groups by `λ·n` weights (Section IV-B)
 //!    over the grouping's rates, which the adaptive controller refreshes
 //!    through `Regroup` and overrides through `SetThreadSplit`;
@@ -20,9 +21,12 @@
 //!    its only committer: it runs TPLR phase 1 (translate entries to
 //!    uncommitted cells, no locks, no dependency tracking) and phase 2
 //!    (append cells in `commit_order_queue` order, publish `tg_cmt_ts`
-//!    per mini-transaction) chunk by chunk. A group allotted two or more
-//!    threads is *split*: idle crew members translate its chunks ahead
-//!    of the committer;
+//!    per mini-transaction) chunk by chunk, taking each chunk from its
+//!    slot when a crew member translated it ahead. A group allotted two
+//!    or more threads is *split*: idle crew members of its stage
+//!    translate its chunks ahead of the committer, and idle members of
+//!    epoch `e`'s last stage translate chunks of `e+1`'s first stage
+//!    while a group of `e` still commits;
 //! 4. **stage 2** replays the cold groups the same way;
 //! 5. `global_cmt_ts` advances to the epoch's last commit.
 //!
@@ -61,7 +65,7 @@ use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 /// Configuration of the AETS engine.
@@ -95,7 +99,8 @@ pub enum Reconfigure {
     /// `λ·n` solver until the next `SetThreadSplit`. One slot per group;
     /// a group with two or more threads is split (idle crew members
     /// translate its chunks ahead of its committer), below that its
-    /// claimant replays it alone.
+    /// claimant replays it alone, apart from the chunks of a first-stage
+    /// group translated ahead during the previous epoch's last stage.
     SetThreadSplit(Vec<usize>),
     /// Replace the table grouping. Must preserve the group count (the
     /// visibility board, quarantine ledger and cell pools are sized to
@@ -201,10 +206,10 @@ impl ReconfigureHandle {
 
 /// The grouping (and pinned split) an epoch is dispatched *and* replayed
 /// under. Captured once per epoch when the dispatching side drains the
-/// reconfiguration queue, and shipped through the pipeline channel with
-/// the dispatched work so both halves of the datapath always agree —
-/// epoch `e+1` may be dispatched under a newer grouping while epoch `e`
-/// is still replaying under the old one.
+/// reconfiguration queue, and carried with the dispatched work so both
+/// halves of the datapath always agree — epoch `e+1` may be dispatched
+/// (and its first stage translated) under a newer grouping while epoch
+/// `e` is still replaying under the old one.
 #[derive(Clone)]
 struct EpochPlan {
     /// Grouping generation; the consumer side publishes it to the
@@ -531,7 +536,8 @@ impl AetsEngine {
     ///
     /// Every group with work becomes one task, claimed whole — largest
     /// first — from one cursor by the caller and the helpers alike; crew
-    /// members left without a group translate chunks of the split groups.
+    /// members left without a group translate chunks of the split groups,
+    /// then, in an epoch's last stage, look `ahead` into the next epoch.
     /// The gate of [`Crew::run`] is the stage barrier: when it returns no
     /// helper is inside the stage any more.
     fn run_stage(
@@ -540,20 +546,18 @@ impl AetsEngine {
         epoch: &EpochRun<'_>,
         stage_groups: &[GroupId],
         alloc: &[usize],
+        ahead: Option<&LookAhead<'_>>,
     ) -> Result<()> {
-        let mut tasks: Vec<GroupTask<'_>> = stage_groups
-            .iter()
-            // A quarantined group gets no further work: its watermark
-            // stays frozen at the last consistent commit.
-            .filter(|&&gid| !self.quarantine.is_poisoned(gid))
-            .map(|&gid| GroupTask::new(gid, epoch.work.group(gid), alloc[gid.index()]))
-            .filter(|t| !t.work.mini_txns.is_empty())
-            .collect();
-        tasks.sort_by_key(|t| Reverse(t.work.bytes));
+        let tasks = self.tasks(epoch, stage_groups, |g| alloc[g.index()]);
         // One thread per group, plus the extra translators of each split
-        // group: helpers beyond that would find nothing to claim.
-        let parallelism: usize = tasks.iter().map(GroupTask::threads_wanted).sum();
+        // group and the look-ahead member: helpers beyond that would find
+        // nothing to claim.
+        let parallelism: usize =
+            tasks.iter().map(GroupTask::threads_wanted).sum::<usize>() + ahead.is_some() as usize;
         let cursor = AtomicUsize::new(0);
+        // Groups of this stage still committing. Relaxed: it publishes no
+        // data, it only tells a member looking ahead when to stop.
+        let committing = AtomicUsize::new(tasks.len());
         let job = || {
             while let Some(task) = tasks.get(cursor.fetch_add(1, Ordering::Relaxed)) {
                 // An error or contained panic quarantines this group; no
@@ -566,9 +570,13 @@ impl AetsEngine {
                     task.abandon();
                     self.quarantine.poison(task.gid, e);
                 }
+                committing.fetch_sub(1, Ordering::Relaxed);
             }
-            for task in tasks.iter().filter(|t| t.handoff.is_some()) {
-                self.translate_ahead(epoch, task);
+            for task in tasks.iter().filter(|t| t.split()) {
+                self.translate_ahead(epoch, task, &|| true);
+            }
+            if let Some(ahead) = ahead {
+                self.look_ahead(epoch, ahead, &committing);
             }
         };
         let waited = crew.run(parallelism.saturating_sub(1), &job)?;
@@ -590,14 +598,57 @@ impl AetsEngine {
         Ok(())
     }
 
+    /// The tasks of `groups` in `epoch`: the groups with work that are not
+    /// quarantined (a quarantined group's watermark stays frozen at its
+    /// last consistent commit), largest first.
+    fn tasks<'a>(
+        &self,
+        epoch: &EpochRun<'a>,
+        groups: &[GroupId],
+        threads: impl Fn(GroupId) -> usize,
+    ) -> Vec<GroupTask<'a>> {
+        let mut tasks: Vec<GroupTask<'a>> = groups
+            .iter()
+            .filter(|&&gid| !self.quarantine.is_poisoned(gid))
+            .map(|&gid| GroupTask::new(epoch, gid, threads(gid)))
+            .filter(|t| !t.work.mini_txns.is_empty())
+            .collect();
+        tasks.sort_by_key(|t| Reverse(t.work.bytes));
+        tasks
+    }
+
+    /// A crew member the last stage of epoch `e` left without work claims
+    /// the dispatch of `e+1` — whoever comes later waits for it — and
+    /// translates chunks of `e+1`'s first stage into their slots while a
+    /// group of `e` still commits, so the barrier waits for one chunk at
+    /// most. A dispatch error waits in the slot for the replay loop.
+    fn look_ahead(&self, epoch: &EpochRun<'_>, ahead: &LookAhead<'_>, committing: &AtomicUsize) {
+        let next = ahead.next.get_or_init(|| self.dispatch_next(ahead.epoch));
+        let Ok(work) = &next.work else { return };
+        let run = EpochRun {
+            seq: next.seq,
+            parent: next.parent,
+            work,
+            handoffs: &next.handoffs,
+            ..*epoch
+        };
+        let stages = self.stages(&next.plan.grouping);
+        let Some(first) = stages.iter().find(|s| !s.is_empty()) else { return };
+        for task in &self.tasks(&run, first, |_| 1) {
+            self.translate_ahead(&run, task, &|| committing.load(Ordering::Relaxed) > 0);
+        }
+    }
+
     /// The committer's side of one group task: commits the group's chunks
-    /// strictly in order, translating each chunk itself unless a helper
-    /// got there first. There is one committer per group at a time — the
-    /// member that claimed the task — which is what keeps every version
-    /// chain in primary commit order.
+    /// strictly in order, taking each from its slot when a crew member
+    /// translated it ahead and translating it itself otherwise. There is
+    /// one committer per group at a time — the member that claimed the
+    /// task — which is what keeps every version chain in primary commit
+    /// order.
     fn replay_group(&self, epoch: &EpochRun<'_>, task: &GroupTask<'_>) -> Result<()> {
         let ring = self.telemetry.spans();
         let group = Some(task.gid.index());
+        let handoff = task.handoff;
         // Head-of-line wait, then the ordered apply: the wait span closes
         // when the first chunk's cells are in hand and the apply span
         // covers the rest of the commit loop. A failure mid-loop drops the
@@ -605,29 +656,24 @@ impl AetsEngine {
         let mut wait_span = ring.begin(epoch.seq, stages::COMMIT_WAIT, group, epoch.parent);
         let mut apply_span = None;
         for head in 0..task.chunks() {
-            let chunk = match &task.handoff {
-                None => self.translate_chunk(epoch, task, head),
-                Some(handoff) => {
-                    let mut backoff = Backoff::default();
-                    loop {
-                        if let Some(chunk) = lock(&handoff.slots[head]).take() {
-                            break chunk;
-                        }
-                        // The head is not ready: translate the next
-                        // unclaimed chunk instead of sleeping on it.
-                        match handoff.claim() {
-                            Some(c) if c == head => break self.translate_chunk(epoch, task, c),
-                            Some(c) => {
-                                let chunk = self.translate_chunk(epoch, task, c);
-                                *lock(&handoff.slots[c]) = Some(chunk);
-                            }
-                            // Every chunk is claimed and the head is in a
-                            // helper's hands: it is running, not blocked,
-                            // so give it the core rather than park.
-                            None if backoff.snooze() => {}
-                            None => std::thread::yield_now(),
-                        }
+            let mut backoff = Backoff::default();
+            let chunk = loop {
+                if let Some(chunk) = lock(&handoff.slots[head]).take() {
+                    break chunk;
+                }
+                // The head is not ready: translate the next unclaimed
+                // chunk instead of sleeping on it.
+                match handoff.claim() {
+                    Some(c) if c == head => break self.translate_chunk(epoch, task, c),
+                    Some(c) => {
+                        let chunk = self.translate_chunk(epoch, task, c);
+                        *lock(&handoff.slots[c]) = Some(chunk);
                     }
+                    // Every chunk is claimed and the head is in a helper's
+                    // hands: it is running, not blocked, so give it the
+                    // core rather than park.
+                    None if backoff.snooze() => {}
+                    None => std::thread::yield_now(),
                 }
             };
             if let Some(w) = wait_span.take() {
@@ -643,10 +689,11 @@ impl AetsEngine {
     }
 
     /// A crew member without a group of its own translates chunks of a
-    /// split group into the hand-off slots its committer drains.
-    fn translate_ahead(&self, epoch: &EpochRun<'_>, task: &GroupTask<'_>) {
-        let Some(handoff) = &task.handoff else { return };
-        while let Some(c) = handoff.claim() {
+    /// group, while `more` holds, into the hand-off slots its committer
+    /// drains.
+    fn translate_ahead(&self, epoch: &EpochRun<'_>, task: &GroupTask<'_>, more: &dyn Fn() -> bool) {
+        while more() {
+            let Some(c) = task.handoff.claim() else { break };
             // Contained so the slot is always filled: the committer must
             // never wait on a chunk nobody will finish.
             let chunk = catch_unwind(AssertUnwindSafe(|| self.translate_chunk(epoch, task, c)))
@@ -655,7 +702,7 @@ impl AetsEngine {
                     translated: 0,
                     err: Some(panic_error("chunk translator", p)),
                 });
-            *lock(&handoff.slots[c]) = Some(chunk);
+            *lock(&task.handoff.slots[c]) = Some(chunk);
         }
     }
 
@@ -670,11 +717,12 @@ impl AetsEngine {
         // relative to the group's commit loop.
         let span = ring.begin(epoch.seq, stages::TRANSLATE, Some(task.gid.index()), epoch.parent);
         let mini_txns = task.chunk(c);
-        let entries: usize = mini_txns.iter().map(|mt| mt.entry_ranges.len()).sum();
+        let entries: usize = mini_txns.iter().map(|mt| mt.entries.len()).sum();
         let mut chunk =
             Chunk { cells: self.pools[task.gid.index()].take(entries), translated: 0, err: None };
+        let (buf, ranges) = (&epoch.work.bytes, &task.work.entry_ranges);
         (chunk.translated, chunk.err) =
-            translate_mini_txns(epoch.db, &epoch.work.bytes, mini_txns, &mut chunk.cells);
+            translate_mini_txns(epoch.db, buf, ranges, mini_txns, &mut chunk.cells);
         if let Some(s) = span {
             s.finish(ring);
         }
@@ -696,7 +744,7 @@ impl AetsEngine {
         let t0 = Instant::now();
         let mut cells = chunk.cells.drain(..);
         for mt in &task.chunk(c)[..chunk.translated] {
-            for cell in cells.by_ref().take(mt.entry_ranges.len()) {
+            for cell in cells.by_ref().take(mt.entries.len()) {
                 commit_cell(cell, mt.commit_ts);
             }
             epoch.board.publish_group(task.gid, mt.commit_ts);
@@ -708,14 +756,25 @@ impl AetsEngine {
         chunk.err.map_or(Ok(()), Err)
     }
 
+    /// The groups of each replay stage under `grouping`, in stage order.
+    fn stages(&self, grouping: &TableGrouping) -> Vec<Vec<GroupId>> {
+        if self.cfg.two_stage {
+            vec![grouping.hot_groups(), grouping.cold_groups()]
+        } else {
+            vec![(0..grouping.num_groups() as u32).map(GroupId::new).collect()]
+        }
+    }
+
     /// Replays one dispatched epoch: thread allocation, the two replay
     /// stages, and the global visibility publish. Calling it strictly in
-    /// epoch order is what upholds the epoch-barrier invariant.
+    /// epoch order is what upholds the epoch-barrier invariant; its last
+    /// stage with work looks `ahead` into the next epoch.
     fn replay_epoch(
         &self,
         crew: &mut Crew,
         epoch: &EpochRun<'_>,
         plan: &EpochPlan,
+        ahead: Option<&LookAhead<'_>>,
         m: &mut ReplayMetrics,
     ) -> Result<()> {
         let grouping = &plan.grouping;
@@ -744,11 +803,9 @@ impl AetsEngine {
             even_allocation(self.cfg.threads, &pending)
         };
 
-        let stages: Vec<Vec<GroupId>> = if self.cfg.two_stage {
-            vec![grouping.hot_groups(), grouping.cold_groups()]
-        } else {
-            vec![(0..grouping.num_groups() as u32).map(GroupId::new).collect()]
-        };
+        let stages = self.stages(grouping);
+        let has_work = |s: &Vec<GroupId>| s.iter().any(|&g| !work.group(g).mini_txns.is_empty());
+        let last = stages.iter().rposition(has_work);
 
         // Quarantine set before the stages run, so newly poisoned groups
         // can be diffed into events afterwards. Skipped entirely when
@@ -761,7 +818,8 @@ impl AetsEngine {
                 continue;
             }
             let t_stage = Instant::now();
-            self.run_stage(crew, epoch, stage_groups, &alloc)?;
+            let stage_ahead = if last == Some(sidx) { ahead } else { None };
+            self.run_stage(crew, epoch, stage_groups, &alloc, stage_ahead)?;
             let elapsed = t_stage.elapsed();
             if self.cfg.two_stage && sidx == 0 {
                 m.stage1_wall += elapsed;
@@ -815,7 +873,8 @@ impl AetsEngine {
     }
 
     /// Dispatches `epoch`: the producing half of the datapath, run inline
-    /// by the replay loop or ahead of it on the dispatcher thread.
+    /// by the replay loop or ahead of it by a crew member of the previous
+    /// epoch's last stage.
     fn dispatch_next(&self, epoch: &EncodedEpoch) -> Dispatched {
         let seq = epoch.id.raw();
         // Epoch boundary: drain pending reconfigurations before this
@@ -830,7 +889,7 @@ impl AetsEngine {
         // epoch id pulls out the whole causal chain.
         let mut parent = None;
         // Contained so a dispatcher panic surfaces to the replay loop as
-        // an error instead of escaping through the scope join.
+        // an error, in stream position, wherever the dispatch ran.
         let work = catch_unwind(AssertUnwindSafe(|| {
             let dspan = ring.begin(seq, stages::DISPATCH, None, None);
             let work = dispatch_epoch(epoch, &plan.grouping)?;
@@ -842,7 +901,9 @@ impl AetsEngine {
             Ok(work)
         }))
         .unwrap_or_else(|p| Err(panic_error("dispatcher", p)));
-        Dispatched { seq, work, busy: t0.elapsed(), parent, plan }
+        let handoffs =
+            work.as_ref().map_or(Vec::new(), |w| w.groups.iter().map(Handoff::new).collect());
+        Dispatched { seq, work, busy: t0.elapsed(), parent, plan, handoffs }
     }
 
     /// Cumulative `(recycled, allocated)` takes over every group's pool.
@@ -851,19 +912,13 @@ impl AetsEngine {
     }
 }
 
-/// Dispatched epochs that may sit between the dispatcher thread of a
-/// multi-epoch call and the replay loop: enough for the metadata scan of
-/// epoch `e+1` to overlap the replay of epoch `e`. The epoch barrier is
-/// unaffected: the loop consumes epochs strictly in order and only ever
-/// commits the epoch at hand.
-const DISPATCH_AHEAD: usize = 2;
-
 /// Mini-transactions per chunk: the unit of translate-then-commit inside
-/// a group and of the hand-off between a split group's translators and
-/// its committer. Tens, not one: a chunk amortises its clock reads, its
-/// pool round trip and (split groups) its slot lock over enough work to
-/// take all three off the hot path, and is still small next to an epoch,
-/// so a split group has several chunks to share out.
+/// a group and of the hand-off between the crew members that translate
+/// ahead and the committer. Tens, not one: a chunk amortises its clock
+/// reads, its pool round trip and its slot lock over enough work to take
+/// all three off the hot path, and is still small next to an epoch, so a
+/// group has several chunks to share out and a member translating ahead
+/// holds a stage barrier back by little.
 pub const CHUNK: usize = 32;
 
 /// Busy time of every crew member over one `replay` call, in
@@ -885,6 +940,8 @@ struct EpochRun<'a> {
     /// The epoch's dispatch span; every replay span parents to it.
     parent: Option<SpanId>,
     work: &'a DispatchedEpoch,
+    /// One chunk hand-off per group of `work`.
+    handoffs: &'a [Handoff],
 }
 
 /// What the dispatching side hands the replay loop for one epoch.
@@ -895,24 +952,35 @@ struct Dispatched {
     busy: Duration,
     parent: Option<SpanId>,
     plan: EpochPlan,
+    /// One chunk hand-off per group (none when dispatch failed): made
+    /// here, so chunks can be translated before the epoch replays.
+    handoffs: Vec<Handoff>,
+}
+
+/// The next epoch of a multi-epoch call, as the last stage of the
+/// current one sees it: its encoded bytes and the slot its dispatch
+/// lands in, filled once by the first crew member to look ahead.
+struct LookAhead<'a> {
+    epoch: &'a EncodedEpoch,
+    next: &'a OnceLock<Dispatched>,
 }
 
 /// One group's work in one stage, claimed whole by one crew member.
 struct GroupTask<'a> {
     gid: GroupId,
     work: &'a GroupWork,
-    /// Present when the group is split (`t_g ≥ 2`).
-    handoff: Option<Handoff>,
+    handoff: &'a Handoff,
+    /// Threads the allocation gave the group, committer included.
+    threads: usize,
 }
 
-/// The chunk hand-off of a split group: translators claim chunk indices
-/// from `next` and leave each outcome in its slot; the committer takes
-/// the slots in order.
+/// The chunk hand-off of one group in one epoch: crew members translating
+/// ahead claim chunk indices from `next` and leave each outcome in its
+/// slot; the committer takes the slots in order, and claims and
+/// translates a chunk itself when its slot is empty.
 struct Handoff {
     next: AtomicUsize,
     slots: Vec<Mutex<Option<Chunk>>>,
-    /// Threads the allocation gave the group, committer included.
-    threads: usize,
 }
 
 /// One translated chunk: the cells of its first `translated`
@@ -924,18 +992,12 @@ struct Chunk {
 }
 
 impl<'a> GroupTask<'a> {
-    fn new(gid: GroupId, work: &'a GroupWork, threads: usize) -> Self {
-        let chunks = work.mini_txns.len().div_ceil(CHUNK);
-        let handoff = (threads >= 2 && chunks >= 2).then(|| Handoff {
-            next: AtomicUsize::new(0),
-            slots: (0..chunks).map(|_| Mutex::new(None)).collect(),
-            threads,
-        });
-        Self { gid, work, handoff }
+    fn new(epoch: &EpochRun<'a>, gid: GroupId, threads: usize) -> Self {
+        Self { gid, work: epoch.work.group(gid), handoff: &epoch.handoffs[gid.index()], threads }
     }
 
     fn chunks(&self) -> usize {
-        self.work.mini_txns.len().div_ceil(CHUNK)
+        self.handoff.slots.len()
     }
 
     fn chunk(&self, c: usize) -> &'a [MiniTxn] {
@@ -943,21 +1005,34 @@ impl<'a> GroupTask<'a> {
         &mts[c * CHUNK..mts.len().min((c + 1) * CHUNK)]
     }
 
+    /// Whether idle crew members of its own stage translate ahead of its
+    /// committer: `t_g ≥ 2` and at least two chunks.
+    fn split(&self) -> bool {
+        self.threads >= 2 && self.chunks() >= 2
+    }
+
     /// Crew members this task can keep busy at once.
     fn threads_wanted(&self) -> usize {
-        self.handoff.as_ref().map_or(1, |h| h.threads.min(h.slots.len()))
+        if self.split() {
+            self.threads.min(self.chunks())
+        } else {
+            1
+        }
     }
 
     /// Stops translators from claiming further chunks of a group whose
     /// committer gave up.
     fn abandon(&self) {
-        if let Some(h) = &self.handoff {
-            h.next.store(h.slots.len(), Ordering::Relaxed);
-        }
+        self.handoff.next.store(self.chunks(), Ordering::Relaxed);
     }
 }
 
 impl Handoff {
+    fn new(work: &GroupWork) -> Self {
+        let chunks = work.mini_txns.len().div_ceil(CHUNK);
+        Self { next: AtomicUsize::new(0), slots: (0..chunks).map(|_| Mutex::new(None)).collect() }
+    }
+
     /// Claims the next untranslated chunk, if any is left.
     fn claim(&self) -> Option<usize> {
         // Checked first so a finished group's cursor stops moving.
@@ -1025,54 +1100,37 @@ impl ReplayEngine for AetsEngine {
         let pooled_before = self.pool_counts();
 
         // The one replay loop: finishes epoch e (both stages + global
-        // publish) before it looks at e+1's work, so no entry of epoch
-        // e+1 can commit before epoch e is fully replayed — a dispatcher
-        // running ahead never weakens the epoch barrier.
-        let mut replay_next = |d: Dispatched| -> Result<()> {
-            let seq = d.seq;
+        // publish) before it commits anything of e+1, so no entry of
+        // epoch e+1 can commit before epoch e is fully replayed — the crew
+        // members that dispatch and translate e+1 ahead never weaken the
+        // epoch barrier. It starts no thread.
+        let mut ahead: Option<Dispatched> = None;
+        for (i, encoded) in epochs.iter().enumerate() {
+            // Nobody got ahead on the first epoch, in a single-epoch call
+            // or with `threads: 1`: dispatch inline.
+            let d = ahead.take().unwrap_or_else(|| self.dispatch_next(encoded));
             // Dispatch busy time counts as busy time in the Table II
             // breakdown even when it overlapped replay: the breakdown
             // measures work, not the critical path.
             m.dispatch_busy += d.busy;
             self.stats.dispatch_us.record_micros(d.busy.as_micros() as u64);
-            let work = d.work?;
+            // A dispatch error surfaces here, in stream position: after
+            // the previous epoch's global publish.
+            let work = d.work.as_ref().map_err(Error::clone)?;
+            let seq = d.seq;
             self.telemetry.event(EventKind::EpochDispatched { seq });
-            let epoch = EpochRun { db, board, busy: &busy, seq, parent: d.parent, work: &work };
-            self.replay_epoch(&mut crew, &epoch, &d.plan, &mut m)?;
+            let handoffs = &d.handoffs;
+            let epoch = EpochRun { db, board, busy: &busy, seq, parent: d.parent, work, handoffs };
+            let next = OnceLock::new();
+            let look = epochs.get(i + 1).filter(|_| self.cfg.threads > 1);
+            let look = look.map(|epoch| LookAhead { epoch, next: &next });
+            self.replay_epoch(&mut crew, &epoch, &d.plan, look.as_ref(), &mut m)?;
             self.telemetry.event(EventKind::EpochCommitted {
                 seq,
                 max_commit_ts_us: work.max_commit_ts.as_micros(),
             });
             self.telemetry.spans().set_epoch_hint(seq);
-            Ok(())
-        };
-        if epochs.len() > 1 {
-            // A scoped dispatcher scans epochs ahead of the loop, bounded
-            // by `DISPATCH_AHEAD` dispatched epochs in flight. The one
-            // thread start of the replay path; a single-epoch call has
-            // nothing to overlap and skips it.
-            std::thread::scope(|scope| {
-                let (tx, rx) = std::sync::mpsc::sync_channel(DISPATCH_AHEAD);
-                scope.spawn(move || {
-                    for epoch in epochs {
-                        let d = self.dispatch_next(epoch);
-                        // A dispatch error is forwarded, then the
-                        // dispatcher stops; a send error means the replay
-                        // loop bailed out and dropped the receiver.
-                        let stop = d.work.is_err();
-                        if tx.send(d).is_err() || stop {
-                            break;
-                        }
-                    }
-                });
-                // Returning drops the receiver, which unblocks a
-                // dispatcher stuck in `send` after an early exit.
-                rx.iter().try_for_each(&mut replay_next)
-            })?;
-        } else {
-            for epoch in epochs {
-                replay_next(self.dispatch_next(epoch))?;
-            }
+            ahead = next.into_inner();
         }
         m.quarantined_groups = self.quarantine.poisoned();
         let pooled = self.pool_counts();
@@ -1283,9 +1341,10 @@ mod tests {
 
     #[test]
     fn pipelined_and_serial_datapaths_match() {
-        // The replay loop fed by the dispatcher thread (one whole-stream
-        // call) must produce state identical to the same loop dispatching
-        // inline (one call per epoch) and to the serial oracle.
+        // The replay loop fed by crew members looking ahead (one
+        // whole-stream call) must produce state identical to the same
+        // loop dispatching inline (one call per epoch) and to the serial
+        // oracle.
         let w = tpcc::generate(&TpccConfig { num_txns: 600, warehouses: 2, ..Default::default() });
         let epochs = encode(&w, 96);
         let db_oracle = MemDb::new(w.table_names.len());
@@ -1345,8 +1404,10 @@ mod tests {
     fn pipelined_dispatch_surfaces_decode_errors() {
         let w = tpcc::generate(&TpccConfig { num_txns: 200, warehouses: 2, ..Default::default() });
         let mut epochs = encode(&w, 64);
-        // Truncate the last epoch mid-record: the dispatcher must forward
-        // the decode error through the pipeline instead of hanging.
+        // Truncate the last epoch mid-record: the crew member that
+        // dispatches it ahead must hand the decode error to the replay
+        // loop instead of hanging, and the loop must return it only once
+        // the epoch before is fully replayed and published.
         let last = epochs.last().unwrap();
         let mut b = last.bytes.clone();
         let cut = b.split_to(b.len() - 3);
@@ -1357,8 +1418,10 @@ mod tests {
             .build()
             .unwrap();
         let db = MemDb::new(w.table_names.len());
-        let err = eng.replay_all(&epochs, &db).unwrap_err();
+        let board = VisibilityBoard::builder(eng.board_groups()).build();
+        let err = eng.replay(&epochs, &db, &board).unwrap_err();
         assert!(matches!(err.kind(), "codec" | "protocol"), "got {err}");
+        assert_eq!(board.global_cmt_ts(), epochs[epochs.len() - 2].max_commit_ts);
     }
 
     fn two_group_grouping() -> TableGrouping {
@@ -1372,16 +1435,17 @@ mod tests {
         .unwrap()
     }
 
-    /// 12 transactions, each writing table 0 (group 0, hot) and table 2
-    /// (group 1, cold), batched into 3 epochs of 4.
-    fn two_group_epochs() -> Vec<EncodedEpoch> {
+    /// Transactions `1..=n`, committed at `10·i` µs, each inserting key
+    /// `i` into the (at most ten) tables `tables(i)`, batched into epochs
+    /// of `per_epoch`.
+    fn txn_stream(n: u64, per_epoch: usize, tables: impl Fn(u64) -> Vec<u32>) -> Vec<EncodedEpoch> {
         use aets_common::{ColumnId, DmlOp, Lsn, RowKey, TxnId, Value};
         use aets_wal::{DmlEntry, TxnLog};
-        let txns: Vec<TxnLog> = (1..=12u64)
+        let txns: Vec<TxnLog> = (1..=n)
             .map(|i| TxnLog {
                 txn_id: TxnId::new(i),
                 commit_ts: Timestamp::from_micros(i * 10),
-                entries: [0u32, 2]
+                entries: tables(i)
                     .iter()
                     .enumerate()
                     .map(|(j, &table)| DmlEntry {
@@ -1398,7 +1462,17 @@ mod tests {
                     .collect(),
             })
             .collect();
-        aets_wal::batch_into_epochs(txns, 4).unwrap().iter().map(aets_wal::encode_epoch).collect()
+        aets_wal::batch_into_epochs(txns, per_epoch)
+            .unwrap()
+            .iter()
+            .map(aets_wal::encode_epoch)
+            .collect()
+    }
+
+    /// 12 transactions, each writing table 0 (group 0, hot) and table 2
+    /// (group 1, cold), batched into 3 epochs of 4.
+    fn two_group_epochs() -> Vec<EncodedEpoch> {
+        txn_stream(12, 4, |_| vec![0, 2])
     }
 
     #[test]
@@ -1582,7 +1656,7 @@ mod tests {
     fn one_engine_reused_per_epoch_equals_one_whole_stream_call() {
         // The durable path's shape: one `replay` call per epoch through
         // one engine (inline dispatch, warm crew) must leave the state a
-        // single whole-stream call (dispatcher thread) leaves.
+        // single whole-stream call (dispatch and translation ahead) leaves.
         with_watchdog(|| {
             let w =
                 tpcc::generate(&TpccConfig { num_txns: 1500, warehouses: 2, ..Default::default() });
@@ -1667,48 +1741,66 @@ mod tests {
         });
     }
 
-    /// 80 transactions in one epoch, every one writing table 0 (group 0)
-    /// and a group-1 table: table 2 for the first 40, table 3 after. On a
-    /// three-table database the table-3 writes panic in translate, in
-    /// group 1's second chunk.
-    fn late_panic_epochs() -> (TableGrouping, Vec<EncodedEpoch>) {
-        use aets_common::{ColumnId, DmlOp, Lsn, RowKey, TxnId, Value};
-        use aets_wal::{DmlEntry, TxnLog};
+    /// Four tables: group 0 = {0, 1} (hot), group 1 = {2, 3} (cold).
+    fn four_table_grouping() -> TableGrouping {
         let hot: FxHashSet<TableId> = [TableId::new(0)].into_iter().collect();
-        let grouping = TableGrouping::new(
+        TableGrouping::new(
             4,
             vec![vec![TableId::new(0), TableId::new(1)], vec![TableId::new(2), TableId::new(3)]],
             vec![10.0, 1.0],
             &hot,
         )
-        .unwrap();
-        let txns: Vec<TxnLog> = (1..=160u64)
-            .map(|i| TxnLog {
-                txn_id: TxnId::new(i),
-                commit_ts: Timestamp::from_micros(i * 10),
-                entries: [0u32, if (i - 1) % 80 < 40 { 2 } else { 3 }]
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &table)| DmlEntry {
-                        lsn: Lsn::new(i * 10 + j as u64),
-                        txn_id: TxnId::new(i),
-                        ts: Timestamp::from_micros(i * 10),
-                        table: TableId::new(table),
-                        op: DmlOp::Insert,
-                        key: RowKey::new(i),
-                        row_version: 1,
-                        cols: vec![(ColumnId::new(0), Value::Int(i as i64))],
-                        before: None,
-                    })
-                    .collect(),
-            })
-            .collect();
-        let epochs = aets_wal::batch_into_epochs(txns, 80)
-            .unwrap()
-            .iter()
-            .map(aets_wal::encode_epoch)
-            .collect();
-        (grouping, epochs)
+        .unwrap()
+    }
+
+    /// 80 transactions in one epoch, every one writing table 0 (group 0)
+    /// and a group-1 table: table 2 for the first 40, table 3 after. On a
+    /// three-table database the table-3 writes panic in translate, in
+    /// group 1's second chunk.
+    fn late_panic_epochs() -> (TableGrouping, Vec<EncodedEpoch>) {
+        (
+            four_table_grouping(),
+            txn_stream(160, 80, |i| vec![0, if (i - 1) % 80 < 40 { 2 } else { 3 }]),
+        )
+    }
+
+    #[test]
+    fn a_bad_record_translated_ahead_freezes_its_group_where_one_epoch_calls_do() {
+        // Two epochs of 256: every transaction writes tables 2 and 3
+        // (cold group 1), every even one also a hot table — 0, or 1 from
+        // transaction 418 on. So epoch 0's cold stage commits 512 entries
+        // while the crew member it leaves idle dispatches epoch 1 and
+        // translates its hot chunks ahead. Epoch 1's first write of table
+        // 1, group 0's 81st mini-txn, in its third chunk, fails its record
+        // CRC: the failure must reach group 0's committer through the
+        // slot and freeze the group where two one-epoch calls, which
+        // translate nothing ahead, freeze it.
+        with_watchdog(|| {
+            let hot = |i: u64| i.is_multiple_of(2).then_some(if i >= 418 { 1 } else { 0 });
+            let mut epochs = txn_stream(512, 256, |i| [2, 3].into_iter().chain(hot(i)).collect());
+            epochs[1] = corrupt_record_of(&epochs[1], TableId::new(1)).expect("a DML of table 1");
+            let frozen_at = |calls: &[&[EncodedEpoch]]| {
+                let eng = AetsEngine::builder(four_table_grouping())
+                    .config(AetsConfig { threads: 2, ..Default::default() })
+                    .build()
+                    .unwrap();
+                let db = MemDb::new(4);
+                let board = VisibilityBoard::builder(2).build();
+                for call in calls {
+                    eng.replay(call, &db, &board).unwrap();
+                }
+                assert_eq!(eng.quarantined_groups(), [0], "{} calls", calls.len());
+                assert_eq!(board.tg_cmt_ts(GroupId::new(1)), epochs[1].max_commit_ts);
+                assert_eq!(board.global_cmt_ts(), epochs[0].max_commit_ts);
+                assert!(db.all_chains_ordered());
+                board.tg_cmt_ts(GroupId::new(0))
+            };
+            let want = frozen_at(&[&epochs[..1], &epochs[1..]]);
+            assert_eq!(want, Timestamp::from_micros(4160), "the good prefix of the chunk commits");
+            for _ in 0..20 {
+                assert_eq!(frozen_at(&[&epochs]), want);
+            }
+        });
     }
 
     /// The crew lent to a snapshot walk: with `threads: 1` the caller is
@@ -1780,13 +1872,21 @@ mod tests {
         let db = MemDb::new(3);
         let board = VisibilityBoard::builder(2).build();
         let work = dispatch_epoch(&epochs[0], &grouping).unwrap();
+        let handoffs: Vec<Handoff> = work.groups.iter().map(Handoff::new).collect();
         let totals = BusyTotals::default();
-        let epoch =
-            EpochRun { db: &db, board: &board, busy: &totals, seq: 0, parent: None, work: &work };
-        let task = GroupTask::new(GroupId::new(1), work.group(GroupId::new(1)), 2);
+        let epoch = EpochRun {
+            db: &db,
+            board: &board,
+            busy: &totals,
+            seq: 0,
+            parent: None,
+            work: &work,
+            handoffs: &handoffs,
+        };
+        let task = GroupTask::new(&epoch, GroupId::new(1), 2);
         assert_eq!(task.chunks(), 3, "80 mini-txns in chunks of {CHUNK}");
-        eng.translate_ahead(&epoch, &task);
-        let slots = &task.handoff.as_ref().unwrap().slots;
+        eng.translate_ahead(&epoch, &task, &|| true);
+        let slots = &task.handoff.slots;
         assert!(lock(&slots[0]).as_ref().unwrap().err.is_none());
         let failed = lock(&slots[1]).as_ref().unwrap().err.clone().unwrap();
         assert!(failed.to_string().contains("chunk translator panicked"), "{failed}");

@@ -98,7 +98,8 @@ impl ReplayEngine for AtrEngine {
             let t_dispatch = Instant::now();
             let work = dispatch_epoch(epoch, &single)?;
             m.dispatch_busy += t_dispatch.elapsed();
-            let txns: &[MiniTxn] = &work.group(GroupId::new(0)).mini_txns;
+            let group = work.group(GroupId::new(0));
+            let txns: &[MiniTxn] = &group.mini_txns;
             let done: Vec<AtomicBool> = (0..txns.len()).map(|_| AtomicBool::new(false)).collect();
             // The epoch's first decode error, doubling as the abort flag
             // every wait checks: without it a failed worker's rows and
@@ -119,7 +120,7 @@ impl ReplayEngine for AtrEngine {
                             if i % self.threads != wid {
                                 continue;
                             }
-                            for r in &mt.entry_ranges {
+                            for r in &group.entry_ranges[mt.entries.clone()] {
                                 let entry = match decode_at(&bytes, r.clone()) {
                                     Ok(LogRecord::Dml(entry)) => entry,
                                     Ok(_) => unreachable!("dispatched ranges are DML"),

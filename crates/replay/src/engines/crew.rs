@@ -30,7 +30,7 @@
 //! bounded spin, then `yield_now` for [`YIELD_BUDGET`], then park on a
 //! condvar. The spin covers the gap between two stages of one epoch, the
 //! yield phase the gap between epochs of one call (while giving the core
-//! to whoever else is runnable — the dispatcher, a scan client), and an
+//! to whoever else is runnable — a scan client, the ingest thread), and an
 //! idle engine holds no runnable thread. The slow path is lost-wakeup
 //! free by construction: a gate opens, and the parked count changes, only
 //! under the park mutex, and a parker re-checks the word under that same

@@ -32,6 +32,7 @@ use aets_memtable::{MemDb, RecordNode, Version};
 use aets_wal::{decode_dml_at, DmlEntry, EncodedEpoch};
 use bytes::Bytes;
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A log-replay engine for the backup node.
@@ -142,15 +143,17 @@ thread_local! {
 }
 
 /// TPLR phase 1 — *translate* — over a chunk: decodes each
-/// mini-transaction's entries and appends their cells to `cells` in entry
-/// order, stopping at the first mini-transaction with a bad record (its
-/// entries are dropped; the count kept comes back with the error). Then
-/// the kept entries' nodes are resolved a table at a time under one index
-/// guard ([`aets_memtable::Table::nodes_or_insert`]). The before image is
-/// validated but never built: AETS does not read it.
+/// mini-transaction's entries (its span of `ranges`, the group's
+/// [`crate::GroupWork::entry_ranges`]) and appends their cells to `cells`
+/// in entry order, stopping at the first mini-transaction with a bad
+/// record (its entries are dropped; the count kept comes back with the
+/// error). Then the kept entries' nodes are resolved a table at a time
+/// under one index guard ([`aets_memtable::Table::nodes_or_insert`]). The
+/// before image is validated but never built: AETS does not read it.
 pub fn translate_mini_txns(
     db: &MemDb,
     buf: &Bytes,
+    ranges: &[Range<usize>],
     mini_txns: &[MiniTxn],
     cells: &mut Vec<Cell>,
 ) -> (usize, Option<Error>) {
@@ -160,7 +163,7 @@ pub fn translate_mini_txns(
     let (mut translated, mut err) = (0, None);
     'mini_txns: for mt in mini_txns {
         let start = decoded.len();
-        for r in &mt.entry_ranges {
+        for r in &ranges[mt.entries.clone()] {
             match decode_dml_at(buf, r.clone()) {
                 Ok(DmlEntry { txn_id, table, op, key, cols, .. }) => {
                     keys.push((table, key, decoded.len()));
@@ -332,17 +335,22 @@ mod tests {
         buf: &Bytes,
         mts: &[Vec<Range<usize>>],
     ) -> (Vec<Cell>, usize, Option<Error>) {
+        let flat: Vec<Range<usize>> = mts.iter().flatten().cloned().collect();
+        let mut at = 0;
         let mts: Vec<MiniTxn> = (1u64..)
             .zip(mts)
-            .map(|(txn, ranges)| MiniTxn {
-                txn_id: TxnId::new(txn),
-                commit_ts: Timestamp::from_micros(txn),
-                entry_ranges: ranges.clone(),
-                bytes: 0,
+            .map(|(txn, ranges)| {
+                at += ranges.len();
+                MiniTxn {
+                    txn_id: TxnId::new(txn),
+                    commit_ts: Timestamp::from_micros(txn),
+                    entries: at - ranges.len()..at,
+                    bytes: 0,
+                }
             })
             .collect();
         let mut cells = Vec::new();
-        let (translated, err) = translate_mini_txns(db, buf, &mts, &mut cells);
+        let (translated, err) = translate_mini_txns(db, buf, &flat, &mts, &mut cells);
         (cells, translated, err)
     }
 

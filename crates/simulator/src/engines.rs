@@ -153,10 +153,12 @@ fn simulate_two_phase(
         stage2_wall: 0.0,
     };
     let mut clock = 0f64;
-    // Virtual clock of the dispatcher thread: it scans epochs serially,
-    // ahead of the replay loop (what the real engine does on a
-    // multi-epoch call), so dispatch only sits on the critical path when
-    // replay catches up with the dispatcher.
+    // Virtual clock of a dispatcher that scans epochs serially, ahead of
+    // the replay loop, so dispatch only sits on the critical path when
+    // replay catches up with it. The real engine's multi-epoch call
+    // dispatches epoch e+1 on the crew member that e's last stage leaves
+    // idle and translates e+1's first stage there too; the model keeps
+    // a free dispatcher and no translation ahead.
     let mut dispatch_clock = 0f64;
 
     for (eidx, p) in profiles.iter().enumerate() {

@@ -98,10 +98,10 @@ fn tiny_epochs_still_converge() {
     check_workload(w, 7);
 }
 
-/// The pipelined datapath (dispatcher thread + bounded channel, what a
-/// whole-stream call gets) must be invisible in the MVCC state: it
-/// converges to the serial oracle on both TPC-C and BusTracker streams,
-/// at the end and at a mid-stream snapshot.
+/// The pipelined datapath (crew members dispatching and translating the
+/// next epoch ahead, what a whole-stream call gets) must be invisible in
+/// the MVCC state: it converges to the serial oracle on both TPC-C and
+/// BusTracker streams, at the end and at a mid-stream snapshot.
 #[test]
 fn pipelined_aets_matches_oracle_on_tpcc_and_bustracker() {
     let workloads = [
@@ -146,7 +146,7 @@ fn pipelined_aets_matches_oracle_on_tpcc_and_bustracker() {
 /// epochs is driven through every crew shape — `threads` 1, 2, 3 and 8
 /// (more than the cores), one group / one group per table / DBSCAN
 /// groups, one stage or two — in seed-derived slices of one (inline
-/// dispatch) to a few dozen (dispatcher thread) epochs per `replay` call,
+/// dispatch) to a few dozen (look-ahead) epochs per `replay` call,
 /// with a seed-derived `SetThreadSplit` (slots of 0..=4, so some groups
 /// are split and hand off chunks) landing between calls. Every stage
 /// opens and closes the crew's gate, so a helper that ran a stale stage,
@@ -255,6 +255,85 @@ fn replay_crew_barrier_and_chunk_handoff_stress() {
     done_rx
         .recv_timeout(std::time::Duration::from_secs(600))
         .unwrap_or_else(|e| panic!("seed={seed:#x}: crew stress did not finish: {e}"));
+}
+
+/// Look-ahead under live reconfiguration: one whole-stream call at
+/// `threads` 2 and 3, and, from another thread once the global watermark
+/// has passed epoch 2, a `Regroup` that moves a written cold table into a
+/// hot group, plus a `SetThreadSplit`. The crew member that dispatches the
+/// first epoch under the new grouping does so in the cold stage of the
+/// epoch before, which still commits that table under the old one, and
+/// goes on to translate the moved table's entries ahead in the hot group.
+/// Phase 1 only resolves nodes, so the state must still be the serial
+/// oracle's.
+#[test]
+fn look_ahead_under_a_live_regroup_matches_oracle() {
+    use aets_suite::replay::Reconfigure;
+    let w = bustracker::generate(&bustracker::BusTrackerConfig {
+        num_txns: 24_000,
+        ..Default::default()
+    });
+    let epochs = encode(&w, 200);
+    let n = w.num_tables();
+    let oracle = MemDb::new(n);
+    SerialEngine.replay_all(&epochs, &oracle).unwrap();
+    let mid = w.txns[w.txns.len() / 2].commit_ts;
+
+    let slots = bustracker::BusTrackerConfig::default().slots;
+    let mean_rate = |t: TableId| {
+        (0..slots).map(|s| bustracker::access_rate(t.index(), s)).sum::<f64>() / slots as f64
+    };
+    let grouping = TableGrouping::dbscan(n, &w.analytic_tables, mean_rate, 0.5).unwrap();
+    let ng = grouping.num_groups();
+    // The most-written cold table moves into the hot group with the most
+    // entries, whose chunks a crew member looking ahead translates first.
+    let writes =
+        |t: TableId| w.txns.iter().flat_map(|x| &x.entries).filter(|e| e.table == t).count();
+    let load = |g: GroupId| grouping.members(g).iter().map(|&t| writes(t)).sum::<usize>();
+    let hot = grouping.hot_groups().into_iter().max_by_key(|&g| load(g)).unwrap();
+    let cold = grouping.cold_groups()[0];
+    let moved = grouping.members(cold).iter().copied().max_by_key(|&t| writes(t)).unwrap();
+    let groups: Vec<Vec<TableId>> = (0..ng as u32)
+        .map(GroupId::new)
+        .map(|g| {
+            let mut members: Vec<TableId> =
+                grouping.members(g).iter().copied().filter(|&t| t != moved).collect();
+            if g == hot {
+                members.push(moved);
+            }
+            members
+        })
+        .collect();
+    let rates = (0..ng as u32).map(|g| grouping.rate(GroupId::new(g))).collect();
+    let regrouped = TableGrouping::new(n, groups, rates, &w.analytic_tables).unwrap();
+    assert_eq!(regrouped.group_of(moved), hot);
+
+    for threads in [2usize, 3] {
+        let eng = AetsEngine::builder(grouping.clone())
+            .config(AetsConfig { threads, ..Default::default() })
+            .build()
+            .unwrap();
+        let db = MemDb::new(n);
+        let board = VisibilityBoard::builder(ng).build();
+        let handle = eng.reconfigure_handle();
+        let m = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while board.global_cmt_ts() < epochs[2].max_commit_ts {
+                    std::thread::yield_now();
+                }
+                handle.send(Reconfigure::Regroup(regrouped.clone())).unwrap();
+                handle.send(Reconfigure::SetThreadSplit((0..ng).map(|g| g % 3).collect())).unwrap();
+            });
+            eng.replay(&epochs, &db, &board).unwrap()
+        });
+        assert_eq!(m.regroups_applied, 1, "threads={threads}: the regroup landed mid-call");
+        assert_eq!(m.resplits_applied, 1, "threads={threads}");
+        assert_eq!(eng.grouping().group_of(moved), hot);
+        assert!(db.all_chains_ordered(), "threads={threads}: version order");
+        for ts in [Timestamp::MAX, mid] {
+            assert_eq!(db.digest_at(ts), oracle.digest_at(ts), "threads={threads} at {ts}");
+        }
+    }
 }
 
 /// Samples `board` until `stop`: every watermark only ever advances, and
