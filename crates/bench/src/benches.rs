@@ -38,7 +38,6 @@ use aets_wal::{
 use aets_workloads::drift::{rotating_tpcc, RotatingTpccConfig};
 use aets_workloads::tpcc::{tables, TpccConfig};
 use aets_workloads::QueryInstance;
-use bytes::BytesMut;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -369,7 +368,7 @@ pub fn micro(scale: Scale) -> BenchResult {
     r.timed("codec/encode_epoch", entries, || encode_epoch(black_box(&raw[0])));
     let encoded = encode_epoch(&raw[0]);
     r.timed("codec/decode_full", entries, || {
-        decode_batch(black_box(encoded.bytes.clone())).expect("valid batch")
+        decode_batch(black_box(&encoded.bytes)).expect("valid batch")
     });
     r.timed("codec/scan_meta", entries, || {
         MetaScanner::new(black_box(encoded.bytes.clone())).fold(0usize, |n, rec| {
@@ -507,9 +506,9 @@ pub fn micro(scale: Scale) -> BenchResult {
     r.timed("memtable/gc_pass", nodes, || gc_db(&db, mid));
     assert_eq!(gc_db(&db, mid).pruned, 0, "a repeated pass pruned");
     assert_eq!([mid, Timestamp::MAX].map(|ts| db.digest_at(ts)), digest, "GC moved a digest");
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::new();
     encode_db(&mut buf, &db, Timestamp::MAX);
-    let back = decode_db(&mut buf.clone().freeze()).expect("a snapshot decodes");
+    let back = decode_db(&buf).expect("a snapshot decodes");
     assert_eq!([mid, Timestamp::MAX].map(|ts| back.digest_at(ts)), digest, "encode→decode");
     r.timed("memtable/encode_db", Some(db.total_versions() as u64), || {
         buf.clear();

@@ -15,7 +15,6 @@ pub mod mix;
 pub mod ops;
 pub mod rng;
 pub mod sync;
-pub mod text;
 pub mod value;
 
 pub use error::{Error, Result};
@@ -24,5 +23,4 @@ pub use ids::{ColumnId, EpochId, GroupId, Lsn, RowKey, TableId, Timestamp, TxnId
 pub use json::{hex_decode, hex_encode, json_escape};
 pub use mix::{splitmix64, unit_f64};
 pub use ops::DmlOp;
-pub use text::Utf8Bytes;
 pub use value::{Row, Value};

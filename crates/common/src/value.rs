@@ -1,8 +1,8 @@
 //! Column values carried by value-log entries and stored in version chains.
 
 use crate::ids::ColumnId;
-use crate::text::Utf8Bytes;
 use std::fmt;
+use std::sync::Arc;
 
 /// A single column value.
 ///
@@ -11,10 +11,10 @@ use std::fmt;
 /// value. Variants cover what the benchmark schemas need; `Bytes` doubles
 /// as an opaque payload for synthetic wide columns.
 ///
-/// `Text` and `Bytes` are backed by shared [`bytes::Bytes`] storage, so
-/// cloning a value is a reference-count bump. The decoder copies each
-/// payload into an allocation of its own, so a committed version keeps no
-/// epoch frame or checkpoint manifest alive.
+/// `Text` and `Bytes` own their payload behind an [`Arc`], so cloning a
+/// value is a reference-count bump. The decoder gives each payload one
+/// allocation of its own: a committed version shares no epoch frame or
+/// checkpoint manifest.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// SQL NULL.
@@ -23,10 +23,10 @@ pub enum Value {
     Int(i64),
     /// 64-bit float (never NaN in generated workloads).
     Float(f64),
-    /// UTF-8 string (shared-buffer view).
-    Text(Utf8Bytes),
-    /// Opaque byte payload (shared-buffer view).
-    Bytes(bytes::Bytes),
+    /// UTF-8 string.
+    Text(Arc<str>),
+    /// Opaque byte payload.
+    Bytes(Arc<[u8]>),
 }
 
 impl Value {
@@ -114,5 +114,11 @@ mod tests {
         let row: Row =
             vec![(ColumnId::new(0), Value::Int(1)), (ColumnId::new(1), Value::Text("hi".into()))];
         assert_eq!(row_wire_size(&row), (2 + 9) + (2 + 7));
+    }
+
+    #[test]
+    fn a_value_is_three_words() {
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+        assert_eq!(std::mem::size_of::<(ColumnId, Value)>(), 32);
     }
 }

@@ -10,7 +10,6 @@ use crate::gc::GcStats;
 use crate::record::{Chain, OpType, RecordNode, Version};
 use crate::table::{MemDb, Table};
 use aets_common::{ColumnId, Row, RowKey, Timestamp, Value};
-use bytes::{BufMut, BytesMut};
 
 /// `RecordNode::read_at` over a plain chain.
 pub(crate) fn read_at(chain: &[Version], ts: Timestamp) -> Option<Row> {
@@ -88,11 +87,11 @@ pub(crate) fn gc_table(table: &Table, watermark: Timestamp) -> GcStats {
 }
 
 /// `encode_db`: clone every chain, filter it, collect the table, encode.
-pub(crate) fn encode_db(buf: &mut BytesMut, db: &MemDb, watermark: Timestamp) {
-    buf.put_u32_le(db.num_tables() as u32);
+pub(crate) fn encode_db(buf: &mut Vec<u8>, db: &MemDb, watermark: Timestamp) {
+    buf.extend_from_slice(&(db.num_tables() as u32).to_le_bytes());
     for table in db.tables() {
         let entries = table.entries();
-        buf.put_u32_le(table.id().raw());
+        buf.extend_from_slice(&table.id().raw().to_le_bytes());
         let mut kept: Vec<(RowKey, Vec<Version>)> = Vec::with_capacity(entries.len());
         for (key, node) in entries {
             let mut chain = node.chain().to_vec();
@@ -101,14 +100,14 @@ pub(crate) fn encode_db(buf: &mut BytesMut, db: &MemDb, watermark: Timestamp) {
                 kept.push((key, chain));
             }
         }
-        buf.put_u64_le(kept.len() as u64);
+        buf.extend_from_slice(&(kept.len() as u64).to_le_bytes());
         for (key, chain) in kept {
-            buf.put_u64_le(key.raw());
-            buf.put_u32_le(chain.len() as u32);
+            buf.extend_from_slice(&key.raw().to_le_bytes());
+            buf.extend_from_slice(&(chain.len() as u32).to_le_bytes());
             for v in chain {
-                buf.put_u64_le(v.txn_id.raw());
-                buf.put_u64_le(v.commit_ts.as_micros());
-                buf.put_u8(v.op.tag());
+                buf.extend_from_slice(&v.txn_id.raw().to_le_bytes());
+                buf.extend_from_slice(&v.commit_ts.as_micros().to_le_bytes());
+                buf.push(v.op.tag());
                 aets_wal::encode_row(buf, &v.cols);
             }
         }
@@ -283,9 +282,9 @@ mod tests {
                     }
                     Step::Snapshot(wm) => {
                         model.retain(|v| v.commit_ts <= wm);
-                        let mut buf = BytesMut::new();
+                        let mut buf = Vec::new();
                         snapshot::encode_db(&mut buf, &db, wm);
-                        db = snapshot::decode_db(&mut buf.freeze()).expect("own snapshot");
+                        db = snapshot::decode_db(&buf).expect("own snapshot");
                     }
                 }
                 let node = db.table(TableId::new(0)).node_or_insert(key);
@@ -348,9 +347,9 @@ mod tests {
     fn snapshot_bytes_match_the_reference() {
         for (name, db, mid) in workload_dbs() {
             for wm in [Timestamp::MAX, mid, Timestamp::ZERO] {
-                let mut want = BytesMut::new();
+                let mut want = Vec::new();
                 encode_db(&mut want, &db, wm);
-                let mut got = BytesMut::new();
+                let mut got = Vec::new();
                 snapshot::encode_db(&mut got, &db, wm);
                 assert!(got == want, "{name}: snapshots at {wm:?} differ");
             }
@@ -368,7 +367,7 @@ mod tests {
             assert!(want.pruned > 0, "{name}: the pass must have work to do");
             assert_eq!(gc::gc_db(&fast, mid), want, "{name}: stats");
             let [want, got] = [&slow, &fast].map(|db| {
-                let mut buf = BytesMut::new();
+                let mut buf = Vec::new();
                 encode_db(&mut buf, db, Timestamp::MAX);
                 buf
             });
@@ -446,15 +445,15 @@ mod tests {
             let got = snapshot::tests::joined(&snap);
             let want_gc = floor.map_or(GcStats::default(), |f| gc::gc_db(&twin, f));
             assert_eq!(snap.gc, want_gc, "cuts {cuts:?}");
-            let mut want = BytesMut::new();
+            let mut want = Vec::new();
             snapshot::encode_db(&mut want, &twin, wm);
             assert!(got == want[..], "walk != gc_db then encode_db, cuts {cuts:?}");
-            let mut reference = BytesMut::new();
+            let mut reference = Vec::new();
             encode_db(&mut reference, &twin, wm);
             assert!(got == reference[..], "walk != the reference encoder");
             assert_eq!((snap.len, snap.crc), (got.len(), aets_wal::crc32(&got)));
             let [after, twin_after] = [&walked, &twin].map(|db| {
-                let mut buf = BytesMut::new();
+                let mut buf = Vec::new();
                 snapshot::encode_db(&mut buf, db, Timestamp::MAX);
                 buf
             });
@@ -469,7 +468,7 @@ mod tests {
         let db = MemDb::new(w.num_tables());
         apply(&db, &w.txns);
         let wm = w.txns.last().expect("nonempty").commit_ts;
-        let mut quiesced = BytesMut::new();
+        let mut quiesced = Vec::new();
         snapshot::encode_db(&mut quiesced, &db, wm);
 
         // The appender re-applies the stream above the watermark — new
@@ -505,12 +504,12 @@ mod tests {
                 }
             });
             wait_started.recv().expect("appender runs");
-            let mut racing = BytesMut::new();
+            let mut racing = Vec::new();
             snapshot::encode_db(&mut racing, &db, wm);
             assert!(racing == quiesced, "a racing append leaked in");
             stop.store(true, Ordering::SeqCst);
         });
-        let mut after = BytesMut::new();
+        let mut after = Vec::new();
         snapshot::encode_db(&mut after, &db, Timestamp::MAX);
         assert!(after.len() > quiesced.len(), "the appender must have appended");
     }

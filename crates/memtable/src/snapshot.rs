@@ -27,8 +27,8 @@ use crate::record::{OpType, Version};
 use crate::table::{MemDb, Table};
 use aets_common::sync::lock;
 use aets_common::{Error, Result, RowKey, TableId, Timestamp, TxnId};
+use aets_wal::codec::{decode_row, encode_row, take, take_u32, take_u64};
 use aets_wal::{crc32, crc32_combine, crc32_update};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -39,11 +39,11 @@ use std::sync::{Mutex, PoisonError};
 /// on-disk state independent of any replay that races the serialization.
 ///
 /// The checkpoint's [`SnapshotWalk`], with no GC, on the calling thread.
-pub fn encode_db(buf: &mut BytesMut, db: &MemDb, watermark: Timestamp) {
+pub fn encode_db(buf: &mut Vec<u8>, db: &MemDb, watermark: Timestamp) {
     let walk = SnapshotWalk::plan(db, watermark, None, 1, 0);
     walk.work();
     for piece in walk.finish().pieces {
-        buf.put_slice(&piece);
+        buf.extend_from_slice(&piece);
     }
 }
 
@@ -53,7 +53,7 @@ struct Part {
     table: TableId,
     lo: RowKey,
     hi: RowKey,
-    buf: BytesMut,
+    buf: Vec<u8>,
     /// Keys written: a node phase 1 made and nothing committed to has no
     /// covered version and is not persisted.
     keys: u64,
@@ -118,7 +118,7 @@ impl<'a> SnapshotWalk<'a> {
             let starts = std::iter::once(RowKey::new(0)).chain(cuts.iter().copied());
             let ends = cuts.iter().map(|c| RowKey::new(c.raw() - 1)).chain([RowKey::new(u64::MAX)]);
             parts.extend(starts.zip(ends).map(|(lo, hi)| {
-                let (buf, gc) = (BytesMut::with_capacity(size), GcStats::default());
+                let (buf, gc) = (Vec::with_capacity(size), GcStats::default());
                 Mutex::new(Part { table: table.id(), lo, hi, buf, keys: 0, gc, crc: 0 })
             }));
         }
@@ -139,13 +139,13 @@ impl<'a> SnapshotWalk<'a> {
                     return;
                 }
                 *keys += 1;
-                buf.put_u64_le(key.raw());
-                buf.put_u32_le(covered.len() as u32);
+                buf.extend_from_slice(&key.raw().to_le_bytes());
+                buf.extend_from_slice(&(covered.len() as u32).to_le_bytes());
                 for v in covered {
-                    buf.put_u64_le(v.txn_id.raw());
-                    buf.put_u64_le(v.commit_ts.as_micros());
-                    buf.put_u8(v.op.tag());
-                    aets_wal::encode_row(buf, &v.cols);
+                    buf.extend_from_slice(&v.txn_id.raw().to_le_bytes());
+                    buf.extend_from_slice(&v.commit_ts.as_micros().to_le_bytes());
+                    buf.push(v.op.tag());
+                    encode_row(buf, &v.cols);
                 }
             };
             let gc = &mut p.gc;
@@ -170,15 +170,12 @@ impl<'a> SnapshotWalk<'a> {
         let mut parts =
             parts.map(|p| p.into_inner().unwrap_or_else(PoisonError::into_inner)).peekable();
         let mut snap = Snapshot::default();
-        let mut count = BytesMut::with_capacity(4);
-        count.put_u32_le(self.db.num_tables() as u32);
-        snap.push(count, None);
+        snap.push((self.db.num_tables() as u32).to_le_bytes().to_vec(), None);
         for table in self.db.tables() {
             let mine: Vec<Part> =
                 std::iter::from_fn(|| parts.next_if(|p| p.table == table.id())).collect();
-            let mut head = BytesMut::with_capacity(12);
-            head.put_u32_le(table.id().raw());
-            head.put_u64_le(mine.iter().map(|p| p.keys).sum());
+            let mut head = table.id().raw().to_le_bytes().to_vec();
+            head.extend_from_slice(&mine.iter().map(|p| p.keys).sum::<u64>().to_le_bytes());
             snap.push(head, None);
             for p in mine {
                 snap.gc.merge(p.gc);
@@ -196,7 +193,7 @@ pub struct Snapshot {
     /// The snapshot in order — `[num_tables]`, then per table
     /// `[table_id][num_keys]` and its parts — to be written back to back:
     /// joined, they are [`encode_db`]'s bytes.
-    pub pieces: Vec<BytesMut>,
+    pub pieces: Vec<Vec<u8>>,
     /// Total length of the pieces.
     pub len: usize,
     /// CRC32 of the pieces joined: the walkers' part CRCs folded in order.
@@ -208,7 +205,7 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    fn push(&mut self, piece: BytesMut, crc: Option<u32>) {
+    fn push(&mut self, piece: Vec<u8>, crc: Option<u32>) {
         self.crc = match crc {
             Some(crc) => crc32_combine(self.crc, crc, piece.len() as u64),
             None => crc32_update(self.crc, &piece),
@@ -218,48 +215,52 @@ impl Snapshot {
     }
 }
 
-/// Rebuilds a [`MemDb`] from a snapshot produced by [`encode_db`],
-/// consuming `buf`. Restored chains preserve serialization order, so the
-/// commit-order invariant holds by construction.
-pub fn decode_db(buf: &mut Bytes) -> Result<MemDb> {
-    need(buf, 4)?;
-    let num_tables = buf.get_u32_le() as usize;
+/// Rebuilds a [`MemDb`] from a snapshot produced by [`encode_db`], all
+/// of `data` and nothing else. Restored chains preserve serialization
+/// order; input that would break the commit-order invariant (a key
+/// repeated, a chain out of order) is an error, so every database this
+/// returns satisfies it.
+pub fn decode_db(data: &[u8]) -> Result<MemDb> {
+    let pos = &mut 0;
+    let num_tables = take_u32(data, pos)? as usize;
+    // Each table takes at least its 12-byte header: a count the input
+    // cannot hold fails before a table is allocated.
+    if num_tables.saturating_mul(12) > data.len() - *pos {
+        return Err(Error::CodecTruncated);
+    }
     let db = MemDb::new(num_tables);
     for _ in 0..num_tables {
-        need(buf, 12)?;
-        let table_id = aets_common::TableId::new(buf.get_u32_le());
+        let table_id = TableId::new(take_u32(data, pos)?);
         if table_id.index() >= num_tables {
             return Err(Error::Codec(format!("snapshot table id {table_id:?} out of range")));
         }
         let table = db.table(table_id);
-        let num_keys = buf.get_u64_le();
+        let num_keys = take_u64(data, pos)?;
         for _ in 0..num_keys {
-            need(buf, 12)?;
-            let key = RowKey::new(buf.get_u64_le());
-            let num_versions = buf.get_u32_le();
+            let key = RowKey::new(take_u64(data, pos)?);
+            let num_versions = take_u32(data, pos)?;
             let node = table.node_or_insert(key);
+            if node.version_count() > 0 {
+                return Err(Error::Codec(format!("snapshot key {key:?} of {table_id:?} repeats")));
+            }
+            let mut last = TxnId::new(0);
             for _ in 0..num_versions {
-                need(buf, 17)?;
-                let txn_id = TxnId::new(buf.get_u64_le());
-                let commit_ts = Timestamp::from_micros(buf.get_u64_le());
-                let op = OpType::from_tag(buf.get_u8()).ok_or(Error::CodecBadTag)?;
-                let cols = aets_wal::decode_row(buf)?;
+                let txn_id = TxnId::new(take_u64(data, pos)?);
+                let commit_ts = Timestamp::from_micros(take_u64(data, pos)?);
+                let op = OpType::from_tag(take(data, pos, 1)?[0]).ok_or(Error::CodecBadTag)?;
+                let cols = decode_row(data, pos)?;
+                if txn_id < last {
+                    return Err(Error::Codec(format!("snapshot chain of {key:?} out of order")));
+                }
+                last = txn_id;
                 node.append_version(Version { txn_id, commit_ts, op, cols });
             }
         }
     }
-    if buf.has_remaining() {
-        return Err(Error::Codec(format!("{} trailing bytes after snapshot", buf.remaining())));
+    if *pos < data.len() {
+        return Err(Error::Codec(format!("{} trailing bytes after snapshot", data.len() - *pos)));
     }
     Ok(db)
-}
-
-fn need(buf: &Bytes, n: usize) -> Result<()> {
-    if buf.remaining() < n {
-        Err(Error::CodecTruncated)
-    } else {
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -299,10 +300,9 @@ pub(crate) mod tests {
     #[test]
     fn snapshot_round_trips_digest_and_chains() {
         let db = sample_db();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_db(&mut buf, &db, Timestamp::MAX);
-        let mut bytes = buf.freeze();
-        let back = decode_db(&mut bytes).unwrap();
+        let back = decode_db(&buf).unwrap();
 
         assert_eq!(back.num_tables(), db.num_tables());
         assert_eq!(back.total_versions(), db.total_versions());
@@ -318,9 +318,9 @@ pub(crate) mod tests {
     #[test]
     fn watermark_filters_newer_versions() {
         let db = sample_db();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_db(&mut buf, &db, Timestamp::from_micros(30));
-        let back = decode_db(&mut buf.freeze()).unwrap();
+        let back = decode_db(&buf).unwrap();
         // Versions at ts 40 and 50 excluded: 3 of 5 survive.
         assert_eq!(back.total_versions(), 3);
         let wm = Timestamp::from_micros(30);
@@ -330,22 +330,52 @@ pub(crate) mod tests {
     #[test]
     fn truncated_snapshot_errors_not_panics() {
         let db = sample_db();
-        let mut buf = BytesMut::new();
-        encode_db(&mut buf, &db, Timestamp::MAX);
-        let full = buf.freeze();
+        let mut full = Vec::new();
+        encode_db(&mut full, &db, Timestamp::MAX);
         for cut in 0..full.len() {
-            let mut b = full.slice(..cut);
-            assert!(decode_db(&mut b).is_err(), "cut at {cut} should fail");
+            assert!(decode_db(&full[..cut]).is_err(), "cut at {cut} should fail");
         }
     }
 
     #[test]
     fn trailing_garbage_is_rejected() {
         let db = sample_db();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_db(&mut buf, &db, Timestamp::MAX);
-        buf.put_u8(0xFF);
-        assert!(decode_db(&mut buf.freeze()).is_err());
+        buf.push(0xFF);
+        assert!(decode_db(&buf).is_err());
+    }
+
+    #[test]
+    fn a_table_count_the_input_cannot_hold_allocates_nothing() {
+        let err = decode_db(&u32::MAX.to_le_bytes()).map(|db| db.num_tables());
+        assert!(matches!(err, Err(Error::CodecTruncated)), "{err:?}");
+    }
+
+    /// The snapshot line of the byte-flip sweep: every strict prefix is
+    /// rejected, and no single-byte flip panics or yields a database whose
+    /// chains break the commit order.
+    #[test]
+    fn every_truncation_and_byte_flip_of_a_snapshot_is_safe() {
+        let db = sample_db();
+        let t1 = db.table(TableId::new(1));
+        t1.apply_version(RowKey::new(4), ver(6, 60, OpType::Insert, vec![(0, "bé".into())]));
+        t1.apply_version(RowKey::new(4), ver(8, 80, OpType::Update, vec![(2, vec![1u8].into())]));
+        t1.apply_version(RowKey::new(5), ver(7, 70, OpType::Insert, vec![(1, Value::Int(-1))]));
+        let mut clean = Vec::new();
+        encode_db(&mut clean, &db, Timestamp::MAX);
+        for cut in 0..clean.len() {
+            assert!(decode_db(&clean[..cut]).is_err(), "cut at {cut}");
+        }
+        for at in 0..clean.len() {
+            for flip in [0x01u8, 0x80, 0xFF] {
+                let mut bad = clean.clone();
+                bad[at] ^= flip;
+                if let Ok(back) = decode_db(&bad) {
+                    assert!(back.all_chains_ordered(), "byte {at} ^ {flip:#x}");
+                }
+            }
+        }
     }
 
     /// The snapshot's pieces joined.
@@ -364,7 +394,7 @@ pub(crate) mod tests {
                 ver(k + 1, k + 1, OpType::Insert, vec![(0, Value::Int(1))]),
             );
         }
-        let mut want = BytesMut::new();
+        let mut want = Vec::new();
         encode_db(&mut want, &db, Timestamp::MAX);
         for walkers in [1, 2, 3] {
             let walk = SnapshotWalk::plan(&db, Timestamp::MAX, None, walkers, 40);
@@ -382,9 +412,9 @@ pub(crate) mod tests {
     #[test]
     fn empty_db_round_trips() {
         let db = MemDb::new(0);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_db(&mut buf, &db, Timestamp::MAX);
-        let back = decode_db(&mut buf.freeze()).unwrap();
+        let back = decode_db(&buf).unwrap();
         assert_eq!(back.num_tables(), 0);
     }
 }

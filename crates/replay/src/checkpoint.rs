@@ -28,9 +28,9 @@
 
 use aets_common::{Error, Result, Timestamp};
 use aets_memtable::{decode_db, MemDb, Snapshot, SnapshotWalk};
+use aets_wal::codec::{take, take_u32, take_u64};
 use aets_wal::crash::{charge, durable_write, CrashClock};
 use aets_wal::crc32;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -144,22 +144,22 @@ impl CheckpointStore {
     /// folds the CRCs its walkers took of their parts.
     pub fn write_snapshot(&self, meta: &CheckpointMeta, snapshot: &Snapshot) -> Result<PathBuf> {
         let mut head =
-            BytesMut::with_capacity(48 + 8 * meta.tg_cmt_ts.len() + 4 * meta.quarantined.len());
-        head.put_u32_le(CKPT_MAGIC);
-        head.put_u32_le(CKPT_VERSION);
-        head.put_u64_le(meta.next_epoch_seq);
-        head.put_u64_le(meta.global_cmt_ts.as_micros());
-        head.put_u32_le(meta.tg_cmt_ts.len() as u32);
+            Vec::with_capacity(48 + 8 * meta.tg_cmt_ts.len() + 4 * meta.quarantined.len());
+        head.extend_from_slice(&CKPT_MAGIC.to_le_bytes());
+        head.extend_from_slice(&CKPT_VERSION.to_le_bytes());
+        head.extend_from_slice(&meta.next_epoch_seq.to_le_bytes());
+        head.extend_from_slice(&meta.global_cmt_ts.as_micros().to_le_bytes());
+        head.extend_from_slice(&(meta.tg_cmt_ts.len() as u32).to_le_bytes());
         for ts in &meta.tg_cmt_ts {
-            head.put_u64_le(ts.as_micros());
+            head.extend_from_slice(&ts.as_micros().to_le_bytes());
         }
-        head.put_u32_le(meta.quarantined.len() as u32);
+        head.extend_from_slice(&(meta.quarantined.len() as u32).to_le_bytes());
         for g in &meta.quarantined {
-            head.put_u32_le(*g);
+            head.extend_from_slice(&g.to_le_bytes());
         }
-        head.put_u64_le(snapshot.len as u64);
+        head.extend_from_slice(&(snapshot.len as u64).to_le_bytes());
         let meta_crc = crc32(&head);
-        head.put_u32_le(meta_crc);
+        head.extend_from_slice(&meta_crc.to_le_bytes());
         let trailer = snapshot.crc.to_le_bytes();
         let mut segs = vec![&head[..]];
         segs.extend(snapshot.pieces.iter().map(|p| &p[..]));
@@ -195,7 +195,7 @@ impl CheckpointStore {
         for (seq, path) in self.list()?.into_iter().rev() {
             charge(&self.clock, "read checkpoint manifest")?;
             match std::fs::read(&path) {
-                Ok(raw) => match parse_checkpoint(&Bytes::from(raw), seq) {
+                Ok(raw) => match parse_checkpoint(&raw, seq) {
                     Ok((meta, db)) => return Ok((Some(Checkpoint { meta, db, path }), fallbacks)),
                     Err(_) => fallbacks += 1,
                 },
@@ -237,51 +237,35 @@ fn parse_checkpoint_name(path: &Path) -> Option<u64> {
 /// the file name; a mismatch with the header means the file was tampered
 /// with or misplaced and is treated as invalid.
 ///
-/// The snapshot decodes in place: decoded text and byte values are views
-/// of `raw`, so they pin the file's one buffer and nothing is copied.
-fn parse_checkpoint(raw: &Bytes, named_seq: u64) -> Result<(CheckpointMeta, MemDb)> {
-    // Fixed prelude through num_groups.
+/// The snapshot decodes straight from `raw`, and each decoded text and
+/// bytes value is a copy of its own: nothing of `raw` outlives the call.
+fn parse_checkpoint(raw: &[u8], named_seq: u64) -> Result<(CheckpointMeta, MemDb)> {
     let fail = || Error::CodecChecksum;
-    if raw.len() < 32 {
+    let pos = &mut 0;
+    if take_u32(raw, pos)? != CKPT_MAGIC || take_u32(raw, pos)? != CKPT_VERSION {
         return Err(fail());
     }
-    let mut cur: &[u8] = raw.as_slice();
-    if cur.get_u32_le() != CKPT_MAGIC || cur.get_u32_le() != CKPT_VERSION {
-        return Err(fail());
-    }
-    let next_epoch_seq = cur.get_u64_le();
-    let global_cmt_ts = Timestamp::from_micros(cur.get_u64_le());
+    let next_epoch_seq = take_u64(raw, pos)?;
+    let global_cmt_ts = Timestamp::from_micros(take_u64(raw, pos)?);
     if next_epoch_seq != named_seq {
         return Err(fail());
     }
-    if cur.remaining() < 4 {
+    let num_groups = take_u32(raw, pos)?;
+    let tg_cmt_ts = (0..num_groups)
+        .map(|_| take_u64(raw, pos).map(Timestamp::from_micros))
+        .collect::<Result<_>>()?;
+    let num_quarantined = take_u32(raw, pos)?;
+    let quarantined = (0..num_quarantined).map(|_| take_u32(raw, pos)).collect::<Result<_>>()?;
+    let snapshot_len = take_u64(raw, pos)? as usize;
+    let meta_len = *pos;
+    if take_u32(raw, pos)? != crc32(&raw[..meta_len]) {
         return Err(fail());
     }
-    let num_groups = cur.get_u32_le() as usize;
-    if cur.remaining() < num_groups * 8 + 4 {
+    let snapshot = take(raw, pos, snapshot_len)?;
+    if take_u32(raw, pos)? != crc32(snapshot) || *pos != raw.len() {
         return Err(fail());
     }
-    let tg_cmt_ts: Vec<Timestamp> =
-        (0..num_groups).map(|_| Timestamp::from_micros(cur.get_u64_le())).collect();
-    let num_quarantined = cur.get_u32_le() as usize;
-    if cur.remaining() < num_quarantined * 4 + 12 {
-        return Err(fail());
-    }
-    let quarantined: Vec<u32> = (0..num_quarantined).map(|_| cur.get_u32_le()).collect();
-    let snapshot_len = cur.get_u64_le() as usize;
-    let meta_len = raw.len() - cur.remaining();
-    let meta_crc = cur.get_u32_le();
-    if crc32(&raw[..meta_len]) != meta_crc {
-        return Err(fail());
-    }
-    if cur.remaining() != snapshot_len + 4 {
-        return Err(fail());
-    }
-    let mut snapshot = raw.slice(raw.len() - cur.remaining()..raw.len() - 4);
-    if crc32(&snapshot) != (&raw[raw.len() - 4..]).get_u32_le() {
-        return Err(fail());
-    }
-    let db = decode_db(&mut snapshot)?;
+    let db = decode_db(snapshot)?;
     Ok((CheckpointMeta { next_epoch_seq, global_cmt_ts, tg_cmt_ts, quarantined }, db))
 }
 
@@ -360,8 +344,7 @@ mod tests {
 
     #[test]
     fn a_manifest_the_previous_writer_wrote_loads_and_is_what_we_write() {
-        let (meta, db) = parse_checkpoint(&Bytes::from_static(PARENT_MANIFEST), 7)
-            .expect("version 1 still loads");
+        let (meta, db) = parse_checkpoint(PARENT_MANIFEST, 7).expect("version 1 still loads");
         assert_eq!(meta, sample_meta(7));
         let want = fixture_db();
         assert_eq!(db.total_versions(), want.total_versions());
@@ -419,10 +402,10 @@ mod tests {
         let dir = scratch("trunc");
         let store = CheckpointStore::open(&dir, None).unwrap();
         let path = store.write(&sample_meta(1), &sample_db(), Timestamp::MAX).unwrap();
-        let raw = Bytes::from(std::fs::read(&path).unwrap());
+        let raw = std::fs::read(&path).unwrap();
         for cut in 0..raw.len() {
             assert!(
-                parse_checkpoint(&raw.slice(..cut), 1).is_err(),
+                parse_checkpoint(&raw[..cut], 1).is_err(),
                 "prefix of {cut}/{} bytes must not validate",
                 raw.len()
             );

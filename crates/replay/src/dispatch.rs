@@ -19,8 +19,8 @@ use crate::grouping::TableGrouping;
 use aets_common::{Error, GroupId, Result, Timestamp, TxnId};
 use aets_telemetry::{names, Registry};
 use aets_wal::{EncodedEpoch, EpochSource, MetaScanner};
-use bytes::Bytes;
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The part of one transaction that lands in one table group.
@@ -59,7 +59,7 @@ pub struct GroupWork {
 #[derive(Debug, Clone)]
 pub struct DispatchedEpoch {
     /// The epoch's encoded bytes (entries are decoded lazily from ranges).
-    pub bytes: Bytes,
+    pub bytes: Arc<[u8]>,
     /// Work per group, indexed by `GroupId`.
     pub groups: Vec<GroupWork>,
     /// Commit timestamp of the epoch's last transaction.
@@ -426,7 +426,7 @@ mod tests {
             match self.mode {
                 FlakyMode::Stall => None,
                 FlakyMode::Corrupt => Some(EncodedEpoch {
-                    bytes: clean.bytes.slice(..clean.bytes.len().saturating_sub(1)),
+                    bytes: clean.bytes[..clean.bytes.len().saturating_sub(1)].into(),
                     ..clean
                 }),
                 FlakyMode::WrongSeq => {

@@ -1409,8 +1409,7 @@ mod tests {
         // loop instead of hanging, and the loop must return it only once
         // the epoch before is fully replayed and published.
         let last = epochs.last().unwrap();
-        let mut b = last.bytes.clone();
-        let cut = b.split_to(b.len() - 3);
+        let cut = last.bytes[..last.bytes.len() - 3].into();
         let corrupt = aets_wal::EncodedEpoch { bytes: cut, ..last.clone() };
         *epochs.last_mut().unwrap() = corrupt;
         let eng = AetsEngine::builder(tpcc_grouping(&w))
@@ -1803,6 +1802,50 @@ mod tests {
         });
     }
 
+    /// The look-ahead without the timing: `look_ahead` called directly,
+    /// with a group of epoch `e` pinned as still committing, translates
+    /// every first-stage chunk of `e+1` into its slot; the committers of
+    /// `e+1` then take every one of them and translate none themselves,
+    /// and the state is the serial oracle's.
+    #[test]
+    fn look_ahead_fills_every_first_stage_slot_and_the_committers_take_them() {
+        let w = tpcc::generate(&TpccConfig { num_txns: 512, warehouses: 2, ..Default::default() });
+        let epochs = encode(&w, 256);
+        let eng = AetsEngine::builder(tpcc_grouping(&w)).build().unwrap();
+        let (db, busy) = (MemDb::new(w.table_names.len()), BusyTotals::default());
+        let board = VisibilityBoard::builder(eng.board_groups()).build();
+        let (d0, next) = (eng.dispatch_next(&epochs[0]), OnceLock::new());
+        let (work, handoffs) = (d0.work.as_ref().unwrap(), &d0.handoffs);
+        let e0 =
+            EpochRun { db: &db, board: &board, busy: &busy, seq: 0, parent: None, work, handoffs };
+        eng.look_ahead(&e0, &LookAhead { epoch: &epochs[1], next: &next }, &AtomicUsize::new(1));
+        let d1 = next.into_inner().expect("look_ahead dispatched e+1");
+        let (work, handoffs) = (d1.work.as_ref().unwrap(), &d1.handoffs);
+        let e1 = EpochRun { seq: 1, work, handoffs, ..e0 };
+        let stages = eng.stages(&d1.plan.grouping);
+        let first = eng.tasks(&e1, &stages[0], |_| 1);
+        assert!(first.iter().map(GroupTask::chunks).sum::<usize>() > first.len(), "few chunks");
+        for t in &first {
+            let filled = t.handoff.slots.iter().filter(|s| lock(s).is_some()).count();
+            assert_eq!(filled, t.chunks(), "group {:?}: slots left empty", t.gid);
+        }
+        for (e, d) in [(&e0, &d0), (&e1, &d1)] {
+            for stage in eng.stages(&d.plan.grouping) {
+                for t in eng.tasks(e, &stage, |_| 1) {
+                    eng.replay_group(e, &t).unwrap();
+                }
+            }
+        }
+        for t in &first {
+            assert!(t.handoff.slots.iter().all(|s| lock(s).is_none()), "{:?}: a chunk", t.gid);
+            assert_eq!(t.handoff.claim(), None, "{:?}: its committer translated", t.gid);
+        }
+        let oracle = MemDb::new(w.table_names.len());
+        SerialEngine.replay_all(&epochs, &oracle).unwrap();
+        assert!(db.all_chains_ordered());
+        assert_eq!(db.digest_at(Timestamp::MAX), oracle.digest_at(Timestamp::MAX));
+    }
+
     /// The crew lent to a snapshot walk: with `threads: 1` the caller is
     /// the only walker and walks every part itself (`finish` panics on a
     /// part nobody walked); with helpers the caller walks too, and the
@@ -1811,7 +1854,6 @@ mod tests {
     fn a_lent_crew_walks_every_snapshot_part() {
         use aets_common::{ColumnId, RowKey, TxnId, Value};
         use aets_memtable::{encode_db, OpType, SnapshotWalk, Version, MIN_CUT_LEN};
-        use bytes::BytesMut;
         with_watchdog(|| {
             let db = MemDb::new(2);
             for k in 0..3 * MIN_CUT_LEN as u64 {
@@ -1825,7 +1867,7 @@ mod tests {
                     },
                 );
             }
-            let mut want = BytesMut::new();
+            let mut want = Vec::new();
             encode_db(&mut want, &db, Timestamp::MAX);
             let me = std::thread::current().id();
             for threads in [1usize, 2] {

@@ -79,12 +79,12 @@ impl ReplayEngine for C5Engine {
             let t_dispatch = Instant::now();
             let mut queues: Vec<Vec<RowTask>> = (0..self.threads).map(|_| Vec::new()).collect();
             let mut commit_ts_by_seq: Vec<Timestamp> = Vec::new();
-            let mut buf = epoch.bytes.clone();
+            let (buf, mut pos) = (&epoch.bytes, 0);
             let mut open: Vec<DmlEntry> = Vec::new();
             let mut txn_open = false;
             let mut entries = 0usize;
-            while !buf.is_empty() {
-                match decode_record(&mut buf)? {
+            while pos < buf.len() {
+                match decode_record(buf, &mut pos)? {
                     LogRecord::Begin { .. } => {
                         if txn_open {
                             return Err(Error::Protocol("nested BEGIN".into()));

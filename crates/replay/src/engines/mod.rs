@@ -30,7 +30,6 @@ use crate::visibility::VisibilityBoard;
 use aets_common::{DmlOp, Error, GroupId, Result, Row, RowKey, TableId, TxnId};
 use aets_memtable::{MemDb, RecordNode, Version};
 use aets_wal::{decode_dml_at, DmlEntry, EncodedEpoch};
-use bytes::Bytes;
 use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Arc;
@@ -152,7 +151,7 @@ thread_local! {
 /// before image is validated but never built: AETS does not read it.
 pub fn translate_mini_txns(
     db: &MemDb,
-    buf: &Bytes,
+    buf: &[u8],
     ranges: &[Range<usize>],
     mini_txns: &[MiniTxn],
     cells: &mut Vec<Cell>,
@@ -221,11 +220,10 @@ mod tests {
     use super::*;
     use aets_common::{ColumnId, Lsn, Timestamp, Value};
     use aets_wal::{crc32, decode_at, encode_record, LogRecord};
-    use bytes::BytesMut;
     use std::ops::Range;
 
     /// The per-entry reference: decode one record, resolve its node alone.
-    fn translate_entry(db: &MemDb, buf: &Bytes, range: Range<usize>) -> Result<Cell> {
+    fn translate_entry(db: &MemDb, buf: &[u8], range: Range<usize>) -> Result<Cell> {
         let DmlEntry { txn_id, table, op, key, cols, .. } = decode_dml_at(buf, range)?;
         Ok(Cell { node: db.table(table).node_or_insert(key), txn_id, op, cols })
     }
@@ -248,15 +246,15 @@ mod tests {
             ],
             before: Some(vec![(ColumnId::new(2), Value::from("ok"))]),
         });
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_record(&mut buf, &rec);
-        buf.to_vec()
+        buf
     }
 
     #[test]
     fn translate_builds_decode_ats_cell_and_fails_with_its_error() {
         let db = MemDb::new(2);
-        let clean = Bytes::from(update_bytes());
+        let clean = update_bytes();
         let n = clean.len();
         let (mut cells, translated, err) =
             translate_all(&db, &clean, &[std::iter::once(0..n).collect()]);
@@ -282,10 +280,9 @@ mod tests {
             v[at..at + patch.len()].copy_from_slice(patch);
             let crc = crc32(&v[..body_end]);
             v[body_end..].copy_from_slice(&crc.to_le_bytes());
-            let bad = Bytes::from(v);
-            let want = decode_at(&bad, 0..n).expect_err(what).to_string();
+            let want = decode_at(&v, 0..n).expect_err(what).to_string();
             let (cells, translated, err) =
-                translate_all(&db, &bad, &[std::iter::once(0..n).collect()]);
+                translate_all(&db, &v, &[std::iter::once(0..n).collect()]);
             assert_eq!((cells.len(), translated), (0, 0), "{what}");
             assert_eq!(err.expect(what).to_string(), want, "{what}");
         }
@@ -300,8 +297,8 @@ mod tests {
     ];
 
     /// The encoded chunk and each mini-transaction's entry ranges.
-    fn chunk_bytes() -> (BytesMut, Vec<Vec<Range<usize>>>) {
-        let mut buf = BytesMut::new();
+    fn chunk_bytes() -> (Vec<u8>, Vec<Vec<Range<usize>>>) {
+        let mut buf = Vec::new();
         let mut mini_txns = Vec::new();
         let mut lsn = 0;
         for (txn, entries) in (1u64..).zip(CHUNK_ENTRIES) {
@@ -332,7 +329,7 @@ mod tests {
 
     fn translate_all(
         db: &MemDb,
-        buf: &Bytes,
+        buf: &[u8],
         mts: &[Vec<Range<usize>>],
     ) -> (Vec<Cell>, usize, Option<Error>) {
         let flat: Vec<Range<usize>> = mts.iter().flatten().cloned().collect();
@@ -357,7 +354,6 @@ mod tests {
     #[test]
     fn translate_chunk_cells_equal_per_entry_translate_in_entry_order() {
         let (buf, mts) = chunk_bytes();
-        let buf = buf.freeze();
         let db = MemDb::new(3);
         let (cells, translated, err) = translate_all(&db, &buf, &mts);
         assert_eq!((translated, err.is_none()), (3, true));
@@ -381,7 +377,6 @@ mod tests {
             let mut buf = clean.clone();
             let r = mts[k].last().unwrap().clone();
             buf[r.start + 3] ^= 0x10;
-            let buf = buf.freeze();
             let want = decode_dml_at(&buf, r).expect_err("damaged").to_string();
             let db = MemDb::new(3);
             let (cells, translated, err) = translate_all(&db, &buf, &mts);

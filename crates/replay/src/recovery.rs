@@ -676,7 +676,8 @@ mod tests {
             node.ingest(e).unwrap();
         }
         let next = &epochs[half];
-        let torn = EncodedEpoch { bytes: next.bytes.slice(..next.bytes.len() - 1), ..next.clone() };
+        let torn =
+            EncodedEpoch { bytes: next.bytes[..next.bytes.len() - 1].into(), ..next.clone() };
         let mut flipped = next.bytes.to_vec();
         flipped[next.bytes.len() / 2] ^= 0x10;
         let flipped = EncodedEpoch { bytes: flipped.into(), ..next.clone() };

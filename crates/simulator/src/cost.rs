@@ -18,10 +18,11 @@
 //!   pre-materialized cells (Table II: replay >= 98 %, commit < 1 %).
 //!
 //! The per-entry decode costs (`translate`, `atr_entry`, `c5_entry`) were
-//! lowered by hand for the zero-copy codec: `Text`/`Bytes` values are
-//! shared slices of the epoch buffer, so decoding no longer pays a heap
-//! copy per value and all three dropped by the same ~15 % relative to
-//! the original owned-`String` codec. One-pass batched decode with a
+//! lowered by hand for a codec whose `Text`/`Bytes` values were shared
+//! slices of the epoch buffer: decoding paid no heap copy per value, and
+//! all three dropped by the same ~15 % relative to the original
+//! owned-`String` codec. Each payload is one owned allocation again (so
+//! no version pins a frame); the constants were left as they were. One-pass batched decode with a
 //! reused scratch vector cut per-record decode by ~10 % more, and
 //! `translate` dropped in step. The `codec/*` rows of `repro bench
 //! micro` time the same kernels today. The metadata scan was already

@@ -210,7 +210,7 @@ fn decode_payload(kind: u8, buf: &[u8]) -> Result<Frame> {
                 txn_count: get_u64(buf, 8)? as usize,
                 max_commit_ts: Timestamp::from_micros(get_u64(buf, 16)?),
                 crc32: get_u32(buf, 24)?,
-                bytes: bytes::Bytes::copy_from_slice(&buf[28..]),
+                bytes: buf[28..].into(),
             }))
         }
         KIND_ACK => {
@@ -359,11 +359,10 @@ mod tests {
     use aets_common::rng::check;
 
     fn sample_epoch(seq: u64, payload: &[u8]) -> EncodedEpoch {
-        let bytes = bytes::Bytes::copy_from_slice(payload);
         EncodedEpoch {
             id: EpochId::new(seq),
-            crc32: crc32(&bytes),
-            bytes,
+            crc32: crc32(payload),
+            bytes: payload.into(),
             txn_count: 3,
             max_commit_ts: Timestamp::from_micros(seq.wrapping_mul(100).wrapping_add(7)),
         }

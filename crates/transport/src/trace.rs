@@ -215,7 +215,7 @@ fn decode_event(line: &str) -> Result<TraceEvent> {
     let kind = field_str(line, "kind")?;
     match kind.as_str() {
         "epoch" => {
-            let bytes = bytes::Bytes::from(hex_decode(&field_str(line, "bytes")?)?);
+            let bytes: std::sync::Arc<[u8]> = hex_decode(&field_str(line, "bytes")?)?.into();
             let epoch = EncodedEpoch {
                 id: EpochId::new(field_u64(line, "seq")?),
                 txn_count: field_u64(line, "txns")? as usize,

@@ -19,16 +19,21 @@
 //! per-epoch CRC verified once at ingest.
 //!
 //! A decoded text or bytes value owns its payload: each is copied out of
-//! the buffer it was read from, so no committed version keeps an epoch
-//! frame or a checkpoint manifest alive.
+//! the buffer it was read from into one allocation of its own, so no
+//! committed version keeps an epoch frame or a checkpoint manifest alive.
+//!
+//! Encoders append to a `Vec<u8>`; decoders read a `&[u8]` at an offset
+//! through [`take`] and its fixed-width twins, the one bounds-checked
+//! reader the log codec, the Memtable snapshot, the checkpoint manifest
+//! and the WAL segments share.
 
 use crate::crc::crc32;
 use crate::entry::{DmlEntry, LogRecord};
 use aets_common::{
-    ColumnId, DmlOp, Error, Lsn, Result, Row, RowKey, TableId, Timestamp, TxnId, Utf8Bytes, Value,
+    ColumnId, DmlOp, Error, Lsn, Result, Row, RowKey, TableId, Timestamp, TxnId, Value,
 };
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::ops::Range;
+use std::sync::Arc;
 
 const TAG_BEGIN: u8 = 0xB0;
 const TAG_COMMIT: u8 = 0xC0;
@@ -40,113 +45,88 @@ const VTAG_FLOAT: u8 = 2;
 const VTAG_TEXT: u8 = 3;
 const VTAG_BYTES: u8 = 4;
 
-fn put_value(buf: &mut BytesMut, v: &Value) {
+fn put_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
-        Value::Null => buf.put_u8(VTAG_NULL),
+        Value::Null => buf.push(VTAG_NULL),
         Value::Int(i) => {
-            buf.put_u8(VTAG_INT);
-            buf.put_i64_le(*i);
+            buf.push(VTAG_INT);
+            buf.extend_from_slice(&i.to_le_bytes());
         }
         Value::Float(f) => {
-            buf.put_u8(VTAG_FLOAT);
-            buf.put_f64_le(*f);
+            buf.push(VTAG_FLOAT);
+            buf.extend_from_slice(&f.to_le_bytes());
         }
-        Value::Text(s) => {
-            buf.put_u8(VTAG_TEXT);
-            buf.put_u32_le(s.len() as u32);
-            buf.put_slice(s.as_bytes());
-        }
-        Value::Bytes(b) => {
-            buf.put_u8(VTAG_BYTES);
-            buf.put_u32_le(b.len() as u32);
-            buf.put_slice(b);
-        }
+        Value::Text(s) => put_payload(buf, VTAG_TEXT, s.as_bytes()),
+        Value::Bytes(b) => put_payload(buf, VTAG_BYTES, b),
     }
 }
 
-fn put_row(buf: &mut BytesMut, row: &Row) {
-    buf.put_u16_le(row.len() as u16);
-    for (cid, v) in row {
-        buf.put_u16_le(cid.raw());
-        put_value(buf, v);
-    }
+fn put_payload(buf: &mut Vec<u8>, vtag: u8, payload: &[u8]) {
+    buf.push(vtag);
+    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(payload);
 }
 
 /// Encodes one row (column/value pairs) in the log's wire format,
 /// appending to `buf`. Shared with the Memtable snapshot codec so
 /// checkpoints reuse the same battle-tested value encoding as the log.
-pub fn encode_row(buf: &mut BytesMut, row: &Row) {
-    put_row(buf, row);
+pub fn encode_row(buf: &mut Vec<u8>, row: &Row) {
+    buf.extend_from_slice(&(row.len() as u16).to_le_bytes());
+    for (cid, v) in row {
+        buf.extend_from_slice(&cid.raw().to_le_bytes());
+        put_value(buf, v);
+    }
 }
 
-/// Decodes one row from the front of `buf`, consuming it. Inverse of
-/// [`encode_row`].
-pub fn decode_row(buf: &mut Bytes) -> Result<Row> {
-    let (mut pos, mut row) = (0, Vec::new());
-    row_at(buf, buf.len(), &mut pos, Some(&mut row))?;
-    buf.advance(pos);
+/// Decodes the row at `*pos` of `data`, leaving `*pos` past it. Inverse
+/// of [`encode_row`].
+pub fn decode_row(data: &[u8], pos: &mut usize) -> Result<Row> {
+    let mut row = Vec::new();
+    row_at(data, pos, Some(&mut row))?;
     Ok(row)
 }
 
 /// Encodes one record, appending to `buf`: the record body followed by a
 /// CRC32 over the body's bytes.
-pub fn encode_record(buf: &mut BytesMut, rec: &LogRecord) {
+pub fn encode_record(buf: &mut Vec<u8>, rec: &LogRecord) {
     let start = buf.len();
-    encode_body(buf, rec);
-    let crc = crc32(&buf[start..]);
-    buf.put_u32_le(crc);
-}
-
-fn encode_body(buf: &mut BytesMut, rec: &LogRecord) {
-    match rec {
-        LogRecord::Begin { lsn, txn_id, ts } => {
-            buf.put_u8(TAG_BEGIN);
-            buf.put_u64_le(lsn.raw());
-            buf.put_u64_le(txn_id.raw());
-            buf.put_u64_le(ts.as_micros());
-        }
-        LogRecord::Commit { lsn, txn_id, ts } => {
-            buf.put_u8(TAG_COMMIT);
-            buf.put_u64_le(lsn.raw());
-            buf.put_u64_le(txn_id.raw());
-            buf.put_u64_le(ts.as_micros());
-        }
-        LogRecord::Dml(d) => {
-            buf.put_u8(TAG_DML);
-            buf.put_u64_le(d.lsn.raw());
-            buf.put_u64_le(d.txn_id.raw());
-            buf.put_u64_le(d.ts.as_micros());
-            buf.put_u32_le(d.table.raw());
-            buf.put_u8(d.op.tag());
-            buf.put_u64_le(d.key.raw());
-            buf.put_u64_le(d.row_version);
-            buf.put_u8(u8::from(d.before.is_some()));
-            put_row(buf, &d.cols);
-            if let Some(before) = &d.before {
-                put_row(buf, before);
-            }
+    let (tag, lsn, txn_id, ts) = match rec {
+        LogRecord::Begin { lsn, txn_id, ts } => (TAG_BEGIN, lsn, txn_id, ts),
+        LogRecord::Commit { lsn, txn_id, ts } => (TAG_COMMIT, lsn, txn_id, ts),
+        LogRecord::Dml(d) => (TAG_DML, &d.lsn, &d.txn_id, &d.ts),
+    };
+    buf.push(tag);
+    for word in [lsn.raw(), txn_id.raw(), ts.as_micros()] {
+        buf.extend_from_slice(&word.to_le_bytes());
+    }
+    if let LogRecord::Dml(d) = rec {
+        buf.extend_from_slice(&d.table.raw().to_le_bytes());
+        buf.push(d.op.tag());
+        buf.extend_from_slice(&d.key.raw().to_le_bytes());
+        buf.extend_from_slice(&d.row_version.to_le_bytes());
+        buf.push(u8::from(d.before.is_some()));
+        encode_row(buf, &d.cols);
+        if let Some(before) = &d.before {
+            encode_row(buf, before);
         }
     }
+    let crc = crc32(&buf[start..]);
+    buf.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// Decodes one record from the front of `buf`, consuming it, and verifies
-/// its trailing CRC32 against the body bytes actually read.
-pub fn decode_record(buf: &mut Bytes) -> Result<LogRecord> {
-    let mut pos = 0;
-    let rec = record_at(buf, buf.len(), &mut pos, true)?;
-    buf.advance(pos);
-    Ok(rec)
+/// Decodes the record at `*pos` of `data`, verifies its trailing CRC32
+/// against the body bytes actually read, and leaves `*pos` past it.
+pub fn decode_record(data: &[u8], pos: &mut usize) -> Result<LogRecord> {
+    record_at(data, pos, true)
 }
 
-/// The one record parser: parses the record at `*pos` of `buf[..end]`,
+/// The one record parser: parses the record at `*pos` of `data`,
 /// verifies its CRC32 trailer against the body bytes, and leaves `*pos`
-/// past the trailer. Offset arithmetic over the borrowed frame: the
-/// frame's refcount is never touched, and each text or bytes value owns
-/// a copy of its payload, so a decoded record keeps no frame alive.
-/// Without `build_before` a DML before image is validated (tags, lengths,
-/// UTF-8) but not built, and `before` comes back `None`.
-fn record_at(buf: &Bytes, end: usize, pos: &mut usize, build_before: bool) -> Result<LogRecord> {
-    let data = &buf[..end];
+/// past the trailer. Each text or bytes value owns a copy of its
+/// payload, so a decoded record keeps no frame alive. Without
+/// `build_before` a DML before image is validated (tags, lengths, UTF-8)
+/// but not built, and `before` comes back `None`.
+fn record_at(data: &[u8], pos: &mut usize, build_before: bool) -> Result<LogRecord> {
     let start = *pos;
     let tag = take(data, pos, 1)?[0];
     // The whole fixed header is length-checked before any field is read:
@@ -171,10 +151,10 @@ fn record_at(buf: &Bytes, end: usize, pos: &mut usize, build_before: bool) -> Re
             let row_version = take_u64(fixed, &mut f)?;
             let has_before = take(fixed, &mut f, 1)?[0] != 0;
             let mut cols = Vec::new();
-            row_at(buf, end, pos, Some(&mut cols))?;
+            row_at(data, pos, Some(&mut cols))?;
             let mut image = Vec::new();
             if has_before {
-                row_at(buf, end, pos, build_before.then_some(&mut image))?;
+                row_at(data, pos, build_before.then_some(&mut image))?;
             }
             let before = (has_before && build_before).then_some(image);
             LogRecord::Dml(DmlEntry { lsn, txn_id, ts, table, op, key, row_version, cols, before })
@@ -203,80 +183,74 @@ pub struct RecordMeta {
     pub table: Option<TableId>,
 }
 
-/// Decodes only the metadata of the record at the front of `buf`, skipping
-/// the data image, and consumes the full record.
+/// Decodes only the metadata of the record at `*pos` of `data`, skipping
+/// the data image, and leaves `*pos` past the full record.
 ///
 /// The trailing record CRC32 is skipped, *not* verified: verifying it
 /// would force reading the data image, defeating metadata-only parsing.
 /// The dispatch path instead relies on the per-epoch CRC checked once at
 /// ingest; record CRCs are verified wherever full records are decoded.
-pub fn decode_meta(buf: &mut Bytes) -> Result<RecordMeta> {
-    let (meta, consumed) = meta_at(buf.as_ref(), 0)?;
-    buf.advance(consumed);
+/// The scanner's hot loop calls this once per record: pure offset
+/// arithmetic, no refcount touched and no sub-slice materialized.
+pub fn decode_meta(data: &[u8], pos: &mut usize) -> Result<RecordMeta> {
+    let tag = take(data, pos, 1)?[0];
+    let lsn = Lsn::new(take_u64(data, pos)?);
+    let txn_id = TxnId::new(take_u64(data, pos)?);
+    let ts = Timestamp::from_micros(take_u64(data, pos)?);
+    let meta = match tag {
+        TAG_BEGIN | TAG_COMMIT => RecordMeta { lsn, txn_id, ts, table: None },
+        TAG_DML => {
+            let table = TableId::new(take_u32(data, pos)?);
+            take(data, pos, 17)?; // op(1) + key(8) + row_version(8)
+            let has_before = take(data, pos, 1)?[0] != 0;
+            skip_row_at(data, pos)?;
+            if has_before {
+                skip_row_at(data, pos)?;
+            }
+            RecordMeta { lsn, txn_id, ts, table: Some(table) }
+        }
+        _ => return Err(Error::CodecBadTag),
+    };
+    take(data, pos, 4)?; // record CRC32 trailer
     Ok(meta)
 }
 
-/// Advances `pos` past `n` bytes of `data`, returning the skipped slice.
+/// Advances `*pos` past `n` bytes of `data` and returns them, or
+/// [`Error::CodecTruncated`] (leaving `*pos` alone) when `data` ends
+/// first.
 #[inline]
-fn take<'a>(data: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8]> {
+pub fn take<'a>(data: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8]> {
     let end = pos.checked_add(n).ok_or(Error::CodecTruncated)?;
     let slice = data.get(*pos..end).ok_or(Error::CodecTruncated)?;
     *pos = end;
     Ok(slice)
 }
 
+/// [`take`] of a little-endian `u16`.
 #[inline]
-fn take_u16(data: &[u8], pos: &mut usize) -> Result<u16> {
+pub fn take_u16(data: &[u8], pos: &mut usize) -> Result<u16> {
     let b = take(data, pos, 2)?;
     Ok(u16::from_le_bytes([b[0], b[1]]))
 }
 
+/// [`take`] of a little-endian `u32`.
 #[inline]
-fn take_u32(data: &[u8], pos: &mut usize) -> Result<u32> {
+pub fn take_u32(data: &[u8], pos: &mut usize) -> Result<u32> {
     let b = take(data, pos, 4)?;
     Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
 }
 
+/// [`take`] of a little-endian `u64`.
 #[inline]
-fn take_u64(data: &[u8], pos: &mut usize) -> Result<u64> {
+pub fn take_u64(data: &[u8], pos: &mut usize) -> Result<u64> {
     let b = take(data, pos, 8)?;
     Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
 }
 
-/// Parses the metadata of the record starting at byte `start` of `data`
-/// and returns it with the record's total consumed length (CRC trailer
-/// included). Pure offset arithmetic over the borrowed frame — the
-/// scanner's hot loop calls this once per record, so a metadata pass
-/// never touches the `Bytes` refcount or materializes sub-slices.
-fn meta_at(data: &[u8], start: usize) -> Result<(RecordMeta, usize)> {
-    let mut pos = start;
-    let tag = take(data, &mut pos, 1)?[0];
-    let lsn = Lsn::new(take_u64(data, &mut pos)?);
-    let txn_id = TxnId::new(take_u64(data, &mut pos)?);
-    let ts = Timestamp::from_micros(take_u64(data, &mut pos)?);
-    let meta = match tag {
-        TAG_BEGIN | TAG_COMMIT => RecordMeta { lsn, txn_id, ts, table: None },
-        TAG_DML => {
-            let table = TableId::new(take_u32(data, &mut pos)?);
-            take(data, &mut pos, 17)?; // op(1) + key(8) + row_version(8)
-            let has_before = take(data, &mut pos, 1)?[0] != 0;
-            skip_row_at(data, &mut pos)?;
-            if has_before {
-                skip_row_at(data, &mut pos)?;
-            }
-            RecordMeta { lsn, txn_id, ts, table: Some(table) }
-        }
-        _ => return Err(Error::CodecBadTag),
-    };
-    take(data, &mut pos, 4)?; // record CRC32 trailer
-    Ok((meta, pos - start))
-}
-
-/// Parses the row at `*pos` of `buf[..end]`, appending its columns to
-/// `out`; with `out` `None` it checks every tag, length and UTF-8 payload
-/// and builds nothing.
-fn row_at(buf: &Bytes, end: usize, pos: &mut usize, mut out: Option<&mut Row>) -> Result<()> {
-    let data = &buf[..end];
+/// Parses the row at `*pos` of `data`, appending its columns to `out`;
+/// with `out` `None` it checks every tag, length and UTF-8 payload and
+/// builds nothing.
+fn row_at(data: &[u8], pos: &mut usize, mut out: Option<&mut Row>) -> Result<()> {
     let n = take_u16(data, pos)? as usize;
     if let Some(row) = out.as_deref_mut() {
         row.reserve_exact(n);
@@ -289,23 +263,18 @@ fn row_at(buf: &Bytes, end: usize, pos: &mut usize, mut out: Option<&mut Row>) -
             VTAG_FLOAT => Value::Float(f64::from_bits(take_u64(data, pos)?)),
             vtag @ (VTAG_TEXT | VTAG_BYTES) => {
                 let len = take_u32(data, pos)? as usize;
-                let start = *pos;
-                take(data, pos, len)?;
-                let payload = start..*pos;
-                let bad_utf8 = |_| Error::Codec("invalid utf-8 in text value".into());
+                let payload = take(data, pos, len)?;
+                let text = || {
+                    std::str::from_utf8(payload)
+                        .map_err(|_| Error::Codec("invalid utf-8 in text value".into()))
+                };
+                // A copy into the value's own allocation, never a view:
+                // a view would keep all of `data` (an epoch frame, a
+                // checkpoint manifest) alive as long as the version lives.
                 match (vtag, out.is_some()) {
-                    // A copy, not a slice: a slice would keep all of `buf`
-                    // (an epoch frame, a checkpoint manifest) alive for as
-                    // long as any version holding the value lives.
-                    (VTAG_TEXT, true) => Value::Text(
-                        Utf8Bytes::from_utf8(Bytes::copy_from_slice(&data[payload]))
-                            .map_err(bad_utf8)?,
-                    ),
-                    (_, true) => Value::Bytes(Bytes::copy_from_slice(&data[payload])),
-                    (VTAG_TEXT, false) => {
-                        std::str::from_utf8(&data[payload]).map_err(bad_utf8)?;
-                        Value::Null
-                    }
+                    (VTAG_TEXT, true) => Value::Text(Arc::from(text()?)),
+                    (VTAG_TEXT, false) => text().map(|_| Value::Null)?,
+                    (_, true) => Value::Bytes(Arc::from(payload)),
                     _ => Value::Null,
                 }
             }
@@ -341,13 +310,13 @@ fn skip_row_at(data: &[u8], pos: &mut usize) -> Result<()> {
 /// replay worker decode the full record later from the recorded range.
 #[derive(Debug, Clone)]
 pub struct MetaScanner {
-    buf: Bytes,
+    buf: Arc<[u8]>,
     pos: usize,
 }
 
 impl MetaScanner {
     /// Creates a scanner over `buf`.
-    pub fn new(buf: Bytes) -> Self {
+    pub fn new(buf: Arc<[u8]>) -> Self {
         Self { buf, pos: 0 }
     }
 
@@ -364,15 +333,9 @@ impl Iterator for MetaScanner {
         if self.pos >= self.buf.len() {
             return None;
         }
-        // One pass over the borrowed frame: no per-record `Bytes` slicing
-        // (each `slice()` is an atomic refcount round-trip, paid once per
-        // record on the dispatch hot path before this was offset-based).
-        match meta_at(self.buf.as_ref(), self.pos) {
-            Ok((meta, consumed)) => {
-                let range = self.pos..self.pos + consumed;
-                self.pos += consumed;
-                Some(Ok((meta, range)))
-            }
+        let start = self.pos;
+        match decode_meta(&self.buf, &mut self.pos) {
+            Ok(meta) => Some(Ok((meta, start..self.pos))),
             Err(e) => {
                 self.pos = self.buf.len(); // stop iteration after an error
                 Some(Err(e))
@@ -383,34 +346,34 @@ impl Iterator for MetaScanner {
 
 /// Decodes the full record stored at `range` of `buf` (a range previously
 /// produced by [`MetaScanner`]).
-pub fn decode_at(buf: &Bytes, range: Range<usize>) -> Result<LogRecord> {
-    record_at(buf, range.end, &mut range.start.clone(), true)
+pub fn decode_at(buf: &[u8], range: Range<usize>) -> Result<LogRecord> {
+    record_at(&buf[..range.end], &mut range.start.clone(), true)
 }
 
 /// Decodes the DML record stored at `range` of `buf` the way phase-1
 /// translate needs it: every byte is validated and the CRC verified
 /// exactly as in [`decode_at`], but the before image is not built
 /// (`before` is `None`). A BEGIN/COMMIT record at `range` is an error.
-pub fn decode_dml_at(buf: &Bytes, range: Range<usize>) -> Result<DmlEntry> {
-    match record_at(buf, range.end, &mut range.start.clone(), false)? {
+pub fn decode_dml_at(buf: &[u8], range: Range<usize>) -> Result<DmlEntry> {
+    match record_at(&buf[..range.end], &mut range.start.clone(), false)? {
         LogRecord::Dml(entry) => Ok(entry),
         other => Err(Error::Codec(format!("expected a DML record, found {other:?}"))),
     }
 }
 
 /// Encodes a batch of records into one buffer.
-pub fn encode_batch(records: &[LogRecord]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(records.len() * 64);
+pub fn encode_batch(records: &[LogRecord]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(records.len() * 64);
     for r in records {
         encode_record(&mut buf, r);
     }
-    buf.freeze()
+    buf
 }
 
 /// Decodes a whole buffer into records.
-pub fn decode_batch(buf: Bytes) -> Result<Vec<LogRecord>> {
+pub fn decode_batch(buf: &[u8]) -> Result<Vec<LogRecord>> {
     let mut out = Vec::new();
-    decode_batch_into(&buf, &mut out)?;
+    decode_batch_into(buf, &mut out)?;
     Ok(out)
 }
 
@@ -418,10 +381,10 @@ pub fn decode_batch(buf: Bytes) -> Result<Vec<LogRecord>> {
 ///
 /// The batched twin of [`decode_batch`]: the caller owns the output
 /// vector, so a replay loop reuses one scratch allocation across epochs.
-pub fn decode_batch_into(buf: &Bytes, out: &mut Vec<LogRecord>) -> Result<()> {
+pub fn decode_batch_into(buf: &[u8], out: &mut Vec<LogRecord>) -> Result<()> {
     let mut pos = 0;
     while pos < buf.len() {
-        out.push(record_at(buf, buf.len(), &mut pos, true)?);
+        out.push(record_at(buf, &mut pos, true)?);
     }
     Ok(())
 }
@@ -467,21 +430,21 @@ mod tests {
             },
         ];
         let buf = encode_batch(&records);
-        let decoded = decode_batch(buf).unwrap();
+        let decoded = decode_batch(&buf).unwrap();
         assert_eq!(decoded, records);
     }
 
     #[test]
     fn meta_decode_skips_payload_and_consumes_record() {
         let records = vec![sample_dml(), sample_dml()];
-        let mut buf = encode_batch(&records);
-        let m1 = decode_meta(&mut buf).unwrap();
+        let (buf, mut pos) = (encode_batch(&records), 0);
+        let m1 = decode_meta(&buf, &mut pos).unwrap();
         assert_eq!(m1.lsn, Lsn::new(42));
         assert_eq!(m1.table, Some(TableId::new(3)));
         // Second record must decode cleanly from the same position.
-        let m2 = decode_meta(&mut buf).unwrap();
+        let m2 = decode_meta(&buf, &mut pos).unwrap();
         assert_eq!(m2.txn_id, TxnId::new(7));
-        assert!(!buf.has_remaining());
+        assert_eq!(pos, buf.len());
     }
 
     #[test]
@@ -505,26 +468,22 @@ mod tests {
         // decode_batch_into appends; callers clear. Compare against the
         // per-record path on the tail it appended.
         assert_eq!(&scratch[1..], records.as_slice());
-        assert_eq!(decode_batch(buf).unwrap(), records);
+        assert_eq!(decode_batch(&buf).unwrap(), records);
 
         // A corrupted record inside the batch fails the same way.
         let full = encode_batch(&records);
-        let pos = full.as_slice().windows(5).position(|w| w == b"hello").unwrap();
-        let mut tampered = full.to_vec();
+        let pos = full.windows(5).position(|w| w == b"hello").unwrap();
+        let mut tampered = full;
         tampered[pos] ^= 0x20;
         let mut out = Vec::new();
-        assert!(matches!(
-            decode_batch_into(&Bytes::from(tampered), &mut out),
-            Err(Error::CodecChecksum)
-        ));
+        assert!(matches!(decode_batch_into(&tampered, &mut out), Err(Error::CodecChecksum)));
     }
 
     #[test]
     fn truncated_buffers_error_not_panic() {
         let full = encode_batch(&[sample_dml()]);
         for cut in 0..full.len() {
-            let mut b = full.slice(..cut);
-            assert!(decode_record(&mut b).is_err(), "cut at {cut} should fail");
+            assert!(decode_record(&full[..cut], &mut 0).is_err(), "cut at {cut} should fail");
         }
     }
 
@@ -534,16 +493,14 @@ mod tests {
         // Flip one bit inside the text payload "hello": full decode must
         // fail the CRC, while the metadata-only path (which skips data
         // images and the CRC trailer by design) still succeeds.
-        let pos =
-            full.as_slice().windows(5).position(|w| w == b"hello").expect("text payload present");
-        let mut tampered = full.to_vec();
+        let pos = full.windows(5).position(|w| w == b"hello").expect("text payload present");
+        let mut tampered = full;
         tampered[pos] ^= 0x20;
-        let mut b = Bytes::from(tampered.clone());
-        assert!(matches!(decode_record(&mut b), Err(Error::CodecChecksum)));
-        let mut b2 = Bytes::from(tampered);
-        let meta = decode_meta(&mut b2).unwrap();
+        assert!(matches!(decode_record(&tampered, &mut 0), Err(Error::CodecChecksum)));
+        let mut at = 0;
+        let meta = decode_meta(&tampered, &mut at).unwrap();
         assert_eq!(meta.lsn, Lsn::new(42));
-        assert!(!b2.has_remaining());
+        assert_eq!(at, tampered.len());
     }
 
     /// The address range of every text and bytes payload in `row`.
@@ -581,117 +538,117 @@ mod tests {
         let n = frame.len();
         assert_owns_payloads(&frame, &cols(decode_at(&frame, 0..n).unwrap()), "decode_at");
         assert_owns_payloads(&frame, &decode_dml_at(&frame, 0..n).unwrap().cols, "decode_dml_at");
-        let rec = decode_record(&mut frame.clone()).unwrap();
+        let rec = decode_record(&frame, &mut 0).unwrap();
         assert_owns_payloads(&frame, &cols(rec), "decode_record");
         let mut batch = Vec::new();
         decode_batch_into(&frame, &mut batch).unwrap();
         assert_owns_payloads(&frame, &cols(batch.remove(0)), "decode_batch_into");
         // The snapshot loader's row decoder, over a manifest's row encoding.
-        let mut enc = BytesMut::new();
-        encode_row(&mut enc, &cols(sample_dml()));
-        let manifest = enc.freeze();
-        let row = decode_row(&mut manifest.clone()).unwrap();
+        let mut manifest = Vec::new();
+        encode_row(&mut manifest, &cols(sample_dml()));
+        let row = decode_row(&manifest, &mut 0).unwrap();
         assert_owns_payloads(&manifest, &row, "decode_row");
     }
 
     #[test]
     fn crc_trailer_corruption_fails_record_checksum() {
-        let full = encode_batch(&[sample_dml()]);
-        let mut tampered = full.to_vec();
+        let mut tampered = encode_batch(&[sample_dml()]);
         let last = tampered.len() - 1;
         tampered[last] ^= 0x01;
-        let mut b = Bytes::from(tampered);
-        assert!(matches!(decode_record(&mut b), Err(Error::CodecChecksum)));
+        assert!(matches!(decode_record(&tampered, &mut 0), Err(Error::CodecChecksum)));
     }
 
     #[test]
     fn unknown_tags_are_rejected() {
-        let mut b = Bytes::from_static(&[0xFFu8; 32][..]);
-        assert!(matches!(decode_record(&mut b), Err(Error::CodecBadTag)));
-        let mut b2 = Bytes::from_static(&[0xFFu8; 32][..]);
-        assert!(decode_meta(&mut b2).is_err());
+        let b = [0xFFu8; 32];
+        assert!(matches!(decode_record(&b, &mut 0), Err(Error::CodecBadTag)));
+        assert!(decode_meta(&b, &mut 0).is_err());
     }
 
-    /// The `Bytes`-cursor decoder the offset parser replaced, kept as the
-    /// reference it must agree with on every input, corrupt ones included.
+    /// A slice-cursor decoder written independently of the offset parser:
+    /// the reference it must agree with on every input, corrupt ones
+    /// included.
     mod cursor {
         use super::super::*;
 
-        fn need(buf: &Bytes, n: usize) -> Result<()> {
-            if buf.remaining() < n {
-                Err(Error::CodecTruncated)
-            } else {
-                Ok(())
-            }
+        /// Splits `N` bytes off the front of `buf`.
+        fn get<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N]> {
+            let (head, rest) = buf.split_first_chunk::<N>().ok_or(Error::CodecTruncated)?;
+            *buf = rest;
+            Ok(*head)
         }
 
-        fn get_value(buf: &mut Bytes) -> Result<Value> {
-            need(buf, 1)?;
-            match buf.get_u8() {
+        fn get_u8(buf: &mut &[u8]) -> Result<u8> {
+            get::<1>(buf).map(|[b]| b)
+        }
+
+        fn get_u16(buf: &mut &[u8]) -> Result<u16> {
+            get(buf).map(u16::from_le_bytes)
+        }
+
+        fn get_u32(buf: &mut &[u8]) -> Result<u32> {
+            get(buf).map(u32::from_le_bytes)
+        }
+
+        fn get_u64(buf: &mut &[u8]) -> Result<u64> {
+            get(buf).map(u64::from_le_bytes)
+        }
+
+        fn get_payload<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8]> {
+            let n = get_u32(buf)? as usize;
+            if buf.len() < n {
+                return Err(Error::CodecTruncated);
+            }
+            let (payload, rest) = buf.split_at(n);
+            *buf = rest;
+            Ok(payload)
+        }
+
+        fn get_value(buf: &mut &[u8]) -> Result<Value> {
+            match get_u8(buf)? {
                 VTAG_NULL => Ok(Value::Null),
-                VTAG_INT => {
-                    need(buf, 8)?;
-                    Ok(Value::Int(buf.get_i64_le()))
-                }
-                VTAG_FLOAT => {
-                    need(buf, 8)?;
-                    Ok(Value::Float(buf.get_f64_le()))
-                }
-                VTAG_TEXT => {
-                    need(buf, 4)?;
-                    let n = buf.get_u32_le() as usize;
-                    need(buf, n)?;
-                    Utf8Bytes::from_utf8(buf.split_to(n))
-                        .map(Value::Text)
-                        .map_err(|_| Error::Codec("invalid utf-8 in text value".into()))
-                }
-                VTAG_BYTES => {
-                    need(buf, 4)?;
-                    let n = buf.get_u32_le() as usize;
-                    need(buf, n)?;
-                    Ok(Value::Bytes(buf.split_to(n)))
-                }
+                VTAG_INT => Ok(Value::Int(get_u64(buf)? as i64)),
+                VTAG_FLOAT => Ok(Value::Float(f64::from_bits(get_u64(buf)?))),
+                VTAG_TEXT => std::str::from_utf8(get_payload(buf)?)
+                    .map(|s| Value::Text(s.into()))
+                    .map_err(|_| Error::Codec("invalid utf-8 in text value".into())),
+                VTAG_BYTES => Ok(Value::Bytes(get_payload(buf)?.into())),
                 _ => Err(Error::CodecBadTag),
             }
         }
 
-        pub fn get_row(buf: &mut Bytes) -> Result<Row> {
-            need(buf, 2)?;
-            let n = buf.get_u16_le() as usize;
+        pub fn get_row(buf: &mut &[u8]) -> Result<Row> {
+            let n = get_u16(buf)? as usize;
             let mut row = Vec::with_capacity(n);
             for _ in 0..n {
-                need(buf, 2)?;
-                let cid = ColumnId::new(buf.get_u16_le());
+                let cid = ColumnId::new(get_u16(buf)?);
                 row.push((cid, get_value(buf)?));
             }
             Ok(row)
         }
 
-        fn decode_body(buf: &mut Bytes) -> Result<LogRecord> {
-            need(buf, 1)?;
-            let tag = buf.get_u8();
+        fn decode_body(buf: &mut &[u8]) -> Result<LogRecord> {
+            let tag = get_u8(buf)?;
+            let fixed = match tag {
+                TAG_BEGIN | TAG_COMMIT => 24,
+                TAG_DML => 46,
+                _ => return Err(Error::CodecBadTag),
+            };
+            if buf.len() < fixed {
+                return Err(Error::CodecTruncated);
+            }
+            let lsn = Lsn::new(get_u64(buf)?);
+            let txn_id = TxnId::new(get_u64(buf)?);
+            let ts = Timestamp::from_micros(get_u64(buf)?);
             match tag {
-                TAG_BEGIN | TAG_COMMIT => {
-                    need(buf, 24)?;
-                    let lsn = Lsn::new(buf.get_u64_le());
-                    let txn_id = TxnId::new(buf.get_u64_le());
-                    let ts = Timestamp::from_micros(buf.get_u64_le());
-                    Ok(if tag == TAG_BEGIN {
-                        LogRecord::Begin { lsn, txn_id, ts }
-                    } else {
-                        LogRecord::Commit { lsn, txn_id, ts }
-                    })
-                }
-                TAG_DML => {
-                    need(buf, 46)?;
-                    let lsn = Lsn::new(buf.get_u64_le());
-                    let txn_id = TxnId::new(buf.get_u64_le());
-                    let ts = Timestamp::from_micros(buf.get_u64_le());
-                    let table = TableId::new(buf.get_u32_le());
-                    let op = DmlOp::from_tag(buf.get_u8()).ok_or(Error::CodecBadTag)?;
-                    let key = RowKey::new(buf.get_u64_le());
-                    let row_version = buf.get_u64_le();
-                    let has_before = buf.get_u8() != 0;
+                TAG_BEGIN => Ok(LogRecord::Begin { lsn, txn_id, ts }),
+                TAG_COMMIT => Ok(LogRecord::Commit { lsn, txn_id, ts }),
+                _ => {
+                    let table = TableId::new(get_u32(buf)?);
+                    let op = DmlOp::from_tag(get_u8(buf)?).ok_or(Error::CodecBadTag)?;
+                    let key = RowKey::new(get_u64(buf)?);
+                    let row_version = get_u64(buf)?;
+                    let has_before = get_u8(buf)? != 0;
                     let cols = get_row(buf)?;
                     let before = if has_before { Some(get_row(buf)?) } else { None };
                     Ok(LogRecord::Dml(DmlEntry {
@@ -706,16 +663,14 @@ mod tests {
                         before,
                     }))
                 }
-                _ => Err(Error::CodecBadTag),
             }
         }
 
-        pub fn decode_record(buf: &mut Bytes) -> Result<LogRecord> {
-            let snapshot = buf.clone();
+        pub fn decode_record(buf: &mut &[u8]) -> Result<LogRecord> {
+            let whole = *buf;
             let rec = decode_body(buf)?;
-            let body_len = snapshot.remaining() - buf.remaining();
-            need(buf, 4)?;
-            if buf.get_u32_le() != crc32(&snapshot[..body_len]) {
+            let body = &whole[..whole.len() - buf.len()];
+            if get_u32(buf)? != crc32(body) {
                 return Err(Error::CodecChecksum);
             }
             Ok(rec)
@@ -774,7 +729,7 @@ mod tests {
 
     /// The buffers a record must be checked on: the clean encoding, its
     /// every truncation, and its every single-byte flip (three patterns).
-    fn damaged(clean: &[u8]) -> impl Iterator<Item = (String, Bytes)> + '_ {
+    fn damaged(clean: &[u8]) -> impl Iterator<Item = (String, Vec<u8>)> + '_ {
         let cuts = (0..clean.len()).map(|cut| (format!("cut at {cut}"), clean[..cut].to_vec()));
         let flips = (0..clean.len()).flat_map(move |pos| {
             [0x01u8, 0xFF, 0x80].map(|mask| {
@@ -783,10 +738,7 @@ mod tests {
                 (format!("flip {mask:#x} at {pos}"), bad)
             })
         });
-        std::iter::once(("clean".to_string(), clean.to_vec()))
-            .chain(cuts)
-            .chain(flips)
-            .map(|(what, b)| (what, Bytes::from(b)))
+        std::iter::once(("clean".to_string(), clean.to_vec())).chain(cuts).chain(flips)
     }
 
     /// Outcomes compared by their `Debug` form: the same value (NaN
@@ -798,17 +750,16 @@ mod tests {
     #[test]
     fn offset_parser_matches_the_cursor_reference_on_every_damage() {
         for rec in random_records(120) {
-            let mut enc = BytesMut::new();
+            let mut enc = Vec::new();
             encode_record(&mut enc, &rec);
             for (what, buf) in damaged(&enc) {
-                let want = cursor::decode_record(&mut buf.clone());
+                let want = cursor::decode_record(&mut &buf[..]);
                 let ctx = format!("{what} of {rec:?}");
-                assert_eq!(show(&decode_record(&mut buf.clone())), show(&want), "{ctx}");
+                assert_eq!(show(&decode_record(&buf, &mut 0)), show(&want), "{ctx}");
                 assert_eq!(show(&decode_at(&buf, 0..buf.len())), show(&want), "{ctx}");
                 // `decode_at` reads only its range, even inside a longer frame.
-                let mut framed = buf.to_vec();
+                let mut framed = buf.clone();
                 framed.extend_from_slice(&enc);
-                let framed = Bytes::from(framed);
                 assert_eq!(show(&decode_at(&framed, 0..buf.len())), show(&want), "{ctx}");
                 let lean = want.clone().and_then(|r| match r {
                     LogRecord::Dml(d) => Ok(DmlEntry { before: None, ..d }),
@@ -817,9 +768,9 @@ mod tests {
                 assert_eq!(show(&decode_dml_at(&buf, 0..buf.len())), show(&lean), "{ctx}");
                 let mut batch = Vec::new();
                 let got = decode_batch_into(&buf, &mut batch).map(|()| batch);
-                let mut cur = buf.clone();
+                let mut cur = &buf[..];
                 let mut batch_want = Ok(Vec::new());
-                while cur.has_remaining() {
+                while !cur.is_empty() {
                     match cursor::decode_record(&mut cur) {
                         Ok(r) => batch_want.as_mut().unwrap().push(r),
                         Err(e) => {
@@ -838,14 +789,14 @@ mod tests {
         let mut rng = aets_common::rng::Rng::new(7);
         for _ in 0..200 {
             let row = random_row(&mut rng);
-            let mut enc = BytesMut::new();
+            let mut enc = Vec::new();
             encode_row(&mut enc, &row);
             for (what, buf) in damaged(&enc) {
-                let (mut a, mut b) = (buf.clone(), buf.clone());
-                let (got, want) = (decode_row(&mut a), cursor::get_row(&mut b));
+                let (mut a, mut b) = (0, &buf[..]);
+                let (got, want) = (decode_row(&buf, &mut a), cursor::get_row(&mut b));
                 assert_eq!(show(&got), show(&want), "{what} of {row:?}");
                 if want.is_ok() {
-                    assert_eq!(a.remaining(), b.remaining(), "{what} of {row:?}");
+                    assert_eq!(buf.len() - a, b.len(), "{what} of {row:?}");
                 }
             }
         }
@@ -856,13 +807,13 @@ mod tests {
     #[test]
     fn every_single_byte_flip_of_a_record_is_rejected() {
         for rec in random_records(120) {
-            let mut enc = BytesMut::new();
+            let mut enc = Vec::new();
             encode_record(&mut enc, &rec);
             for (what, buf) in damaged(&enc).filter(|(what, _)| what.starts_with("flip")) {
                 let n = buf.len();
-                assert!(decode_record(&mut buf.clone()).is_err(), "{what} of {rec:?}");
+                assert!(decode_record(&buf, &mut 0).is_err(), "{what} of {rec:?}");
                 assert!(decode_at(&buf, 0..n).is_err(), "{what} of {rec:?}");
-                assert!(decode_batch(buf.clone()).is_err(), "{what} of {rec:?}");
+                assert!(decode_batch(&buf).is_err(), "{what} of {rec:?}");
                 if matches!(rec, LogRecord::Dml(_)) {
                     assert!(decode_dml_at(&buf, 0..n).is_err(), "{what} of {rec:?}");
                 }
@@ -918,12 +869,11 @@ mod tests {
                 cols,
                 before,
             });
-            let mut buf = BytesMut::new();
+            let (mut buf, mut pos) = (Vec::new(), 0);
             encode_record(&mut buf, &rec);
-            let mut bytes = buf.freeze();
-            let back = decode_record(&mut bytes).unwrap();
+            let back = decode_record(&buf, &mut pos).unwrap();
             assert_eq!(back, rec);
-            assert!(!bytes.has_remaining());
+            assert_eq!(pos, buf.len());
         });
     }
 
@@ -943,15 +893,14 @@ mod tests {
                 cols,
                 before,
             });
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             encode_record(&mut buf, &rec);
-            let mut b1 = buf.clone().freeze();
-            let mut b2 = buf.freeze();
-            let meta = decode_meta(&mut b1).unwrap();
-            let full = decode_record(&mut b2).unwrap();
+            let (mut p1, mut p2) = (0, 0);
+            let meta = decode_meta(&buf, &mut p1).unwrap();
+            let full = decode_record(&buf, &mut p2).unwrap();
             assert_eq!(meta.lsn, full.lsn());
             assert_eq!(meta.txn_id, full.txn_id());
-            assert_eq!(b1.remaining(), b2.remaining());
+            assert_eq!(p1, p2);
         });
     }
 }

@@ -7,6 +7,7 @@
 
 use crate::entry::{LogRecord, TxnLog};
 use aets_common::{EpochId, Error, Result, Timestamp, TxnId};
+use std::sync::Arc;
 
 /// A batch of committed transactions replayed as one unit.
 #[derive(Debug, Clone, PartialEq)]
@@ -144,7 +145,7 @@ pub struct EncodedEpoch {
     pub id: EpochId,
     /// Encoded BEGIN/DML*/COMMIT records of every transaction, in commit
     /// order.
-    pub bytes: bytes::Bytes,
+    pub bytes: Arc<[u8]>,
     /// Number of transactions.
     pub txn_count: usize,
     /// Commit timestamp of the last transaction.
@@ -181,7 +182,7 @@ impl EncodedEpoch {
 /// adjacent LSNs since the generators assign LSNs to DML entries only).
 pub fn encode_epoch(epoch: &Epoch) -> EncodedEpoch {
     use crate::codec::encode_record;
-    let mut buf = bytes::BytesMut::with_capacity(epoch.wire_size() + epoch.len() * 64);
+    let mut buf = Vec::with_capacity(epoch.wire_size() + epoch.len() * 64);
     for t in &epoch.txns {
         let first_lsn = t.entries.first().map_or(aets_common::Lsn::new(0), |e| e.lsn);
         let last_lsn = t.entries.last().map_or(first_lsn, |e| e.lsn);
@@ -197,7 +198,8 @@ pub fn encode_epoch(epoch: &Epoch) -> EncodedEpoch {
             &LogRecord::Commit { lsn: last_lsn, txn_id: t.txn_id, ts: t.commit_ts },
         );
     }
-    let bytes = buf.freeze();
+    // One copy into a frame of exactly the encoded length.
+    let bytes = Arc::<[u8]>::from(buf);
     EncodedEpoch {
         id: epoch.id,
         crc32: crate::crc::crc32(&bytes),
@@ -322,7 +324,7 @@ mod tests {
 
         // Torn tail: missing bytes at the end of the frame.
         let torn = EncodedEpoch {
-            bytes: encoded.bytes.slice(..encoded.bytes.len() - 2),
+            bytes: encoded.bytes[..encoded.bytes.len() - 2].into(),
             ..encoded.clone()
         };
         assert!(matches!(torn.verify(), Err(aets_common::Error::CodecChecksum)));
@@ -331,7 +333,7 @@ mod tests {
         let mut flipped = encoded.bytes.to_vec();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x10;
-        let flipped = EncodedEpoch { bytes: bytes::Bytes::from(flipped), ..encoded };
+        let flipped = EncodedEpoch { bytes: flipped.into(), ..encoded };
         assert!(matches!(flipped.verify(), Err(aets_common::Error::CodecChecksum)));
     }
 

@@ -26,7 +26,6 @@ use crate::codec::MetaScanner;
 use crate::crc::crc32;
 use crate::epoch::EncodedEpoch;
 use aets_common::{unit_f64, TableId};
-use bytes::Bytes;
 use std::ops::Range;
 
 /// A pull-based source of encoded epochs (the backup's view of the
@@ -166,7 +165,7 @@ impl FaultInjector {
                     return Some(clean);
                 }
                 let cut = 1 + (h as usize % (n - 1).min(64));
-                Some(EncodedEpoch { bytes: clean.bytes.slice(..n - cut), ..clean })
+                Some(EncodedEpoch { bytes: clean.bytes[..n - cut].into(), ..clean })
             }
             FaultKind::BitFlip => {
                 if clean.bytes.is_empty() {
@@ -175,7 +174,7 @@ impl FaultInjector {
                 let mut v = clean.bytes.to_vec();
                 let bit = h as usize % (v.len() * 8);
                 v[bit / 8] ^= 1 << (bit % 8);
-                Some(EncodedEpoch { bytes: Bytes::from(v), ..clean })
+                Some(EncodedEpoch { bytes: v.into(), ..clean })
             }
             FaultKind::RecordCorruption => {
                 // Falls back to the clean epoch when it holds no DML
@@ -204,8 +203,7 @@ fn dml_ranges(epoch: &EncodedEpoch, want: impl Fn(TableId) -> bool) -> Vec<Range
 fn corrupt_record_at(clean: &EncodedEpoch, range: &Range<usize>) -> EncodedEpoch {
     let mut v = clean.bytes.to_vec();
     v[range.end - 1] ^= 0x01;
-    let bytes = Bytes::from(v);
-    EncodedEpoch { crc32: crc32(&bytes), bytes, ..clean.clone() }
+    EncodedEpoch { crc32: crc32(&v), bytes: v.into(), ..clean.clone() }
 }
 
 /// `epoch` with the record CRC of `table`'s first DML broken — the
@@ -348,7 +346,7 @@ mod tests {
         // Frame CRC restamped: ingest cannot tell.
         e.verify().unwrap();
         // Full decode of the batch hits the corrupted record CRC.
-        let err = crate::codec::decode_batch(e.bytes.clone()).unwrap_err();
+        let err = crate::codec::decode_batch(&e.bytes).unwrap_err();
         assert!(matches!(err, aets_common::Error::CodecChecksum));
     }
 }

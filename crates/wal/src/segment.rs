@@ -68,11 +68,11 @@
 //! tests kill the store mid-segment-write and mid-recovery
 //! deterministically.
 
+use crate::codec::{take_u32, take_u64};
 use crate::crash::{charge, durable_write, CrashClock};
 use crate::crc::crc32;
 use crate::epoch::EncodedEpoch;
 use aets_common::{EpochId, Error, Result, Timestamp};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -442,45 +442,38 @@ fn parse_segment_name(path: &Path) -> Option<u64> {
     name.strip_prefix("seg-")?.strip_suffix(".wal")?.parse().ok()
 }
 
-fn encode_header(first_seq: u64) -> BytesMut {
-    let mut buf = BytesMut::with_capacity(HEADER_LEN);
-    buf.put_u32_le(SEG_MAGIC);
-    buf.put_u32_le(SEG_VERSION);
-    buf.put_u64_le(first_seq);
-    let crc = crc32(&buf[..]);
-    buf.put_u32_le(crc);
+fn encode_header(first_seq: u64) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEADER_LEN);
+    buf.extend_from_slice(&SEG_MAGIC.to_le_bytes());
+    buf.extend_from_slice(&SEG_VERSION.to_le_bytes());
+    buf.extend_from_slice(&first_seq.to_le_bytes());
+    let crc = crc32(&buf);
+    buf.extend_from_slice(&crc.to_le_bytes());
     buf
 }
 
-fn encode_frame(e: &EncodedEpoch) -> BytesMut {
-    let mut buf = BytesMut::with_capacity(FRAME_HEADER_LEN + e.bytes.len());
-    buf.put_u32_le(FRAME_MAGIC);
-    buf.put_u64_le(e.id.raw());
-    buf.put_u32_le(e.txn_count as u32);
-    buf.put_u64_le(e.max_commit_ts.as_micros());
-    buf.put_u32_le(e.bytes.len() as u32);
-    buf.put_u32_le(e.crc32);
-    let hcrc = crc32(&buf[..]);
-    buf.put_u32_le(hcrc);
-    buf.put_slice(&e.bytes);
+fn encode_frame(e: &EncodedEpoch) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(FRAME_HEADER_LEN + e.bytes.len());
+    buf.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
+    buf.extend_from_slice(&e.id.raw().to_le_bytes());
+    buf.extend_from_slice(&(e.txn_count as u32).to_le_bytes());
+    buf.extend_from_slice(&e.max_commit_ts.as_micros().to_le_bytes());
+    buf.extend_from_slice(&(e.bytes.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&e.crc32.to_le_bytes());
+    let hcrc = crc32(&buf);
+    buf.extend_from_slice(&hcrc.to_le_bytes());
+    buf.extend_from_slice(&e.bytes);
     buf
 }
 
 /// Validates the 20-byte segment header against the sequence encoded in
-/// the file name.
-fn valid_header(bytes: &[u8], named_seq: u64) -> bool {
-    if bytes.len() < HEADER_LEN {
-        return false;
-    }
-    let mut b = &bytes[..HEADER_LEN];
-    let magic = b.get_u32_le();
-    let version = b.get_u32_le();
-    let first_seq = b.get_u64_le();
-    let stored_crc = b.get_u32_le();
-    magic == SEG_MAGIC
-        && version == SEG_VERSION
-        && first_seq == named_seq
-        && stored_crc == crc32(&bytes[..HEADER_LEN - 4])
+/// the file name; a file too short to hold one is an error.
+fn valid_header(bytes: &[u8], named_seq: u64) -> Result<bool> {
+    let pos = &mut 0;
+    Ok(take_u32(bytes, pos)? == SEG_MAGIC
+        && take_u32(bytes, pos)? == SEG_VERSION
+        && take_u64(bytes, pos)? == named_seq
+        && take_u32(bytes, pos)? == crc32(&bytes[..HEADER_LEN - 4]))
 }
 
 /// Reads one segment file whole, validates the header and decodes the
@@ -496,19 +489,21 @@ fn decode_frames_file(
     mut out: Option<&mut Vec<EncodedEpoch>>,
 ) -> Result<Option<(u64, u64, u64)>> {
     let data = fs::read(path)?;
-    if !valid_header(&data, named_seq) {
+    if !matches!(valid_header(&data, named_seq), Ok(true)) {
         return Ok(None);
     }
     let mut count = 0u64;
     let mut off = HEADER_LEN;
-    while let Some(mut h) = data.get(off..off + FRAME_HEADER_LEN) {
-        let magic = h.get_u32_le();
-        let seq = h.get_u64_le();
-        let txn_count = h.get_u32_le();
-        let max_commit_ts = h.get_u64_le();
-        let payload_len = h.get_u32_le() as usize;
-        let payload_crc = h.get_u32_le();
-        let header_crc = h.get_u32_le();
+    while let Some(h) = data.get(off..off + FRAME_HEADER_LEN) {
+        // `h` holds the whole frame header: no read of it comes up short.
+        let pos = &mut 0;
+        let magic = take_u32(h, pos)?;
+        let seq = take_u64(h, pos)?;
+        let txn_count = take_u32(h, pos)?;
+        let max_commit_ts = take_u64(h, pos)?;
+        let payload_len = take_u32(h, pos)? as usize;
+        let payload_crc = take_u32(h, pos)?;
+        let header_crc = take_u32(h, pos)?;
         if magic != FRAME_MAGIC
             || seq != named_seq + count
             || header_crc != crc32(&data[off..off + FRAME_HEADER_LEN - 4])
@@ -525,7 +520,7 @@ fn decode_frames_file(
         if let Some(out) = out.as_deref_mut() {
             out.push(EncodedEpoch {
                 id: EpochId::new(seq),
-                bytes: Bytes::copy_from_slice(payload),
+                bytes: payload.into(),
                 txn_count: txn_count as usize,
                 max_commit_ts: Timestamp::from_micros(max_commit_ts),
                 crc32: payload_crc,
@@ -638,7 +633,7 @@ mod tests {
         let err = s.append(&epochs[2]).unwrap_err();
         assert!(matches!(err, Error::EpochGap { expected: 1, got: 2 }));
         let torn = EncodedEpoch {
-            bytes: epochs[1].bytes.slice(..epochs[1].bytes.len() - 1),
+            bytes: epochs[1].bytes[..epochs[1].bytes.len() - 1].into(),
             ..epochs[1].clone()
         };
         assert!(matches!(s.append(&torn), Err(Error::CodecChecksum)));

@@ -190,7 +190,7 @@ fn wire_format_round_trips_arbitrary_epochs() {
         let epochs = batch_into_epochs(txns.clone(), 8).unwrap();
         for epoch in &epochs {
             let encoded = encode_epoch(epoch);
-            let records = aets_suite::wal::decode_batch(encoded.bytes.clone()).unwrap();
+            let records = aets_suite::wal::decode_batch(&encoded.bytes).unwrap();
             let back = aets_suite::wal::assemble_txns(&records).unwrap();
             assert_eq!(&back, &epoch.txns);
         }
