@@ -20,7 +20,7 @@ use aets_replay::{
     AetsConfig, AetsEngine, BackupNode, DurableBackup, DurableOptions, NodeOptions, RecoveryReport,
     TableGrouping,
 };
-use aets_wal::EncodedEpoch;
+use aets_wal::{EncodedEpoch, VerifiedEpoch};
 
 /// Per-shard tunables.
 #[derive(Debug, Clone)]
@@ -222,7 +222,9 @@ impl Shard {
         let mut acked = 0;
         while acked < INGEST_BATCH {
             let Some(front) = self.pending.front() else { break };
-            backup.ingest(front)?;
+            // The fleet encoded the sub-epoch itself; the check that
+            // proves it is the one the WAL append used to run.
+            backup.ingest(&VerifiedEpoch::new(front.clone())?)?;
             self.pending.pop_front();
             acked += 1;
         }

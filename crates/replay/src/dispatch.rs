@@ -9,16 +9,16 @@
 //!
 //! Upstream of any engine sits the *ingest resync loop* ([`ingest_epoch`]),
 //! run by the layers that pull a feed (`DurableBackup::ingest_from`,
-//! `Fleet::ingest_source`): every delivery is checked against its epoch
-//! frame CRC and expected sequence number, and a failed delivery (torn
-//! tail, bit flip, duplicate/reordered/dropped epoch, stall) is
-//! re-requested with bounded exponential backoff before the epoch is
-//! allowed anywhere near a dispatcher.
+//! `Fleet::ingest_source`): every delivery arrives proved against its
+//! frame CRC by the source ([`VerifiedEpoch`]) and is checked against its
+//! sequence number; a failed one (torn tail, bit flip, duplicate/
+//! reordered/dropped epoch, stall) is re-requested with bounded
+//! exponential backoff before it gets anywhere near a dispatcher.
 
 use crate::grouping::TableGrouping;
 use aets_common::{Error, GroupId, Result, Timestamp, TxnId};
 use aets_telemetry::{names, Registry};
-use aets_wal::{EncodedEpoch, EpochSource, MetaScanner};
+use aets_wal::{EncodedEpoch, EpochSource, MetaScanner, VerifiedEpoch};
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
@@ -145,8 +145,8 @@ impl IngestStats {
     }
 }
 
-/// Fetches epoch `seq` from `source`, verifying the frame CRC and the
-/// sequence number, re-requesting with exponential backoff on failure.
+/// Fetches epoch `seq` from `source` (which proves its CRC), checks the
+/// sequence number, and re-requests with exponential backoff on failure.
 ///
 /// Returns the verified epoch, or the last delivery error once
 /// `policy.max_retries` re-requests are exhausted — at which point the
@@ -156,7 +156,7 @@ pub fn ingest_epoch(
     seq: u64,
     policy: &RetryPolicy,
     stats: &mut IngestStats,
-) -> Result<EncodedEpoch> {
+) -> Result<VerifiedEpoch> {
     let mut last_err = Error::Protocol(format!("epoch {seq} never delivered"));
     for attempt in 0..=policy.max_retries {
         if attempt > 0 {
@@ -168,12 +168,11 @@ pub fn ingest_epoch(
                 stats.stalls += 1;
                 last_err = Error::Protocol(format!("epoch {seq} stalled in the feed"));
             }
-            Some(epoch) => {
-                if let Err(e) = epoch.verify() {
-                    stats.checksum_failures += 1;
-                    last_err = e;
-                    continue;
-                }
+            Some(Err(e)) => {
+                stats.checksum_failures += 1;
+                last_err = e;
+            }
+            Some(Ok(epoch)) => {
                 if epoch.id.raw() != seq {
                     stats.epoch_gaps += 1;
                     last_err = Error::EpochGap { expected: seq, got: epoch.id.raw() };
@@ -418,21 +417,20 @@ mod tests {
             self.epochs.len()
         }
 
-        fn fetch(&mut self, seq: u64, attempt: u32) -> Option<EncodedEpoch> {
+        fn fetch(&mut self, seq: u64, attempt: u32) -> Option<Result<VerifiedEpoch>> {
             let clean = self.epochs.get(seq as usize)?.clone();
-            if attempt >= self.faults {
-                return Some(clean);
-            }
-            match self.mode {
-                FlakyMode::Stall => None,
-                FlakyMode::Corrupt => Some(EncodedEpoch {
+            let delivered = match self.mode {
+                _ if attempt >= self.faults => clean,
+                FlakyMode::Stall => return None,
+                FlakyMode::Corrupt => EncodedEpoch {
                     bytes: clean.bytes[..clean.bytes.len().saturating_sub(1)].into(),
                     ..clean
-                }),
+                },
                 FlakyMode::WrongSeq => {
-                    Some(EncodedEpoch { id: aets_common::EpochId::new(seq + 1), ..clean })
+                    EncodedEpoch { id: aets_common::EpochId::new(seq + 1), ..clean }
                 }
-            }
+            };
+            Some(VerifiedEpoch::new(delivered))
         }
     }
 

@@ -2,7 +2,11 @@
 //!
 //! [`DurableBackup`] is a WAL and a checkpoint store around a
 //! [`BackupNode`]: every ingested epoch is appended to the WAL segment
-//! store *before* the node replays it, checkpoints of the node's
+//! store *while* the node replays it — one persistent writer thread,
+//! started at [`DurableBackup::open`] and joined on drop, writes (and
+//! under [`aets_wal::FsyncPolicy::EveryEpoch`] fsyncs) the frame as the
+//! calling thread and the crew replay, and `ingest` returns once both
+//! are done — checkpoints of the node's
 //! Memtable are cut at epoch barriers at a configurable cadence, and
 //! [`DurableBackup::open`] is the recovery bootstrap — it loads the
 //! newest valid checkpoint manifest (falling back across corrupt ones),
@@ -21,6 +25,19 @@
 //! checkpoints are skipped while degraded and the skip is counted in
 //! the registry's `aets_checkpoints_skipped_degraded_total`. GC is
 //! clamped the same way through [`VisibilityBoard::gc_watermark`].
+//!
+//! What the overlap keeps and what it changes. An epoch reaches `ingest`
+//! already proved against its CRC ([`VerifiedEpoch`]), and its sequence
+//! is checked against the WAL's next expected epoch before the replay
+//! starts, so a refused epoch still changes nothing. The checkpoint runs
+//! after the writer is joined, so sync-before-manifest and the order of
+//! every filesystem operation are those of a serial append. Within one
+//! `ingest` call a reader may see epoch `e` before `e`'s frame is
+//! durable (as under [`aets_wal::FsyncPolicy::Coalesced`] across calls).
+//! If the write or fsync fails once the replay has started, memory is
+//! ahead of the log: the backup is *fenced*, and that call and every
+//! later `ingest` / `checkpoint_now` fail until [`DurableBackup::open`]
+//! recovers from disk.
 
 use crate::checkpoint::{CheckpointMeta, CheckpointStore};
 use crate::dispatch::{ingest_epoch, IngestStats, RetryPolicy};
@@ -29,15 +46,17 @@ use crate::engines::ReplayEngine;
 use crate::options::ServiceOptions;
 use crate::service::{BackupNode, NodeOptions};
 use crate::visibility::VisibilityBoard;
+use aets_common::sync::{lock, wait};
 use aets_common::{Error, GroupId, Result, Timestamp};
 use aets_memtable::{MemDb, QueryFloor, SnapshotWalk};
 use aets_telemetry::trace::stages;
 use aets_telemetry::{names, EventKind, Telemetry};
 use aets_wal::crash::CrashClock;
-use aets_wal::{EncodedEpoch, EpochSource, SegmentConfig, SegmentStore};
+use aets_wal::{EncodedEpoch, EpochSource, SegmentConfig, SegmentStore, VerifiedEpoch};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Durability policy of a [`DurableBackup`].
@@ -87,8 +106,129 @@ pub struct RecoveryReport {
     pub recovery_wall: Duration,
 }
 
-/// A backup node with crash-consistent durability: WAL-first ingest,
-/// epoch-aligned checkpoints, suffix-only restart recovery.
+/// The WAL's writer thread and the store it appends to. The store sits
+/// in the slot the thread and the owner share; the owner touches it only
+/// between jobs, so the lock is never contended.
+#[derive(Debug)]
+struct WalWriter {
+    shared: Arc<WalShared>,
+    thread: Option<JoinHandle<()>>,
+}
+
+#[derive(Debug)]
+struct WalShared {
+    slot: Mutex<WalSlot>,
+    /// Signals a posted job (to the thread) and its result (to the owner).
+    cv: Condvar,
+}
+
+#[derive(Debug)]
+struct WalSlot {
+    store: SegmentStore,
+    /// The epoch to append next.
+    job: Option<VerifiedEpoch>,
+    /// What the last job's append returned, until the owner takes it.
+    done: Option<Result<()>>,
+    stop: bool,
+}
+
+impl WalWriter {
+    /// Starts the writer thread over `store`; it records each append's
+    /// span, fsync point and counter in `telemetry`.
+    fn start(store: SegmentStore, telemetry: Arc<Telemetry>) -> Result<Self> {
+        let shared = Arc::new(WalShared {
+            slot: Mutex::new(WalSlot { store, job: None, done: None, stop: false }),
+            cv: Condvar::new(),
+        });
+        let worker = shared.clone();
+        let thread = std::thread::Builder::new()
+            .name("aets-wal-writer".into())
+            .spawn(move || write_jobs(&worker, &telemetry))?;
+        Ok(Self { shared, thread: Some(thread) })
+    }
+
+    /// The store, between jobs.
+    fn lock(&self) -> MutexGuard<'_, WalSlot> {
+        lock(&self.shared.slot)
+    }
+
+    /// Hands `epoch` to the writer thread and returns at once.
+    fn post(&self, epoch: VerifiedEpoch) {
+        self.lock().job = Some(epoch);
+        self.shared.cv.notify_all();
+    }
+
+    /// Waits for the posted job's append and returns its result.
+    fn join_job(&self) -> Result<()> {
+        let mut slot = self.lock();
+        loop {
+            if let Some(done) = slot.done.take() {
+                return done;
+            }
+            slot = wait(&self.shared.cv, slot);
+        }
+    }
+}
+
+impl Drop for WalWriter {
+    fn drop(&mut self) {
+        self.lock().stop = true;
+        self.shared.cv.notify_all();
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
+    }
+}
+
+/// The writer thread's loop: append each posted epoch, post the result.
+fn write_jobs(shared: &WalShared, telemetry: &Telemetry) {
+    // A panicking append must not leave its owner waiting: the result it
+    // never posted becomes an error, which fences the backup.
+    struct Died<'a>(&'a WalShared);
+    impl Drop for Died<'_> {
+        fn drop(&mut self) {
+            let died = Error::Io("the WAL writer thread died".into());
+            lock(&self.0.slot).done.get_or_insert(Err(died));
+            self.0.cv.notify_all();
+        }
+    }
+    let _died = Died(shared);
+    let ring = telemetry.spans();
+    let appended = telemetry.registry().counter(names::WAL_EPOCHS_APPENDED);
+    let mut slot = lock(&shared.slot);
+    loop {
+        if let Some(epoch) = slot.job.take() {
+            let seq = epoch.id.raw();
+            // The append span includes any embedded fsync the policy
+            // takes; when the durable watermark advanced, a child fsync
+            // point marks the epoch as the one that paid for it.
+            let synced_before = slot.store.synced_seq();
+            let span = ring.begin(seq, stages::WAL_APPEND, None, None);
+            let done = slot.store.append_verified(&epoch);
+            if done.is_ok() {
+                let span_id = span.map(|s| {
+                    let id = s.id();
+                    s.finish(ring);
+                    id
+                });
+                if slot.store.synced_seq() != synced_before {
+                    ring.point(seq, stages::WAL_FSYNC, None, span_id);
+                }
+                appended.inc();
+            }
+            slot.done = Some(done);
+            shared.cv.notify_all();
+        } else if slot.stop {
+            return;
+        } else {
+            slot = wait(&shared.cv, slot);
+        }
+    }
+}
+
+/// A backup node with crash-consistent durability: the WAL append
+/// overlapping the replay, epoch-aligned checkpoints, suffix-only
+/// restart recovery.
 #[derive(Debug)]
 pub struct DurableBackup {
     /// Kept beside the node's type-erased handle for what only the AETS
@@ -99,7 +239,7 @@ pub struct DurableBackup {
     /// the live endpoint and the controller. [`DurableBackup::serve`]
     /// starts serving nodes over the same state.
     node: BackupNode,
-    wal: SegmentStore,
+    wal: WalWriter,
     ckpt: CheckpointStore,
     opts: DurableOptions,
     report: RecoveryReport,
@@ -116,6 +256,10 @@ pub struct DurableBackup {
     /// (publish ts vs the epoch's high-water mark) is the freshness
     /// measure.
     primary_watermark: Arc<AtomicU64>,
+    /// Set when a WAL append failed after its epoch's replay began:
+    /// memory is ahead of the log, and every later `ingest` /
+    /// `checkpoint_now` returns this until `open`.
+    fenced: Option<Error>,
 }
 
 impl DurableBackup {
@@ -213,7 +357,8 @@ impl DurableBackup {
         // `read_suffix` re-validates every frame's CRC and sequence, so
         // the suffix goes straight to the engine. Like any replay outside
         // `node.replay`, it does not tick the controller.
-        let suffix = wal.read_suffix(start_seq)?;
+        let suffix: Vec<EncodedEpoch> =
+            wal.read_suffix(start_seq)?.into_iter().map(VerifiedEpoch::into_inner).collect();
         let suffix_epochs = suffix.len() as u64;
         if suffix_epochs > 0 {
             engine.replay(&suffix, node.db(), board)?;
@@ -227,6 +372,7 @@ impl DurableBackup {
             suffix_epochs,
             recovery_wall: t0.elapsed(),
         };
+        let wal = WalWriter::start(wal, telemetry.clone())?;
         let mut backup = Self {
             engine,
             node,
@@ -238,6 +384,7 @@ impl DurableBackup {
             last_ckpt_seq: start_seq,
             query_floor: Timestamp::MAX,
             primary_watermark,
+            fenced: None,
         };
         // If the replayed suffix already spans a full cadence the
         // checkpoint is overdue: cut it now, before any new ingest, so a
@@ -251,38 +398,40 @@ impl DurableBackup {
         Ok(backup)
     }
 
-    /// Ingests one epoch: durable WAL append first, then replay through
-    /// the node (which ticks the controller, when one runs), then (at the
-    /// configured cadence) a checkpoint.
+    /// Ingests one epoch: its WAL append runs on the writer thread while
+    /// the node replays it (ticking the controller, when one runs), and
+    /// once both are done, at the configured cadence, a checkpoint.
+    /// Returns `Ok` only once the frame is as durable as the fsync policy
+    /// makes it. An epoch out of sequence is refused before anything
+    /// changes.
     ///
     /// A [crash](aets_common::Error::Crash) error means the metered
     /// process died; on a real node the supervisor restarts via
     /// [`DurableBackup::open`], which recovers everything that was acked.
-    pub fn ingest(&mut self, epoch: &EncodedEpoch) -> Result<()> {
+    /// Any failed append also fences the backup (module docs).
+    pub fn ingest(&mut self, epoch: &VerifiedEpoch) -> Result<()> {
+        self.check_fence()?;
         let seq = epoch.id.raw();
-        let telemetry = self.node.telemetry();
-        let ring = telemetry.spans();
-        // The append span includes any embedded fsync the policy takes;
-        // when the durable watermark advanced, a child fsync point marks
-        // the epoch as the one that paid for it.
-        let synced_before = self.wal.synced_seq();
-        let aspan = ring.begin(seq, stages::WAL_APPEND, None, None);
-        self.wal.append(epoch)?;
-        let append_id = aspan.map(|s| {
-            let id = s.id();
-            s.finish(ring);
-            id
-        });
-        if self.wal.synced_seq() != synced_before {
-            ring.point(seq, stages::WAL_FSYNC, None, append_id);
+        if let Some(expected) = self.wal.lock().store.next_seq() {
+            if seq != expected {
+                return Err(Error::EpochGap { expected, got: seq });
+            }
         }
-        telemetry.registry().counter(names::WAL_EPOCHS_APPENDED).inc();
+        self.wal.post(epoch.clone());
         // Advance "primary now" to this epoch's high-water mark before
         // replaying it, so each group publish records its within-epoch
         // commit lag against the freshest known primary timestamp.
         self.primary_watermark.fetch_max(epoch.max_commit_ts.as_micros(), Ordering::Relaxed);
-        self.node.replay(std::slice::from_ref(epoch))?;
-        self.next_seq = epoch.id.raw() + 1;
+        let replayed = self.node.replay(std::slice::from_ref(&**epoch));
+        if let Err(e) = self.wal.join_job() {
+            self.fenced = Some(Error::Io(format!(
+                "durable backup fenced: the WAL append of epoch {seq} failed after its \
+                 replay began ({e}); reopen to recover"
+            )));
+            return Err(e);
+        }
+        replayed?;
+        self.next_seq = seq + 1;
 
         if self.opts.checkpoint_every > 0
             && self.next_seq - self.last_ckpt_seq >= self.opts.checkpoint_every
@@ -290,6 +439,10 @@ impl DurableBackup {
             self.checkpoint_now()?;
         }
         Ok(())
+    }
+
+    fn check_fence(&self) -> Result<()> {
+        self.fenced.clone().map_or(Ok(()), Err)
     }
 
     /// Pulls every epoch the source currently advertises through the
@@ -337,6 +490,7 @@ impl DurableBackup {
     /// quarantined: truncating the WAL past a frozen group's watermark
     /// would lose the suffix it has not replayed.
     pub fn checkpoint_now(&mut self) -> Result<bool> {
+        self.check_fence()?;
         let telemetry = self.node.telemetry();
         let reg = telemetry.registry();
         if !self.engine.quarantined_groups().is_empty() {
@@ -372,7 +526,7 @@ impl DurableBackup {
         // barrier must be durable before the manifest is — otherwise a
         // crash could leave a checkpoint that outruns the durable log,
         // and the resumed stream would hit an epoch gap.
-        self.wal.sync()?;
+        self.wal.lock().store.sync()?;
         let manifest = self.ckpt.write_snapshot(&meta, &snapshot)?;
         reg.counter(names::CHECKPOINTS_WRITTEN).inc();
         if let Ok(on_disk) = std::fs::metadata(&manifest) {
@@ -385,7 +539,7 @@ impl DurableBackup {
         // newest one is later found corrupt, recovery falls back to an
         // older checkpoint and still needs the log from that point on.
         let oldest = self.ckpt.list()?.first().map_or(self.next_seq, |(s, _)| *s);
-        let retired = self.wal.truncate_before(oldest)? as u64;
+        let retired = self.wal.lock().store.truncate_before(oldest)? as u64;
         if retired > 0 {
             reg.counter(names::WAL_SEGMENTS_RETIRED).add(retired);
             telemetry.event(EventKind::WalSegmentRetired { segments: retired });
@@ -484,7 +638,7 @@ impl DurableBackup {
     /// crash-loss bound: acknowledged epochs past it may be re-requested
     /// from the primary after a crash, but never epochs at or below it.
     pub fn wal_synced_seq(&self) -> Option<u64> {
-        self.wal.synced_seq()
+        self.wal.lock().store.synced_seq()
     }
 
     /// The read sessions' GC floor registry, shared with every
@@ -500,7 +654,7 @@ impl DurableBackup {
     /// the retention invariant: the log always covers every retained
     /// manifest's suffix.
     pub fn wal_first_retained_seq(&self) -> Option<u64> {
-        self.wal.first_retained_seq()
+        self.wal.lock().store.first_retained_seq()
     }
 
     /// `next_epoch_seq` of the oldest checkpoint manifest still on disk,
@@ -544,6 +698,11 @@ mod tests {
         let grouping =
             TableGrouping::new(w.num_tables(), groups, rates, &w.analytic_tables).unwrap();
         (epochs, w.num_tables(), grouping)
+    }
+
+    /// `e` with its CRC proof, as the feed hands epochs to `ingest`.
+    fn checked(e: &EncodedEpoch) -> VerifiedEpoch {
+        VerifiedEpoch::new(e.clone()).unwrap()
     }
 
     fn fresh_engine(grouping: &TableGrouping) -> AetsEngine {
@@ -617,7 +776,7 @@ mod tests {
                 let mut node = open(&tel);
                 assert!(node.recovery().restored_seq.is_none(), "cold start");
                 for e in &epochs {
-                    node.ingest(e).unwrap();
+                    node.ingest(&checked(e)).unwrap();
                 }
                 let snap = tel.snapshot();
                 assert_eq!(
@@ -655,10 +814,54 @@ mod tests {
         }
     }
 
+    /// What a refused epoch must leave alone: the next sequence, the WAL's
+    /// frame count, the digest and every watermark.
+    fn observed(n: &DurableBackup) -> (u64, u64, u64, Vec<Timestamp>) {
+        let b = n.board();
+        let watermarks = (0..b.num_groups())
+            .map(|g| b.tg_cmt_ts(GroupId::new(g as u32)))
+            .chain([b.global_cmt_ts()])
+            .collect();
+        let frames = n.wal.lock().store.epoch_count();
+        (n.next_seq(), frames, n.db().digest_at(Timestamp::MAX), watermarks)
+    }
+
+    #[test]
+    fn an_epoch_out_of_sequence_is_refused_before_anything_changes() {
+        let (epochs, num_tables, grouping) = tpcc_stream(300);
+        let wal_dir = scratch("gap-wal");
+        let ckpt_dir = scratch("gap-ckpt");
+        let mut node = DurableBackup::open(
+            &wal_dir,
+            &ckpt_dir,
+            fresh_engine(&grouping),
+            num_tables,
+            DurableOptions::default(),
+            None,
+        )
+        .unwrap();
+        let half = epochs.len() / 2;
+        for e in &epochs[..half] {
+            node.ingest(&checked(e)).unwrap();
+        }
+        let before = observed(&node);
+        // A redelivered epoch and one that skips ahead: both carry a
+        // valid proof, and the sequence check refuses them first.
+        for got in [half - 1, half + 1] {
+            let err = node.ingest(&checked(&epochs[got])).unwrap_err();
+            assert_eq!(err, Error::EpochGap { expected: half as u64, got: got as u64 });
+            assert_eq!(observed(&node), before, "epoch {got} changed the backup");
+        }
+        node.ingest(&checked(&epochs[half])).unwrap();
+        assert_eq!(node.next_seq(), half as u64 + 1);
+        let _ = std::fs::remove_dir_all(&wal_dir);
+        let _ = std::fs::remove_dir_all(&ckpt_dir);
+    }
+
     #[test]
     fn a_torn_or_bit_flipped_epoch_is_refused_before_anything_changes() {
-        // A direct `ingest` is a path into the process of its own: the
-        // WAL append is the check the engine no longer repeats.
+        // An epoch reaches `ingest` only through the check that builds
+        // its proof: a damaged one stops there, before anything changes.
         let (epochs, num_tables, grouping) = tpcc_stream(300);
         let wal_dir = scratch("corrupt-wal");
         let ckpt_dir = scratch("corrupt-ckpt");
@@ -673,7 +876,7 @@ mod tests {
         .unwrap();
         let half = epochs.len() / 2;
         for e in &epochs[..half] {
-            node.ingest(e).unwrap();
+            node.ingest(&checked(e)).unwrap();
         }
         let next = &epochs[half];
         let torn =
@@ -681,21 +884,14 @@ mod tests {
         let mut flipped = next.bytes.to_vec();
         flipped[next.bytes.len() / 2] ^= 0x10;
         let flipped = EncodedEpoch { bytes: flipped.into(), ..next.clone() };
-        let state = |n: &DurableBackup| {
-            let b = n.board();
-            let watermarks: Vec<Timestamp> = (0..b.num_groups())
-                .map(|g| b.tg_cmt_ts(GroupId::new(g as u32)))
-                .chain([b.global_cmt_ts()])
-                .collect();
-            (n.next_seq(), n.wal.epoch_count(), n.db().digest_at(Timestamp::MAX), watermarks)
-        };
-        let before = state(&node);
+        let before = observed(&node);
         for (what, bad) in [("torn", torn), ("bit-flipped", flipped)] {
-            assert_eq!(node.ingest(&bad).unwrap_err(), Error::CodecChecksum, "{what}");
-            assert_eq!(state(&node), before, "{what} epoch changed the backup");
+            let refused = VerifiedEpoch::new(bad).and_then(|e| node.ingest(&e));
+            assert_eq!(refused.unwrap_err(), Error::CodecChecksum, "{what}");
+            assert_eq!(observed(&node), before, "{what} epoch changed the backup");
         }
         // The clean delivery of the same epoch still goes in.
-        node.ingest(next).unwrap();
+        node.ingest(&checked(next)).unwrap();
         assert_eq!(node.next_seq(), half as u64 + 1);
         let _ = std::fs::remove_dir_all(&wal_dir);
         let _ = std::fs::remove_dir_all(&ckpt_dir);
@@ -724,7 +920,7 @@ mod tests {
         )
         .unwrap();
         for e in &epochs {
-            node.ingest(e).unwrap();
+            node.ingest(&checked(e)).unwrap();
         }
         let barrier = node.board().global_cmt_ts();
         let versions_at_barrier = node.db().total_versions();
@@ -779,7 +975,7 @@ mod tests {
             )
             .unwrap();
             for e in &epochs[..mid] {
-                node.ingest(e).unwrap();
+                node.ingest(&checked(e)).unwrap();
             }
         }
         {
@@ -794,7 +990,7 @@ mod tests {
             .unwrap();
             assert_eq!(node.next_seq(), mid as u64);
             for e in &epochs[mid..later] {
-                node.ingest(e).unwrap();
+                node.ingest(&checked(e)).unwrap();
             }
         }
         let mut node = DurableBackup::open(
@@ -808,7 +1004,7 @@ mod tests {
         .unwrap();
         assert_eq!(node.next_seq(), later as u64);
         for e in &epochs[later..] {
-            node.ingest(e).unwrap();
+            node.ingest(&checked(e)).unwrap();
         }
         assert_eq!(node.db().digest_at(Timestamp::MAX), want);
         let _ = std::fs::remove_dir_all(&wal_dir);
@@ -833,7 +1029,7 @@ mod tests {
         )
         .unwrap();
         for e in &epochs {
-            node.ingest(e).unwrap();
+            node.ingest(&checked(e)).unwrap();
         }
         assert!(
             !node.engine().quarantined_groups().is_empty(),
@@ -850,7 +1046,8 @@ mod tests {
         let skipped = epochs.len() as u64 + 1 - first_skip;
         assert!(skipped > 0, "cadence hits while degraded must be skipped, not taken");
         assert_eq!(tel.snapshot().counter_total(names::CHECKPOINTS_SKIPPED), skipped);
-        let first_retained = node.wal.first_retained_seq().expect("WAL must not be empty");
+        let first_retained =
+            node.wal.lock().store.first_retained_seq().expect("WAL must not be empty");
         assert!(
             first_retained <= eidx as u64,
             "WAL retains the suffix from the poisoned epoch on \
@@ -885,7 +1082,7 @@ mod tests {
             )
             .unwrap();
             for e in &epochs {
-                node.ingest(e).unwrap();
+                node.ingest(&checked(e)).unwrap();
             }
         }
         assert!(!flight_dir.exists());
@@ -964,7 +1161,7 @@ mod tests {
         let mut node =
             DurableBackup::open(&wal_dir, &ckpt_dir, engine, num_tables, opts, None).unwrap();
         for e in &epochs {
-            node.ingest(e).unwrap();
+            node.ingest(&checked(e)).unwrap();
         }
         let snap = tel.snapshot();
         // Cadence 4 over 13 epochs cuts at 4, 8 and 12, each behind one
@@ -1010,7 +1207,7 @@ mod tests {
             let mut node =
                 DurableBackup::open(&wal_dir, &ckpt_dir, engine, num_tables, opts, None).unwrap();
             for e in &epochs {
-                node.ingest(e).unwrap();
+                node.ingest(&checked(e)).unwrap();
             }
             assert_eq!(tel.snapshot().counter_total(names::GC_PASSES), 0);
             if !fused {
@@ -1065,7 +1262,7 @@ mod tests {
             DurableBackup::open(&wal_dir, &ckpt_dir, engine, num_tables, opts, None).unwrap();
         let half = epochs.len() / 2;
         for e in &epochs[..half] {
-            backup.ingest(e).unwrap();
+            backup.ingest(&checked(e)).unwrap();
         }
         // The head as the session pins it: without the pin, the next
         // checkpoints' GC would fold the versions it reads into newer ones.
@@ -1098,7 +1295,7 @@ mod tests {
             });
             wait_pinned.recv().expect("the reader pins its session");
             for e in &epochs[half..] {
-                backup.ingest(e).unwrap();
+                backup.ingest(&checked(e)).unwrap();
             }
             stop.store(true, Ordering::SeqCst);
             reader.join().expect("every answer matched the oracle")
@@ -1137,7 +1334,7 @@ mod tests {
             )
             .unwrap();
             for e in &epochs {
-                node.ingest(e).unwrap();
+                node.ingest(&checked(e)).unwrap();
             }
         }
         // Second life: recover, then serve queries from the recovered
@@ -1186,7 +1383,7 @@ mod tests {
             )
             .unwrap();
             for e in &epochs {
-                node.ingest(e).unwrap();
+                node.ingest(&checked(e)).unwrap();
             }
             assert!(node.last_checkpoint_seq() > 0);
         }
@@ -1228,7 +1425,7 @@ mod tests {
             )
             .unwrap();
             for e in &epochs {
-                node.ingest(e).unwrap();
+                node.ingest(&checked(e)).unwrap();
             }
         }
         // Delete every checkpoint: the WAL has been truncated past epoch

@@ -19,8 +19,9 @@
 //! and surfaces as [`Error::CodecChecksum`] (or a magic/version/tag
 //! rejection), never as a silently mis-framed message. Epoch payloads
 //! additionally carry the epoch's own frame CRC from
-//! [`aets_wal::EncodedEpoch`], so corruption is caught even if it slips
-//! past transport framing (it cannot, but defence in depth is free here).
+//! [`aets_wal::EncodedEpoch`]; the receiver checks it once, at admission,
+//! and the [`aets_wal::VerifiedEpoch`] that check builds is what the
+//! durable path downstream trusts instead of checking again.
 //!
 //! A decode failure poisons the whole TCP session: after arbitrary byte
 //! damage the receiver can no longer prove where the next frame starts,
@@ -37,8 +38,10 @@
 //! protocol kinds below the threshold still reject unknown tags hard.
 
 use aets_common::{EpochId, Error, Result, Timestamp};
-use aets_wal::{crc32, EncodedEpoch};
-use std::io::{Read, Write};
+use aets_wal::codec::{take, take_u32, take_u64};
+use aets_wal::{crc32, crc32_update, EncodedEpoch};
+use std::io::{IoSlice, Read, Write};
+use std::sync::Arc;
 
 /// Frame magic ("AETS" in LE byte order).
 pub const MAGIC: u32 = 0x4145_5453;
@@ -80,7 +83,7 @@ pub enum Frame {
     /// start when `None`. Everything at or below the resume point is
     /// implicitly acknowledged.
     Resume {
-        /// Highest epoch sequence durably consumed by the receiver.
+        /// Highest epoch sequence the receiver's consumer has fetched.
         last_durable_epoch: Option<u64>,
     },
     /// Sender → receiver: one encoded epoch.
@@ -89,7 +92,7 @@ pub enum Frame {
     /// below `last_durable_epoch` has been handed to the replay path;
     /// the sender's in-flight window slides past them.
     Ack {
-        /// Highest epoch sequence durably consumed.
+        /// Highest epoch sequence fetched (not yet necessarily durable).
         last_durable_epoch: u64,
     },
     /// Sender → receiver: the stream is complete (best effort — a lost
@@ -131,126 +134,133 @@ impl Frame {
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn get_u32(buf: &[u8], at: usize) -> Result<u32> {
-    let b = buf.get(at..at + 4).ok_or(Error::CodecTruncated)?;
-    Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-}
-
-fn get_u64(buf: &[u8], at: usize) -> Result<u64> {
-    let b = buf.get(at..at + 8).ok_or(Error::CodecTruncated)?;
-    Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-}
-
-fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
+/// Appends the payload of `frame` up to its body and returns the body:
+/// an epoch's encoded records, which travel from and into the epoch's
+/// own buffer; empty for every other kind.
+fn encode_fields<'a>(frame: &'a Frame, out: &mut Vec<u8>) -> &'a [u8] {
     match frame {
         Frame::Hello { first_seq, stream_epochs } => {
-            put_u64(out, *first_seq);
-            put_u64(out, *stream_epochs);
+            out.extend_from_slice(&first_seq.to_le_bytes());
+            out.extend_from_slice(&stream_epochs.to_le_bytes());
         }
         Frame::Resume { last_durable_epoch } => {
             out.push(u8::from(last_durable_epoch.is_some()));
-            put_u64(out, last_durable_epoch.unwrap_or(0));
+            out.extend_from_slice(&last_durable_epoch.unwrap_or(0).to_le_bytes());
         }
         Frame::Epoch(e) => {
-            put_u64(out, e.id.raw());
-            put_u64(out, e.txn_count as u64);
-            put_u64(out, e.max_commit_ts.as_micros());
-            put_u32(out, e.crc32);
-            out.extend_from_slice(&e.bytes);
+            out.extend_from_slice(&e.id.raw().to_le_bytes());
+            out.extend_from_slice(&(e.txn_count as u64).to_le_bytes());
+            out.extend_from_slice(&e.max_commit_ts.as_micros().to_le_bytes());
+            out.extend_from_slice(&e.crc32.to_le_bytes());
+            return &e.bytes;
         }
-        Frame::Ack { last_durable_epoch } => put_u64(out, *last_durable_epoch),
-        Frame::Shutdown => {}
+        Frame::Ack { last_durable_epoch } => {
+            out.extend_from_slice(&last_durable_epoch.to_le_bytes());
+        }
         Frame::Trace { epoch_seq, trace_id, ship_start_us } => {
-            put_u64(out, *epoch_seq);
-            put_u64(out, *trace_id);
-            put_u64(out, *ship_start_us);
+            out.extend_from_slice(&epoch_seq.to_le_bytes());
+            out.extend_from_slice(&trace_id.to_le_bytes());
+            out.extend_from_slice(&ship_start_us.to_le_bytes());
         }
         // Encoding a placeholder yields an empty extension of that kind
         // (exercised by the forward-compat tests).
-        Frame::Extension { .. } => {}
+        Frame::Shutdown | Frame::Extension { .. } => {}
     }
+    &[]
 }
 
-fn decode_payload(kind: u8, buf: &[u8]) -> Result<Frame> {
-    let exact = |want: usize| {
-        if buf.len() == want {
-            Ok(())
-        } else {
-            Err(Error::Codec(format!("frame kind {kind}: payload {} != {want}", buf.len())))
-        }
-    };
-    match kind {
-        KIND_HELLO => {
-            exact(16)?;
-            Ok(Frame::Hello { first_seq: get_u64(buf, 0)?, stream_epochs: get_u64(buf, 8)? })
-        }
+/// How many bytes of a `plen`-byte payload of `kind` precede its body:
+/// an epoch's id, transaction count, high-water mark and CRC.
+fn fields_len(kind: u8, plen: usize) -> usize {
+    plen.min(if kind == KIND_EPOCH { 28 } else { MAX_PAYLOAD })
+}
+
+/// Decodes a verified payload: its `fields`, then its `body`, which an
+/// epoch keeps as its buffer (empty for every other kind).
+fn decode_payload(kind: u8, fields: &[u8], body: impl Into<Arc<[u8]>>) -> Result<Frame> {
+    let pos = &mut 0;
+    let frame = match kind {
+        KIND_HELLO => Frame::Hello {
+            first_seq: take_u64(fields, pos)?,
+            stream_epochs: take_u64(fields, pos)?,
+        },
         KIND_RESUME => {
-            exact(9)?;
-            let last = match buf[0] {
+            let flag = take(fields, pos, 1)?[0];
+            let last = take_u64(fields, pos)?;
+            let last_durable_epoch = match flag {
                 0 => None,
-                1 => Some(get_u64(buf, 1)?),
+                1 => Some(last),
                 f => return Err(Error::Codec(format!("RESUME flag {f}"))),
             };
-            Ok(Frame::Resume { last_durable_epoch: last })
+            Frame::Resume { last_durable_epoch }
         }
-        KIND_EPOCH => {
-            if buf.len() < 28 {
-                return Err(Error::CodecTruncated);
-            }
-            Ok(Frame::Epoch(EncodedEpoch {
-                id: EpochId::new(get_u64(buf, 0)?),
-                txn_count: get_u64(buf, 8)? as usize,
-                max_commit_ts: Timestamp::from_micros(get_u64(buf, 16)?),
-                crc32: get_u32(buf, 24)?,
-                bytes: buf[28..].into(),
-            }))
-        }
-        KIND_ACK => {
-            exact(8)?;
-            Ok(Frame::Ack { last_durable_epoch: get_u64(buf, 0)? })
-        }
-        KIND_SHUTDOWN => {
-            exact(0)?;
-            Ok(Frame::Shutdown)
-        }
-        KIND_TRACE => {
-            exact(24)?;
-            Ok(Frame::Trace {
-                epoch_seq: get_u64(buf, 0)?,
-                trace_id: get_u64(buf, 8)?,
-                ship_start_us: get_u64(buf, 16)?,
-            })
-        }
-        k if k >= KIND_EXTENSION_MIN => Ok(Frame::Extension { kind: k }),
-        _ => Err(Error::CodecBadTag),
+        KIND_EPOCH => Frame::Epoch(EncodedEpoch {
+            id: EpochId::new(take_u64(fields, pos)?),
+            txn_count: take_u64(fields, pos)? as usize,
+            max_commit_ts: Timestamp::from_micros(take_u64(fields, pos)?),
+            crc32: take_u32(fields, pos)?,
+            bytes: body.into(),
+        }),
+        KIND_ACK => Frame::Ack { last_durable_epoch: take_u64(fields, pos)? },
+        KIND_SHUTDOWN => Frame::Shutdown,
+        KIND_TRACE => Frame::Trace {
+            epoch_seq: take_u64(fields, pos)?,
+            trace_id: take_u64(fields, pos)?,
+            ship_start_us: take_u64(fields, pos)?,
+        },
+        k if k >= KIND_EXTENSION_MIN => return Ok(Frame::Extension { kind: k }),
+        _ => return Err(Error::CodecBadTag),
+    };
+    if *pos != fields.len() {
+        return Err(Error::Codec(format!("frame kind {kind}: payload {} != {pos}", fields.len())));
     }
+    Ok(frame)
+}
+
+/// Appends `frame`'s header and its payload up to the body to `out`, and
+/// returns the body and the payload CRC, body included.
+fn encode_head<'a>(frame: &'a Frame, out: &mut Vec<u8>) -> (&'a [u8], u32) {
+    let start = out.len();
+    out.extend_from_slice(&MAGIC.to_le_bytes());
+    out.extend_from_slice(&[frame.kind(), VERSION]);
+    out.extend_from_slice(&[0; 8]); // len and hcrc, patched below
+    let fields_at = out.len();
+    let body = encode_fields(frame, out);
+    let plen = (out.len() - fields_at + body.len()) as u32;
+    out[start + 6..start + HEADER_LEN].copy_from_slice(&plen.to_le_bytes());
+    let hcrc = crc32(&out[start..start + HEADER_LEN]);
+    out[start + HEADER_LEN..fields_at].copy_from_slice(&hcrc.to_le_bytes());
+    (body, crc32_update(crc32(&out[fields_at..]), body))
 }
 
 /// Encodes `frame` into `out` (appended; `out` is not cleared).
 pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
-    let start = out.len();
-    put_u32(out, MAGIC);
-    out.push(frame.kind());
-    out.push(VERSION);
-    let len_at = out.len();
-    put_u32(out, 0); // patched below
-    let payload_at = out.len() + 4; // after hcrc
-    put_u32(out, 0); // hcrc, patched below
-    encode_payload(frame, out);
-    let plen = (out.len() - payload_at) as u32;
-    out[len_at..len_at + 4].copy_from_slice(&plen.to_le_bytes());
-    let hcrc = crc32(&out[start..start + HEADER_LEN]);
-    out[len_at + 4..len_at + 8].copy_from_slice(&hcrc.to_le_bytes());
-    let pcrc = crc32(&out[payload_at..]);
+    let (body, pcrc) = encode_head(frame, out);
+    out.extend_from_slice(body);
     out.extend_from_slice(&pcrc.to_le_bytes());
+}
+
+/// Checks a frame header: its CRC, then magic, version and the payload
+/// cap. Returns the kind and the payload length.
+fn check_header(header: &[u8]) -> Result<(u8, usize)> {
+    let pos = &mut 0;
+    let magic = take_u32(header, pos)?;
+    let kind_version = take(header, pos, 2)?;
+    let (kind, version) = (kind_version[0], kind_version[1]);
+    let plen = take_u32(header, pos)? as usize;
+    if crc32(&header[..HEADER_LEN]) != take_u32(header, pos)? {
+        return Err(Error::CodecChecksum);
+    }
+    if magic != MAGIC {
+        return Err(Error::Codec("bad frame magic".into()));
+    }
+    if version != VERSION {
+        return Err(Error::Codec(format!("unsupported wire version {version}")));
+    }
+    if plen > MAX_PAYLOAD {
+        return Err(Error::Codec(format!("frame payload {plen} exceeds cap")));
+    }
+    Ok((kind, plen))
 }
 
 /// Decodes one frame from the front of `buf`, returning it and the
@@ -258,27 +268,14 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
 /// with a checksum / truncation / protocol error — never a different
 /// valid frame.
 pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize)> {
-    let header = buf.get(..HEADER_FULL).ok_or(Error::CodecTruncated)?;
-    if crc32(&header[..HEADER_LEN]) != get_u32(header, HEADER_LEN)? {
+    let pos = &mut 0;
+    let (kind, plen) = check_header(take(buf, pos, HEADER_FULL)?)?;
+    let payload = take(buf, pos, plen)?;
+    if crc32(payload) != take_u32(buf, pos)? {
         return Err(Error::CodecChecksum);
     }
-    if get_u32(header, 0)? != MAGIC {
-        return Err(Error::Codec("bad frame magic".into()));
-    }
-    if header[5] != VERSION {
-        return Err(Error::Codec(format!("unsupported wire version {}", header[5])));
-    }
-    let plen = get_u32(header, 6)? as usize;
-    if plen > MAX_PAYLOAD {
-        return Err(Error::Codec(format!("frame payload {plen} exceeds cap")));
-    }
-    let total = HEADER_FULL + plen + 4;
-    let rest = buf.get(HEADER_FULL..total).ok_or(Error::CodecTruncated)?;
-    let (payload, pcrc) = rest.split_at(plen);
-    if crc32(payload) != u32::from_le_bytes([pcrc[0], pcrc[1], pcrc[2], pcrc[3]]) {
-        return Err(Error::CodecChecksum);
-    }
-    Ok((decode_payload(header[4], payload)?, total))
+    let (fields, body) = payload.split_at(fields_len(kind, plen));
+    Ok((decode_payload(kind, fields, body)?, *pos))
 }
 
 /// What [`read_frame`] observed on the socket.
@@ -306,7 +303,9 @@ fn read_exact(r: &mut impl Read, buf: &mut [u8], what: &str) -> Result<()> {
 ///
 /// Returns [`ReadEvent::Idle`] only when the timeout fires between
 /// frames; once a frame has started, a stall or short read is a hard
-/// error because the byte-stream position can no longer be trusted.
+/// error because the byte-stream position can no longer be trusted. An
+/// epoch's records are read straight into the buffer the epoch keeps
+/// and checked there: after the socket they are never copied.
 pub fn read_frame(r: &mut impl Read) -> Result<ReadEvent> {
     let mut first = [0u8; 1];
     loop {
@@ -321,36 +320,42 @@ pub fn read_frame(r: &mut impl Read) -> Result<ReadEvent> {
     let mut header = [0u8; HEADER_FULL];
     header[0] = first[0];
     read_exact(r, &mut header[1..], "frame header")?;
-    if crc32(&header[..HEADER_LEN]) != get_u32(&header, HEADER_LEN)? {
+    let (kind, plen) = check_header(&header)?;
+    let mut fields = vec![0u8; fields_len(kind, plen)];
+    read_exact(r, &mut fields, "frame payload")?;
+    let mut body: Arc<[u8]> = std::iter::repeat_n(0, plen - fields.len()).collect();
+    let Some(dst) = Arc::get_mut(&mut body) else {
+        return Err(Error::Io("a fresh frame buffer is shared".into()));
+    };
+    read_exact(r, dst, "frame payload")?;
+    let mut pcrc = [0u8; 4];
+    read_exact(r, &mut pcrc, "frame payload")?;
+    if crc32_update(crc32(&fields), &body) != u32::from_le_bytes(pcrc) {
         return Err(Error::CodecChecksum);
     }
-    if get_u32(&header, 0)? != MAGIC {
-        return Err(Error::Codec("bad frame magic".into()));
-    }
-    if header[5] != VERSION {
-        return Err(Error::Codec(format!("unsupported wire version {}", header[5])));
-    }
-    let plen = get_u32(&header, 6)? as usize;
-    if plen > MAX_PAYLOAD {
-        return Err(Error::Codec(format!("frame payload {plen} exceeds cap")));
-    }
-    let mut rest = vec![0u8; plen + 4];
-    read_exact(r, &mut rest, "frame payload")?;
-    let (payload, pcrc) = rest.split_at(plen);
-    if crc32(payload) != u32::from_le_bytes([pcrc[0], pcrc[1], pcrc[2], pcrc[3]]) {
-        return Err(Error::CodecChecksum);
-    }
-    let frame = decode_payload(header[4], payload)?;
-    Ok(ReadEvent::Frame(frame, HEADER_FULL + plen + 4))
+    Ok(ReadEvent::Frame(decode_payload(kind, &fields, body)?, HEADER_FULL + plen + 4))
 }
 
-/// Encodes and writes `frame`, returning the bytes put on the wire.
+/// Writes `frame`, returning the bytes put on the wire. An epoch's
+/// records go out from the epoch's own buffer, between the header and
+/// the payload CRC, in one vectored write: the frame is never joined.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<usize> {
-    let mut buf = Vec::with_capacity(64);
-    encode_frame(frame, &mut buf);
-    w.write_all(&buf).map_err(|e| Error::Io(format!("writing frame: {e}")))?;
+    let mut head = Vec::with_capacity(64);
+    let (body, pcrc) = encode_head(frame, &mut head);
+    let pcrc = pcrc.to_le_bytes();
+    let mut bufs = [IoSlice::new(&head), IoSlice::new(body), IoSlice::new(&pcrc)];
+    let len = head.len() + body.len() + pcrc.len();
+    let mut parts = &mut bufs[..];
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(Error::Io("writing frame: wrote zero bytes".into())),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(Error::Io(format!("writing frame: {e}"))),
+        }
+    }
     w.flush().map_err(|e| Error::Io(format!("flushing frame: {e}")))?;
-    Ok(buf.len())
+    Ok(len)
 }
 
 #[cfg(test)]
@@ -510,6 +515,31 @@ mod tests {
         let hcrc = crc32(&buf[..HEADER_LEN]);
         buf[10..14].copy_from_slice(&hcrc.to_le_bytes());
         assert!(matches!(decode_frame(&buf), Err(Error::Codec(_))));
+    }
+
+    /// The corruption contract on the socket path, which reads an epoch
+    /// frame's records straight into the epoch's buffer rather than
+    /// through `decode_frame`: every single-byte flip and every cut of a
+    /// frame fails the read.
+    #[test]
+    fn every_byte_flip_and_cut_read_from_a_stream_is_detected() {
+        for f in frames() {
+            let mut clean = Vec::new();
+            encode_frame(&f, &mut clean);
+            for pos in 0..clean.len() {
+                for mask in [0x01u8, 0xFF, 0x80] {
+                    let mut bad = clean.clone();
+                    bad[pos] ^= mask;
+                    if let Ok(ReadEvent::Frame(got, _)) = read_frame(&mut bad.as_slice()) {
+                        panic!("flip {mask:#x} at byte {pos} of {f:?} read as {got:?}");
+                    }
+                }
+            }
+            for cut in 1..clean.len() {
+                let read = read_frame(&mut &clean[..cut]);
+                assert!(read.is_err(), "cut at {cut} of {f:?} read as {read:?}");
+            }
+        }
     }
 
     #[test]

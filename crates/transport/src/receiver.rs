@@ -16,9 +16,13 @@
 //! `next_expected` means bytes were lost inside a session, which the
 //! framed protocol makes impossible without a CRC failure first — it is
 //! treated as a protocol violation and tears the session down. Acks are
-//! cumulative and advance only when the consumer actually fetches an
-//! epoch, so the shipper's window tracks *durable* progress, not
-//! buffered progress.
+//! cumulative and advance when the consumer *fetches* an epoch: the
+//! shipper's window tracks consumed progress, not buffered progress, and
+//! not durable progress either — an epoch is acked before a
+//! `DurableBackup::ingest` writes it (acking durable epochs would need a
+//! "durable through" call from the consumer). Each epoch's own CRC is
+//! checked once, at admission; the [`aets_wal::VerifiedEpoch`] that
+//! builds is what the durable path trusts.
 
 // A poisoned lock here means a dead session, handled as an error.
 #![allow(clippy::disallowed_methods)]
@@ -27,7 +31,7 @@ use crate::frame::{read_frame, write_frame, Frame, ReadEvent};
 use aets_common::{Error, Result};
 use aets_telemetry::trace::stages;
 use aets_telemetry::{names, Span, SpanId, Telemetry};
-use aets_wal::{EncodedEpoch, EpochSource};
+use aets_wal::{EncodedEpoch, EpochSource, VerifiedEpoch};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -71,7 +75,7 @@ impl Default for ReceiverConfig {
 #[derive(Debug)]
 struct RecvState {
     /// Verified epochs awaiting consumption, in sequence order.
-    queue: VecDeque<EncodedEpoch>,
+    queue: VecDeque<VerifiedEpoch>,
     /// Next sequence the socket side will accept into the queue.
     next_expected: Option<u64>,
     /// Highest sequence handed to the consumer (the cumulative ack).
@@ -87,7 +91,7 @@ struct RecvShared {
     /// Signals queue growth (to fetchers) and queue drain (to the
     /// backpressured socket reader) and HELLO arrival.
     queue_cv: Condvar,
-    /// Signals durable-floor advancement to the ack writer.
+    /// Signals ack-floor advancement to the ack writer.
     ack_cv: Condvar,
     closed: AtomicBool,
 }
@@ -306,8 +310,6 @@ fn handle_session(mut conn: TcpStream, shared: &Arc<RecvShared>) {
     let _ = ack_thread.join();
 }
 
-/// Verifies, dedups, and enqueues one delivered epoch. Returns `false`
-/// on a protocol violation that must tear the session down.
 /// What [`admit_epoch`] did with a decoded epoch frame.
 enum Admit {
     /// Freshly buffered for the consumer: this delivery is the one that
@@ -320,10 +322,9 @@ enum Admit {
     Reject,
 }
 
+/// Verifies, dedups, and enqueues one delivered epoch.
 fn admit_epoch(e: EncodedEpoch, shared: &Arc<RecvShared>) -> Admit {
-    if e.verify().is_err() {
-        return Admit::Reject;
-    }
+    let Ok(e) = VerifiedEpoch::new(e) else { return Admit::Reject };
     let Ok(mut st) = shared.state.lock() else { return Admit::Reject };
     loop {
         let next = match st.next_expected {
@@ -347,19 +348,18 @@ fn admit_epoch(e: EncodedEpoch, shared: &Arc<RecvShared>) -> Admit {
             return Admit::Admitted;
         }
         // Buffer full: block the socket side until the consumer drains.
-        let (guard, timed_out) = match shared.queue_cv.wait_timeout(st, shared.cfg.io_timeout) {
-            Ok(x) => x,
-            Err(_) => return Admit::Reject,
+        // Timed out or not, the loop re-checks capacity.
+        let Ok((guard, _)) = shared.queue_cv.wait_timeout(st, shared.cfg.io_timeout) else {
+            return Admit::Reject;
         };
         st = guard;
         if shared.closed.load(Ordering::Relaxed) {
             return Admit::Reject;
         }
-        let _ = timed_out; // loop re-checks capacity either way
     }
 }
 
-/// Sends a cumulative `Ack` every time the durable floor advances.
+/// Sends a cumulative `Ack` every time the ack floor advances.
 fn ack_writer(mut conn: TcpStream, shared: &Arc<RecvShared>, alive: &AtomicBool) {
     let mut sent: Option<u64> = None;
     loop {
@@ -432,7 +432,7 @@ impl EpochSource for NetEpochSource {
         self.stream_identity().0
     }
 
-    fn fetch(&mut self, seq: u64, _attempt: u32) -> Option<EncodedEpoch> {
+    fn fetch(&mut self, seq: u64, _attempt: u32) -> Option<Result<VerifiedEpoch>> {
         let deadline = Instant::now() + self.shared.cfg.fetch_timeout;
         let Ok(mut st) = self.shared.state.lock() else { return None };
         loop {
@@ -442,7 +442,7 @@ impl EpochSource for NetEpochSource {
                 st.queue.pop_front();
             }
             if st.queue.front().is_some_and(|e| e.id.raw() == seq) {
-                let e = st.queue.pop_front();
+                let e = st.queue.pop_front().map(Ok);
                 st.last_durable = Some(st.last_durable.map_or(seq, |d| d.max(seq)));
                 // Wake the ack writer and a backpressured socket reader.
                 self.shared.ack_cv.notify_all();

@@ -17,7 +17,7 @@
 //!   shipped again; the receiver's dedup makes delivery exactly-once.
 //!
 //! Delivery of the whole run is confirmed by acks, not by writes: the
-//! call returns only once the receiver has durably consumed every epoch
+//! call returns only once the receiver's consumer has fetched every epoch
 //! (cumulative ack == last sequence), so a lost tail is always detected
 //! and re-shipped.
 
@@ -97,12 +97,6 @@ struct AckState {
 }
 
 impl AckState {
-    /// Current floor, or `None` if the lock is poisoned (treated as a
-    /// dead session by callers).
-    fn floor(&self) -> Option<u64> {
-        self.acked_next.lock().ok().map(|g| *g)
-    }
-
     /// Blocks until `pred(acked floor)` holds, the session dies, or
     /// `timeout` passes without any floor progress. Returns the floor.
     fn wait_progress(&self, timeout: Duration, pred: impl Fn(u64) -> bool) -> Option<u64> {
@@ -175,7 +169,7 @@ fn ack_reader(
 }
 
 /// Ships `epochs` (a contiguous run of sequence ids) to the receiver at
-/// `addr`, blocking until every epoch is acked durable. Returns the wire
+/// `addr`, blocking until every epoch is acked (fetched). Returns the wire
 /// activity; errors only when the channel stays down past the configured
 /// attempt budget.
 pub fn ship_epochs(
@@ -310,7 +304,8 @@ pub fn ship_epochs(
         let _ = conn.shutdown(std::net::Shutdown::Both);
         let _ = reader.join();
 
-        let floor = state.floor().unwrap_or(baseline_floor);
+        // A poisoned floor is a dead session's: nothing was acked.
+        let floor = state.acked_next.lock().map_or(baseline_floor, |g| *g);
         // Acks that raced the session's death still count: those epochs
         // were delivered, so their ship spans close rather than vanish.
         // Truly unacked spans drop — the resync re-ships under fresh ids.

@@ -32,7 +32,7 @@ use aets_replay::{
     eval_spec, OutputKind, QueryOutput, QuerySpec, QueryTarget, ReplayEngine, SerialEngine,
     VisibilityBoard,
 };
-use aets_wal::{crc32, EncodedEpoch};
+use aets_wal::EncodedEpoch;
 use std::hash::Hasher;
 use std::io::{BufRead, BufWriter, Write};
 use std::path::Path;
@@ -224,9 +224,7 @@ fn decode_event(line: &str) -> Result<TraceEvent> {
                 bytes,
             };
             // A trace is a durability artifact: verify on the way in.
-            if crc32(&epoch.bytes) != epoch.crc32 {
-                return Err(Error::CodecChecksum);
-            }
+            epoch.verify()?;
             Ok(TraceEvent::Epoch { at_us: field_u64(line, "at_us")?, epoch })
         }
         "query" => {

@@ -361,15 +361,6 @@ pub fn decode_dml_at(buf: &[u8], range: Range<usize>) -> Result<DmlEntry> {
     }
 }
 
-/// Encodes a batch of records into one buffer.
-pub fn encode_batch(records: &[LogRecord]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(records.len() * 64);
-    for r in records {
-        encode_record(&mut buf, r);
-    }
-    buf
-}
-
 /// Decodes a whole buffer into records.
 pub fn decode_batch(buf: &[u8]) -> Result<Vec<LogRecord>> {
     let mut out = Vec::new();
@@ -393,6 +384,15 @@ pub fn decode_batch_into(buf: &[u8], out: &mut Vec<LogRecord>) -> Result<()> {
 mod tests {
     use super::*;
     use aets_common::rng::{check, Rng};
+
+    /// Encodes a batch of records into one buffer.
+    fn encode_batch(records: &[LogRecord]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for r in records {
+            encode_record(&mut buf, r);
+        }
+        buf
+    }
 
     fn sample_dml() -> LogRecord {
         LogRecord::Dml(DmlEntry {

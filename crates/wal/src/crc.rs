@@ -2,10 +2,10 @@
 //!
 //! The codec appends a CRC32 to every record and [`crate::EncodedEpoch`]
 //! carries one over its whole byte frame, and on the durable path an
-//! epoch's payload is checksummed again at each hop (frame encode and
-//! decode, receiver admission, ingest, WAL append, record decode), so the
-//! checksum is the densest loop in the system. [`crc32_update`] therefore
-//! picks the fastest kernel the CPU runs:
+//! epoch's payload is checksummed at several hops (frame encode and
+//! decode, receiver admission, record decode), so the checksum is the
+//! densest loop in the system. [`crc32_update`] therefore picks the
+//! fastest kernel the CPU runs:
 //!
 //! - on x86_64 with PCLMULQDQ and SSE4.1, inputs of at least 64 bytes are
 //!   folded with carry-less multiplies: four 128-bit lanes advance 512

@@ -29,11 +29,6 @@ impl Epoch {
         self.txns.is_empty()
     }
 
-    /// Total DML entries across transactions.
-    pub fn entry_count(&self) -> usize {
-        self.txns.iter().map(|t| t.entries.len()).sum()
-    }
-
     /// Total wire bytes across transactions.
     pub fn wire_size(&self) -> usize {
         self.txns.iter().map(TxnLog::wire_size).sum()
@@ -174,6 +169,33 @@ impl EncodedEpoch {
     pub fn decode_records_into(&self, scratch: &mut Vec<LogRecord>) -> Result<()> {
         scratch.clear();
         crate::codec::decode_batch_into(&self.bytes, scratch)
+    }
+}
+
+/// An [`EncodedEpoch`] that passed its own CRC check, the proof that lets
+/// later hops skip it: built by [`VerifiedEpoch::new`], which runs the
+/// check, or by the segment reader right after checking a frame.
+#[derive(Debug, Clone)]
+pub struct VerifiedEpoch(pub(crate) EncodedEpoch);
+
+impl VerifiedEpoch {
+    /// Checks `epoch` against its frame CRC ([`EncodedEpoch::verify`]).
+    pub fn new(epoch: EncodedEpoch) -> Result<Self> {
+        epoch.verify()?;
+        Ok(Self(epoch))
+    }
+
+    /// The epoch, giving up the proof.
+    pub fn into_inner(self) -> EncodedEpoch {
+        self.0
+    }
+}
+
+impl std::ops::Deref for VerifiedEpoch {
+    type Target = EncodedEpoch;
+
+    fn deref(&self) -> &EncodedEpoch {
+        &self.0
     }
 }
 
@@ -333,8 +355,13 @@ mod tests {
         let mut flipped = encoded.bytes.to_vec();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x10;
-        let flipped = EncodedEpoch { bytes: flipped.into(), ..encoded };
+        let flipped = EncodedEpoch { bytes: flipped.into(), ..encoded.clone() };
         assert!(matches!(flipped.verify(), Err(aets_common::Error::CodecChecksum)));
+
+        // The proof is built by the same check, and only on a pass.
+        assert_eq!(*VerifiedEpoch::new(encoded.clone()).unwrap(), encoded);
+        assert!(matches!(VerifiedEpoch::new(torn), Err(aets_common::Error::CodecChecksum)));
+        assert!(matches!(VerifiedEpoch::new(flipped), Err(aets_common::Error::CodecChecksum)));
     }
 
     #[test]

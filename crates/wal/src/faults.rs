@@ -24,8 +24,8 @@
 
 use crate::codec::MetaScanner;
 use crate::crc::crc32;
-use crate::epoch::EncodedEpoch;
-use aets_common::{unit_f64, TableId};
+use crate::epoch::{EncodedEpoch, VerifiedEpoch};
+use aets_common::{splitmix64, unit_f64, Result, TableId};
 use std::ops::Range;
 
 /// A pull-based source of encoded epochs (the backup's view of the
@@ -45,8 +45,9 @@ pub trait EpochSource: Send {
     /// Attempts delivery of epoch `seq` (0-based). `attempt` counts
     /// re-requests of the same epoch by the resync loop. `None` means the
     /// epoch is not available yet (a stall); the caller should back off
-    /// and re-request.
-    fn fetch(&mut self, seq: u64, attempt: u32) -> Option<EncodedEpoch>;
+    /// and re-request. The source proves each delivery against its
+    /// frame CRC; `Some(Err(_))` is one that failed, re-requested too.
+    fn fetch(&mut self, seq: u64, attempt: u32) -> Option<Result<VerifiedEpoch>>;
 }
 
 /// The classes of fault the injector can apply to one delivery.
@@ -108,13 +109,6 @@ impl FaultPlan {
         self
     }
 }
-
-/// Deterministic 64-bit mixer (splitmix64 finalizer): the fault
-/// harnesses' only source of "randomness", so schedules are reproducible
-/// by construction. Re-exported from `aets_common` (where the fleet- and
-/// network-level fault plans also key their schedules) so existing
-/// `aets_wal::splitmix64` callers keep working.
-pub use aets_common::splitmix64;
 
 /// A fault-injecting wrapper around an in-memory epoch stream.
 #[derive(Debug)]
@@ -192,7 +186,7 @@ impl FaultInjector {
 /// Byte ranges of the DML records of `epoch` whose table `want` accepts,
 /// in log order; none when the scanner cannot frame the epoch.
 fn dml_ranges(epoch: &EncodedEpoch, want: impl Fn(TableId) -> bool) -> Vec<Range<usize>> {
-    let scanned: Result<Vec<_>, _> = MetaScanner::new(epoch.bytes.clone()).collect();
+    let scanned: Result<Vec<_>> = MetaScanner::new(epoch.bytes.clone()).collect();
     let dml = scanned.unwrap_or_default().into_iter().filter(|(m, _)| m.table.is_some_and(&want));
     dml.map(|(_, range)| range).collect()
 }
@@ -221,15 +215,14 @@ impl EpochSource for FaultInjector {
         self.epochs.len()
     }
 
-    fn fetch(&mut self, seq: u64, attempt: u32) -> Option<EncodedEpoch> {
+    fn fetch(&mut self, seq: u64, attempt: u32) -> Option<Result<VerifiedEpoch>> {
         let clean = self.epochs.get(seq as usize)?.clone();
-        let Some(kind) = self.fault_for(seq) else {
-            return Some(clean);
+        let delivered = match self.fault_for(seq) {
+            Some(kind) if attempt < self.plan.heal_after => self.apply(kind, seq, clean)?,
+            _ => clean,
         };
-        if attempt >= self.plan.heal_after {
-            return Some(clean);
-        }
-        self.apply(kind, seq, clean)
+        // Torn tails and bit flips happen here, so the check does too.
+        Some(VerifiedEpoch::new(delivered))
     }
 }
 
@@ -290,16 +283,15 @@ mod tests {
         for seq in 0..epochs.len() as u64 {
             // Attempt 0 is faulted in some observable way...
             match inj.fetch(seq, 0) {
-                None => saw_fault = true, // stall
-                Some(e) => {
-                    if e.verify().is_err() || e.id.raw() != seq {
+                None | Some(Err(_)) => saw_fault = true, // stall or damaged bytes
+                Some(Ok(e)) => {
+                    if e.id.raw() != seq {
                         saw_fault = true;
                     }
                 }
             }
             // ...and attempt 1 (past heal_after) is always clean.
-            let healed = inj.fetch(seq, 1).expect("healed delivery");
-            healed.verify().unwrap();
+            let healed = inj.fetch(seq, 1).expect("healed delivery").unwrap();
             assert_eq!(healed.id.raw(), seq);
         }
         assert!(saw_fault, "rate 1.0 must fault at least one epoch");
@@ -312,7 +304,7 @@ mod tests {
         let mut inj = FaultInjector::new(epochs, plan);
         for attempt in 0..8 {
             let e = inj.fetch(0, attempt).unwrap();
-            assert!(e.verify().is_err(), "attempt {attempt} unexpectedly clean");
+            assert!(e.is_err(), "attempt {attempt} unexpectedly clean");
         }
     }
 
@@ -342,9 +334,8 @@ mod tests {
         let epochs: Vec<_> = batch_into_epochs(txns, 4).unwrap().iter().map(encode_epoch).collect();
         let plan = FaultPlan::new(5, 1.0, vec![FaultKind::RecordCorruption]).persistent();
         let mut inj = FaultInjector::new(epochs, plan);
-        let e = inj.fetch(0, 0).unwrap();
-        // Frame CRC restamped: ingest cannot tell.
-        e.verify().unwrap();
+        // Frame CRC restamped: the delivery passes its check.
+        let e = inj.fetch(0, 0).unwrap().unwrap();
         // Full decode of the batch hits the corrupted record CRC.
         let err = crate::codec::decode_batch(&e.bytes).unwrap_err();
         assert!(matches!(err, aets_common::Error::CodecChecksum));

@@ -22,14 +22,15 @@ pub mod stream;
 
 pub use codec::{
     decode_at, decode_batch, decode_batch_into, decode_dml_at, decode_meta, decode_record,
-    decode_row, encode_batch, encode_record, encode_row, MetaScanner, RecordMeta,
+    decode_row, encode_record, encode_row, MetaScanner, RecordMeta,
 };
 pub use crash::CrashClock;
 pub use crc::{crc32, crc32_combine, crc32_scalar, crc32_slice8, crc32_update};
 pub use entry::{DmlEntry, LogRecord, TxnLog};
 pub use epoch::{
     assemble_txns, batch_into_epochs, encode_epoch, heartbeat_txn, EncodedEpoch, Epoch,
+    VerifiedEpoch,
 };
-pub use faults::{splitmix64, EpochSource, FaultInjector, FaultKind, FaultPlan};
+pub use faults::{EpochSource, FaultInjector, FaultKind, FaultPlan};
 pub use segment::{FsyncPolicy, SegmentConfig, SegmentStore};
 pub use stream::{insert_heartbeats, ReplicationTimeline};

@@ -71,7 +71,7 @@
 use crate::codec::{take_u32, take_u64};
 use crate::crash::{charge, durable_write, CrashClock};
 use crate::crc::crc32;
-use crate::epoch::EncodedEpoch;
+use crate::epoch::{EncodedEpoch, VerifiedEpoch};
 use aets_common::{EpochId, Error, Result, Timestamp};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
@@ -279,11 +279,6 @@ impl SegmentStore {
         self.synced_seq
     }
 
-    /// Frames appended since the last fsync point.
-    pub fn pending_frames(&self) -> u32 {
-        self.pending_frames
-    }
-
     /// The sequence number the next [`SegmentStore::append`] must carry,
     /// or `None` when the store is empty (any start accepted).
     pub fn next_seq(&self) -> Option<u64> {
@@ -300,21 +295,21 @@ impl SegmentStore {
         self.segments.iter().map(|m| m.count).sum()
     }
 
-    /// Number of retained segment files.
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
     /// Root directory of the store.
     pub fn dir(&self) -> &Path {
         &self.dir
     }
 
-    /// Appends one verified epoch. The epoch must carry the next
-    /// sequence number; out-of-order appends return [`Error::EpochGap`]
-    /// and corrupt frames are rejected before touching disk.
+    /// Verifies `e`, then appends it: a corrupt frame is rejected before
+    /// touching disk.
     pub fn append(&mut self, e: &EncodedEpoch) -> Result<()> {
-        e.verify()?;
+        self.append_verified(&VerifiedEpoch::new(e.clone())?)
+    }
+
+    /// Appends one epoch, already proved against its CRC. It must carry
+    /// the next sequence number; out-of-order appends return
+    /// [`Error::EpochGap`].
+    pub fn append_verified(&mut self, e: &VerifiedEpoch) -> Result<()> {
         let seq = e.id.raw();
         if let Some(expected) = self.expect_seq {
             if seq != expected {
@@ -328,12 +323,12 @@ impl SegmentStore {
         if roll {
             self.roll(seq)?;
         }
-        let frame = encode_frame(e);
+        let header = frame_header(e);
         let file = self
             .current
             .as_mut()
             .ok_or_else(|| Error::Io("segment store has no open segment".into()))?;
-        durable_write(file, &[&frame], &self.clock, "wal frame")?;
+        durable_write(file, &[&header, &e.bytes], &self.clock, "wal frame")?;
         if let Some(m) = self.segments.last_mut() {
             m.count += 1;
         }
@@ -408,8 +403,8 @@ impl SegmentStore {
 
     /// Reads back every retained epoch with sequence ≥ `from_seq`, fully
     /// re-validating frame headers, sequence numbers and payload CRCs:
-    /// what it returns is checked input for replay.
-    pub fn read_suffix(&self, from_seq: u64) -> Result<Vec<EncodedEpoch>> {
+    /// what it returns is checked input for replay, and says so by type.
+    pub fn read_suffix(&self, from_seq: u64) -> Result<Vec<VerifiedEpoch>> {
         let mut out = Vec::new();
         for m in &self.segments {
             if m.end_seq() <= from_seq {
@@ -452,18 +447,19 @@ fn encode_header(first_seq: u64) -> Vec<u8> {
     buf
 }
 
-fn encode_frame(e: &EncodedEpoch) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(FRAME_HEADER_LEN + e.bytes.len());
-    buf.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-    buf.extend_from_slice(&e.id.raw().to_le_bytes());
-    buf.extend_from_slice(&(e.txn_count as u32).to_le_bytes());
-    buf.extend_from_slice(&e.max_commit_ts.as_micros().to_le_bytes());
-    buf.extend_from_slice(&(e.bytes.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&e.crc32.to_le_bytes());
-    let hcrc = crc32(&buf);
-    buf.extend_from_slice(&hcrc.to_le_bytes());
-    buf.extend_from_slice(&e.bytes);
-    buf
+/// The 36-byte frame header of `e`: the payload is written after it
+/// straight from the epoch's buffer.
+fn frame_header(e: &EncodedEpoch) -> [u8; FRAME_HEADER_LEN] {
+    let mut h = [0u8; FRAME_HEADER_LEN];
+    h[..4].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
+    h[4..12].copy_from_slice(&e.id.raw().to_le_bytes());
+    h[12..16].copy_from_slice(&(e.txn_count as u32).to_le_bytes());
+    h[16..24].copy_from_slice(&e.max_commit_ts.as_micros().to_le_bytes());
+    h[24..28].copy_from_slice(&(e.bytes.len() as u32).to_le_bytes());
+    h[28..32].copy_from_slice(&e.crc32.to_le_bytes());
+    let hcrc = crc32(&h[..32]);
+    h[32..].copy_from_slice(&hcrc.to_le_bytes());
+    h
 }
 
 /// Validates the 20-byte segment header against the sequence encoded in
@@ -486,7 +482,7 @@ fn valid_header(bytes: &[u8], named_seq: u64) -> Result<bool> {
 fn decode_frames_file(
     path: &Path,
     named_seq: u64,
-    mut out: Option<&mut Vec<EncodedEpoch>>,
+    mut out: Option<&mut Vec<VerifiedEpoch>>,
 ) -> Result<Option<(u64, u64, u64)>> {
     let data = fs::read(path)?;
     if !matches!(valid_header(&data, named_seq), Ok(true)) {
@@ -518,13 +514,14 @@ fn decode_frames_file(
             break;
         }
         if let Some(out) = out.as_deref_mut() {
-            out.push(EncodedEpoch {
+            // The check above is the epoch's own CRC: the copy is proved.
+            out.push(VerifiedEpoch(EncodedEpoch {
                 id: EpochId::new(seq),
                 bytes: payload.into(),
                 txn_count: txn_count as usize,
                 max_commit_ts: Timestamp::from_micros(max_commit_ts),
                 crc32: payload_crc,
-            });
+            }));
         }
         count += 1;
         off = payload_start + payload_len;
@@ -606,7 +603,7 @@ mod tests {
             for e in &epochs {
                 s.append(e).unwrap();
             }
-            assert_eq!(s.segment_count(), 3); // 4 + 4 + 2
+            assert_eq!(s.segments.len(), 3); // 4 + 4 + 2
             assert_eq!(s.epoch_count(), 10);
         }
         let s = store(&dir, 4);
@@ -700,13 +697,13 @@ mod tests {
             for e in &epochs {
                 s.append(e).unwrap();
             }
-            assert_eq!(s.segment_count(), 3);
+            assert_eq!(s.segments.len(), 3);
         }
         // Simulate an interrupted retention pass that removed the middle
         // segment: seg 8.. is now unreachable from seg 0...
         fs::remove_file(dir.join(segment_file_name(4))).unwrap();
         let s = store(&dir, 4);
-        assert_eq!(s.segment_count(), 1);
+        assert_eq!(s.segments.len(), 1);
         assert_eq!(s.next_seq(), Some(4));
         assert!(!dir.join(segment_file_name(8)).exists(), "orphan not deleted");
         fs::remove_dir_all(&dir).unwrap();
@@ -718,7 +715,7 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join(segment_file_name(0)), b"not a segment").unwrap();
         let s = store(&dir, 4);
-        assert_eq!(s.segment_count(), 0);
+        assert_eq!(s.segments.len(), 0);
         assert_eq!(s.next_seq(), None);
         assert!(!dir.join(segment_file_name(0)).exists());
         fs::remove_dir_all(&dir).unwrap();
@@ -737,7 +734,7 @@ mod tests {
         assert_eq!(s.first_retained_seq(), Some(4));
         // Watermark past the end: every segment but the last retires.
         assert_eq!(s.truncate_before(100).unwrap(), 1);
-        assert_eq!(s.segment_count(), 1);
+        assert_eq!(s.segments.len(), 1);
         assert_eq!(s.first_retained_seq(), Some(8));
         assert_eq!(s.next_seq(), Some(12));
         // Reopen agrees.
@@ -846,11 +843,11 @@ mod tests {
         }
         // 10 appends under max_frames=4: two full batches, two left over.
         assert_eq!(*lock(&log), vec![4, 4]);
-        assert_eq!(s.pending_frames(), 2);
+        assert_eq!(s.pending_frames, 2);
         assert_eq!(s.synced_seq(), Some(7));
         s.sync().unwrap();
         assert_eq!(*lock(&log), vec![4, 4, 2]);
-        assert_eq!(s.pending_frames(), 0);
+        assert_eq!(s.pending_frames, 0);
         assert_eq!(s.synced_seq(), Some(9));
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -894,7 +891,7 @@ mod tests {
         }
         // Rolling to a new segment makes the previous one's tail durable.
         assert_eq!(*lock(&log), vec![4, 4]);
-        assert_eq!(s.pending_frames(), 2);
+        assert_eq!(s.pending_frames, 2);
         assert_eq!(s.synced_seq(), Some(7));
         s.sync().unwrap();
         assert_eq!(s.synced_seq(), Some(9));

@@ -5,7 +5,7 @@
 //! cargo run --release --example restart_backup
 //! ```
 //!
-//! Runs a TPC-C stream through a [`DurableBackup`] (WAL-first ingest +
+//! Runs a TPC-C stream through a [`DurableBackup`] (WAL append beside replay +
 //! epoch-aligned checkpoints), "kills" the node by dropping it, restarts
 //! it from disk, and verifies the recovered state equals a fault-free
 //! serial-oracle replay. The demo prints and asserts; recovery time and
@@ -19,7 +19,7 @@ use aets_suite::replay::{
     TableGrouping,
 };
 use aets_suite::telemetry::{names, Telemetry};
-use aets_suite::wal::{batch_into_epochs, encode_epoch, SegmentConfig};
+use aets_suite::wal::{batch_into_epochs, encode_epoch, SegmentConfig, VerifiedEpoch};
 use aets_suite::workloads::tpcc::{self, TpccConfig};
 use std::sync::Arc;
 
@@ -74,7 +74,8 @@ fn main() {
                 .expect("cold start");
         let t0 = std::time::Instant::now();
         for e in &epochs {
-            node.ingest(e).expect("durable ingest");
+            let e = VerifiedEpoch::new(e.clone()).expect("a freshly encoded epoch checks");
+            node.ingest(&e).expect("durable ingest");
         }
         let ingest_wall = t0.elapsed();
         // The registry is the node's one ledger across calls.

@@ -23,6 +23,7 @@ use aets_suite::replay::{
 use aets_suite::telemetry::{names, Telemetry};
 use aets_suite::wal::{
     batch_into_epochs, encode_epoch, CrashClock, EncodedEpoch, FsyncPolicy, SegmentConfig,
+    VerifiedEpoch,
 };
 use aets_suite::workloads::{bustracker, tpcc, Workload};
 use std::path::{Path, PathBuf};
@@ -89,6 +90,11 @@ fn bustracker_fixture() -> &'static Fixture {
             48,
         )
     })
+}
+
+/// `e` with its CRC proof, as the feed hands epochs to `ingest`.
+fn checked(e: &EncodedEpoch) -> VerifiedEpoch {
+    VerifiedEpoch::new(e.clone()).unwrap()
 }
 
 fn fresh_engine(grouping: &TableGrouping) -> AetsEngine {
@@ -207,7 +213,7 @@ fn supervised_run(
         let mut crashed = false;
         while (node.next_seq() as usize) < fx.epochs.len() {
             let e = &fx.epochs[node.next_seq() as usize];
-            match node.ingest(e) {
+            match node.ingest(&checked(e)) {
                 Ok(()) => {
                     known_ckpt = known_ckpt.max(node.last_checkpoint_seq());
                     known_synced = known_synced.max(node.wal_synced_seq());
@@ -339,7 +345,7 @@ fn crash_mid_checkpoint() {
         let mut window = None;
         for e in &fx.epochs {
             let pre = clock.used();
-            node.ingest(e).unwrap();
+            node.ingest(&checked(e)).unwrap();
             if node.last_checkpoint_seq() > 0 {
                 window = Some((pre, clock.used()));
                 break;
@@ -388,7 +394,7 @@ fn stale_manifest_falls_back() {
         )
         .unwrap();
         for e in &fx.epochs {
-            node.ingest(e).unwrap();
+            node.ingest(&checked(e)).unwrap();
         }
         assert_eq!(
             tel.snapshot().counter_total(names::CHECKPOINTS_WRITTEN),
@@ -467,7 +473,7 @@ fn coalesced_group_commit_crash_sweep() {
         )
         .unwrap();
         for e in &fx.epochs[..6.min(fx.epochs.len())] {
-            node.ingest(e).unwrap();
+            node.ingest(&checked(e)).unwrap();
         }
         let _ = std::fs::remove_dir_all(&wal_dir);
         let _ = std::fs::remove_dir_all(&ckpt_dir);
@@ -512,7 +518,7 @@ fn every_single_crash_point_converges() {
         )
         .unwrap();
         for e in &fx.epochs[..6.min(fx.epochs.len())] {
-            node.ingest(e).unwrap();
+            node.ingest(&checked(e)).unwrap();
         }
         let _ = std::fs::remove_dir_all(&wal_dir);
         let _ = std::fs::remove_dir_all(&ckpt_dir);
@@ -520,6 +526,91 @@ fn every_single_crash_point_converges() {
     };
     for budget in 1..=total {
         run_schedule(fx, &[budget], "dense");
+    }
+}
+
+// ---------------------------------------------------------------------
+// The fence: a WAL frame that fails while its epoch replays
+// ---------------------------------------------------------------------
+
+/// The WAL writer appends an epoch's frame while the crew replays it, so
+/// a frame write or fsync that fails leaves memory ahead of the log. The
+/// call returns the crash; every later `ingest` and `checkpoint_now`
+/// returns the fence; and a reopen recovers exactly the serial oracle's
+/// state at the sequence it resumes from.
+#[test]
+fn a_failed_wal_write_or_fsync_fences_the_backup_until_reopen() {
+    let fx = tpcc_fixture();
+    // No checkpoint and no segment roll: the victim's ingest charges
+    // exactly its frame write, then its fsync.
+    let opts = DurableOptions {
+        checkpoint_every: 0,
+        segment: SegmentConfig { epochs_per_segment: 64, ..Default::default() },
+        ..Default::default()
+    };
+    let victim = fx.epochs.len() / 2;
+    let open = |wal_dir: &Path, ckpt_dir: &Path, clock| {
+        DurableBackup::open(
+            wal_dir,
+            ckpt_dir,
+            fresh_engine(&fx.grouping),
+            fx.num_tables,
+            opts.clone(),
+            clock,
+        )
+        .unwrap()
+    };
+    // A probe life counts the operations charged before the victim.
+    let before = {
+        let (wal_dir, ckpt_dir) = (scratch("fence-probe-wal"), scratch("fence-probe-ckpt"));
+        let clock = CrashClock::unlimited();
+        let mut node = open(&wal_dir, &ckpt_dir, Some(clock.clone()));
+        for e in &fx.epochs[..victim] {
+            node.ingest(&checked(e)).unwrap();
+        }
+        let before = clock.used();
+        node.ingest(&checked(&fx.epochs[victim])).unwrap();
+        assert_eq!(clock.used() - before, 2, "the victim charges its frame write and its fsync");
+        drop(node);
+        let _ = std::fs::remove_dir_all(&wal_dir);
+        let _ = std::fs::remove_dir_all(&ckpt_dir);
+        before
+    };
+    // A torn frame write is truncated on reopen; a frame written whole
+    // before its fsync failed is on disk and replays.
+    for (what, budget, resumes) in
+        [("frame write", before + 1, victim), ("fsync", before + 2, victim + 1)]
+    {
+        let (wal_dir, ckpt_dir) = (scratch("fence-wal"), scratch("fence-ckpt"));
+        let mut node = open(&wal_dir, &ckpt_dir, Some(CrashClock::with_budget(budget)));
+        for e in &fx.epochs[..victim] {
+            node.ingest(&checked(e)).unwrap();
+        }
+        let err = node.ingest(&checked(&fx.epochs[victim])).unwrap_err();
+        assert!(err.is_crash(), "{what}: {err}");
+        assert_eq!(
+            node.board().global_cmt_ts(),
+            fx.epochs[victim].max_commit_ts,
+            "{what}: the crew replayed the epoch whose frame failed"
+        );
+        let fence = node.ingest(&checked(&fx.epochs[victim + 1])).unwrap_err();
+        assert!(!fence.is_crash() && fence.to_string().contains("fenced"), "{what}: {fence}");
+        assert_eq!(node.checkpoint_now().unwrap_err(), fence, "{what}");
+        assert_eq!(node.ingest(&checked(&fx.epochs[victim])).unwrap_err(), fence, "{what}");
+        drop(node);
+
+        let node = open(&wal_dir, &ckpt_dir, None);
+        assert_eq!(node.next_seq() as usize, resumes, "{what}");
+        let oracle = MemDb::new(fx.num_tables);
+        SerialEngine.replay_all(&fx.epochs[..resumes], &oracle).unwrap();
+        assert_eq!(
+            node.db().digest_at(Timestamp::MAX),
+            oracle.digest_at(Timestamp::MAX),
+            "{what}: reopen recovers the serial oracle at epoch {resumes}"
+        );
+        drop(node);
+        let _ = std::fs::remove_dir_all(&wal_dir);
+        let _ = std::fs::remove_dir_all(&ckpt_dir);
     }
 }
 
@@ -607,7 +698,7 @@ fn quarantine_never_outruns_wal_retention() {
         let mut frozen = None;
         let stop = (eidx + reopen_gap).min(epochs.len());
         for e in &epochs[..stop] {
-            node.ingest(e).unwrap();
+            node.ingest(&checked(e)).unwrap();
             assert_retention_frozen(&node, &mut frozen, "first life");
         }
         assert!(node.board().any_quarantined(), "poisoned epoch must quarantine");
@@ -632,7 +723,7 @@ fn quarantine_never_outruns_wal_retention() {
         );
         assert_retention_frozen(&node, &mut frozen, "reopen");
         for e in &epochs[stop..] {
-            node.ingest(e).unwrap();
+            node.ingest(&checked(e)).unwrap();
             assert_retention_frozen(&node, &mut frozen, "second life");
         }
         // The frozen suffix is still fully covered: recovery from the

@@ -174,8 +174,9 @@ fn fault_injected_replay_recovers_to_oracle() {
         let mut source = FaultInjector::new(epochs, FaultPlan::new(seed, 0.7, kinds));
         let retry = RetryPolicy { max_retries: 4, base_backoff_us: 1, max_backoff_us: 20 };
         let mut stats = IngestStats::default();
-        let checked: Vec<_> =
-            (0..n).map(|seq| ingest_epoch(&mut source, seq, &retry, &mut stats).unwrap()).collect();
+        let checked: Vec<_> = (0..n)
+            .map(|seq| ingest_epoch(&mut source, seq, &retry, &mut stats).unwrap().into_inner())
+            .collect();
         let m = eng.replay(&checked, &db, &board).unwrap();
         assert!(!m.degraded(), "recoverable faults must not quarantine");
         assert!(db.all_chains_ordered());

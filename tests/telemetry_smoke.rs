@@ -9,7 +9,9 @@ use aets_suite::replay::{
     run_realtime, AetsConfig, AetsEngine, ReplayEngine, RunnerConfig, TableGrouping, Workload,
 };
 use aets_suite::telemetry::{names, parse_exposition, EventKind, Telemetry};
-use aets_suite::wal::{batch_into_epochs, encode_epoch, ReplicationTimeline};
+use aets_suite::wal::{
+    batch_into_epochs, encode_epoch, EncodedEpoch, ReplicationTimeline, VerifiedEpoch,
+};
 use aets_suite::workloads::tpcc::{self, TpccConfig};
 use std::sync::Arc;
 
@@ -29,6 +31,11 @@ const REQUIRED_FAMILIES: &[&str] = &[
     names::STAGE_BARRIER_WAIT_US,
     names::REPLAY_CREW_PARKED,
 ];
+
+/// `e` with its CRC proof, as the feed hands epochs to `ingest`.
+fn checked(e: &EncodedEpoch) -> VerifiedEpoch {
+    VerifiedEpoch::new(e.clone()).unwrap()
+}
 
 #[test]
 fn short_paced_replay_emits_parseable_consistent_telemetry() {
@@ -364,7 +371,7 @@ fn coalesced_durable_ingest_records_fsync_batch_sizes() {
         DurableBackup::open(scratch("wal"), scratch("ckpt"), engine, w.num_tables(), opts, None)
             .expect("open durable backup");
     for e in &epochs {
-        node.ingest(e).expect("ingest");
+        node.ingest(&checked(e)).expect("ingest");
     }
 
     let snap = tel.snapshot();
@@ -412,7 +419,7 @@ fn checkpoint_and_gc_costs_reach_the_live_surface() {
         DurableBackup::open(scratch("wal"), &ckpt_dir, engine, w.num_tables(), opts, None)
             .expect("open durable backup");
     for e in &epochs {
-        node.ingest(e).expect("ingest");
+        node.ingest(&checked(e)).expect("ingest");
     }
     // A pass outside any checkpoint, through the query node.
     node.serve(NodeOptions::default()).expect("serve").gc();
@@ -558,7 +565,7 @@ fn forced_quarantine_dumps_a_parseable_flight_bundle() {
         DurableBackup::open(scratch("wal"), scratch("ckpt"), engine, w.num_tables(), opts, None)
             .expect("open durable backup");
     for e in &epochs {
-        node.ingest(e).expect("ingest");
+        node.ingest(&checked(e)).expect("ingest");
     }
     assert!(!node.engine().quarantined_groups().is_empty(), "the poisoned group must quarantine");
     assert!(tel.spans().anomalous(), "the quarantine must latch always-sample");
